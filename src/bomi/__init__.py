@@ -22,10 +22,6 @@ from .features import (
     FeatureLayout,
     Window,
     feature_dim,
-    fv1,
-    fv2,
-    fv3,
-    gamma_amp,
     learn_ranges,
     make_windows,
     prop_output,
@@ -36,7 +32,6 @@ from .fusion import (
     NeutralOffset,
     OrientationFrame,
     accel_angles,
-    apply_offset,
     calibrate_neutral,
     mag_yaw,
 )
@@ -86,16 +81,11 @@ __all__ = [
     "VirtualDevice",
     "Window",
     "accel_angles",
-    "apply_offset",
     "calibrate_neutral",
     "deserialize",
     "evaluate",
     "feature_dim",
     "fit",
-    "fv1",
-    "fv2",
-    "fv3",
-    "gamma_amp",
     "learn_ranges",
     "load_recording",
     "mag_yaw",

@@ -31,6 +31,7 @@ from .experiments import (
     sequence_windows,
     train_session,
 )
+from .features import FEATURE_KINDS
 from .fusion import FusionConfig
 from .lda import deserialize, serialize
 from .pipeline import CommandMapping, VirtualDevice, replay
@@ -59,21 +60,19 @@ def _fusion_config(args, file_cfg) -> FusionConfig:
         alpha=cfgmod.resolve("fusion.alpha", args.alpha, file_cfg),
         calib_ticks=cfgmod.resolve("fusion.calib_ticks", args.calib_ticks, file_cfg),
         gimbal_guard_deg=cfgmod.resolve(
-            "fusion.pitch_gimbal_guard_deg", getattr(args, "gimbal_guard", None), file_cfg
+            "fusion.pitch_gimbal_guard_deg", args.gimbal_guard, file_cfg
         ),
     )
 
 
 def _window_geometry(args, file_cfg) -> tuple[int, int]:
-    window = cfgmod.resolve("features.window", getattr(args, "window", None), file_cfg)
-    overlap = cfgmod.resolve("features.overlap", getattr(args, "overlap", None), file_cfg)
+    window = cfgmod.resolve("features.window", args.window, file_cfg)
+    overlap = cfgmod.resolve("features.overlap", args.overlap, file_cfg)
     return window, overlap
 
 
 def _file_cfg(args) -> dict[str, str]:
-    if getattr(args, "config", None):
-        return cfgmod.load_config(args.config)
-    return {}
+    return cfgmod.load_config(args.config) if args.config else {}
 
 
 def cmd_synth(args) -> int:
@@ -285,6 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Fusion, window and config flags shared by train, eval and replay.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--alpha", type=float, default=None)
+    shared.add_argument("--calib-ticks", type=int, default=None)
+    shared.add_argument("--gimbal-guard", type=float, default=None)
+    shared.add_argument("--window", type=int, default=None)
+    shared.add_argument("--overlap", type=int, default=None)
+    shared.add_argument("--config", default=None)
+
     p = sub.add_parser("synth", help="generate a synthetic recording session")
     p.add_argument("--out", required=True, help="output .json or .csv path")
     p.add_argument("--classes", type=int, default=9,
@@ -306,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomize motion order in the last sequence")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="fit a classifier on a recording")
+    p = sub.add_parser("train", help="fit a classifier on a recording",
+                       parents=[shared])
     p.add_argument("--recording", required=True)
     p.add_argument("--out", default="model.json")
-    p.add_argument("--fv", choices=("fv1", "fv2", "fv3"), default=None)
+    p.add_argument("--fv", choices=FEATURE_KINDS, default=None)
     p.add_argument("--shrinkage", type=float, default=None)
     p.add_argument("--priors", choices=("empirical", "uniform"), default=None)
     p.add_argument("--train-seqs", default=None, help="e.g. 1,2 (default)")
@@ -319,28 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class:sensor pairs for amplitude, e.g. 7:2,8:3")
     p.add_argument("--amplitude-mode", choices=("minmax", "percentile"), default=None)
     p.add_argument("--mapping", default=None, help="import mapping config for CSVs")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--calib-ticks", type=int, default=None)
-    p.add_argument("--gimbal-guard", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on held-out sequences")
+    p = sub.add_parser("eval", help="evaluate a model on held-out sequences",
+                       parents=[shared])
     p.add_argument("--model", required=True)
     p.add_argument("--recording", required=True)
     p.add_argument("--seqs", default=None, help="1-based sequence list (default: last)")
     p.add_argument("--out", default="eval_out")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--calib-ticks", type=int, default=None)
-    p.add_argument("--gimbal-guard", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("replay", help="stream a recording through the pipeline")
+    p = sub.add_parser("replay", help="stream a recording through the pipeline",
+                       parents=[shared])
     p.add_argument("--model", required=True)
     p.add_argument("--recording", required=True)
     p.add_argument("--seq", type=int, default=None, help="1-based sequence (default: all)")
@@ -351,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="virtual device position log CSV path")
     p.add_argument("--smooth", default="none", help="none or majority:k")
     p.add_argument("--v-max", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--calib-ticks", type=int, default=None)
-    p.add_argument("--gimbal-guard", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("experiments", help="run the evaluation studies")

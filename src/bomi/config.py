@@ -39,17 +39,22 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def resolve(key: str, flag_value: Any, file_values: dict[str, str]) -> Any:
-    """Pick the effective value for a key: flag, then file, then default."""
+    """Pick the effective value for a key: flag, then file, then default.
+
+    A file value is parsed with the type of the key's default.
+
+    Raises:
+        ParseError: the file value does not parse as that type.
+    """
     if flag_value is not None:
         return flag_value
     default = DEFAULTS[key]
-    if key in file_values:
-        raw = file_values[key]
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    return default
+    if key not in file_values:
+        return default
+    raw = file_values[key]
+    try:
+        return type(default)(raw)
+    except ValueError:
+        raise ParseError(
+            f"config key {key!r}: {raw!r} is not a valid {type(default).__name__}"
+        ) from None

@@ -39,6 +39,7 @@ from .errors import (
     SplitSpecError,
     ValidationError,
 )
+from .fusion import wrap_deg
 
 MAX_SENSORS = 6
 MAX_CLASSES = 9  # neutral plus up to eight motion classes
@@ -393,8 +394,7 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     out[:, 7] = cr * m2y + sr * m2z
     out[:, 8] = -sr * m2y + cr * m2z
     # Angular rates from wrapped backward differences.
-    d = np.diff(angles_deg, axis=0)
-    d = (d + 180.0) % 360.0 - 180.0
+    d = wrap_deg(np.diff(angles_deg, axis=0))
     rates = np.zeros_like(angles_deg)
     rates[1:] = d * sample_rate_hz
     out[:, 3] = rates[:, 1]  # gyro_x tracks roll

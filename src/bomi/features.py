@@ -17,7 +17,6 @@ four statistics innermost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence as SequenceT
 
@@ -30,14 +29,11 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fusion import OrientationFrame
 
 DEFAULT_WINDOW = 8
 DEFAULT_OVERLAP = 7
 
 FEATURE_KINDS = ("fv1", "fv2", "fv3")
-
-STAT_NAMES = ("min", "max", "mean", "abs_sum")
 
 
 @dataclass(frozen=True)
@@ -65,17 +61,6 @@ class FeatureLayout:
         for si in range(1, self.n_sensors):
             channels.extend([(si, 0), (si, 1)])
         return channels
-
-    def channel_names(self, kind: str) -> list[str]:
-        angle_names = ("pitch", "roll", "yaw")
-        names = [
-            f"{angle_names[ai]}{self.sensor_ids[si]}"
-            for si, ai in self.angle_channels()
-        ]
-        if kind in ("fv2", "fv3"):
-            for sid in self.sensor_ids:
-                names.extend([f"gyro_x{sid}", f"gyro_y{sid}", f"gyro_z{sid}"])
-        return names
 
 
 def feature_dim(kind: str, n_sensors: int, window: int = DEFAULT_WINDOW) -> int:
@@ -176,16 +161,15 @@ def _check_windows(
         raise ShapeError(f"fv3 requires windows of length 8, got {angles.shape[1]}")
 
 
-def _angle_block(angles: np.ndarray, layout: FeatureLayout) -> np.ndarray:
-    """(N, L, C_angle) per-sample angle channels in layout order."""
+def _channels(
+    kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
+) -> np.ndarray:
+    """(N, L, C) per-sample channels: the layout's angle channels, then
+    every sensor's gyro x/y/z unless the kind is fv1."""
     cols = [angles[:, :, si, ai] for si, ai in layout.angle_channels()]
-    return np.stack(cols, axis=2)
-
-
-def _fv2_block(angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout) -> np.ndarray:
-    cols = [angles[:, :, si, ai] for si, ai in layout.angle_channels()]
-    for si in range(layout.n_sensors):
-        cols.extend(gyro[:, :, si, ai] for ai in range(3))
+    if kind != "fv1":
+        for si in range(layout.n_sensors):
+            cols.extend(gyro[:, :, si, ai] for ai in range(3))
     return np.stack(cols, axis=2)
 
 
@@ -193,15 +177,13 @@ def _batch(
     kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
     """Feature matrix for stacked windows of shape (N, L, S, 3)."""
+    if kind not in FEATURE_KINDS:
+        raise ValidationError(f"unknown feature kind {kind!r}")
     _check_windows(angles, layout, kind)
     n = angles.shape[0]
-    if kind == "fv1":
-        return _angle_block(angles, layout).reshape(n, -1)
-    m = _fv2_block(angles, gyro, layout)  # (N, L, C)
-    if kind == "fv2":
-        return m.reshape(n, -1)
+    m = _channels(kind, angles, gyro, layout)
     if kind != "fv3":
-        raise ValidationError(f"unknown feature kind {kind!r}")
+        return m.reshape(n, -1)
     half = m.shape[1] // 2
     out = np.empty((n, 2 * 4 * m.shape[2]))
     for si, sub in enumerate((m[:, :half], m[:, half:])):
@@ -219,25 +201,8 @@ def _batch(
     return out
 
 
-def fv1(w: Window, layout: FeatureLayout) -> np.ndarray:
-    """Per-sample orientation angles, flattened sample-major."""
-    return _batch("fv1", w.angles[None], w.gyro[None], layout)[0]
-
-
-def fv2(w: Window, layout: FeatureLayout) -> np.ndarray:
-    """fv1 channels plus every sensor's gyro, flattened sample-major."""
-    return _batch("fv2", w.angles[None], w.gyro[None], layout)[0]
-
-
-def fv3(w: Window, layout: FeatureLayout) -> np.ndarray:
-    """Half-window statistics (min, max, mean, abs-sum) of fv2 channels,
-    channel-major with the two half-windows adjacent."""
-    return _batch("fv3", w.angles[None], w.gyro[None], layout)[0]
-
-
 def extract(kind: str, w: Window, layout: FeatureLayout) -> np.ndarray:
-    if kind not in FEATURE_KINDS:
-        raise ValidationError(f"unknown feature kind {kind!r}")
+    """Feature vector of one window; ``kind`` is one of FEATURE_KINDS."""
     return _batch(kind, w.angles[None], w.gyro[None], layout)[0]
 
 
@@ -256,23 +221,14 @@ def extract_matrix(
 # Amplitude indicator and proportional output
 
 
-def gamma_amp(frame: OrientationFrame) -> float:
-    """Motion amplitude: Euclidean norm of the calibrated angles."""
-    return math.sqrt(frame.pitch ** 2 + frame.roll ** 2 + frame.yaw ** 2)
-
-
-def gamma_from_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized amplitude over the last axis of (..., 3) angle arrays."""
-    return np.sqrt((np.asarray(angles) ** 2).sum(axis=-1))
-
-
 def window_gamma(w: Window, sensor_index: int) -> float:
     """Mean per-tick amplitude of one sensor over a window.
 
-    The mean (rather than the max) damps short spikes from involuntary
-    motion.
+    A tick's amplitude gamma is the Euclidean norm of its calibrated
+    pitch/roll/yaw. The mean (rather than the max) damps short spikes
+    from involuntary motion.
     """
-    return float(gamma_from_angles(w.angles[:, sensor_index, :]).mean())
+    return float(np.sqrt((w.angles[:, sensor_index, :] ** 2).sum(axis=-1)).mean())
 
 
 @dataclass

@@ -41,15 +41,14 @@ FLAG_GIMBAL_GUARD = "gimbal_guard"       # |pitch| beyond guard: yaw held on gyr
 FLAG_GAP = "gap"                         # sample gap: previous raw sample reused
 
 
-def wrap_deg(angle: float) -> float:
-    """Wrap an angle in degrees to (-180, 180]."""
+def wrap_deg(angle):
+    """Wrap angles in degrees to (-180, 180]; a float or an ndarray.
+
+    ``(x + 180) % 360 - 180`` never yields -0.0, so adding 360 where it
+    gives -180 is exact for floats and arrays alike.
+    """
     a = (angle + 180.0) % 360.0 - 180.0
-    return 180.0 if a == -180.0 else a
-
-
-def shortest_diff_deg(a: float, b: float) -> float:
-    """Signed shortest angular distance a - b, in (-180, 180]."""
-    return wrap_deg(a - b)
+    return a + 360.0 * (a == -180.0)
 
 
 def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
@@ -103,9 +102,6 @@ class OrientationFrame:
     yaw: float
     flags: tuple[str, ...] = ()
 
-    def angles(self) -> tuple[float, float, float]:
-        return (self.pitch, self.roll, self.yaw)
-
 
 @dataclass(frozen=True)
 class NeutralOffset:
@@ -115,6 +111,10 @@ class NeutralOffset:
 
     def for_sensor(self, sensor_id: int) -> tuple[float, float, float]:
         return self.offsets[sensor_id]
+
+    def array(self, sensor_ids: Sequence[int]) -> np.ndarray:
+        """(S, 3) offsets in ``sensor_ids`` order."""
+        return np.array([self.offsets[s] for s in sensor_ids], dtype=np.float64)
 
     @staticmethod
     def zero(sensor_ids: Iterable[int]) -> "NeutralOffset":
@@ -198,8 +198,8 @@ class ComplementaryFilter:
             flags.append(FLAG_ACCEL_FALLBACK)
             pitch_new, roll_new = pitch_pred, roll_pred
         else:
-            pitch_new = pitch_pred + (1.0 - a) * shortest_diff_deg(pitch_meas, pitch_pred)
-            roll_new = wrap_deg(roll_pred + (1.0 - a) * shortest_diff_deg(roll_meas, roll_pred))
+            pitch_new = pitch_pred + (1.0 - a) * wrap_deg(pitch_meas - pitch_pred)
+            roll_new = wrap_deg(roll_pred + (1.0 - a) * wrap_deg(roll_meas - roll_pred))
         pitch_new = min(90.0, max(-90.0, pitch_new))
 
         if abs(pitch_new) > self.gimbal_guard_deg:
@@ -212,16 +212,12 @@ class ComplementaryFilter:
                 flags.append(FLAG_MAG_FALLBACK)
                 yaw_new = yaw_pred
             else:
-                yaw_new = wrap_deg(yaw_pred + (1.0 - a) * shortest_diff_deg(yaw_meas, yaw_pred))
+                yaw_new = wrap_deg(yaw_pred + (1.0 - a) * wrap_deg(yaw_meas - yaw_pred))
 
         self._pitch, self._roll, self._yaw = pitch_new, roll_new, yaw_new
         return OrientationFrame(
             self.sensor_id, tick, pitch_new, roll_new, yaw_new, tuple(flags)
         )
-
-    def step_sample(self, sample) -> OrientationFrame:
-        """Advance using an ImuSample-like object (acc/gyro/mag/tick)."""
-        return self.step(sample.tick, sample.acc, sample.gyro, sample.mag)
 
 
 def circular_mean_deg(angles: Sequence[float]) -> float:
@@ -261,19 +257,6 @@ def calibrate_neutral(
             circular_mean_deg([f.yaw for f in head]),
         )
     return NeutralOffset(offsets)
-
-
-def apply_offset(frame: OrientationFrame, offset: NeutralOffset) -> OrientationFrame:
-    """Subtract the neutral offset, wrapping each angle shortest-path."""
-    p0, r0, y0 = offset.for_sensor(frame.sensor_id)
-    return OrientationFrame(
-        frame.sensor_id,
-        frame.tick,
-        shortest_diff_deg(frame.pitch, p0),
-        shortest_diff_deg(frame.roll, r0),
-        shortest_diff_deg(frame.yaw, y0),
-        frame.flags,
-    )
 
 
 @dataclass(frozen=True)
@@ -354,10 +337,5 @@ def fuse_sequence(
     else:
         offset = NeutralOffset.zero(sensor_ids)
 
-    angles = np.empty_like(raw_angles)
-    for si, sensor_id in enumerate(sensor_ids):
-        off = np.asarray(offset.for_sensor(sensor_id))
-        d = raw_angles[:, si, :] - off
-        angles[:, si, :] = (d + 180.0) % 360.0 - 180.0
-        angles[:, si, :][angles[:, si, :] == -180.0] = 180.0
+    angles = wrap_deg(raw_angles - offset.array(sensor_ids))
     return FusedSequence(sensor_ids, angles, gyro, offset, config.calib_ticks)

@@ -27,7 +27,7 @@ from .errors import (
     SingularCovarianceError,
     TrainingDataError,
 )
-from .features import AmplitudeRange, FeatureLayout
+from .features import FEATURE_KINDS, AmplitudeRange, FeatureLayout, feature_dim
 
 DEFAULT_SHRINKAGE = 1e-3
 
@@ -153,25 +153,14 @@ def fit(
     )
 
 
-def _check_dim(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.dim:
+def predict_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
+    """Discriminant scores: (K,) for a (d,) vector, (N, K) for an (N, d) matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[-1] != model.dim:
         raise DimensionMismatchError(
-            f"feature dimension {x.shape[-1]} does not match model "
+            f"feature dimension {X.shape[-1]} does not match model "
             f"({model.feature_kind}, d={model.dim})"
         )
-    return x
-
-
-def predict_scores(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """Per-class discriminant scores for one feature vector."""
-    x = _check_dim(model, x)
-    return x @ model._weights + model._biases
-
-
-def predict_scores_matrix(model: LdaModel, X: np.ndarray) -> np.ndarray:
-    """(N, K) scores for a feature matrix."""
-    X = _check_dim(model, np.atleast_2d(X))
     return X @ model._weights + model._biases
 
 
@@ -190,7 +179,7 @@ def predict(model: LdaModel, x: np.ndarray) -> int:
 
 def predict_many(model: LdaModel, X: np.ndarray) -> np.ndarray:
     """Predicted labels for a feature matrix."""
-    scores = predict_scores_matrix(model, X)
+    scores = predict_scores(model, np.atleast_2d(X))
     out = model.classes[np.argmax(scores, axis=1)]
     # argmax takes the first maximum; revisit rows with exact ties.
     best = scores.max(axis=1, keepdims=True)
@@ -247,7 +236,10 @@ def deserialize(path: str | Path) -> LdaModel:
 
     Raises:
         ModelFormatError: missing file content, wrong format marker,
-            unsupported version, or inconsistent shapes.
+            unsupported version, inconsistent shapes, an unknown feature
+            kind or one whose dimension does not fit the sensor count,
+            non-finite arrays, or a ``chol_lower`` that is not
+            lower-triangular with a positive diagonal.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -264,20 +256,41 @@ def deserialize(path: str | Path) -> LdaModel:
         means = np.asarray(payload["means"], dtype=np.float64)
         lower = np.asarray(payload["chol_lower"], dtype=np.float64)
         log_priors = np.asarray(payload["log_priors"], dtype=np.float64)
-        model = LdaModel(
-            classes=classes,
-            means=means,
-            chol_lower=lower,
-            shrinkage=float(payload["shrinkage"]),
-            log_priors=log_priors,
-            feature_kind=str(payload["feature_kind"]),
-            layout=FeatureLayout(sensor_ids=tuple(payload["sensor_ids"])),
-            ranges=_ranges_from_dict(payload.get("ranges")),
-            meta=payload.get("meta", {}),
-        )
+        kind = str(payload["feature_kind"])
+        layout = FeatureLayout(sensor_ids=tuple(payload["sensor_ids"]))
+        shrinkage = float(payload["shrinkage"])
+        ranges = _ranges_from_dict(payload.get("ranges"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
-    k, d = model.means.shape
-    if not (len(classes) == k == len(log_priors) and lower.shape == (d, d)):
+    if means.ndim != 2:
         raise ModelFormatError("inconsistent array shapes in model file")
-    return model
+    k, d = means.shape
+    if classes.shape != (k,) or log_priors.shape != (k,) or lower.shape != (d, d):
+        raise ModelFormatError("inconsistent array shapes in model file")
+    if kind not in FEATURE_KINDS:
+        raise ModelFormatError(f"unknown feature kind {kind!r}")
+    # fv1/fv2 grow with the window length, which the file does not store:
+    # any whole number of per-tick channel blocks fits.
+    window = d // feature_dim(kind, layout.n_sensors, window=1)
+    if window < 1 or d != feature_dim(kind, layout.n_sensors, window=window):
+        raise ModelFormatError(
+            f"dimension {d} does not fit {kind} with {layout.n_sensors} sensors"
+        )
+    if not (np.isfinite(means).all() and np.isfinite(log_priors).all()
+            and np.isfinite(lower).all()):
+        raise ModelFormatError("non-finite values in model file")
+    if np.triu(lower, 1).any() or not (np.diag(lower) > 0.0).all():
+        raise ModelFormatError(
+            "chol_lower is not lower-triangular with a positive diagonal"
+        )
+    return LdaModel(
+        classes=classes,
+        means=means,
+        chol_lower=lower,
+        shrinkage=shrinkage,
+        log_priors=log_priors,
+        feature_kind=kind,
+        layout=layout,
+        ranges=ranges,
+        meta=payload.get("meta", {}),
+    )

@@ -29,8 +29,8 @@ from .features import (
     DEFAULT_WINDOW,
     Window,
     extract,
-    gamma_from_angles,
     prop_output,
+    window_gamma,
 )
 from .fusion import (
     FLAG_GAP,
@@ -38,8 +38,8 @@ from .fusion import (
     FusionConfig,
     NeutralOffset,
     OrientationFrame,
-    apply_offset,
     calibrate_neutral,
+    wrap_deg,
 )
 from .lda import LdaModel, predict
 
@@ -271,8 +271,9 @@ class StreamingPipeline:
 
     Feed ``step`` one tick at a time with a sample per worn sensor. A
     missing sensor repeats its previous raw sample and flags the output
-    (wireless gap policy). Outputs begin once calibration and the window
-    buffer are complete.
+    (wireless gap policy); ``dropped_ticks`` counts the ticks with such a
+    gap. Outputs begin once calibration and the window buffer are
+    complete.
     """
 
     def __init__(
@@ -310,6 +311,8 @@ class StreamingPipeline:
         self.offset: NeutralOffset | None = (
             None if fusion.calib_ticks > 0 else NeutralOffset.zero(self.layout.sensor_ids)
         )
+        # (S, 3) form of the offset, replaced once calibration completes.
+        self._offset_row = np.zeros((self.layout.n_sensors, 3))
         self._angles: deque[np.ndarray] = deque(maxlen=window)
         self._gyro: deque[np.ndarray] = deque(maxlen=window)
         self._smoother = make_smoother(smoothing)
@@ -317,6 +320,7 @@ class StreamingPipeline:
         self._previous_cls: int | None = None
         self._seen = 0
         self._since_full = -1
+        self.dropped_ticks = 0
 
     def step(self, tick: int, samples: Mapping[int, ImuSample]) -> CommandOutput | None:
         """Consume one tick of samples; emit a command once warmed up."""
@@ -335,22 +339,23 @@ class StreamingPipeline:
             frame = self._filters[sid].step(tick, sample.acc, sample.gyro, sample.mag)
             if self.offset is None:
                 self._calib_frames[sid].append(frame)
-            else:
-                frame = apply_offset(frame, self.offset)
-                angle_row[si] = frame.angles()
-                gyro_row[si] = sample.gyro
+            angle_row[si] = (frame.pitch, frame.roll, frame.yaw)
+            gyro_row[si] = sample.gyro
             flags.extend(frame.flags)
         self._seen += 1
+        if FLAG_GAP in flags:
+            self.dropped_ticks += 1
 
         if self.offset is None:
             if self._seen >= self.fusion_config.calib_ticks:
                 self.offset = calibrate_neutral(
                     self._calib_frames, self.fusion_config.calib_ticks
                 )
+                self._offset_row = self.offset.array(self.layout.sensor_ids)
                 self._calib_frames = {sid: [] for sid in self.layout.sensor_ids}
             return None
 
-        self._angles.append(angle_row)
+        self._angles.append(wrap_deg(angle_row - self._offset_row))
         self._gyro.append(gyro_row)
         if len(self._angles) < self.window:
             return None
@@ -371,8 +376,7 @@ class StreamingPipeline:
         if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
             sid = self.model.ranges.class_sensor.get(cls, self.layout.sensor_ids[0])
             si = self.layout.sensor_ids.index(sid)
-            gamma = float(gamma_from_angles(w.angles[:, si, :]).mean())
-            nu = prop_output(gamma, cls, self.model.ranges)
+            nu = prop_output(window_gamma(w, si), cls, self.model.ranges)
         command, velocity, button_event = map_command(
             cls, nu, self.mapping, self._previous_cls
         )
@@ -502,6 +506,7 @@ def replay(
                 delay = next_due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
+        stats.dropped_ticks += pipe.dropped_ticks
     stats.wall_time_s = time.perf_counter() - started
     if log_path is not None:
         write_command_log(outputs, log_path)

@@ -116,6 +116,13 @@ class TestTrain:
                    "--config", cfg, "--fv", "fv2", "--out", out2) == 0
         assert deserialize(out2).feature_kind == "fv2"  # flag wins
 
+    def test_unparsable_config_value_exits_2(self, small_recording_file, tmp_path, capsys):
+        cfg = tmp_path / "bomi.cfg"
+        cfg.write_text("fusion.calib_ticks=abc\n")
+        assert run("train", "--recording", small_recording_file,
+                   "--config", cfg, "--out", tmp_path / "m.json") == 2
+        assert "fusion.calib_ticks" in capsys.readouterr().err
+
     def test_missing_recording_exits_2(self, tmp_path):
         assert run("train", "--recording", tmp_path / "nope.json",
                    "--out", tmp_path / "m.json") == 2
@@ -176,6 +183,34 @@ class TestReplay:
         bad.write_text("{}")
         assert run("replay", "--model", bad,
                    "--recording", small_recording_file) == 2
+
+    @pytest.mark.parametrize("field, index, value, message", [
+        pytest.param("chol_lower", (0, 0), 0.0, "positive diagonal", id="zero-diagonal"),
+        pytest.param("chol_lower", (1, 1), -1.0, "positive diagonal", id="negative-diagonal"),
+        pytest.param("chol_lower", (0, 1), 1.0, "lower-triangular", id="upper-triangle"),
+        pytest.param("chol_lower", (2, 0), float("nan"), "non-finite", id="nan-chol"),
+        pytest.param("means", (0, 0), float("nan"), "non-finite", id="nan-means"),
+        pytest.param("log_priors", (0,), float("inf"), "non-finite", id="inf-prior"),
+        pytest.param("feature_kind", None, "fv4", "unknown feature kind", id="unknown-kind"),
+        pytest.param("feature_kind", None, "fv1", "does not fit fv1", id="kind-dim-mismatch"),
+    ])
+    def test_inconsistent_model_rejected_at_load(
+        self, small_recording_file, trained_model_file, tmp_path, capsys,
+        field, index, value, message,
+    ):
+        payload = json.loads(trained_model_file.read_text())
+        if index is None:
+            payload[field] = value
+        else:
+            target = payload[field]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run("replay", "--model", bad,
+                   "--recording", small_recording_file, "--seq", "3") == 2
+        assert message in capsys.readouterr().err
 
 
 class TestExperimentsCommand:

@@ -16,16 +16,12 @@ from bomi.features import (
     extract,
     extract_matrix,
     feature_dim,
-    fv1,
-    fv2,
-    fv3,
-    gamma_amp,
     learn_ranges,
     make_windows,
     prop_output,
     window_count,
+    window_gamma,
 )
-from bomi.fusion import OrientationFrame
 
 from oracles import count_windows_by_enumeration
 
@@ -109,9 +105,9 @@ class TestFeatureDims:
         rng = np.random.default_rng(0)
         w = random_window(rng, n_sensors)
         layout = FeatureLayout(sensor_ids=tuple(range(1, n_sensors + 1)))
-        assert fv1(w, layout).shape == (feature_dim("fv1", n_sensors),)
-        assert fv2(w, layout).shape == (feature_dim("fv2", n_sensors),)
-        assert fv3(w, layout).shape == (feature_dim("fv3", n_sensors),)
+        assert extract("fv1", w, layout).shape == (feature_dim("fv1", n_sensors),)
+        assert extract("fv2", w, layout).shape == (feature_dim("fv2", n_sensors),)
+        assert extract("fv3", w, layout).shape == (feature_dim("fv3", n_sensors),)
 
     def test_three_sensor_fv1_is_56(self):
         assert feature_dim("fv1", 3) == 56
@@ -138,7 +134,7 @@ class TestFv1Fv2:
         angles = np.tile(np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]]), (8, 1, 1))
         w = build_window(angles)
         layout = FeatureLayout(sensor_ids=(1, 2))
-        out = fv1(w, layout)
+        out = extract("fv1", w, layout)
         assert out.shape == (40,)
         assert (out.reshape(8, 5) == [1.0, 2.0, 3.0, 4.0, 5.0]).all()
 
@@ -146,14 +142,14 @@ class TestFv1Fv2:
         angles = np.zeros((8, 2, 3))
         angles[:, 0] = [1, 2, 3]    # primary pitch/roll/yaw
         angles[:, 1] = [4, 5, 99]   # second sensor: yaw excluded
-        out = fv1(build_window(angles), FeatureLayout(sensor_ids=(1, 2)))
+        out = extract("fv1", build_window(angles), FeatureLayout(sensor_ids=(1, 2)))
         assert 99.0 not in out
         assert out[:5].tolist() == [1, 2, 3, 4, 5]
 
     def test_fv2_appends_gyro_blocks(self):
         angles = np.zeros((8, 2, 3))
         gyro = np.tile(np.array([[[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]]), (8, 1, 1))
-        out = fv2(build_window(angles, gyro), FeatureLayout(sensor_ids=(1, 2)))
+        out = extract("fv2", build_window(angles, gyro), FeatureLayout(sensor_ids=(1, 2)))
         per_sample = out.reshape(8, 11)
         assert (per_sample[:, :5] == 0).all()
         assert (per_sample[:, 5:] == [7, 8, 9, 10, 11, 12]).all()
@@ -163,28 +159,28 @@ class TestFv1Fv2:
         angles = rng.normal(size=(8, 2, 3))
         w = build_window(angles)
         layout = FeatureLayout(sensor_ids=(1, 2))
-        v2 = fv2(w, layout).reshape(8, 11)
+        v2 = extract("fv2", w, layout).reshape(8, 11)
         assert (v2[:, 5:] == 0).all()
-        assert (v2[:, :5].reshape(-1) == fv1(w, layout)).all()
+        assert (v2[:, :5].reshape(-1) == extract("fv1", w, layout)).all()
 
     def test_missing_sensor_rejected(self):
         rng = np.random.default_rng(2)
         w = random_window(rng, n_sensors=2)
         with pytest.raises(LayoutError):
-            fv1(w, FeatureLayout(sensor_ids=(1, 2, 3)))
+            extract("fv1", w, FeatureLayout(sensor_ids=(1, 2, 3)))
 
 
 class TestFv3:
     def test_hand_computed_channel(self):
         angles = np.zeros((8, 1, 3))
         angles[:, 0, 0] = [1, -2, 3, -4, 0, 0, 0, 0]  # pitch channel
-        out = fv3(build_window(angles), FeatureLayout(sensor_ids=(1,)))
+        out = extract("fv3", build_window(angles), FeatureLayout(sensor_ids=(1,)))
         assert out[0:4].tolist() == [-4.0, 3.0, -0.5, 10.0]
         assert out[4:8].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_constant_channel(self):
         angles = np.full((8, 1, 3), -2.5)
-        out = fv3(build_window(angles), FeatureLayout(sensor_ids=(1,)))
+        out = extract("fv3", build_window(angles), FeatureLayout(sensor_ids=(1,)))
         for c in range(3):
             for sub in range(2):
                 base = c * 8 + sub * 4
@@ -194,14 +190,14 @@ class TestFv3:
         rng = np.random.default_rng(3)
         w = random_window(rng, n_sensors=1, length=6)
         with pytest.raises(ShapeError):
-            fv3(w, FeatureLayout(sensor_ids=(1,)))
+            extract("fv3", w, FeatureLayout(sensor_ids=(1,)))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_stats_invariants(self, seed):
         rng = np.random.default_rng(seed)
         w = random_window(rng, n_sensors=2)
-        out = fv3(w, FeatureLayout(sensor_ids=(1, 2))).reshape(-1, 4)
+        out = extract("fv3", w, FeatureLayout(sensor_ids=(1, 2))).reshape(-1, 4)
         mins, maxs, means, abs_sums = out.T
         assert (mins <= means + 1e-12).all()
         assert (means <= maxs + 1e-12).all()
@@ -219,10 +215,10 @@ class TestFv3:
 
 class TestGamma:
     def test_neutral_is_zero(self):
-        assert gamma_amp(OrientationFrame(1, 0, 0.0, 0.0, 0.0)) == 0.0
+        assert window_gamma(build_window([[[0.0, 0.0, 0.0]]]), 0) == 0.0
 
     def test_pythagorean(self):
-        assert gamma_amp(OrientationFrame(1, 0, 3.0, 4.0, 0.0)) == pytest.approx(5.0)
+        assert window_gamma(build_window([[[3.0, 4.0, 0.0]]]), 0) == pytest.approx(5.0)
 
     @given(
         st.floats(-90, 90), st.floats(-180, 180), st.floats(-180, 180),
@@ -233,8 +229,8 @@ class TestGamma:
     def test_sign_and_permutation_invariance(self, p, r, y, perm, signs):
         base = [p, r, y]
         mixed = [signs[i] * base[perm[i]] for i in range(3)]
-        a = gamma_amp(OrientationFrame(1, 0, *base))
-        b = gamma_amp(OrientationFrame(1, 0, *mixed))
+        a = window_gamma(build_window([[base]]), 0)
+        b = window_gamma(build_window([[mixed]]), 0)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_mae_session_shows_three_plateaus(self, mae7):

@@ -15,7 +15,6 @@ from bomi.fusion import (
     NeutralOffset,
     OrientationFrame,
     accel_angles,
-    apply_offset,
     calibrate_neutral,
     circular_mean_deg,
     fuse_sequence,
@@ -37,6 +36,11 @@ def test_wrap_deg_range_and_periodicity(a, k):
     w = wrap_deg(a)
     assert -180.0 < w <= 180.0
     assert wrap_deg(a + 360.0 * k) == pytest.approx(w, abs=1e-6)
+    # The array form equals the scalar form bit for bit, seam values included.
+    xs = np.array([a, a + 360.0 * k, 180.0, -180.0, 540.0, -540.0, 0.0, -0.0])
+    got = wrap_deg(xs)
+    want = np.array([wrap_deg(float(x)) for x in xs])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_wrap_boundary_maps_to_positive_180():
@@ -221,15 +225,21 @@ class TestCalibration:
             assert got == pytest.approx(wrap_deg(circular_mean(angles)), abs=1e-9)
 
 
+def subtract_offset(f, offset):
+    """The offset step of fuse_sequence and StreamingPipeline.step on one frame."""
+    out = wrap_deg(np.array([[f.pitch, f.roll, f.yaw]]) - offset.array((f.sensor_id,)))
+    return frame(*out[0], sensor_id=f.sensor_id, tick=f.tick)
+
+
 class TestApplyOffset:
     def test_frame_equal_to_offset_zeroes(self):
         f = frame(5.0, -2.0, 30.0)
         off = NeutralOffset({1: (5.0, -2.0, 30.0)})
-        out = apply_offset(f, off)
+        out = subtract_offset(f, off)
         assert (out.pitch, out.roll, out.yaw) == pytest.approx((0, 0, 0), abs=1e-12)
 
     def test_wrapped_subtraction(self):
-        out = apply_offset(frame(0.0, 0.0, -170.0), NeutralOffset({1: (0.0, 0.0, 170.0)}))
+        out = subtract_offset(frame(0.0, 0.0, -170.0), NeutralOffset({1: (0.0, 0.0, 170.0)}))
         assert out.yaw == pytest.approx(20.0, abs=1e-12)
 
     def test_offset_from_own_frame_calibration(self):
@@ -237,7 +247,7 @@ class TestApplyOffset:
         for _ in range(20):
             f = frame(rng.uniform(-80, 80), rng.uniform(-170, 170), rng.uniform(-170, 170))
             off = calibrate_neutral({1: [f] * 10}, 10)
-            out = apply_offset(f, off)
+            out = subtract_offset(f, off)
             assert abs(out.pitch) < 1e-9
             assert abs(out.roll) < 1e-9
             assert abs(out.yaw) < 1e-9
@@ -266,10 +276,12 @@ def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
     offset = calibrate_neutral(head, cfg.calib_ticks)
     for t in range(400):
         for si, sid in enumerate(small_noisy.sensor_ids):
-            rel = apply_offset(frames[t][sid], offset)
-            assert fused.angles[t, si, 0] == rel.pitch
-            assert fused.angles[t, si, 1] == rel.roll
-            assert fused.angles[t, si, 2] == rel.yaw
+            # Independent scalar route: one Python-float wrap per element.
+            fr = frames[t][sid]
+            p0, r0, y0 = offset.for_sensor(sid)
+            assert fused.angles[t, si, 0] == wrap_deg(fr.pitch - p0)
+            assert fused.angles[t, si, 1] == wrap_deg(fr.roll - r0)
+            assert fused.angles[t, si, 2] == wrap_deg(fr.yaw - y0)
 
 
 def test_angles_stay_in_wrap_ranges(small_noisy):

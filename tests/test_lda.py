@@ -18,7 +18,6 @@ from bomi.lda import (
     predict,
     predict_many,
     predict_scores,
-    predict_scores_matrix,
     serialize,
 )
 
@@ -189,7 +188,7 @@ class TestPredict:
         probes = rng.normal(size=(20, d))
         batch = predict_many(model, probes)
         assert batch.tolist() == [predict(model, p) for p in probes]
-        scores = predict_scores_matrix(model, probes)
+        scores = predict_scores(model, probes)
         assert (scores[3] == predict_scores(model, probes[3])).all()
 
 
@@ -197,14 +196,18 @@ class TestSerialization:
     def test_round_trip_scores_bit_identical(self, tmp_path):
         rng = np.random.default_rng(8)
         X, y, d, _ = random_instance(rng)
-        model = fit(X, y)
+        # Pad to whole fv1 ticks of one sensor (3 angles each): deserialize
+        # rejects a dimension that does not fit the model's feature kind.
+        X = np.hstack([X, rng.normal(size=(len(X), -d % 3))])
+        d = X.shape[1]
+        model = fit(X, y, feature_kind="fv1")
         path = tmp_path / "model.json"
         serialize(model, path)
         back = deserialize(path)
         probes = rng.normal(size=(100, d))
         assert (
-            predict_scores_matrix(model, probes)
-            == predict_scores_matrix(back, probes)
+            predict_scores(model, probes)
+            == predict_scores(back, probes)
         ).all()
         assert back.feature_kind == model.feature_kind
         assert back.layout == model.layout

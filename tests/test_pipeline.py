@@ -172,6 +172,38 @@ class TestStreaming:
         gap_out = next(o for o in outs_gap if o.tick == 200)
         assert FLAG_GAP in gap_out.flags
 
+    def test_gap_tick_counted_and_flagged(self, small_model, small_noisy):
+        model, _ = small_model
+        seq = small_noisy.sequences[0]
+        pipe = StreamingPipeline(model)
+        outs = {}
+        for t in range(100):
+            samples = seq.tick_samples(t)
+            if t == 80:  # past calibration and the first full window
+                samples.pop(2)
+            out = pipe.step(t, samples)
+            if out is not None:
+                outs[out.tick] = out
+        assert pipe.dropped_ticks == 1
+        assert FLAG_GAP in outs[80].flags
+        assert not any(FLAG_GAP in o.flags for tick, o in outs.items() if tick != 80)
+
+    def test_replay_sums_dropped_ticks(self, small_model, small_noisy, monkeypatch):
+        model, _ = small_model
+        seq = small_noisy.sequences[2]
+        full = seq.tick_samples
+
+        def with_gaps(t):
+            samples = full(t)
+            if t in (100, 101, 250):
+                samples.pop(1)
+            return samples
+
+        monkeypatch.setattr(seq, "tick_samples", with_gaps)
+        _, stats = replay(small_noisy, model, sequence_indices=[3])
+        assert stats.dropped_ticks == 3
+        assert stats.to_dict()["dropped_ticks"] == 3
+
     def test_missing_sensor_at_start_rejected(self, small_model, small_noisy):
         model, _ = small_model
         pipe = StreamingPipeline(model)

@@ -1,0 +1,172 @@
+"""Print SHA-256 digests of bomi's deterministic outputs.
+
+Run it on two checkouts and diff the output to show that a refactor left
+every result bit-identical:
+
+    PYTHONPATH=src python3 tools/hash_outputs.py --seed 1 > after.txt
+
+Each line is ``<part> <digest>``. The parts cover:
+
+* ``synth/*``: raw sample arrays and labels of ``synth_session`` for the
+  test-suite fixtures and the benchmark's sessions;
+* ``model/*``: every array of the model trained on each session
+  (``trained_at`` and other metadata are left out);
+* ``windows/*``: offline windows of the held-out sequence (angles, gyro,
+  labels, start ticks) and ``predict_many`` on them;
+* ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
+  ``StreamingPipeline`` emits on the held-out sequence;
+* ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
+  write for each quickstart session (the model without its metadata).
+
+The sessions are the four stream-hub wearers and the two quickstart
+sessions of ``perfbench/worker.py`` for ``--seed``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+
+from bomi.cli import main as bomi_main
+from bomi.dataset_io import load_recording, synth_session
+from bomi.experiments import extract_matrix, predict_many, train_session
+from bomi.lda import deserialize
+from bomi.pipeline import StreamingPipeline
+
+# (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
+WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
+
+# Keyword arguments of the synthetic sessions the test suite builds.
+TEST_SESSIONS = {
+    "synth9": dict(class_count=9, sensor_count=3, noise_deg=0.5, seed=42),
+    "spasm9": dict(class_count=9, sensor_count=3, noise_deg=0.5, spasm_deg=10.0,
+                   spasm_class=1, class_scale={1: 0.55}, seed=42),
+    "small_noiseless": dict(class_count=4, sensor_count=1, noise_deg=0.0, seed=3),
+    "small_noisy": dict(class_count=3, sensor_count=2, noise_deg=0.5, seed=9),
+    "sae7": dict(class_count=7, seed=13),
+    "mae7": dict(class_count=7, amplitudes=(0.5, 0.75, 1.0), seed=5),
+    "day3": dict(class_count=9, amplitude_deg=12.0, noise_deg=1.0, seed=13,
+                 target_bias_deg=3.0, rotation_seed=321, shuffle_test_seq=True),
+}
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def hash_recording(rec) -> str:
+    parts = []
+    for seq in rec.sequences:
+        parts.append(seq.labels)
+        parts.extend(seq.samples[sid] for sid in rec.sensor_ids)
+    return digest(*parts)
+
+
+def hash_model(model) -> str:
+    h = hashlib.sha256(digest(model.classes, model.means, model.chol_lower,
+                              model.log_priors).encode())
+    ranges = model.ranges
+    if ranges is not None:
+        h.update(json.dumps([sorted(ranges.ranges.items()),
+                             sorted(ranges.class_sensor.items()),
+                             ranges.mode]).encode())
+    h.update(json.dumps([model.feature_kind, list(model.layout.sensor_ids),
+                         model.shrinkage]).encode())
+    return h.hexdigest()
+
+
+def hash_windows(model, windows) -> tuple[str, str]:
+    wins = digest(
+        np.stack([w.angles for w in windows]),
+        np.stack([w.gyro for w in windows]),
+        np.asarray([-1 if w.label is None else w.label for w in windows]),
+        np.asarray([w.start_tick for w in windows]),
+    )
+    X = extract_matrix(model.feature_kind, windows, model.layout)
+    return wins, digest(X, predict_many(model, X))
+
+
+def hash_stream(rec, model, seq_index: int) -> str:
+    seq = rec.sequences[seq_index - 1]
+    pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz)
+    h = hashlib.sha256()
+    for t in range(seq.n_ticks):
+        out = pipe.step(t, seq.tick_samples(t))
+        if out is not None:
+            h.update(repr((out.tick, out.label, out.nu, out.velocity,
+                           out.flags)).encode())
+    return h.hexdigest()
+
+
+def quickstart(seed: int, work: Path, emit) -> None:
+    """The README quick start on both benchmark sessions, through the CLI."""
+    sessions = (
+        ("a", "json", ["--classes", "9", "--sensors", "3", "--noise", "0.5",
+                       "--seed", str(seed)]),
+        ("b", "csv", ["--classes", "6", "--sensors", "2", "--spasm", "10",
+                      "--seed", str(seed + 1)]),
+    )
+    for name, fmt, synth_args in sessions:
+        rec, model, report = (work / f"session_{name}.{fmt}", work / f"model_{name}.json",
+                              work / f"report_{name}")
+        for argv in (["synth", *synth_args, "--out", str(rec)],
+                     ["train", "--recording", str(rec), "--fv", "fv3", "--out", str(model)],
+                     ["eval", "--model", str(model), "--recording", str(rec),
+                      "--out", str(report)]):
+            with redirect_stdout(StringIO()):
+                if bomi_main(argv) != 0:
+                    raise SystemExit(f"bomi {argv[0]} failed on session {name}")
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload.pop("meta")
+        emit(f"cli/recording_{name}", hashlib.sha256(rec.read_bytes()).hexdigest())
+        emit(f"cli/model_{name}", hashlib.sha256(json.dumps(payload).encode()).hexdigest())
+        emit(f"cli/report_{name}", hashlib.sha256(
+            (report / "accuracy.json").read_bytes()
+            + (report / "confusion.csv").read_bytes()).hexdigest())
+        recording = load_recording(rec)
+        emit(f"stream/quickstart_{name}",
+             hash_stream(recording, deserialize(model), len(recording.sequences)))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="benchmark seed")
+    args = parser.parse_args(argv)
+
+    def emit(part: str, value: str) -> None:
+        print(part, value, flush=True)
+
+    for name, kwargs in TEST_SESSIONS.items():
+        emit(f"synth/{name}", hash_recording(synth_session(**kwargs)))
+    for i, (sensors, kind) in enumerate(WEARERS):
+        name = f"wearer{i}"
+        rec = synth_session(class_count=9, sensor_count=sensors, seed=args.seed + i)
+        class_sensor = {int(c): int(s) for c, s in rec.meta["class_sensors"].items()}
+        model, test_windows = train_session(rec, feature_kind=kind,
+                                            class_sensor=class_sensor)
+        emit(f"synth/{name}", hash_recording(rec))
+        emit(f"model/{name}", hash_model(model))
+        wins, preds = hash_windows(model, test_windows)
+        emit(f"windows/{name}", wins)
+        emit(f"predictions/{name}", preds)
+        emit(f"stream/{name}", hash_stream(rec, model, len(rec.sequences)))
+    with tempfile.TemporaryDirectory() as work:
+        quickstart(args.seed, Path(work), emit)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
