@@ -117,14 +117,16 @@ def cmd_train(args) -> int:
     if gamma_sensors is None and rec.meta.get("class_sensors"):
         gamma_sensors = {int(k): int(v) for k, v in rec.meta["class_sensors"].items()}
 
+    # Only --holdout-seq2 evaluates a test split; the others fuse none.
     if args.holdout_seq2:
         split = SplitSpec(train=frozenset({1}), test=frozenset({2}))
     elif args.train_seqs:
-        train_set = frozenset(_parse_int_list(args.train_seqs))
-        rest = frozenset(range(1, len(rec.sequences) + 1)) - train_set
-        split = SplitSpec(train=train_set, test=rest)
+        split = SplitSpec(train=frozenset(_parse_int_list(args.train_seqs)),
+                          test=frozenset())
     else:
-        split = None
+        # The default split still requires its test sequence to exist.
+        SplitSpec().validate(len(rec.sequences))
+        split = SplitSpec(test=frozenset())
 
     window, overlap = _window_geometry(args, file_cfg)
     model, holdout = train_session(

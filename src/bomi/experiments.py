@@ -105,23 +105,20 @@ def train_on_windows(
     )
 
 
-def train_session(
+def split_windows(
     recording: SessionRecording,
     split: SplitSpec | None = None,
-    feature_kind: str = "fv3",
     fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
-    priors: str = "empirical",
-    learn_amplitude: bool = True,
-    class_sensor: Mapping[int, int] | None = None,
-    amplitude_mode: str = "minmax",
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-) -> tuple[LdaModel, list[Window]]:
-    """Train on a session's training split; return (model, test windows)."""
+) -> tuple[list[Window], list[Window]]:
+    """Window a session's training and test sequences, each fused once.
+
+    Raises:
+        CoverageError: a class has no training window.
+    """
     split = split or SplitSpec()
     train_seqs, test_seqs = split_session(recording, split)
-    layout = FeatureLayout(sensor_ids=recording.sensor_ids)
     train_windows: list[Window] = []
     for qi, seq in zip(sorted(split.train), train_seqs):
         train_windows.extend(sequence_windows(
@@ -139,8 +136,26 @@ def train_session(
             f"classes {missing} have no training windows in sequences "
             f"{sorted(split.train)}"
         )
+    return train_windows, test_windows
+
+
+def train_session(
+    recording: SessionRecording,
+    split: SplitSpec | None = None,
+    feature_kind: str = "fv3",
+    fusion: FusionConfig = FusionConfig(),
+    shrinkage: float = 1e-3,
+    priors: str = "empirical",
+    learn_amplitude: bool = True,
+    class_sensor: Mapping[int, int] | None = None,
+    amplitude_mode: str = "minmax",
+    window: int = DEFAULT_WINDOW,
+    overlap: int = DEFAULT_OVERLAP,
+) -> tuple[LdaModel, list[Window]]:
+    """Train on a session's training split; return (model, test windows)."""
+    train_windows, test_windows = split_windows(recording, split, fusion, window, overlap)
     model = train_on_windows(
-        train_windows, layout,
+        train_windows, FeatureLayout(sensor_ids=recording.sensor_ids),
         feature_kind=feature_kind,
         shrinkage=shrinkage,
         priors=priors,
@@ -353,9 +368,11 @@ def run_fv_comparison(
             report.skipped.append(name)
             continue
         report.accuracies[name] = {}
+        train_windows, test_windows = split_windows(rec, split, fusion)
+        layout = FeatureLayout(sensor_ids=rec.sensor_ids)
         for kind in feature_kinds:
-            model, test_windows = train_session(
-                rec, split=split, feature_kind=kind, fusion=fusion,
+            model = train_on_windows(
+                train_windows, layout, feature_kind=kind,
                 shrinkage=shrinkage, learn_amplitude=False,
             )
             result = evaluate(model, test_windows)
@@ -400,8 +417,8 @@ def run_amplitude_experiment(
         shrinkage=shrinkage, learn_amplitude=False,
     )
     sae_model, _ = train_session(
-        sae, feature_kind=feature_kind, fusion=fusion,
-        shrinkage=shrinkage, learn_amplitude=False,
+        sae, split=SplitSpec(test=frozenset()), feature_kind=feature_kind,
+        fusion=fusion, shrinkage=shrinkage, learn_amplitude=False,
     )
     sae_result = evaluate(sae_model, mae_test)
     mae_result = evaluate(mae_model, mae_test)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoverageError,
@@ -134,13 +135,20 @@ def make_windows(
         raise ValidationError(f"bad window geometry size={size} overlap={overlap}")
     n = angles.shape[0]
     stride = size - overlap
-    for start in range(0, n - size + 1, stride):
+    starts = range(0, n - size + 1, stride)
+    if labels is None or not starts:
+        window_labels: list[int | None] = [None] * len(starts)
+    else:
+        # Every window's label at once: its last tick's label when all
+        # of its ticks carry it.
+        chunks = sliding_window_view(labels, size)[::stride]
+        last = chunks[:, -1]
+        same = (chunks == last[:, None]).all(axis=1)
+        window_labels = [
+            int(lab) if ok else None for lab, ok in zip(last.tolist(), same.tolist())
+        ]
+    for start, label in zip(starts, window_labels):
         end = start + size
-        if labels is None:
-            label: int | None = None
-        else:
-            chunk = labels[start:end]
-            label = int(chunk[-1]) if (chunk == chunk[-1]).all() else None
         yield Window(
             start_tick=start_tick + start,
             angles=angles[start:end],

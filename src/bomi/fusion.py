@@ -19,6 +19,7 @@ taking the shortest angular path.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +52,36 @@ def wrap_deg(angle):
     return a + 360.0 * (a == -180.0)
 
 
+def _accel_meas(ax: float, ay: float, az: float) -> tuple[float, float] | None:
+    """Pitch and roll measured from gravity; None for a zero vector."""
+    if ax * ax + ay * ay + az * az < 1e-24:
+        return None
+    pitch = math.degrees(math.atan2(-ax, math.hypot(ay, az)))
+    roll = math.degrees(math.atan2(ay, az))
+    return pitch, roll
+
+
+def _mag_unit(mx: float, my: float, mz: float) -> tuple[float, float, float] | None:
+    """Unit magnetometer vector; None for a zero vector."""
+    norm = math.sqrt(mx * mx + my * my + mz * mz)
+    if norm < 1e-12:
+        return None
+    return mx / norm, my / norm, mz / norm
+
+
+def _level_yaw(unit: tuple[float, float, float], pitch: float, roll: float) -> float:
+    """Heading of a unit field vector de-rotated by pitch and roll."""
+    mx, my, mz = unit
+    p = math.radians(pitch)
+    r = math.radians(roll)
+    cp, sp = math.cos(p), math.sin(p)
+    cr, sr = math.cos(r), math.sin(r)
+    # Level-frame components of the field: Ry(pitch) · Rx(roll) · m.
+    x_level = mx * cp + my * sr * sp + mz * cr * sp
+    y_level = my * cr - mz * sr
+    return math.degrees(math.atan2(-y_level, x_level))
+
+
 def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     """Pitch and roll, in degrees, from an accelerometer gravity reading.
 
@@ -59,12 +90,10 @@ def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     Raises:
         UndefinedAttitudeError: if the vector is (numerically) zero.
     """
-    ax, ay, az = float(acc[0]), float(acc[1]), float(acc[2])
-    if ax * ax + ay * ay + az * az < 1e-24:
+    meas = _accel_meas(float(acc[0]), float(acc[1]), float(acc[2]))
+    if meas is None:
         raise UndefinedAttitudeError("zero accelerometer vector")
-    pitch = math.degrees(math.atan2(-ax, math.hypot(ay, az)))
-    roll = math.degrees(math.atan2(ay, az))
-    return pitch, roll
+    return meas
 
 
 def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
@@ -76,19 +105,72 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     Raises:
         UndefinedHeadingError: if the vector is (numerically) zero.
     """
-    mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm < 1e-12:
+    unit = _mag_unit(float(mag[0]), float(mag[1]), float(mag[2]))
+    if unit is None:
         raise UndefinedHeadingError("zero magnetometer vector")
-    mx, my, mz = mx / norm, my / norm, mz / norm
-    p = math.radians(pitch)
-    r = math.radians(roll)
-    cp, sp = math.cos(p), math.sin(p)
-    cr, sr = math.cos(r), math.sin(r)
-    # Level-frame components of the field: Ry(pitch) · Rx(roll) · m.
-    x_level = mx * cp + my * sr * sp + mz * cr * sp
-    y_level = my * cr - mz * sr
-    return math.degrees(math.atan2(-y_level, x_level))
+    return _level_yaw(unit, pitch, roll)
+
+
+# The filter kernel. ComplementaryFilter.step (one tick of a stream) and
+# fuse_sequence (a whole recording) both advance the state only through
+# _filter_start and _filter_update, so offline and online angles and flags
+# are equal bit for bit. Inputs are Python floats; ``acc`` is the output of
+# _accel_meas and ``mag`` that of _mag_unit for the tick.
+Flags = tuple[str, ...]
+
+
+def _filter_start(acc, mag) -> tuple[float, float, float, Flags]:
+    """Bootstrap state from the first tick's instantaneous measurement."""
+    flags: Flags = ()
+    pitch = roll = yaw = 0.0
+    if acc is None:
+        flags = (FLAG_ACCEL_FALLBACK,)
+    else:
+        pitch, roll = acc
+    if mag is None:
+        flags += (FLAG_MAG_FALLBACK,)
+    else:
+        yaw = _level_yaw(mag, pitch, roll)
+    return pitch, roll, yaw, flags
+
+
+def _filter_update(
+    pitch: float, roll: float, yaw: float,
+    gx: float, gy: float, gz: float, acc, mag,
+    alpha: float, dt: float, gimbal_guard_deg: float,
+) -> tuple[float, float, float, Flags]:
+    """Advance (pitch, roll, yaw) by one tick; return the new state and flags.
+
+    A zero accelerometer falls back to pure gyro integration for
+    pitch/roll (flagged); a zero magnetometer, or |pitch| beyond the
+    gimbal guard, does the same for yaw. Pitch is clamped to [-90, 90],
+    roll/yaw wrapped.
+    """
+    flags: Flags = ()
+    pitch_pred = pitch + gy * dt
+    roll_pred = wrap_deg(roll + gx * dt)
+    yaw_pred = wrap_deg(yaw + gz * dt)
+
+    if acc is None:
+        flags = (FLAG_ACCEL_FALLBACK,)
+        pitch_new, roll_new = pitch_pred, roll_pred
+    else:
+        pitch_new = pitch_pred + (1.0 - alpha) * wrap_deg(acc[0] - pitch_pred)
+        roll_new = wrap_deg(roll_pred + (1.0 - alpha) * wrap_deg(acc[1] - roll_pred))
+    # min(90, max(-90, x)) without the two calls, NaN included.
+    pitch_new = pitch_new if pitch_new > -90.0 else -90.0
+    pitch_new = pitch_new if pitch_new < 90.0 else 90.0
+
+    if abs(pitch_new) > gimbal_guard_deg:
+        flags += (FLAG_GIMBAL_GUARD,)
+        yaw_new = yaw_pred
+    elif mag is None:
+        flags += (FLAG_MAG_FALLBACK,)
+        yaw_new = yaw_pred
+    else:
+        yaw_meas = _level_yaw(mag, pitch_new, roll_new)
+        yaw_new = wrap_deg(yaw_pred + (1.0 - alpha) * wrap_deg(yaw_meas - yaw_pred))
+    return pitch_new, roll_new, yaw_new, flags
 
 
 @dataclass(frozen=True)
@@ -168,56 +250,19 @@ class ComplementaryFilter:
         pitch/roll this tick (flagged); a zero magnetometer does the same
         for yaw. Pitch is clamped to [-90, 90], roll/yaw wrapped.
         """
-        flags: list[str] = []
-
-        if not self._started:
-            # Bootstrap from the instantaneous measurement.
-            try:
-                self._pitch, self._roll = accel_angles(acc)
-            except UndefinedAttitudeError:
-                flags.append(FLAG_ACCEL_FALLBACK)
-            try:
-                self._yaw = mag_yaw(mag, self._pitch, self._roll)
-            except UndefinedHeadingError:
-                flags.append(FLAG_MAG_FALLBACK)
-            self._started = True
-            return OrientationFrame(
-                self.sensor_id, tick, self._pitch, self._roll, self._yaw,
-                tuple(flags),
+        acc_m = _accel_meas(float(acc[0]), float(acc[1]), float(acc[2]))
+        mag_u = _mag_unit(float(mag[0]), float(mag[1]), float(mag[2]))
+        if self._started:
+            pitch, roll, yaw, flags = _filter_update(
+                self._pitch, self._roll, self._yaw,
+                float(gyro[0]), float(gyro[1]), float(gyro[2]), acc_m, mag_u,
+                self.alpha, self.dt, self.gimbal_guard_deg,
             )
-
-        a = self.alpha
-        dt = self.dt
-        pitch_pred = self._pitch + float(gyro[1]) * dt
-        roll_pred = wrap_deg(self._roll + float(gyro[0]) * dt)
-        yaw_pred = wrap_deg(self._yaw + float(gyro[2]) * dt)
-
-        try:
-            pitch_meas, roll_meas = accel_angles(acc)
-        except UndefinedAttitudeError:
-            flags.append(FLAG_ACCEL_FALLBACK)
-            pitch_new, roll_new = pitch_pred, roll_pred
         else:
-            pitch_new = pitch_pred + (1.0 - a) * wrap_deg(pitch_meas - pitch_pred)
-            roll_new = wrap_deg(roll_pred + (1.0 - a) * wrap_deg(roll_meas - roll_pred))
-        pitch_new = min(90.0, max(-90.0, pitch_new))
-
-        if abs(pitch_new) > self.gimbal_guard_deg:
-            flags.append(FLAG_GIMBAL_GUARD)
-            yaw_new = yaw_pred
-        else:
-            try:
-                yaw_meas = mag_yaw(mag, pitch_new, roll_new)
-            except UndefinedHeadingError:
-                flags.append(FLAG_MAG_FALLBACK)
-                yaw_new = yaw_pred
-            else:
-                yaw_new = wrap_deg(yaw_pred + (1.0 - a) * wrap_deg(yaw_meas - yaw_pred))
-
-        self._pitch, self._roll, self._yaw = pitch_new, roll_new, yaw_new
-        return OrientationFrame(
-            self.sensor_id, tick, pitch_new, roll_new, yaw_new, tuple(flags)
-        )
+            pitch, roll, yaw, flags = _filter_start(acc_m, mag_u)
+            self._started = True
+        self._pitch, self._roll, self._yaw = pitch, roll, yaw
+        return OrientationFrame(self.sensor_id, tick, pitch, roll, yaw, flags)
 
 
 def circular_mean_deg(angles: Sequence[float]) -> float:
@@ -275,6 +320,8 @@ class FusedSequence:
 
     ``angles`` holds calibrated (offset-subtracted) pitch/roll/yaw per
     tick and sensor, shape (T, S, 3); ``gyro`` the matching raw rates.
+    ``flags[si][t]`` is the degradation flag tuple of sensor ``si`` at
+    tick ``t``, the same tuple ``OrientationFrame.flags`` carries online.
     Windowing starts at ``calib_ticks`` so streaming and offline paths
     see identical data.
     """
@@ -284,6 +331,39 @@ class FusedSequence:
     gyro: np.ndarray
     offset: NeutralOffset
     calib_ticks: int
+    flags: tuple[tuple[Flags, ...], ...]
+
+
+def _run_filter(
+    rows: np.ndarray, alpha: float, dt: float, gimbal_guard_deg: float
+) -> tuple[np.ndarray, list[Flags]]:
+    """Raw (T, 3) angles and per-tick flags of one sensor's (T, 9) rows.
+
+    Columns are read through memoryviews and states gathered in
+    ``array("d")``, so a value is a Python float only during its own tick:
+    8 bytes per value at peak, where lists of floats would hold 32.
+    """
+    ax, ay, az, gx, gy, gz, mx, my, mz = map(memoryview, np.asarray(rows, np.float64).T)
+    ticks = zip(gx, gy, gz, map(_accel_meas, ax, ay, az), map(_mag_unit, mx, my, mz))
+    pitches, rolls, yaws = array("d"), array("d"), array("d")
+    flags: list[Flags] = []
+    first = next(ticks, None)
+    if first is None:
+        return np.empty((0, 3)), flags
+    pitch, roll, yaw, f = _filter_start(first[3], first[4])
+    pitches.append(pitch)
+    rolls.append(roll)
+    yaws.append(yaw)
+    flags.append(f)
+    for x, y, z, acc, mag in ticks:
+        pitch, roll, yaw, f = _filter_update(
+            pitch, roll, yaw, x, y, z, acc, mag, alpha, dt, gimbal_guard_deg
+        )
+        pitches.append(pitch)
+        rolls.append(roll)
+        yaws.append(yaw)
+        flags.append(f)
+    return np.array((pitches, rolls, yaws)).T, flags
 
 
 def fuse_sequence(
@@ -293,6 +373,10 @@ def fuse_sequence(
     config: FusionConfig = FusionConfig(),
 ) -> FusedSequence:
     """Fuse and calibrate one sequence of raw per-sensor sample arrays.
+
+    Runs the same filter kernel as ``ComplementaryFilter.step``, tick by
+    tick over Python floats, so the result equals stepping a filter per
+    sensor bit for bit.
 
     Args:
         samples_by_sensor: sensor id -> (T, 9) array with columns
@@ -312,30 +396,23 @@ def fuse_sequence(
     n_ticks = len(next(iter(samples_by_sensor.values())))
     raw_angles = np.empty((n_ticks, len(sensor_ids), 3), dtype=np.float64)
     gyro = np.empty_like(raw_angles)
-
-    frames_head: dict[int, list[OrientationFrame]] = {s: [] for s in sensor_ids}
+    flags = []
+    heads: dict[int, list[OrientationFrame]] = {}
     for si, sensor_id in enumerate(sensor_ids):
         rows = samples_by_sensor[sensor_id]
-        filt = ComplementaryFilter(
-            alpha=config.alpha,
-            dt=dt,
-            gimbal_guard_deg=config.gimbal_guard_deg,
-            sensor_id=sensor_id,
-        )
-        for t in range(n_ticks):
-            row = rows[t]
-            frame = filt.step(t, row[0:3], row[3:6], row[6:9])
-            raw_angles[t, si, 0] = frame.pitch
-            raw_angles[t, si, 1] = frame.roll
-            raw_angles[t, si, 2] = frame.yaw
-            if t < config.calib_ticks:
-                frames_head[sensor_id].append(frame)
-        gyro[:, si, :] = rows[:, 3:6]
+        block, sensor_flags = _run_filter(rows, config.alpha, dt, config.gimbal_guard_deg)
+        raw_angles[:, si] = block
+        gyro[:, si] = rows[:, 3:6]
+        flags.append(tuple(sensor_flags))
+        heads[sensor_id] = [
+            OrientationFrame(sensor_id, t, pitch, roll, yaw, sensor_flags[t])
+            for t, (pitch, roll, yaw) in enumerate(block[:config.calib_ticks].tolist())
+        ]
 
     if config.calib_ticks > 0:
-        offset = calibrate_neutral(frames_head, config.calib_ticks)
+        offset = calibrate_neutral(heads, config.calib_ticks)
     else:
         offset = NeutralOffset.zero(sensor_ids)
 
     angles = wrap_deg(raw_angles - offset.array(sensor_ids))
-    return FusedSequence(sensor_ids, angles, gyro, offset, config.calib_ticks)
+    return FusedSequence(sensor_ids, angles, gyro, offset, config.calib_ticks, tuple(flags))

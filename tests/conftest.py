@@ -1,5 +1,9 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
+import bomi.experiments
 from bomi.dataset_io import synth_session
 from bomi.experiments import train_session
 
@@ -79,3 +83,28 @@ def days5():
         )
         for day in range(1, 6)
     ]
+
+
+class FuseCounts(Counter):
+    """How often the offline path fused each sequence, keyed by its raw data."""
+
+    @staticmethod
+    def key(samples_by_sensor) -> str:
+        h = hashlib.sha256()
+        for sid in sorted(samples_by_sensor):
+            h.update(samples_by_sensor[sid].tobytes())
+        return h.hexdigest()
+
+
+@pytest.fixture
+def fuse_counts(monkeypatch):
+    """Count ``fuse_sequence`` calls made through ``bomi.experiments``."""
+    counts = FuseCounts()
+    original = bomi.experiments.fuse_sequence
+
+    def counting(samples_by_sensor, *args, **kwargs):
+        counts[counts.key(samples_by_sensor)] += 1
+        return original(samples_by_sensor, *args, **kwargs)
+
+    monkeypatch.setattr(bomi.experiments, "fuse_sequence", counting)
+    return counts

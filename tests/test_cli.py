@@ -96,6 +96,21 @@ class TestTrain:
                    "--shrinkage", "0", "--out", tmp_path / "m.json")
         assert code == 3
 
+    @pytest.mark.parametrize("flags, fused", [((), (1, 2)), (("--train-seqs", "2"), (2,)),
+                                               (("--holdout-seq2",), (1, 2))])
+    def test_fuses_only_sequences_it_uses(self, small_recording_file, tmp_path, fuse_counts,
+                                          flags, fused):
+        assert run("train", "--recording", small_recording_file, *flags,
+                   "--out", tmp_path / "m.json") == 0
+        rec = load_recording(small_recording_file)
+        assert fuse_counts == {fuse_counts.key(rec.sequences[q - 1].samples): 1 for q in fused}
+
+    def test_default_split_still_requires_a_third_sequence(self, tmp_path, capsys):
+        path = tmp_path / "rec.json"
+        save_recording(synth_session(class_count=3, sensor_count=1, seed=2, n_sequences=2), path)
+        assert run("train", "--recording", path, "--out", tmp_path / "m.json") == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_holdout_seq2_reports_validation(self, small_recording_file, tmp_path, capsys):
         code = run("train", "--recording", small_recording_file, "--holdout-seq2",
                    "--out", tmp_path / "m.json")

@@ -214,6 +214,27 @@ class TestRunAll:
         assert (out / "confusion_P1.csv").exists()
         assert (out / "multiday_table.txt").exists()
 
+    def test_fuses_each_used_sequence_once(self, tmp_path, fuse_counts):
+        data = tmp_path / "data"
+        data.mkdir()
+        sessions = {
+            "P1": synth_session(class_count=3, sensor_count=2, seed=30),
+            "P9_sae": synth_session(class_count=3, sensor_count=1, seed=31),
+            "P9_mae": synth_session(class_count=3, sensor_count=1,
+                                    amplitudes=(0.5, 0.75, 1.0), seed=32),
+            "day1": synth_session(class_count=3, sensor_count=1, seed=41),
+            "day2": synth_session(class_count=3, sensor_count=1, seed=42),
+        }
+        for stem, rec in sessions.items():
+            save_recording(rec, data / f"{stem}.json")
+        run_all(data, tmp_path / "out")
+        # Every sequence is used except the single-amplitude session's
+        # third: that model is only ever tested on the multi-amplitude one.
+        used = [fuse_counts.key(seq.samples)
+                for stem, rec in sessions.items()
+                for seq in (rec.sequences[:2] if stem == "P9_sae" else rec.sequences)]
+        assert fuse_counts == {key: 1 for key in used}
+
     def test_orphan_amplitude_session_warns(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

@@ -7,9 +7,11 @@ from bomi.errors import (
     UndefinedAttitudeError,
     UndefinedHeadingError,
 )
+from bomi.dataset_io import angles_to_raw
 from bomi.fusion import (
     FLAG_ACCEL_FALLBACK,
     FLAG_GIMBAL_GUARD,
+    FLAG_MAG_FALLBACK,
     ComplementaryFilter,
     FusionConfig,
     NeutralOffset,
@@ -282,6 +284,72 @@ def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
             assert fused.angles[t, si, 0] == wrap_deg(fr.pitch - p0)
             assert fused.angles[t, si, 1] == wrap_deg(fr.roll - r0)
             assert fused.angles[t, si, 2] == wrap_deg(fr.yaw - y0)
+
+
+def degraded_rows(first_zero: str, direction: float) -> np.ndarray:
+    """Raw rows that drive the filter through every degraded branch.
+
+    Pitch climbs to the gimbal guard and the gyro pushes it past +-90 deg
+    (the clamp); roll and yaw cross +-180 deg; accel and mag each drop to
+    zero for a span, and ``first_zero`` names the vectors zeroed on the
+    first tick (the bootstrap fallbacks).
+    """
+    t = np.arange(600, dtype=np.float64)
+    pitch = np.interp(t, [0, 330, 370, 420, 470, 520, 599], [0, 0, 89.5, 89.5, -89.5, -89.5, 0])
+    turn = direction * (150.0 + 0.4 * np.maximum(t - 200.0, 0.0))
+    angles = np.stack([pitch, wrap_deg(turn), wrap_deg(-turn)], axis=1)
+    rows = angles_to_raw(angles, 60.0)
+    rows[100:120, 0:3] = 0.0
+    rows[120:140, 6:9] = 0.0
+    rows[362:382, 4] = 400.0    # pitch prediction overshoots +90
+    rows[462:482, 4] = -400.0   # and -90
+    rows[400:410, 0:3] = 0.0    # zero accel inside the guard band
+    if first_zero in ("acc", "both"):
+        rows[0, 0:3] = 0.0
+    if first_zero in ("mag", "both"):
+        rows[0, 6:9] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("calib_ticks", [60, 0])
+@pytest.mark.parametrize("first_zero", ["acc", "mag", "both"])
+def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, calib_ticks):
+    sensor_ids = (1, 2)
+    samples = {1: degraded_rows(first_zero, 1.0), 2: degraded_rows(first_zero, -1.0)}
+    cfg = FusionConfig(calib_ticks=calib_ticks)
+    fused = fuse_sequence(samples, sensor_ids, 60.0, cfg)
+
+    frames = {}
+    for sid in sensor_ids:
+        filt = ComplementaryFilter(alpha=cfg.alpha, dt=1 / 60, sensor_id=sid)
+        frames[sid] = [filt.step(t, r[0:3], r[3:6], r[6:9])
+                       for t, r in enumerate(samples[sid])]
+    if calib_ticks:
+        offset = calibrate_neutral({s: f[:calib_ticks] for s, f in frames.items()}, calib_ticks)
+    else:
+        offset = NeutralOffset.zero(sensor_ids)
+    assert fused.offset.array(sensor_ids).tobytes() == offset.array(sensor_ids).tobytes()
+
+    for si, sid in enumerate(sensor_ids):
+        p0, r0, y0 = offset.for_sensor(sid)
+        want = np.array([[wrap_deg(f.pitch - p0), wrap_deg(f.roll - r0), wrap_deg(f.yaw - y0)]
+                         for f in frames[sid]])
+        assert fused.angles[:, si].tobytes() == want.tobytes()
+        assert fused.flags[si] == tuple(f.flags for f in frames[sid])
+
+        # Every degraded branch was taken, so the equality above covers it.
+        flags = fused.flags[si]
+        assert set(flags[0]) == {"acc": {FLAG_ACCEL_FALLBACK}, "mag": {FLAG_MAG_FALLBACK},
+                                 "both": {FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK}}[first_zero]
+        assert all(flags[t] == (FLAG_ACCEL_FALLBACK,) for t in range(100, 120))
+        assert all(flags[t] == (FLAG_MAG_FALLBACK,) for t in range(120, 140))
+        assert any(FLAG_GIMBAL_GUARD in f for f in flags)
+        assert any(FLAG_ACCEL_FALLBACK in f and FLAG_GIMBAL_GUARD in f for f in flags)
+        raw_pitch = [f.pitch for f in frames[sid]]
+        assert 90.0 in raw_pitch and -90.0 in raw_pitch
+        for axis in ("roll", "yaw"):
+            raw = np.array([getattr(f, axis) for f in frames[sid]])
+            assert (np.abs(np.diff(raw)) > 300.0).any()   # crossed the +-180 seam
 
 
 def test_angles_stay_in_wrap_ranges(small_noisy):

@@ -16,10 +16,14 @@ Each line is ``<part> <digest>``. The parts cover:
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
   ``StreamingPipeline`` emits on the held-out sequence;
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
-  write for each quickstart session (the model without its metadata).
+  write for each quickstart session (the model without its metadata);
+* ``studies/*``: every file ``run_all`` writes (``report.json``, the
+  tables, the confusion CSVs) for the studies recordings.
 
-The sessions are the four stream-hub wearers and the two quickstart
-sessions of ``perfbench/worker.py`` for ``--seed``.
+The sessions are the four stream-hub wearers, the two quickstart
+sessions and the seven studies recordings of ``perfbench/worker.py`` for
+``--seed``. The tool uses only API that older checkouts also have, so it
+can be run against another checkout's ``src`` on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from bomi.cli import main as bomi_main
-from bomi.dataset_io import load_recording, synth_session
-from bomi.experiments import extract_matrix, predict_many, train_session
+from bomi.dataset_io import load_recording, save_recording, synth_session
+from bomi.experiments import extract_matrix, predict_many, run_all, train_session
 from bomi.lda import deserialize
 from bomi.pipeline import StreamingPipeline
 
@@ -141,6 +145,32 @@ def quickstart(seed: int, work: Path, emit) -> None:
              hash_stream(recording, deserialize(model), len(recording.sequences)))
 
 
+def studies(seed: int, work: Path, emit) -> None:
+    """``run_all`` over the recordings of the benchmark's studies workload."""
+    # The parameters of Studies.setup in perfbench/worker.py (which follow
+    # ``bomi demo-data``); keep them in step with it.
+    sessions = {
+        "P1": synth_session(seed=seed),
+        "P4": synth_session(class_count=6, sensor_count=2, spasm_deg=10.0,
+                            spasm_class=1, class_scale={1: 0.55}, seed=seed + 3),
+        "P1_sae": synth_session(class_count=7, seed=seed + 5),
+        "P1_mae": synth_session(class_count=7, amplitudes=(0.5, 0.75, 1.0), seed=seed + 6),
+    }
+    for day in range(1, 4):
+        sessions[f"day{day}"] = synth_session(
+            seed=seed + 10 + day, amplitude_deg=12.0, noise_deg=1.0,
+            target_bias_deg=1.5 * (day - 1), rotation_seed=321,
+            shuffle_test_seq=True,
+        )
+    data, out = work / "dataset", work / "reports"
+    data.mkdir()
+    for stem, rec in sessions.items():
+        save_recording(rec, data / f"{stem}.json")
+    run_all(data, out)
+    for path in sorted(out.iterdir()):
+        emit(f"studies/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed")
@@ -165,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         emit(f"stream/{name}", hash_stream(rec, model, len(rec.sequences)))
     with tempfile.TemporaryDirectory() as work:
         quickstart(args.seed, Path(work), emit)
+    with tempfile.TemporaryDirectory() as work:
+        studies(args.seed, Path(work), emit)
     return 0
 
 
