@@ -21,6 +21,7 @@ from .features import (
     AmplitudeRange,
     FeatureLayout,
     Window,
+    Windows,
     feature_dim,
     learn_ranges,
     make_windows,
@@ -80,6 +81,7 @@ __all__ = [
     "StreamingPipeline",
     "VirtualDevice",
     "Window",
+    "Windows",
     "accel_angles",
     "calibrate_neutral",
     "deserialize",

@@ -169,11 +169,10 @@ def cmd_eval(args) -> int:
         )
     seq_indices = _parse_int_list(args.seqs) if args.seqs else [len(rec.sequences)]
     window, overlap = _window_geometry(args, file_cfg)
-    windows = []
-    for qi in seq_indices:
-        windows.extend(sequence_windows(
-            rec, rec.sequences[qi - 1], fusion, window=window, overlap=overlap,
-        ))
+    windows = sequence_windows(
+        rec, *(rec.sequences[qi - 1] for qi in seq_indices),
+        fusion=fusion, window=window, overlap=overlap,
+    )
     result = evaluate(model, windows)
 
     out_dir = Path(args.out)

@@ -31,10 +31,11 @@ from .features import (
     DEFAULT_WINDOW,
     AmplitudeRange,
     FeatureLayout,
-    Window,
+    Windows,
     extract_matrix,
     learn_ranges,
     make_windows,
+    pool_windows,
 )
 from .fusion import FusionConfig, fuse_sequence
 from .lda import LdaModel, fit, predict_many
@@ -43,36 +44,34 @@ from .pipeline import max_consecutive_disagreements
 
 def sequence_windows(
     recording: SessionRecording,
-    seq: Sequence,
+    *seqs: Sequence,
     fusion: FusionConfig = FusionConfig(),
-    origin: str | None = None,
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-) -> list[Window]:
-    """Fuse, calibrate, and window one sequence (the offline path).
+) -> Windows:
+    """Fuse, calibrate, and window sequences of a session into one set
+    (the offline path); no window straddles two sequences.
 
     Windowing starts after the calibration ticks so offline windows line
     up one-to-one with streaming emissions.
     """
-    fused = fuse_sequence(
-        seq.samples, recording.sensor_ids, recording.sample_rate_hz, fusion
-    )
-    c = fused.calib_ticks
-    return list(
-        make_windows(
-            fused.angles[c:], fused.gyro[c:], seq.labels[c:],
-            start_tick=c, size=window, overlap=overlap, origin=origin,
+    # The empty set seeds the pool, so no sequences give an empty set.
+    empty = np.empty((0, len(recording.sensor_ids), 3))
+    sets = [make_windows(empty, empty, None, size=window, overlap=overlap)]
+    for seq in seqs:
+        fused = fuse_sequence(
+            seq.samples, recording.sensor_ids, recording.sample_rate_hz, fusion
         )
-    )
-
-
-def labeled_windows(windows: SequenceT[Window]) -> list[Window]:
-    """Drop windows that span a label change."""
-    return [w for w in windows if w.label is not None]
+        c = fused.calib_ticks
+        sets.append(make_windows(
+            fused.angles[c:], fused.gyro[c:], seq.labels[c:],
+            start_tick=c, size=window, overlap=overlap,
+        ))
+    return pool_windows(sets)
 
 
 def train_on_windows(
-    windows: SequenceT[Window],
+    windows: Windows,
     layout: FeatureLayout,
     feature_kind: str = "fv3",
     shrinkage: float = 1e-3,
@@ -83,19 +82,18 @@ def train_on_windows(
     meta: dict | None = None,
 ) -> LdaModel:
     """Fit a model (and optionally amplitude ranges) on labeled windows."""
-    usable = labeled_windows(windows)
+    usable = windows[windows.labels >= 0]
     if not usable:
         raise TrainingDataError("no single-label windows to train on")
     X = extract_matrix(feature_kind, usable, layout)
-    y = np.asarray([w.label for w in usable])
     ranges: AmplitudeRange | None = None
     if learn_amplitude:
-        classes = [int(c) for c in np.unique(y) if c != 0]
+        classes = [int(c) for c in np.unique(usable.labels) if c != 0]
         ranges = learn_ranges(
             usable, layout, classes, class_sensor=class_sensor, mode=amplitude_mode
         )
     return fit(
-        X, y,
+        X, usable.labels,
         shrinkage=shrinkage,
         priors=priors,
         feature_kind=feature_kind,
@@ -111,7 +109,7 @@ def split_windows(
     fusion: FusionConfig = FusionConfig(),
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-) -> tuple[list[Window], list[Window]]:
+) -> tuple[Windows, Windows]:
     """Window a session's training and test sequences, each fused once.
 
     Raises:
@@ -119,24 +117,15 @@ def split_windows(
     """
     split = split or SplitSpec()
     train_seqs, test_seqs = split_session(recording, split)
-    train_windows: list[Window] = []
-    for qi, seq in zip(sorted(split.train), train_seqs):
-        train_windows.extend(sequence_windows(
-            recording, seq, fusion, origin=f"seq{qi}", window=window, overlap=overlap,
-        ))
-    test_windows: list[Window] = []
-    for qi, seq in zip(sorted(split.test), test_seqs):
-        test_windows.extend(sequence_windows(
-            recording, seq, fusion, origin=f"seq{qi}", window=window, overlap=overlap,
-        ))
-    present = {w.label for w in train_windows if w.label is not None}
-    missing = sorted(set(range(recording.class_count)) - present)
+    train = sequence_windows(recording, *train_seqs, fusion=fusion, window=window, overlap=overlap)
+    test = sequence_windows(recording, *test_seqs, fusion=fusion, window=window, overlap=overlap)
+    missing = sorted(set(range(recording.class_count)) - set(train.labels.tolist()))
     if missing:
         raise CoverageError(
             f"classes {missing} have no training windows in sequences "
             f"{sorted(split.train)}"
         )
-    return train_windows, test_windows
+    return train, test
 
 
 def train_session(
@@ -151,7 +140,7 @@ def train_session(
     amplitude_mode: str = "minmax",
     window: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-) -> tuple[LdaModel, list[Window]]:
+) -> tuple[LdaModel, Windows]:
     """Train on a session's training split; return (model, test windows)."""
     train_windows, test_windows = split_windows(recording, split, fusion, window, overlap)
     model = train_on_windows(
@@ -278,31 +267,29 @@ class EvalResult:
         }
 
 
-def evaluate(model: LdaModel, windows: SequenceT[Window]) -> EvalResult:
+def evaluate(model: LdaModel, windows: Windows) -> EvalResult:
     """Window-level accuracy and confusion matrix on labeled windows.
 
     Mixed-label windows are excluded and counted. Rows of the confusion
     matrix are true classes.
     """
-    usable = labeled_windows(windows)
-    n_mixed = len(windows) - len(usable)
+    usable = windows[windows.labels >= 0]
     if not usable:
         raise DataError("no single-label windows to evaluate")
     X = extract_matrix(model.feature_kind, usable, model.layout)
-    y_true = np.asarray([w.label for w in usable])
+    y_true = usable.labels
     y_pred = predict_many(model, X)
     labels = sorted(set(model.classes.tolist()) | set(y_true.tolist()))
-    index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[index[int(t)], index[int(p)]] += 1
+    k = len(labels)
+    cells = np.searchsorted(labels, y_true) * k + np.searchsorted(labels, y_pred)
+    counts = np.bincount(cells, minlength=k * k).reshape(k, k)
     confusion = ConfusionMatrix(labels=labels, counts=counts)
     structure = misclassification_structure(y_pred.tolist(), y_true.tolist())
     return EvalResult(
         accuracy=confusion.accuracy(),
         confusion=confusion,
         n_windows=len(usable),
-        n_mixed_excluded=n_mixed,
+        n_mixed_excluded=len(windows) - len(usable),
         structure=structure,
     )
 
@@ -461,7 +448,8 @@ def run_multiday_experiment(
 
     Each day's session trains on its first two sequences and tests on
     its last. The day-1 model is evaluated on every day's test
-    recording; each d-day model is evaluated on its own day.
+    recording; each d-day model is evaluated on its own day (day 1's
+    result is shared by both rows).
     """
     if not day_sessions:
         raise DataError("no day sessions given")
@@ -475,7 +463,7 @@ def run_multiday_experiment(
         models.append(model)
         tests.append(test_windows)
     day1 = [evaluate(models[0], t).accuracy for t in tests]
-    dday = [evaluate(m, t).accuracy for m, t in zip(models, tests)]
+    dday = day1[:1] + [evaluate(m, t).accuracy for m, t in zip(models[1:], tests[1:])]
     return MultidayStudy(day1_model_accuracy=day1, dday_model_accuracy=dday)
 
 

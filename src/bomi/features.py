@@ -13,15 +13,21 @@ are supported:
 Per-sample vectors are flattened sample-major (all channels of tick 0,
 then tick 1, ...). fv3 is channel-major, half-window-minor, with the
 four statistics innermost.
+
+Offline windows live in one array-backed set, ``Windows``: the per-tick
+fused streams plus each window's first row and label. Features come from
+one kernel over (N, L, C) windowed channels; ``extract_matrix`` gathers
+them from the per-tick channels of a set and the streaming ``extract``
+passes its single (1, L, C) window. Amplitude is one per-tick function,
+``tick_gamma``, averaged over each window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CoverageError,
@@ -78,20 +84,13 @@ def feature_dim(kind: str, n_sensors: int, window: int = DEFAULT_WINDOW) -> int:
 
 @dataclass(frozen=True)
 class Window:
-    """One fixed-length slice of the fused stream.
-
-    angles and gyro have shape (length, S, 3); angle axes are pitch,
-    roll, yaw and gyro axes x, y, z, both in layout sensor order. label
-    is the label of the last tick when all ticks agree, None when the
-    window spans a label change. origin names the source stream so
-    train/test provenance stays auditable.
-    """
+    """One window of a set, as a view: angles and gyro have shape
+    (length, S, 3); label is None when the window spans a label change."""
 
     start_tick: int
     angles: np.ndarray
     gyro: np.ndarray
     label: int | None
-    origin: str | None = None
 
     @property
     def length(self) -> int:
@@ -102,11 +101,48 @@ class Window:
         return self.start_tick + self.length - 1
 
 
-def window_count(n_ticks: int, size: int = DEFAULT_WINDOW, overlap: int = DEFAULT_OVERLAP) -> int:
-    stride = size - overlap
-    if n_ticks < size:
-        return 0
-    return (n_ticks - size) // stride + 1
+@dataclass(frozen=True)
+class Windows:
+    """A set of fixed-length windows over per-tick fused streams.
+
+    angles and gyro are (T, S, 3) per-tick arrays (angle axes pitch,
+    roll, yaw and gyro axes x, y, z, both in layout sensor order); pooled
+    streams are concatenated along T. Window i covers rows
+    ``rows[i] : rows[i] + length``; its label is the label of its last
+    tick when all of its ticks carry it, -1 when it spans a label change.
+    Indexing with an int gives that window as a ``Window`` view; a slice
+    or mask gives the subset over the same per-tick arrays.
+    """
+
+    angles: np.ndarray
+    gyro: np.ndarray
+    rows: np.ndarray
+    labels: np.ndarray
+    start_ticks: np.ndarray
+    length: int
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            r, label = self.rows[i], int(self.labels[i])
+            return Window(
+                start_tick=int(self.start_ticks[i]),
+                angles=self.angles[r:r + self.length],
+                gyro=self.gyro[r:r + self.length],
+                label=None if label < 0 else label,
+            )
+        return replace(
+            self, rows=self.rows[i], labels=self.labels[i], start_ticks=self.start_ticks[i]
+        )
+
+    def __iter__(self) -> Iterator[Window]:
+        return (self[i] for i in range(len(self)))
+
+    def gather(self, per_tick: np.ndarray) -> np.ndarray:
+        """(N, length, ...) windows of a (T, ...) per-tick array."""
+        return per_tick[self.rows[:, None] + np.arange(self.length)]
 
 
 def make_windows(
@@ -116,84 +152,70 @@ def make_windows(
     start_tick: int = 0,
     size: int = DEFAULT_WINDOW,
     overlap: int = DEFAULT_OVERLAP,
-    origin: str | None = None,
-) -> Iterator[Window]:
+) -> Windows:
     """Slice a fused stream into overlapping windows.
 
-    Yields N - size + 1 windows for stride 1 (empty when N < size; not
-    an error). Window arrays are views into the input.
+    Gives T - size + 1 windows for stride 1 (none when T < size; not an
+    error). The set shares the input arrays.
 
     Args:
-        angles: (N, S, 3) calibrated angles.
-        gyro: (N, S, 3) raw angular rates.
-        labels: (N,) per-tick labels, or None for unlabeled streams.
-        start_tick: tick index of the first row (recorded in windows).
+        angles: (T, S, 3) calibrated angles.
+        gyro: (T, S, 3) raw angular rates.
+        labels: (T,) per-tick labels, or None for unlabeled streams.
+        start_tick: tick index of the first row.
         size, overlap: window geometry; stride is size - overlap.
-        origin: provenance tag copied onto every window.
     """
     if size < 1 or not 0 <= overlap < size:
         raise ValidationError(f"bad window geometry size={size} overlap={overlap}")
-    n = angles.shape[0]
-    stride = size - overlap
-    starts = range(0, n - size + 1, stride)
-    if labels is None or not starts:
-        window_labels: list[int | None] = [None] * len(starts)
-    else:
-        # Every window's label at once: its last tick's label when all
-        # of its ticks carry it.
-        chunks = sliding_window_view(labels, size)[::stride]
-        last = chunks[:, -1]
-        same = (chunks == last[:, None]).all(axis=1)
-        window_labels = [
-            int(lab) if ok else None for lab, ok in zip(last.tolist(), same.tolist())
-        ]
-    for start, label in zip(starts, window_labels):
-        end = start + size
-        yield Window(
-            start_tick=start_tick + start,
-            angles=angles[start:end],
-            gyro=gyro[start:end],
-            label=label,
-            origin=origin,
-        )
+    rows = np.arange(0, len(angles) - size + 1, size - overlap)
+    per_tick = np.full(len(angles), -1) if labels is None else labels
+    chunks = per_tick[rows[:, None] + np.arange(size)]
+    last = chunks[:, -1]
+    same = (chunks == last[:, None]).all(axis=1)
+    return Windows(angles, gyro, rows, np.where(same, last, -1), start_tick + rows, size)
 
 
-def _check_windows(
-    angles: np.ndarray, layout: FeatureLayout, kind: str
-) -> None:
-    if angles.shape[2] != layout.n_sensors:
-        raise LayoutError(
-            f"windows have {angles.shape[2]} sensors, layout expects {layout.n_sensors}"
-        )
-    if kind == "fv3" and angles.shape[1] != DEFAULT_WINDOW:
-        raise ShapeError(f"fv3 requires windows of length 8, got {angles.shape[1]}")
+def pool_windows(sets: SequenceT[Windows]) -> Windows:
+    """One set over several streams' windows; no window straddles two."""
+    offsets = np.cumsum([0] + [len(s.angles) for s in sets[:-1]])
+    return Windows(
+        angles=np.concatenate([s.angles for s in sets]),
+        gyro=np.concatenate([s.gyro for s in sets]),
+        rows=np.concatenate([s.rows + offset for s, offset in zip(sets, offsets)]),
+        labels=np.concatenate([s.labels for s in sets]),
+        start_ticks=np.concatenate([s.start_ticks for s in sets]),
+        length=sets[0].length,
+    )
 
 
 def _channels(
     kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
-    """(N, L, C) per-sample channels: the layout's angle channels, then
-    every sensor's gyro x/y/z unless the kind is fv1."""
-    cols = [angles[:, :, si, ai] for si, ai in layout.angle_channels()]
-    if kind != "fv1":
-        for si in range(layout.n_sensors):
-            cols.extend(gyro[:, :, si, ai] for ai in range(3))
-    return np.stack(cols, axis=2)
-
-
-def _batch(
-    kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
-) -> np.ndarray:
-    """Feature matrix for stacked windows of shape (N, L, S, 3)."""
+    """(..., C) per-tick channels of (..., S, 3) angles and gyro: the
+    layout's angle channels, then every sensor's gyro x/y/z unless the
+    kind is fv1."""
     if kind not in FEATURE_KINDS:
         raise ValidationError(f"unknown feature kind {kind!r}")
-    _check_windows(angles, layout, kind)
-    n = angles.shape[0]
-    m = _channels(kind, angles, gyro, layout)
+    if angles.shape[-2] != layout.n_sensors:
+        raise LayoutError(
+            f"windows have {angles.shape[-2]} sensors, layout expects {layout.n_sensors}"
+        )
+    cols = [angles[..., si, ai] for si, ai in layout.angle_channels()]
+    if kind != "fv1":
+        for si in range(layout.n_sensors):
+            cols.extend(gyro[..., si, ai] for ai in range(3))
+    return np.stack(cols, axis=-1)
+
+
+def _features(kind: str, m: np.ndarray) -> np.ndarray:
+    """(N, d) feature matrix of (N, L, C) windowed channels."""
+    n, length, c = m.shape
     if kind != "fv3":
-        return m.reshape(n, -1)
-    half = m.shape[1] // 2
-    out = np.empty((n, 2 * 4 * m.shape[2]))
+        return m.reshape(n, length * c)
+    if length != DEFAULT_WINDOW:
+        raise ShapeError(f"fv3 requires windows of length 8, got {length}")
+    half = length // 2
+    out = np.empty((n, 2 * 4 * c))
     for si, sub in enumerate((m[:, :half], m[:, half:])):
         # Fixed left-to-right arithmetic keeps single-window and batch
         # extraction bit-identical.
@@ -209,34 +231,28 @@ def _batch(
     return out
 
 
-def extract(kind: str, w: Window, layout: FeatureLayout) -> np.ndarray:
-    """Feature vector of one window; ``kind`` is one of FEATURE_KINDS."""
-    return _batch(kind, w.angles[None], w.gyro[None], layout)[0]
-
-
-def extract_matrix(
-    kind: str, windows: SequenceT[Window], layout: FeatureLayout
+def extract(
+    kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
-    """Stack feature vectors for many windows into an (N, d) matrix."""
-    if not windows:
-        return np.empty((0, feature_dim(kind, layout.n_sensors)))
-    angles = np.stack([w.angles for w in windows])
-    gyro = np.stack([w.gyro for w in windows])
-    return _batch(kind, angles, gyro, layout)
+    """Feature vector of one window of (L, S, 3) angles and gyro; ``kind``
+    is one of FEATURE_KINDS."""
+    return _features(kind, _channels(kind, angles, gyro, layout)[None])[0]
+
+
+def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.ndarray:
+    """(N, d) feature matrix of a window set."""
+    return _features(kind, windows.gather(_channels(kind, windows.angles, windows.gyro, layout)))
 
 
 # ---------------------------------------------------------------------------
 # Amplitude indicator and proportional output
 
 
-def window_gamma(w: Window, sensor_index: int) -> float:
-    """Mean per-tick amplitude of one sensor over a window.
-
-    A tick's amplitude gamma is the Euclidean norm of its calibrated
-    pitch/roll/yaw. The mean (rather than the max) damps short spikes
-    from involuntary motion.
-    """
-    return float(np.sqrt((w.angles[:, sensor_index, :] ** 2).sum(axis=-1)).mean())
+def tick_gamma(angles: np.ndarray) -> np.ndarray:
+    """Per-tick amplitude: the Euclidean norm of calibrated pitch/roll/yaw
+    along the last axis. Callers average it over a window; the mean
+    (rather than the max) damps short spikes from involuntary motion."""
+    return np.sqrt((angles ** 2).sum(axis=-1))
 
 
 @dataclass
@@ -262,7 +278,7 @@ class AmplitudeRange:
 
 
 def learn_ranges(
-    windows: SequenceT[Window],
+    windows: Windows,
     layout: FeatureLayout,
     classes: SequenceT[int],
     class_sensor: Mapping[int, int] | None = None,
@@ -292,28 +308,25 @@ def learn_ranges(
         for c in classes
         if int(c) != 0
     }
-    gammas: dict[int, list[float]] = {c: [] for c in mapping}
-    for w in windows:
-        if w.label is None or w.label == 0 or w.label not in mapping:
-            continue
-        si = sensor_index.get(mapping[w.label])
-        if si is None:
+    of_class = {cls: windows[windows.labels == cls] for cls in mapping}
+    for cls, sid in mapping.items():
+        if len(of_class[cls]) and sid not in sensor_index:
             raise LayoutError(
-                f"class {w.label} mapped to sensor {mapping[w.label]} "
+                f"class {cls} mapped to sensor {sid} "
                 f"not present in layout {layout.sensor_ids}"
             )
-        gammas[w.label].append(window_gamma(w, si))
-    uncovered = sorted(cls for cls, values in gammas.items() if not values)
+    uncovered = sorted(cls for cls, ws in of_class.items() if not len(ws))
     if uncovered:
         raise CoverageError(f"classes {uncovered} have no training windows")
+    gamma = tick_gamma(windows.angles)
     ranges: dict[int, tuple[float, float]] = {}
-    for cls, values in gammas.items():
-        arr = np.asarray(values)
+    for cls, ws in of_class.items():
+        values = ws.gather(gamma[:, sensor_index[mapping[cls]]]).mean(axis=1)
         if mode == "minmax":
-            lo, hi = float(arr.min()), float(arr.max())
+            lo, hi = float(values.min()), float(values.max())
         else:
-            lo = float(np.percentile(arr, percentiles[0]))
-            hi = float(np.percentile(arr, percentiles[1]))
+            lo = float(np.percentile(values, percentiles[0]))
+            hi = float(np.percentile(values, percentiles[1]))
         if hi <= lo:
             raise DegenerateRangeError(
                 f"class {cls}: amplitude range degenerate at {lo}"

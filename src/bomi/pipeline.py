@@ -25,13 +25,7 @@ import numpy as np
 
 from .dataset_io import ImuSample, SessionRecording
 from .errors import LayoutError, MappingError, ValidationError
-from .features import (
-    DEFAULT_WINDOW,
-    Window,
-    extract,
-    prop_output,
-    window_gamma,
-)
+from .features import DEFAULT_WINDOW, extract, prop_output, tick_gamma
 from .fusion import (
     FLAG_GAP,
     ComplementaryFilter,
@@ -363,20 +357,16 @@ class StreamingPipeline:
         if self._since_full % self.stride:
             return None
 
-        w = Window(
-            start_tick=tick - self.window + 1,
-            angles=np.stack(self._angles),
-            gyro=np.stack(self._gyro),
-            label=None,
-        )
-        x = extract(self.model.feature_kind, w, self.layout)
+        angles = np.stack(self._angles)
+        x = extract(self.model.feature_kind, angles, np.stack(self._gyro), self.layout)
         cls = self._smoother(predict(self.model, x))
 
         nu = 0.0
         if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
             sid = self.model.ranges.class_sensor.get(cls, self.layout.sensor_ids[0])
             si = self.layout.sensor_ids.index(sid)
-            nu = prop_output(window_gamma(w, si), cls, self.model.ranges)
+            gamma = float(tick_gamma(angles[:, si]).mean())
+            nu = prop_output(gamma, cls, self.model.ranges)
         command, velocity, button_event = map_command(
             cls, nu, self.mapping, self._previous_cls
         )

@@ -19,3 +19,20 @@ def test_trace_targets_install_and_uninstall():
         tracing.uninstall(saved)
     assert saved
     assert all(owner.__dict__[attr] is original for owner, attr, original in saved)
+
+
+def test_window_api_the_stream_hub_workload_uses(small_noisy):
+    # perfbench/worker.py checks its stream-hub setup with exactly these calls.
+    from bomi import evaluate, train_session
+    from bomi.experiments import extract_matrix, predict_many
+
+    model, test_windows = train_session(small_noisy)
+    assert len(test_windows) > 0
+    first = test_windows[0]
+    assert first.start_tick is not None
+    assert len(first.angles) == 8
+    ends = [tw.start_tick + len(tw.angles) - 1 for tw in test_windows]
+    assert len(ends) == len(test_windows)
+    X = extract_matrix(model.feature_kind, test_windows, model.layout)
+    assert len(predict_many(model, X)) == len(ends)
+    assert evaluate(model, test_windows).n_windows > 0

@@ -1,34 +1,39 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bomi.dataset_io import save_recording, synth_session
+import bomi.experiments
+from bomi.dataset_io import SplitSpec, save_recording, synth_session
 from bomi.errors import CoverageError, DataError
 from bomi.experiments import (
     ConfusionMatrix,
     evaluate,
+    extract_matrix,
     misclassification_structure,
     run_all,
     run_amplitude_experiment,
     run_fv_comparison,
     run_multiday_experiment,
     sequence_windows,
+    split_windows,
     train_session,
 )
-from bomi.features import Window
+from bomi.features import FEATURE_KINDS, FeatureLayout, Windows
+from bomi.fusion import fuse_sequence
 
 
 def fake_windows(labels):
-    return [
-        Window(
-            start_tick=i,
-            angles=np.zeros((8, 1, 3)),
-            gyro=np.zeros((8, 1, 3)),
-            label=lab,
-        )
-        for i, lab in enumerate(labels)
-    ]
+    n = len(labels)
+    return Windows(
+        angles=np.zeros((n + 7, 1, 3)),
+        gyro=np.zeros((n + 7, 1, 3)),
+        rows=np.arange(n),
+        labels=np.array([-1 if lab is None else lab for lab in labels]),
+        start_ticks=np.arange(n),
+        length=8,
+    )
 
 
 class TestConfusion:
@@ -96,32 +101,62 @@ class TestEvaluate:
     def test_nine_of_ten(self, small_model):
         model, test_windows = small_model
         # constructed: flip one window's label to force one error
-        sample = [w for w in test_windows if w.label == 0][:10]
-        flipped = [
-            Window(w.start_tick, w.angles, w.gyro, label=(2 if i == 0 else 0))
-            for i, w in enumerate(sample)
-        ]
+        sample = test_windows[test_windows.labels == 0][:10]
+        flipped = replace(sample, labels=np.array([2] + [0] * 9))
         result = evaluate(model, flipped)
         assert result.accuracy == pytest.approx(90.0)
 
     def test_empty_set_rejected(self, small_model):
         model, _ = small_model
         with pytest.raises(DataError):
-            evaluate(model, [])
+            evaluate(model, fake_windows([]))
         with pytest.raises(DataError):
             evaluate(model, fake_windows([None, None]))
 
 
 class TestTrainSession:
-    def test_provenance_separates_train_and_test(self, small_noisy):
-        windows = {}
-        for qi, seq in enumerate(small_noisy.sequences, start=1):
-            windows[qi] = sequence_windows(small_noisy, seq, origin=f"seq{qi}")
-        train_origins = {w.origin for w in windows[1]} | {w.origin for w in windows[2]}
-        test_origins = {w.origin for w in windows[3]}
-        assert train_origins == {"seq1", "seq2"}
-        assert test_origins == {"seq3"}
-        assert not train_origins & test_origins
+    def test_pooled_windows_never_straddle_sequences(self, small_noisy):
+        rec = small_noisy
+        pooled, test = split_windows(rec, SplitSpec(train=frozenset({1, 2, 3}),
+                                                    test=frozenset()))
+        singles = [sequence_windows(rec, seq) for seq in rec.sequences]
+        assert len(pooled) == sum(len(ws) for ws in singles)
+        ends = np.cumsum([len(ws.angles) for ws in singles])
+        first = np.searchsorted(ends, pooled.rows, side="right")
+        last = np.searchsorted(ends, pooled.rows + pooled.length - 1, side="right")
+        assert (first == last).all()
+        layout = FeatureLayout(sensor_ids=rec.sensor_ids)
+        for kind in FEATURE_KINDS:
+            stacked = np.concatenate([extract_matrix(kind, ws, layout) for ws in singles])
+            assert stacked.tobytes() == extract_matrix(kind, pooled, layout).tobytes()
+        assert len(test) == 0 and list(test) == []
+
+    def test_windows_index_to_each_windows_ticks(self, small_noisy):
+        # The oracle slices each sequence's fused stream directly.
+        rec = small_noisy
+        pooled = sequence_windows(rec, *rec.sequences)
+        want = []
+        for seq in rec.sequences:
+            fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz)
+            c = fused.calib_ticks
+            for start in range(c, seq.n_ticks - 7):
+                span = seq.labels[start:start + 8]
+                label = int(span[-1]) if (span == span[-1]).all() else None
+                want.append((start, fused.angles[start:start + 8],
+                             fused.gyro[start:start + 8], label))
+        assert len(pooled) == len(want)
+        for w, (start, angles, gyro, label) in zip(pooled, want):
+            assert w.start_tick == start and w.label == label
+            assert w.angles.tobytes() == angles.tobytes()
+            assert w.gyro.tobytes() == gyro.tobytes()
+        assert pooled[-1].start_tick == want[-1][0]
+
+    def test_empty_test_split_gives_empty_set(self, small_noisy):
+        _, test = train_session(small_noisy, split=SplitSpec(test=frozenset()),
+                                learn_amplitude=False)
+        assert len(test) == 0 and not test
+        with pytest.raises(DataError):
+            evaluate(train_session(small_noisy, learn_amplitude=False)[0], test)
 
     def test_missing_class_in_training_is_coverage_error(self, small_noisy):
         crippled = synth_session(class_count=3, sensor_count=2, noise_deg=0.5, seed=9)
@@ -169,6 +204,20 @@ class TestStudies:
         # a model evaluated on its own day is the day-1 model on day 1
         assert study.day1_model_accuracy[0] == study.dday_model_accuracy[0]
         assert "day2" in study.table()
+
+    def test_multiday_evaluates_each_pair_once(self, monkeypatch):
+        calls = []
+        original = bomi.experiments.evaluate
+
+        def counting(model, windows):
+            calls.append(1)
+            return original(model, windows)
+
+        monkeypatch.setattr(bomi.experiments, "evaluate", counting)
+        days = [synth_session(class_count=3, sensor_count=1, seed=20 + d)
+                for d in range(3)]
+        run_multiday_experiment(days)
+        assert len(calls) == 2 * len(days) - 1
 
     def test_multiday_empty_rejected(self):
         with pytest.raises(DataError):

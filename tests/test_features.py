@@ -12,31 +12,41 @@ from bomi.errors import (
 from bomi.features import (
     AmplitudeRange,
     FeatureLayout,
-    Window,
     extract,
     extract_matrix,
     feature_dim,
     learn_ranges,
     make_windows,
     prop_output,
-    window_count,
-    window_gamma,
+    tick_gamma,
 )
 
 from oracles import count_windows_by_enumeration
 
 
-def build_window(angles, gyro=None, label=0, start=0):
+def build_window(angles, gyro=None):
+    """(angles, gyro) arrays of one window; gyro defaults to zeros."""
     angles = np.asarray(angles, dtype=float)
     if gyro is None:
         gyro = np.zeros_like(angles)
-    return Window(start_tick=start, angles=angles, gyro=np.asarray(gyro, float), label=label)
+    return angles, np.asarray(gyro, float)
 
 
 def random_window(rng, n_sensors=3, length=8):
     return build_window(
         rng.normal(size=(length, n_sensors, 3)),
         rng.normal(size=(length, n_sensors, 3)),
+    )
+
+
+def window_set(windows, labels):
+    """One set holding the given (angles, gyro) windows, back to back."""
+    length = len(windows[0][0])
+    return make_windows(
+        np.concatenate([a for a, _ in windows]),
+        np.concatenate([g for _, g in windows]),
+        np.repeat(labels, length),
+        size=length, overlap=0,
     )
 
 
@@ -65,7 +75,7 @@ class TestWindowing:
     @given(st.integers(8, 4096))
     @settings(max_examples=40, deadline=None)
     def test_count_formula_property(self, n):
-        assert window_count(n) == n - 7
+        assert len(windows_of(n)) == n - 7
 
     def test_large_stream_count(self):
         assert len(windows_of(10_000)) == 9993
@@ -105,9 +115,9 @@ class TestFeatureDims:
         rng = np.random.default_rng(0)
         w = random_window(rng, n_sensors)
         layout = FeatureLayout(sensor_ids=tuple(range(1, n_sensors + 1)))
-        assert extract("fv1", w, layout).shape == (feature_dim("fv1", n_sensors),)
-        assert extract("fv2", w, layout).shape == (feature_dim("fv2", n_sensors),)
-        assert extract("fv3", w, layout).shape == (feature_dim("fv3", n_sensors),)
+        assert extract("fv1", *w, layout).shape == (feature_dim("fv1", n_sensors),)
+        assert extract("fv2", *w, layout).shape == (feature_dim("fv2", n_sensors),)
+        assert extract("fv3", *w, layout).shape == (feature_dim("fv3", n_sensors),)
 
     def test_three_sensor_fv1_is_56(self):
         assert feature_dim("fv1", 3) == 56
@@ -134,7 +144,7 @@ class TestFv1Fv2:
         angles = np.tile(np.array([[[1.0, 2.0, 3.0], [4.0, 5.0, 0.0]]]), (8, 1, 1))
         w = build_window(angles)
         layout = FeatureLayout(sensor_ids=(1, 2))
-        out = extract("fv1", w, layout)
+        out = extract("fv1", *w, layout)
         assert out.shape == (40,)
         assert (out.reshape(8, 5) == [1.0, 2.0, 3.0, 4.0, 5.0]).all()
 
@@ -142,14 +152,14 @@ class TestFv1Fv2:
         angles = np.zeros((8, 2, 3))
         angles[:, 0] = [1, 2, 3]    # primary pitch/roll/yaw
         angles[:, 1] = [4, 5, 99]   # second sensor: yaw excluded
-        out = extract("fv1", build_window(angles), FeatureLayout(sensor_ids=(1, 2)))
+        out = extract("fv1", *build_window(angles), FeatureLayout(sensor_ids=(1, 2)))
         assert 99.0 not in out
         assert out[:5].tolist() == [1, 2, 3, 4, 5]
 
     def test_fv2_appends_gyro_blocks(self):
         angles = np.zeros((8, 2, 3))
         gyro = np.tile(np.array([[[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]]), (8, 1, 1))
-        out = extract("fv2", build_window(angles, gyro), FeatureLayout(sensor_ids=(1, 2)))
+        out = extract("fv2", *build_window(angles, gyro), FeatureLayout(sensor_ids=(1, 2)))
         per_sample = out.reshape(8, 11)
         assert (per_sample[:, :5] == 0).all()
         assert (per_sample[:, 5:] == [7, 8, 9, 10, 11, 12]).all()
@@ -159,28 +169,28 @@ class TestFv1Fv2:
         angles = rng.normal(size=(8, 2, 3))
         w = build_window(angles)
         layout = FeatureLayout(sensor_ids=(1, 2))
-        v2 = extract("fv2", w, layout).reshape(8, 11)
+        v2 = extract("fv2", *w, layout).reshape(8, 11)
         assert (v2[:, 5:] == 0).all()
-        assert (v2[:, :5].reshape(-1) == extract("fv1", w, layout)).all()
+        assert (v2[:, :5].reshape(-1) == extract("fv1", *w, layout)).all()
 
     def test_missing_sensor_rejected(self):
         rng = np.random.default_rng(2)
         w = random_window(rng, n_sensors=2)
         with pytest.raises(LayoutError):
-            extract("fv1", w, FeatureLayout(sensor_ids=(1, 2, 3)))
+            extract("fv1", *w, FeatureLayout(sensor_ids=(1, 2, 3)))
 
 
 class TestFv3:
     def test_hand_computed_channel(self):
         angles = np.zeros((8, 1, 3))
         angles[:, 0, 0] = [1, -2, 3, -4, 0, 0, 0, 0]  # pitch channel
-        out = extract("fv3", build_window(angles), FeatureLayout(sensor_ids=(1,)))
+        out = extract("fv3", *build_window(angles), FeatureLayout(sensor_ids=(1,)))
         assert out[0:4].tolist() == [-4.0, 3.0, -0.5, 10.0]
         assert out[4:8].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_constant_channel(self):
         angles = np.full((8, 1, 3), -2.5)
-        out = extract("fv3", build_window(angles), FeatureLayout(sensor_ids=(1,)))
+        out = extract("fv3", *build_window(angles), FeatureLayout(sensor_ids=(1,)))
         for c in range(3):
             for sub in range(2):
                 base = c * 8 + sub * 4
@@ -190,14 +200,14 @@ class TestFv3:
         rng = np.random.default_rng(3)
         w = random_window(rng, n_sensors=1, length=6)
         with pytest.raises(ShapeError):
-            extract("fv3", w, FeatureLayout(sensor_ids=(1,)))
+            extract("fv3", *w, FeatureLayout(sensor_ids=(1,)))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_stats_invariants(self, seed):
         rng = np.random.default_rng(seed)
         w = random_window(rng, n_sensors=2)
-        out = extract("fv3", w, FeatureLayout(sensor_ids=(1, 2))).reshape(-1, 4)
+        out = extract("fv3", *w, FeatureLayout(sensor_ids=(1, 2))).reshape(-1, 4)
         mins, maxs, means, abs_sums = out.T
         assert (mins <= means + 1e-12).all()
         assert (means <= maxs + 1e-12).all()
@@ -208,17 +218,17 @@ class TestFv3:
         ws = [random_window(rng, n_sensors=2) for _ in range(16)]
         layout = FeatureLayout(sensor_ids=(1, 2))
         for kind in ("fv1", "fv2", "fv3"):
-            batch = extract_matrix(kind, ws, layout)
-            single = np.stack([extract(kind, w, layout) for w in ws])
+            batch = extract_matrix(kind, window_set(ws, [0] * 16), layout)
+            single = np.stack([extract(kind, *w, layout) for w in ws])
             assert (batch == single).all()
 
 
 class TestGamma:
     def test_neutral_is_zero(self):
-        assert window_gamma(build_window([[[0.0, 0.0, 0.0]]]), 0) == 0.0
+        assert tick_gamma(np.array([0.0, 0.0, 0.0])) == 0.0
 
     def test_pythagorean(self):
-        assert window_gamma(build_window([[[3.0, 4.0, 0.0]]]), 0) == pytest.approx(5.0)
+        assert tick_gamma(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
 
     @given(
         st.floats(-90, 90), st.floats(-180, 180), st.floats(-180, 180),
@@ -229,8 +239,8 @@ class TestGamma:
     def test_sign_and_permutation_invariance(self, p, r, y, perm, signs):
         base = [p, r, y]
         mixed = [signs[i] * base[perm[i]] for i in range(3)]
-        a = window_gamma(build_window([[base]]), 0)
-        b = window_gamma(build_window([[mixed]]), 0)
+        a = tick_gamma(np.array(base))
+        b = tick_gamma(np.array(mixed))
         assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
     def test_mae_session_shows_three_plateaus(self, mae7):
@@ -252,14 +262,15 @@ class TestGamma:
 
 class TestRanges:
     @staticmethod
-    def window_at(gamma, label, n=8):
-        angles = np.zeros((n, 1, 3))
-        angles[:, 0, 0] = gamma
-        return build_window(angles, label=label)
+    def windows_at(gammas, labels, n=8):
+        angles = np.zeros((len(gammas) * n, 1, 3))
+        angles[:, 0, 0] = np.repeat(gammas, n)
+        return make_windows(
+            angles, np.zeros_like(angles), np.repeat(labels, n), size=n, overlap=0
+        )
 
     def test_min_max_of_window_means(self):
-        ws = [self.window_at(g, 1) for g in (10.0, 15.0, 22.0)]
-        ws += [self.window_at(g, 2) for g in (5.0, 6.0)]
+        ws = self.windows_at([10.0, 15.0, 22.0, 5.0, 6.0], [1, 1, 1, 2, 2])
         r = learn_ranges(ws, FeatureLayout(sensor_ids=(1,)), classes=[1, 2])
         assert r.ranges[1] == pytest.approx((10.0, 22.0))
         assert r.ranges[2] == pytest.approx((5.0, 6.0))
@@ -267,8 +278,7 @@ class TestRanges:
     def test_percentile_mode_matches_sort_oracle(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0.0, 1.0, size=100)
-        ws = [self.window_at(v, 1) for v in values]
-        ws += [self.window_at(v, 2) for v in (2.0, 3.0)]
+        ws = self.windows_at([*values, 2.0, 3.0], [1] * 100 + [2, 2])
         r = learn_ranges(
             ws, FeatureLayout(sensor_ids=(1,)), classes=[1, 2], mode="percentile"
         )
@@ -278,21 +288,21 @@ class TestRanges:
         assert 0.9 < r.ranges[1][1] < 1.0
 
     def test_missing_class_is_coverage_error(self):
-        ws = [self.window_at(10.0, 1)]
+        ws = self.windows_at([10.0], [1])
         with pytest.raises(CoverageError):
             learn_ranges(ws, FeatureLayout(sensor_ids=(1,)), classes=[1, 2])
 
     def test_degenerate_range_rejected(self):
-        ws = [self.window_at(10.0, 1), self.window_at(10.0, 1)]
+        ws = self.windows_at([10.0, 10.0], [1, 1])
         with pytest.raises(DegenerateRangeError):
             learn_ranges(ws, FeatureLayout(sensor_ids=(1,)), classes=[1])
 
     def test_class_sensor_mapping_used(self):
         angles = np.zeros((8, 2, 3))
         angles[:, 1, 0] = 30.0
-        ws = [build_window(angles, label=1), self.window_at(0.0, 1)]
-        ws[1] = build_window(np.concatenate([ws[1].angles, np.zeros((8, 1, 3))], axis=1), label=1)
-        ws[1].angles[:, 1, 0] = 10.0
+        other = np.zeros((8, 2, 3))
+        other[:, 1, 0] = 10.0
+        ws = window_set([build_window(angles), build_window(other)], [1, 1])
         r = learn_ranges(
             ws, FeatureLayout(sensor_ids=(1, 2)), classes=[1], class_sensor={1: 2}
         )
