@@ -82,7 +82,7 @@ class ImuSample:
                 f"sensor_id must be in [1, {MAX_SENSORS}], got {self.sensor_id}"
             )
         for vec in (self.acc, self.gyro, self.mag):
-            if len(vec) != 3 or not all(math.isfinite(v) for v in vec):
+            if len(vec) != 3 or not all(map(math.isfinite, vec)):
                 raise ValidationError(f"non-finite or malformed vector {vec!r}")
 
 
@@ -110,11 +110,8 @@ class Sequence:
         return len(self.labels)
 
     def sample_at(self, sensor_id: int, tick: int) -> ImuSample:
-        row = self.samples[sensor_id][tick]
-        return ImuSample(
-            sensor_id, tick,
-            tuple(row[0:3]), tuple(row[3:6]), tuple(row[6:9]),
-        )
+        row = self.samples[sensor_id][tick].tolist()
+        return ImuSample(sensor_id, tick, tuple(row[0:3]), tuple(row[3:6]), tuple(row[6:9]))
 
     def tick_samples(self, tick: int) -> dict[int, ImuSample]:
         return {sid: self.sample_at(sid, tick) for sid in self.samples}

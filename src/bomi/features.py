@@ -25,6 +25,7 @@ passes its single (1, L, C) window. Amplitude is one per-tick function,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
@@ -188,23 +189,32 @@ def pool_windows(sets: SequenceT[Windows]) -> Windows:
     )
 
 
+@lru_cache(maxsize=32)
+def _angle_index(layout: FeatureLayout) -> np.ndarray:
+    """Positions of the layout's angle channels in a per-tick row of 3S
+    angles (sensor-major, then pitch/roll/yaw)."""
+    index = np.array([3 * si + ai for si, ai in layout.angle_channels()])
+    index.flags.writeable = False
+    return index
+
+
 def _channels(
     kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
     """(..., C) per-tick channels of (..., S, 3) angles and gyro: the
-    layout's angle channels, then every sensor's gyro x/y/z unless the
-    kind is fv1."""
+    layout's angle channels, gathered in one indexing, then every sensor's
+    gyro x/y/z unless the kind is fv1."""
     if kind not in FEATURE_KINDS:
         raise ValidationError(f"unknown feature kind {kind!r}")
     if angles.shape[-2] != layout.n_sensors:
         raise LayoutError(
             f"windows have {angles.shape[-2]} sensors, layout expects {layout.n_sensors}"
         )
-    cols = [angles[..., si, ai] for si, ai in layout.angle_channels()]
-    if kind != "fv1":
-        for si in range(layout.n_sensors):
-            cols.extend(gyro[..., si, ai] for ai in range(3))
-    return np.stack(cols, axis=-1)
+    lead = angles.shape[:-2]
+    picked = angles.reshape(*lead, -1)[..., _angle_index(layout)]
+    if kind == "fv1":
+        return picked
+    return np.concatenate((picked, gyro.reshape(*lead, -1)), axis=-1)
 
 
 def _features(kind: str, m: np.ndarray) -> np.ndarray:

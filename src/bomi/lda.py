@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from scipy.linalg import cho_solve, cholesky, LinAlgError
 from .errors import (
     DimensionMismatchError,
     ModelFormatError,
+    NumericalError,
     SingularCovarianceError,
     TrainingDataError,
 )
@@ -166,6 +168,8 @@ def predict_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
 
 def _argmax_with_ties(model: LdaModel, scores: np.ndarray) -> int:
     best = scores.max()
+    if not math.isfinite(best):
+        raise NumericalError(f"non-finite discriminant score {best}")
     tied = model.classes[scores == best]
     if len(tied) > 1:
         return 0 if 0 in tied else int(tied.min())
@@ -173,13 +177,23 @@ def _argmax_with_ties(model: LdaModel, scores: np.ndarray) -> int:
 
 
 def predict(model: LdaModel, x: np.ndarray) -> int:
-    """Predicted label for one feature vector (ties go to neutral)."""
+    """Predicted label for one feature vector (ties go to neutral).
+
+    Raises:
+        NumericalError: the highest score is not finite.
+    """
     return _argmax_with_ties(model, predict_scores(model, x))
 
 
 def predict_many(model: LdaModel, X: np.ndarray) -> np.ndarray:
-    """Predicted labels for a feature matrix."""
+    """Predicted labels for a feature matrix.
+
+    Raises:
+        NumericalError: a score is not finite.
+    """
     scores = predict_scores(model, np.atleast_2d(X))
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite discriminant scores")
     out = model.classes[np.argmax(scores, axis=1)]
     # argmax takes the first maximum; revisit rows with exact ties.
     best = scores.max(axis=1, keepdims=True)

@@ -57,13 +57,13 @@ class Command(str, Enum):
 BUTTONS = (Command.B1, Command.B2)
 
 # End-effector displacement direction per axis command (unit vectors).
-DIRECTIONS: dict[Command, tuple[float, float, float]] = {
-    Command.F: (0.0, -1.0, 0.0),
-    Command.B: (0.0, 1.0, 0.0),
-    Command.R: (-1.0, 0.0, 0.0),
-    Command.L: (1.0, 0.0, 0.0),
-    Command.RR: (0.0, 0.0, 1.0),
-    Command.LR: (0.0, 0.0, -1.0),
+DIRECTIONS: dict[Command, np.ndarray] = {
+    Command.F: np.array((0.0, -1.0, 0.0)),
+    Command.B: np.array((0.0, 1.0, 0.0)),
+    Command.R: np.array((-1.0, 0.0, 0.0)),
+    Command.L: np.array((1.0, 0.0, 0.0)),
+    Command.RR: np.array((0.0, 0.0, 1.0)),
+    Command.LR: np.array((0.0, 0.0, -1.0)),
 }
 
 _DEFAULT_ORDER = (
@@ -285,6 +285,8 @@ class StreamingPipeline:
         self.mapping.validate_classes(int(c) for c in model.classes)
         self.layout = model.layout
         self.sample_rate_hz = sample_rate_hz
+        if window < 1:
+            raise ValidationError(f"window must be >= 1, got {window}")
         self.window = window
         self.stride = window - (overlap if overlap is not None else window - 1)
         if self.stride < 1:
@@ -305,24 +307,26 @@ class StreamingPipeline:
         self.offset: NeutralOffset | None = (
             None if fusion.calib_ticks > 0 else NeutralOffset.zero(self.layout.sensor_ids)
         )
-        # (S, 3) form of the offset, replaced once calibration completes.
-        self._offset_row = np.zeros((self.layout.n_sensors, 3))
-        self._angles: deque[np.ndarray] = deque(maxlen=window)
-        self._gyro: deque[np.ndarray] = deque(maxlen=window)
+        # Per-sensor offsets as Python floats, zero until calibration completes.
+        self._offsets = [(0.0, 0.0, 0.0)] * self.layout.n_sensors
+        # Calibrated angles and raw gyro, each tick written to rows k and
+        # k + window, so rows k + 1 .. k + window are the window, oldest first.
+        self._angles = np.zeros((2 * window, self.layout.n_sensors, 3))
+        self._gyro = np.zeros_like(self._angles)
+        self._written = 0
         self._smoother = make_smoother(smoothing)
         self._last_raw: dict[int, ImuSample] = {}
         self._previous_cls: int | None = None
         self._seen = 0
-        self._since_full = -1
         self.dropped_ticks = 0
 
     def step(self, tick: int, samples: Mapping[int, ImuSample]) -> CommandOutput | None:
         """Consume one tick of samples; emit a command once warmed up."""
         t0 = time.perf_counter()
         flags: list[str] = []
-        angle_row = np.empty((len(self.layout.sensor_ids), 3))
-        gyro_row = np.empty_like(angle_row)
-        for si, sid in enumerate(self.layout.sensor_ids):
+        angle_row: list[tuple[float, float, float]] = []
+        gyro_row: list[tuple[float, float, float]] = []
+        for (sid, filt), (p0, r0, y0) in zip(self._filters.items(), self._offsets):
             sample = samples.get(sid)
             if sample is None:
                 sample = self._last_raw.get(sid)
@@ -330,11 +334,13 @@ class StreamingPipeline:
                     raise LayoutError(f"no sample for sensor {sid} at stream start")
                 flags.append(FLAG_GAP)
             self._last_raw[sid] = sample
-            frame = self._filters[sid].step(tick, sample.acc, sample.gyro, sample.mag)
+            frame = filt.step(tick, sample.acc, sample.gyro, sample.mag)
             if self.offset is None:
                 self._calib_frames[sid].append(frame)
-            angle_row[si] = (frame.pitch, frame.roll, frame.yaw)
-            gyro_row[si] = sample.gyro
+            angle_row.append(
+                (wrap_deg(frame.pitch - p0), wrap_deg(frame.roll - r0), wrap_deg(frame.yaw - y0))
+            )
+            gyro_row.append(sample.gyro)
             flags.extend(frame.flags)
         self._seen += 1
         if FLAG_GAP in flags:
@@ -345,20 +351,20 @@ class StreamingPipeline:
                 self.offset = calibrate_neutral(
                     self._calib_frames, self.fusion_config.calib_ticks
                 )
-                self._offset_row = self.offset.array(self.layout.sensor_ids)
+                self._offsets = [self.offset.for_sensor(sid) for sid in self._filters]
                 self._calib_frames = {sid: [] for sid in self.layout.sensor_ids}
             return None
 
-        self._angles.append(wrap_deg(angle_row - self._offset_row))
-        self._gyro.append(gyro_row)
-        if len(self._angles) < self.window:
-            return None
-        self._since_full += 1
-        if self._since_full % self.stride:
+        w = self.window
+        k = self._written % w
+        self._angles[k::w] = angle_row
+        self._gyro[k::w] = gyro_row
+        self._written += 1
+        if self._written < w or (self._written - w) % self.stride:
             return None
 
-        angles = np.stack(self._angles)
-        x = extract(self.model.feature_kind, angles, np.stack(self._gyro), self.layout)
+        angles = self._angles[k + 1:k + 1 + w]
+        x = extract(self.model.feature_kind, angles, self._gyro[k + 1:k + 1 + w], self.layout)
         cls = self._smoother(predict(self.model, x))
 
         nu = 0.0
@@ -395,10 +401,9 @@ class VirtualDevice:
         self.button_events: list[tuple[int, Command]] = []
 
     def send(self, out: CommandOutput) -> None:
-        if out.command in DIRECTIONS:
-            self.position = self.position + np.asarray(DIRECTIONS[out.command]) * (
-                out.velocity * self.dt
-            )
+        direction = DIRECTIONS.get(out.command)
+        if direction is not None:
+            self.position = self.position + direction * (out.velocity * self.dt)
         elif out.button_event:
             self.button_events.append((out.tick, out.command))
         self.trajectory.append((out.tick, *self.position))

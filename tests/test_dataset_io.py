@@ -46,12 +46,38 @@ class TestImuSample:
         assert s.sensor_id == 1
 
     def test_sensor_id_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ImuSample(7, 0, (0, 0, 1), (0, 0, 0), (1, 0, 0))
+        for sensor_id in (0, 7):
+            with pytest.raises(ValidationError):
+                ImuSample(sensor_id, 0, (0, 0, 1), (0, 0, 0), (1, 0, 0))
 
     def test_non_finite_component(self):
         with pytest.raises(ValidationError):
             ImuSample(1, 0, (0, 0, float("nan")), (0, 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", range(9))
+    def test_each_position_rejects_non_finite(self, position, bad):
+        values = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        values[position] = bad
+        with pytest.raises(ValidationError):
+            ImuSample(1, 0, tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))
+
+    @pytest.mark.parametrize("vector", range(3))
+    def test_two_element_vector_rejected(self, vector):
+        vectors = [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+        vectors[vector] = vectors[vector][:2]
+        with pytest.raises(ValidationError):
+            ImuSample(1, 0, *vectors)
+
+    def test_sample_at_gives_python_floats_equal_to_the_row(self):
+        rows = np.random.default_rng(4).normal(size=(5, 9))
+        seq = Sequence(samples={2: rows}, labels=np.zeros(5, dtype=int))
+        for tick in range(5):
+            s = seq.sample_at(2, tick)
+            values = s.acc + s.gyro + s.mag
+            assert (s.sensor_id, s.tick) == (2, tick)
+            assert all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == rows[tick].tobytes()
 
 
 class TestSynth:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bomi.errors import (
     DimensionMismatchError,
     ModelFormatError,
+    NumericalError,
     SingularCovarianceError,
     TrainingDataError,
 )
@@ -120,6 +121,18 @@ class TestPredict:
                     np.array([0, 0, 1, 1]))
         with pytest.raises(DimensionMismatchError):
             predict(model, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise_numerical_error(self, bad):
+        model = fit(np.array([[0.0, 1.0], [0.1, 1.0], [1.0, 0.0], [1.1, 0.0]]),
+                    np.array([0, 0, 1, 1]))
+        x = np.array([bad, 0.5])
+        with pytest.raises(NumericalError):
+            predict(model, x)
+        with pytest.raises(NumericalError):
+            predict_many(model, np.array([[0.2, 0.8], x]))
+        with pytest.raises(NumericalError):
+            predict_many(model, x)
 
     def test_oracle_equivalence_thousand_instances(self):
         # brute-force Mahalanobis-plus-log-prior oracle, dense inverse

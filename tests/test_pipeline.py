@@ -1,12 +1,20 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
-from bomi.dataset_io import synth_session
+from bomi.dataset_io import Sequence, synth_session
 from bomi.errors import LayoutError, MappingError, ValidationError
 from bomi.experiments import sequence_windows
-from bomi.features import extract_matrix
-from bomi.fusion import FLAG_GAP, FusionConfig
+from bomi.features import extract_matrix, prop_output, tick_gamma
+from bomi.fusion import (
+    FLAG_ACCEL_FALLBACK,
+    FLAG_GAP,
+    FLAG_GIMBAL_GUARD,
+    FLAG_MAG_FALLBACK,
+    FusionConfig,
+    fuse_sequence,
+)
 from bomi.lda import predict_many
 from bomi.pipeline import (
     Command,
@@ -247,6 +255,12 @@ class TestStreaming:
         assert all(0.0 <= o.velocity <= 20.0 for o in outputs)
         assert all(0.0 <= o.nu <= 1.0 for o in outputs)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, small_model, window):
+        model, _ = small_model
+        with pytest.raises(ValidationError):
+            StreamingPipeline(model, window=window)
+
     def test_layout_mismatch_rejected(self, small_model):
         model, _ = small_model
         other = synth_session(class_count=3, sensor_count=1, seed=1)
@@ -271,6 +285,72 @@ class TestStreaming:
         X = extract_matrix("fv1", offline, model.layout)
         assert [o.label for o in outputs] == predict_many(model, X).tolist()
         assert [o.tick for o in outputs] == [w.end_tick for w in offline]
+
+
+    @pytest.mark.parametrize("kind, window, overlap", [
+        ("fv1", 8, 7), ("fv2", 8, 7), ("fv3", 8, 7), ("fv1", 6, 4), ("fv2", 6, 4),
+    ])
+    def test_degraded_stream_equals_offline_bitwise(self, small_noisy, kind, window, overlap):
+        # Zero-accel and zero-mag spans, pitch driven past the gimbal guard,
+        # and dropped sensors; offline, a dropped sensor repeats its
+        # previous raw row, which is what the stream does.
+        from bomi.experiments import train_session
+
+        class_sensor = {int(k): int(v) for k, v in small_noisy.meta["class_sensors"].items()}
+        model, _ = train_session(small_noisy, feature_kind=kind, class_sensor=class_sensor,
+                                 window=window, overlap=overlap)
+        sensor_ids = small_noisy.sensor_ids
+        clean = small_noisy.sequences[2]
+        rows = {sid: clean.samples[sid][:2000].copy() for sid in sensor_ids}
+        primary, other = rows[sensor_ids[0]], rows[sensor_ids[-1]]
+        primary[400:430, 0:3] = 0.0
+        other[700:730, 6:9] = 0.0
+        primary[1000:1060, 4] = 200.0   # pitch rate: past the guard, to the clamp
+        other[1500:1520, 0:3] = 0.0
+        other[1500:1520, 6:9] = 0.0
+        seq = Sequence(rows, clean.labels[:2000])
+        drops = {10: (2,), 300: (1,), 301: (1,), 302: (1, 2), 900: (2,), 1030: (1,)}
+
+        pipe = StreamingPipeline(model, window=window, overlap=overlap)
+        outs = []
+        for t in range(seq.n_ticks):
+            samples = seq.tick_samples(t)
+            for sid in drops.get(t, ()):
+                del samples[sid]
+            out = pipe.step(t, samples)
+            if out is not None:
+                outs.append(out)
+        assert pipe.dropped_ticks == len(drops)
+
+        filled = {sid: r.copy() for sid, r in rows.items()}
+        for t in sorted(drops):
+            for sid in drops[t]:
+                filled[sid][t] = filled[sid][t - 1]
+        offline_seq = Sequence(filled, seq.labels)
+        recording = replace(small_noisy, sequences=[offline_seq])
+        windows = sequence_windows(recording, offline_seq, window=window, overlap=overlap)
+        fused = fuse_sequence(filled, sensor_ids, recording.sample_rate_hz)
+
+        assert [o.tick for o in outs] == [w.end_tick for w in windows]
+        X = extract_matrix(kind, windows, model.layout)
+        assert [o.label for o in outs] == predict_many(model, X).tolist()
+        ranges = model.ranges
+        for o, w in zip(outs, windows):
+            nu = 0.0
+            if o.label != 0 and o.label in ranges.ranges:
+                si = sensor_ids.index(ranges.class_sensor[o.label])
+                nu = prop_output(float(tick_gamma(w.angles[:, si]).mean()), o.label, ranges)
+            assert o.nu == nu
+            flags = []
+            for si, sid in enumerate(sensor_ids):
+                if sid in drops.get(o.tick, ()):
+                    flags.append(FLAG_GAP)
+                flags.extend(fused.flags[si][o.tick])
+            assert o.flags == tuple(dict.fromkeys(flags))
+
+        seen = {f for o in outs for f in o.flags}
+        assert {FLAG_GAP, FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK, FLAG_GIMBAL_GUARD} <= seen
+        assert any(o.nu > 0.0 for o in outs)
 
 
 class TestReplayStats:

@@ -15,6 +15,12 @@ Each line is ``<part> <digest>``. The parts cover:
   labels, start ticks) and ``predict_many`` on them;
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
   ``StreamingPipeline`` emits on the held-out sequence;
+* ``stream-degraded/*``: every emitted ``(tick, label, nu, command,
+  velocity, button_event, flags)``, ``dropped_ticks`` and the
+  ``VirtualDevice`` trajectory when the held-out sequence has zero-accel
+  and zero-mag spans, pitch past the gimbal guard and dropped sensors;
+  each wearer with ``smoothing="majority:3"``, and the fv1/fv2 wearers
+  again with models and streams of ``window=6, overlap=4``;
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
   write for each quickstart session (the model without its metadata);
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
@@ -40,10 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from bomi.cli import main as bomi_main
-from bomi.dataset_io import load_recording, save_recording, synth_session
+from bomi.dataset_io import Sequence, load_recording, save_recording, synth_session
 from bomi.experiments import extract_matrix, predict_many, run_all, train_session
 from bomi.lda import deserialize
-from bomi.pipeline import StreamingPipeline
+from bomi.pipeline import StreamingPipeline, VirtualDevice
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
@@ -112,6 +118,46 @@ def hash_stream(rec, model, seq_index: int) -> str:
         if out is not None:
             h.update(repr((out.tick, out.label, out.nu, out.velocity,
                            out.flags)).encode())
+    return h.hexdigest()
+
+
+def degraded(seq):
+    """The sequence with degraded input, and the sensors dropped per tick.
+
+    The first sensor loses accel for 40 ticks and has its pitch rate
+    driven past the gimbal guard to the clamp; the last sensor loses mag,
+    then both vectors. One sensor in turn is dropped every 500 ticks,
+    every sensor on tick 4002.
+    """
+    ids = sorted(seq.samples)
+    rows = {sid: r.copy() for sid, r in seq.samples.items()}
+    first, last = rows[ids[0]], rows[ids[-1]]
+    first[2000:2040, 0:3] = 0.0
+    last[3000:3040, 6:9] = 0.0
+    first[5000:5060, 4] = 200.0
+    last[7000:7020, 0:3] = 0.0
+    last[7000:7020, 6:9] = 0.0
+    drops = {t: (ids[t // 500 % len(ids)],) for t in range(250, seq.n_ticks, 500)}
+    drops[4002] = tuple(ids)
+    return Sequence(rows, seq.labels), drops
+
+
+def hash_degraded_stream(rec, model, seq_index: int, **stream) -> str:
+    seq, drops = degraded(rec.sequences[seq_index - 1])
+    pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz, **stream)
+    device = VirtualDevice(rec.sample_rate_hz)
+    h = hashlib.sha256()
+    for t in range(seq.n_ticks):
+        samples = seq.tick_samples(t)
+        for sid in drops.get(t, ()):
+            del samples[sid]
+        out = pipe.step(t, samples)
+        if out is not None:
+            device.send(out)
+            h.update(repr((out.tick, out.label, out.nu, out.command.value, out.velocity,
+                           out.button_event, out.flags)).encode())
+    h.update(repr(pipe.dropped_ticks).encode())
+    h.update(digest(np.asarray(device.trajectory)).encode())
     return h.hexdigest()
 
 
@@ -193,6 +239,13 @@ def main(argv: list[str] | None = None) -> int:
         emit(f"windows/{name}", wins)
         emit(f"predictions/{name}", preds)
         emit(f"stream/{name}", hash_stream(rec, model, len(rec.sequences)))
+        emit(f"stream-degraded/{name}", hash_degraded_stream(
+            rec, model, len(rec.sequences), smoothing="majority:3"))
+        if kind != "fv3":
+            short, _ = train_session(rec, feature_kind=kind, class_sensor=class_sensor,
+                                     window=6, overlap=4)
+            emit(f"stream-degraded/{name}_w6", hash_degraded_stream(
+                rec, short, len(rec.sequences), window=6, overlap=4))
     with tempfile.TemporaryDirectory() as work:
         quickstart(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
