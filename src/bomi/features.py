@@ -15,11 +15,15 @@ then tick 1, ...). fv3 is channel-major, half-window-minor, with the
 four statistics innermost.
 
 Offline windows live in one array-backed set, ``Windows``: the per-tick
-fused streams plus each window's first row and label. Features come from
-one kernel over (N, L, C) windowed channels; ``extract_matrix`` gathers
-them from the per-tick channels of a set and the streaming ``extract``
-passes its single (1, L, C) window. Amplitude is one per-tick function,
-``tick_gamma``, averaged over each window.
+fused streams plus each window's first row and label. Features start from
+per-tick channels (T, C). fv1 and fv2 are those channels gathered per
+window. fv3 comes from half rows: ``half_stats`` turns (..., 4, C) half
+blocks into (..., C, 4) rows of the four statistics, and is the only fv3
+arithmetic. ``extract_matrix`` takes one half row per start tick, so each
+half block is computed once, and builds window i from half rows
+``rows[i]`` and ``rows[i] + 4``; ``extract`` runs it on the two halves of
+one window; the streaming pipeline keeps a ring of half rows. Amplitude is
+one per-tick function, ``tick_gamma``, averaged over each window.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .errors import (
 
 DEFAULT_WINDOW = 8
 DEFAULT_OVERLAP = 7
+# Ticks in each fv3 half-window.
+HALF = DEFAULT_WINDOW // 2
 
 FEATURE_KINDS = ("fv1", "fv2", "fv3")
 
@@ -190,7 +196,7 @@ def pool_windows(sets: SequenceT[Windows]) -> Windows:
 
 
 @lru_cache(maxsize=32)
-def _angle_index(layout: FeatureLayout) -> np.ndarray:
+def angle_index(layout: FeatureLayout) -> np.ndarray:
     """Positions of the layout's angle channels in a per-tick row of 3S
     angles (sensor-major, then pitch/roll/yaw)."""
     index = np.array([3 * si + ai for si, ai in layout.angle_channels()])
@@ -210,34 +216,41 @@ def _channels(
         raise LayoutError(
             f"windows have {angles.shape[-2]} sensors, layout expects {layout.n_sensors}"
         )
-    lead = angles.shape[:-2]
-    picked = angles.reshape(*lead, -1)[..., _angle_index(layout)]
+    row = angles.shape[:-2] + (3 * layout.n_sensors,)
+    picked = angles.reshape(row)[..., angle_index(layout)]
     if kind == "fv1":
         return picked
-    return np.concatenate((picked, gyro.reshape(*lead, -1)), axis=-1)
+    return np.concatenate((picked, gyro.reshape(row)), axis=-1)
 
 
-def _features(kind: str, m: np.ndarray) -> np.ndarray:
-    """(N, d) feature matrix of (N, L, C) windowed channels."""
-    n, length, c = m.shape
-    if kind != "fv3":
-        return m.reshape(n, length * c)
-    if length != DEFAULT_WINDOW:
-        raise ShapeError(f"fv3 requires windows of length 8, got {length}")
-    half = length // 2
-    out = np.empty((n, 2 * 4 * c))
-    for si, sub in enumerate((m[:, :half], m[:, half:])):
-        # Fixed left-to-right arithmetic keeps single-window and batch
-        # extraction bit-identical.
-        total = sub[:, 0].copy()
-        abs_total = np.abs(sub[:, 0])
-        for t in range(1, half):
-            total = total + sub[:, t]
-            abs_total = abs_total + np.abs(sub[:, t])
-        out[:, si * 4 + 0::8] = sub.min(axis=1)
-        out[:, si * 4 + 1::8] = sub.max(axis=1)
-        out[:, si * 4 + 2::8] = total / half
-        out[:, si * 4 + 3::8] = abs_total
+def check_window(kind: str, length: int) -> None:
+    """Raise ShapeError when ``kind`` cannot use windows of ``length``
+    ticks (fv3 needs two half-windows of HALF ticks)."""
+    if kind == "fv3" and length != 2 * HALF:
+        raise ShapeError(f"fv3 requires windows of length {2 * HALF}, got {length}")
+
+
+def half_stats(blocks: np.ndarray) -> np.ndarray:
+    """(..., C, 4) fv3 half rows of (..., HALF, C) half blocks: the minimum,
+    maximum, mean and sum of absolute values of each channel.
+
+    Every statistic folds the block's rows left to right (on a tie of
+    signed zeros the later row wins), so one window, a window set and the
+    streaming half ring all give the same bits."""
+    r0, r1, *rest = (blocks[..., i, :] for i in range(HALF))
+    out = np.empty(blocks.shape[:-2] + (blocks.shape[-1], 4))
+    lo, hi, mean, abs_sum = (out[..., j] for j in range(4))
+    np.minimum(r0, r1, out=lo)
+    np.maximum(r0, r1, out=hi)
+    np.add(r0, r1, out=mean)
+    np.abs(r0, out=abs_sum)
+    abs_sum += np.abs(r1)
+    for x in rest:
+        np.minimum(lo, x, out=lo)
+        np.maximum(hi, x, out=hi)
+        mean += x
+        abs_sum += np.abs(x)
+    mean /= HALF
     return out
 
 
@@ -246,12 +259,33 @@ def extract(
 ) -> np.ndarray:
     """Feature vector of one window of (L, S, 3) angles and gyro; ``kind``
     is one of FEATURE_KINDS."""
-    return _features(kind, _channels(kind, angles, gyro, layout)[None])[0]
+    check_window(kind, len(angles))
+    m = _channels(kind, angles, gyro, layout)
+    if kind != "fv3":
+        return m.reshape(-1)
+    return half_stats(m.reshape(2, HALF, -1)).swapaxes(0, 1).reshape(-1)
 
 
 def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.ndarray:
-    """(N, d) feature matrix of a window set."""
-    return _features(kind, windows.gather(_channels(kind, windows.angles, windows.gyro, layout)))
+    """(N, d) feature matrix of a window set.
+
+    fv3 takes one half row per start tick of the per-tick channels, so each
+    half block is computed once; window i is half rows ``rows[i]`` and
+    ``rows[i] + HALF``, written straight into the output."""
+    check_window(kind, windows.length)
+    m = _channels(kind, windows.angles, windows.gyro, layout)
+    n, c = len(windows), m.shape[-1]
+    if kind != "fv3":
+        return windows.gather(m).reshape(n, windows.length * c)
+    out = np.empty((n, c, 2, 4))
+    if n:  # an empty set may span fewer than HALF ticks
+        blocks = np.lib.stride_tricks.sliding_window_view(m, HALF, axis=0)
+        halves = half_stats(blocks.swapaxes(-1, -2))
+        # Every index is in range; mode="clip" lets take write into out
+        # without a buffer.
+        for i, first in enumerate((windows.rows, windows.rows + HALF)):
+            np.take(halves, first, axis=0, out=out[:, :, i], mode="clip")
+    return out.reshape(n, 2 * 4 * c)
 
 
 # ---------------------------------------------------------------------------

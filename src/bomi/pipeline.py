@@ -25,7 +25,16 @@ import numpy as np
 
 from .dataset_io import ImuSample, SessionRecording
 from .errors import LayoutError, MappingError, ValidationError
-from .features import DEFAULT_WINDOW, extract, prop_output, tick_gamma
+from .features import (
+    DEFAULT_WINDOW,
+    HALF,
+    angle_index,
+    check_window,
+    extract,
+    half_stats,
+    prop_output,
+    tick_gamma,
+)
 from .fusion import (
     FLAG_GAP,
     ComplementaryFilter,
@@ -291,6 +300,7 @@ class StreamingPipeline:
         self.stride = window - (overlap if overlap is not None else window - 1)
         if self.stride < 1:
             raise ValidationError(f"overlap {overlap} must be below window {window}")
+        check_window(model.feature_kind, window)
         self.fusion_config = fusion
         self._filters = {
             sid: ComplementaryFilter(
@@ -309,11 +319,24 @@ class StreamingPipeline:
         )
         # Per-sensor offsets as Python floats, zero until calibration completes.
         self._offsets = [(0.0, 0.0, 0.0)] * self.layout.n_sensors
-        # Calibrated angles and raw gyro, each tick written to rows k and
-        # k + window, so rows k + 1 .. k + window are the window, oldest first.
-        self._angles = np.zeros((2 * window, self.layout.n_sensors, 3))
-        self._gyro = np.zeros_like(self._angles)
+        # Calibrated angles, one flat row of S x 3 per tick, each tick
+        # written to rows k and k + window, so rows k + 1 .. k + window are
+        # the window, oldest first.
+        self._angles = np.zeros((2 * window, 3 * self.layout.n_sensors))
         self._written = 0
+        # fv1/fv2 keep raw gyro in the same kind of ring. fv3 keeps the
+        # per-tick channels there instead, plus a (window, C, 4) ring of
+        # half rows: slot k holds the half row of the 4 newest ticks when
+        # row k was written, so a window is the half rows in slots k - 4
+        # and k.
+        self._halves: np.ndarray | None = None
+        if model.feature_kind == "fv3":
+            self._pick = angle_index(self.layout).tolist()
+            n_channels = len(self._pick) + 3 * self.layout.n_sensors
+            self._channels = np.zeros((2 * window, n_channels))
+            self._halves = np.zeros((window, n_channels, 4))
+        else:
+            self._gyro = np.zeros_like(self._angles)
         self._smoother = make_smoother(smoothing)
         self._last_raw: dict[int, ImuSample] = {}
         self._previous_cls: int | None = None
@@ -324,8 +347,8 @@ class StreamingPipeline:
         """Consume one tick of samples; emit a command once warmed up."""
         t0 = time.perf_counter()
         flags: list[str] = []
-        angle_row: list[tuple[float, float, float]] = []
-        gyro_row: list[tuple[float, float, float]] = []
+        angle_row: list[float] = []
+        gyro_row: list[float] = []
         for (sid, filt), (p0, r0, y0) in zip(self._filters.items(), self._offsets):
             sample = samples.get(sid)
             if sample is None:
@@ -337,10 +360,10 @@ class StreamingPipeline:
             frame = filt.step(tick, sample.acc, sample.gyro, sample.mag)
             if self.offset is None:
                 self._calib_frames[sid].append(frame)
-            angle_row.append(
-                (wrap_deg(frame.pitch - p0), wrap_deg(frame.roll - r0), wrap_deg(frame.yaw - y0))
+            angle_row += (
+                wrap_deg(frame.pitch - p0), wrap_deg(frame.roll - r0), wrap_deg(frame.yaw - y0)
             )
-            gyro_row.append(sample.gyro)
+            gyro_row += sample.gyro
             flags.extend(frame.flags)
         self._seen += 1
         if FLAG_GAP in flags:
@@ -358,13 +381,23 @@ class StreamingPipeline:
         w = self.window
         k = self._written % w
         self._angles[k::w] = angle_row
-        self._gyro[k::w] = gyro_row
+        halves = self._halves
+        if halves is None:
+            self._gyro[k::w] = gyro_row
+        else:
+            self._channels[k::w] = [angle_row[i] for i in self._pick] + gyro_row
+            halves[k] = half_stats(self._channels[k + 1 + w - HALF:k + 1 + w])
         self._written += 1
         if self._written < w or (self._written - w) % self.stride:
             return None
 
-        angles = self._angles[k + 1:k + 1 + w]
-        x = extract(self.model.feature_kind, angles, self._gyro[k + 1:k + 1 + w], self.layout)
+        n_sensors = self.layout.n_sensors
+        angles = self._angles[k + 1:k + 1 + w].reshape(w, n_sensors, 3)
+        if halves is None:
+            gyro = self._gyro[k + 1:k + 1 + w].reshape(w, n_sensors, 3)
+            x = extract(self.model.feature_kind, angles, gyro, self.layout)
+        else:
+            x = np.concatenate((halves[(k - HALF) % w], halves[k]), axis=1).reshape(-1)
         cls = self._smoother(predict(self.model, x))
 
         nu = 0.0

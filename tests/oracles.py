@@ -140,3 +140,62 @@ def nearest_target_class(window_mean_angles, targets: dict) -> int:
         if best_d is None or d < best_d:
             best_cls, best_d = cls, d
     return best_cls
+
+
+def fv3_reference(angles, gyro) -> list[float]:
+    """fv3 of one 8-tick window, by plain loops over Python floats.
+
+    angles and gyro are (8, S, 3) nested sequences. The channels of a tick
+    are the first sensor's pitch, roll and yaw, every other sensor's pitch
+    and roll, then every sensor's gyro x, y and z. Each half-window of 4
+    ticks gives, per channel, the minimum, maximum, mean and sum of
+    absolute values. Sums run left to right, ``((a0 + a1) + a2) + a3``; of
+    two equal values (0.0 and -0.0) min and max keep the later one, as
+    numpy's ``minimum`` and ``maximum`` do.
+    """
+    rows = []
+    for a, g in zip(angles, gyro):
+        row = [float(v) for v in a[0]]
+        for sensor in a[1:]:
+            row += [float(sensor[0]), float(sensor[1])]
+        for sensor in g:
+            row += [float(v) for v in sensor]
+        rows.append(row)
+    out = []
+    for c in range(len(rows[0])):
+        for half in (rows[:4], rows[4:]):
+            values = [r[c] for r in half]
+            lo = hi = total = values[0]
+            abs_total = abs(values[0])
+            for v in values[1:]:
+                if v <= lo:
+                    lo = v
+                if v >= hi:
+                    hi = v
+                total = total + v
+                abs_total = abs_total + abs(v)
+            out += [lo, hi, total / 4, abs_total]
+    return out
+
+
+# Sums of these differ by grouping: ((a + b) + c) + d is 1.0 for this
+# rotation, a + (b + c + d) is 0.0.
+CANCELLING = (1e16, 1.0, -1e16, 1.0)
+
+
+def fv3_values(kind, shape, seed=0):
+    """(T, ...) per-tick values that expose fv3 arithmetic order:
+    ``cancelling`` cycles CANCELLING along T, shifted by each element's
+    position, so every rotation of it fills some half-window;
+    ``signed_zero`` is 0.0 and -0.0 at random."""
+    if kind == "cancelling":
+        return np.asarray(CANCELLING)[np.indices(shape).sum(axis=0) % 4]
+    signs = np.random.default_rng(seed).integers(0, 2, size=shape)
+    return np.where(signs == 1, -0.0, 0.0)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))

@@ -227,6 +227,26 @@ class TestReplay:
                    "--recording", small_recording_file, "--seq", "3") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("geometry, message", [
+        pytest.param(["--window", "6"], "overlap 7 must be below window 6",
+                     id="default-overlap"),
+        pytest.param(["--window", "6", "--overlap", "5"], "fv3 requires windows of length 8",
+                     id="overlap-5"),
+    ])
+    def test_fv3_misfit_window_exits_2_before_streaming(
+        self, small_recording_file, trained_model_file, monkeypatch, capsys,
+        geometry, message,
+    ):
+        from bomi.pipeline import StreamingPipeline
+
+        assert deserialize(trained_model_file).feature_kind == "fv3"
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        assert run("replay", "--model", trained_model_file,
+                   "--recording", small_recording_file, *geometry) == 2
+        assert steps == []
+        assert message in capsys.readouterr().err
+
 
 class TestExperimentsCommand:
     def test_run_all_on_small_dataset(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from bomi.errors import (
     ValidationError,
 )
 from bomi.features import (
+    FEATURE_KINDS,
     AmplitudeRange,
     FeatureLayout,
     extract,
@@ -21,7 +22,13 @@ from bomi.features import (
     tick_gamma,
 )
 
-from oracles import count_windows_by_enumeration
+from oracles import (
+    CANCELLING,
+    assert_same_bits,
+    count_windows_by_enumeration,
+    fv3_reference,
+    fv3_values,
+)
 
 
 def build_window(angles, gyro=None):
@@ -221,6 +228,40 @@ class TestFv3:
             batch = extract_matrix(kind, window_set(ws, [0] * 16), layout)
             single = np.stack([extract(kind, *w, layout) for w in ws])
             assert (batch == single).all()
+
+
+class TestFv3Oracle:
+    @pytest.mark.parametrize("values", ["cancelling", "signed_zero"])
+    def test_extract_and_extract_matrix_equal_oracle(self, values):
+        n_ticks, layout = 20, FeatureLayout(sensor_ids=(1, 2))
+        angles = fv3_values(values, (n_ticks, 2, 3), seed=1)
+        gyro = fv3_values(values, (n_ticks, 2, 3), seed=2)
+        windows = make_windows(angles, gyro, None)
+        expected = np.array([fv3_reference(w.angles, w.gyro) for w in windows])
+        if values == "signed_zero":
+            zeros = expected[expected == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert_same_bits(extract_matrix("fv3", windows, layout), expected)
+        for w, row in zip(windows, expected):
+            assert_same_bits(extract("fv3", w.angles, w.gyro, layout), row)
+
+    def test_oracle_hand_computed_half(self):
+        angles = np.zeros((8, 1, 3))
+        angles[:4, 0, 0] = CANCELLING
+        out = fv3_reference(angles, np.zeros((8, 1, 3)))
+        assert out[0:4] == [-1e16, 1e16, 0.25, 2e16]
+
+
+class TestEmptySets:
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
+    @pytest.mark.parametrize("n_ticks", [0, 3, 7, 20])
+    def test_empty_set_gives_zero_rows(self, kind, n_ticks):
+        # 0 and 3 ticks hold no half block; 20 ticks give an empty subset.
+        layout = FeatureLayout(sensor_ids=(1, 2))
+        windows = make_windows(np.ones((n_ticks, 2, 3)), np.ones((n_ticks, 2, 3)), None)
+        windows = windows[:0]
+        X = extract_matrix(kind, windows, layout)
+        assert X.shape == (0, feature_dim(kind, 2))
 
 
 class TestGamma:

@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+import bomi.pipeline
 from bomi.dataset_io import Sequence, synth_session
-from bomi.errors import LayoutError, MappingError, ValidationError
+from bomi.errors import LayoutError, MappingError, ShapeError, ValidationError
 from bomi.experiments import sequence_windows
 from bomi.features import extract_matrix, prop_output, tick_gamma
 from bomi.fusion import (
@@ -27,6 +28,8 @@ from bomi.pipeline import (
     smooth,
     write_command_log,
 )
+
+from oracles import assert_same_bits, fv3_reference, fv3_values
 
 
 def drive(pipe, seq, n=None):
@@ -261,6 +264,41 @@ class TestStreaming:
         with pytest.raises(ValidationError):
             StreamingPipeline(model, window=window)
 
+    @pytest.mark.parametrize("window, overlap", [(6, 5), (9, 8), (16, 8)])
+    def test_fv3_misfit_window_rejected_at_construction(self, small_model, window, overlap):
+        model, _ = small_model
+        assert model.feature_kind == "fv3"
+        with pytest.raises(ShapeError):
+            StreamingPipeline(model, window=window, overlap=overlap)
+
+    @pytest.mark.parametrize("values", ["cancelling", "signed_zero"])
+    @pytest.mark.parametrize("overlap", [7, 4])
+    def test_fv3_stream_equals_oracle(self, small_noisy, monkeypatch, values, overlap):
+        # The gyro channels carry the values; each emitted vector must equal
+        # the plain-loop oracle on the same window's ticks, bit for bit.
+        from bomi.experiments import train_session
+
+        model, _ = train_session(small_noisy, feature_kind="fv3", overlap=overlap)
+        sensor_ids = small_noisy.sensor_ids
+        n_ticks = 120
+        gyro = fv3_values(values, (n_ticks, len(sensor_ids), 3), seed=overlap)
+        rows = {}
+        for si, sid in enumerate(sensor_ids):
+            rows[sid] = small_noisy.sequences[2].samples[sid][:n_ticks].copy()
+            rows[sid][:, 3:6] = gyro[:, si]
+        seq = Sequence(rows, small_noisy.sequences[2].labels[:n_ticks])
+
+        vectors = []
+        monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+        outs = drive(StreamingPipeline(model, overlap=overlap), seq)
+        windows = sequence_windows(
+            replace(small_noisy, sequences=[seq]), seq, overlap=overlap
+        )
+        assert [o.tick for o in outs] == [w.end_tick for w in windows]
+        assert len(vectors) == len(windows) > 0
+        for x, w in zip(vectors, windows):
+            assert_same_bits(x, fv3_reference(w.angles, w.gyro))
+
     def test_layout_mismatch_rejected(self, small_model):
         model, _ = small_model
         other = synth_session(class_count=3, sensor_count=1, seed=1)
@@ -289,6 +327,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind, window, overlap", [
         ("fv1", 8, 7), ("fv2", 8, 7), ("fv3", 8, 7), ("fv1", 6, 4), ("fv2", 6, 4),
+        ("fv3", 8, 4), ("fv3", 8, 6),
     ])
     def test_degraded_stream_equals_offline_bitwise(self, small_noisy, kind, window, overlap):
         # Zero-accel and zero-mag spans, pitch driven past the gimbal guard,
@@ -309,7 +348,9 @@ class TestStreaming:
         other[1500:1520, 0:3] = 0.0
         other[1500:1520, 6:9] = 0.0
         seq = Sequence(rows, clean.labels[:2000])
-        drops = {10: (2,), 300: (1,), 301: (1,), 302: (1, 2), 900: (2,), 1030: (1,)}
+        # Tick 503 is an emission tick at strides 1, 2 and 4.
+        drops = {10: (2,), 300: (1,), 301: (1,), 302: (1, 2), 503: (2,), 900: (2,),
+                 1030: (1,)}
 
         pipe = StreamingPipeline(model, window=window, overlap=overlap)
         outs = []

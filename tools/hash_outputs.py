@@ -19,8 +19,9 @@ Each line is ``<part> <digest>``. The parts cover:
   velocity, button_event, flags)``, ``dropped_ticks`` and the
   ``VirtualDevice`` trajectory when the held-out sequence has zero-accel
   and zero-mag spans, pitch past the gimbal guard and dropped sensors;
-  each wearer with ``smoothing="majority:3"``, and the fv1/fv2 wearers
-  again with models and streams of ``window=6, overlap=4``;
+  each wearer with ``smoothing="majority:3"``, the fv1/fv2 wearers
+  again with models and streams of ``window=6, overlap=4``, and the fv3
+  wearers again with ``window=8, overlap=4``;
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
   write for each quickstart session (the model without its metadata);
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
@@ -246,6 +247,11 @@ def main(argv: list[str] | None = None) -> int:
                                      window=6, overlap=4)
             emit(f"stream-degraded/{name}_w6", hash_degraded_stream(
                 rec, short, len(rec.sequences), window=6, overlap=4))
+        else:
+            strided, _ = train_session(rec, feature_kind=kind, class_sensor=class_sensor,
+                                       window=8, overlap=4)
+            emit(f"stream-degraded/{name}_o4", hash_degraded_stream(
+                rec, strided, len(rec.sequences), window=8, overlap=4))
     with tempfile.TemporaryDirectory() as work:
         quickstart(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
