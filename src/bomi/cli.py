@@ -66,7 +66,11 @@ def _fusion_config(args, file_cfg) -> FusionConfig:
 
 
 def _window_geometry(args, file_cfg) -> tuple[int, int]:
+    """Window length and overlap; an overlap set by neither flag nor file is
+    window - 1, as in StreamingPipeline."""
     window = cfgmod.resolve("features.window", args.window, file_cfg)
+    if args.overlap is None and "features.overlap" not in file_cfg:
+        return window, window - 1
     overlap = cfgmod.resolve("features.overlap", args.overlap, file_cfg)
     return window, overlap
 

@@ -11,8 +11,8 @@ Canonical formats:
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
   meta: {...}}``
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
-  mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor,
-  UTF-8, LF, ``.`` decimal point.
+  mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
+  any order, UTF-8, LF, ``.`` decimal point.
 
 Units are physical: acceleration in g, angular rate in degrees/second,
 magnetometer in normalized (unit-free) gauss. An import mapping config
@@ -23,6 +23,7 @@ fused-angles column mode).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -487,6 +488,68 @@ def save_recording(
                     )
 
 
+# Integer CSV columns, parsed ahead of the value columns in this order.
+_CSV_KEYS = ("sequence", "tick", "sensor_id", "label")
+
+
+def _data_rows(path: Path):
+    """Yield (physical line, fields) for each CSV data row; blank lines
+    hold no row, as for ``np.loadtxt``."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def _row_line(path: Path, i: int) -> int:
+    """Physical line of data row ``i`` (0-based)."""
+    return next(itertools.islice(_data_rows(path), i, None))[0]
+
+
+def _check_number(text: str, integer: bool) -> None:
+    """Raise ValueError where ``np.loadtxt`` rejects a field: what int() or
+    float() reject, non-ASCII text, ``_`` digit grouping, ints past int64."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert {text!r} to a number")
+    if not integer:
+        float(text)
+    elif not -2**63 <= int(text) < 2**63:
+        raise ValueError(f"{text!r} is outside the int64 range")
+
+
+def _parse_failure(
+    path: Path, usecols: list[int], n_fields: int, exc: ValueError
+) -> ParseError:
+    """The ParseError for the first data row ``np.loadtxt`` could not parse."""
+    for line, row in _data_rows(path):
+        if len(row) <= max(usecols):
+            return ParseError(
+                f"malformed row: expected {n_fields} fields, got {len(row)}", line=line
+            )
+        for k, col in enumerate(usecols):
+            try:
+                _check_number(row[col], integer=k < len(_CSV_KEYS))
+            except ValueError as err:
+                return ParseError(f"malformed row: {err}", line=line)
+    return ParseError(f"malformed row: {exc}")
+
+
+def _label_conflict(path: Path, rows: np.ndarray) -> ParseError:
+    """The first row, in file order, whose label differs from an earlier row
+    of the same sequence and tick."""
+    first: dict[tuple[int, int], int] = {}
+    keys = zip(rows["sequence"].tolist(), rows["tick"].tolist(), rows["label"].tolist())
+    for i, (qi, tick, lab) in enumerate(keys):
+        prev = first.setdefault((qi, tick), lab)
+        if prev != lab:
+            return ParseError(
+                f"conflicting labels {prev} and {lab} for tick {tick}", line=_row_line(path, i)
+            )
+    raise AssertionError("no conflicting labels")
+
+
 def _load_csv(
     path: Path,
     mapping: ImportMapping | None,
@@ -495,72 +558,77 @@ def _load_csv(
 ) -> SessionRecording:
     mapping = mapping or ImportMapping()
     rate = sample_rate_hz or mapping.sample_rate_hz or 60.0
+    values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
+    width = len(values)
 
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError("empty CSV file", line=1)
-
-        if mapping.mode == "angles":
-            needed = ["tick", "sensor_id", "pitch", "roll", "yaw", "label", "sequence"]
-        else:
-            needed = [c for c in CSV_HEADER]
-        colmap = {canon: mapping.actual(canon) for canon in needed}
-        missing = [a for a in colmap.values() if a not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"missing CSV columns: {missing}")
-
-        # sequence -> tick -> sensor -> values
-        per_seq: dict[int, dict[int, dict[int, list[float]]]] = {}
-        labels_at: dict[int, dict[int, int]] = {}
-        for lineno, row in enumerate(reader, start=2):
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ParseError("empty CSV file", line=1)
+            # A repeated column name means its last column, as in csv.DictReader.
+            index = {name: i for i, name in enumerate(header)}
+            actual = [mapping.actual(c) for c in (*_CSV_KEYS, *values)]
+            missing = [a for a in actual if a not in index]
+            if missing:
+                raise SchemaError(f"missing CSV columns: {missing}")
+            usecols = [index[a] for a in actual]
+            dtype = np.dtype(
+                [(k, np.int64) for k in _CSV_KEYS] + [("values", np.float64, (width,))]
+            )
             try:
-                qi = int(row[colmap["sequence"]])
-                tick = int(row[colmap["tick"]])
-                sid = int(row[colmap["sensor_id"]])
-                lab = int(row[colmap["label"]])
-                if mapping.mode == "angles":
-                    vals = [float(row[colmap[c]]) for c in ("pitch", "roll", "yaw")]
-                else:
-                    vals = [
-                        float(row[colmap[c]])
-                        for c in CSV_HEADER[2:11]
-                    ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"malformed row: {exc}", line=lineno) from exc
-            per_seq.setdefault(qi, {}).setdefault(tick, {})[sid] = vals
-            prev = labels_at.setdefault(qi, {}).get(tick)
-            if prev is not None and prev != lab:
-                raise ParseError(
-                    f"conflicting labels {prev} and {lab} for tick {tick}", line=lineno
-                )
-            labels_at[qi][tick] = lab
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(
+                        fh, delimiter=",", usecols=usecols, dtype=dtype,
+                        quotechar='"', comments=None, ndmin=1,
+                    )
+            except ValueError as exc:
+                raise _parse_failure(path, usecols, len(header), exc) from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable CSV: {exc}") from exc
 
-    if not per_seq:
+    if len(rows) == 0:
         raise ParseError("CSV contains no data rows", line=2)
 
-    sensor_ids = sorted({sid for ticks in per_seq.values() for bysid in ticks.values() for sid in bysid})
+    # Sorted by (sequence, tick, sensor); stable, so equal keys keep file order.
+    order = np.lexsort((rows["sensor_id"], rows["tick"], rows["sequence"]))
+    seq, tick, sensor, lab = (rows[k][order] for k in _CSV_KEYS)
+    same_tick = (seq[1:] == seq[:-1]) & (tick[1:] == tick[:-1])
+    if (same_tick & (lab[1:] != lab[:-1])).any():
+        raise _label_conflict(path, rows)
+    repeat = same_tick & (sensor[1:] == sensor[:-1])
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        raise AlignmentError(
+            f"line {_row_line(path, i)}: duplicate row for sequence {rows['sequence'][i]} "
+            f"tick {rows['tick'][i]} sensor {rows['sensor_id'][i]}"
+        )
+
+    sensor_ids = np.unique(sensor).tolist()
+    n_sensors = len(sensor_ids)
+    tick_heads = np.flatnonzero(np.r_[True, ~same_tick])  # first row of each tick
+    seq_bounds = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1], True])
     sequences = []
-    for qi in sorted(per_seq):
-        ticks = per_seq[qi]
-        order = sorted(ticks)
-        if order != list(range(len(order))):
+    for lo, hi in zip(seq_bounds[:-1].tolist(), seq_bounds[1:].tolist()):
+        qi = int(seq[lo])
+        heads = tick_heads[np.searchsorted(tick_heads, lo):np.searchsorted(tick_heads, hi)]
+        n = len(heads)
+        if tick[heads[0]] != 0 or tick[heads[-1]] != n - 1:
             raise AlignmentError(
                 f"sequence {qi}: ticks are not consecutive from 0"
             )
-        n = len(order)
-        labels = np.asarray([labels_at[qi][t] for t in order], dtype=np.int64)
-        width = 3 if mapping.mode == "angles" else 9
-        arrays = {sid: np.empty((n, width)) for sid in sensor_ids}
-        for t in order:
-            bysid = ticks[t]
-            if set(bysid) != set(sensor_ids):
-                missing_ids = sorted(set(sensor_ids) - set(bysid))
-                raise AlignmentError(
-                    f"sequence {qi} tick {t}: missing sensors {missing_ids}"
-                )
-            for sid, vals in bysid.items():
-                arrays[sid][t] = vals
+        if hi - lo != n * n_sensors:
+            sizes = np.diff(np.r_[heads, hi])
+            t = int(np.flatnonzero(sizes < n_sensors)[0])
+            present = sensor[heads[t]:heads[t] + sizes[t]].tolist()
+            missing_ids = sorted(set(sensor_ids) - set(present))
+            raise AlignmentError(
+                f"sequence {qi} tick {t}: missing sensors {missing_ids}"
+            )
+        labels = lab[heads]
+        by_tick = order[lo:hi].reshape(n, n_sensors)
+        arrays = {sid: rows["values"][by_tick[:, j]] for j, sid in enumerate(sensor_ids)}
         if mapping.mode == "angles":
             samples = {
                 sid: angles_to_raw(arrays[sid], rate) for sid in sensor_ids

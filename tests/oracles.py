@@ -7,6 +7,7 @@ a test comparing against these is a genuine second route.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -140,6 +141,40 @@ def nearest_target_class(window_mean_angles, targets: dict) -> int:
         if best_d is None or d < best_d:
             best_cls, best_d = cls, d
     return best_cls
+
+
+CSV_VALUE_COLUMNS = (
+    "acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z", "mag_x", "mag_y", "mag_z",
+)
+
+
+def csv_reference_load(path, scales=(1.0, 1.0, 1.0)):
+    """A valid canonical CSV recording, read one row at a time with
+    csv.DictReader into nested dicts.
+
+    Returns one ``(labels, {sensor: (T, 9) array})`` per sequence number,
+    in ascending order, with the acc, gyro and mag columns multiplied by
+    ``scales``. Rows may come in any order.
+    """
+    ticks_of = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            values = [float(row[c]) for c in CSV_VALUE_COLUMNS]
+            tick = ticks_of.setdefault(int(row["sequence"]), {}).setdefault(int(row["tick"]), {})
+            tick[int(row["sensor_id"])] = (int(row["label"]), values)
+    out = []
+    for q in sorted(ticks_of):
+        ticks = ticks_of[q]
+        labels = np.array([next(iter(ticks[t].values()))[0] for t in range(len(ticks))],
+                          dtype=np.int64)
+        samples = {}
+        for sensor in sorted(ticks[0]):
+            arr = np.array([ticks[t][sensor][1] for t in range(len(ticks))], dtype=np.float64)
+            for k, scale in enumerate(scales):
+                arr[:, 3 * k:3 * k + 3] *= scale
+            samples[sensor] = arr
+        out.append((labels, samples))
+    return out
 
 
 def fv3_reference(angles, gyro) -> list[float]:

@@ -142,6 +142,30 @@ class TestTrain:
         assert run("train", "--recording", tmp_path / "nope.json",
                    "--out", tmp_path / "m.json") == 2
 
+    @pytest.mark.parametrize("geometry", [["--window", "6"], ["--config", "window6.cfg"]],
+                             ids=["flag", "config"])
+    def test_window_alone_takes_overlap_window_minus_one(
+        self, small_recording_file, tmp_path, geometry
+    ):
+        (tmp_path / "window6.cfg").write_text("features.window=6\n")
+        geometry = [tmp_path / g if g.endswith(".cfg") else g for g in geometry]
+        model = tmp_path / "m.json"
+        assert run("train", "--recording", small_recording_file, "--fv", "fv1",
+                   *geometry, "--out", model) == 0
+        for out, flags in (("r", geometry), ("explicit", ["--window", "6", "--overlap", "5"])):
+            assert run("eval", "--model", model, "--recording", small_recording_file,
+                       *flags, "--out", tmp_path / out) == 0
+        report = (tmp_path / "r" / "accuracy.json").read_text()
+        assert report == (tmp_path / "explicit" / "accuracy.json").read_text()
+
+    def test_config_overlap_still_applies_with_flag_window(self, small_recording_file, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "bomi.cfg"
+        cfg.write_text("features.overlap=7\n")
+        assert run("train", "--recording", small_recording_file, "--fv", "fv1",
+                   "--window", "6", "--config", cfg, "--out", tmp_path / "m.json") == 2
+        assert "overlap=7" in capsys.readouterr().err
+
 
 class TestEval:
     def test_reports_accuracy_and_writes_files(
@@ -228,7 +252,7 @@ class TestReplay:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("geometry, message", [
-        pytest.param(["--window", "6"], "overlap 7 must be below window 6",
+        pytest.param(["--window", "6"], "fv3 requires windows of length 8",
                      id="default-overlap"),
         pytest.param(["--window", "6", "--overlap", "5"], "fv3 requires windows of length 8",
                      id="overlap-5"),

@@ -1,15 +1,19 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from bomi.cli import main
 from bomi.dataset_io import (
+    CSV_HEADER,
     ImportMapping,
     ImuSample,
     Sequence,
     SessionRecording,
     SensorInfo,
     SplitSpec,
+    angles_to_raw,
     label_runs,
     load_recording,
     protocol_issues,
@@ -28,7 +32,7 @@ from bomi.errors import (
 from bomi.experiments import sequence_windows
 from bomi.fusion import fuse_sequence
 
-from oracles import nearest_target_class
+from oracles import csv_reference_load, nearest_target_class
 
 
 def meta_targets(rec):
@@ -38,6 +42,46 @@ def meta_targets(rec):
     for cls, per in rec.meta["class_targets"].items():
         out[int(cls)] = {index[int(s)]: np.asarray(v) for s, v in per.items()}
     return out
+
+
+HEADER = ",".join(CSV_HEADER)
+
+
+def csv_row(tick, sensor, label=0, seq=1, acc_x="0.5"):
+    values = [acc_x, "0.0", "1.0", "0.0", "0.0", "0.0", "0.8", "0.0", "-0.5"]
+    return ",".join([str(tick), str(sensor), *values, str(label), str(seq)])
+
+
+def base_lines():
+    """Header on line 1, then ticks 0-2 of sensors 1 and 2 on lines 2-7."""
+    return [HEADER] + [csv_row(t, s) for t in range(3) for s in (1, 2)]
+
+
+def with_line(line, text):
+    """base_lines with physical line ``line`` replaced by ``text``."""
+    lines = base_lines()
+    lines[line - 1] = text
+    return lines
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_recording(actual, expected):
+    assert actual.sensor_ids == expected.sensor_ids
+    assert actual.class_count == expected.class_count
+    assert len(actual.sequences) == len(expected.sequences)
+    for sa, sb in zip(actual.sequences, expected.sequences):
+        assert same_bits(sa.labels, sb.labels)
+        assert sorted(sa.samples) == sorted(sb.samples)
+        for sid in sb.samples:
+            assert same_bits(sa.samples[sid], sb.samples[sid])
 
 
 class TestImuSample:
@@ -200,11 +244,8 @@ class TestRoundTrip:
         path = tmp_path / "rec.csv"
         save_recording(small_noisy, path)
         back = load_recording(path, validate="none")
-        assert back.class_count == small_noisy.class_count
-        for sa, sb in zip(back.sequences, small_noisy.sequences):
-            assert (sa.labels == sb.labels).all()
-            for sid in sb.samples:
-                assert np.allclose(sa.samples[sid], sb.samples[sid], atol=1e-6)
+        assert back.sample_rate_hz == small_noisy.sample_rate_hz
+        assert_same_recording(back, small_noisy)
 
     def test_csv_line_count_matches_declared_length(self, small_noisy, tmp_path):
         path = tmp_path / "rec.csv"
@@ -319,6 +360,160 @@ class TestImportMapping:
         cfg.write_text("colour.tick=sample\n")
         with pytest.raises(ParseError):
             ImportMapping.from_file(cfg)
+
+
+# (physical lines of the file, error type, its physical line or None, message part)
+CSV_FAULTS = [
+    pytest.param(with_line(4, csv_row(1, 1, acc_x="abc")), ParseError, 4, "'abc'",
+                 id="non-numeric"),
+    pytest.param(with_line(5, ",".join(csv_row(1, 2).split(",")[:5])), ParseError, 5,
+                 "expected 13 fields, got 5", id="short-row"),
+    pytest.param([HEADER], ParseError, 2, "no data rows", id="header-only"),
+    pytest.param([], ParseError, 1, "empty CSV file", id="empty-file"),
+    pytest.param([HEADER.replace(",mag_z", "")]
+                 + [line.replace(",-0.5,", ",") for line in base_lines()[1:]],
+                 SchemaError, None, "'mag_z'", id="missing-column"),
+    pytest.param(base_lines()[:5] + [csv_row(3, 1), csv_row(3, 2)], AlignmentError, None,
+                 "sequence 1: ticks are not consecutive from 0", id="non-consecutive-ticks"),
+    pytest.param(base_lines()[:4] + base_lines()[5:], AlignmentError, None,
+                 "sequence 1 tick 1: missing sensors [2]", id="missing-sensor"),
+    pytest.param(with_line(5, csv_row(1, 2, label=1)), ParseError, 5,
+                 "conflicting labels 0 and 1 for tick 1", id="conflicting-labels"),
+    pytest.param(base_lines() + [csv_row(1, 1, acc_x="0.25")], AlignmentError, None,
+                 "line 8: duplicate row for sequence 1 tick 1 sensor 1", id="duplicate-row"),
+    pytest.param(base_lines() + [csv_row(1, 1, label=2)], ParseError, 8,
+                 "conflicting labels 0 and 2 for tick 1", id="duplicate-with-other-label"),
+    pytest.param(base_lines()[:4] + [""] + base_lines()[4:6] + [csv_row(2, 2, acc_x="x")],
+                 ParseError, 8, "'x'", id="bad-row-after-blank-line"),
+    pytest.param(with_line(3, csv_row(0, 2, label="99999999999999999999")), ParseError, 3,
+                 "int64", id="label-past-int64"),
+    pytest.param(with_line(6, csv_row(2, 1, acc_x="1_0")), ParseError, 6, "'1_0'",
+                 id="underscore-grouping"),
+]
+
+
+class TestCsvFaults:
+    @pytest.mark.parametrize("lines, error, line, message", CSV_FAULTS)
+    def test_typed_error_at_physical_line(self, tmp_path, lines, error, line, message):
+        path = write_lines(tmp_path / "rec.csv", lines)
+        with pytest.raises(error) as err:
+            load_recording(path, validate="none")
+        assert type(err.value) is error
+        assert getattr(err.value, "line", None) == line
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("lines, error, line, message", CSV_FAULTS)
+    def test_cli_train_exits_2(self, tmp_path, capsys, lines, error, line, message):
+        path = write_lines(tmp_path / "rec.csv", lines)
+        assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        lines = base_lines()
+        path.write_bytes(("\n".join(lines[:3]) + "\n").encode() + b"0,1,\xff\xfe\n")
+        with pytest.raises(ParseError):
+            load_recording(path, validate="none")
+        assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
+
+
+def csv_lines(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[0], lines[1:]
+
+
+class TestCsvInputs:
+    """Inputs the CSV loader accepts, and that they load bit for bit."""
+
+    def test_shuffled_rows_load_as_ordered(self, small_noisy, tmp_path):
+        ordered = tmp_path / "ordered.csv"
+        save_recording(small_noisy, ordered)
+        header, rows = csv_lines(ordered)
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        path = write_lines(tmp_path / "shuffled.csv", [header] + shuffled)
+        assert_same_recording(load_recording(path, validate="none"),
+                              load_recording(ordered, validate="none"))
+
+    def test_scaled_foreign_columns_are_exact(self, small_noisy, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_recording(small_noisy, path)
+        header, rows = csv_lines(path)
+        header = header.replace("tick,sensor_id,acc_x", "sample,node,ax")
+        foreign = write_lines(tmp_path / "foreign.csv", [header + ",note"] + [
+            f'{row},"free text, with a comma"' for row in rows])
+        mapping = ImportMapping(columns={"tick": "sample", "sensor_id": "node", "acc_x": "ax"},
+                                scale_acc=9.81, scale_gyro=0.0175, scale_mag=1e-3)
+        back = load_recording(foreign, mapping=mapping, validate="none")
+        for seq, orig in zip(back.sequences, small_noisy.sequences):
+            for sid, arr in orig.samples.items():
+                expected = arr.copy()
+                expected[:, 0:3] *= 9.81
+                expected[:, 3:6] *= 0.0175
+                expected[:, 6:9] *= 1e-3
+                assert same_bits(seq.samples[sid], expected)
+
+    def test_angles_mode_is_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        angles = {sid: rng.uniform(-80.0, 80.0, size=(50, 3)) for sid in (1, 3)}
+        rows = ["tick,sensor_id,pitch,roll,yaw,label,sequence"]
+        for t in range(50):
+            for sid, a in angles.items():
+                pitch, roll, yaw = a[t].tolist()
+                rows.append(f"{t},{sid},{pitch!r},{roll!r},{yaw!r},{t % 2},1")
+        path = write_lines(tmp_path / "angles.csv", rows)
+        rec = load_recording(path, mapping=ImportMapping(mode="angles", sample_rate_hz=50.0),
+                             validate="none")
+        assert rec.sample_rate_hz == 50.0 and rec.class_count == 2
+        for sid, a in angles.items():
+            assert same_bits(rec.sequences[0].samples[sid], angles_to_raw(a, 50.0))
+
+    def test_quoted_fields_and_crlf(self, tmp_path):
+        plain = write_lines(tmp_path / "plain.csv", base_lines())
+        quoted = tmp_path / "quoted.csv"
+        with quoted.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n")
+            writer.writerows(line.split(",") for line in base_lines())
+        assert '"0.5"' in quoted.read_text()
+        assert_same_recording(load_recording(quoted, validate="none", class_count=2),
+                              load_recording(plain, validate="none", class_count=2))
+
+
+def random_csv(path, seed):
+    """A valid CSV of 1-3 sequences and 1-3 sensors with random ids, rows
+    in random order, mixed number spellings and a few blank lines."""
+    rng = np.random.default_rng(seed)
+    sequences = sorted(rng.choice(np.arange(1, 6), size=rng.integers(1, 4), replace=False))
+    sensors = rng.permutation(np.arange(1, 7))[:rng.integers(1, 4)]
+    spell = (repr, "{:.6e}".format, "{:g}".format, lambda v: f'"{v!r}"', lambda v: f" {v!r} ")
+    rows = []
+    for q in sequences:
+        n = int(rng.integers(1, 40))
+        labels = rng.integers(0, 9, size=n)
+        for t in range(n):
+            for s in sensors:
+                values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=9).tolist()
+                rows.append(",".join([str(t), str(s)]
+                                     + [spell[rng.integers(len(spell))](v) for v in values]
+                                     + [str(labels[t]), str(q)]))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for i in rng.integers(0, len(rows), size=3):
+        rows.insert(i, "")
+    return write_lines(path, [HEADER] + rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_loader_matches_row_by_row_reference(tmp_path, seed):
+    path = random_csv(tmp_path / "rec.csv", seed)
+    scales = (2.0, 0.5, 1e-3)
+    mapping = ImportMapping(scale_acc=scales[0], scale_gyro=scales[1], scale_mag=scales[2])
+    rec = load_recording(path, mapping=mapping, validate="none")
+    expected = csv_reference_load(path, scales)
+    assert len(rec.sequences) == len(expected)
+    for seq, (labels, samples) in zip(rec.sequences, expected):
+        assert same_bits(seq.labels, labels)
+        assert sorted(seq.samples) == sorted(samples) == list(rec.sensor_ids)
+        for sid, arr in samples.items():
+            assert same_bits(seq.samples[sid], arr)
 
 
 class TestSplit:

@@ -25,7 +25,12 @@ Each line is ``<part> <digest>``. The parts cover:
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
   write for each quickstart session (the model without its metadata);
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
-  tables, the confusion CSVs) for the studies recordings.
+  tables, the confusion CSVs) for the studies recordings;
+* ``csv/*``: every array, the sensor ids and the class count of
+  ``load_recording`` on each quickstart session written as CSV, on a
+  copy with its rows shuffled, on a foreign copy (renamed columns, an
+  extra quoted text column, ``scale.*`` factors through ``ImportMapping``)
+  and on an angles-mode file of its fused angles.
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
@@ -47,8 +52,15 @@ from pathlib import Path
 import numpy as np
 
 from bomi.cli import main as bomi_main
-from bomi.dataset_io import Sequence, load_recording, save_recording, synth_session
+from bomi.dataset_io import (
+    ImportMapping,
+    Sequence,
+    load_recording,
+    save_recording,
+    synth_session,
+)
 from bomi.experiments import extract_matrix, predict_many, run_all, train_session
+from bomi.fusion import fuse_sequence
 from bomi.lda import deserialize
 from bomi.pipeline import StreamingPipeline, VirtualDevice
 
@@ -218,6 +230,50 @@ def studies(seed: int, work: Path, emit) -> None:
         emit(f"studies/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
 
 
+def csv_loads(seed: int, work: Path, emit) -> None:
+    """The CSV loader on the quickstart sessions and on variants of their files."""
+    sessions = {
+        "a": synth_session(class_count=9, sensor_count=3, noise_deg=0.5, seed=seed),
+        "b": synth_session(class_count=6, sensor_count=2, spasm_deg=10.0, seed=seed + 1),
+    }
+    foreign = ImportMapping(
+        columns={"tick": "sample", "sensor_id": "node", "acc_x": "ax", "gyro_z": "gz"},
+        scale_acc=9.81, scale_gyro=0.0175, scale_mag=1e-3,
+    )
+
+    def emit_load(part: str, path: Path, mapping=None) -> None:
+        rec = load_recording(path, mapping=mapping, validate="none")
+        layout = repr((rec.sensor_ids, rec.class_count, rec.sample_rate_hz))
+        emit(f"csv/{part}", hashlib.sha256(
+            (hash_recording(rec) + layout).encode()).hexdigest())
+
+    for name, rec in sessions.items():
+        path = work / f"session_{name}.csv"
+        save_recording(rec, path)
+        emit_load(name, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        order = np.random.default_rng(seed).permutation(len(rows))
+        shuffled = work / f"shuffled_{name}.csv"
+        shuffled.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n",
+                            encoding="utf-8")
+        emit_load(f"{name}_shuffled", shuffled)
+        renamed = ",".join(foreign.actual(c) for c in header.split(","))
+        mapped = work / f"foreign_{name}.csv"
+        mapped.write_text("\n".join([f"{renamed},note", *(
+            f'{row},"take {i % 7}, left side"' for i, row in enumerate(rows))]) + "\n",
+            encoding="utf-8")
+        emit_load(f"{name}_foreign", mapped, foreign)
+        angles = work / f"angles_{name}.csv"
+        lines = ["tick,sensor_id,pitch,roll,yaw,label,sequence"]
+        for qi, seq in enumerate(rec.sequences, start=1):
+            fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz).angles
+            for t, (label, per_sensor) in enumerate(zip(seq.labels.tolist(), fused.tolist())):
+                for sid, (pitch, roll, yaw) in zip(rec.sensor_ids, per_sensor):
+                    lines.append(f"{t},{sid},{pitch!r},{roll!r},{yaw!r},{label},{qi}")
+        angles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        emit_load(f"{name}_angles", angles, ImportMapping(mode="angles"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed")
@@ -256,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         quickstart(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
         studies(args.seed, Path(work), emit)
+    with tempfile.TemporaryDirectory() as work:
+        csv_loads(args.seed, Path(work), emit)
     return 0
 
 
