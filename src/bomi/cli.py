@@ -24,7 +24,7 @@ from .dataset_io import (
     save_recording,
     synth_session,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, ParseError
 from .experiments import (
     evaluate,
     run_all,
@@ -37,22 +37,18 @@ from .lda import deserialize, serialize
 from .pipeline import CommandMapping, VirtualDevice, replay
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_list(flag: str, text: str, item=int) -> list:
+    """The comma-separated items of a flag's value, each parsed by ``item``."""
+    try:
+        return [item(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ParseError(f"{flag}: cannot parse {text!r}") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _parse_int_map(text: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        key, _, value = part.partition(":")
-        out[int(key)] = float(value)
-    return out
+def _class_pair(part: str) -> tuple[int, float]:
+    """``class:value`` as (int, float)."""
+    key, _, value = part.partition(":")
+    return int(key), float(value)
 
 
 def _fusion_config(args, file_cfg) -> FusionConfig:
@@ -67,7 +63,7 @@ def _fusion_config(args, file_cfg) -> FusionConfig:
 
 def _window_geometry(args, file_cfg) -> tuple[int, int]:
     """Window length and overlap; an overlap set by neither flag nor file is
-    window - 1, as in StreamingPipeline."""
+    window - 1, one window per tick."""
     window = cfgmod.resolve("features.window", args.window, file_cfg)
     if args.overlap is None and "features.overlap" not in file_cfg:
         return window, window - 1
@@ -80,8 +76,11 @@ def _file_cfg(args) -> dict[str, str]:
 
 
 def cmd_synth(args) -> int:
-    amplitudes = _parse_float_list(args.amplitudes) if args.amplitudes else None
-    class_scale = _parse_int_map(args.class_scale) if args.class_scale else None
+    amplitudes = _parse_list("--amplitudes", args.amplitudes, float) if args.amplitudes else None
+    class_scale = (
+        dict(_parse_list("--class-scale", args.class_scale, _class_pair))
+        if args.class_scale else None
+    )
     rec = synth_session(
         class_count=args.classes,
         sensor_count=args.sensors,
@@ -115,7 +114,7 @@ def cmd_train(args) -> int:
     mapping = ImportMapping.from_file(args.mapping) if args.mapping else None
     rec = load_recording(args.recording, mapping=mapping, validate="warn")
     gamma_sensors = (
-        {int(k): int(v) for k, v in _parse_int_map(args.gamma_sensors).items()}
+        {k: int(v) for k, v in _parse_list("--gamma-sensors", args.gamma_sensors, _class_pair)}
         if args.gamma_sensors else None
     )
     if gamma_sensors is None and rec.meta.get("class_sensors"):
@@ -125,7 +124,7 @@ def cmd_train(args) -> int:
     if args.holdout_seq2:
         split = SplitSpec(train=frozenset({1}), test=frozenset({2}))
     elif args.train_seqs:
-        split = SplitSpec(train=frozenset(_parse_int_list(args.train_seqs)),
+        split = SplitSpec(train=frozenset(_parse_list("--train-seqs", args.train_seqs)),
                           test=frozenset())
     else:
         # The default split still requires its test sequence to exist.
@@ -162,8 +161,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _file_cfg(args)
-    fusion = _fusion_config(args, file_cfg)
     model = deserialize(args.model)
     rec = load_recording(args.recording, validate="warn")
     if tuple(rec.sensor_ids) != tuple(model.layout.sensor_ids):
@@ -171,11 +168,11 @@ def cmd_eval(args) -> int:
             f"recording sensors {rec.sensor_ids} do not match model layout "
             f"{model.layout.sensor_ids}"
         )
-    seq_indices = _parse_int_list(args.seqs) if args.seqs else [len(rec.sequences)]
-    window, overlap = _window_geometry(args, file_cfg)
+    seq_indices = _parse_list("--seqs", args.seqs) if args.seqs else [len(rec.sequences)]
+    SplitSpec(train=frozenset(seq_indices), test=frozenset()).validate(len(rec.sequences))
     windows = sequence_windows(
         rec, *(rec.sequences[qi - 1] for qi in seq_indices),
-        fusion=fusion, window=window, overlap=overlap,
+        fusion=model.fusion, window=model.window, overlap=model.overlap,
     )
     result = evaluate(model, windows)
 
@@ -198,24 +195,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    file_cfg = _file_cfg(args)
-    fusion = _fusion_config(args, file_cfg)
-    v_max = cfgmod.resolve("pipeline.v_max_cm_s", args.v_max, file_cfg)
+    v_max = cfgmod.resolve("pipeline.v_max_cm_s", args.v_max, _file_cfg(args))
     model = deserialize(args.model)
     rec = load_recording(args.recording, validate="warn")
     mapping = CommandMapping.default(model.classes, v_max=v_max)
     device = VirtualDevice(rec.sample_rate_hz) if args.device_log else None
-    seq_indices = [args.seq] if args.seq else None
-    window, overlap = _window_geometry(args, file_cfg)
     outputs, stats = replay(
         rec, model,
         mapping=mapping,
-        sequence_indices=seq_indices,
+        sequence_indices=None if args.seq is None else [args.seq],
         pace_hz=args.pace,
-        fusion=fusion,
         smoothing=args.smooth,
-        window=window,
-        overlap=overlap,
         log_path=args.log,
         device=device,
     )
@@ -289,15 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Fusion, window and config flags shared by train, eval and replay.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", type=float, default=None)
-    shared.add_argument("--calib-ticks", type=int, default=None)
-    shared.add_argument("--gimbal-guard", type=float, default=None)
-    shared.add_argument("--window", type=int, default=None)
-    shared.add_argument("--overlap", type=int, default=None)
-    shared.add_argument("--config", default=None)
-
     p = sub.add_parser("synth", help="generate a synthetic recording session")
     p.add_argument("--out", required=True, help="output .json or .csv path")
     p.add_argument("--classes", type=int, default=9,
@@ -319,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomize motion order in the last sequence")
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("train", help="fit a classifier on a recording",
-                       parents=[shared])
+    p = sub.add_parser("train", help="fit a classifier on a recording")
     p.add_argument("--recording", required=True)
     p.add_argument("--out", default="model.json")
     p.add_argument("--fv", choices=FEATURE_KINDS, default=None)
@@ -333,18 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class:sensor pairs for amplitude, e.g. 7:2,8:3")
     p.add_argument("--amplitude-mode", choices=("minmax", "percentile"), default=None)
     p.add_argument("--mapping", default=None, help="import mapping config for CSVs")
+    # The fusion settings and window geometry are stored in the model;
+    # eval and replay read them from there.
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--calib-ticks", type=int, default=None)
+    p.add_argument("--gimbal-guard", type=float, default=None)
+    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--overlap", type=int, default=None)
+    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on held-out sequences",
-                       parents=[shared])
+    p = sub.add_parser("eval", help="evaluate a model on held-out sequences")
     p.add_argument("--model", required=True)
     p.add_argument("--recording", required=True)
     p.add_argument("--seqs", default=None, help="1-based sequence list (default: last)")
     p.add_argument("--out", default="eval_out")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("replay", help="stream a recording through the pipeline",
-                       parents=[shared])
+    p = sub.add_parser("replay", help="stream a recording through the pipeline")
     p.add_argument("--model", required=True)
     p.add_argument("--recording", required=True)
     p.add_argument("--seq", type=int, default=None, help="1-based sequence (default: all)")
@@ -355,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="virtual device position log CSV path")
     p.add_argument("--smooth", default="none", help="none or majority:k")
     p.add_argument("--v-max", type=float, default=None)
+    p.add_argument("--config", default=None, help="sets pipeline.v_max_cm_s only")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("experiments", help="run the evaluation studies")

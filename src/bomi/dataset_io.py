@@ -479,13 +479,11 @@ def save_recording(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for qi, seq in enumerate(rec.sequences, start=1):
-            for t in range(seq.n_ticks):
-                lab = int(seq.labels[t])
-                for sid in sorted(seq.samples):
-                    row = seq.samples[sid][t]
-                    writer.writerow(
-                        [t, sid] + [repr(float(v)) for v in row] + [lab, qi]
-                    )
+            sids = sorted(seq.samples)
+            blocks = [seq.samples[sid].tolist() for sid in sids]
+            for t, lab in enumerate(seq.labels.tolist()):
+                for sid, block in zip(sids, blocks):
+                    writer.writerow([t, sid, *map(repr, block[t]), lab, qi])
 
 
 # Integer CSV columns, parsed ahead of the value columns in this order.

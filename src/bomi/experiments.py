@@ -80,8 +80,12 @@ def train_on_windows(
     class_sensor: Mapping[int, int] | None = None,
     amplitude_mode: str = "minmax",
     meta: dict | None = None,
+    fusion: FusionConfig = FusionConfig(),
+    overlap: int = DEFAULT_OVERLAP,
 ) -> LdaModel:
-    """Fit a model (and optionally amplitude ranges) on labeled windows."""
+    """Fit a model (and optionally amplitude ranges) on labeled windows;
+    the model stores the ``fusion`` and ``overlap`` they were built with
+    and their length."""
     usable = windows[windows.labels >= 0]
     if not usable:
         raise TrainingDataError("no single-label windows to train on")
@@ -100,6 +104,9 @@ def train_on_windows(
         layout=layout,
         ranges=ranges,
         meta=meta,
+        fusion=fusion,
+        window=windows.length,
+        overlap=overlap,
     )
 
 
@@ -152,6 +159,8 @@ def train_session(
         class_sensor=class_sensor,
         amplitude_mode=amplitude_mode,
         meta={"sensor_layout": [[s.id, s.location] for s in recording.sensor_layout]},
+        fusion=fusion,
+        overlap=overlap,
     )
     return model, test_windows
 
@@ -360,7 +369,7 @@ def run_fv_comparison(
         for kind in feature_kinds:
             model = train_on_windows(
                 train_windows, layout, feature_kind=kind,
-                shrinkage=shrinkage, learn_amplitude=False,
+                shrinkage=shrinkage, learn_amplitude=False, fusion=fusion,
             )
             result = evaluate(model, test_windows)
             report.accuracies[name][kind] = result.accuracy

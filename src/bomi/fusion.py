@@ -19,6 +19,7 @@ taking the shortest angular path.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +30,7 @@ from .errors import (
     CalibrationError,
     UndefinedAttitudeError,
     UndefinedHeadingError,
+    ValidationError,
 )
 
 DEFAULT_ALPHA = 0.98
@@ -312,6 +314,23 @@ class FusionConfig:
     alpha: float = DEFAULT_ALPHA
     calib_ticks: int = DEFAULT_CALIB_TICKS
     gimbal_guard_deg: float = DEFAULT_GIMBAL_GUARD_DEG
+
+    def __post_init__(self) -> None:
+        def real_in(value, lo: float, hi: float) -> bool:
+            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and lo <= value <= hi)
+
+        if not real_in(self.alpha, 0.0, 1.0):
+            raise ValidationError(f"alpha must be a number in [0, 1], got {self.alpha!r}")
+        if (not isinstance(self.calib_ticks, numbers.Integral)
+                or isinstance(self.calib_ticks, bool) or self.calib_ticks < 0):
+            raise ValidationError(
+                f"calib_ticks must be an integer >= 0, got {self.calib_ticks!r}"
+            )
+        if not real_in(self.gimbal_guard_deg, 0.0, 90.0):
+            raise ValidationError(
+                f"gimbal_guard_deg must be a number in [0, 90], got {self.gimbal_guard_deg!r}"
+            )
 
 
 @dataclass

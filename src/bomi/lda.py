@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +26,26 @@ from .errors import (
     DimensionMismatchError,
     ModelFormatError,
     NumericalError,
+    ShapeError,
     SingularCovarianceError,
     TrainingDataError,
+    ValidationError,
 )
-from .features import FEATURE_KINDS, AmplitudeRange, FeatureLayout, feature_dim
+from .features import (
+    DEFAULT_OVERLAP,
+    DEFAULT_WINDOW,
+    FEATURE_KINDS,
+    AmplitudeRange,
+    FeatureLayout,
+    check_window,
+    feature_dim,
+)
+from .fusion import FusionConfig
 
 DEFAULT_SHRINKAGE = 1e-3
 
 MODEL_FORMAT = "bomi-lda"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -50,6 +61,11 @@ class LdaModel:
     layout: FeatureLayout
     ranges: AmplitudeRange | None = None
     meta: dict = field(default_factory=dict)
+    # The chain the training windows were built with; features fit the
+    # model only when built the same way.
+    fusion: FusionConfig = FusionConfig()
+    window: int = DEFAULT_WINDOW
+    overlap: int = DEFAULT_OVERLAP
     _weights: np.ndarray = field(init=False, repr=False)   # (d, K)
     _biases: np.ndarray = field(init=False, repr=False)    # (K,)
 
@@ -77,6 +93,9 @@ def fit(
     layout: FeatureLayout | None = None,
     ranges: AmplitudeRange | None = None,
     meta: dict | None = None,
+    fusion: FusionConfig = FusionConfig(),
+    window: int = DEFAULT_WINDOW,
+    overlap: int = DEFAULT_OVERLAP,
 ) -> LdaModel:
     """Fit the classifier on labeled feature vectors.
 
@@ -152,6 +171,9 @@ def fit(
         layout=layout or FeatureLayout(sensor_ids=(1,)),
         ranges=ranges,
         meta=model_meta,
+        fusion=fusion,
+        window=window,
+        overlap=overlap,
     )
 
 
@@ -241,6 +263,9 @@ def serialize(model: LdaModel, path: str | Path) -> None:
         "sensor_ids": list(model.layout.sensor_ids),
         "ranges": _ranges_to_dict(model.ranges),
         "meta": model.meta,
+        "fusion": asdict(model.fusion),
+        "window": model.window,
+        "overlap": model.overlap,
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
@@ -251,9 +276,10 @@ def deserialize(path: str | Path) -> LdaModel:
     Raises:
         ModelFormatError: missing file content, wrong format marker,
             unsupported version, inconsistent shapes, an unknown feature
-            kind or one whose dimension does not fit the sensor count,
-            non-finite arrays, or a ``chol_lower`` that is not
-            lower-triangular with a positive diagonal.
+            kind or one whose dimension does not fit the sensor count and
+            window, bad fusion settings or window geometry, non-finite
+            arrays, or a ``chol_lower`` that is not lower-triangular with a
+            positive diagonal.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -261,10 +287,14 @@ def deserialize(path: str | Path) -> LdaModel:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model file (missing format marker)")
-    if payload.get("version") != MODEL_VERSION:
+    if payload.get("version") not in (1, MODEL_VERSION):
         raise ModelFormatError(
             f"unsupported model version {payload.get('version')!r}"
         )
+    if payload["version"] == 1:
+        # Version 1 stored no chain; plain `bomi train` used the defaults.
+        payload = {"fusion": asdict(FusionConfig()), "window": DEFAULT_WINDOW,
+                   "overlap": DEFAULT_OVERLAP, **payload}
     try:
         classes = np.asarray(payload["classes"], dtype=np.int64)
         means = np.asarray(payload["means"], dtype=np.float64)
@@ -274,7 +304,9 @@ def deserialize(path: str | Path) -> LdaModel:
         layout = FeatureLayout(sensor_ids=tuple(payload["sensor_ids"]))
         shrinkage = float(payload["shrinkage"])
         ranges = _ranges_from_dict(payload.get("ranges"))
-    except (KeyError, TypeError, ValueError) as exc:
+        fusion = FusionConfig(*(payload["fusion"][f.name] for f in fields(FusionConfig)))
+        window, overlap = payload["window"], payload["overlap"]
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if means.ndim != 2:
         raise ModelFormatError("inconsistent array shapes in model file")
@@ -283,12 +315,16 @@ def deserialize(path: str | Path) -> LdaModel:
         raise ModelFormatError("inconsistent array shapes in model file")
     if kind not in FEATURE_KINDS:
         raise ModelFormatError(f"unknown feature kind {kind!r}")
-    # fv1/fv2 grow with the window length, which the file does not store:
-    # any whole number of per-tick channel blocks fits.
-    window = d // feature_dim(kind, layout.n_sensors, window=1)
-    if window < 1 or d != feature_dim(kind, layout.n_sensors, window=window):
+    if type(window) is not int or type(overlap) is not int or not 0 <= overlap < window:
+        raise ModelFormatError(f"bad window geometry window={window!r} overlap={overlap!r}")
+    try:
+        check_window(kind, window)
+    except ShapeError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    if d != feature_dim(kind, layout.n_sensors, window):
         raise ModelFormatError(
-            f"dimension {d} does not fit {kind} with {layout.n_sensors} sensors"
+            f"dimension {d} does not fit {kind} with {layout.n_sensors} sensors "
+            f"and window {window}"
         )
     if not (np.isfinite(means).all() and np.isfinite(log_priors).all()
             and np.isfinite(lower).all()):
@@ -307,4 +343,7 @@ def deserialize(path: str | Path) -> LdaModel:
         layout=layout,
         ranges=ranges,
         meta=payload.get("meta", {}),
+        fusion=fusion,
+        window=window,
+        overlap=overlap,
     )

@@ -1,11 +1,12 @@
 """Real-time streaming engine: samples in, device commands out.
 
 One pipeline instance consumes tick-aligned samples from all worn
-sensors, fuses them, holds an 8-deep ring buffer of calibrated frames,
-and emits one classified, amplitude-scaled command per tick once the
-buffer is full (7-sample overlap makes the window rate equal the sample
-rate). The first ``calib_ticks`` ticks are consumed to estimate the
-neutral offset and produce no output.
+sensors, fuses them, holds a ring buffer of calibrated frames as deep as
+the model's window, and emits one classified, amplitude-scaled command
+per window once the buffer is full (the default 8-tick window with a
+7-tick overlap makes the window rate equal the sample rate). The first
+``calib_ticks`` ticks are consumed to estimate the neutral offset and
+produce no output.
 
 The pipeline is single-threaded and deterministic: one producer feeds
 ``step``; downstream consumers receive immutable CommandOutput records.
@@ -23,13 +24,11 @@ from typing import Callable, Iterable, Mapping, Sequence as SequenceT
 
 import numpy as np
 
-from .dataset_io import ImuSample, SessionRecording
+from .dataset_io import ImuSample, SessionRecording, SplitSpec
 from .errors import LayoutError, MappingError, ValidationError
 from .features import (
-    DEFAULT_WINDOW,
     HALF,
     angle_index,
-    check_window,
     extract,
     half_stats,
     prop_output,
@@ -38,7 +37,6 @@ from .features import (
 from .fusion import (
     FLAG_GAP,
     ComplementaryFilter,
-    FusionConfig,
     NeutralOffset,
     OrientationFrame,
     calibrate_neutral,
@@ -196,7 +194,13 @@ def make_smoother(policy: str) -> Callable[[int], int]:
     if policy == "none":
         return lambda cls: cls
     if policy.startswith("majority:"):
-        return _MajoritySmoother(int(policy.split(":", 1)[1])).push
+        try:
+            k = int(policy.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(
+                f"smoothing policy {policy!r}: majority window must be an integer"
+            ) from None
+        return _MajoritySmoother(k).push
     raise ValidationError(f"unknown smoothing policy {policy!r}")
 
 
@@ -276,7 +280,7 @@ class StreamingPipeline:
     missing sensor repeats its previous raw sample and flags the output
     (wireless gap policy); ``dropped_ticks`` counts the ticks with such a
     gap. Outputs begin once calibration and the window buffer are
-    complete.
+    complete. Fusion settings and window geometry are the model's.
     """
 
     def __init__(
@@ -284,9 +288,6 @@ class StreamingPipeline:
         model: LdaModel,
         mapping: CommandMapping | None = None,
         sample_rate_hz: float = 60.0,
-        fusion: FusionConfig = FusionConfig(),
-        window: int = DEFAULT_WINDOW,
-        overlap: int | None = None,
         smoothing: str = "none",
     ):
         self.model = model
@@ -294,14 +295,9 @@ class StreamingPipeline:
         self.mapping.validate_classes(int(c) for c in model.classes)
         self.layout = model.layout
         self.sample_rate_hz = sample_rate_hz
-        if window < 1:
-            raise ValidationError(f"window must be >= 1, got {window}")
-        self.window = window
-        self.stride = window - (overlap if overlap is not None else window - 1)
-        if self.stride < 1:
-            raise ValidationError(f"overlap {overlap} must be below window {window}")
-        check_window(model.feature_kind, window)
-        self.fusion_config = fusion
+        self.window = window = model.window
+        self.stride = window - model.overlap
+        fusion = model.fusion
         self._filters = {
             sid: ComplementaryFilter(
                 alpha=fusion.alpha,
@@ -370,10 +366,9 @@ class StreamingPipeline:
             self.dropped_ticks += 1
 
         if self.offset is None:
-            if self._seen >= self.fusion_config.calib_ticks:
-                self.offset = calibrate_neutral(
-                    self._calib_frames, self.fusion_config.calib_ticks
-                )
+            calib_ticks = self.model.fusion.calib_ticks
+            if self._seen >= calib_ticks:
+                self.offset = calibrate_neutral(self._calib_frames, calib_ticks)
                 self._offsets = [self.offset.for_sensor(sid) for sid in self._filters]
                 self._calib_frames = {sid: [] for sid in self.layout.sensor_ids}
             return None
@@ -468,24 +463,22 @@ def replay(
     mapping: CommandMapping | None = None,
     sequence_indices: SequenceT[int] | None = None,
     pace_hz: float = 0.0,
-    fusion: FusionConfig = FusionConfig(),
     smoothing: str = "none",
-    window: int = DEFAULT_WINDOW,
-    overlap: int | None = None,
     log_path: str | Path | None = None,
     device: VirtualDevice | None = None,
 ) -> tuple[list[CommandOutput], StreamStats]:
     """Drive the streaming pipeline over a recorded session.
 
-    Each selected sequence runs through a fresh pipeline (per-sequence
-    calibration). ``pace_hz`` > 0 sleeps to replay in real time;
-    0 replays as fast as possible; predictions are identical either
-    way. Statistics compare each emitted class against the label at its
-    emission tick; accuracy additionally excludes windows that span a
-    label change.
+    Each selected sequence (1-based ``sequence_indices``, default all)
+    runs through a fresh pipeline (per-sequence calibration).
+    ``pace_hz`` > 0 sleeps to replay in real time; 0 replays as fast as
+    possible; predictions are identical either way. Statistics compare
+    each emitted class against the label at its emission tick; accuracy
+    additionally excludes windows that span a label change.
 
     Raises:
         LayoutError: recording sensors do not match the model layout.
+        SplitSpecError: a sequence index is out of range.
     """
     if tuple(recording.sensor_ids) != tuple(model.layout.sensor_ids):
         raise LayoutError(
@@ -494,7 +487,10 @@ def replay(
         )
     sequences = recording.sequences
     if sequence_indices is not None:
-        sequences = [recording.sequences[i - 1] for i in sequence_indices]
+        SplitSpec(train=frozenset(sequence_indices), test=frozenset()).validate(
+            len(sequences)
+        )
+        sequences = [sequences[i - 1] for i in sequence_indices]
 
     stats = StreamStats(sample_rate_hz=recording.sample_rate_hz)
     outputs: list[CommandOutput] = []
@@ -505,9 +501,6 @@ def replay(
             model,
             mapping,
             sample_rate_hz=recording.sample_rate_hz,
-            fusion=fusion,
-            window=window,
-            overlap=overlap,
             smoothing=smoothing,
         )
         seq_start = time.perf_counter()

@@ -5,7 +5,12 @@ import pytest
 
 from bomi.cli import main
 from bomi.dataset_io import load_recording, save_recording, synth_session
+from bomi.experiments import evaluate, sequence_windows
+from bomi.fusion import FusionConfig
 from bomi.lda import deserialize
+from bomi.pipeline import StreamingPipeline
+
+MISSING = object()
 
 
 def run(*argv):
@@ -149,14 +154,30 @@ class TestTrain:
     ):
         (tmp_path / "window6.cfg").write_text("features.window=6\n")
         geometry = [tmp_path / g if g.endswith(".cfg") else g for g in geometry]
-        model = tmp_path / "m.json"
-        assert run("train", "--recording", small_recording_file, "--fv", "fv1",
-                   *geometry, "--out", model) == 0
         for out, flags in (("r", geometry), ("explicit", ["--window", "6", "--overlap", "5"])):
+            model = tmp_path / f"{out}.json"
+            assert run("train", "--recording", small_recording_file, "--fv", "fv1",
+                       *flags, "--out", model) == 0
+            assert (deserialize(model).window, deserialize(model).overlap) == (6, 5)
             assert run("eval", "--model", model, "--recording", small_recording_file,
-                       *flags, "--out", tmp_path / out) == 0
+                       "--out", tmp_path / out) == 0
         report = (tmp_path / "r" / "accuracy.json").read_text()
         assert report == (tmp_path / "explicit" / "accuracy.json").read_text()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "2"], "alpha"), (["--alpha", "nan"], "alpha"),
+        (["--gimbal-guard", "nan"], "gimbal_guard_deg"),
+        (["--gimbal-guard", "91"], "gimbal_guard_deg"),
+        (["--calib-ticks", "-5"], "calib_ticks"), (["--config", "alpha.cfg"], "alpha"),
+    ])
+    def test_bad_fusion_settings_exit_2_without_a_model(self, small_recording_file, tmp_path,
+                                                        capsys, flags, message):
+        (tmp_path / "alpha.cfg").write_text("fusion.alpha=1.5\n")
+        flags = [tmp_path / f if f.endswith(".cfg") else f for f in flags]
+        out = tmp_path / "m.json"
+        assert run("train", "--recording", small_recording_file, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_overlap_still_applies_with_flag_window(self, small_recording_file, tmp_path,
                                                            capsys):
@@ -188,6 +209,39 @@ class TestEval:
         assert run("eval", "--model", trained_model_file,
                    "--recording", other, "--out", tmp_path / "r") == 2
         assert "match model layout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seqs", ["0", "4", "1,9", "-1"])
+    def test_sequence_out_of_range_exits_2(self, small_recording_file, trained_model_file,
+                                           tmp_path, capsys, seqs):
+        out = tmp_path / "r"
+        assert run("eval", "--model", trained_model_file, "--recording", small_recording_file,
+                   f"--seqs={seqs}", "--out", out) == 2
+        assert "out of range [1, 3]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModelChain:
+    def test_eval_and_replay_take_the_chain_from_the_model(self, small_recording_file, tmp_path):
+        model_path = tmp_path / "m.json"
+        assert run("train", "--recording", small_recording_file, "--fv", "fv1",
+                   "--alpha", "0.9", "--calib-ticks", "30", "--window", "6", "--overlap", "4",
+                   "--out", model_path) == 0
+        assert run("eval", "--model", model_path, "--recording", small_recording_file,
+                   "--out", tmp_path / "r") == 0
+        rec = load_recording(small_recording_file)
+        windows = sequence_windows(rec, rec.sequences[-1],
+                                   fusion=FusionConfig(alpha=0.9, calib_ticks=30),
+                                   window=6, overlap=4)
+        want = evaluate(deserialize(model_path), windows).to_dict()
+        got = json.loads((tmp_path / "r" / "accuracy.json").read_text())
+        assert got == json.loads(json.dumps(want))
+
+        log = tmp_path / "log.csv"
+        assert run("replay", "--model", model_path, "--recording", small_recording_file,
+                   "--seq", "3", "--log", log) == 0
+        ticks = [int(line.split(",")[0]) for line in log.read_text().splitlines()[1:]]
+        assert ticks == [w.end_tick for w in windows]
+        assert ticks[:2] == [30 + 5, 30 + 5 + 2]
 
 
 class TestReplay:
@@ -232,44 +286,87 @@ class TestReplay:
         pytest.param("log_priors", (0,), float("inf"), "non-finite", id="inf-prior"),
         pytest.param("feature_kind", None, "fv4", "unknown feature kind", id="unknown-kind"),
         pytest.param("feature_kind", None, "fv1", "does not fit fv1", id="kind-dim-mismatch"),
+        pytest.param("window", None, 0, "window geometry", id="window-0"),
+        pytest.param("window", None, -1, "window geometry", id="window-negative"),
+        pytest.param("window", None, 8.0, "window geometry", id="window-float"),
+        pytest.param("overlap", None, 8, "window geometry", id="overlap-equals-window"),
+        pytest.param("overlap", None, -1, "window geometry", id="overlap-negative"),
+        pytest.param("fusion", ("alpha",), 1.5, "alpha", id="alpha-1.5"),
+        pytest.param("fusion", ("alpha",), "x", "alpha", id="alpha-text"),
+        pytest.param("fusion", ("calib_ticks",), -1, "calib_ticks", id="calib-negative"),
+        pytest.param("fusion", ("calib_ticks",), 2.5, "calib_ticks", id="calib-fraction"),
+        pytest.param("fusion", ("gimbal_guard_deg",), MISSING, "gimbal_guard_deg",
+                     id="fusion-key-missing"),
+        pytest.param("fusion", None, MISSING, "fusion", id="version-2-without-fusion"),
     ])
     def test_inconsistent_model_rejected_at_load(
-        self, small_recording_file, trained_model_file, tmp_path, capsys,
+        self, small_recording_file, trained_model_file, tmp_path, capsys, monkeypatch,
         field, index, value, message,
     ):
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
         payload = json.loads(trained_model_file.read_text())
-        if index is None:
-            payload[field] = value
+        assert payload["version"] == 2
+        *path, key = (field, *(index or ()))
+        target = payload
+        for i in path:
+            target = target[i]
+        if value is MISSING:
+            del target[key]
         else:
-            target = payload[field]
-            for i in index[:-1]:
-                target = target[i]
-            target[index[-1]] = value
+            target[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert run("replay", "--model", bad,
                    "--recording", small_recording_file, "--seq", "3") == 2
         assert message in capsys.readouterr().err
+        assert steps == []
+
+    def test_fv1_window_misfit_rejected_at_load(self, small_recording_file, tmp_path, capsys,
+                                                monkeypatch):
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        model = tmp_path / "m.json"
+        assert run("train", "--recording", small_recording_file, "--fv", "fv1",
+                   "--window", "6", "--out", model) == 0
+        payload = json.loads(model.read_text())
+        payload["window"] = 7
+        model.write_text(json.dumps(payload))
+        assert run("replay", "--model", model, "--recording", small_recording_file) == 2
+        assert "dimension 42 does not fit fv1 with 3 sensors and window 7" in (
+            capsys.readouterr().err)
+        assert steps == []
 
     @pytest.mark.parametrize("geometry, message", [
-        pytest.param(["--window", "6"], "fv3 requires windows of length 8",
+        pytest.param({"window": 6, "overlap": 5}, "fv3 requires windows of length 8",
                      id="default-overlap"),
-        pytest.param(["--window", "6", "--overlap", "5"], "fv3 requires windows of length 8",
+        pytest.param({"window": 16, "overlap": 5}, "fv3 requires windows of length 8",
                      id="overlap-5"),
     ])
     def test_fv3_misfit_window_exits_2_before_streaming(
-        self, small_recording_file, trained_model_file, monkeypatch, capsys,
+        self, small_recording_file, trained_model_file, monkeypatch, capsys, tmp_path,
         geometry, message,
     ):
-        from bomi.pipeline import StreamingPipeline
-
         assert deserialize(trained_model_file).feature_kind == "fv3"
+        payload = json.loads(trained_model_file.read_text())
+        payload.update(geometry)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload))
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        assert run("replay", "--model", model, "--recording", small_recording_file) == 2
+        assert steps == []
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--seq", "0"], ["--seq", "-1"], ["--seq", "4"]])
+    def test_sequence_out_of_range_exits_2(self, small_recording_file, trained_model_file,
+                                           monkeypatch, capsys, flags):
         steps = []
         monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
         assert run("replay", "--model", trained_model_file,
-                   "--recording", small_recording_file, *geometry) == 2
+                   "--recording", small_recording_file, *flags) == 2
+        assert "out of range [1, 3]" in capsys.readouterr().err
         assert steps == []
-        assert message in capsys.readouterr().err
 
 
 class TestExperimentsCommand:
@@ -287,6 +384,28 @@ class TestExperimentsCommand:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("eval", "--seqs", "a", "--seqs"),
+        ("train", "--train-seqs", "1,x", "--train-seqs"),
+        ("train", "--gamma-sensors", "7", "--gamma-sensors"),
+        ("synth", "--class-scale", "3", "--class-scale"),
+        ("synth", "--amplitudes", "1,x", "--amplitudes"),
+        # The smoothing check lives in bomi.pipeline, which knows no flags.
+        ("replay", "--smooth", "majority:x", "smoothing policy"),
+    ])
+    def test_malformed_list_flag_exits_2(self, small_recording_file, trained_model_file,
+                                         tmp_path, capsys, command, flag, value, named):
+        inputs = {
+            "synth": [],
+            "train": ["--recording", small_recording_file],
+            "eval": ["--model", trained_model_file, "--recording", small_recording_file],
+            "replay": ["--model", trained_model_file, "--recording", small_recording_file],
+        }[command]
+        out = [] if command == "replay" else ["--out", tmp_path / "out"]
+        assert run(command, *inputs, flag, value, *out) == 2
+        err = capsys.readouterr().err
+        assert value in err and named in err
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--frobnicate", "--out", str(tmp_path / "x.json")])

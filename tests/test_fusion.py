@@ -6,6 +6,7 @@ from bomi.errors import (
     CalibrationError,
     UndefinedAttitudeError,
     UndefinedHeadingError,
+    ValidationError,
 )
 from bomi.dataset_io import angles_to_raw
 from bomi.fusion import (
@@ -195,6 +196,26 @@ class TestComplementaryFilter:
             ComplementaryFilter(alpha=1.5)
         with pytest.raises(ValueError):
             ComplementaryFilter(dt=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", -0.1), ("alpha", 1.5), ("alpha", float("nan")), ("alpha", float("inf")),
+    ("alpha", "x"), ("alpha", True),
+    ("calib_ticks", -1), ("calib_ticks", 2.5), ("calib_ticks", "60"), ("calib_ticks", True),
+    ("gimbal_guard_deg", -1.0), ("gimbal_guard_deg", 90.5), ("gimbal_guard_deg", float("nan")),
+    ("gimbal_guard_deg", None),
+])
+def test_fusion_config_rejects_bad_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        FusionConfig(**{field: value})
+
+
+@pytest.mark.parametrize("values", [
+    dict(alpha=0, calib_ticks=0, gimbal_guard_deg=0), dict(alpha=1.0, gimbal_guard_deg=90.0),
+    dict(alpha=np.float64(0.5), calib_ticks=np.int64(3)),
+])
+def test_fusion_config_accepts_bounds(values):
+    FusionConfig(**values)
 
 
 class TestCalibration:

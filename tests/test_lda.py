@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from bomi.errors import (
 )
 from bomi.experiments import evaluate as eval_windows
 from bomi.experiments import train_session
+from bomi.fusion import FusionConfig
 from bomi.lda import (
     deserialize,
     fit,
@@ -213,7 +215,7 @@ class TestSerialization:
         # rejects a dimension that does not fit the model's feature kind.
         X = np.hstack([X, rng.normal(size=(len(X), -d % 3))])
         d = X.shape[1]
-        model = fit(X, y, feature_kind="fv1")
+        model = fit(X, y, feature_kind="fv1", window=d // 3, overlap=d // 3 - 1)
         path = tmp_path / "model.json"
         serialize(model, path)
         back = deserialize(path)
@@ -235,6 +237,40 @@ class TestSerialization:
         assert back.ranges.ranges == model.ranges.ranges
         assert back.ranges.class_sensor == model.ranges.class_sensor
         assert back.meta == model.meta
+
+    def test_preprocessing_chain_round_trips(self, tmp_path, small_noisy):
+        fusion = FusionConfig(alpha=0.9, calib_ticks=30, gimbal_guard_deg=80.0)
+        model, _ = train_session(small_noisy, feature_kind="fv2", fusion=fusion,
+                                 window=6, overlap=4, learn_amplitude=False)
+        assert (model.fusion, model.window, model.overlap) == (fusion, 6, 4)
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        back = deserialize(path)
+        assert (back.fusion, back.window, back.overlap) == (fusion, 6, 4)
+
+    def test_version_1_file_loads_with_default_chain(self, tmp_path, small_model):
+        model, _ = small_model
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        payload = json.loads(path.read_text())
+        for key in ("fusion", "window", "overlap"):
+            del payload[key]
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        back = deserialize(path)
+        assert (back.fusion, back.window, back.overlap) == (FusionConfig(), 8, 7)
+        X = np.random.default_rng(0).normal(size=(50, model.dim))
+        assert (predict_scores(back, X) == predict_scores(model, X)).all()
+
+    def test_version_3_rejected(self, tmp_path, small_model):
+        model, _ = small_model
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="unsupported model version 3"):
+            deserialize(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(9)

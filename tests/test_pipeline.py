@@ -5,7 +5,13 @@ import pytest
 
 import bomi.pipeline
 from bomi.dataset_io import Sequence, synth_session
-from bomi.errors import LayoutError, MappingError, ShapeError, ValidationError
+from bomi.errors import (
+    LayoutError,
+    MappingError,
+    ModelFormatError,
+    SplitSpecError,
+    ValidationError,
+)
 from bomi.experiments import sequence_windows
 from bomi.features import extract_matrix, prop_output, tick_gamma
 from bomi.fusion import (
@@ -16,7 +22,7 @@ from bomi.fusion import (
     FusionConfig,
     fuse_sequence,
 )
-from bomi.lda import predict_many
+from bomi.lda import deserialize, predict_many, serialize
 from bomi.pipeline import (
     Command,
     CommandMapping,
@@ -108,6 +114,8 @@ class TestSmoothing:
             smooth("median:3", [1])
         with pytest.raises(ValidationError):
             smooth("majority:0", [1])
+        with pytest.raises(ValidationError, match="integer"):
+            smooth("majority:x", [1])
 
 
 class TestMaxRun:
@@ -128,11 +136,11 @@ class TestMaxRun:
 
 
 class TestStreaming:
-    def test_warmup_then_one_output_per_tick(self, small_model, small_noisy):
-        model, _ = small_model
-        pipe = StreamingPipeline(
-            model, sample_rate_hz=60.0, fusion=FusionConfig(calib_ticks=0)
-        )
+    def test_warmup_then_one_output_per_tick(self, small_noisy):
+        from bomi.experiments import train_session
+
+        model, _ = train_session(small_noisy, fusion=FusionConfig(calib_ticks=0))
+        pipe = StreamingPipeline(model, sample_rate_hz=60.0)
         seq = small_noisy.sequences[0]
         outs = []
         for t in range(20):
@@ -259,17 +267,23 @@ class TestStreaming:
         assert all(0.0 <= o.nu <= 1.0 for o in outputs)
 
     @pytest.mark.parametrize("window", [0, -1])
-    def test_window_below_one_rejected(self, small_model, window):
+    def test_window_below_one_rejected(self, small_model, tmp_path, window):
+        # The pipeline takes its geometry from the model; model load checks it.
         model, _ = small_model
-        with pytest.raises(ValidationError):
-            StreamingPipeline(model, window=window)
+        path = tmp_path / "model.json"
+        serialize(replace(model, window=window), path)
+        with pytest.raises(ModelFormatError, match="window geometry"):
+            deserialize(path)
 
     @pytest.mark.parametrize("window, overlap", [(6, 5), (9, 8), (16, 8)])
-    def test_fv3_misfit_window_rejected_at_construction(self, small_model, window, overlap):
+    def test_fv3_misfit_window_rejected_at_construction(self, small_model, tmp_path,
+                                                        window, overlap):
         model, _ = small_model
         assert model.feature_kind == "fv3"
-        with pytest.raises(ShapeError):
-            StreamingPipeline(model, window=window, overlap=overlap)
+        path = tmp_path / "model.json"
+        serialize(replace(model, window=window, overlap=overlap), path)
+        with pytest.raises(ModelFormatError, match="fv3 requires windows of length 8"):
+            deserialize(path)
 
     @pytest.mark.parametrize("values", ["cancelling", "signed_zero"])
     @pytest.mark.parametrize("overlap", [7, 4])
@@ -290,7 +304,7 @@ class TestStreaming:
 
         vectors = []
         monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
-        outs = drive(StreamingPipeline(model, overlap=overlap), seq)
+        outs = drive(StreamingPipeline(model), seq)
         windows = sequence_windows(
             replace(small_noisy, sequences=[seq]), seq, overlap=overlap
         )
@@ -305,6 +319,16 @@ class TestStreaming:
         with pytest.raises(LayoutError):
             replay(other, model)
 
+    @pytest.mark.parametrize("indices", [[0], [-1], [4], [3, 9]])
+    def test_sequence_index_out_of_range_rejected(self, small_model, small_noisy,
+                                                  monkeypatch, indices):
+        model, _ = small_model
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        with pytest.raises(SplitSpecError, match="out of range"):
+            replay(small_noisy, model, sequence_indices=indices)
+        assert steps == []
+
     def test_custom_window_geometry_matches_offline(self, small_noisy):
         # non-default window/overlap must keep streaming aligned with
         # offline windowing (fv1 tolerates any window length)
@@ -314,9 +338,7 @@ class TestStreaming:
             small_noisy, feature_kind="fv1", learn_amplitude=False,
             window=6, overlap=4,
         )
-        outputs, _ = replay(
-            small_noisy, model, sequence_indices=[3], window=6, overlap=4
-        )
+        outputs, _ = replay(small_noisy, model, sequence_indices=[3])
         offline = sequence_windows(
             small_noisy, small_noisy.sequences[2], window=6, overlap=4
         )
@@ -352,7 +374,7 @@ class TestStreaming:
         drops = {10: (2,), 300: (1,), 301: (1,), 302: (1, 2), 503: (2,), 900: (2,),
                  1030: (1,)}
 
-        pipe = StreamingPipeline(model, window=window, overlap=overlap)
+        pipe = StreamingPipeline(model)
         outs = []
         for t in range(seq.n_ticks):
             samples = seq.tick_samples(t)

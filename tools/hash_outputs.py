@@ -20,10 +20,12 @@ Each line is ``<part> <digest>``. The parts cover:
   ``VirtualDevice`` trajectory when the held-out sequence has zero-accel
   and zero-mag spans, pitch past the gimbal guard and dropped sensors;
   each wearer with ``smoothing="majority:3"``, the fv1/fv2 wearers
-  again with models and streams of ``window=6, overlap=4``, and the fv3
-  wearers again with ``window=8, overlap=4``;
+  again with a model trained on ``window=6, overlap=4``, and the fv3
+  wearers again with one trained on ``window=8, overlap=4`` (each stream
+  takes its geometry from its model);
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
-  write for each quickstart session (the model without its metadata);
+  write for each quickstart session (the model without its metadata and
+  its stored fusion settings and window geometry, as a version-1 file);
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
   tables, the confusion CSVs) for the studies recordings;
 * ``csv/*``: every array, the sensor ids and the class count of
@@ -34,8 +36,10 @@ Each line is ``<part> <digest>``. The parts cover:
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
-``--seed``. The tool uses only API that older checkouts also have, so it
-can be run against another checkout's ``src`` on ``PYTHONPATH``.
+``--seed``. Apart from the ``_w6``/``_o4`` streams, which need models
+that carry their window geometry, the tool uses only API that older
+checkouts also have, so it can be run against another checkout's ``src``
+on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -155,9 +159,9 @@ def degraded(seq):
     return Sequence(rows, seq.labels), drops
 
 
-def hash_degraded_stream(rec, model, seq_index: int, **stream) -> str:
+def hash_degraded_stream(rec, model, seq_index: int, smoothing: str = "none") -> str:
     seq, drops = degraded(rec.sequences[seq_index - 1])
-    pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz, **stream)
+    pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz, smoothing=smoothing)
     device = VirtualDevice(rec.sample_rate_hz)
     h = hashlib.sha256()
     for t in range(seq.n_ticks):
@@ -194,6 +198,11 @@ def quickstart(seed: int, work: Path, emit) -> None:
                     raise SystemExit(f"bomi {argv[0]} failed on session {name}")
         payload = json.loads(model.read_text(encoding="utf-8"))
         payload.pop("meta")
+        # Less its stored chain (the defaults here), a model file is the
+        # version-1 file older checkouts write.
+        for key in ("fusion", "window", "overlap"):
+            payload.pop(key, None)
+        payload["version"] = 1
         emit(f"cli/recording_{name}", hashlib.sha256(rec.read_bytes()).hexdigest())
         emit(f"cli/model_{name}", hashlib.sha256(json.dumps(payload).encode()).hexdigest())
         emit(f"cli/report_{name}", hashlib.sha256(
@@ -302,12 +311,12 @@ def main(argv: list[str] | None = None) -> int:
             short, _ = train_session(rec, feature_kind=kind, class_sensor=class_sensor,
                                      window=6, overlap=4)
             emit(f"stream-degraded/{name}_w6", hash_degraded_stream(
-                rec, short, len(rec.sequences), window=6, overlap=4))
+                rec, short, len(rec.sequences)))
         else:
             strided, _ = train_session(rec, feature_kind=kind, class_sensor=class_sensor,
                                        window=8, overlap=4)
             emit(f"stream-degraded/{name}_o4", hash_degraded_stream(
-                rec, strided, len(rec.sequences), window=8, overlap=4))
+                rec, strided, len(rec.sequences)))
     with tempfile.TemporaryDirectory() as work:
         quickstart(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
