@@ -40,7 +40,7 @@ from .errors import (
     SplitSpecError,
     ValidationError,
 )
-from .fusion import wrap_deg
+from .fusion import _sample_period, wrap_deg
 
 MAX_SENSORS = 6
 MAX_CLASSES = 9  # neutral plus up to eight motion classes
@@ -168,16 +168,11 @@ def split_session(
 
 def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     """Maximal constant-label runs as (label, start, end) with end exclusive."""
-    runs: list[tuple[int, int, int]] = []
+    labels = np.asarray(labels)
     if len(labels) == 0:
-        return runs
-    start = 0
-    for t in range(1, len(labels)):
-        if labels[t] != labels[start]:
-            runs.append((int(labels[start]), start, t))
-            start = t
-    runs.append((int(labels[start]), start, len(labels)))
-    return runs
+        return []
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    return [(int(labels[a]), a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +258,7 @@ def validate_recording(
         raise ValidationError(
             f"expected {expect_sequences} sequences, found {len(rec.sequences)}"
         )
-    if rec.sample_rate_hz <= 0:
-        raise ValidationError(f"sample_rate_hz must be positive, got {rec.sample_rate_hz}")
+    _sample_period(rec.sample_rate_hz)
 
     for qi, seq in enumerate(rec.sequences, start=1):
         n = seq.n_ticks

@@ -54,6 +54,20 @@ def wrap_deg(angle):
     return a + 360.0 * (a == -180.0)
 
 
+def _sample_period(sample_rate_hz) -> float:
+    """Seconds per sample of a rate in Hz.
+
+    Raises:
+        ValidationError: the rate is not a finite positive number.
+    """
+    if not (isinstance(sample_rate_hz, numbers.Real) and not isinstance(sample_rate_hz, bool)
+            and math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+        raise ValidationError(
+            f"sample_rate_hz must be a finite positive number, got {sample_rate_hz!r}"
+        )
+    return 1.0 / sample_rate_hz
+
+
 def _accel_meas(ax: float, ay: float, az: float) -> tuple[float, float] | None:
     """Pitch and roll measured from gravity; None for a zero vector."""
     if ax * ax + ay * ay + az * az < 1e-24:
@@ -63,17 +77,12 @@ def _accel_meas(ax: float, ay: float, az: float) -> tuple[float, float] | None:
     return pitch, roll
 
 
-def _mag_unit(mx: float, my: float, mz: float) -> tuple[float, float, float] | None:
-    """Unit magnetometer vector; None for a zero vector."""
+def _mag_meas(mx: float, my: float, mz: float, pitch: float, roll: float) -> float | None:
+    """Heading of the field de-rotated by pitch and roll; None for a zero vector."""
     norm = math.sqrt(mx * mx + my * my + mz * mz)
     if norm < 1e-12:
         return None
-    return mx / norm, my / norm, mz / norm
-
-
-def _level_yaw(unit: tuple[float, float, float], pitch: float, roll: float) -> float:
-    """Heading of a unit field vector de-rotated by pitch and roll."""
-    mx, my, mz = unit
+    mx, my, mz = mx / norm, my / norm, mz / norm
     p = math.radians(pitch)
     r = math.radians(roll)
     cp, sp = math.cos(p), math.sin(p)
@@ -107,72 +116,125 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     Raises:
         UndefinedHeadingError: if the vector is (numerically) zero.
     """
-    unit = _mag_unit(float(mag[0]), float(mag[1]), float(mag[2]))
-    if unit is None:
+    yaw = _mag_meas(float(mag[0]), float(mag[1]), float(mag[2]), pitch, roll)
+    if yaw is None:
         raise UndefinedHeadingError("zero magnetometer vector")
-    return _level_yaw(unit, pitch, roll)
+    return yaw
 
 
 # The filter kernel. ComplementaryFilter.step (one tick of a stream) and
 # fuse_sequence (a whole recording) both advance the state only through
-# _filter_start and _filter_update, so offline and online angles and flags
-# are equal bit for bit. Inputs are Python floats; ``acc`` is the output of
-# _accel_meas and ``mag`` that of _mag_unit for the tick.
+# _filter_ticks, so offline and online angles and flags are equal bit for
+# bit. The loop body inlines _accel_meas, _mag_meas and wrap_deg term by
+# term: radians and degrees are the products CPython's math module forms,
+# and a float wrap cannot give -0.0, so replacing -180 by 180 is the same
+# as wrap_deg's addition.
 Flags = tuple[str, ...]
 
-
-def _filter_start(acc, mag) -> tuple[float, float, float, Flags]:
-    """Bootstrap state from the first tick's instantaneous measurement."""
-    flags: Flags = ()
-    pitch = roll = yaw = 0.0
-    if acc is None:
-        flags = (FLAG_ACCEL_FALLBACK,)
-    else:
-        pitch, roll = acc
-    if mag is None:
-        flags += (FLAG_MAG_FALLBACK,)
-    else:
-        yaw = _level_yaw(mag, pitch, roll)
-    return pitch, roll, yaw, flags
+_DEG = 180.0 / math.pi
+_RAD = math.pi / 180.0
 
 
-def _filter_update(
-    pitch: float, roll: float, yaw: float,
-    gx: float, gy: float, gz: float, acc, mag,
+def _filter_ticks(
+    state: tuple[float, float, float] | None,
+    ticks: Iterable[Sequence[float]],
     alpha: float, dt: float, gimbal_guard_deg: float,
-) -> tuple[float, float, float, Flags]:
-    """Advance (pitch, roll, yaw) by one tick; return the new state and flags.
+    pitches, rolls, yaws, flags,
+) -> tuple[float, float, float] | None:
+    """Run the filter over ``ticks``; return the final (pitch, roll, yaw).
+
+    Each tick is 9 Python floats: acc, gyro and mag xyz. Its pitch, roll,
+    yaw and flag tuple are appended, in that order, to ``pitches``,
+    ``rolls``, ``yaws`` and ``flags``. A ``state`` of None bootstraps from
+    the first tick's instantaneous measurement.
 
     A zero accelerometer falls back to pure gyro integration for
     pitch/roll (flagged); a zero magnetometer, or |pitch| beyond the
     gimbal guard, does the same for yaw. Pitch is clamped to [-90, 90],
     roll/yaw wrapped.
     """
-    flags: Flags = ()
-    pitch_pred = pitch + gy * dt
-    roll_pred = wrap_deg(roll + gx * dt)
-    yaw_pred = wrap_deg(yaw + gz * dt)
+    atan2, hypot, sqrt, cos, sin = math.atan2, math.hypot, math.sqrt, math.cos, math.sin
+    put_pitch, put_roll, put_yaw, put_flags = (
+        pitches.append, rolls.append, yaws.append, flags.append
+    )
+    if state is None:
+        ticks = iter(ticks)
+        first = next(ticks, None)
+        if first is None:
+            return None
+        ax, ay, az, _, _, _, mx, my, mz = first
+        f: Flags = ()
+        pitch = roll = yaw = 0.0
+        acc = _accel_meas(ax, ay, az)
+        if acc is None:
+            f = (FLAG_ACCEL_FALLBACK,)
+        else:
+            pitch, roll = acc
+        heading = _mag_meas(mx, my, mz, pitch, roll)
+        if heading is None:
+            f += (FLAG_MAG_FALLBACK,)
+        else:
+            yaw = heading
+        put_pitch(pitch)
+        put_roll(roll)
+        put_yaw(yaw)
+        put_flags(f)
+        state = pitch, roll, yaw
+    pitch, roll, yaw = state
+    beta = 1.0 - alpha
+    for ax, ay, az, gx, gy, gz, mx, my, mz in ticks:
+        f = ()
+        # Predict from the gyro, then blend each angle toward its measurement.
+        pitch = pitch + gy * dt
+        roll = (roll + gx * dt + 180.0) % 360.0 - 180.0
+        if roll == -180.0:
+            roll = 180.0
+        yaw = (yaw + gz * dt + 180.0) % 360.0 - 180.0
+        if yaw == -180.0:
+            yaw = 180.0
 
-    if acc is None:
-        flags = (FLAG_ACCEL_FALLBACK,)
-        pitch_new, roll_new = pitch_pred, roll_pred
-    else:
-        pitch_new = pitch_pred + (1.0 - alpha) * wrap_deg(acc[0] - pitch_pred)
-        roll_new = wrap_deg(roll_pred + (1.0 - alpha) * wrap_deg(acc[1] - roll_pred))
-    # min(90, max(-90, x)) without the two calls, NaN included.
-    pitch_new = pitch_new if pitch_new > -90.0 else -90.0
-    pitch_new = pitch_new if pitch_new < 90.0 else 90.0
+        if ax * ax + ay * ay + az * az < 1e-24:
+            f = (FLAG_ACCEL_FALLBACK,)
+        else:
+            d = (atan2(-ax, hypot(ay, az)) * _DEG - pitch + 180.0) % 360.0 - 180.0
+            if d == -180.0:
+                d = 180.0
+            pitch = pitch + beta * d
+            d = (atan2(ay, az) * _DEG - roll + 180.0) % 360.0 - 180.0
+            if d == -180.0:
+                d = 180.0
+            roll = (roll + beta * d + 180.0) % 360.0 - 180.0
+            if roll == -180.0:
+                roll = 180.0
+        # min(90, max(-90, x)) without the two calls, NaN included.
+        pitch = pitch if pitch > -90.0 else -90.0
+        pitch = pitch if pitch < 90.0 else 90.0
 
-    if abs(pitch_new) > gimbal_guard_deg:
-        flags += (FLAG_GIMBAL_GUARD,)
-        yaw_new = yaw_pred
-    elif mag is None:
-        flags += (FLAG_MAG_FALLBACK,)
-        yaw_new = yaw_pred
-    else:
-        yaw_meas = _level_yaw(mag, pitch_new, roll_new)
-        yaw_new = wrap_deg(yaw_pred + (1.0 - alpha) * wrap_deg(yaw_meas - yaw_pred))
-    return pitch_new, roll_new, yaw_new, flags
+        if abs(pitch) > gimbal_guard_deg:
+            f += (FLAG_GIMBAL_GUARD,)
+        else:
+            norm = sqrt(mx * mx + my * my + mz * mz)
+            if norm < 1e-12:
+                f += (FLAG_MAG_FALLBACK,)
+            else:
+                mx, my, mz = mx / norm, my / norm, mz / norm
+                p = pitch * _RAD
+                r = roll * _RAD
+                cp, sp = cos(p), sin(p)
+                cr, sr = cos(r), sin(r)
+                x_level = mx * cp + my * sr * sp + mz * cr * sp
+                y_level = my * cr - mz * sr
+                d = (atan2(-y_level, x_level) * _DEG - yaw + 180.0) % 360.0 - 180.0
+                if d == -180.0:
+                    d = 180.0
+                yaw = (yaw + beta * d + 180.0) % 360.0 - 180.0
+                if yaw == -180.0:
+                    yaw = 180.0
+        put_pitch(pitch)
+        put_roll(roll)
+        put_yaw(yaw)
+        put_flags(f)
+    return pitch, roll, yaw
 
 
 @dataclass(frozen=True)
@@ -227,10 +289,7 @@ class ComplementaryFilter:
     gimbal_guard_deg: float = DEFAULT_GIMBAL_GUARD_DEG
     sensor_id: int = 0
     initial: tuple[float, float, float] | None = None
-    _pitch: float = field(default=0.0, init=False, repr=False)
-    _roll: float = field(default=0.0, init=False, repr=False)
-    _yaw: float = field(default=0.0, init=False, repr=False)
-    _started: bool = field(default=False, init=False, repr=False)
+    _state: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -238,12 +297,12 @@ class ComplementaryFilter:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.initial is not None:
-            self._pitch, self._roll, self._yaw = self.initial
-            self._started = True
+            pitch, roll, yaw = self.initial
+            self._state = (pitch, roll, yaw)
 
     @property
     def state(self) -> tuple[float, float, float]:
-        return (self._pitch, self._roll, self._yaw)
+        return self._state or (0.0, 0.0, 0.0)
 
     def step(self, tick: int, acc, gyro, mag) -> OrientationFrame:
         """Advance the filter by one sample and return the fused frame.
@@ -252,19 +311,18 @@ class ComplementaryFilter:
         pitch/roll this tick (flagged); a zero magnetometer does the same
         for yaw. Pitch is clamped to [-90, 90], roll/yaw wrapped.
         """
-        acc_m = _accel_meas(float(acc[0]), float(acc[1]), float(acc[2]))
-        mag_u = _mag_unit(float(mag[0]), float(mag[1]), float(mag[2]))
-        if self._started:
-            pitch, roll, yaw, flags = _filter_update(
-                self._pitch, self._roll, self._yaw,
-                float(gyro[0]), float(gyro[1]), float(gyro[2]), acc_m, mag_u,
-                self.alpha, self.dt, self.gimbal_guard_deg,
-            )
-        else:
-            pitch, roll, yaw, flags = _filter_start(acc_m, mag_u)
-            self._started = True
-        self._pitch, self._roll, self._yaw = pitch, roll, yaw
-        return OrientationFrame(self.sensor_id, tick, pitch, roll, yaw, flags)
+        tick_values = (
+            float(acc[0]), float(acc[1]), float(acc[2]),
+            float(gyro[0]), float(gyro[1]), float(gyro[2]),
+            float(mag[0]), float(mag[1]), float(mag[2]),
+        )
+        # One tick appends pitch, roll, yaw and flags, in that order.
+        out: list = []
+        self._state = _filter_ticks(
+            self._state, (tick_values,), self.alpha, self.dt, self.gimbal_guard_deg,
+            out, out, out, out,
+        )
+        return OrientationFrame(self.sensor_id, tick, *out)
 
 
 def circular_mean_deg(angles: Sequence[float]) -> float:
@@ -353,38 +411,6 @@ class FusedSequence:
     flags: tuple[tuple[Flags, ...], ...]
 
 
-def _run_filter(
-    rows: np.ndarray, alpha: float, dt: float, gimbal_guard_deg: float
-) -> tuple[np.ndarray, list[Flags]]:
-    """Raw (T, 3) angles and per-tick flags of one sensor's (T, 9) rows.
-
-    Columns are read through memoryviews and states gathered in
-    ``array("d")``, so a value is a Python float only during its own tick:
-    8 bytes per value at peak, where lists of floats would hold 32.
-    """
-    ax, ay, az, gx, gy, gz, mx, my, mz = map(memoryview, np.asarray(rows, np.float64).T)
-    ticks = zip(gx, gy, gz, map(_accel_meas, ax, ay, az), map(_mag_unit, mx, my, mz))
-    pitches, rolls, yaws = array("d"), array("d"), array("d")
-    flags: list[Flags] = []
-    first = next(ticks, None)
-    if first is None:
-        return np.empty((0, 3)), flags
-    pitch, roll, yaw, f = _filter_start(first[3], first[4])
-    pitches.append(pitch)
-    rolls.append(roll)
-    yaws.append(yaw)
-    flags.append(f)
-    for x, y, z, acc, mag in ticks:
-        pitch, roll, yaw, f = _filter_update(
-            pitch, roll, yaw, x, y, z, acc, mag, alpha, dt, gimbal_guard_deg
-        )
-        pitches.append(pitch)
-        rolls.append(roll)
-        yaws.append(yaw)
-        flags.append(f)
-    return np.array((pitches, rolls, yaws)).T, flags
-
-
 def fuse_sequence(
     samples_by_sensor: Mapping[int, np.ndarray],
     sensor_ids: Sequence[int],
@@ -393,9 +419,9 @@ def fuse_sequence(
 ) -> FusedSequence:
     """Fuse and calibrate one sequence of raw per-sensor sample arrays.
 
-    Runs the same filter kernel as ``ComplementaryFilter.step``, tick by
-    tick over Python floats, so the result equals stepping a filter per
-    sensor bit for bit.
+    Runs the same filter kernel as ``ComplementaryFilter.step`` over each
+    sensor's whole block in one call, so the result equals stepping a
+    filter per sensor bit for bit.
 
     Args:
         samples_by_sensor: sensor id -> (T, 9) array with columns
@@ -410,7 +436,7 @@ def fuse_sequence(
         fused frames per sensor (the rest pose); with ``calib_ticks`` 0
         no offset is subtracted.
     """
-    dt = 1.0 / sample_rate_hz
+    dt = _sample_period(sample_rate_hz)
     sensor_ids = tuple(sensor_ids)
     n_ticks = len(next(iter(samples_by_sensor.values())))
     raw_angles = np.empty((n_ticks, len(sensor_ids), 3), dtype=np.float64)
@@ -419,7 +445,16 @@ def fuse_sequence(
     heads: dict[int, list[OrientationFrame]] = {}
     for si, sensor_id in enumerate(sensor_ids):
         rows = samples_by_sensor[sensor_id]
-        block, sensor_flags = _run_filter(rows, config.alpha, dt, config.gimbal_guard_deg)
+        # Columns are read through memoryviews and angles gathered in
+        # array("d"), so a value is a Python float only during its own
+        # tick: 8 bytes per value at peak, where lists of floats hold 32.
+        pitches, rolls, yaws = array("d"), array("d"), array("d")
+        sensor_flags: list[Flags] = []
+        _filter_ticks(
+            None, zip(*map(memoryview, np.asarray(rows, np.float64).T)),
+            config.alpha, dt, config.gimbal_guard_deg, pitches, rolls, yaws, sensor_flags,
+        )
+        block = np.array((pitches, rolls, yaws)).T
         raw_angles[:, si] = block
         gyro[:, si] = rows[:, 3:6]
         flags.append(tuple(sensor_flags))

@@ -84,6 +84,15 @@ class LdaModel:
         return len(self.classes)
 
 
+def _check_geometry(kind: str, window, overlap) -> None:
+    """Raise ShapeError unless ``kind`` can use windows of ``window`` ticks
+    overlapping by ``overlap``: ints with 0 <= overlap < window, and fv3
+    needs two half-windows."""
+    if type(window) is not int or type(overlap) is not int or not 0 <= overlap < window:
+        raise ShapeError(f"bad window geometry window={window!r} overlap={overlap!r}")
+    check_window(kind, window)
+
+
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -109,9 +118,12 @@ def fit(
     Raises:
         TrainingDataError: fewer than 2 classes, a class with fewer than
             2 examples, or ragged input.
+        ShapeError: ``window`` and ``overlap`` are not a geometry
+            ``feature_kind`` can stream with.
         SingularCovarianceError: the (shrunk) covariance is not positive
             definite; raise shrinkage above zero.
     """
+    _check_geometry(feature_kind, window, overlap)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -315,10 +327,8 @@ def deserialize(path: str | Path) -> LdaModel:
         raise ModelFormatError("inconsistent array shapes in model file")
     if kind not in FEATURE_KINDS:
         raise ModelFormatError(f"unknown feature kind {kind!r}")
-    if type(window) is not int or type(overlap) is not int or not 0 <= overlap < window:
-        raise ModelFormatError(f"bad window geometry window={window!r} overlap={overlap!r}")
     try:
-        check_window(kind, window)
+        _check_geometry(kind, window, overlap)
     except ShapeError as exc:
         raise ModelFormatError(str(exc)) from exc
     if d != feature_dim(kind, layout.n_sensors, window):

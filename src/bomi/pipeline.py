@@ -39,6 +39,7 @@ from .fusion import (
     ComplementaryFilter,
     NeutralOffset,
     OrientationFrame,
+    _sample_period,
     calibrate_neutral,
     wrap_deg,
 )
@@ -294,6 +295,7 @@ class StreamingPipeline:
         self.mapping = mapping or CommandMapping.default(model.classes)
         self.mapping.validate_classes(int(c) for c in model.classes)
         self.layout = model.layout
+        dt = _sample_period(sample_rate_hz)
         self.sample_rate_hz = sample_rate_hz
         self.window = window = model.window
         self.stride = window - model.overlap
@@ -301,7 +303,7 @@ class StreamingPipeline:
         self._filters = {
             sid: ComplementaryFilter(
                 alpha=fusion.alpha,
-                dt=1.0 / sample_rate_hz,
+                dt=dt,
                 gimbal_guard_deg=fusion.gimbal_guard_deg,
                 sensor_id=sid,
             )

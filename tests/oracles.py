@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from bomi.fusion import FLAG_ACCEL_FALLBACK, FLAG_GIMBAL_GUARD, FLAG_MAG_FALLBACK
+
 
 def rot_x(deg: float) -> np.ndarray:
     a = math.radians(deg)
@@ -57,6 +59,115 @@ def circular_mean(angles_deg) -> float:
         ]
     ).mean(axis=1)
     return math.degrees(math.atan2(v[1], v[0]))
+
+
+# Wrap sites of the complementary filter update, in evaluation order.
+WRAP_SITES = (
+    "roll_pred", "yaw_pred", "pitch_innovation", "roll_innovation", "roll_new",
+    "yaw_innovation", "yaw_new",
+)
+
+
+def _wrap(angle: float, site: str, hits) -> float:
+    a = (angle + 180.0) % 360.0 - 180.0
+    if hits is not None and a == -180.0:
+        hits[site] = hits.get(site, 0) + 1
+    return a + 360.0 * (a == -180.0)
+
+
+def _accel_measurement(ax, ay, az):
+    if ax * ax + ay * ay + az * az < 1e-24:
+        return None
+    return (math.degrees(math.atan2(-ax, math.hypot(ay, az))),
+            math.degrees(math.atan2(ay, az)))
+
+
+def _mag_unit(mx, my, mz):
+    norm = math.sqrt(mx * mx + my * my + mz * mz)
+    if norm < 1e-12:
+        return None
+    return mx / norm, my / norm, mz / norm
+
+
+def level_heading(unit, pitch: float, roll: float) -> float:
+    """Heading of a unit field vector de-rotated by pitch and roll, term by
+    term as the filter forms it."""
+    mx, my, mz = unit
+    p = math.radians(pitch)
+    r = math.radians(roll)
+    cp, sp = math.cos(p), math.sin(p)
+    cr, sr = math.cos(r), math.sin(r)
+    x_level = mx * cp + my * sr * sp + mz * cr * sp
+    y_level = my * cr - mz * sr
+    return math.degrees(math.atan2(-y_level, x_level))
+
+
+def accel_measurement(acc):
+    """(pitch, roll) of an accelerometer vector, or None when it is zero."""
+    return _accel_measurement(*map(float, acc))
+
+
+def mag_heading(mag, pitch: float, roll: float):
+    """Tilt-compensated heading of a magnetometer vector, or None when it is zero."""
+    unit = _mag_unit(*map(float, mag))
+    return None if unit is None else level_heading(unit, pitch, roll)
+
+
+def complementary_filter_reference(rows, alpha, dt, gimbal_guard_deg, hits=None):
+    """Raw (pitch, roll, yaw, flags) per tick of (T, 9) rows, one tick at a time.
+
+    The recursion spelled out with helper calls: bootstrap from the first
+    tick's measurement, then per tick predict from the gyro, blend toward
+    the accelerometer and magnetometer angles along the shortest path,
+    clamp pitch, and hold yaw on the gyro past the gimbal guard or on a
+    zero magnetometer. ``hits``, a dict, counts per ``WRAP_SITES`` name the
+    wraps whose raw result was exactly -180.
+    """
+    out = []
+    state = None
+    for row in rows:
+        ax, ay, az, gx, gy, gz, mx, my, mz = (float(v) for v in row)
+        acc = _accel_measurement(ax, ay, az)
+        mag = _mag_unit(mx, my, mz)
+        flags = []
+        if state is None:
+            pitch = roll = yaw = 0.0
+            if acc is None:
+                flags.append(FLAG_ACCEL_FALLBACK)
+            else:
+                pitch, roll = acc
+            if mag is None:
+                flags.append(FLAG_MAG_FALLBACK)
+            else:
+                yaw = level_heading(mag, pitch, roll)
+        else:
+            pitch, roll, yaw = state
+            pitch_pred = pitch + gy * dt
+            roll_pred = _wrap(roll + gx * dt, "roll_pred", hits)
+            yaw_pred = _wrap(yaw + gz * dt, "yaw_pred", hits)
+            if acc is None:
+                flags.append(FLAG_ACCEL_FALLBACK)
+                pitch, roll = pitch_pred, roll_pred
+            else:
+                pitch = pitch_pred + (1.0 - alpha) * _wrap(
+                    acc[0] - pitch_pred, "pitch_innovation", hits)
+                roll = _wrap(
+                    roll_pred + (1.0 - alpha) * _wrap(acc[1] - roll_pred, "roll_innovation", hits),
+                    "roll_new", hits)
+            pitch = min(90.0, max(-90.0, pitch))
+            if abs(pitch) > gimbal_guard_deg:
+                flags.append(FLAG_GIMBAL_GUARD)
+                yaw = yaw_pred
+            elif mag is None:
+                flags.append(FLAG_MAG_FALLBACK)
+                yaw = yaw_pred
+            else:
+                innovation = _wrap(level_heading(mag, pitch, roll) - yaw_pred,
+                                   "yaw_innovation", hits)
+                yaw = _wrap(yaw_pred + (1.0 - alpha) * innovation, "yaw_new", hits)
+        state = (pitch, roll, yaw)
+        out.append((pitch, roll, yaw, tuple(flags)))
+    return out
 
 
 def lda_reference_scores(X, y, x_probe, shrinkage: float, priors=None):

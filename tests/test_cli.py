@@ -143,6 +143,20 @@ class TestTrain:
                    "--config", cfg, "--out", tmp_path / "m.json") == 2
         assert "fusion.calib_ticks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate, spelling", [(float("nan"), "NaN"),
+                                                 (float("inf"), "Infinity")])
+    def test_non_finite_sample_rate_exits_2_without_a_model(self, small_recording_file,
+                                                            tmp_path, capsys, rate, spelling):
+        payload = json.loads(small_recording_file.read_text())
+        payload["sample_rate_hz"] = rate
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(payload))
+        assert f'"sample_rate_hz": {spelling}' in path.read_text()
+        out = tmp_path / "m.json"
+        assert run("train", "--recording", path, "--out", out) == 2
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_recording_exits_2(self, tmp_path):
         assert run("train", "--recording", tmp_path / "nope.json",
                    "--out", tmp_path / "m.json") == 2

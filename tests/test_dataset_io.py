@@ -144,6 +144,25 @@ class TestSynth:
             for cls, start, end in label_runs(seq.labels):
                 assert end - start == 300  # 5 s at 60 Hz
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 500])
+    def test_label_runs_match_per_tick_loop(self, n):
+        def loop_runs(labels):
+            runs, start = [], 0
+            for t in range(1, len(labels)):
+                if labels[t] != labels[start]:
+                    runs.append((int(labels[start]), start, t))
+                    start = t
+            return runs + [(int(labels[start]), start, len(labels))] if len(labels) else runs
+
+        rng = np.random.default_rng(n)
+        for high in (1, 2, 5):
+            labels = rng.integers(0, high, size=n)
+            # Runs of random length too, not only single ticks.
+            labels = np.repeat(labels, rng.integers(1, 4, size=n))
+            runs = label_runs(labels)
+            assert runs == loop_runs(labels)
+            assert all(type(v) is int for run in runs for v in run)
+
     def test_declared_length_matches(self, synth9):
         # lead-in plus (motion + neutral) per repetition of each class
         expected = 300 + (synth9.class_count - 1) * 3 * 600
@@ -572,6 +591,13 @@ class TestValidation:
             validate_recording(bad, protocol="strict")
         with pytest.warns(UserWarning):
             validate_recording(bad, protocol="warn")
+
+    @pytest.mark.parametrize("rate", [0.0, -60.0, float("nan"), float("inf")])
+    def test_sample_rate_must_be_finite_and_positive(self, small_noisy, rate):
+        rec = SessionRecording(rate, small_noisy.class_count, small_noisy.sensor_layout,
+                               small_noisy.sequences)
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            validate_recording(rec, protocol="none")
 
     def test_sequence_count_enforced(self, small_noisy):
         partial = SessionRecording(

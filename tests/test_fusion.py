@@ -25,7 +25,16 @@ from bomi.fusion import (
     wrap_deg,
 )
 
-from oracles import circular_mean, heading_from_mag, world_to_body
+from oracles import (
+    WRAP_SITES,
+    accel_measurement,
+    assert_same_bits,
+    circular_mean,
+    complementary_filter_reference,
+    heading_from_mag,
+    mag_heading,
+    world_to_body,
+)
 
 MAG_LEVEL = (1.0, 0.0, 0.0)
 
@@ -378,3 +387,101 @@ def test_angles_stay_in_wrap_ranges(small_noisy):
     fused = fuse_sequence(seq.samples, small_noisy.sensor_ids, 60.0)
     assert (fused.angles[..., 1:] > -180.0).all() and (fused.angles[..., 1:] <= 180.0).all()
     assert (np.abs(fused.angles[..., 0]) <= 180.0).all()
+
+
+def assert_filter_matches_reference(rows, alpha, rate, guard=85.0, hits=None):
+    """A stepped filter and fuse_sequence both equal the plain recursion
+    of oracles.complementary_filter_reference, bit for bit, flags included.
+    Returns the reference's (pitch, roll, yaw, flags) per tick."""
+    want = complementary_filter_reference(rows, alpha, 1.0 / rate, guard, hits)
+    raw = np.array([w[:3] for w in want])
+    flags = tuple(w[3] for w in want)
+
+    filt = ComplementaryFilter(alpha=alpha, dt=1.0 / rate, gimbal_guard_deg=guard)
+    frames = [filt.step(t, r[0:3], r[3:6], r[6:9]) for t, r in enumerate(rows)]
+    assert_same_bits([(f.pitch, f.roll, f.yaw) for f in frames], raw)
+    assert tuple(f.flags for f in frames) == flags
+
+    # With calib_ticks 0 the offset is zero: angles are wrap_deg(raw - 0).
+    cfg = FusionConfig(alpha=alpha, calib_ticks=0, gimbal_guard_deg=guard)
+    fused = fuse_sequence({1: rows}, (1,), rate, cfg)
+    assert_same_bits(fused.angles[:, 0], wrap_deg(raw - 0.0))
+    assert fused.flags == (flags,)
+    return want
+
+
+def random_rows(rng, n: int) -> np.ndarray:
+    acc = rng.normal(size=(n, 3)) + (0.0, 0.0, 1.0)
+    gyro = rng.normal(scale=300.0, size=(n, 3))
+    mag = rng.normal(size=(n, 3))
+    return np.hstack([acc, gyro, mag])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_matches_reference_on_random_blocks(seed):
+    rng = np.random.default_rng(seed)
+    rate = (4.0, 60.0, 100.0)[seed % 3]
+    assert_filter_matches_reference(random_rows(rng, 300), rng.uniform(), rate)
+
+
+@pytest.mark.parametrize("where", ["first", "mid"])
+@pytest.mark.parametrize("zero", ["acc", "mag", "both"])
+def test_filter_matches_reference_on_zero_vectors(zero, where):
+    rows = random_rows(np.random.default_rng(11), 120)
+    ticks = slice(0, 1) if where == "first" else slice(50, 60)
+    if zero in ("acc", "both"):
+        rows[ticks, 0:3] = 0.0
+    if zero in ("mag", "both"):
+        rows[ticks, 6:9] = 0.0
+    flags = tuple(w[3] for w in assert_filter_matches_reference(rows, 0.9, 60.0, guard=90.0))
+    want = {"acc": (FLAG_ACCEL_FALLBACK,), "mag": (FLAG_MAG_FALLBACK,),
+            "both": (FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK)}[zero]
+    assert all(f == want for f in flags[ticks])
+    assert not any(flags[:ticks.start] + flags[ticks.stop:])
+
+
+def test_filter_matches_reference_past_the_gimbal_guard():
+    rng = np.random.default_rng(12)
+    rows = random_rows(rng, 200)
+    rows[:, 0:3] = (-1.0, 0.0, 0.02) + rng.normal(scale=0.01, size=(200, 3))   # pitch ~89
+    rows[60:80, 4] = 900.0      # the gyro pushes pitch past the +90 clamp
+    rows[100:110, 0:3] = 0.0    # zero accel inside the guard band
+    rows[120:130, 6:9] = 0.0    # zero mag: the guard still decides
+    want = assert_filter_matches_reference(rows, 0.98, 60.0)
+    flags = [w[3] for w in want]
+    assert FLAG_GIMBAL_GUARD in flags[1]
+    assert (FLAG_ACCEL_FALLBACK, FLAG_GIMBAL_GUARD) in flags
+    assert 90.0 in [w[0] for w in want]
+
+
+# Vectors whose angles are exact (0, +-45, +-90, +-180 and signed zeros),
+# and gyro rates that turn by multiples of 45 degrees at 4 Hz, so wraps
+# land on -180 exactly.
+EXACT_ACC = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (1, 0, 0), (0, 0, 0),
+             (0, -0.0, -1))
+EXACT_MAG = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 0), (0, 0, 0), (-1, -0.0, 0))
+
+
+def test_filter_matches_reference_where_every_wrap_hits_minus_180():
+    rng = np.random.default_rng(0)
+    hits: dict[str, int] = {}
+    n = 8
+    for _ in range(50):
+        acc = np.array(EXACT_ACC, dtype=np.float64)[rng.integers(0, len(EXACT_ACC), n)]
+        mag = np.array(EXACT_MAG, dtype=np.float64)[rng.integers(0, len(EXACT_MAG), n)]
+        gyro = 180.0 * rng.integers(-4, 5, size=(n, 3))
+        assert_filter_matches_reference(np.hstack([acc, gyro, mag]), 0.5, 4.0, hits=hits)
+    assert set(hits) == set(WRAP_SITES)
+
+
+def test_measurements_match_reference_and_filter_bootstrap():
+    rng = np.random.default_rng(13)
+    for acc, mag in zip(rng.normal(size=(200, 3)), rng.normal(size=(200, 3))):
+        pitch, roll = accel_angles(acc)
+        assert_same_bits((pitch, roll), accel_measurement(acc))
+        assert_same_bits(mag_yaw(mag, pitch, roll), mag_heading(mag, pitch, roll))
+        p, r = rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)
+        assert_same_bits(mag_yaw(mag, p, r), mag_heading(mag, p, r))
+        first = ComplementaryFilter().step(0, acc, (0.0, 0.0, 0.0), mag)
+        assert_same_bits((first.pitch, first.roll, first.yaw),
+                         (pitch, roll, mag_yaw(mag, pitch, roll)))

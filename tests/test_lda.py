@@ -9,6 +9,7 @@ from bomi.errors import (
     DimensionMismatchError,
     ModelFormatError,
     NumericalError,
+    ShapeError,
     SingularCovarianceError,
     TrainingDataError,
 )
@@ -47,6 +48,18 @@ class TestFit:
         assert model.means[:, 0].tolist() == pytest.approx([0.05, 1.05])
         cov = model.chol_lower @ model.chol_lower.T
         assert cov[0, 0] == pytest.approx(0.005)
+
+    @pytest.mark.parametrize("kind, window, overlap", [
+        ("fv1", 8, 8), ("fv1", 8, 9), ("fv1", 8, -1), ("fv1", 0, 0), ("fv1", 8.0, 7),
+        ("fv1", 8, True), ("fv3", 6, 5), ("fv3", 16, 8),
+    ])
+    def test_geometry_a_stream_cannot_use_rejected(self, kind, window, overlap):
+        # Stride window - overlap must be at least 1, as deserialize requires.
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(20, 3)), np.repeat([0, 1], 10)
+        with pytest.raises(ShapeError):
+            fit(X, y, feature_kind=kind, window=window, overlap=overlap)
+        fit(X, y, feature_kind=kind, window=8, overlap=7)
 
     def test_duplicated_columns_without_shrinkage_singular(self):
         rng = np.random.default_rng(0)

@@ -223,6 +223,12 @@ class TestStreaming:
         assert stats.dropped_ticks == 3
         assert stats.to_dict()["dropped_ticks"] == 3
 
+    @pytest.mark.parametrize("rate", [0.0, -60.0, float("nan"), float("inf")])
+    def test_sample_rate_must_be_finite_and_positive(self, small_model, rate):
+        model, _ = small_model
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            StreamingPipeline(model, sample_rate_hz=rate)
+
     def test_missing_sensor_at_start_rejected(self, small_model, small_noisy):
         model, _ = small_model
         pipe = StreamingPipeline(model)
