@@ -217,8 +217,6 @@ def cmd_replay(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    if args.action != "run-all":
-        raise DataError(f"unknown experiments action {args.action!r}")
     combined = run_all(args.data, args.out)
     ran = sorted(combined)
     print(f"wrote reports to {args.out} ({', '.join(ran) if ran else 'nothing to run'})")

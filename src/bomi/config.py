@@ -6,18 +6,22 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError
+from .features import DEFAULT_OVERLAP, DEFAULT_WINDOW
+from .fusion import DEFAULT_ALPHA, DEFAULT_CALIB_TICKS, DEFAULT_GIMBAL_GUARD_DEG
+from .lda import DEFAULT_SHRINKAGE
+from .pipeline import DEFAULT_V_MAX_CM_S
 
 DEFAULTS: dict[str, Any] = {
-    "fusion.alpha": 0.98,
-    "fusion.calib_ticks": 60,
-    "fusion.pitch_gimbal_guard_deg": 85.0,
+    "fusion.alpha": DEFAULT_ALPHA,
+    "fusion.calib_ticks": DEFAULT_CALIB_TICKS,
+    "fusion.pitch_gimbal_guard_deg": DEFAULT_GIMBAL_GUARD_DEG,
     "features.kind": "fv3",
-    "features.window": 8,
-    "features.overlap": 7,
+    "features.window": DEFAULT_WINDOW,
+    "features.overlap": DEFAULT_OVERLAP,
     "amplitude.mode": "minmax",
-    "lda.shrinkage": 1e-3,
+    "lda.shrinkage": DEFAULT_SHRINKAGE,
     "lda.priors": "empirical",
-    "pipeline.v_max_cm_s": 20.0,
+    "pipeline.v_max_cm_s": DEFAULT_V_MAX_CM_S,
 }
 
 

@@ -45,6 +45,7 @@ from .fusion import _sample_period, wrap_deg
 MAX_SENSORS = 6
 MAX_CLASSES = 9  # neutral plus up to eight motion classes
 NEUTRAL = 0
+_REPS = 3  # repetitions of each motion class per sequence
 
 CSV_HEADER = [
     "tick", "sensor_id",
@@ -184,20 +185,18 @@ def protocol_issues(
     sample_rate_hz: float,
     class_count: int,
     motion_s: float = 5.0,
-    tolerance: float = 0.5,
-    reps: int = 3,
 ) -> list[str]:
     """Check that a sequence roughly follows the recording protocol.
 
-    Motion runs should last about ``motion_s`` seconds (within the given
-    relative tolerance), be separated by neutral runs, and each
-    non-neutral class should appear ``reps`` times. Returns a list of
-    human-readable issues; empty means conforming.
+    Motion runs should last ``motion_s`` seconds within ±50%, be
+    separated by neutral runs, and each non-neutral class should appear
+    three times. Returns a list of human-readable issues; empty means
+    conforming.
     """
     issues: list[str] = []
     runs = label_runs(seq.labels)
-    lo = motion_s * (1.0 - tolerance) * sample_rate_hz
-    hi = motion_s * (1.0 + tolerance) * sample_rate_hz
+    lo = motion_s * 0.5 * sample_rate_hz
+    hi = motion_s * 1.5 * sample_rate_hz
     counts = {c: 0 for c in range(1, class_count)}
     prev_label = None
     for lab, start, end in runs:
@@ -215,8 +214,8 @@ def protocol_issues(
                 )
         prev_label = lab
     for cls, n in counts.items():
-        if n != reps:
-            issues.append(f"class {cls} appears {n} times, expected {reps}")
+        if n != _REPS:
+            issues.append(f"class {cls} appears {n} times, expected {_REPS}")
     return issues
 
 
@@ -327,18 +326,16 @@ class ImportMapping:
             key, value = key.strip(), value.strip()
             if key.startswith("column."):
                 m.columns[key[len("column."):]] = value
-            elif key == "scale.acc":
-                m.scale_acc = float(value)
-            elif key == "scale.gyro":
-                m.scale_gyro = float(value)
-            elif key == "scale.mag":
-                m.scale_mag = float(value)
+            elif key in ("scale.acc", "scale.gyro", "scale.mag", "sample_rate_hz"):
+                try:
+                    number = float(value)
+                except ValueError:
+                    raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+                setattr(m, key.replace(".", "_"), number)
             elif key == "mode":
                 if value not in ("raw", "angles"):
                     raise ParseError(f"mode must be raw or angles, got {value!r}", lineno)
                 m.mode = value
-            elif key == "sample_rate_hz":
-                m.sample_rate_hz = float(value)
             else:
                 raise ParseError(f"unknown mapping key {key!r}", line=lineno)
         return m
@@ -791,7 +788,6 @@ def synth_session(
     sample_rate_hz: float = 60.0,
     motion_s: float = 5.0,
     transition_s: float = 0.5,
-    reps: int = 3,
 ) -> SessionRecording:
     """Generate a protocol-shaped synthetic session with known ground truth.
 
@@ -834,9 +830,9 @@ def synth_session(
         )
     if noise_deg < 0 or spasm_deg < 0:
         raise ValidationError("noise_deg and spasm_deg must be >= 0")
-    if amplitudes is not None and len(amplitudes) != reps:
+    if amplitudes is not None and len(amplitudes) != _REPS:
         raise ValidationError(
-            f"amplitudes needs one factor per repetition ({reps}), got {len(amplitudes)}"
+            f"amplitudes needs one factor per repetition ({_REPS}), got {len(amplitudes)}"
         )
     layout = _default_layout(sensor_count)
     sensor_ids = [s.id for s in layout]
@@ -875,11 +871,11 @@ def synth_session(
         ])
         for sid in sensor_ids
     }
-    amp_by_rep = list(amplitudes) if amplitudes is not None else [1.0] * reps
+    amp_by_rep = list(amplitudes) if amplitudes is not None else [1.0] * _REPS
 
     sequences: list[Sequence] = []
     for qi in range(n_sequences):
-        slots = [(cls, rep) for cls in range(1, class_count) for rep in range(reps)]
+        slots = [(cls, rep) for cls in range(1, class_count) for rep in range(_REPS)]
         if shuffle_test_seq and qi == n_sequences - 1:
             rng.shuffle(slots)
         runs: list[tuple[int, int, float]] = [(NEUTRAL, motion_ticks, 1.0)]

@@ -38,7 +38,7 @@ from .features import (
     pool_windows,
 )
 from .fusion import FusionConfig, fuse_sequence
-from .lda import LdaModel, fit, predict_many
+from .lda import DEFAULT_SHRINKAGE, LdaModel, fit, predict_many
 from .pipeline import max_consecutive_disagreements
 
 
@@ -74,7 +74,7 @@ def train_on_windows(
     windows: Windows,
     layout: FeatureLayout,
     feature_kind: str = "fv3",
-    shrinkage: float = 1e-3,
+    shrinkage: float = DEFAULT_SHRINKAGE,
     priors: str = "empirical",
     learn_amplitude: bool = True,
     class_sensor: Mapping[int, int] | None = None,
@@ -140,7 +140,7 @@ def train_session(
     split: SplitSpec | None = None,
     feature_kind: str = "fv3",
     fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
+    shrinkage: float = DEFAULT_SHRINKAGE,
     priors: str = "empirical",
     learn_amplitude: bool = True,
     class_sensor: Mapping[int, int] | None = None,
@@ -338,21 +338,17 @@ class ExperimentReport:
 def run_fv_comparison(
     dataset_root: str | Path,
     feature_kinds: SequenceT[str] = ("fv1", "fv2", "fv3"),
-    split: SplitSpec | None = None,
-    fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
-    pattern: str = "[Pp]*",
 ) -> ExperimentReport:
     """Train/test every participant session under each feature kind.
 
-    Participant sessions are ``<root>/<name>.json`` or ``.csv`` matching
-    ``pattern``; unloadable files are skipped with a warning. Details
-    (confusion, structure) are kept for the last feature kind evaluated.
+    Participant sessions are ``<root>/P*.json`` or ``.csv`` (``p`` too);
+    unloadable files are skipped with a warning. Details (confusion,
+    structure) are kept for the last feature kind evaluated.
     """
     root = Path(dataset_root)
     report = ExperimentReport()
     paths = sorted(
-        p for p in list(root.glob(pattern + ".json")) + list(root.glob(pattern + ".csv"))
+        p for p in list(root.glob("[Pp]*.json")) + list(root.glob("[Pp]*.csv"))
         if not any(tag in p.stem.lower() for tag in ("_sae", "_mae"))
     )
     for path in paths:
@@ -364,12 +360,11 @@ def run_fv_comparison(
             report.skipped.append(name)
             continue
         report.accuracies[name] = {}
-        train_windows, test_windows = split_windows(rec, split, fusion)
+        train_windows, test_windows = split_windows(rec)
         layout = FeatureLayout(sensor_ids=rec.sensor_ids)
         for kind in feature_kinds:
             model = train_on_windows(
-                train_windows, layout, feature_kind=kind,
-                shrinkage=shrinkage, learn_amplitude=False, fusion=fusion,
+                train_windows, layout, feature_kind=kind, learn_amplitude=False
             )
             result = evaluate(model, test_windows)
             report.accuracies[name][kind] = result.accuracy
@@ -398,9 +393,6 @@ class AmplitudeStudy:
 def run_amplitude_experiment(
     sae: SessionRecording,
     mae: SessionRecording,
-    feature_kind: str = "fv3",
-    fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
 ) -> AmplitudeStudy:
     """Compare models trained on fixed vs varied motion amplitude.
 
@@ -408,13 +400,9 @@ def run_amplitude_experiment(
     sequence. Error structure records how far misclassifications stay
     inside the harmless neutral class.
     """
-    mae_model, mae_test = train_session(
-        mae, feature_kind=feature_kind, fusion=fusion,
-        shrinkage=shrinkage, learn_amplitude=False,
-    )
+    mae_model, mae_test = train_session(mae, learn_amplitude=False)
     sae_model, _ = train_session(
-        sae, split=SplitSpec(test=frozenset()), feature_kind=feature_kind,
-        fusion=fusion, shrinkage=shrinkage, learn_amplitude=False,
+        sae, split=SplitSpec(test=frozenset()), learn_amplitude=False
     )
     sae_result = evaluate(sae_model, mae_test)
     mae_result = evaluate(mae_model, mae_test)
@@ -449,9 +437,6 @@ class MultidayStudy:
 
 def run_multiday_experiment(
     day_sessions: SequenceT[SessionRecording],
-    feature_kind: str = "fv3",
-    fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
 ) -> MultidayStudy:
     """Evaluate model staleness across consecutive days.
 
@@ -465,10 +450,7 @@ def run_multiday_experiment(
     models = []
     tests = []
     for rec in day_sessions:
-        model, test_windows = train_session(
-            rec, feature_kind=feature_kind, fusion=fusion,
-            shrinkage=shrinkage, learn_amplitude=False,
-        )
+        model, test_windows = train_session(rec, learn_amplitude=False)
         models.append(model)
         tests.append(test_windows)
     day1 = [evaluate(models[0], t).accuracy for t in tests]
@@ -480,25 +462,22 @@ def run_multiday_experiment(
 # Run-all orchestration
 
 
-def run_all(
-    dataset_root: str | Path,
-    out_dir: str | Path,
-    fusion: FusionConfig = FusionConfig(),
-    shrinkage: float = 1e-3,
-) -> dict:
+def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
     """Run every study the dataset directory supports; write reports.
 
     Looks for participant sessions (``P*.json``), amplitude pairs
     (``*_sae.json`` + ``*_mae.json``), and day sessions (``day<n>.json``).
     Writes ``report.json``, a text table, and per-participant confusion
-    CSVs into ``out_dir``; returns the combined report dict.
+    CSVs into ``out_dir``; returns the combined report dict. Every study
+    trains the default chain: ``FusionConfig()``, 8-tick windows
+    overlapping by 7, and ``DEFAULT_SHRINKAGE``.
     """
     root = Path(dataset_root)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combined: dict = {}
 
-    report = run_fv_comparison(root, fusion=fusion, shrinkage=shrinkage)
+    report = run_fv_comparison(root)
     if report.accuracies:
         combined["fv_comparison"] = report.to_dict()
         (out / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
@@ -513,7 +492,6 @@ def run_all(
         study = run_amplitude_experiment(
             load_recording(sae_path, validate="none"),
             load_recording(mae_path, validate="none"),
-            fusion=fusion, shrinkage=shrinkage,
         )
         combined.setdefault("amplitude", {})[sae_path.stem.replace("_sae", "")] = (
             study.to_dict()
@@ -522,7 +500,7 @@ def run_all(
     day_paths = sorted(root.glob("day*.json"), key=lambda p: p.stem)
     if day_paths:
         days = [load_recording(p, validate="none") for p in day_paths]
-        study = run_multiday_experiment(days, fusion=fusion, shrinkage=shrinkage)
+        study = run_multiday_experiment(days)
         combined["multiday"] = study.to_dict()
         (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
 

@@ -327,7 +327,6 @@ def learn_ranges(
     classes: SequenceT[int],
     class_sensor: Mapping[int, int] | None = None,
     mode: str = "minmax",
-    percentiles: tuple[float, float] = (5.0, 95.0),
 ) -> AmplitudeRange:
     """Learn per-class amplitude ranges from labeled training windows.
 
@@ -338,7 +337,7 @@ def learn_ranges(
         class_sensor: class -> sensor id carrying that motion; defaults
             to the primary sensor for every class.
         mode: "minmax" takes the exact extremes of per-window mean
-            amplitude; "percentile" takes the given percentiles instead.
+            amplitude; "percentile" takes their 5th and 95th percentiles.
 
     Raises:
         CoverageError: a class has no windows.
@@ -369,8 +368,8 @@ def learn_ranges(
         if mode == "minmax":
             lo, hi = float(values.min()), float(values.max())
         else:
-            lo = float(np.percentile(values, percentiles[0]))
-            hi = float(np.percentile(values, percentiles[1]))
+            lo = float(np.percentile(values, 5.0))
+            hi = float(np.percentile(values, 95.0))
         if hi <= lo:
             raise DegenerateRangeError(
                 f"class {cls}: amplitude range degenerate at {lo}"

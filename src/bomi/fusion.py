@@ -54,14 +54,30 @@ def wrap_deg(angle):
     return a + 360.0 * (a == -180.0)
 
 
+def _real_in(value, lo: float, hi: float) -> bool:
+    """Whether ``value`` is a finite real number, not a bool, in [lo, hi]."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and lo <= value <= hi)
+
+
+def _check_filter_params(alpha, gimbal_guard_deg) -> None:
+    """Raise ValidationError unless alpha is in [0, 1] and the gimbal guard
+    in [0, 90] degrees; ``ComplementaryFilter`` and ``FusionConfig`` share it."""
+    if not _real_in(alpha, 0.0, 1.0):
+        raise ValidationError(f"alpha must be a number in [0, 1], got {alpha!r}")
+    if not _real_in(gimbal_guard_deg, 0.0, 90.0):
+        raise ValidationError(
+            f"gimbal_guard_deg must be a number in [0, 90], got {gimbal_guard_deg!r}"
+        )
+
+
 def _sample_period(sample_rate_hz) -> float:
     """Seconds per sample of a rate in Hz.
 
     Raises:
         ValidationError: the rate is not a finite positive number.
     """
-    if not (isinstance(sample_rate_hz, numbers.Real) and not isinstance(sample_rate_hz, bool)
-            and math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
+    if not (_real_in(sample_rate_hz, 0.0, math.inf) and sample_rate_hz > 0):
         raise ValidationError(
             f"sample_rate_hz must be a finite positive number, got {sample_rate_hz!r}"
         )
@@ -292,17 +308,12 @@ class ComplementaryFilter:
     _state: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_filter_params(self.alpha, self.gimbal_guard_deg)
+        if not (_real_in(self.dt, 0.0, math.inf) and self.dt > 0):
+            raise ValidationError(f"dt must be a finite positive number, got {self.dt!r}")
         if self.initial is not None:
             pitch, roll, yaw = self.initial
             self._state = (pitch, roll, yaw)
-
-    @property
-    def state(self) -> tuple[float, float, float]:
-        return self._state or (0.0, 0.0, 0.0)
 
     def step(self, tick: int, acc, gyro, mag) -> OrientationFrame:
         """Advance the filter by one sample and return the fused frame.
@@ -374,20 +385,11 @@ class FusionConfig:
     gimbal_guard_deg: float = DEFAULT_GIMBAL_GUARD_DEG
 
     def __post_init__(self) -> None:
-        def real_in(value, lo: float, hi: float) -> bool:
-            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and lo <= value <= hi)
-
-        if not real_in(self.alpha, 0.0, 1.0):
-            raise ValidationError(f"alpha must be a number in [0, 1], got {self.alpha!r}")
+        _check_filter_params(self.alpha, self.gimbal_guard_deg)
         if (not isinstance(self.calib_ticks, numbers.Integral)
                 or isinstance(self.calib_ticks, bool) or self.calib_ticks < 0):
             raise ValidationError(
                 f"calib_ticks must be an integer >= 0, got {self.calib_ticks!r}"
-            )
-        if not real_in(self.gimbal_guard_deg, 0.0, 90.0):
-            raise ValidationError(
-                f"gimbal_guard_deg must be a number in [0, 90], got {self.gimbal_guard_deg!r}"
             )
 
 

@@ -79,10 +79,6 @@ class LdaModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
 
 def _check_geometry(kind: str, window, overlap) -> None:
     """Raise ShapeError unless ``kind`` can use windows of ``window`` ticks

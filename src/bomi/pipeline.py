@@ -425,7 +425,7 @@ class VirtualDevice:
     """Command sink integrating axis velocities into a 3-D position log."""
 
     def __init__(self, sample_rate_hz: float = 60.0):
-        self.dt = 1.0 / sample_rate_hz
+        self.dt = _sample_period(sample_rate_hz)
         self.position = np.zeros(3)
         self.trajectory: list[tuple[int, float, float, float]] = []
         self.button_events: list[tuple[int, Command]] = []

@@ -1,14 +1,16 @@
+import inspect
 import json
 import os
 
 import pytest
 
 from bomi.cli import main
+from bomi.config import DEFAULTS
 from bomi.dataset_io import load_recording, save_recording, synth_session
-from bomi.experiments import evaluate, sequence_windows
+from bomi.experiments import evaluate, sequence_windows, train_session
 from bomi.fusion import FusionConfig
 from bomi.lda import deserialize
-from bomi.pipeline import StreamingPipeline
+from bomi.pipeline import CommandMapping, StreamingPipeline
 
 MISSING = object()
 
@@ -142,6 +144,18 @@ class TestTrain:
         assert run("train", "--recording", small_recording_file,
                    "--config", cfg, "--out", tmp_path / "m.json") == 2
         assert "fusion.calib_ticks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["scale.acc", "scale.gyro", "scale.mag", "sample_rate_hz"])
+    def test_non_numeric_mapping_value_exits_2(self, small_recording_file, tmp_path, capsys,
+                                               key):
+        mapping = tmp_path / "m.cfg"
+        mapping.write_text(f"column.tick=tick\n{key}=abc\n")
+        out = tmp_path / "m.json"
+        assert run("train", "--recording", small_recording_file, "--mapping", mapping,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate, spelling", [(float("nan"), "NaN"),
                                                  (float("inf"), "Infinity")])
@@ -438,6 +452,25 @@ class TestArgumentHandling:
     not os.environ.get("BOMI_SLOW_TESTS"),
     reason="full demo dataset generation takes minutes; set BOMI_SLOW_TESTS=1",
 )
+def test_config_defaults_are_the_library_defaults():
+    session = inspect.signature(train_session).parameters
+    mapping = inspect.signature(CommandMapping.default).parameters
+    library = {
+        "fusion.alpha": FusionConfig().alpha,
+        "fusion.calib_ticks": FusionConfig().calib_ticks,
+        "fusion.pitch_gimbal_guard_deg": FusionConfig().gimbal_guard_deg,
+        "features.kind": session["feature_kind"].default,
+        "features.window": session["window"].default,
+        "features.overlap": session["overlap"].default,
+        "amplitude.mode": session["amplitude_mode"].default,
+        "lda.shrinkage": session["shrinkage"].default,
+        "lda.priors": session["priors"].default,
+        "pipeline.v_max_cm_s": mapping["v_max"].default,
+    }
+    assert DEFAULTS == library
+    assert all(type(DEFAULTS[key]) is type(value) for key, value in library.items())
+
+
 def test_demo_data_and_run_all_full(tmp_path):
     data = tmp_path / "demo"
     out = tmp_path / "reports"

@@ -21,7 +21,8 @@ from bomi.experiments import (
     train_session,
 )
 from bomi.features import FEATURE_KINDS, FeatureLayout, Windows
-from bomi.fusion import fuse_sequence
+from bomi.fusion import FusionConfig, fuse_sequence
+from bomi.lda import DEFAULT_SHRINKAGE
 
 
 def fake_windows(labels):
@@ -283,6 +284,35 @@ class TestRunAll:
                 for stem, rec in sessions.items()
                 for seq in (rec.sequences[:2] if stem == "P9_sae" else rec.sequences)]
         assert fuse_counts == {key: 1 for key in used}
+
+    def test_studies_train_the_default_chain(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        sessions = {
+            "P1": synth_session(class_count=3, sensor_count=2, seed=30),
+            "P9_sae": synth_session(class_count=3, sensor_count=1, seed=31),
+            "P9_mae": synth_session(class_count=3, sensor_count=1,
+                                    amplitudes=(0.5, 0.75, 1.0), seed=32),
+            "day1": synth_session(class_count=3, sensor_count=1, seed=41),
+            "day2": synth_session(class_count=3, sensor_count=1, seed=42),
+        }
+        for stem, rec in sessions.items():
+            save_recording(rec, data / f"{stem}.json")
+        calls = []
+        real_fit = bomi.experiments.fit
+
+        def recording_fit(X, y, **kwargs):
+            calls.append(kwargs)
+            return real_fit(X, y, **kwargs)
+
+        monkeypatch.setattr(bomi.experiments, "fit", recording_fit)
+        run_all(data, tmp_path / "out")
+        # fv1, fv2 and fv3 on P1, two amplitude models, one model per day.
+        assert [c["feature_kind"] for c in calls] == ["fv1", "fv2", "fv3"] + ["fv3"] * 4
+        for c in calls:
+            assert c["fusion"] == FusionConfig()
+            assert (c["window"], c["overlap"]) == (8, 7)
+            assert c["shrinkage"] == DEFAULT_SHRINKAGE
 
     def test_orphan_amplitude_session_warns(self, tmp_path):
         data = tmp_path / "data"

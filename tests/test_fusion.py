@@ -201,10 +201,13 @@ class TestComplementaryFilter:
         assert np.abs(errs[1000:].mean(axis=0)).max() < 0.1
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ComplementaryFilter(alpha=1.5)
-        with pytest.raises(ValueError):
-            ComplementaryFilter(dt=0.0)
+        for field, value in [
+            ("alpha", 1.5), ("alpha", float("nan")),
+            ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", float("-inf")),
+            ("gimbal_guard_deg", 91.0),
+        ]:
+            with pytest.raises(ValidationError, match=field):
+                ComplementaryFilter(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [

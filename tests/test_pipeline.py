@@ -510,6 +510,11 @@ class TestVirtualDevice:
         assert lines[0] == "tick,x_cm,y_cm,z_cm"
         assert len(lines) == 1 + len(dev.trajectory)
 
+    @pytest.mark.parametrize("rate", [0, -60.0, float("nan"), float("inf")])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            VirtualDevice(sample_rate_hz=rate)
+
 
 def test_write_command_log_round_trip_values(tmp_path):
     from bomi.pipeline import CommandOutput
