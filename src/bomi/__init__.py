@@ -7,7 +7,6 @@ to joystick-style commands with proportional speed.
 """
 
 from .dataset_io import (
-    ImuSample,
     SensorInfo,
     Sequence,
     SessionRecording,
@@ -69,7 +68,6 @@ __all__ = [
     "EvalResult",
     "FeatureLayout",
     "FusionConfig",
-    "ImuSample",
     "LdaModel",
     "NeutralOffset",
     "OrientationFrame",

@@ -66,29 +66,6 @@ _DEFAULT_LOCATIONS = (
 
 
 @dataclass(frozen=True)
-class ImuSample:
-    """One 9-axis reading from one sensor at one tick.
-
-    acc is in g, gyro in degrees/second, mag in normalized gauss.
-    """
-
-    sensor_id: int
-    tick: int
-    acc: tuple[float, float, float]
-    gyro: tuple[float, float, float]
-    mag: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.sensor_id <= MAX_SENSORS:
-            raise ValidationError(
-                f"sensor_id must be in [1, {MAX_SENSORS}], got {self.sensor_id}"
-            )
-        for vec in (self.acc, self.gyro, self.mag):
-            if len(vec) != 3 or not all(map(math.isfinite, vec)):
-                raise ValidationError(f"non-finite or malformed vector {vec!r}")
-
-
-@dataclass(frozen=True)
 class SensorInfo:
     """A sensor id plus a body-location tag."""
 
@@ -111,12 +88,10 @@ class Sequence:
     def n_ticks(self) -> int:
         return len(self.labels)
 
-    def sample_at(self, sensor_id: int, tick: int) -> ImuSample:
-        row = self.samples[sensor_id][tick].tolist()
-        return ImuSample(sensor_id, tick, tuple(row[0:3]), tuple(row[3:6]), tuple(row[6:9]))
-
-    def tick_samples(self, tick: int) -> dict[int, ImuSample]:
-        return {sid: self.sample_at(sid, tick) for sid in self.samples}
+    def tick_samples(self, tick: int) -> dict[int, list[float]]:
+        """A fresh dict of each sensor's row at ``tick`` as 9 Python floats,
+        the input ``StreamingPipeline.step`` takes."""
+        return {sid: block[tick].tolist() for sid, block in self.samples.items()}
 
 
 @dataclass
@@ -546,7 +521,10 @@ def _load_csv(
     class_count: int | None,
 ) -> SessionRecording:
     mapping = mapping or ImportMapping()
-    rate = sample_rate_hz or mapping.sample_rate_hz or 60.0
+    # Test for None, not falsiness: a rate of 0 must reach the rate check.
+    rate = sample_rate_hz if sample_rate_hz is not None else mapping.sample_rate_hz
+    if rate is None:
+        rate = 60.0
     values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
     width = len(values)
 

@@ -138,13 +138,13 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     return yaw
 
 
-# The filter kernel. ComplementaryFilter.step (one tick of a stream) and
-# fuse_sequence (a whole recording) both advance the state only through
-# _filter_ticks, so offline and online angles and flags are equal bit for
-# bit. The loop body inlines _accel_meas, _mag_meas and wrap_deg term by
-# term: radians and degrees are the products CPython's math module forms,
-# and a float wrap cannot give -0.0, so replacing -180 by 180 is the same
-# as wrap_deg's addition.
+# The filter kernel. StreamingPipeline.step and ComplementaryFilter.step
+# (one tick of a stream) and fuse_sequence (a whole recording) all advance
+# the state only through _filter_ticks, so offline and online angles and
+# flags are equal bit for bit. The loop body inlines _accel_meas, _mag_meas
+# and wrap_deg term by term: radians and degrees are the products CPython's
+# math module forms, and a float wrap cannot give -0.0, so replacing -180
+# by 180 is the same as wrap_deg's addition.
 Flags = tuple[str, ...]
 
 _DEG = 180.0 / math.pi
@@ -346,31 +346,33 @@ def circular_mean_deg(angles: Sequence[float]) -> float:
 
 
 def calibrate_neutral(
-    frames_by_sensor: Mapping[int, Sequence[OrientationFrame]],
+    angles_by_sensor: Mapping[int, Sequence[Sequence[float]]],
     calib_ticks: int = DEFAULT_CALIB_TICKS,
 ) -> NeutralOffset:
-    """Estimate per-sensor neutral offsets from frames held at rest.
+    """Estimate per-sensor neutral offsets from angles held at rest.
 
-    Uses the per-angle circular mean over the first ``calib_ticks``
-    frames of each sensor.
+    ``angles_by_sensor`` maps a sensor id to its fused angles, one
+    (pitch, roll, yaw) row per tick: an (n, 3) array or a list of rows.
+    Uses the per-angle circular mean over the first ``calib_ticks`` rows
+    of each sensor, summed over Python floats in tick order.
 
     Raises:
         CalibrationError: if any sensor has fewer than ``calib_ticks``
-            frames.
+            rows.
     """
     if calib_ticks < 1:
         raise CalibrationError(f"calib_ticks must be >= 1, got {calib_ticks}")
     offsets: dict[int, tuple[float, float, float]] = {}
-    for sensor_id, frames in frames_by_sensor.items():
-        if len(frames) < calib_ticks:
+    for sensor_id, angles in angles_by_sensor.items():
+        if len(angles) < calib_ticks:
             raise CalibrationError(
-                f"sensor {sensor_id}: {len(frames)} frames < {calib_ticks} required"
+                f"sensor {sensor_id}: {len(angles)} rows < {calib_ticks} required"
             )
-        head = frames[:calib_ticks]
+        pitches, rolls, yaws = np.asarray(angles[:calib_ticks], dtype=np.float64).T.tolist()
         offsets[sensor_id] = (
-            circular_mean_deg([f.pitch for f in head]),
-            circular_mean_deg([f.roll for f in head]),
-            circular_mean_deg([f.yaw for f in head]),
+            circular_mean_deg(pitches),
+            circular_mean_deg(rolls),
+            circular_mean_deg(yaws),
         )
     return NeutralOffset(offsets)
 
@@ -400,7 +402,7 @@ class FusedSequence:
     ``angles`` holds calibrated (offset-subtracted) pitch/roll/yaw per
     tick and sensor, shape (T, S, 3); ``gyro`` the matching raw rates.
     ``flags[si][t]`` is the degradation flag tuple of sensor ``si`` at
-    tick ``t``, the same tuple ``OrientationFrame.flags`` carries online.
+    tick ``t``, the same tuple the filter kernel gives online.
     Windowing starts at ``calib_ticks`` so streaming and offline paths
     see identical data.
     """
@@ -444,7 +446,7 @@ def fuse_sequence(
     raw_angles = np.empty((n_ticks, len(sensor_ids), 3), dtype=np.float64)
     gyro = np.empty_like(raw_angles)
     flags = []
-    heads: dict[int, list[OrientationFrame]] = {}
+    heads: dict[int, np.ndarray] = {}
     for si, sensor_id in enumerate(sensor_ids):
         rows = samples_by_sensor[sensor_id]
         # Columns are read through memoryviews and angles gathered in
@@ -460,10 +462,7 @@ def fuse_sequence(
         raw_angles[:, si] = block
         gyro[:, si] = rows[:, 3:6]
         flags.append(tuple(sensor_flags))
-        heads[sensor_id] = [
-            OrientationFrame(sensor_id, t, pitch, roll, yaw, sensor_flags[t])
-            for t, (pitch, roll, yaw) in enumerate(block[:config.calib_ticks].tolist())
-        ]
+        heads[sensor_id] = block[:config.calib_ticks]
 
     if config.calib_ticks > 0:
         offset = calibrate_neutral(heads, config.calib_ticks)

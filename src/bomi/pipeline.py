@@ -15,6 +15,7 @@ The pipeline is single-threaded and deterministic: one producer feeds
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence as SequenceT
 
 import numpy as np
 
-from .dataset_io import ImuSample, SessionRecording, SplitSpec
+from .dataset_io import SessionRecording, SplitSpec
 from .errors import LayoutError, MappingError, ValidationError
 from .features import (
     HALF,
@@ -36,9 +37,8 @@ from .features import (
 )
 from .fusion import (
     FLAG_GAP,
-    ComplementaryFilter,
     NeutralOffset,
-    OrientationFrame,
+    _filter_ticks,
     _sample_period,
     calibrate_neutral,
     wrap_deg,
@@ -65,13 +65,13 @@ class Command(str, Enum):
 BUTTONS = (Command.B1, Command.B2)
 
 # End-effector displacement direction per axis command (unit vectors).
-DIRECTIONS: dict[Command, np.ndarray] = {
-    Command.F: np.array((0.0, -1.0, 0.0)),
-    Command.B: np.array((0.0, 1.0, 0.0)),
-    Command.R: np.array((-1.0, 0.0, 0.0)),
-    Command.L: np.array((1.0, 0.0, 0.0)),
-    Command.RR: np.array((0.0, 0.0, 1.0)),
-    Command.LR: np.array((0.0, 0.0, -1.0)),
+DIRECTIONS: dict[Command, tuple[float, float, float]] = {
+    Command.F: (0.0, -1.0, 0.0),
+    Command.B: (0.0, 1.0, 0.0),
+    Command.R: (-1.0, 0.0, 0.0),
+    Command.L: (1.0, 0.0, 0.0),
+    Command.RR: (0.0, 0.0, 1.0),
+    Command.LR: (0.0, 0.0, -1.0),
 }
 
 _DEFAULT_ORDER = (
@@ -277,11 +277,11 @@ class StreamStats:
 class StreamingPipeline:
     """Fusion -> window -> features -> classifier -> command, per tick.
 
-    Feed ``step`` one tick at a time with a sample per worn sensor. A
-    missing sensor repeats its previous raw sample and flags the output
-    (wireless gap policy); ``dropped_ticks`` counts the ticks with such a
-    gap. Outputs begin once calibration and the window buffer are
-    complete. Fusion settings and window geometry are the model's.
+    Feed ``step`` one tick at a time with 9 real numbers per worn sensor
+    (acc, gyro, mag xyz). A missing sensor repeats its previous row and
+    flags the output (wireless gap policy); ``dropped_ticks`` counts the
+    ticks with such a gap. Outputs begin once calibration and the window
+    buffer are complete. Fusion settings and window geometry are the model's.
     """
 
     def __init__(
@@ -295,25 +295,19 @@ class StreamingPipeline:
         self.mapping = mapping or CommandMapping.default(model.classes)
         self.mapping.validate_classes(int(c) for c in model.classes)
         self.layout = model.layout
-        dt = _sample_period(sample_rate_hz)
+        self._dt = _sample_period(sample_rate_hz)
         self.sample_rate_hz = sample_rate_hz
         self.window = window = model.window
         self.stride = window - model.overlap
-        fusion = model.fusion
-        self._filters = {
-            sid: ComplementaryFilter(
-                alpha=fusion.alpha,
-                dt=dt,
-                gimbal_guard_deg=fusion.gimbal_guard_deg,
-                sensor_id=sid,
-            )
-            for sid in self.layout.sensor_ids
-        }
-        self._calib_frames: dict[int, list[OrientationFrame]] = {
-            sid: [] for sid in self.layout.sensor_ids
-        }
+        sensor_ids = self.layout.sensor_ids
+        # Per sensor: the filter kernel's (pitch, roll, yaw) state, None
+        # until the first row, and the last row seen, repeated on a gap.
+        self._states: list[tuple[float, float, float] | None] = [None] * len(sensor_ids)
+        self._last_rows: list[tuple[float, ...] | None] = [None] * len(sensor_ids)
+        # Raw (pitch, roll, yaw) per sensor during calibration.
+        self._calib: list[list[tuple[float, float, float]]] = [[] for _ in sensor_ids]
         self.offset: NeutralOffset | None = (
-            None if fusion.calib_ticks > 0 else NeutralOffset.zero(self.layout.sensor_ids)
+            None if model.fusion.calib_ticks > 0 else NeutralOffset.zero(sensor_ids)
         )
         # Per-sensor offsets as Python floats, zero until calibration completes.
         self._offsets = [(0.0, 0.0, 0.0)] * self.layout.n_sensors
@@ -336,43 +330,74 @@ class StreamingPipeline:
         else:
             self._gyro = np.zeros_like(self._angles)
         self._smoother = make_smoother(smoothing)
-        self._last_raw: dict[int, ImuSample] = {}
         self._previous_cls: int | None = None
         self._seen = 0
         self.dropped_ticks = 0
 
-    def step(self, tick: int, samples: Mapping[int, ImuSample]) -> CommandOutput | None:
-        """Consume one tick of samples; emit a command once warmed up."""
+    def step(self, tick: int, samples: Mapping[int, SequenceT[float]]) -> CommandOutput | None:
+        """Consume one tick of rows; emit a command once warmed up.
+
+        Raises:
+            ValidationError: a row is not 9 finite real numbers; the
+                pipeline is left as it was before the call.
+            LayoutError: a sensor has no row at stream start.
+        """
         t0 = time.perf_counter()
+        sensor_ids = self.layout.sensor_ids
+        # Check every row before any state changes, so a rejected tick
+        # leaves the pipeline as it was. None marks a missing sensor.
+        rows: list[tuple[float, ...] | None] = []
+        for sid, last in zip(sensor_ids, self._last_rows):
+            row = samples.get(sid)
+            if row is None:
+                if last is None:
+                    raise LayoutError(f"no sample for sensor {sid} at stream start")
+            else:
+                try:
+                    # math.isfinite raises TypeError on a str or None.
+                    ok = len(row) == 9 and all(map(math.isfinite, row))
+                except TypeError:
+                    ok = False
+                if not ok:
+                    raise ValidationError(
+                        f"sensor {sid} at tick {tick}: expected 9 finite numbers, got {row!r}"
+                    )
+                row = tuple(map(float, row))
+            rows.append(row)
+
+        fusion = self.model.fusion
+        calibrating = self.offset is None
         flags: list[str] = []
         angle_row: list[float] = []
         gyro_row: list[float] = []
-        for (sid, filt), (p0, r0, y0) in zip(self._filters.items(), self._offsets):
-            sample = samples.get(sid)
-            if sample is None:
-                sample = self._last_raw.get(sid)
-                if sample is None:
-                    raise LayoutError(f"no sample for sensor {sid} at stream start")
+        for si, (row, (p0, r0, y0)) in enumerate(zip(rows, self._offsets)):
+            if row is None:
+                row = self._last_rows[si]
                 flags.append(FLAG_GAP)
-            self._last_raw[sid] = sample
-            frame = filt.step(tick, sample.acc, sample.gyro, sample.mag)
-            if self.offset is None:
-                self._calib_frames[sid].append(frame)
-            angle_row += (
-                wrap_deg(frame.pitch - p0), wrap_deg(frame.roll - r0), wrap_deg(frame.yaw - y0)
+            else:
+                self._last_rows[si] = row
+            # One tick appends pitch, roll, yaw and flags, in that order.
+            out: list = []
+            self._states[si] = _filter_ticks(
+                self._states[si], (row,), fusion.alpha, self._dt, fusion.gimbal_guard_deg,
+                out, out, out, out,
             )
-            gyro_row += sample.gyro
-            flags.extend(frame.flags)
+            pitch, roll, yaw, frame_flags = out
+            if calibrating:
+                self._calib[si].append((pitch, roll, yaw))
+            angle_row += (wrap_deg(pitch - p0), wrap_deg(roll - r0), wrap_deg(yaw - y0))
+            gyro_row += row[3:6]
+            flags += frame_flags
         self._seen += 1
         if FLAG_GAP in flags:
             self.dropped_ticks += 1
 
-        if self.offset is None:
-            calib_ticks = self.model.fusion.calib_ticks
-            if self._seen >= calib_ticks:
-                self.offset = calibrate_neutral(self._calib_frames, calib_ticks)
-                self._offsets = [self.offset.for_sensor(sid) for sid in self._filters]
-                self._calib_frames = {sid: [] for sid in self.layout.sensor_ids}
+        if calibrating:
+            if self._seen >= fusion.calib_ticks:
+                self.offset = calibrate_neutral(dict(zip(sensor_ids, self._calib)),
+                                                fusion.calib_ticks)
+                self._offsets = [self.offset.for_sensor(sid) for sid in sensor_ids]
+                self._calib = [[] for _ in sensor_ids]
             return None
 
         w = self.window
@@ -426,14 +451,16 @@ class VirtualDevice:
 
     def __init__(self, sample_rate_hz: float = 60.0):
         self.dt = _sample_period(sample_rate_hz)
-        self.position = np.zeros(3)
+        self.position: tuple[float, float, float] = (0.0, 0.0, 0.0)
         self.trajectory: list[tuple[int, float, float, float]] = []
         self.button_events: list[tuple[int, Command]] = []
 
     def send(self, out: CommandOutput) -> None:
-        direction = DIRECTIONS.get(out.command)
-        if direction is not None:
-            self.position = self.position + direction * (out.velocity * self.dt)
+        d = DIRECTIONS.get(out.command)
+        if d is not None:
+            step = out.velocity * self.dt
+            x, y, z = self.position
+            self.position = (x + d[0] * step, y + d[1] * step, z + d[2] * step)
         elif out.button_event:
             self.button_events.append((out.tick, out.command))
         self.trajectory.append((out.tick, *self.position))

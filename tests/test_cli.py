@@ -171,6 +171,17 @@ class TestTrain:
         assert "sample_rate_hz" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mapping_rate_of_zero_exits_2_without_a_model(self, small_recording_file,
+                                                          tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        save_recording(load_recording(small_recording_file), path)
+        mapping = tmp_path / "m.cfg"
+        mapping.write_text("sample_rate_hz=0\n")
+        out = tmp_path / "m.json"
+        assert run("train", "--recording", path, "--mapping", mapping, "--out", out) == 2
+        assert "sample_rate_hz must be a finite positive number, got 0.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_recording_exits_2(self, tmp_path):
         assert run("train", "--recording", tmp_path / "nope.json",
                    "--out", tmp_path / "m.json") == 2
@@ -448,10 +459,6 @@ class TestArgumentHandling:
             assert name in out
 
 
-@pytest.mark.skipif(
-    not os.environ.get("BOMI_SLOW_TESTS"),
-    reason="full demo dataset generation takes minutes; set BOMI_SLOW_TESTS=1",
-)
 def test_config_defaults_are_the_library_defaults():
     session = inspect.signature(train_session).parameters
     mapping = inspect.signature(CommandMapping.default).parameters
@@ -471,6 +478,10 @@ def test_config_defaults_are_the_library_defaults():
     assert all(type(DEFAULTS[key]) is type(value) for key, value in library.items())
 
 
+@pytest.mark.skipif(
+    not os.environ.get("BOMI_SLOW_TESTS"),
+    reason="full demo dataset generation takes minutes; set BOMI_SLOW_TESTS=1",
+)
 def test_demo_data_and_run_all_full(tmp_path):
     data = tmp_path / "demo"
     out = tmp_path / "reports"

@@ -8,7 +8,6 @@ from bomi.cli import main
 from bomi.dataset_io import (
     CSV_HEADER,
     ImportMapping,
-    ImuSample,
     Sequence,
     SessionRecording,
     SensorInfo,
@@ -31,6 +30,7 @@ from bomi.errors import (
 )
 from bomi.experiments import sequence_windows
 from bomi.fusion import fuse_sequence
+from bomi.pipeline import StreamingPipeline
 
 from oracles import csv_reference_load, nearest_target_class
 
@@ -84,44 +84,65 @@ def assert_same_recording(actual, expected):
             assert same_bits(sa.samples[sid], sb.samples[sid])
 
 
+VALID_ROW = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def step_row(small_model, row):
+    """Step a fresh pipeline with ``row`` for sensor 1 and a valid row for sensor 2."""
+    model, _ = small_model
+    return StreamingPipeline(model).step(0, {1: row, 2: list(VALID_ROW)})
+
+
 class TestImuSample:
-    def test_valid(self):
-        s = ImuSample(1, 0, (0, 0, 1), (0, 0, 0), (1, 0, 0))
-        assert s.sensor_id == 1
+    """One IMU sample is one sensor's row at one tick: 9 real numbers, acc,
+    gyro and mag xyz, as ``Sequence.tick_samples`` gives them and
+    ``StreamingPipeline.step`` checks them."""
 
-    def test_sensor_id_out_of_range(self):
+    def test_valid(self, small_model):
+        assert step_row(small_model, [0, 0, 1, 0, 0, 0, 1, 0, 0]) is None
+
+    def test_sensor_id_out_of_range(self, small_noisy):
         for sensor_id in (0, 7):
-            with pytest.raises(ValidationError):
-                ImuSample(sensor_id, 0, (0, 0, 1), (0, 0, 0), (1, 0, 0))
+            layout = [SensorInfo(sensor_id), *small_noisy.sensor_layout[1:]]
+            seqs = [Sequence({sensor_id: seq.samples[1], 2: seq.samples[2]}, seq.labels)
+                    for seq in small_noisy.sequences]
+            rec = SessionRecording(60.0, small_noisy.class_count, layout, seqs)
+            with pytest.raises(ValidationError, match=f"sensor id {sensor_id} outside"):
+                validate_recording(rec, protocol="none")
 
-    def test_non_finite_component(self):
-        with pytest.raises(ValidationError):
-            ImuSample(1, 0, (0, 0, float("nan")), (0, 0, 0), (1, 0, 0))
+    def test_non_finite_component(self, small_model):
+        row = np.array(VALID_ROW)
+        row[2] = np.nan
+        with pytest.raises(ValidationError, match="sensor 1 at tick 0"):
+            step_row(small_model, row)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("position", range(9))
-    def test_each_position_rejects_non_finite(self, position, bad):
-        values = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    def test_each_position_rejects_non_finite(self, small_model, position, bad):
+        values = list(VALID_ROW)
         values[position] = bad
-        with pytest.raises(ValidationError):
-            ImuSample(1, 0, tuple(values[0:3]), tuple(values[3:6]), tuple(values[6:9]))
+        with pytest.raises(ValidationError, match="sensor 1 at tick 0"):
+            step_row(small_model, values)
 
     @pytest.mark.parametrize("vector", range(3))
-    def test_two_element_vector_rejected(self, vector):
-        vectors = [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-        vectors[vector] = vectors[vector][:2]
-        with pytest.raises(ValidationError):
-            ImuSample(1, 0, *vectors)
+    def test_two_element_vector_rejected(self, small_model, vector):
+        # One of the three vectors cut to two values: a row of 8.
+        values = list(VALID_ROW)
+        del values[3 * vector + 2]
+        with pytest.raises(ValidationError, match="expected 9 finite numbers"):
+            step_row(small_model, values)
 
-    def test_sample_at_gives_python_floats_equal_to_the_row(self):
+    def test_tick_samples_gives_python_floats_equal_to_the_row(self):
         rows = np.random.default_rng(4).normal(size=(5, 9))
         seq = Sequence(samples={2: rows}, labels=np.zeros(5, dtype=int))
         for tick in range(5):
-            s = seq.sample_at(2, tick)
-            values = s.acc + s.gyro + s.mag
-            assert (s.sensor_id, s.tick) == (2, tick)
-            assert all(type(v) is float for v in values)
-            assert np.array(values).tobytes() == rows[tick].tobytes()
+            samples = seq.tick_samples(tick)
+            assert list(samples) == [2]
+            assert all(type(v) is float for v in samples[2])
+            assert np.array(samples[2]).tobytes() == rows[tick].tobytes()
+        # A fresh dict each call: popping a sensor leaves the sequence whole.
+        seq.tick_samples(0).pop(2)
+        assert list(seq.tick_samples(0)) == [2]
 
 
 class TestSynth:
@@ -598,6 +619,14 @@ class TestValidation:
                                small_noisy.sequences)
         with pytest.raises(ValidationError, match="sample_rate_hz"):
             validate_recording(rec, protocol="none")
+
+    @pytest.mark.parametrize("source", ["argument", "mapping"])
+    def test_csv_rate_of_zero_rejected(self, tmp_path, source):
+        path = write_lines(tmp_path / "rec.csv", base_lines())
+        given = ({"sample_rate_hz": 0} if source == "argument"
+                 else {"mapping": ImportMapping(sample_rate_hz=0.0)})
+        with pytest.raises(ValidationError, match="sample_rate_hz"):
+            load_recording(path, validate="none", class_count=2, **given)
 
     def test_sequence_count_enforced(self, small_noisy):
         partial = SessionRecording(

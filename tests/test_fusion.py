@@ -232,17 +232,17 @@ def test_fusion_config_accepts_bounds(values):
 
 class TestCalibration:
     def test_constant_frames_give_exact_offset(self):
-        frames = {1: [frame(5.0, -2.0, 30.0, tick=t) for t in range(60)]}
+        frames = {1: [(5.0, -2.0, 30.0)] * 60}
         off = calibrate_neutral(frames, 60)
         assert off.for_sensor(1) == pytest.approx((5.0, -2.0, 30.0), abs=1e-9)
 
     def test_alternating_pitch_averages(self):
-        frames = {1: [frame(10.0 if t % 2 else 20.0, 0.0, 0.0) for t in range(60)]}
+        frames = {1: [(10.0 if t % 2 else 20.0, 0.0, 0.0) for t in range(60)]}
         off = calibrate_neutral(frames, 60)
         assert off.for_sensor(1)[0] == pytest.approx(15.0, abs=1e-9)
 
     def test_yaw_across_seam_uses_circular_mean(self):
-        frames = {1: [frame(0.0, 0.0, 179.0 if t % 2 else -179.0) for t in range(60)]}
+        frames = {1: [(0.0, 0.0, 179.0 if t % 2 else -179.0) for t in range(60)]}
         off = calibrate_neutral(frames, 60)
         expected = wrap_deg(circular_mean([179.0, -179.0] * 30))
         assert off.for_sensor(1)[2] == pytest.approx(expected, abs=1e-9)
@@ -250,7 +250,7 @@ class TestCalibration:
 
     def test_insufficient_frames(self):
         with pytest.raises(CalibrationError):
-            calibrate_neutral({1: [frame(0, 0, 0)] * 59}, 60)
+            calibrate_neutral({1: [(0, 0, 0)] * 59}, 60)
 
     def test_circular_mean_matches_unit_vector_oracle(self):
         rng = np.random.default_rng(3)
@@ -281,7 +281,7 @@ class TestApplyOffset:
         rng = np.random.default_rng(5)
         for _ in range(20):
             f = frame(rng.uniform(-80, 80), rng.uniform(-170, 170), rng.uniform(-170, 170))
-            off = calibrate_neutral({1: [f] * 10}, 10)
+            off = calibrate_neutral({1: [(f.pitch, f.roll, f.yaw)] * 10}, 10)
             out = subtract_offset(f, off)
             assert abs(out.pitch) < 1e-9
             assert abs(out.roll) < 1e-9
@@ -306,7 +306,7 @@ def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
             fr = filters[sid].step(t, r[0:3], r[3:6], r[6:9])
             row_frames[sid] = fr
             if t < cfg.calib_ticks:
-                head[sid].append(fr)
+                head[sid].append((fr.pitch, fr.roll, fr.yaw))
         frames.append(row_frames)
     offset = calibrate_neutral(head, cfg.calib_ticks)
     for t in range(400):
@@ -358,7 +358,10 @@ def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, c
         frames[sid] = [filt.step(t, r[0:3], r[3:6], r[6:9])
                        for t, r in enumerate(samples[sid])]
     if calib_ticks:
-        offset = calibrate_neutral({s: f[:calib_ticks] for s, f in frames.items()}, calib_ticks)
+        offset = calibrate_neutral(
+            {s: [(fr.pitch, fr.roll, fr.yaw) for fr in f[:calib_ticks]] for s, f in frames.items()},
+            calib_ticks,
+        )
     else:
         offset = NeutralOffset.zero(sensor_ids)
     assert fused.offset.array(sensor_ids).tobytes() == offset.array(sensor_ids).tobytes()

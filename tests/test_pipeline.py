@@ -1,6 +1,8 @@
+import copy
 import csv
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import bomi.pipeline
@@ -420,6 +422,107 @@ class TestStreaming:
         seen = {f for o in outs for f in o.flags}
         assert {FLAG_GAP, FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK, FLAG_GIMBAL_GUARD} <= seen
         assert any(o.nu > 0.0 for o in outs)
+
+
+def emitted(outs):
+    """Everything an output carries except its wall-clock latency."""
+    return [(o.tick, o.label, o.nu, o.command, o.velocity, o.button_event, o.flags)
+            for o in outs]
+
+
+def pipeline_state(pipe):
+    """Every attribute a step can change, arrays as bytes, copied."""
+    fixed = ("model", "mapping", "layout", "_smoother")
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else copy.deepcopy(v)
+            for k, v in vars(pipe).items() if k not in fixed}
+
+
+class TestStepInput:
+    """``step`` takes 9 real numbers per sensor; a rejected tick changes nothing."""
+
+    @pytest.mark.parametrize("row", [
+        pytest.param([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], id="ten-values"),
+        pytest.param([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, "0"], id="str"),
+        pytest.param([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, None], id="none"),
+        pytest.param(1.0, id="scalar"),
+    ])
+    def test_malformed_row_rejected(self, small_model, small_noisy, row):
+        model, _ = small_model
+        samples = small_noisy.sequences[0].tick_samples(5)
+        samples[2] = row
+        with pytest.raises(ValidationError, match="sensor 2 at tick 5: expected 9 finite"):
+            StreamingPipeline(model).step(5, samples)
+
+    @pytest.mark.parametrize("bad_tick, missing", [
+        (30, ()),      # during calibration
+        (200, ()),     # an emission tick, neutral
+        (150, (1,)),   # sensor 1 missing too: no gap is counted
+        (450, ()),     # an emission tick inside a class 1 hold
+    ])
+    def test_rejected_tick_changes_nothing(self, small_model, small_noisy, bad_tick, missing):
+        model, _ = small_model
+        seq = small_noisy.sequences[2]
+        n = 600
+        # Sensor 1 drops out on the tick after the rejected one, so its
+        # repeated row shows which row the pipeline kept.
+        drops = {bad_tick + 1: (1,)}
+        pipe = StreamingPipeline(model)
+        outs = []
+        for t in range(n):
+            samples = seq.tick_samples(t)
+            for sid in drops.get(t, ()):
+                del samples[sid]
+            if t == bad_tick:
+                for sid in missing:
+                    del samples[sid]
+                samples[2][4] = float("nan")  # sensor 1's row, checked first, is valid
+                before = pipeline_state(pipe)
+                with pytest.raises(ValidationError, match=f"sensor 2 at tick {t}"):
+                    pipe.step(t, samples)
+                assert pipeline_state(pipe) == before
+                continue
+            out = pipe.step(t, samples)
+            if out is not None:
+                outs.append(out)
+
+        fresh = StreamingPipeline(model)
+        want = []
+        for t in range(n):
+            if t == bad_tick:
+                continue
+            samples = seq.tick_samples(t)
+            for sid in drops.get(t, ()):
+                del samples[sid]
+            out = fresh.step(t, samples)
+            if out is not None:
+                want.append(out)
+        assert emitted(outs) == emitted(want)
+        assert any(o.nu > 0.0 for o in want)
+        assert pipe.dropped_ticks == fresh.dropped_ticks == 1
+
+    @pytest.mark.parametrize("kind", ["float64-array", "int", "int64-array"])
+    def test_array_and_int_rows_equal_float_lists_bitwise(self, small_model, small_noisy,
+                                                          kind):
+        model, _ = small_model
+        clean = small_noisy.sequences[2]
+        blocks = {sid: clean.samples[sid][:300] for sid in small_noisy.sensor_ids}
+        if kind != "float64-array":
+            # Integer-valued rows; acc and mag scale do not change the angles.
+            blocks = {sid: np.round(8.0 * b) for sid, b in blocks.items()}
+        as_kind = {
+            "float64-array": lambda r: r,
+            "int": lambda r: [int(v) for v in r],
+            "int64-array": lambda r: r.astype(np.int64),
+        }[kind]
+        seq = Sequence(blocks, clean.labels[:300])
+        want = drive(StreamingPipeline(model), seq)
+        pipe = StreamingPipeline(model)
+        got = [pipe.step(t, {sid: as_kind(b[t]) for sid, b in blocks.items()})
+               for t in range(seq.n_ticks)]
+        got = [o for o in got if o is not None]
+        assert emitted(got) == emitted(want)
+        assert np.array([o.nu for o in got]).tobytes() == np.array([o.nu for o in want]).tobytes()
+        assert len(want) > 0
 
 
 class TestReplayStats:
