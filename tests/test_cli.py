@@ -1,6 +1,5 @@
 import inspect
 import json
-import os
 
 import pytest
 
@@ -478,10 +477,6 @@ def test_config_defaults_are_the_library_defaults():
     assert all(type(DEFAULTS[key]) is type(value) for key, value in library.items())
 
 
-@pytest.mark.skipif(
-    not os.environ.get("BOMI_SLOW_TESTS"),
-    reason="full demo dataset generation takes minutes; set BOMI_SLOW_TESTS=1",
-)
 def test_demo_data_and_run_all_full(tmp_path):
     data = tmp_path / "demo"
     out = tmp_path / "reports"
