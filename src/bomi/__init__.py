@@ -29,7 +29,6 @@ from .features import (
 from .fusion import (
     ComplementaryFilter,
     FusionConfig,
-    NeutralOffset,
     OrientationFrame,
     accel_angles,
     calibrate_neutral,
@@ -69,7 +68,6 @@ __all__ = [
     "FeatureLayout",
     "FusionConfig",
     "LdaModel",
-    "NeutralOffset",
     "OrientationFrame",
     "SensorInfo",
     "Sequence",

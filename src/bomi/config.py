@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
+from .dataset_io import key_value_lines
 from .errors import ParseError
 from .features import DEFAULT_OVERLAP, DEFAULT_WINDOW
 from .fusion import DEFAULT_ALPHA, DEFAULT_CALIB_TICKS, DEFAULT_GIMBAL_GUARD_DEG
@@ -28,17 +29,10 @@ DEFAULTS: dict[str, Any] = {
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value config file; unknown keys are rejected."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
+    for lineno, key, value in key_value_lines(path):
         if key not in DEFAULTS:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 

@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence as SequenceT
+from typing import Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
 
@@ -196,7 +196,6 @@ def protocol_issues(
 
 def validate_recording(
     rec: SessionRecording,
-    expect_sequences: int | None = 3,
     protocol: str = "warn",
     motion_s: float = 5.0,
 ) -> None:
@@ -204,8 +203,6 @@ def validate_recording(
 
     Args:
         rec: recording to check.
-        expect_sequences: required sequence count, or None to accept any
-            (partial loads).
         protocol: "strict" raises on protocol-shape deviations, "warn"
             emits warnings (human recordings drift), "none" skips the
             check.
@@ -228,10 +225,6 @@ def validate_recording(
             raise ValidationError(f"sensor id {sid} outside [1, {MAX_SENSORS}]")
     if not rec.sequences:
         raise ValidationError("recording has no sequences")
-    if expect_sequences is not None and len(rec.sequences) != expect_sequences:
-        raise ValidationError(
-            f"expected {expect_sequences} sequences, found {len(rec.sequences)}"
-        )
     _sample_period(rec.sample_rate_hz)
 
     for qi, seq in enumerate(rec.sequences, start=1):
@@ -269,6 +262,28 @@ def validate_recording(
 # Import mapping
 
 
+def key_value_lines(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """Yield (line number, key, value) for each line of a flat ``key=value``
+    file: blank and ``#`` lines are skipped, the line is split on its first
+    ``=``, and both sides are stripped.
+
+    Raises:
+        ParseError: the file is not UTF-8 text, or a line has no ``=``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
 @dataclass
 class ImportMapping:
     """Adapter config for foreign CSV files.
@@ -291,14 +306,7 @@ class ImportMapping:
     @classmethod
     def from_file(cls, path: str | Path) -> "ImportMapping":
         m = cls()
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+        for lineno, key, value in key_value_lines(path):
             if key.startswith("column."):
                 m.columns[key[len("column."):]] = value
             elif key in ("scale.acc", "scale.gyro", "scale.mag", "sample_rate_hz"):
@@ -416,28 +424,22 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
         raise SchemaError(f"malformed recording JSON: {exc}") from exc
 
 
-def _detect_format(path: Path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("csv", "json"):
-            raise SchemaError(f"unknown format {format!r}")
-        return format
+def _detect_format(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in ("csv", "json"):
         return suffix
-    raise SchemaError(f"cannot infer format from {path.name!r}; pass format=")
+    raise SchemaError(f"cannot infer format from {path.name!r}: expected .json or .csv")
 
 
-def save_recording(
-    rec: SessionRecording, path: str | Path, format: str | None = None
-) -> None:
+def save_recording(rec: SessionRecording, path: str | Path) -> None:
     """Write a recording to disk in the canonical JSON or CSV format.
 
     JSON round-trips bit-exactly; CSV preserves values to full float
     precision but drops layout locations and meta.
     """
     path = Path(path)
-    fmt = _detect_format(path, format)
-    validate_recording(rec, expect_sequences=None, protocol="none")
+    fmt = _detect_format(path)
+    validate_recording(rec, protocol="none")
     if fmt == "json":
         path.write_text(json.dumps(_rec_to_dict(rec)), encoding="utf-8")
         return
@@ -514,17 +516,10 @@ def _label_conflict(path: Path, rows: np.ndarray) -> ParseError:
     raise AssertionError("no conflicting labels")
 
 
-def _load_csv(
-    path: Path,
-    mapping: ImportMapping | None,
-    sample_rate_hz: float | None,
-    class_count: int | None,
-) -> SessionRecording:
+def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
     mapping = mapping or ImportMapping()
     # Test for None, not falsiness: a rate of 0 must reach the rate check.
-    rate = sample_rate_hz if sample_rate_hz is not None else mapping.sample_rate_hz
-    if rate is None:
-        rate = 60.0
+    rate = 60.0 if mapping.sample_rate_hz is None else mapping.sample_rate_hz
     values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
     width = len(values)
 
@@ -610,11 +605,10 @@ def _load_csv(
                 samples[sid] = arr
         sequences.append(Sequence(samples=samples, labels=labels))
 
-    n_classes = class_count or int(max(seq.labels.max() for seq in sequences)) + 1
     layout = [SensorInfo(sid, f"s{sid}") for sid in sensor_ids]
     return SessionRecording(
         sample_rate_hz=rate,
-        class_count=n_classes,
+        class_count=int(max(seq.labels.max() for seq in sequences)) + 1,
         sensor_layout=layout,
         sequences=sequences,
     )
@@ -622,37 +616,35 @@ def _load_csv(
 
 def load_recording(
     path: str | Path,
-    format: str | None = None,
     mapping: ImportMapping | None = None,
     validate: str = "warn",
-    expect_sequences: int | None = None,
-    sample_rate_hz: float | None = None,
-    class_count: int | None = None,
 ) -> SessionRecording:
     """Load a recording from the canonical JSON/CSV formats.
 
+    JSON carries its sample rate and class count. A CSV takes its rate
+    from ``mapping`` (60 Hz when unset) and its class count from its
+    highest label.
+
     Args:
-        path: file to read; format inferred from the suffix unless given.
+        path: file to read; a ``.json`` or ``.csv`` suffix names the format.
         mapping: optional ImportMapping for foreign CSVs.
         validate: protocol check mode ("strict", "warn", "none").
-        expect_sequences: required sequence count, None to accept any.
-        sample_rate_hz, class_count: CSV-only overrides (JSON carries
-            both).
 
     Raises:
         ParseError / SchemaError / AlignmentError on malformed input.
     """
     path = Path(path)
-    fmt = _detect_format(path, format)
-    if fmt == "json":
+    if _detect_format(path) == "json":
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"recording is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
         rec = _rec_from_dict(obj)
     else:
-        rec = _load_csv(path, mapping, sample_rate_hz, class_count)
-    validate_recording(rec, expect_sequences=expect_sequences, protocol=validate)
+        rec = _load_csv(path, mapping)
+    validate_recording(rec, protocol=validate)
     return rec
 
 
@@ -806,6 +798,8 @@ def synth_session(
             f"class_count must be in [2, {MAX_CLASSES}] (neutral plus at most "
             f"{MAX_CLASSES - 1} motions), got {class_count}"
         )
+    if n_sequences < 1:
+        raise ValidationError(f"n_sequences must be >= 1, got {n_sequences}")
     if noise_deg < 0 or spasm_deg < 0:
         raise ValidationError("noise_deg and spasm_deg must be >= 0")
     if amplitudes is not None and len(amplitudes) != _REPS:
@@ -935,7 +929,5 @@ def synth_session(
         sequences=sequences,
         meta=meta,
     )
-    validate_recording(
-        rec, expect_sequences=n_sequences, protocol="strict", motion_s=motion_s
-    )
+    validate_recording(rec, protocol="strict", motion_s=motion_s)
     return rec

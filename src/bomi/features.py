@@ -28,6 +28,7 @@ one per-tick function, ``tick_gamma``, averaged over each window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence as SequenceT
@@ -41,6 +42,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .fusion import _real_in
 
 DEFAULT_WINDOW = 8
 DEFAULT_OVERLAP = 7
@@ -152,6 +154,14 @@ class Windows:
         return per_tick[self.rows[:, None] + np.arange(self.length)]
 
 
+def check_geometry(window, overlap) -> None:
+    """Raise ShapeError unless windows of ``window`` ticks can overlap by
+    ``overlap``: Python ints with 0 <= overlap < window, so the stride
+    window - overlap is at least 1."""
+    if type(window) is not int or type(overlap) is not int or not 0 <= overlap < window:
+        raise ShapeError(f"bad window geometry window={window!r} overlap={overlap!r}")
+
+
 def make_windows(
     angles: np.ndarray,
     gyro: np.ndarray,
@@ -171,9 +181,11 @@ def make_windows(
         labels: (T,) per-tick labels, or None for unlabeled streams.
         start_tick: tick index of the first row.
         size, overlap: window geometry; stride is size - overlap.
+
+    Raises:
+        ShapeError: the geometry fails ``check_geometry``.
     """
-    if size < 1 or not 0 <= overlap < size:
-        raise ValidationError(f"bad window geometry size={size} overlap={overlap}")
+    check_geometry(size, overlap)
     rows = np.arange(0, len(angles) - size + 1, size - overlap)
     per_tick = np.full(len(angles), -1) if labels is None else labels
     chunks = per_tick[rows[:, None] + np.arange(size)]
@@ -313,8 +325,10 @@ class AmplitudeRange:
 
     def __post_init__(self) -> None:
         for cls, (lo, hi) in self.ranges.items():
-            if lo < 0 or hi < 0:
-                raise ValidationError(f"class {cls}: negative amplitude bound")
+            if not (_real_in(lo, 0.0, math.inf) and _real_in(hi, 0.0, math.inf)):
+                raise ValidationError(
+                    f"class {cls}: amplitude bounds must be finite and >= 0, got ({lo}, {hi})"
+                )
             if hi <= lo:
                 raise DegenerateRangeError(
                     f"class {cls}: gamma_max {hi} <= gamma_min {lo}"

@@ -265,24 +265,6 @@ class OrientationFrame:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class NeutralOffset:
-    """Per-sensor neutral-pose angles subtracted during operation."""
-
-    offsets: Mapping[int, tuple[float, float, float]]
-
-    def for_sensor(self, sensor_id: int) -> tuple[float, float, float]:
-        return self.offsets[sensor_id]
-
-    def array(self, sensor_ids: Sequence[int]) -> np.ndarray:
-        """(S, 3) offsets in ``sensor_ids`` order."""
-        return np.array([self.offsets[s] for s in sensor_ids], dtype=np.float64)
-
-    @staticmethod
-    def zero(sensor_ids: Iterable[int]) -> "NeutralOffset":
-        return NeutralOffset({s: (0.0, 0.0, 0.0) for s in sensor_ids})
-
-
 @dataclass
 class ComplementaryFilter:
     """First-order complementary filter for one sensor stream.
@@ -346,15 +328,18 @@ def circular_mean_deg(angles: Sequence[float]) -> float:
 
 
 def calibrate_neutral(
-    angles_by_sensor: Mapping[int, Sequence[Sequence[float]]],
+    angles_by_sensor: Sequence[Sequence[Sequence[float]]],
     calib_ticks: int = DEFAULT_CALIB_TICKS,
-) -> NeutralOffset:
+) -> np.ndarray:
     """Estimate per-sensor neutral offsets from angles held at rest.
 
-    ``angles_by_sensor`` maps a sensor id to its fused angles, one
+    ``angles_by_sensor`` holds each sensor's fused angles, one
     (pitch, roll, yaw) row per tick: an (n, 3) array or a list of rows.
     Uses the per-angle circular mean over the first ``calib_ticks`` rows
     of each sensor, summed over Python floats in tick order.
+
+    Returns:
+        (S, 3) float64 offsets, one row per sensor in the given order.
 
     Raises:
         CalibrationError: if any sensor has fewer than ``calib_ticks``
@@ -362,19 +347,15 @@ def calibrate_neutral(
     """
     if calib_ticks < 1:
         raise CalibrationError(f"calib_ticks must be >= 1, got {calib_ticks}")
-    offsets: dict[int, tuple[float, float, float]] = {}
-    for sensor_id, angles in angles_by_sensor.items():
+    offsets = np.empty((len(angles_by_sensor), 3))
+    for si, angles in enumerate(angles_by_sensor):
         if len(angles) < calib_ticks:
             raise CalibrationError(
-                f"sensor {sensor_id}: {len(angles)} rows < {calib_ticks} required"
+                f"sensor index {si}: {len(angles)} rows < {calib_ticks} required"
             )
-        pitches, rolls, yaws = np.asarray(angles[:calib_ticks], dtype=np.float64).T.tolist()
-        offsets[sensor_id] = (
-            circular_mean_deg(pitches),
-            circular_mean_deg(rolls),
-            circular_mean_deg(yaws),
-        )
-    return NeutralOffset(offsets)
+        columns = np.asarray(angles[:calib_ticks], dtype=np.float64).T.tolist()
+        offsets[si] = [circular_mean_deg(column) for column in columns]
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -401,6 +382,7 @@ class FusedSequence:
 
     ``angles`` holds calibrated (offset-subtracted) pitch/roll/yaw per
     tick and sensor, shape (T, S, 3); ``gyro`` the matching raw rates.
+    ``offset`` is the (S, 3) neutral offset subtracted, in sensor order.
     ``flags[si][t]`` is the degradation flag tuple of sensor ``si`` at
     tick ``t``, the same tuple the filter kernel gives online.
     Windowing starts at ``calib_ticks`` so streaming and offline paths
@@ -410,7 +392,7 @@ class FusedSequence:
     sensor_ids: tuple[int, ...]
     angles: np.ndarray
     gyro: np.ndarray
-    offset: NeutralOffset
+    offset: np.ndarray
     calib_ticks: int
     flags: tuple[tuple[Flags, ...], ...]
 
@@ -446,7 +428,7 @@ def fuse_sequence(
     raw_angles = np.empty((n_ticks, len(sensor_ids), 3), dtype=np.float64)
     gyro = np.empty_like(raw_angles)
     flags = []
-    heads: dict[int, np.ndarray] = {}
+    heads: list[np.ndarray] = []
     for si, sensor_id in enumerate(sensor_ids):
         rows = samples_by_sensor[sensor_id]
         # Columns are read through memoryviews and angles gathered in
@@ -462,12 +444,12 @@ def fuse_sequence(
         raw_angles[:, si] = block
         gyro[:, si] = rows[:, 3:6]
         flags.append(tuple(sensor_flags))
-        heads[sensor_id] = block[:config.calib_ticks]
+        heads.append(block[:config.calib_ticks])
 
     if config.calib_ticks > 0:
         offset = calibrate_neutral(heads, config.calib_ticks)
     else:
-        offset = NeutralOffset.zero(sensor_ids)
+        offset = np.zeros((len(sensor_ids), 3))
 
-    angles = wrap_deg(raw_angles - offset.array(sensor_ids))
+    angles = wrap_deg(raw_angles - offset)
     return FusedSequence(sensor_ids, angles, gyro, offset, config.calib_ticks, tuple(flags))

@@ -37,6 +37,7 @@ from .features import (
     FEATURE_KINDS,
     AmplitudeRange,
     FeatureLayout,
+    check_geometry,
     check_window,
     feature_dim,
 )
@@ -80,15 +81,6 @@ class LdaModel:
         return self.means.shape[1]
 
 
-def _check_geometry(kind: str, window, overlap) -> None:
-    """Raise ShapeError unless ``kind`` can use windows of ``window`` ticks
-    overlapping by ``overlap``: ints with 0 <= overlap < window, and fv3
-    needs two half-windows."""
-    if type(window) is not int or type(overlap) is not int or not 0 <= overlap < window:
-        raise ShapeError(f"bad window geometry window={window!r} overlap={overlap!r}")
-    check_window(kind, window)
-
-
 def fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -119,7 +111,8 @@ def fit(
         SingularCovarianceError: the (shrunk) covariance is not positive
             definite; raise shrinkage above zero.
     """
-    _check_geometry(feature_kind, window, overlap)
+    check_geometry(window, overlap)
+    check_window(feature_kind, window)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
@@ -286,12 +279,13 @@ def deserialize(path: str | Path) -> LdaModel:
             unsupported version, inconsistent shapes, an unknown feature
             kind or one whose dimension does not fit the sensor count and
             window, bad fusion settings or window geometry, non-finite
-            arrays, or a ``chol_lower`` that is not lower-triangular with a
-            positive diagonal.
+            arrays, a ``chol_lower`` that is not lower-triangular with a
+            positive diagonal, or amplitude ranges that are not finite or
+            name a sensor outside the layout.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model file (missing format marker)")
@@ -324,9 +318,15 @@ def deserialize(path: str | Path) -> LdaModel:
     if kind not in FEATURE_KINDS:
         raise ModelFormatError(f"unknown feature kind {kind!r}")
     try:
-        _check_geometry(kind, window, overlap)
+        check_geometry(window, overlap)
+        check_window(kind, window)
     except ShapeError as exc:
         raise ModelFormatError(str(exc)) from exc
+    if ranges is not None and not set(ranges.class_sensor.values()) <= set(layout.sensor_ids):
+        raise ModelFormatError(
+            f"amplitude ranges name sensors {sorted(ranges.class_sensor.values())} "
+            f"outside the layout {layout.sensor_ids}"
+        )
     if d != feature_dim(kind, layout.n_sensors, window):
         raise ModelFormatError(
             f"dimension {d} does not fit {kind} with {layout.n_sensors} sensors "

@@ -37,8 +37,8 @@ from .features import (
 )
 from .fusion import (
     FLAG_GAP,
-    NeutralOffset,
     _filter_ticks,
+    _real_in,
     _sample_period,
     calibrate_neutral,
     wrap_deg,
@@ -96,8 +96,10 @@ class CommandMapping:
         if self.table.get(0, Command.NEUTRAL) is not Command.NEUTRAL:
             raise MappingError("class 0 must map to NEUTRAL")
         self.table.setdefault(0, Command.NEUTRAL)
-        if self.v_max <= 0:
-            raise ValidationError(f"v_max must be positive, got {self.v_max}")
+        if not (_real_in(self.v_max, 0.0, math.inf) and self.v_max > 0):
+            raise ValidationError(
+                f"v_max must be a finite positive number, got {self.v_max!r}"
+            )
 
     def command_for(self, cls: int) -> Command:
         try:
@@ -306,8 +308,9 @@ class StreamingPipeline:
         self._last_rows: list[tuple[float, ...] | None] = [None] * len(sensor_ids)
         # Raw (pitch, roll, yaw) per sensor during calibration.
         self._calib: list[list[tuple[float, float, float]]] = [[] for _ in sensor_ids]
-        self.offset: NeutralOffset | None = (
-            None if model.fusion.calib_ticks > 0 else NeutralOffset.zero(sensor_ids)
+        # (S, 3) neutral offsets; None while calibrating.
+        self.offset: np.ndarray | None = (
+            None if model.fusion.calib_ticks > 0 else np.zeros((len(sensor_ids), 3))
         )
         # Per-sensor offsets as Python floats, zero until calibration completes.
         self._offsets = [(0.0, 0.0, 0.0)] * self.layout.n_sensors
@@ -394,9 +397,8 @@ class StreamingPipeline:
 
         if calibrating:
             if self._seen >= fusion.calib_ticks:
-                self.offset = calibrate_neutral(dict(zip(sensor_ids, self._calib)),
-                                                fusion.calib_ticks)
-                self._offsets = [self.offset.for_sensor(sid) for sid in sensor_ids]
+                self.offset = calibrate_neutral(self._calib, fusion.calib_ticks)
+                self._offsets = self.offset.tolist()
                 self._calib = [[] for _ in sensor_ids]
             return None
 

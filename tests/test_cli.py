@@ -336,6 +336,9 @@ class TestReplay:
         pytest.param("fusion", ("gimbal_guard_deg",), MISSING, "gimbal_guard_deg",
                      id="fusion-key-missing"),
         pytest.param("fusion", None, MISSING, "fusion", id="version-2-without-fusion"),
+        pytest.param("ranges", ("ranges", "1"), [float("nan")] * 2, "finite", id="nan-range"),
+        pytest.param("ranges", ("class_sensor", "1"), 7, "outside the layout",
+                     id="class-sensor-outside-layout"),
     ])
     def test_inconsistent_model_rejected_at_load(
         self, small_recording_file, trained_model_file, tmp_path, capsys, monkeypatch,
@@ -396,6 +399,22 @@ class TestReplay:
         assert steps == []
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--v-max", "nan"], ["--v-max", "inf"],
+                                       ["--v-max", "0"], ["--config", "vmax.cfg"]],
+                             ids=["flag-nan", "flag-inf", "flag-zero", "config-inf"])
+    def test_bad_v_max_exits_2_before_streaming(self, small_recording_file, trained_model_file,
+                                                monkeypatch, capsys, tmp_path, flags):
+        (tmp_path / "vmax.cfg").write_text("pipeline.v_max_cm_s=inf\n")
+        flags = [tmp_path / f if f.endswith(".cfg") else f for f in flags]
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        device_log = tmp_path / "device.csv"
+        assert run("replay", "--model", trained_model_file, "--recording", small_recording_file,
+                   "--device-log", device_log, *flags) == 2
+        assert "v_max must be a finite positive number" in capsys.readouterr().err
+        assert steps == []
+        assert not device_log.exists()
+
     @pytest.mark.parametrize("flags", [["--seq", "0"], ["--seq", "-1"], ["--seq", "4"]])
     def test_sequence_out_of_range_exits_2(self, small_recording_file, trained_model_file,
                                            monkeypatch, capsys, flags):
@@ -428,6 +447,8 @@ class TestArgumentHandling:
         ("train", "--gamma-sensors", "7", "--gamma-sensors"),
         ("synth", "--class-scale", "3", "--class-scale"),
         ("synth", "--amplitudes", "1,x", "--amplitudes"),
+        ("synth", "--sequences", "0", "n_sequences"),
+        ("synth", "--sequences", "-1", "n_sequences"),
         # The smoothing check lives in bomi.pipeline, which knows no flags.
         ("replay", "--smooth", "majority:x", "smoothing policy"),
     ])
@@ -443,6 +464,30 @@ class TestArgumentHandling:
         assert run(command, *inputs, flag, value, *out) == 2
         err = capsys.readouterr().err
         assert value in err and named in err
+
+    @pytest.mark.parametrize("command, flag, fault", [
+        ("train", "--config", "not-utf8"),
+        ("train", "--mapping", "not-utf8"),
+        ("train", "--recording", "not-utf8"),
+        ("replay", "--model", "not-utf8"),
+        ("train", "--recording", "directory"),
+        ("train", "--config", "directory"),
+    ])
+    def test_unreadable_input_file_exits_2(self, small_recording_file, trained_model_file,
+                                           tmp_path, capsys, command, flag, fault):
+        bad = tmp_path / "input.json"
+        if fault == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{}\n")
+        inputs = {
+            "train": {"--recording": small_recording_file, "--out": tmp_path / "m.json"},
+            "replay": {"--model": trained_model_file, "--recording": small_recording_file},
+        }[command]
+        inputs[flag] = bad
+        assert run(command, *(a for pair in inputs.items() for a in pair)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -353,7 +353,7 @@ class TestLoadErrors:
             load_recording(path)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"expected \.json or \.csv"):
             load_recording(tmp_path / "rec.xyz")
 
 
@@ -382,14 +382,16 @@ class TestImportMapping:
         t_axis = np.arange(200)
         pitch = 10.0 * np.sin(t_axis / 40.0)
         for t in t_axis:
-            rows.append(f"{t},1,{float(pitch[t])!r},0.0,25.0,0,1")
+            # The last tick carries class 1, so the file holds two classes.
+            rows.append(f"{t},1,{float(pitch[t])!r},0.0,25.0,{int(t == 199)},1")
         path = tmp_path / "angles.csv"
         path.write_text("\n".join(rows) + "\n")
         # without the angles-mode mapping the canonical columns are missing
         with pytest.raises(SchemaError):
             load_recording(path, validate="none")
         mapping = ImportMapping(mode="angles")
-        rec = load_recording(path, mapping=mapping, validate="none", class_count=2)
+        rec = load_recording(path, mapping=mapping, validate="none")
+        assert rec.class_count == 2
         fused = fuse_sequence(
             rec.sequences[0].samples, rec.sensor_ids, 60.0,
         )
@@ -508,14 +510,15 @@ class TestCsvInputs:
             assert same_bits(rec.sequences[0].samples[sid], angles_to_raw(a, 50.0))
 
     def test_quoted_fields_and_crlf(self, tmp_path):
-        plain = write_lines(tmp_path / "plain.csv", base_lines())
+        lines = base_lines() + [csv_row(3, 1, label=1), csv_row(3, 2, label=1)]
+        plain = write_lines(tmp_path / "plain.csv", lines)
         quoted = tmp_path / "quoted.csv"
         with quoted.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n")
-            writer.writerows(line.split(",") for line in base_lines())
+            writer.writerows(line.split(",") for line in lines)
         assert '"0.5"' in quoted.read_text()
-        assert_same_recording(load_recording(quoted, validate="none", class_count=2),
-                              load_recording(plain, validate="none", class_count=2))
+        assert_same_recording(load_recording(quoted, validate="none"),
+                              load_recording(plain, validate="none"))
 
 
 def random_csv(path, seed):
@@ -620,19 +623,8 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sample_rate_hz"):
             validate_recording(rec, protocol="none")
 
-    @pytest.mark.parametrize("source", ["argument", "mapping"])
-    def test_csv_rate_of_zero_rejected(self, tmp_path, source):
-        path = write_lines(tmp_path / "rec.csv", base_lines())
-        given = ({"sample_rate_hz": 0} if source == "argument"
-                 else {"mapping": ImportMapping(sample_rate_hz=0.0)})
+    def test_csv_rate_of_zero_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "rec.csv", base_lines() + [csv_row(3, 1, label=1),
+                                                               csv_row(3, 2, label=1)])
         with pytest.raises(ValidationError, match="sample_rate_hz"):
-            load_recording(path, validate="none", class_count=2, **given)
-
-    def test_sequence_count_enforced(self, small_noisy):
-        partial = SessionRecording(
-            60.0, small_noisy.class_count, small_noisy.sensor_layout,
-            small_noisy.sequences[:2],
-        )
-        with pytest.raises(ValidationError):
-            validate_recording(partial, expect_sequences=3, protocol="none")
-        validate_recording(partial, expect_sequences=None, protocol="none")
+            load_recording(path, mapping=ImportMapping(sample_rate_hz=0.0), validate="none")

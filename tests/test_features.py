@@ -105,7 +105,7 @@ class TestWindowing:
         assert sum(1 for w in ws if w.label is None) == 7
 
     def test_bad_geometry_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ShapeError):
             windows_of(20, size=8, overlap=8)
 
 

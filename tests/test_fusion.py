@@ -15,7 +15,6 @@ from bomi.fusion import (
     FLAG_MAG_FALLBACK,
     ComplementaryFilter,
     FusionConfig,
-    NeutralOffset,
     OrientationFrame,
     accel_angles,
     calibrate_neutral,
@@ -232,25 +231,26 @@ def test_fusion_config_accepts_bounds(values):
 
 class TestCalibration:
     def test_constant_frames_give_exact_offset(self):
-        frames = {1: [(5.0, -2.0, 30.0)] * 60}
+        frames = [[(5.0, -2.0, 30.0)] * 60]
         off = calibrate_neutral(frames, 60)
-        assert off.for_sensor(1) == pytest.approx((5.0, -2.0, 30.0), abs=1e-9)
+        assert off.shape == (1, 3) and off.dtype == np.float64
+        assert off[0] == pytest.approx((5.0, -2.0, 30.0), abs=1e-9)
 
     def test_alternating_pitch_averages(self):
-        frames = {1: [(10.0 if t % 2 else 20.0, 0.0, 0.0) for t in range(60)]}
+        frames = [[(10.0 if t % 2 else 20.0, 0.0, 0.0) for t in range(60)]]
         off = calibrate_neutral(frames, 60)
-        assert off.for_sensor(1)[0] == pytest.approx(15.0, abs=1e-9)
+        assert off[0, 0] == pytest.approx(15.0, abs=1e-9)
 
     def test_yaw_across_seam_uses_circular_mean(self):
-        frames = {1: [(0.0, 0.0, 179.0 if t % 2 else -179.0) for t in range(60)]}
+        frames = [[(0.0, 0.0, 179.0 if t % 2 else -179.0) for t in range(60)]]
         off = calibrate_neutral(frames, 60)
         expected = wrap_deg(circular_mean([179.0, -179.0] * 30))
-        assert off.for_sensor(1)[2] == pytest.approx(expected, abs=1e-9)
-        assert off.for_sensor(1)[2] == pytest.approx(180.0, abs=1e-9)
+        assert off[0, 2] == pytest.approx(expected, abs=1e-9)
+        assert off[0, 2] == pytest.approx(180.0, abs=1e-9)
 
     def test_insufficient_frames(self):
         with pytest.raises(CalibrationError):
-            calibrate_neutral({1: [(0, 0, 0)] * 59}, 60)
+            calibrate_neutral([[(0, 0, 0)] * 59], 60)
 
     def test_circular_mean_matches_unit_vector_oracle(self):
         rng = np.random.default_rng(3)
@@ -261,27 +261,28 @@ class TestCalibration:
 
 
 def subtract_offset(f, offset):
-    """The offset step of fuse_sequence and StreamingPipeline.step on one frame."""
-    out = wrap_deg(np.array([[f.pitch, f.roll, f.yaw]]) - offset.array((f.sensor_id,)))
+    """The offset step of fuse_sequence and StreamingPipeline.step on one
+    frame; ``offset`` is a (1, 3) array."""
+    out = wrap_deg(np.array([[f.pitch, f.roll, f.yaw]]) - offset)
     return frame(*out[0], sensor_id=f.sensor_id, tick=f.tick)
 
 
 class TestApplyOffset:
     def test_frame_equal_to_offset_zeroes(self):
         f = frame(5.0, -2.0, 30.0)
-        off = NeutralOffset({1: (5.0, -2.0, 30.0)})
+        off = np.array([(5.0, -2.0, 30.0)])
         out = subtract_offset(f, off)
         assert (out.pitch, out.roll, out.yaw) == pytest.approx((0, 0, 0), abs=1e-12)
 
     def test_wrapped_subtraction(self):
-        out = subtract_offset(frame(0.0, 0.0, -170.0), NeutralOffset({1: (0.0, 0.0, 170.0)}))
+        out = subtract_offset(frame(0.0, 0.0, -170.0), np.array([(0.0, 0.0, 170.0)]))
         assert out.yaw == pytest.approx(20.0, abs=1e-12)
 
     def test_offset_from_own_frame_calibration(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             f = frame(rng.uniform(-80, 80), rng.uniform(-170, 170), rng.uniform(-170, 170))
-            off = calibrate_neutral({1: [(f.pitch, f.roll, f.yaw)] * 10}, 10)
+            off = calibrate_neutral([[(f.pitch, f.roll, f.yaw)] * 10], 10)
             out = subtract_offset(f, off)
             assert abs(out.pitch) < 1e-9
             assert abs(out.roll) < 1e-9
@@ -308,12 +309,12 @@ def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
             if t < cfg.calib_ticks:
                 head[sid].append((fr.pitch, fr.roll, fr.yaw))
         frames.append(row_frames)
-    offset = calibrate_neutral(head, cfg.calib_ticks)
+    offset = calibrate_neutral(list(head.values()), cfg.calib_ticks).tolist()
     for t in range(400):
         for si, sid in enumerate(small_noisy.sensor_ids):
             # Independent scalar route: one Python-float wrap per element.
             fr = frames[t][sid]
-            p0, r0, y0 = offset.for_sensor(sid)
+            p0, r0, y0 = offset[si]
             assert fused.angles[t, si, 0] == wrap_deg(fr.pitch - p0)
             assert fused.angles[t, si, 1] == wrap_deg(fr.roll - r0)
             assert fused.angles[t, si, 2] == wrap_deg(fr.yaw - y0)
@@ -359,15 +360,16 @@ def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, c
                        for t, r in enumerate(samples[sid])]
     if calib_ticks:
         offset = calibrate_neutral(
-            {s: [(fr.pitch, fr.roll, fr.yaw) for fr in f[:calib_ticks]] for s, f in frames.items()},
+            [[(fr.pitch, fr.roll, fr.yaw) for fr in frames[s][:calib_ticks]] for s in sensor_ids],
             calib_ticks,
         )
     else:
-        offset = NeutralOffset.zero(sensor_ids)
-    assert fused.offset.array(sensor_ids).tobytes() == offset.array(sensor_ids).tobytes()
+        offset = np.zeros((len(sensor_ids), 3))
+    assert fused.offset.shape == (len(sensor_ids), 3)
+    assert fused.offset.tobytes() == offset.tobytes()
 
     for si, sid in enumerate(sensor_ids):
-        p0, r0, y0 = offset.for_sensor(sid)
+        p0, r0, y0 = offset[si].tolist()
         want = np.array([[wrap_deg(f.pitch - p0), wrap_deg(f.roll - r0), wrap_deg(f.yaw - y0)]
                          for f in frames[sid]])
         assert fused.angles[:, si].tobytes() == want.tobytes()
