@@ -399,15 +399,28 @@ def _rec_to_dict(rec: SessionRecording) -> dict:
     }
 
 
+def _int_field(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool); SchemaError naming
+    ``name`` otherwise, so a fraction is never truncated."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _rec_from_dict(obj: dict) -> SessionRecording:
     try:
         layout = [
-            SensorInfo(int(s["id"]), str(s.get("location", "unknown")))
+            SensorInfo(_int_field(s["id"], "sensor_layout id"),
+                       str(s.get("location", "unknown")))
             for s in obj["sensor_layout"]
         ]
         sequences = []
-        for seq_obj in obj["sequences"]:
-            labels = np.asarray(seq_obj["labels"], dtype=np.int64)
+        for qi, seq_obj in enumerate(obj["sequences"], start=1):
+            labels = seq_obj["labels"]
+            if set(map(type, labels)) - {int}:
+                bad = next(v for v in labels if type(v) is not int)
+                raise SchemaError(f"sequence {qi} labels must be integers, got {bad!r}")
+            labels = np.asarray(labels, dtype=np.int64)
             samples = {
                 int(sid): np.asarray(rows, dtype=np.float64)
                 for sid, rows in seq_obj["sensors"].items()
@@ -415,12 +428,12 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
             sequences.append(Sequence(samples=samples, labels=labels))
         return SessionRecording(
             sample_rate_hz=float(obj["sample_rate_hz"]),
-            class_count=int(obj["class_count"]),
+            class_count=_int_field(obj["class_count"], "class_count"),
             sensor_layout=layout,
             sequences=sequences,
             meta=obj.get("meta", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed recording JSON: {exc}") from exc
 
 
@@ -443,15 +456,17 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
     if fmt == "json":
         path.write_text(json.dumps(_rec_to_dict(rec)), encoding="utf-8")
         return
+    # Every field is an int or a float repr, so none needs quoting.
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for qi, seq in enumerate(rec.sequences, start=1):
             sids = sorted(seq.samples)
             blocks = [seq.samples[sid].tolist() for sid in sids]
-            for t, lab in enumerate(seq.labels.tolist()):
-                for sid, block in zip(sids, blocks):
-                    writer.writerow([t, sid, *map(repr, block[t]), lab, qi])
+            fh.write("".join(
+                f"{t},{sid},{','.join(map(repr, block[t]))},{lab},{qi}\n"
+                for t, lab in enumerate(seq.labels.tolist())
+                for sid, block in zip(sids, blocks)
+            ))
 
 
 # Integer CSV columns, parsed ahead of the value columns in this order.

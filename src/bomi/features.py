@@ -22,8 +22,13 @@ blocks into (..., C, 4) rows of the four statistics, and is the only fv3
 arithmetic. ``extract_matrix`` takes one half row per start tick, so each
 half block is computed once, and builds window i from half rows
 ``rows[i]`` and ``rows[i] + 4``; ``extract`` runs it on the two halves of
-one window; the streaming pipeline keeps a ring of half rows. Amplitude is
-one per-tick function, ``tick_gamma``, averaged over each window.
+one window. Amplitude is one per-tick function, ``tick_gamma``, averaged
+over each window.
+
+The streaming pipeline does not call ``extract``. For every kind it keeps a
+ring of the same per-tick channels, so an fv1 or fv2 window vector is a
+view of it; fv3 adds a ring of half rows. It also keeps a ring of per-tick
+amplitudes, equal to ``tick_gamma`` bit for bit.
 """
 
 from __future__ import annotations

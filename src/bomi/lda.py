@@ -69,12 +69,14 @@ class LdaModel:
     overlap: int = DEFAULT_OVERLAP
     _weights: np.ndarray = field(init=False, repr=False)   # (d, K)
     _biases: np.ndarray = field(init=False, repr=False)    # (K,)
+    _labels: list = field(init=False, repr=False)          # classes as Python ints
 
     def __post_init__(self) -> None:
         # Precompute the linear form once; scoring is then x @ W + b.
         w = cho_solve((self.chol_lower, True), self.means.T)
         self._weights = w
         self._biases = -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
+        self._labels = self.classes.tolist()
 
     @property
     def dim(self) -> int:
@@ -190,36 +192,45 @@ def predict_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
 
 
 def _argmax_with_ties(model: LdaModel, scores: np.ndarray) -> int:
-    best = scores.max()
-    if not math.isfinite(best):
-        raise NumericalError(f"non-finite discriminant score {best}")
-    tied = model.classes[scores == best]
-    if len(tied) > 1:
-        return 0 if 0 in tied else int(tied.min())
-    return int(tied[0])
+    """Label of the highest of one row of scores, on Python floats; an
+    exact tie goes to the neutral class, then to the lowest label.
+
+    Raises NumericalError on a NaN anywhere or an infinite best score; a
+    -inf score under a finite best is a class ruled out, not an error."""
+    values = scores.tolist()
+    best = max(values)
+    # A sum is NaN exactly when a score is NaN or scores of both infinite
+    # signs meet, and then the best is +inf anyway.
+    if not math.isfinite(best) or math.isnan(sum(values)):
+        raise NumericalError(f"non-finite discriminant scores {values}")
+    if values.count(best) > 1:
+        tied = [c for c, v in zip(model._labels, values) if v == best]
+        return 0 if 0 in tied else min(tied)
+    return model._labels[values.index(best)]
 
 
 def predict(model: LdaModel, x: np.ndarray) -> int:
     """Predicted label for one feature vector (ties go to neutral).
 
     Raises:
-        NumericalError: the highest score is not finite.
+        NumericalError: a score is NaN or the highest score is infinite.
     """
     return _argmax_with_ties(model, predict_scores(model, x))
 
 
 def predict_many(model: LdaModel, X: np.ndarray) -> np.ndarray:
-    """Predicted labels for a feature matrix.
+    """Predicted labels for a feature matrix, row for row as ``predict``.
 
     Raises:
-        NumericalError: a score is not finite.
+        NumericalError: a score is NaN or a row's highest score is infinite.
     """
     scores = predict_scores(model, np.atleast_2d(X))
-    if not np.isfinite(scores).all():
+    # A row's max is NaN when any of its scores is.
+    best = scores.max(axis=1, keepdims=True)
+    if not np.isfinite(best).all():
         raise NumericalError("non-finite discriminant scores")
     out = model.classes[np.argmax(scores, axis=1)]
     # argmax takes the first maximum; revisit rows with exact ties.
-    best = scores.max(axis=1, keepdims=True)
     tie_rows = np.where((scores == best).sum(axis=1) > 1)[0]
     for i in tie_rows:
         out[i] = _argmax_with_ties(model, scores[i])

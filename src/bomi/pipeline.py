@@ -1,9 +1,9 @@
 """Real-time streaming engine: samples in, device commands out.
 
 One pipeline instance consumes tick-aligned samples from all worn
-sensors, fuses them, holds a ring buffer of calibrated frames as deep as
-the model's window, and emits one classified, amplitude-scaled command
-per window once the buffer is full (the default 8-tick window with a
+sensors, fuses them, keeps rings of per-tick feature channels and
+amplitudes, and emits one classified, amplitude-scaled command
+per window once a window is full (the default 8-tick window with a
 7-tick overlap makes the window rate equal the sample rate). The first
 ``calib_ticks`` ticks are consumed to estimate the neutral offset and
 produce no output.
@@ -27,14 +27,9 @@ import numpy as np
 
 from .dataset_io import SessionRecording, SplitSpec
 from .errors import LayoutError, MappingError, ValidationError
-from .features import (
-    HALF,
-    angle_index,
-    extract,
-    half_stats,
-    prop_output,
-    tick_gamma,
-)
+# The stream does not call extract. The name stays because the traced
+# benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
+from .features import HALF, angle_index, extract, half_stats, prop_output  # noqa: F401
 from .fusion import (
     FLAG_GAP,
     _filter_ticks,
@@ -313,25 +308,25 @@ class StreamingPipeline:
             None if model.fusion.calib_ticks > 0 else np.zeros((len(sensor_ids), 3))
         )
         # Per-sensor offsets as Python floats, zero until calibration completes.
-        self._offsets = [(0.0, 0.0, 0.0)] * self.layout.n_sensors
-        # Calibrated angles, one flat row of S x 3 per tick, each tick
-        # written to rows k and k + window, so rows k + 1 .. k + window are
-        # the window, oldest first.
-        self._angles = np.zeros((2 * window, 3 * self.layout.n_sensors))
+        n_sensors = self.layout.n_sensors
+        self._offsets = [(0.0, 0.0, 0.0)] * n_sensors
+        # Rings written once per tick to rows k and k + window, so rows
+        # k + 1 .. k + window are the window, oldest first. _channels holds
+        # the feature channels: the layout's picked angles, then every
+        # sensor's gyro unless the kind is fv1 (_pick indexes a tick's 3S
+        # angles followed by its 3S gyro values), so an fv1 or fv2 window
+        # vector is a view of it. _gamma holds each sensor's amplitude.
+        self._pick = angle_index(self.layout).tolist()
+        if model.feature_kind != "fv1":
+            self._pick += range(3 * n_sensors, 6 * n_sensors)
+        self._channels = np.zeros((2 * window, len(self._pick)))
+        self._gamma = np.zeros((2 * window, n_sensors))
         self._written = 0
-        # fv1/fv2 keep raw gyro in the same kind of ring. fv3 keeps the
-        # per-tick channels there instead, plus a (window, C, 4) ring of
-        # half rows: slot k holds the half row of the 4 newest ticks when
-        # row k was written, so a window is the half rows in slots k - 4
-        # and k.
-        self._halves: np.ndarray | None = None
-        if model.feature_kind == "fv3":
-            self._pick = angle_index(self.layout).tolist()
-            n_channels = len(self._pick) + 3 * self.layout.n_sensors
-            self._channels = np.zeros((2 * window, n_channels))
-            self._halves = np.zeros((window, n_channels, 4))
-        else:
-            self._gyro = np.zeros_like(self._angles)
+        # fv3 also keeps a (window, C, 4) ring of half rows: slot k holds
+        # the half row of the 4 newest ticks when row k was written, so a
+        # window is the half rows in slots k - 4 and k.
+        self._halves = (np.zeros((window, len(self._pick), 4))
+                        if model.feature_kind == "fv3" else None)
         self._smoother = make_smoother(smoothing)
         self._previous_cls: int | None = None
         self._seen = 0
@@ -373,6 +368,7 @@ class StreamingPipeline:
         flags: list[str] = []
         angle_row: list[float] = []
         gyro_row: list[float] = []
+        gamma_row: list[float] = []
         for si, (row, (p0, r0, y0)) in enumerate(zip(rows, self._offsets)):
             if row is None:
                 row = self._last_rows[si]
@@ -388,7 +384,10 @@ class StreamingPipeline:
             pitch, roll, yaw, frame_flags = out
             if calibrating:
                 self._calib[si].append((pitch, roll, yaw))
-            angle_row += (wrap_deg(pitch - p0), wrap_deg(roll - r0), wrap_deg(yaw - y0))
+            p, r, y = wrap_deg(pitch - p0), wrap_deg(roll - r0), wrap_deg(yaw - y0)
+            angle_row += (p, r, y)
+            # Bit for bit tick_gamma: the squares summed in axis order.
+            gamma_row.append(math.sqrt(p * p + r * r + y * y))
             gyro_row += row[3:6]
             flags += frame_flags
         self._seen += 1
@@ -404,22 +403,19 @@ class StreamingPipeline:
 
         w = self.window
         k = self._written % w
-        self._angles[k::w] = angle_row
+        values = angle_row + gyro_row
+        self._channels[k::w] = [values[i] for i in self._pick]
+        self._gamma[k::w] = gamma_row
         halves = self._halves
-        if halves is None:
-            self._gyro[k::w] = gyro_row
-        else:
-            self._channels[k::w] = [angle_row[i] for i in self._pick] + gyro_row
+        if halves is not None:
             halves[k] = half_stats(self._channels[k + 1 + w - HALF:k + 1 + w])
         self._written += 1
         if self._written < w or (self._written - w) % self.stride:
             return None
 
-        n_sensors = self.layout.n_sensors
-        angles = self._angles[k + 1:k + 1 + w].reshape(w, n_sensors, 3)
         if halves is None:
-            gyro = self._gyro[k + 1:k + 1 + w].reshape(w, n_sensors, 3)
-            x = extract(self.model.feature_kind, angles, gyro, self.layout)
+            # The same values in the same order as extract gives.
+            x = self._channels[k + 1:k + 1 + w].reshape(-1)
         else:
             x = np.concatenate((halves[(k - HALF) % w], halves[k]), axis=1).reshape(-1)
         cls = self._smoother(predict(self.model, x))
@@ -428,7 +424,8 @@ class StreamingPipeline:
         if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
             sid = self.model.ranges.class_sensor.get(cls, self.layout.sensor_ids[0])
             si = self.layout.sensor_ids.index(sid)
-            gamma = float(tick_gamma(angles[:, si]).mean())
+            # The window mean of tick_gamma: numpy's sum, then one division.
+            gamma = float(np.add.reduce(self._gamma[k + 1:k + 1 + w, si]) / w)
             nu = prop_output(gamma, cls, self.model.ranges)
         command, velocity, button_event = map_command(
             cls, nu, self.mapping, self._previous_cls
@@ -510,7 +507,10 @@ def replay(
     Raises:
         LayoutError: recording sensors do not match the model layout.
         SplitSpecError: a sequence index is out of range.
+        ValidationError: ``pace_hz`` is not a finite number >= 0.
     """
+    if not _real_in(pace_hz, 0.0, math.inf):
+        raise ValidationError(f"pace must be a finite rate >= 0 Hz, got {pace_hz!r}")
     if tuple(recording.sensor_ids) != tuple(model.layout.sensor_ids):
         raise LayoutError(
             f"recording sensors {recording.sensor_ids} do not match model "

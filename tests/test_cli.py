@@ -415,6 +415,18 @@ class TestReplay:
         assert steps == []
         assert not device_log.exists()
 
+    @pytest.mark.parametrize("pace", ["-5", "nan", "inf"])
+    def test_bad_pace_exits_2_before_streaming(self, small_recording_file, trained_model_file,
+                                               monkeypatch, capsys, tmp_path, pace):
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        log = tmp_path / "log.csv"
+        assert run("replay", "--model", trained_model_file, "--recording", small_recording_file,
+                   "--pace", pace, "--log", log) == 2
+        assert "pace must be a finite rate >= 0 Hz" in capsys.readouterr().err
+        assert steps == []
+        assert not log.exists()
+
     @pytest.mark.parametrize("flags", [["--seq", "0"], ["--seq", "-1"], ["--seq", "4"]])
     def test_sequence_out_of_range_exits_2(self, small_recording_file, trained_model_file,
                                            monkeypatch, capsys, flags):

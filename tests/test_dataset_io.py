@@ -459,6 +459,69 @@ class TestCsvFaults:
         assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
 
 
+def json_recording():
+    """A two-sensor, three-tick recording as the JSON object the loader reads."""
+    row = [0.5, 0.0, 1.0, 0.0, 0.0, 0.0, 0.8, 0.0, -0.5]
+    return {
+        "sample_rate_hz": 60.0,
+        "class_count": 3,
+        "sensor_layout": [{"id": 1, "location": "a"}, {"id": 2, "location": "b"}],
+        "sequences": [{"labels": [0, 1, 2], "sensors": {"1": [row] * 3, "2": [row] * 3}}],
+        "meta": {},
+    }
+
+
+# (path of the field in the JSON object, value written there, message part).
+# Integer fields must be JSON integers: a fraction was truncated before.
+JSON_FAULTS = [
+    pytest.param(("sequences", 0, "labels", 1), 1.9, "sequence 1 labels must be integers, got 1.9",
+                 id="label-fraction"),
+    pytest.param(("sequences", 0, "labels", 2), 2.0, "sequence 1 labels must be integers, got 2.0",
+                 id="label-integral-float"),
+    pytest.param(("sequences", 0, "labels", 0), False,
+                 "sequence 1 labels must be integers, got False", id="label-bool"),
+    pytest.param(("class_count",), 3.8, "class_count must be an integer, got 3.8",
+                 id="class-count-fraction"),
+    pytest.param(("class_count",), True, "class_count must be an integer, got True",
+                 id="class-count-bool"),
+    pytest.param(("sensor_layout", 0, "id"), 1.7, "sensor_layout id must be an integer, got 1.7",
+                 id="sensor-id-fraction"),
+    pytest.param(("sensor_layout", 1, "id"), "2", "sensor_layout id must be an integer, got '2'",
+                 id="sensor-id-string"),
+]
+
+
+class TestJsonFaults:
+    def write(self, tmp_path, field=None, value=None):
+        obj = json_recording()
+        if field is not None:
+            *path, key = field
+            target = obj
+            for i in path:
+                target = target[i]
+            target[key] = value
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return path
+
+    def test_unfaulted_recording_loads(self, tmp_path):
+        rec = load_recording(self.write(tmp_path), validate="none")
+        assert rec.class_count == 3
+        assert rec.sensor_ids == (1, 2)
+        assert rec.sequences[0].labels.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("field, value, message", JSON_FAULTS)
+    def test_schema_error_names_the_field(self, tmp_path, field, value, message):
+        with pytest.raises(SchemaError, match=message):
+            load_recording(self.write(tmp_path, field, value), validate="none")
+
+    @pytest.mark.parametrize("field, value, message", JSON_FAULTS)
+    def test_cli_train_exits_2(self, tmp_path, capsys, field, value, message):
+        path = self.write(tmp_path, field, value)
+        assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
+        assert message in capsys.readouterr().err
+
+
 def csv_lines(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0], lines[1:]

@@ -15,8 +15,10 @@ from bomi.errors import (
 )
 from bomi.experiments import evaluate as eval_windows
 from bomi.experiments import train_session
+from bomi.features import FeatureLayout
 from bomi.fusion import FusionConfig
 from bomi.lda import (
+    LdaModel,
     deserialize,
     fit,
     predict,
@@ -104,6 +106,23 @@ class TestFit:
         assert model.log_priors.tolist() == pytest.approx([-np.log(2)] * 2)
 
 
+ORIGIN = np.zeros(2)
+
+
+def scored_model(classes, log_priors):
+    """A 2-d model with identity covariance and unit-length means (1, 0),
+    (0, 1) and (-1, 0), so scores are exact: x . mu - 0.5 + log prior."""
+    return LdaModel(
+        classes=np.asarray(classes),
+        means=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+        chol_lower=np.eye(2),
+        shrinkage=0.0,
+        log_priors=np.asarray(log_priors, dtype=np.float64),
+        feature_kind="fv1",
+        layout=FeatureLayout(sensor_ids=(1,)),
+    )
+
+
 class TestPredict:
     def test_probe_at_class_mean(self):
         rng = np.random.default_rng(3)
@@ -130,6 +149,37 @@ class TestPredict:
         model = fit(X, y, shrinkage=0.0)
         mid = float(model.means.mean())
         assert predict(model, np.array([mid])) == 2
+
+    @pytest.mark.parametrize("nan_at", [1, 2])
+    def test_nan_score_after_the_first_raises_in_both(self, nan_at):
+        # Python's max skips a NaN that is not first; the check must not.
+        model = scored_model([0, 1, 2], [0.0 if i != nan_at else np.nan for i in range(3)])
+        with pytest.raises(NumericalError):
+            predict(model, ORIGIN)
+        with pytest.raises(NumericalError):
+            predict_many(model, np.array([[0.3, 0.0], ORIGIN]))
+
+    @pytest.mark.parametrize("ruled_out", [0, 1, 2])
+    def test_minus_inf_score_under_a_finite_best_is_not_an_error(self, ruled_out):
+        # A class with prior 0 scores -inf: it can never win, nothing failed.
+        log_priors = [np.log(0.5)] * 3
+        log_priors[ruled_out] = -np.inf
+        model = scored_model([0, 1, 2], log_priors)
+        X = np.array([ORIGIN, [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        labels = [predict(model, x) for x in X]
+        assert labels == predict_many(model, X).tolist()
+        assert ruled_out not in labels
+
+    @pytest.mark.parametrize("classes, want", [([0, 3, 5], 0), ([2, 3, 5], 2), ([1, 4, 6], 1)])
+    def test_exact_three_way_tie_agrees_in_both(self, classes, want):
+        # At the origin every class scores exactly -0.5 (unit means, identity
+        # covariance, equal priors).
+        model = scored_model(classes, [0.0, 0.0, 0.0])
+        assert predict_scores(model, ORIGIN).tolist() == [-0.5] * 3
+        assert predict(model, ORIGIN) == want
+        X = np.array([[2.0, 0.0], ORIGIN, [0.0, 2.0]])
+        assert predict_many(model, X).tolist() == [predict(model, x) for x in X]
+        assert predict_many(model, X)[1] == want
 
     def test_dimension_mismatch(self):
         model = fit(np.array([[0.0, 1.0], [0.1, 1.0], [1.0, 0.0], [1.1, 0.0]]),

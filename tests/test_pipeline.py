@@ -1,5 +1,6 @@
 import copy
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -357,7 +358,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind, window, overlap", [
         ("fv1", 8, 7), ("fv2", 8, 7), ("fv3", 8, 7), ("fv1", 6, 4), ("fv2", 6, 4),
-        ("fv3", 8, 4), ("fv3", 8, 6),
+        ("fv3", 8, 4), ("fv3", 8, 6), ("fv2", 12, 11),
     ])
     def test_degraded_stream_equals_offline_bitwise(self, small_noisy, kind, window, overlap):
         # Zero-accel and zero-mag spans, pitch driven past the gimbal guard,
@@ -422,6 +423,29 @@ class TestStreaming:
         seen = {f for o in outs for f in o.flags}
         assert {FLAG_GAP, FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK, FLAG_GIMBAL_GUARD} <= seen
         assert any(o.nu > 0.0 for o in outs)
+
+
+@pytest.mark.parametrize("n_sensors", range(1, 7))
+def test_ring_mean_equals_tick_gamma_mean_bitwise(n_sensors):
+    # The stream writes each tick's amplitude, math.sqrt of the summed
+    # squares, to rows k and k + w of a (2w, S) ring and averages a
+    # window's column with numpy's sum and one division; offline averages
+    # tick_gamma over the window's angles. Lengths past 8 cover numpy's
+    # 8-lane sum and its tail.
+    rng = np.random.default_rng(n_sensors)
+    for w in range(1, 41):
+        n_ticks = 3 * w + 5
+        angles = rng.normal(scale=rng.choice([1e-3, 1.0, 90.0]), size=(n_ticks, n_sensors, 3))
+        ring = np.zeros((2 * w, n_sensors))
+        for t in range(n_ticks):
+            k = t % w
+            ring[k::w] = [math.sqrt(p * p + r * r + y * y) for p, r, y in angles[t].tolist()]
+            if t + 1 < w:
+                continue
+            window = angles[t + 1 - w:t + 1]
+            for si in range(n_sensors):
+                ring_mean = float(np.add.reduce(ring[k + 1:k + 1 + w, si]) / w)
+                assert ring_mean.hex() == float(tick_gamma(window[:, si]).mean()).hex()
 
 
 def emitted(outs):
