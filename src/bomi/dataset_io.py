@@ -9,7 +9,7 @@ Canonical formats:
 
 * JSON: ``{sample_rate_hz, class_count, sensor_layout: [{id, location}],
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
-  meta: {...}}``
+  meta: {...}}``, read and written compact by orjson.
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
   any order, UTF-8, LF, ``.`` decimal point.
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
+import orjson
 
 from .errors import (
     AlignmentError,
@@ -245,6 +246,8 @@ def validate_recording(
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"sequence {qi} sensor {sid}: non-finite samples")
         labs = np.asarray(seq.labels)
+        if labs.dtype.kind not in "iu":
+            raise SchemaError(f"sequence {qi}: labels must be integers, got dtype {labs.dtype}")
         if labs.min() < 0 or labs.max() >= rec.class_count:
             raise SchemaError(
                 f"sequence {qi}: label outside [0, {rec.class_count - 1}]"
@@ -380,6 +383,8 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 
 
 def _rec_to_dict(rec: SessionRecording) -> dict:
+    """The JSON object of ``rec``, its labels and sample blocks as int64
+    and C-contiguous float64 arrays for ``orjson.OPT_SERIALIZE_NUMPY``."""
     return {
         "sample_rate_hz": rec.sample_rate_hz,
         "class_count": rec.class_count,
@@ -388,9 +393,10 @@ def _rec_to_dict(rec: SessionRecording) -> dict:
         ],
         "sequences": [
             {
-                "labels": [int(x) for x in seq.labels],
+                "labels": np.asarray(seq.labels, dtype=np.int64),
                 "sensors": {
-                    str(sid): seq.samples[sid].tolist() for sid in sorted(seq.samples)
+                    str(sid): np.ascontiguousarray(seq.samples[sid], dtype=np.float64)
+                    for sid in sorted(seq.samples)
                 },
             }
             for seq in rec.sequences
@@ -399,12 +405,59 @@ def _rec_to_dict(rec: SessionRecording) -> dict:
     }
 
 
+def _check_meta(meta) -> None:
+    """ValidationError naming ``meta`` unless it is JSON data that loads
+    back equal: str keys; str, int within 64 bits, finite float, bool or
+    None values; nested in dicts, lists or tuples. orjson would write a
+    NaN as ``null`` and json.dumps would spell it ``NaN``."""
+    stack = [meta]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise ValidationError(f"meta key {key!r} is not a string")
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValidationError(f"meta holds a non-finite number {value!r}")
+        elif isinstance(value, int):
+            if not -2**63 <= value < 2**64:
+                raise ValidationError(f"meta integer {value} does not fit in 64 bits")
+        elif not (value is None or isinstance(value, str)):
+            raise ValidationError(
+                f"meta holds a {type(value).__name__}, which is not JSON data"
+            )
+
+
 def _int_field(value, name: str) -> int:
     """``value`` if it is a JSON integer (not a bool); SchemaError naming
     ``name`` otherwise, so a fraction is never truncated."""
     if type(value) is not int:
         raise SchemaError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _number_field(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, not
+    a bool); SchemaError naming ``name`` otherwise."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sensor_key(key: str, qi: int) -> int:
+    """The sensor id a ``sensors`` key spells in canonical decimal; a
+    SchemaError naming the key otherwise, so ``"+0_2"`` is not sensor 2."""
+    try:
+        sid = int(key)
+    except ValueError:
+        sid = None
+    if sid is None or str(sid) != key:
+        raise SchemaError(f"sequence {qi} sensor key {key!r} is not a decimal sensor id")
+    return sid
 
 
 def _rec_from_dict(obj: dict) -> SessionRecording:
@@ -422,19 +475,64 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
                 raise SchemaError(f"sequence {qi} labels must be integers, got {bad!r}")
             labels = np.asarray(labels, dtype=np.int64)
             samples = {
-                int(sid): np.asarray(rows, dtype=np.float64)
+                _sensor_key(sid, qi): np.asarray(rows, dtype=np.float64)
                 for sid, rows in seq_obj["sensors"].items()
             }
             sequences.append(Sequence(samples=samples, labels=labels))
         return SessionRecording(
-            sample_rate_hz=float(obj["sample_rate_hz"]),
+            sample_rate_hz=_number_field(obj["sample_rate_hz"], "sample_rate_hz"),
             class_count=_int_field(obj["class_count"], "class_count"),
             sensor_layout=layout,
             sequences=sequences,
             meta=obj.get("meta", {}),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed recording JSON: {exc}") from exc
+
+
+# A recording nests six levels (object, sequences, sequence, sensors, block,
+# row) plus what its meta holds. orjson 3.8 parses without a depth limit and
+# overflows the C stack near a million levels, so deeper text is refused
+# before it parses; json.loads at the default recursion limit reads no deeper.
+_MAX_JSON_DEPTH = 1000
+_NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
+
+
+def _json_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in the JSON text ``data``, brackets
+    inside strings not counted."""
+    if b"\\" in data:
+        # Drop the escape pairs, so every quote left opens or closes a string.
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = np.frombuffer(data.translate(None, _NOT_BRACKET_OR_QUOTE), dtype=np.uint8)
+    steps = _DEPTH_STEP[marks]
+    steps[np.cumsum(marks == ord('"')) % 2 == 1] = 0
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+
+
+def _read_json(path: Path):
+    """The JSON value in ``path``: parsed by orjson, and by json.loads only
+    when orjson rejects the text. That route reads the ``NaN`` and
+    ``Infinity`` literals and lone surrogates orjson refuses, and gives
+    the error for text both refuse (a BOM, bad UTF-8, bad syntax)."""
+    data = path.read_bytes()
+    if _json_depth(data) > _MAX_JSON_DEPTH:
+        raise ParseError(f"JSON nested deeper than {_MAX_JSON_DEPTH} levels")
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"recording is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested deeper than the recursion limit") from exc
 
 
 def _detect_format(path: Path) -> str:
@@ -447,14 +545,20 @@ def _detect_format(path: Path) -> str:
 def save_recording(rec: SessionRecording, path: str | Path) -> None:
     """Write a recording to disk in the canonical JSON or CSV format.
 
-    JSON round-trips bit-exactly; CSV preserves values to full float
-    precision but drops layout locations and meta.
+    JSON round-trips bit-exactly, meta included; CSV preserves values to
+    full float precision but drops layout locations and meta. Nothing is
+    written when the recording or its meta fails a check.
     """
     path = Path(path)
     fmt = _detect_format(path)
     validate_recording(rec, protocol="none")
     if fmt == "json":
-        path.write_text(json.dumps(_rec_to_dict(rec)), encoding="utf-8")
+        _check_meta(rec.meta)
+        try:
+            text = orjson.dumps(_rec_to_dict(rec), option=orjson.OPT_SERIALIZE_NUMPY)
+        except orjson.JSONEncodeError as exc:
+            raise ValidationError(f"cannot write the recording as JSON: {exc}") from exc
+        path.write_bytes(text)
         return
     # Every field is an int or a float repr, so none needs quoting.
     with path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -650,13 +754,7 @@ def load_recording(
     """
     path = Path(path)
     if _detect_format(path) == "json":
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"recording is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-        rec = _rec_from_dict(obj)
+        rec = _rec_from_dict(_read_json(path))
     else:
         rec = _load_csv(path, mapping)
     validate_recording(rec, protocol=validate)

@@ -296,7 +296,7 @@ def deserialize(path: str | Path) -> LdaModel:
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a model file (missing format marker)")

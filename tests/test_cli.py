@@ -501,6 +501,23 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    # orjson 3.8 overflows its C stack on 1,000,000 levels; the depth check refuses both.
+    @pytest.mark.parametrize("depth", [100_000, 1_000_000])
+    def test_deeply_nested_recording_exits_2(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text('{"sequences": ' + "[" * depth + "]" * depth + "}")
+        out = tmp_path / "m.json"
+        assert run("train", "--recording", path, "--out", out) == 2
+        assert "JSON nested deeper than 1000 levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_model_exits_2(self, small_recording_file, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"format": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run("eval", "--model", path, "--recording", small_recording_file,
+                   "--out", tmp_path / "r") == 2
+        assert "cannot read model file" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--frobnicate", "--out", str(tmp_path / "x.json")])

@@ -1,8 +1,12 @@
 import csv
 import json
+import math
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bomi.cli import main
 from bomi.dataset_io import (
@@ -471,6 +475,9 @@ def json_recording():
     }
 
 
+JSON_ROWS = json_recording()["sequences"][0]["sensors"]["1"]
+
+
 # (path of the field in the JSON object, value written there, message part).
 # Integer fields must be JSON integers: a fraction was truncated before.
 JSON_FAULTS = [
@@ -488,6 +495,24 @@ JSON_FAULTS = [
                  id="sensor-id-fraction"),
     pytest.param(("sensor_layout", 1, "id"), "2", "sensor_layout id must be an integer, got '2'",
                  id="sensor-id-string"),
+    # Sensor keys must spell the id in canonical decimal: int() took these as 2.
+    pytest.param(("sequences", 0, "sensors"), {"1": JSON_ROWS, "+0_2": JSON_ROWS},
+                 # A message part is also a regex, so it starts after the "+".
+                 "0_2' is not a decimal sensor id",
+                 id="sensor-key-sign-underscore"),
+    pytest.param(("sequences", 0, "sensors"), {"1": JSON_ROWS, " 2": JSON_ROWS},
+                 "sequence 1 sensor key ' 2' is not a decimal sensor id", id="sensor-key-space"),
+    pytest.param(("sequences", 0, "sensors"), [],
+                 "malformed recording JSON: 'list' object has no attribute 'items'",
+                 id="sensors-not-an-object"),
+    # The rate must be a JSON number: float() took true as 1.0 and "60" as 60.0.
+    pytest.param(("sample_rate_hz",), True, "sample_rate_hz must be a number, got True",
+                 id="rate-bool"),
+    pytest.param(("sample_rate_hz",), "60", "sample_rate_hz must be a number, got '60'",
+                 id="rate-string"),
+    # orjson reads an integer past 64 bits as a float.
+    pytest.param(("sequences", 0, "labels", 1), 2**64,
+                 "sequence 1 labels must be integers, got 1.8446744073709552e", id="label-2-64"),
 ]
 
 
@@ -520,6 +545,160 @@ class TestJsonFaults:
         path = self.write(tmp_path, field, value)
         assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
         assert message in capsys.readouterr().err
+
+
+def stdlib_json(rec):
+    """``rec`` as json.dumps wrote it before orjson: lists, ", " and ": "."""
+    return json.dumps({
+        "sample_rate_hz": rec.sample_rate_hz,
+        "class_count": rec.class_count,
+        "sensor_layout": [{"id": s.id, "location": s.location} for s in rec.sensor_layout],
+        "sequences": [{"labels": seq.labels.tolist(),
+                       "sensors": {str(sid): seq.samples[sid].tolist()
+                                   for sid in sorted(seq.samples)}}
+                      for seq in rec.sequences],
+        "meta": rec.meta,
+    })
+
+
+def block_recording(blocks, meta=None):
+    """One sequence holding ``blocks`` as sensors 1, 2, ..., labels 0, 1, 0, ..."""
+    return SessionRecording(
+        60.0, 2, [SensorInfo(i, f"s{i}") for i in range(1, len(blocks) + 1)],
+        [Sequence(dict(enumerate(blocks, start=1)), np.arange(len(blocks[0])) % 2)],
+        meta={} if meta is None else meta,
+    )
+
+
+# Floats whose spelling differs between the writers (1e-7 against 1e-07),
+# the extremes and a signed zero.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def sample_blocks(draw):
+    n = draw(st.integers(1, 12))
+    rows = st.lists(st.lists(FINITE, min_size=9, max_size=9), min_size=n, max_size=n)
+    return [np.array(draw(rows), dtype=np.float64) for _ in range(draw(st.integers(1, 3)))]
+
+
+BAD_META = [
+    pytest.param({"x": float("nan")}, "meta holds a non-finite number nan", id="nan"),
+    pytest.param({"x": [1.0, float("-inf")]}, "meta holds a non-finite number -inf",
+                 id="inf-in-list"),
+    pytest.param({1: "a"}, "meta key 1 is not a string", id="int-key"),
+    pytest.param({"x": {(1, 2): 0}}, "meta key (1, 2) is not a string", id="nested-tuple-key"),
+    pytest.param({"x": {1, 2}}, "meta holds a set, which is not JSON data", id="set"),
+    pytest.param({"x": np.arange(3)}, "meta holds a ndarray, which is not JSON data",
+                 id="ndarray"),
+    pytest.param({"x": 2**64}, "meta integer 18446744073709551616 does not fit in 64 bits",
+                 id="int-past-64-bits"),
+]
+
+
+class TestJsonCodec:
+    """Recording JSON is written by orjson and read by orjson, with
+    json.loads reading only what orjson rejects."""
+
+    @given(blocks=sample_blocks())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_load_bit_identical_from_both_writers(self, tmp_path_factory, blocks):
+        rec = block_recording(blocks)
+        work = tmp_path_factory.mktemp("codec")
+        ours, stdlib = work / "orjson.json", work / "stdlib.json"
+        save_recording(rec, ours)
+        stdlib.write_text(stdlib_json(rec), encoding="utf-8")
+        for path in (ours, stdlib):
+            assert_same_recording(load_recording(path, validate="none"), rec)
+
+    def test_saved_file_is_compact_and_stdlib_reads_the_same_values(self, small_noisy,
+                                                                    tmp_path):
+        path = tmp_path / "rec.json"
+        save_recording(small_noisy, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith('{"sample_rate_hz":60.0,"class_count":3,"sensor_layout":[{"id":1,')
+        assert json.loads(text) == json.loads(stdlib_json(small_noisy))
+
+    def test_any_block_layout_and_dtype_saves_as_float64(self, tmp_path):
+        block = np.random.default_rng(2).normal(size=(6, 9))
+        path = tmp_path / "rec.json"
+        save_recording(block_recording([np.asfortranarray(block), block.astype(np.float32)]),
+                       path)
+        back = load_recording(path, validate="none").sequences[0].samples
+        assert same_bits(back[1], block)
+        assert same_bits(back[2], block.astype(np.float32).astype(np.float64))
+
+    def test_json_meta_round_trips(self, tmp_path):
+        meta = {"a": (1, 2), "b": [None, True, -0.0, 1e-7, "x"], "c": {"d": 2**63}}
+        path = tmp_path / "rec.json"
+        save_recording(block_recording([np.zeros((2, 9))], meta), path)
+        back = load_recording(path, validate="none").meta
+        assert back == {"a": [1, 2], "b": [None, True, -0.0, 1e-7, "x"], "c": {"d": 2**63}}
+        assert math.copysign(1.0, back["b"][2]) == -1.0
+
+    @pytest.mark.parametrize("meta, message", BAD_META)
+    def test_save_refuses_meta_that_would_not_load_back(self, tmp_path, meta, message):
+        path = tmp_path / "rec.json"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            save_recording(block_recording([np.zeros((2, 9))], meta), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [[0.0, np.nan], [0.0, 1.5], [False, True]],
+                             ids=["nan", "fraction", "bool"])
+    def test_save_refuses_labels_that_are_not_integers(self, tmp_path, labels):
+        rec = block_recording([np.zeros((2, 9))])
+        rec.sequences[0].labels = np.array(labels)
+        path = tmp_path / "rec.json"
+        with pytest.raises(SchemaError, match="sequence 1: labels must be integers, got dtype"):
+            save_recording(rec, path)
+        assert not path.exists()
+
+    def test_nan_literal_is_read_then_rejected(self, tmp_path):
+        obj = json_recording()
+        obj["sequences"][0]["sensors"]["2"] = [[float("nan")] * 9] * 3
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        with pytest.raises(ValidationError, match="sequence 1 sensor 2: non-finite samples"):
+            load_recording(path, validate="none")
+
+    def test_lone_surrogate_is_read_as_before(self, tmp_path):
+        obj = json_recording()
+        obj["sensor_layout"][0]["location"] = "\ud800"
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert load_recording(path, validate="none").sensor_layout[0].location == "\ud800"
+
+    def test_byte_order_mark_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "rec.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(json_recording()).encode())
+        with pytest.raises(ParseError, match="BOM"):
+            load_recording(path, validate="none")
+
+    def test_brackets_and_escapes_in_strings_do_not_nest(self, tmp_path):
+        obj = json_recording()
+        obj["meta"] = {"open": '\\"[' * 2500, "close": "]" * 2500 + "\\"}
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert load_recording(path, validate="none").meta == obj["meta"]
+
+    def test_recursion_in_the_stdlib_route_is_a_parse_error(self, tmp_path):
+        # orjson rejects the NaN, so json.loads parses 500 levels under a
+        # recursion limit 100 frames above this one.
+        path = tmp_path / "deep.json"
+        path.write_text('{"meta": ' + "[" * 500 + "NaN" + "]" * 500 + "}", encoding="utf-8")
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            with pytest.raises(ParseError, match="JSON nested deeper than the recursion limit"):
+                load_recording(path, validate="none")
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def csv_lines(path):

@@ -25,7 +25,10 @@ Each line is ``<part> <digest>``. The parts cover:
   takes its geometry from its model);
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
   write for each quickstart session (the model without its metadata and
-  its stored fusion settings and window geometry, as a version-1 file);
+  its stored fusion settings and window geometry, as a version-1 file),
+  and as ``cli/recording_values_*`` what ``load_recording`` reads back
+  from the synthesized file (arrays, layout, rate, class count and meta),
+  which stays put when only the file's spelling changes;
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
   tables, the confusion CSVs) for the studies recordings;
 * ``csv/*``: every array, the sensor ids and the class count of
@@ -209,6 +212,10 @@ def quickstart(seed: int, work: Path, emit) -> None:
             (report / "accuracy.json").read_bytes()
             + (report / "confusion.csv").read_bytes()).hexdigest())
         recording = load_recording(rec)
+        emit(f"cli/recording_values_{name}", hashlib.sha256((
+            hash_recording(recording)
+            + repr((recording.sample_rate_hz, recording.class_count, recording.sensor_layout))
+            + json.dumps(recording.meta, sort_keys=True)).encode()).hexdigest())
         emit(f"stream/quickstart_{name}",
              hash_stream(recording, deserialize(model), len(recording.sequences)))
 
