@@ -20,6 +20,7 @@ from . import config as cfgmod
 from .dataset_io import (
     ImportMapping,
     SplitSpec,
+    check_sequence_indices,
     load_recording,
     save_recording,
     synth_session,
@@ -169,7 +170,7 @@ def cmd_eval(args) -> int:
             f"{model.layout.sensor_ids}"
         )
     seq_indices = _parse_list("--seqs", args.seqs) if args.seqs else [len(rec.sequences)]
-    SplitSpec(train=frozenset(seq_indices), test=frozenset()).validate(len(rec.sequences))
+    check_sequence_indices(seq_indices, len(rec.sequences))
     windows = sequence_windows(
         rec, *(rec.sequences[qi - 1] for qi in seq_indices),
         fusion=model.fusion, window=model.window, overlap=model.overlap,

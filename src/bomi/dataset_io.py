@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence as SequenceT
+from typing import Collection, Iterator, Mapping, Sequence as SequenceT
 
 import numpy as np
 import orjson
@@ -122,11 +122,17 @@ class SplitSpec:
             raise SplitSpecError(
                 f"train and test sequences overlap: {sorted(self.train & self.test)}"
             )
-        for idx in self.train | self.test:
-            if not 1 <= idx <= n_sequences:
-                raise SplitSpecError(
-                    f"sequence index {idx} out of range [1, {n_sequences}]"
-                )
+        check_sequence_indices(self.train | self.test, n_sequences)
+
+
+def check_sequence_indices(indices: Collection[int], n_sequences: int) -> None:
+    """Raise SplitSpecError unless every 1-based index lies in
+    [1, n_sequences] and none repeats (its sequence would count twice)."""
+    for idx in indices:
+        if not 1 <= idx <= n_sequences:
+            raise SplitSpecError(f"sequence index {idx} out of range [1, {n_sequences}]")
+    if len(set(indices)) < len(indices):
+        raise SplitSpecError(f"sequence indices {list(indices)} repeat an index")
 
 
 def split_session(
@@ -473,7 +479,11 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
             if set(map(type, labels)) - {int}:
                 bad = next(v for v in labels if type(v) is not int)
                 raise SchemaError(f"sequence {qi} labels must be integers, got {bad!r}")
-            labels = np.asarray(labels, dtype=np.int64)
+            try:
+                labels = np.asarray(labels, dtype=np.int64)
+            except OverflowError:
+                bad = next(v for v in labels if not -2**63 <= v < 2**63)
+                raise SchemaError(f"sequence {qi} labels must fit in 64 bits, got {bad}") from None
             samples = {
                 _sensor_key(sid, qi): np.asarray(rows, dtype=np.float64)
                 for sid, rows in seq_obj["sensors"].items()

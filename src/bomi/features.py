@@ -10,6 +10,9 @@ are supported:
 * ``fv3``: the window split into two half-windows; minimum, maximum,
   mean, and absolute sum of every fv2 channel in each half.
 
+``channel_index`` states that channel order and count once, for the
+offline channels, ``feature_dim`` and the streaming pipeline.
+
 Per-sample vectors are flattened sample-major (all channels of tick 0,
 then tick 1, ...). fv3 is channel-major, half-window-minor, with the
 four statistics innermost.
@@ -21,9 +24,9 @@ window. fv3 comes from half rows: ``half_stats`` turns (..., 4, C) half
 blocks into (..., C, 4) rows of the four statistics, and is the only fv3
 arithmetic. ``extract_matrix`` takes one half row per start tick, so each
 half block is computed once, and builds window i from half rows
-``rows[i]`` and ``rows[i] + 4``; ``extract`` runs it on the two halves of
-one window. Amplitude is one per-tick function, ``tick_gamma``, averaged
-over each window.
+``rows[i]`` and ``rows[i] + 4``. ``extract`` is the row ``extract_matrix``
+gives for a set holding one window. Amplitude is one per-tick function,
+``tick_gamma``, averaged over each window.
 
 The streaming pipeline does not call ``extract``. For every kind it keeps a
 ring of the same per-tick channels, so an fv1 or fv2 window vector is a
@@ -59,7 +62,7 @@ FEATURE_KINDS = ("fv1", "fv2", "fv3")
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    """Channel ordering for feature extraction.
+    """The worn sensors in feature order.
 
     The first sensor id is the primary sensor (contributes yaw in fv1).
     """
@@ -76,24 +79,26 @@ class FeatureLayout:
     def n_sensors(self) -> int:
         return len(self.sensor_ids)
 
-    def angle_channels(self) -> list[tuple[int, int]]:
-        """(sensor index, angle index) pairs: primary p/r/y, others p/r."""
-        channels = [(0, 0), (0, 1), (0, 2)]
-        for si in range(1, self.n_sensors):
-            channels.extend([(si, 0), (si, 1)])
-        return channels
+
+@lru_cache(maxsize=32)
+def channel_index(kind: str, n_sensors: int) -> np.ndarray:
+    """Positions of ``kind``'s channels in a tick's row of 3S angles, then
+    3S gyro values (both sensor-major): the primary sensor's pitch, roll
+    and yaw, every other sensor's pitch and roll, then every sensor's gyro
+    unless the kind is fv1."""
+    if kind not in FEATURE_KINDS:
+        raise ValidationError(f"unknown feature kind {kind!r}")
+    index = [0, 1, 2] + [3 * si + ai for si in range(1, n_sensors) for ai in (0, 1)]
+    if kind != "fv1":
+        index += range(3 * n_sensors, 6 * n_sensors)
+    index = np.array(index)
+    index.flags.writeable = False
+    return index
 
 
 def feature_dim(kind: str, n_sensors: int, window: int = DEFAULT_WINDOW) -> int:
-    """Closed-form feature dimension for a given kind and sensor count."""
-    angle_ch = 3 + 2 * (n_sensors - 1)
-    if kind == "fv1":
-        return window * angle_ch
-    if kind == "fv2":
-        return window * (angle_ch + 3 * n_sensors)
-    if kind == "fv3":
-        return 2 * 4 * (angle_ch + 3 * n_sensors)
-    raise ValidationError(f"unknown feature kind {kind!r}")
+    """Feature dimension for a given kind and sensor count."""
+    return len(channel_index(kind, n_sensors)) * (2 * 4 if kind == "fv3" else window)
 
 
 @dataclass(frozen=True)
@@ -212,34 +217,6 @@ def pool_windows(sets: SequenceT[Windows]) -> Windows:
     )
 
 
-@lru_cache(maxsize=32)
-def angle_index(layout: FeatureLayout) -> np.ndarray:
-    """Positions of the layout's angle channels in a per-tick row of 3S
-    angles (sensor-major, then pitch/roll/yaw)."""
-    index = np.array([3 * si + ai for si, ai in layout.angle_channels()])
-    index.flags.writeable = False
-    return index
-
-
-def _channels(
-    kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
-) -> np.ndarray:
-    """(..., C) per-tick channels of (..., S, 3) angles and gyro: the
-    layout's angle channels, gathered in one indexing, then every sensor's
-    gyro x/y/z unless the kind is fv1."""
-    if kind not in FEATURE_KINDS:
-        raise ValidationError(f"unknown feature kind {kind!r}")
-    if angles.shape[-2] != layout.n_sensors:
-        raise LayoutError(
-            f"windows have {angles.shape[-2]} sensors, layout expects {layout.n_sensors}"
-        )
-    row = angles.shape[:-2] + (3 * layout.n_sensors,)
-    picked = angles.reshape(row)[..., angle_index(layout)]
-    if kind == "fv1":
-        return picked
-    return np.concatenate((picked, gyro.reshape(row)), axis=-1)
-
-
 def check_window(kind: str, length: int) -> None:
     """Raise ShapeError when ``kind`` cannot use windows of ``length``
     ticks (fv3 needs two half-windows of HALF ticks)."""
@@ -274,13 +251,13 @@ def half_stats(blocks: np.ndarray) -> np.ndarray:
 def extract(
     kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
-    """Feature vector of one window of (L, S, 3) angles and gyro; ``kind``
-    is one of FEATURE_KINDS."""
-    check_window(kind, len(angles))
-    m = _channels(kind, angles, gyro, layout)
-    if kind != "fv3":
-        return m.reshape(-1)
-    return half_stats(m.reshape(2, HALF, -1)).swapaxes(0, 1).reshape(-1)
+    """Feature vector of one window of (L, S, 3) angles and gyro, ``kind``
+    one of FEATURE_KINDS: the row ``extract_matrix`` gives for a set that
+    holds only this window."""
+    first = np.zeros(1, dtype=np.intp)
+    one = Windows(angles, gyro, rows=first, labels=first - 1, start_ticks=first,
+                  length=len(angles))
+    return extract_matrix(kind, one, layout)[0]
 
 
 def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.ndarray:
@@ -290,8 +267,21 @@ def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.nda
     half block is computed once; window i is half rows ``rows[i]`` and
     ``rows[i] + HALF``, written straight into the output."""
     check_window(kind, windows.length)
-    m = _channels(kind, windows.angles, windows.gyro, layout)
-    n, c = len(windows), m.shape[-1]
+    index = channel_index(kind, layout.n_sensors)
+    angles, gyro = windows.angles, windows.gyro
+    if angles.shape[-2] != layout.n_sensors:
+        raise LayoutError(
+            f"windows have {angles.shape[-2]} sensors, layout expects {layout.n_sensors}"
+        )
+    # (T, C) per-tick channels, taken straight into one array from the
+    # angles and then the gyro (the index lists angle channels first): a
+    # (T, 6S) copy of both would raise the offline peak memory.
+    n, c = len(windows), len(index)
+    flat = (len(angles), 3 * layout.n_sensors)
+    k = np.count_nonzero(index < flat[1])
+    m = np.empty((flat[0], c), dtype=np.result_type(angles, gyro))
+    np.take(angles.reshape(flat), index[:k], axis=1, out=m[:, :k], mode="clip")
+    np.take(gyro.reshape(flat), index[k:] - flat[1], axis=1, out=m[:, k:], mode="clip")
     if kind != "fv3":
         return windows.gather(m).reshape(n, windows.length * c)
     out = np.empty((n, c, 2, 4))

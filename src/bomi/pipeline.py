@@ -25,11 +25,11 @@ from typing import Callable, Iterable, Mapping, Sequence as SequenceT
 
 import numpy as np
 
-from .dataset_io import SessionRecording, SplitSpec
+from .dataset_io import SessionRecording, check_sequence_indices
 from .errors import LayoutError, MappingError, ValidationError
 # The stream does not call extract. The name stays because the traced
 # benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
-from .features import HALF, angle_index, extract, half_stats, prop_output  # noqa: F401
+from .features import HALF, channel_index, extract, half_stats, prop_output  # noqa: F401
 from .fusion import (
     FLAG_GAP,
     _filter_ticks,
@@ -312,13 +312,10 @@ class StreamingPipeline:
         self._offsets = [(0.0, 0.0, 0.0)] * n_sensors
         # Rings written once per tick to rows k and k + window, so rows
         # k + 1 .. k + window are the window, oldest first. _channels holds
-        # the feature channels: the layout's picked angles, then every
-        # sensor's gyro unless the kind is fv1 (_pick indexes a tick's 3S
-        # angles followed by its 3S gyro values), so an fv1 or fv2 window
-        # vector is a view of it. _gamma holds each sensor's amplitude.
-        self._pick = angle_index(self.layout).tolist()
-        if model.feature_kind != "fv1":
-            self._pick += range(3 * n_sensors, 6 * n_sensors)
+        # the feature channels that _pick selects from a tick's 3S angles
+        # followed by its 3S gyro values, so an fv1 or fv2 window vector is
+        # a view of it. _gamma holds each sensor's amplitude.
+        self._pick = channel_index(model.feature_kind, n_sensors).tolist()
         self._channels = np.zeros((2 * window, len(self._pick)))
         self._gamma = np.zeros((2 * window, n_sensors))
         self._written = 0
@@ -506,7 +503,7 @@ def replay(
 
     Raises:
         LayoutError: recording sensors do not match the model layout.
-        SplitSpecError: a sequence index is out of range.
+        SplitSpecError: a sequence index is out of range or repeats.
         ValidationError: ``pace_hz`` is not a finite number >= 0.
     """
     if not _real_in(pace_hz, 0.0, math.inf):
@@ -518,9 +515,7 @@ def replay(
         )
     sequences = recording.sequences
     if sequence_indices is not None:
-        SplitSpec(train=frozenset(sequence_indices), test=frozenset()).validate(
-            len(sequences)
-        )
+        check_sequence_indices(sequence_indices, len(sequences))
         sequences = [sequences[i - 1] for i in sequence_indices]
 
     stats = StreamStats(sample_rate_hz=recording.sample_rate_hz)

@@ -257,6 +257,15 @@ class TestEval:
         assert "out of range [1, 3]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_sequence_exits_2(self, small_recording_file, trained_model_file,
+                                       tmp_path, capsys):
+        # --seqs 3,3 would count every window of sequence 3 twice.
+        out = tmp_path / "r"
+        assert run("eval", "--model", trained_model_file, "--recording", small_recording_file,
+                   "--seqs=3,3", "--out", out) == 2
+        assert "sequence indices [3, 3] repeat an index" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModelChain:
     def test_eval_and_replay_take_the_chain_from_the_model(self, small_recording_file, tmp_path):

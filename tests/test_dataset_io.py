@@ -513,6 +513,10 @@ JSON_FAULTS = [
     # orjson reads an integer past 64 bits as a float.
     pytest.param(("sequences", 0, "labels", 1), 2**64,
                  "sequence 1 labels must be integers, got 1.8446744073709552e", id="label-2-64"),
+    # orjson reads one in [2**63, 2**64) as an int that int64 cannot hold.
+    pytest.param(("sequences", 0, "labels", 1), 2**63,
+                 "sequence 1 labels must fit in 64 bits, got 9223372036854775808",
+                 id="label-2-63"),
 ]
 
 

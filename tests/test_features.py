@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bomi.errors import (
     CoverageError,
+    DataError,
     DegenerateRangeError,
     LayoutError,
     ShapeError,
@@ -13,6 +14,7 @@ from bomi.features import (
     FEATURE_KINDS,
     AmplitudeRange,
     FeatureLayout,
+    channel_index,
     extract,
     extract_matrix,
     feature_dim,
@@ -180,11 +182,42 @@ class TestFv1Fv2:
         assert (v2[:, 5:] == 0).all()
         assert (v2[:, :5].reshape(-1) == extract("fv1", *w, layout)).all()
 
+    @pytest.mark.parametrize("kind", ["fv1", "fv2"])
+    def test_zero_tick_window_gives_empty_vector(self, kind):
+        w = build_window(np.zeros((0, 2, 3)))
+        assert extract(kind, *w, FeatureLayout(sensor_ids=(1, 2))).shape == (0,)
+
     def test_missing_sensor_rejected(self):
         rng = np.random.default_rng(2)
         w = random_window(rng, n_sensors=2)
         with pytest.raises(LayoutError):
             extract("fv1", *w, FeatureLayout(sensor_ids=(1, 2, 3)))
+
+
+class TestChannelIndex:
+    @pytest.mark.parametrize("n_sensors", range(1, 7))
+    def test_primary_angles_other_pitch_roll_then_gyro(self, n_sensors):
+        # Name every value of a tick's row and read the picks back by name.
+        row = ([("angle", si, axis) for si in range(n_sensors) for axis in "pry"]
+               + [("gyro", si, axis) for si in range(n_sensors) for axis in "xyz"])
+        angles = [ch for ch in row[:3 * n_sensors] if ch[1] == 0 or ch[2] != "y"]
+        gyro = row[3 * n_sensors:]
+        picked = {kind: [row[i] for i in channel_index(kind, n_sensors)] for kind in FEATURE_KINDS}
+        assert picked == {"fv1": angles, "fv2": angles + gyro, "fv3": angles + gyro}
+
+    def test_index_is_read_only(self):
+        with pytest.raises(ValueError):
+            channel_index("fv2", 3)[0] = 1
+
+    def test_errors_keep_their_order(self):
+        # Window length first, then the kind, then the sensor count.
+        rng = np.random.default_rng(5)
+        three = FeatureLayout(sensor_ids=(1, 2, 3))
+        for kind, length, error in (("fv3", 6, ShapeError), ("fv4", 8, ValidationError),
+                                    ("fv2", 8, LayoutError)):
+            with pytest.raises(DataError) as info:
+                extract(kind, *random_window(rng, n_sensors=2, length=length), three)
+            assert type(info.value) is error
 
 
 class TestFv3:

@@ -16,7 +16,14 @@ from bomi.errors import (
     ValidationError,
 )
 from bomi.experiments import sequence_windows
-from bomi.features import extract_matrix, prop_output, tick_gamma
+from bomi.features import (
+    FEATURE_KINDS,
+    FeatureLayout,
+    extract_matrix,
+    feature_dim,
+    prop_output,
+    tick_gamma,
+)
 from bomi.fusion import (
     FLAG_ACCEL_FALLBACK,
     FLAG_GAP,
@@ -25,7 +32,7 @@ from bomi.fusion import (
     FusionConfig,
     fuse_sequence,
 )
-from bomi.lda import deserialize, predict_many, serialize
+from bomi.lda import deserialize, fit, predict_many, serialize
 from bomi.pipeline import (
     Command,
     CommandMapping,
@@ -322,6 +329,15 @@ class TestStreaming:
         for x, w in zip(vectors, windows):
             assert_same_bits(x, fv3_reference(w.angles, w.gyro))
 
+    def test_repeated_sequence_index_rejected(self, small_model, small_noisy, monkeypatch):
+        # A repeated index would replay its sequence twice.
+        model, _ = small_model
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        with pytest.raises(SplitSpecError, match=r"sequence indices \[3, 3\] repeat an index"):
+            replay(small_noisy, model, sequence_indices=[3, 3])
+        assert steps == []
+
     def test_layout_mismatch_rejected(self, small_model):
         model, _ = small_model
         other = synth_session(class_count=3, sensor_count=1, seed=1)
@@ -446,6 +462,27 @@ def test_ring_mean_equals_tick_gamma_mean_bitwise(n_sensors):
             for si in range(n_sensors):
                 ring_mean = float(np.add.reduce(ring[k + 1:k + 1 + w, si]) / w)
                 assert ring_mean.hex() == float(tick_gamma(window[:, si]).mean()).hex()
+
+
+@pytest.mark.parametrize("kind", FEATURE_KINDS)
+@pytest.mark.parametrize("n_sensors", range(1, 7))
+def test_stream_vectors_equal_extract_matrix_rows(monkeypatch, kind, n_sensors):
+    # Each window vector the stream hands to predict is the extract_matrix
+    # row of the same offline window, bit for bit.
+    rec = synth_session(class_count=2, sensor_count=n_sensors, seed=n_sensors,
+                        n_sequences=1, motion_s=1.0)
+    n_ticks = 200
+    seq = Sequence({sid: rows[:n_ticks] for sid, rows in rec.sequences[0].samples.items()},
+                   rec.sequences[0].labels[:n_ticks])
+    layout = FeatureLayout(rec.sensor_ids)
+    X = np.random.default_rng(n_sensors).normal(size=(4, feature_dim(kind, n_sensors)))
+    model = fit(X, [0, 0, 1, 1], feature_kind=kind, layout=layout)
+    vectors = []
+    monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+    drive(StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz), seq)
+    windows = sequence_windows(rec, seq)
+    assert len(vectors) == len(windows) > 0
+    assert_same_bits(np.array(vectors), extract_matrix(kind, windows, layout))
 
 
 def emitted(outs):

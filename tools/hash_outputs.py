@@ -13,6 +13,8 @@ Each line is ``<part> <digest>``. The parts cover:
   (``trained_at`` and other metadata are left out);
 * ``windows/*``: offline windows of the held-out sequence (angles, gyro,
   labels, start ticks) and ``predict_many`` on them;
+* ``features/extract_*``: ``extract`` of each feature kind on the first
+  held-out windows, one window at a time;
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
   ``StreamingPipeline`` emits on the held-out sequence;
 * ``stream-degraded/*``: every emitted ``(tick, label, nu, command,
@@ -67,12 +69,16 @@ from bomi.dataset_io import (
     synth_session,
 )
 from bomi.experiments import extract_matrix, predict_many, run_all, train_session
+from bomi.features import extract
 from bomi.fusion import fuse_sequence
 from bomi.lda import deserialize
 from bomi.pipeline import StreamingPipeline, VirtualDevice
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
+
+# Held-out windows per wearer that ``features/extract_*`` runs ``extract`` on.
+EXTRACT_WINDOWS = 256
 
 # Keyword arguments of the synthetic sessions the test suite builds.
 TEST_SESSIONS = {
@@ -127,6 +133,10 @@ def hash_windows(model, windows) -> tuple[str, str]:
     )
     X = extract_matrix(model.feature_kind, windows, model.layout)
     return wins, digest(X, predict_many(model, X))
+
+
+def hash_extract(kind: str, layout, windows) -> str:
+    return digest(np.stack([extract(kind, w.angles, w.gyro, layout) for w in windows]))
 
 
 def hash_stream(rec, model, seq_index: int) -> str:
@@ -311,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         wins, preds = hash_windows(model, test_windows)
         emit(f"windows/{name}", wins)
         emit(f"predictions/{name}", preds)
+        for fv in ("fv1", "fv2", "fv3"):
+            emit(f"features/extract_{fv}_{name}",
+                 hash_extract(fv, model.layout, test_windows[:EXTRACT_WINDOWS]))
         emit(f"stream/{name}", hash_stream(rec, model, len(rec.sequences)))
         emit(f"stream-degraded/{name}", hash_degraded_stream(
             rec, model, len(rec.sequences), smoothing="majority:3"))
