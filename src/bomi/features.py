@@ -20,8 +20,8 @@ four statistics innermost.
 Offline windows live in one array-backed set, ``Windows``: the per-tick
 fused streams plus each window's first row and label. Features start from
 per-tick channels (T, C). fv1 and fv2 are those channels gathered per
-window. fv3 comes from half rows: ``half_stats`` turns (..., 4, C) half
-blocks into (..., C, 4) rows of the four statistics, and is the only fv3
+window. fv3 comes from half rows: ``half_stats`` reduces (..., 4, C) half
+blocks to (..., C, 4) rows of the four statistics, and is the only fv3
 arithmetic. ``extract_matrix`` takes one half row per start tick, so each
 half block is computed once, and builds window i from half rows
 ``rows[i]`` and ``rows[i] + 4``. ``extract`` is the row ``extract_matrix``
@@ -30,8 +30,10 @@ gives for a set holding one window. Amplitude is one per-tick function,
 
 The streaming pipeline does not call ``extract``. For every kind it keeps a
 ring of the same per-tick channels, so an fv1 or fv2 window vector is a
-view of it; fv3 adds a ring of half rows. It also keeps a ring of per-tick
-amplitudes, equal to ``tick_gamma`` bit for bit.
+view of it. For fv3 it keeps no half rows: when a window is emitted, one
+``half_stats`` call on the window's (2, 4, C) view of the ring writes the
+vector. It also keeps a ring of per-tick amplitudes, equal to
+``tick_gamma`` bit for bit.
 """
 
 from __future__ import annotations
@@ -224,27 +226,23 @@ def check_window(kind: str, length: int) -> None:
         raise ShapeError(f"fv3 requires windows of length {2 * HALF}, got {length}")
 
 
-def half_stats(blocks: np.ndarray) -> np.ndarray:
+def half_stats(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(..., C, 4) fv3 half rows of (..., HALF, C) half blocks: the minimum,
-    maximum, mean and sum of absolute values of each channel.
+    maximum, mean and sum of absolute values of each channel, written into
+    ``out`` when given.
 
-    Every statistic folds the block's rows left to right (on a tie of
-    signed zeros the later row wins), so one window, a window set and the
-    streaming half ring all give the same bits."""
-    r0, r1, *rest = (blocks[..., i, :] for i in range(HALF))
-    out = np.empty(blocks.shape[:-2] + (blocks.shape[-1], 4))
-    lo, hi, mean, abs_sum = (out[..., j] for j in range(4))
-    np.minimum(r0, r1, out=lo)
-    np.maximum(r0, r1, out=hi)
-    np.add(r0, r1, out=mean)
-    np.abs(r0, out=abs_sum)
-    abs_sum += np.abs(r1)
-    for x in rest:
-        np.minimum(lo, x, out=lo)
-        np.maximum(hi, x, out=hi)
-        mean += x
-        abs_sum += np.abs(x)
+    Every statistic reduces the block's rows left to right (on a tie of
+    signed zeros the later row wins), so a window set and a streamed
+    window give the same bits. The sums start from -0.0, so a half of
+    -0.0 values sums to -0.0 as a left fold does."""
+    if out is None:
+        out = np.empty(blocks.shape[:-2] + (blocks.shape[-1], 4))
+    lo, hi, mean, abs_sum = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
+    np.minimum.reduce(blocks, axis=-2, out=lo)
+    np.maximum.reduce(blocks, axis=-2, out=hi)
+    np.add.reduce(blocks, axis=-2, out=mean, initial=-0.0)
     mean /= HALF
+    np.add.reduce(np.abs(blocks), axis=-2, out=abs_sum, initial=-0.0)
     return out
 
 
@@ -265,7 +263,7 @@ def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.nda
 
     fv3 takes one half row per start tick of the per-tick channels, so each
     half block is computed once; window i is half rows ``rows[i]`` and
-    ``rows[i] + HALF``, written straight into the output."""
+    ``rows[i] + HALF``."""
     check_window(kind, windows.length)
     index = channel_index(kind, layout.n_sensors)
     angles, gyro = windows.angles, windows.gyro
@@ -288,10 +286,10 @@ def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.nda
     if n:  # an empty set may span fewer than HALF ticks
         blocks = np.lib.stride_tricks.sliding_window_view(m, HALF, axis=0)
         halves = half_stats(blocks.swapaxes(-1, -2))
-        # Every index is in range; mode="clip" lets take write into out
-        # without a buffer.
+        # Indexing gathers into a contiguous buffer, then copies it once:
+        # faster than np.take into the strided out.
         for i, first in enumerate((windows.rows, windows.rows + HALF)):
-            np.take(halves, first, axis=0, out=out[:, :, i], mode="clip")
+            out[:, :, i] = halves[first]
     return out.reshape(n, 2 * 4 * c)
 
 

@@ -21,11 +21,11 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence as SequenceT
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as SequenceT
 
 import numpy as np
 
-from .dataset_io import SessionRecording, check_sequence_indices
+from .dataset_io import SessionRecording, check_sequence_indices, label_runs
 from .errors import LayoutError, MappingError, ValidationError
 # The stream does not call extract. The name stays because the traced
 # benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
@@ -120,8 +120,7 @@ class CommandMapping:
         return CommandMapping(table=table, v_max=v_max)
 
 
-@dataclass(frozen=True)
-class CommandOutput:
+class CommandOutput(NamedTuple):
     """One pipeline emission: prediction, amplitude, device command.
 
     The command is NEUTRAL exactly when the predicted class is neutral.
@@ -319,11 +318,10 @@ class StreamingPipeline:
         self._channels = np.zeros((2 * window, len(self._pick)))
         self._gamma = np.zeros((2 * window, n_sensors))
         self._written = 0
-        # fv3 also keeps a (window, C, 4) ring of half rows: slot k holds
-        # the half row of the 4 newest ticks when row k was written, so a
-        # window is the half rows in slots k - 4 and k.
-        self._halves = (np.zeros((window, len(self._pick), 4))
-                        if model.feature_kind == "fv3" else None)
+        # fv3 writes each emitted window's (C, 2, 4) vector here, from the
+        # window's two half blocks of _channels.
+        self._fv3 = (np.zeros((len(self._pick), 2, 4))
+                     if model.feature_kind == "fv3" else None)
         self._smoother = make_smoother(smoothing)
         self._previous_cls: int | None = None
         self._seen = 0
@@ -403,19 +401,16 @@ class StreamingPipeline:
         values = angle_row + gyro_row
         self._channels[k::w] = [values[i] for i in self._pick]
         self._gamma[k::w] = gamma_row
-        halves = self._halves
-        if halves is not None:
-            halves[k] = half_stats(self._channels[k + 1 + w - HALF:k + 1 + w])
         self._written += 1
         if self._written < w or (self._written - w) % self.stride:
             return None
 
-        if halves is None:
-            # The same values in the same order as extract gives.
-            x = self._channels[k + 1:k + 1 + w].reshape(-1)
-        else:
-            x = np.concatenate((halves[(k - HALF) % w], halves[k]), axis=1).reshape(-1)
-        cls = self._smoother(predict(self.model, x))
+        # The same values in the same order as extract gives.
+        x = self._channels[k + 1:k + 1 + w]
+        if self._fv3 is not None:
+            half_stats(x.reshape(2, HALF, -1), out=self._fv3.transpose(1, 0, 2))
+            x = self._fv3
+        cls = self._smoother(predict(self.model, x.reshape(-1)))
 
         nu = 0.0
         if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
@@ -529,6 +524,10 @@ def replay(
             sample_rate_hz=recording.sample_rate_hz,
             smoothing=smoothing,
         )
+        # The first tick of the label run holding each tick: a window is
+        # unmixed when its last tick's run starts at or before its first.
+        labels = seq.labels.tolist()
+        run_start = [a for _, a, b in label_runs(seq.labels) for _ in range(a, b)]
         seq_start = time.perf_counter()
         for t in range(seq.n_ticks):
             out = pipe.step(t, seq.tick_samples(t))
@@ -537,10 +536,9 @@ def replay(
                 stats.windows += 1
                 stats.latencies_ms.append(out.latency_ms)
                 stats.predictions.append(out.label)
-                ref = int(seq.labels[t])
+                ref = labels[t]
                 stats.reference.append(ref)
-                window_labels = seq.labels[out.tick - pipe.window + 1: out.tick + 1]
-                if (window_labels == window_labels[-1]).all():
+                if run_start[t] <= t - pipe.window + 1:
                     stats.total_unmixed += 1
                     if out.label == ref:
                         stats.correct_unmixed += 1

@@ -307,6 +307,13 @@ def fv3_reference(angles, gyro) -> list[float]:
         for sensor in g:
             row += [float(v) for v in sensor]
         rows.append(row)
+    return fv3_of_channels(rows)
+
+
+def fv3_of_channels(rows) -> list[float]:
+    """fv3 of 8 ticks of channel values (8 rows of C floats), channel-major
+    then half-window, with the four statistics innermost; see
+    ``fv3_reference``."""
     out = []
     for c in range(len(rows[0])):
         for half in (rows[:4], rows[4:]):

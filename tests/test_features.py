@@ -12,12 +12,14 @@ from bomi.errors import (
 )
 from bomi.features import (
     FEATURE_KINDS,
+    HALF,
     AmplitudeRange,
     FeatureLayout,
     channel_index,
     extract,
     extract_matrix,
     feature_dim,
+    half_stats,
     learn_ranges,
     make_windows,
     prop_output,
@@ -28,6 +30,7 @@ from oracles import (
     CANCELLING,
     assert_same_bits,
     count_windows_by_enumeration,
+    fv3_of_channels,
     fv3_reference,
     fv3_values,
 )
@@ -263,6 +266,25 @@ class TestFv3:
             assert (batch == single).all()
 
 
+# Signed zeros, subnormals and magnitudes up to 1e300 (four of which
+# still sum to a finite value).
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def channel_values(draw):
+    """(T, C) per-tick channels of edge values, of 0.0 and -0.0 in random
+    orders, or of -0.0 only."""
+    n_ticks, n_channels = draw(st.integers(2 * HALF, 3 * HALF)), draw(st.integers(1, 7))
+    elements = draw(st.sampled_from([EDGE_FLOATS, st.sampled_from([0.0, -0.0]), st.just(-0.0)]))
+    size = n_ticks * n_channels
+    values = draw(st.lists(elements, min_size=size, max_size=size))
+    return np.array(values).reshape(n_ticks, n_channels)
+
+
 class TestFv3Oracle:
     @pytest.mark.parametrize("values", ["cancelling", "signed_zero"])
     def test_extract_and_extract_matrix_equal_oracle(self, values):
@@ -277,6 +299,24 @@ class TestFv3Oracle:
         assert_same_bits(extract_matrix("fv3", windows, layout), expected)
         for w, row in zip(windows, expected):
             assert_same_bits(extract("fv3", w.angles, w.gyro, layout), row)
+
+    @given(channel_values())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_half_stats_equals_oracle_in_both_layouts(self, m):
+        n_ticks, n_channels = m.shape
+        starts = np.arange(n_ticks - 2 * HALF + 1)
+        expected = np.array([fv3_of_channels(m[r:r + 2 * HALF].tolist()) for r in starts])
+        # The stream's layout: a window's (2, HALF, C) view, written through
+        # the transpose of a (C, 2, 4) vector.
+        for r, row in zip(starts, expected):
+            vector = np.empty((n_channels, 2, 4))
+            half_stats(m[r:r + 2 * HALF].reshape(2, HALF, -1), out=vector.transpose(1, 0, 2))
+            assert_same_bits(vector.reshape(-1), row)
+        # extract_matrix's layout: one half row per start tick of a sliding view.
+        blocks = np.lib.stride_tricks.sliding_window_view(m, HALF, axis=0)
+        halves = half_stats(blocks.swapaxes(-1, -2))
+        rows = np.stack((halves[starts], halves[starts + HALF]), axis=2)
+        assert_same_bits(rows.reshape(len(starts), -1), expected)
 
     def test_oracle_hand_computed_half(self):
         angles = np.zeros((8, 1, 3))

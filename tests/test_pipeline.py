@@ -598,6 +598,19 @@ class TestReplayStats:
         d = stats.to_dict()
         assert d["windows"] == stats.windows
 
+    def test_mixed_windows_against_window_labels(self, small_model, small_noisy):
+        # A window is mixed when its own ticks carry more than one label.
+        model, _ = small_model
+        for i, seq in enumerate(small_noisy.sequences, start=1):
+            outputs, stats = replay(small_noisy, model, sequence_indices=[i])
+            mixed = [len(set(seq.labels[o.tick - model.window + 1:o.tick + 1].tolist())) > 1
+                     for o in outputs]
+            correct = sum(o.label == seq.labels[o.tick]
+                          for o, m in zip(outputs, mixed) if not m)
+            assert sum(mixed) > 0
+            assert (stats.mixed_windows, stats.total_unmixed, stats.correct_unmixed) == (
+                sum(mixed), len(outputs) - sum(mixed), correct)
+
     def test_max_run_reported_in_windows_and_ms(self):
         from bomi.pipeline import StreamStats
 
@@ -678,6 +691,18 @@ class TestVirtualDevice:
     def test_bad_sample_rate_rejected(self, rate):
         with pytest.raises(ValidationError, match="sample_rate_hz"):
             VirtualDevice(sample_rate_hz=rate)
+
+
+def test_command_output_is_immutable_with_keyword_defaults():
+    from bomi.pipeline import CommandOutput
+
+    out = CommandOutput(tick=9, label=2, nu=0.25, command=Command.B,
+                        velocity=5.0, latency_ms=0.125, timestamp_ms=150.0)
+    assert (out.button_event, out.flags) == (False, ())
+    for name in ("tick", "nu", "flags"):
+        with pytest.raises(AttributeError):
+            setattr(out, name, 1)
+    assert out == CommandOutput(9, 2, 0.25, Command.B, 5.0, 0.125, 150.0, False, ())
 
 
 def test_write_command_log_round_trip_values(tmp_path):

@@ -16,7 +16,9 @@ Each line is ``<part> <digest>``. The parts cover:
 * ``features/extract_*``: ``extract`` of each feature kind on the first
   held-out windows, one window at a time;
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
-  ``StreamingPipeline`` emits on the held-out sequence;
+  ``StreamingPipeline`` emits on the held-out sequence, and as
+  ``stream/fv3_vectors_*`` every vector it passes to ``predict`` there
+  for each fv3 wearer;
 * ``stream-degraded/*``: every emitted ``(tick, label, nu, command,
   velocity, button_event, flags)``, ``dropped_ticks`` and the
   ``VirtualDevice`` trajectory when the held-out sequence has zero-accel
@@ -60,6 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
+import bomi.pipeline
 from bomi.cli import main as bomi_main
 from bomi.dataset_io import (
     ImportMapping,
@@ -148,6 +151,27 @@ def hash_stream(rec, model, seq_index: int) -> str:
         if out is not None:
             h.update(repr((out.tick, out.label, out.nu, out.velocity,
                            out.flags)).encode())
+    return h.hexdigest()
+
+
+def hash_stream_vectors(rec, model, seq_index: int) -> str:
+    """Digest of every vector the stream passes to ``predict`` on a
+    sequence, caught by wrapping ``bomi.pipeline.predict``."""
+    seq = rec.sequences[seq_index - 1]
+    pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz)
+    predict = bomi.pipeline.predict
+    h = hashlib.sha256()
+
+    def spy(m, x):
+        h.update(digest(x).encode())
+        return predict(m, x)
+
+    bomi.pipeline.predict = spy
+    try:
+        for t in range(seq.n_ticks):
+            pipe.step(t, seq.tick_samples(t))
+    finally:
+        bomi.pipeline.predict = predict
     return h.hexdigest()
 
 
@@ -325,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
             emit(f"features/extract_{fv}_{name}",
                  hash_extract(fv, model.layout, test_windows[:EXTRACT_WINDOWS]))
         emit(f"stream/{name}", hash_stream(rec, model, len(rec.sequences)))
+        if kind == "fv3":
+            emit(f"stream/fv3_vectors_{name}",
+                 hash_stream_vectors(rec, model, len(rec.sequences)))
         emit(f"stream-degraded/{name}", hash_degraded_stream(
             rec, model, len(rec.sequences), smoothing="majority:3"))
         if kind != "fv3":
