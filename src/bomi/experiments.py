@@ -4,17 +4,28 @@ multi-day studies, and misclassification structure.
 Training pools the first two sequences of a session and testing uses the
 third unless a split is given. Windows spanning a label change are
 excluded from accuracy (their ground truth is ambiguous); exclusion
-counts are reported. All evaluations are pure and independent, so they
-parallelize trivially across participants, feature kinds, and days.
+counts are reported.
+
+Each study fits and scores windowed sessions: a recording loaded, fused
+and windowed once (``_Windowed``). ``run_all`` builds them in a pool of
+forked processes, one job per recording and at most one process per
+available CPU, and does every fit, evaluation, warning and file write
+itself in a fixed order, so its reports do not depend on the pool. The
+public study functions window their sessions in-process and share the
+same fit-and-score routines.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import warnings
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence as SequenceT
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence as SequenceT
 
 import numpy as np
 
@@ -29,6 +40,7 @@ from .errors import CoverageError, DataError, TrainingDataError, ValidationError
 from .features import (
     DEFAULT_OVERLAP,
     DEFAULT_WINDOW,
+    FEATURE_KINDS,
     AmplitudeRange,
     FeatureLayout,
     Windows,
@@ -135,6 +147,10 @@ def split_windows(
     return train, test
 
 
+def _layout_meta(recording: SessionRecording) -> dict:
+    return {"sensor_layout": [[s.id, s.location] for s in recording.sensor_layout]}
+
+
 def train_session(
     recording: SessionRecording,
     split: SplitSpec | None = None,
@@ -158,7 +174,7 @@ def train_session(
         learn_amplitude=learn_amplitude,
         class_sensor=class_sensor,
         amplitude_mode=amplitude_mode,
-        meta={"sensor_layout": [[s.id, s.location] for s in recording.sensor_layout]},
+        meta=_layout_meta(recording),
         fusion=fusion,
         overlap=overlap,
     )
@@ -335,9 +351,80 @@ class ExperimentReport:
         }
 
 
+class _Windowed(NamedTuple):
+    """A session fused and windowed once, as the studies fit and score it."""
+
+    sensor_ids: tuple[int, ...]
+    meta: dict  # the model meta train_session writes: the sensor layout
+    train: Windows
+    test: Windows
+
+
+def _windowed(recording: SessionRecording, split: SplitSpec | None = None) -> _Windowed:
+    """Window a session for the studies: the default chain, each sequence fused once.
+
+    Raises:
+        CoverageError: a class has no training window.
+    """
+    train, test = split_windows(recording, split)
+    return _Windowed(recording.sensor_ids, _layout_meta(recording), train, test)
+
+
+def _window_job(path: Path, split: SplitSpec | None = None) -> _Windowed | DataError:
+    """Load and window one recording file (one ``run_all`` pool job).
+
+    A load fault is returned, not raised, so the caller can tell it from
+    a fault in windowing: ``run_all`` skips an unloadable participant
+    file but not one that loads and then fails.
+    """
+    try:
+        recording = load_recording(path, validate="none")
+    except DataError as exc:
+        return exc
+    return _windowed(recording, split)
+
+
+def _train(session: _Windowed, feature_kind: str = "fv3") -> LdaModel:
+    """A model of the default chain, without amplitude ranges, on a session's training windows."""
+    return train_on_windows(
+        session.train, FeatureLayout(sensor_ids=session.sensor_ids),
+        feature_kind=feature_kind, learn_amplitude=False, meta=session.meta,
+    )
+
+
+def _participant_paths(root: Path) -> list[Path]:
+    return sorted(
+        p for p in list(root.glob("[Pp]*.json")) + list(root.glob("[Pp]*.csv"))
+        if not any(tag in p.stem.lower() for tag in ("_sae", "_mae"))
+    )
+
+
+def _fv_comparison(
+    paths: SequenceT[Path],
+    sessions: Iterable[_Windowed | DataError],
+    feature_kinds: SequenceT[str],
+) -> ExperimentReport:
+    """Score each participant session (given in ``paths`` order, or the
+    load fault of its file) under each feature kind."""
+    report = ExperimentReport()
+    for path, session in zip(paths, sessions):
+        name = path.stem
+        if isinstance(session, DataError):
+            # stacklevel 3: the caller of the public entry point
+            warnings.warn(f"skipping {path.name}: {session}", stacklevel=3)
+            report.skipped.append(name)
+            continue
+        report.accuracies[name] = {}
+        for kind in feature_kinds:
+            result = evaluate(_train(session, kind), session.test)
+            report.accuracies[name][kind] = result.accuracy
+            report.details[name] = result
+    return report
+
+
 def run_fv_comparison(
     dataset_root: str | Path,
-    feature_kinds: SequenceT[str] = ("fv1", "fv2", "fv3"),
+    feature_kinds: SequenceT[str] = FEATURE_KINDS,
 ) -> ExperimentReport:
     """Train/test every participant session under each feature kind.
 
@@ -345,31 +432,8 @@ def run_fv_comparison(
     unloadable files are skipped with a warning. Details (confusion,
     structure) are kept for the last feature kind evaluated.
     """
-    root = Path(dataset_root)
-    report = ExperimentReport()
-    paths = sorted(
-        p for p in list(root.glob("[Pp]*.json")) + list(root.glob("[Pp]*.csv"))
-        if not any(tag in p.stem.lower() for tag in ("_sae", "_mae"))
-    )
-    for path in paths:
-        name = path.stem
-        try:
-            rec = load_recording(path, validate="none")
-        except DataError as exc:
-            warnings.warn(f"skipping {path.name}: {exc}", stacklevel=2)
-            report.skipped.append(name)
-            continue
-        report.accuracies[name] = {}
-        train_windows, test_windows = split_windows(rec)
-        layout = FeatureLayout(sensor_ids=rec.sensor_ids)
-        for kind in feature_kinds:
-            model = train_on_windows(
-                train_windows, layout, feature_kind=kind, learn_amplitude=False
-            )
-            result = evaluate(model, test_windows)
-            report.accuracies[name][kind] = result.accuracy
-            report.details[name] = result
-    return report
+    paths = _participant_paths(Path(dataset_root))
+    return _fv_comparison(paths, map(_window_job, paths), feature_kinds)
 
 
 @dataclass
@@ -390,6 +454,23 @@ class AmplitudeStudy:
         }
 
 
+def _amplitude_study(sae: _Windowed, mae: _Windowed) -> AmplitudeStudy:
+    mae_model = _train(mae)
+    sae_model = _train(sae)
+    sae_result = evaluate(sae_model, mae.test)
+    mae_result = evaluate(mae_model, mae.test)
+    return AmplitudeStudy(
+        sae_accuracy=sae_result.accuracy,
+        mae_accuracy=mae_result.accuracy,
+        sae_structure=sae_result.structure,
+        mae_structure=mae_result.structure,
+    )
+
+
+# The single-amplitude session trains on all of its sequences.
+_SAE_SPLIT = SplitSpec(test=frozenset())
+
+
 def run_amplitude_experiment(
     sae: SessionRecording,
     mae: SessionRecording,
@@ -400,18 +481,9 @@ def run_amplitude_experiment(
     sequence. Error structure records how far misclassifications stay
     inside the harmless neutral class.
     """
-    mae_model, mae_test = train_session(mae, learn_amplitude=False)
-    sae_model, _ = train_session(
-        sae, split=SplitSpec(test=frozenset()), learn_amplitude=False
-    )
-    sae_result = evaluate(sae_model, mae_test)
-    mae_result = evaluate(mae_model, mae_test)
-    return AmplitudeStudy(
-        sae_accuracy=sae_result.accuracy,
-        mae_accuracy=mae_result.accuracy,
-        sae_structure=sae_result.structure,
-        mae_structure=mae_result.structure,
-    )
+    # Windowed first, so its fault is the one raised when both fail, as in run_all.
+    mae_session = _windowed(mae)
+    return _amplitude_study(_windowed(sae, _SAE_SPLIT), mae_session)
 
 
 @dataclass
@@ -435,6 +507,17 @@ class MultidayStudy:
         return "\n".join([header, row1, row2])
 
 
+def _multiday_study(days: Iterable[_Windowed]) -> MultidayStudy:
+    """Each day's model is fitted as its session arrives."""
+    models, tests = [], []
+    for day in days:
+        models.append(_train(day))
+        tests.append(day.test)
+    day1 = [evaluate(models[0], t).accuracy for t in tests]
+    dday = day1[:1] + [evaluate(m, t).accuracy for m, t in zip(models[1:], tests[1:])]
+    return MultidayStudy(day1_model_accuracy=day1, dday_model_accuracy=dday)
+
+
 def run_multiday_experiment(
     day_sessions: SequenceT[SessionRecording],
 ) -> MultidayStudy:
@@ -447,19 +530,28 @@ def run_multiday_experiment(
     """
     if not day_sessions:
         raise DataError("no day sessions given")
-    models = []
-    tests = []
-    for rec in day_sessions:
-        model, test_windows = train_session(rec, learn_amplitude=False)
-        models.append(model)
-        tests.append(test_windows)
-    day1 = [evaluate(models[0], t).accuracy for t in tests]
-    dday = day1[:1] + [evaluate(m, t).accuracy for m, t in zip(models[1:], tests[1:])]
-    return MultidayStudy(day1_model_accuracy=day1, dday_model_accuracy=dday)
+    return _multiday_study(_windowed(rec) for rec in day_sessions)
 
 
 # ---------------------------------------------------------------------------
 # Run-all orchestration
+
+
+def _sessions(futures: SequenceT[Future], load_order: Iterable[int]) -> Iterator[_Windowed]:
+    """Yield one study's windowed sessions in job order as they arrive.
+
+    On a fault, fail as loading all of the study's files before windowing
+    any would: on the first load fault in ``load_order``, else on the
+    first windowing fault.
+    """
+    for f in futures:
+        if f.exception() is None and not isinstance(f.result(), DataError):
+            yield f.result()
+            continue
+        for i in load_order:
+            if futures[i].exception() is None and isinstance(futures[i].result(), DataError):
+                raise futures[i].result()
+        f.result()  # raises the windowing fault
 
 
 def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
@@ -471,38 +563,64 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
     CSVs into ``out_dir``; returns the combined report dict. Every study
     trains the default chain: ``FusionConfig()``, 8-tick windows
     overlapping by 7, and ``DEFAULT_SHRINKAGE``.
+
+    Each recording is loaded, fused and windowed in a pool of forked
+    processes, at most one per available CPU. This process fits, scores,
+    warns and writes in a fixed order, so the reports are those of the
+    public study functions, byte for byte. No pool process outlives the
+    call, whether it returns or raises.
     """
     root = Path(dataset_root)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    combined: dict = {}
-
-    report = run_fv_comparison(root)
-    if report.accuracies:
-        combined["fv_comparison"] = report.to_dict()
-        (out / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
-        for name, result in report.details.items():
-            result.confusion.write_csv(out / f"confusion_{name}.csv")
-
-    for sae_path in sorted(root.glob("*_sae.json")):
-        mae_path = sae_path.with_name(sae_path.name.replace("_sae", "_mae"))
-        if not mae_path.exists():
-            warnings.warn(f"{sae_path.name} has no matching multi-amplitude session")
-            continue
-        study = run_amplitude_experiment(
-            load_recording(sae_path, validate="none"),
-            load_recording(mae_path, validate="none"),
-        )
-        combined.setdefault("amplitude", {})[sae_path.stem.replace("_sae", "")] = (
-            study.to_dict()
-        )
-
+    participants = _participant_paths(root)
+    pairs = []  # (single-amplitude file, its multi-amplitude file or None)
+    for sae in sorted(root.glob("*_sae.json")):
+        mae = sae.with_name(sae.name.replace("_sae", "_mae"))
+        pairs.append((sae, mae if mae.exists() else None))
     day_paths = sorted(root.glob("day*.json"), key=lambda p: p.stem)
-    if day_paths:
-        days = [load_recording(p, validate="none") for p in day_paths]
-        study = run_multiday_experiment(days)
-        combined["multiday"] = study.to_dict()
-        (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
+    jobs = [(path, None) for path in participants]
+    for sae, mae in pairs:
+        if mae:
+            jobs += [(mae, None), (sae, _SAE_SPLIT)]
+    jobs += [(path, None) for path in day_paths]
+
+    # With fork, the first submit forks every worker from this thread
+    # before the executor starts a thread of its own. A pool given no job
+    # starts no process.
+    workers = min(len(os.sched_getaffinity(0)), len(jobs)) or 1
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # Popped as they are read, so a read session is freed after its study.
+        futures = deque(pool.submit(_window_job, path, split) for path, split in jobs)
+        combined: dict = {}
+
+        report = _fv_comparison(
+            participants, (futures.popleft().result() for _ in participants), FEATURE_KINDS
+        )
+        if report.accuracies:
+            combined["fv_comparison"] = report.to_dict()
+            (out / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
+            for name, result in report.details.items():
+                result.confusion.write_csv(out / f"confusion_{name}.csv")
+
+        for sae_path, mae_path in pairs:
+            if not mae_path:
+                warnings.warn(f"{sae_path.name} has no matching multi-amplitude session")
+                continue
+            # The single-amplitude file loads first, then the multi-amplitude one.
+            mae, sae = _sessions([futures.popleft(), futures.popleft()], load_order=(1, 0))
+            combined.setdefault("amplitude", {})[sae_path.stem.replace("_sae", "")] = (
+                _amplitude_study(sae, mae).to_dict()
+            )
+
+        if day_paths:
+            days = [futures.popleft() for _ in day_paths]
+            study = _multiday_study(_sessions(days, load_order=range(len(days))))
+            combined["multiday"] = study.to_dict()
+            (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     (out / "report.json").write_text(
         json.dumps(combined, indent=2), encoding="utf-8"

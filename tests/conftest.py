@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -85,8 +86,16 @@ def days5():
     ]
 
 
-class FuseCounts(Counter):
-    """How often the offline path fused each sequence, keyed by its raw data."""
+class FuseCounts:
+    """How often the offline path fused each sequence, keyed by its raw data.
+
+    Each call appends its key to a log file, so calls made in forked
+    ``run_all`` pool workers count too. It compares equal to a mapping
+    of key to call count.
+    """
+
+    def __init__(self, log: Path) -> None:
+        self.log = log
 
     @staticmethod
     def key(samples_by_sensor) -> str:
@@ -95,15 +104,31 @@ class FuseCounts(Counter):
             h.update(samples_by_sensor[sid].tobytes())
         return h.hexdigest()
 
+    def add(self, key: str) -> None:
+        with self.log.open("a", encoding="ascii") as fh:
+            fh.write(key + "\n")
+
+    def counts(self) -> Counter:
+        return Counter(self.log.read_text(encoding="ascii").split()) if self.log.exists() else Counter()
+
+    def __eq__(self, other) -> bool:
+        return self.counts() == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"FuseCounts({dict(self.counts())!r})"
+
 
 @pytest.fixture
-def fuse_counts(monkeypatch):
-    """Count ``fuse_sequence`` calls made through ``bomi.experiments``."""
-    counts = FuseCounts()
+def fuse_counts(monkeypatch, tmp_path):
+    """Count ``fuse_sequence`` calls made through ``bomi.experiments``,
+    in this process or in processes forked from it."""
+    counts = FuseCounts(tmp_path / "fuse_calls.log")
     original = bomi.experiments.fuse_sequence
 
     def counting(samples_by_sensor, *args, **kwargs):
-        counts[counts.key(samples_by_sensor)] += 1
+        counts.add(counts.key(samples_by_sensor))
         return original(samples_by_sensor, *args, **kwargs)
 
     monkeypatch.setattr(bomi.experiments, "fuse_sequence", counting)

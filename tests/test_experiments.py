@@ -1,11 +1,13 @@
 import json
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bomi.experiments
-from bomi.dataset_io import SplitSpec, save_recording, synth_session
+from bomi.cli import main
+from bomi.dataset_io import SplitSpec, load_recording, save_recording, synth_session
 from bomi.errors import CoverageError, DataError
 from bomi.experiments import (
     ConfusionMatrix,
@@ -35,6 +37,30 @@ def fake_windows(labels):
         start_ticks=np.arange(n),
         length=8,
     )
+
+
+def write_studies(data):
+    """Save a small session for every study (one participant, one
+    amplitude pair, two days) into ``data``; return them by file stem."""
+    sessions = {
+        "P1": synth_session(class_count=3, sensor_count=2, seed=30),
+        "P9_sae": synth_session(class_count=3, sensor_count=1, seed=31),
+        "P9_mae": synth_session(class_count=3, sensor_count=1,
+                                amplitudes=(0.5, 0.75, 1.0), seed=32),
+        "day1": synth_session(class_count=3, sensor_count=1, seed=41),
+        "day2": synth_session(class_count=3, sensor_count=1, seed=42),
+    }
+    for stem, rec in sessions.items():
+        save_recording(rec, data / f"{stem}.json")
+    return sessions
+
+
+def without_class_2_in_training(rec):
+    """``rec`` with class 2 relabelled 1 in its training sequences, so
+    windowing it with the default split raises CoverageError."""
+    for seq in rec.sequences[:2]:
+        seq.labels[seq.labels == 2] = 1
+    return rec
 
 
 class TestConfusion:
@@ -160,9 +186,8 @@ class TestTrainSession:
             evaluate(train_session(small_noisy, learn_amplitude=False)[0], test)
 
     def test_missing_class_in_training_is_coverage_error(self, small_noisy):
-        crippled = synth_session(class_count=3, sensor_count=2, noise_deg=0.5, seed=9)
-        for seq in crippled.sequences[:2]:
-            seq.labels[seq.labels == 2] = 1  # class 2 vanishes from train
+        crippled = without_class_2_in_training(
+            synth_session(class_count=3, sensor_count=2, noise_deg=0.5, seed=9))
         with pytest.raises(CoverageError):
             train_session(crippled)
 
@@ -267,16 +292,7 @@ class TestRunAll:
     def test_fuses_each_used_sequence_once(self, tmp_path, fuse_counts):
         data = tmp_path / "data"
         data.mkdir()
-        sessions = {
-            "P1": synth_session(class_count=3, sensor_count=2, seed=30),
-            "P9_sae": synth_session(class_count=3, sensor_count=1, seed=31),
-            "P9_mae": synth_session(class_count=3, sensor_count=1,
-                                    amplitudes=(0.5, 0.75, 1.0), seed=32),
-            "day1": synth_session(class_count=3, sensor_count=1, seed=41),
-            "day2": synth_session(class_count=3, sensor_count=1, seed=42),
-        }
-        for stem, rec in sessions.items():
-            save_recording(rec, data / f"{stem}.json")
+        sessions = write_studies(data)
         run_all(data, tmp_path / "out")
         # Every sequence is used except the single-amplitude session's
         # third: that model is only ever tested on the multi-amplitude one.
@@ -288,16 +304,7 @@ class TestRunAll:
     def test_studies_train_the_default_chain(self, tmp_path, monkeypatch):
         data = tmp_path / "data"
         data.mkdir()
-        sessions = {
-            "P1": synth_session(class_count=3, sensor_count=2, seed=30),
-            "P9_sae": synth_session(class_count=3, sensor_count=1, seed=31),
-            "P9_mae": synth_session(class_count=3, sensor_count=1,
-                                    amplitudes=(0.5, 0.75, 1.0), seed=32),
-            "day1": synth_session(class_count=3, sensor_count=1, seed=41),
-            "day2": synth_session(class_count=3, sensor_count=1, seed=42),
-        }
-        for stem, rec in sessions.items():
-            save_recording(rec, data / f"{stem}.json")
+        sessions = write_studies(data)
         calls = []
         real_fit = bomi.experiments.fit
 
@@ -322,3 +329,100 @@ class TestRunAll:
         with pytest.warns(UserWarning):
             combined = run_all(data, tmp_path / "out")
         assert "amplitude" not in combined
+
+
+class TestRunAllPool:
+    """``run_all`` loads, fuses and windows each recording in a forked
+    worker; what it reports and raises is what in-process studies give."""
+
+    def test_matches_the_public_studies_byte_for_byte(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        save_recording(synth_session(class_count=4, sensor_count=2, seed=33), data / "P2.csv")
+        (data / "P3.json").write_text("{broken")
+        with pytest.warns(UserWarning, match="skipping P3.json"):
+            combined = run_all(data, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        with pytest.warns(UserWarning, match="skipping P3.json"):
+            report = run_fv_comparison(data)
+        amplitude = run_amplitude_experiment(load_recording(data / "P9_sae.json"),
+                                             load_recording(data / "P9_mae.json"))
+        multiday = run_multiday_experiment(
+            [load_recording(data / f"day{d}.json") for d in (1, 2)])
+        (expected / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
+        for name, result in report.details.items():
+            result.confusion.write_csv(expected / f"confusion_{name}.csv")
+        (expected / "multiday_table.txt").write_text(multiday.table() + "\n", encoding="utf-8")
+        in_process = {"fv_comparison": report.to_dict(),
+                      "amplitude": {"P9": amplitude.to_dict()},
+                      "multiday": multiday.to_dict()}
+        (expected / "report.json").write_text(json.dumps(in_process, indent=2), encoding="utf-8")
+
+        assert combined == in_process
+        assert report.skipped == ["P3"]
+        names = sorted(p.name for p in expected.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert {"confusion_P1.csv", "confusion_P2.csv"} <= set(names)
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_unloadable_participant_is_skipped(self, tmp_path, small_noisy):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_recording(small_noisy, data / "P1.json")
+        (data / "P2.json").write_text('{"version": 1,')
+        with pytest.warns(UserWarning, match="skipping P2.json"):
+            combined = run_all(data, tmp_path / "out")
+        assert combined["fv_comparison"]["skipped"] == ["P2"]
+        assert set(combined["fv_comparison"]["accuracies"]) == {"P1"}
+        assert multiprocessing.active_children() == []
+
+    def test_participant_that_loads_but_misses_a_class_raises(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        save_recording(without_class_2_in_training(synth_session(class_count=3, seed=34)),
+                       data / "P2.json")
+        with pytest.raises(CoverageError, match="no training windows"):
+            run_all(data, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        assert main(["experiments", "run-all", "--data", str(data),
+                     "--out", str(tmp_path / "cli")]) == 2
+        assert "error: classes [2] have no training windows" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_corrupt_day_exits_2_with_the_load_message(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        (data / "day2.json").write_text('{"version": 1, "sample_rate_hz": [')
+        with pytest.raises(DataError) as raised:
+            load_recording(data / "day2.json")
+        assert main(["experiments", "run-all", "--data", str(data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert multiprocessing.active_children() == []
+        # the studies before the failing one have written their files
+        assert (tmp_path / "out" / "fv_table.txt").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("corrupt, crippled", [("day2", "day1"), ("P9_sae", "P9_mae")])
+    def test_a_load_fault_wins_over_a_windowing_fault(self, tmp_path, corrupt, crippled):
+        # All files of a study load before any is windowed, so a corrupt
+        # file is reported even when an earlier one misses a class.
+        data = tmp_path / "data"
+        data.mkdir()
+        sessions = write_studies(data)
+        save_recording(without_class_2_in_training(sessions[crippled]), data / f"{crippled}.json")
+        (data / f"{corrupt}.json").write_text("[")
+        with pytest.raises(DataError) as raised:
+            run_all(data, tmp_path / "out")
+        assert not isinstance(raised.value, CoverageError)
+        with pytest.raises(DataError) as loading:
+            load_recording(data / f"{corrupt}.json")
+        assert (type(raised.value), str(raised.value)) == (type(loading.value), str(loading.value))
+        assert multiprocessing.active_children() == []
