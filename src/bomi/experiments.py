@@ -108,14 +108,17 @@ def train_on_windows(
         ranges = learn_ranges(
             usable, layout, classes, class_sensor=class_sensor, mode=amplitude_mode
         )
-    return fit(
-        X, usable.labels,
-        shrinkage=shrinkage,
-        priors=priors,
+    core = fit(X, usable.labels, shrinkage=shrinkage, priors=priors)
+    return LdaModel(
+        classes=core.classes,
+        means=core.means,
+        chol_lower=core.chol_lower,
+        shrinkage=core.shrinkage,
+        log_priors=core.log_priors,
+        meta={**core.meta, **(meta or {})},
         feature_kind=feature_kind,
         layout=layout,
         ranges=ranges,
-        meta=meta,
         fusion=fusion,
         window=windows.length,
         overlap=overlap,

@@ -9,6 +9,10 @@ system.
 
 Scores are delta_j(x) = x' Sigma_l^-1 mu_j - mu_j' Sigma_l^-1 mu_j / 2
 + log pi_j; ties break toward the neutral class, then the lowest label.
+
+``fit`` is plain LDA and returns an ``LdaCore``. An ``LdaModel`` adds
+the preprocessing chain; its constructor holds the model's one validity
+rule, and training and ``deserialize`` both build models through it.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, LinAlgError
 
+from .dataset_io import _int_field
 from .errors import (
+    DataError,
     DimensionMismatchError,
+    LayoutError,
     ModelFormatError,
     NumericalError,
-    ShapeError,
     SingularCovarianceError,
     TrainingDataError,
     ValidationError,
@@ -49,24 +55,18 @@ MODEL_FORMAT = "bomi-lda"
 MODEL_VERSION = 2
 
 
-@dataclass
-class LdaModel:
-    """A fitted classifier. Immutable after fit; predict is reentrant."""
+@dataclass(frozen=True)
+class LdaCore:
+    """A fitted classifier alone, as ``fit`` returns it; the predict
+    functions score with it. Frozen, so a model stays what its
+    constructor checked; predict is reentrant."""
 
     classes: np.ndarray            # (K,) int labels, sorted
     means: np.ndarray              # (K, d)
     chol_lower: np.ndarray         # (d, d) L with Sigma_l = L L'
     shrinkage: float
     log_priors: np.ndarray         # (K,)
-    feature_kind: str
-    layout: FeatureLayout
-    ranges: AmplitudeRange | None = None
     meta: dict = field(default_factory=dict)
-    # The chain the training windows were built with; features fit the
-    # model only when built the same way.
-    fusion: FusionConfig = FusionConfig()
-    window: int = DEFAULT_WINDOW
-    overlap: int = DEFAULT_OVERLAP
     _weights: np.ndarray = field(init=False, repr=False)   # (d, K)
     _biases: np.ndarray = field(init=False, repr=False)    # (K,)
     _labels: list = field(init=False, repr=False)          # classes as Python ints
@@ -74,13 +74,64 @@ class LdaModel:
     def __post_init__(self) -> None:
         # Precompute the linear form once; scoring is then x @ W + b.
         w = cho_solve((self.chol_lower, True), self.means.T)
-        self._weights = w
-        self._biases = -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
-        self._labels = self.classes.tolist()
+        object.__setattr__(self, "_weights", w)
+        object.__setattr__(
+            self, "_biases", -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
+        )
+        object.__setattr__(self, "_labels", self.classes.tolist())
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+
+@dataclass(frozen=True, kw_only=True)
+class LdaModel(LdaCore):
+    """A classifier with the chain its features were built with: the
+    artefact ``serialize`` writes and a stream runs.
+
+    The constructor holds the model's one validity rule, so every model
+    that is built loads and streams.
+
+    Raises:
+        ValidationError: ``feature_kind`` is not one of ``FEATURE_KINDS``.
+        ShapeError: ``window`` and ``overlap`` are not a geometry the kind
+            can stream with.
+        DimensionMismatchError: the width of ``means`` is not the feature
+            dimension of the kind, sensor count and window.
+        LayoutError: the amplitude ranges name a sensor outside ``layout``.
+    """
+
+    feature_kind: str
+    layout: FeatureLayout
+    ranges: AmplitudeRange | None = None
+    fusion: FusionConfig = FusionConfig()
+    window: int = DEFAULT_WINDOW
+    overlap: int = DEFAULT_OVERLAP
+
+    def __post_init__(self) -> None:
+        kind, layout = self.feature_kind, self.layout
+        if kind not in FEATURE_KINDS:
+            raise ValidationError(f"unknown feature kind {kind!r}")
+        check_geometry(self.window, self.overlap)
+        check_window(kind, self.window)
+        if self.dim != feature_dim(kind, layout.n_sensors, self.window):
+            raise DimensionMismatchError(
+                f"dimension {self.dim} does not fit {kind} with {layout.n_sensors} "
+                f"sensors and window {self.window}"
+            )
+        ranges = self.ranges
+        if ranges is not None and not set(ranges.class_sensor.values()) <= set(layout.sensor_ids):
+            raise LayoutError(
+                f"amplitude ranges name sensors {sorted(ranges.class_sensor.values())} "
+                f"outside the layout {layout.sensor_ids}"
+            )
+        super().__post_init__()
+
+
+def _check_shrinkage(shrinkage: float) -> None:
+    if not 0.0 <= shrinkage < 1.0 + 1e-12:
+        raise TrainingDataError(f"shrinkage must be in [0, 1], got {shrinkage}")
 
 
 def fit(
@@ -88,45 +139,44 @@ def fit(
     y: np.ndarray,
     shrinkage: float = DEFAULT_SHRINKAGE,
     priors: str = "empirical",
-    feature_kind: str = "fv3",
-    layout: FeatureLayout | None = None,
-    ranges: AmplitudeRange | None = None,
-    meta: dict | None = None,
-    fusion: FusionConfig = FusionConfig(),
-    window: int = DEFAULT_WINDOW,
-    overlap: int = DEFAULT_OVERLAP,
-) -> LdaModel:
+) -> LdaCore:
     """Fit the classifier on labeled feature vectors.
 
     Args:
-        X: (N, d) feature matrix.
+        X: (N, d) finite feature matrix.
         y: (N,) integer labels.
-        shrinkage: blend weight toward the scaled identity, in [0, 1).
+        shrinkage: blend weight toward the scaled identity, in [0, 1].
         priors: "empirical" uses class frequencies; "uniform" weighs all
             classes equally.
 
     Raises:
         TrainingDataError: fewer than 2 classes, a class with fewer than
-            2 examples, or ragged input.
-        ShapeError: ``window`` and ``overlap`` are not a geometry
-            ``feature_kind`` can stream with.
+            2 examples, ragged or non-finite ``X``, labels that are not
+            one integer per row, or a bad ``shrinkage`` or ``priors``.
         SingularCovarianceError: the (shrunk) covariance is not positive
             definite; raise shrinkage above zero.
     """
-    check_geometry(window, overlap)
-    check_window(feature_kind, window)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise TrainingDataError(f"X must be (N, d) aligned with y, got {X.shape}")
+    try:
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+    except (TypeError, ValueError) as exc:
+        raise TrainingDataError(f"X and y must be numeric arrays: {exc}") from exc
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise TrainingDataError(
+            f"X must be (N, d) aligned with y of shape (N,), got {X.shape} and {y.shape}"
+        )
+    if y.dtype.kind not in "iu" or not np.can_cast(y.dtype, np.int64):
+        raise TrainingDataError(f"labels must be integers that fit in int64, got dtype {y.dtype}")
+    if not np.isfinite(X).all():
+        raise TrainingDataError("X holds non-finite values")
+    y = y.astype(np.int64, copy=False)
     classes, counts = np.unique(y, return_counts=True)
     if len(classes) < 2:
         raise TrainingDataError(f"need at least 2 classes, got {len(classes)}")
     if counts.min() < 2:
         short = classes[counts < 2].tolist()
         raise TrainingDataError(f"classes {short} have fewer than 2 examples")
-    if not 0.0 <= shrinkage < 1.0 + 1e-12:
-        raise TrainingDataError(f"shrinkage must be in [0, 1], got {shrinkage}")
+    _check_shrinkage(shrinkage)
     if priors not in ("empirical", "uniform"):
         raise TrainingDataError(f"priors must be empirical or uniform, got {priors!r}")
 
@@ -156,42 +206,32 @@ def fit(
     else:
         log_priors = np.full(k, -np.log(k))
 
-    model_meta = {
-        "trained_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "n_train": int(n),
-        "class_counts": {str(int(c)): int(cnt) for c, cnt in zip(classes, counts)},
-        "priors": priors,
-    }
-    if meta:
-        model_meta.update(meta)
-    return LdaModel(
+    return LdaCore(
         classes=classes,
         means=means,
         chol_lower=lower,
         shrinkage=float(shrinkage),
         log_priors=log_priors,
-        feature_kind=feature_kind,
-        layout=layout or FeatureLayout(sensor_ids=(1,)),
-        ranges=ranges,
-        meta=model_meta,
-        fusion=fusion,
-        window=window,
-        overlap=overlap,
+        meta={
+            "trained_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+            "n_train": int(n),
+            "class_counts": {str(int(c)): int(cnt) for c, cnt in zip(classes, counts)},
+            "priors": priors,
+        },
     )
 
 
-def predict_scores(model: LdaModel, X: np.ndarray) -> np.ndarray:
+def predict_scores(model: LdaCore, X: np.ndarray) -> np.ndarray:
     """Discriminant scores: (K,) for a (d,) vector, (N, K) for an (N, d) matrix."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != model.dim:
         raise DimensionMismatchError(
-            f"feature dimension {X.shape[-1]} does not match model "
-            f"({model.feature_kind}, d={model.dim})"
+            f"feature dimension {X.shape[-1]} does not match the model's d={model.dim}"
         )
     return X @ model._weights + model._biases
 
 
-def _argmax_with_ties(model: LdaModel, scores: np.ndarray) -> int:
+def _argmax_with_ties(model: LdaCore, scores: np.ndarray) -> int:
     """Label of the highest of one row of scores, on Python floats; an
     exact tie goes to the neutral class, then to the lowest label.
 
@@ -209,7 +249,7 @@ def _argmax_with_ties(model: LdaModel, scores: np.ndarray) -> int:
     return model._labels[values.index(best)]
 
 
-def predict(model: LdaModel, x: np.ndarray) -> int:
+def predict(model: LdaCore, x: np.ndarray) -> int:
     """Predicted label for one feature vector (ties go to neutral).
 
     Raises:
@@ -218,7 +258,7 @@ def predict(model: LdaModel, x: np.ndarray) -> int:
     return _argmax_with_ties(model, predict_scores(model, x))
 
 
-def predict_many(model: LdaModel, X: np.ndarray) -> np.ndarray:
+def predict_many(model: LdaCore, X: np.ndarray) -> np.ndarray:
     """Predicted labels for a feature matrix, row for row as ``predict``.
 
     Raises:
@@ -285,14 +325,16 @@ def serialize(model: LdaModel, path: str | Path) -> None:
 def deserialize(path: str | Path) -> LdaModel:
     """Load a model written by serialize.
 
+    The file's integrity (format marker, version, distinct integer
+    classes, integer sensor ids, array shapes, finite arrays, a
+    lower-triangular ``chol_lower`` with a positive diagonal) is checked
+    before the model is built, so the constructor never solves with a
+    broken factor.
+
     Raises:
-        ModelFormatError: missing file content, wrong format marker,
-            unsupported version, inconsistent shapes, an unknown feature
-            kind or one whose dimension does not fit the sensor count and
-            window, bad fusion settings or window geometry, non-finite
-            arrays, a ``chol_lower`` that is not lower-triangular with a
-            positive diagonal, or amplitude ranges that are not finite or
-            name a sensor outside the layout.
+        ModelFormatError: a fault above, a ``shrinkage`` ``fit`` refuses,
+            or the fusion settings' or the model constructor's error,
+            with its message.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -309,40 +351,28 @@ def deserialize(path: str | Path) -> LdaModel:
         payload = {"fusion": asdict(FusionConfig()), "window": DEFAULT_WINDOW,
                    "overlap": DEFAULT_OVERLAP, **payload}
     try:
-        classes = np.asarray(payload["classes"], dtype=np.int64)
+        classes = np.asarray([_int_field(c, "classes") for c in payload["classes"]],
+                             dtype=np.int64)
         means = np.asarray(payload["means"], dtype=np.float64)
         lower = np.asarray(payload["chol_lower"], dtype=np.float64)
         log_priors = np.asarray(payload["log_priors"], dtype=np.float64)
         kind = str(payload["feature_kind"])
-        layout = FeatureLayout(sensor_ids=tuple(payload["sensor_ids"]))
+        layout = FeatureLayout(
+            sensor_ids=tuple(_int_field(s, "sensor_ids") for s in payload["sensor_ids"])
+        )
         shrinkage = float(payload["shrinkage"])
         ranges = _ranges_from_dict(payload.get("ranges"))
         fusion = FusionConfig(*(payload["fusion"][f.name] for f in fields(FusionConfig)))
         window, overlap = payload["window"], payload["overlap"]
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if means.ndim != 2:
         raise ModelFormatError("inconsistent array shapes in model file")
     k, d = means.shape
     if classes.shape != (k,) or log_priors.shape != (k,) or lower.shape != (d, d):
         raise ModelFormatError("inconsistent array shapes in model file")
-    if kind not in FEATURE_KINDS:
-        raise ModelFormatError(f"unknown feature kind {kind!r}")
-    try:
-        check_geometry(window, overlap)
-        check_window(kind, window)
-    except ShapeError as exc:
-        raise ModelFormatError(str(exc)) from exc
-    if ranges is not None and not set(ranges.class_sensor.values()) <= set(layout.sensor_ids):
-        raise ModelFormatError(
-            f"amplitude ranges name sensors {sorted(ranges.class_sensor.values())} "
-            f"outside the layout {layout.sensor_ids}"
-        )
-    if d != feature_dim(kind, layout.n_sensors, window):
-        raise ModelFormatError(
-            f"dimension {d} does not fit {kind} with {layout.n_sensors} sensors "
-            f"and window {window}"
-        )
+    if len(np.unique(classes)) != k:
+        raise ModelFormatError(f"classes {classes.tolist()} are not distinct")
     if not (np.isfinite(means).all() and np.isfinite(log_priors).all()
             and np.isfinite(lower).all()):
         raise ModelFormatError("non-finite values in model file")
@@ -350,17 +380,21 @@ def deserialize(path: str | Path) -> LdaModel:
         raise ModelFormatError(
             "chol_lower is not lower-triangular with a positive diagonal"
         )
-    return LdaModel(
-        classes=classes,
-        means=means,
-        chol_lower=lower,
-        shrinkage=shrinkage,
-        log_priors=log_priors,
-        feature_kind=kind,
-        layout=layout,
-        ranges=ranges,
-        meta=payload.get("meta", {}),
-        fusion=fusion,
-        window=window,
-        overlap=overlap,
-    )
+    try:
+        _check_shrinkage(shrinkage)
+        return LdaModel(
+            classes=classes,
+            means=means,
+            chol_lower=lower,
+            shrinkage=shrinkage,
+            log_priors=log_priors,
+            meta=payload.get("meta", {}),
+            feature_kind=kind,
+            layout=layout,
+            ranges=ranges,
+            fusion=fusion,
+            window=window,
+            overlap=overlap,
+        )
+    except DataError as exc:
+        raise ModelFormatError(str(exc)) from exc

@@ -36,3 +36,18 @@ def test_window_api_the_stream_hub_workload_uses(small_noisy):
     X = extract_matrix(model.feature_kind, test_windows, model.layout)
     assert len(predict_many(model, X)) == len(ends)
     assert evaluate(model, test_windows).n_windows > 0
+
+
+def test_fit_rows_counts_the_usable_training_windows(small_noisy):
+    # lda.fit_rows adds len(args[0]) per traced bomi.experiments.fit call,
+    # so training must pass X positionally, one row per usable window.
+    from bomi.experiments import split_windows
+
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, bomi)
+    try:
+        bomi.experiments.train_session(small_noisy)
+    finally:
+        tracing.uninstall(saved)
+    train, _ = split_windows(small_noisy)
+    assert tracer.counts["fit_rows"] == (train.labels >= 0).sum() > 0

@@ -348,6 +348,18 @@ class TestReplay:
         pytest.param("ranges", ("ranges", "1"), [float("nan")] * 2, "finite", id="nan-range"),
         pytest.param("ranges", ("class_sensor", "1"), 7, "outside the layout",
                      id="class-sensor-outside-layout"),
+        pytest.param("classes", (1,), 1.7, "classes must be an integer", id="class-fraction"),
+        pytest.param("classes", (3,), True, "classes must be an integer", id="class-bool"),
+        pytest.param("classes", (1,), 0, "not distinct", id="class-repeated"),
+        pytest.param("classes", (1,), 2**70, "corrupt model file", id="class-beyond-int64"),
+        pytest.param("sensor_ids", (1,), 2.0, "sensor_ids must be an integer",
+                     id="sensor-id-float"),
+        pytest.param("shrinkage", None, -5.0, "shrinkage must be in [0, 1]",
+                     id="shrinkage-negative"),
+        pytest.param("shrinkage", None, 1.5, "shrinkage must be in [0, 1]",
+                     id="shrinkage-above-1"),
+        pytest.param("shrinkage", None, float("nan"), "shrinkage must be in [0, 1]",
+                     id="shrinkage-nan"),
     ])
     def test_inconsistent_model_rejected_at_load(
         self, small_recording_file, trained_model_file, tmp_path, capsys, monkeypatch,

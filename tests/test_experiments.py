@@ -305,21 +305,21 @@ class TestRunAll:
         data = tmp_path / "data"
         data.mkdir()
         sessions = write_studies(data)
-        calls = []
-        real_fit = bomi.experiments.fit
+        models = []
+        real_train = bomi.experiments.train_on_windows
 
-        def recording_fit(X, y, **kwargs):
-            calls.append(kwargs)
-            return real_fit(X, y, **kwargs)
+        def recording_train(*args, **kwargs):
+            models.append(real_train(*args, **kwargs))
+            return models[-1]
 
-        monkeypatch.setattr(bomi.experiments, "fit", recording_fit)
+        monkeypatch.setattr(bomi.experiments, "train_on_windows", recording_train)
         run_all(data, tmp_path / "out")
         # fv1, fv2 and fv3 on P1, two amplitude models, one model per day.
-        assert [c["feature_kind"] for c in calls] == ["fv1", "fv2", "fv3"] + ["fv3"] * 4
-        for c in calls:
-            assert c["fusion"] == FusionConfig()
-            assert (c["window"], c["overlap"]) == (8, 7)
-            assert c["shrinkage"] == DEFAULT_SHRINKAGE
+        assert [m.feature_kind for m in models] == ["fv1", "fv2", "fv3"] + ["fv3"] * 4
+        for m in models:
+            assert m.fusion == FusionConfig()
+            assert (m.window, m.overlap) == (8, 7)
+            assert m.shrinkage == DEFAULT_SHRINKAGE
 
     def test_orphan_amplitude_session_warns(self, tmp_path):
         data = tmp_path / "data"

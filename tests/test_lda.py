@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bomi.dataset_io import synth_session
 from bomi.errors import (
     DimensionMismatchError,
+    LayoutError,
     ModelFormatError,
     NumericalError,
     ShapeError,
     SingularCovarianceError,
     TrainingDataError,
+    ValidationError,
 )
 from bomi.experiments import evaluate as eval_windows
-from bomi.experiments import train_session
-from bomi.features import FeatureLayout
+from bomi.experiments import sequence_windows, train_on_windows, train_session
+from bomi.features import FEATURE_KINDS, AmplitudeRange, FeatureLayout, extract_matrix, feature_dim
 from bomi.fusion import FusionConfig
 from bomi.lda import (
+    LdaCore,
     LdaModel,
     deserialize,
     fit,
@@ -42,6 +46,13 @@ def random_instance(rng, d_max=5, k_max=4, n_max=50):
     return np.vstack(X), np.asarray(y), d, k
 
 
+def with_chain(core, **chain):
+    """The LdaModel of a fitted core and a preprocessing chain."""
+    return LdaModel(classes=core.classes, means=core.means, chol_lower=core.chol_lower,
+                    shrinkage=core.shrinkage, log_priors=core.log_priors, meta=core.meta,
+                    **chain)
+
+
 class TestFit:
     def test_two_one_dimensional_classes(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1]])
@@ -57,11 +68,14 @@ class TestFit:
     ])
     def test_geometry_a_stream_cannot_use_rejected(self, kind, window, overlap):
         # Stride window - overlap must be at least 1, as deserialize requires.
+        # The model constructor holds the rule; X is one sensor's width at 8/7.
         rng = np.random.default_rng(0)
-        X, y = rng.normal(size=(20, 3)), np.repeat([0, 1], 10)
+        X, y = rng.normal(size=(20, feature_dim(kind, 1))), np.repeat([0, 1], 10)
+        core = fit(X, y)
+        layout = FeatureLayout(sensor_ids=(1,))
         with pytest.raises(ShapeError):
-            fit(X, y, feature_kind=kind, window=window, overlap=overlap)
-        fit(X, y, feature_kind=kind, window=8, overlap=7)
+            with_chain(core, feature_kind=kind, layout=layout, window=window, overlap=overlap)
+        with_chain(core, feature_kind=kind, layout=layout, window=8, overlap=7)
 
     def test_duplicated_columns_without_shrinkage_singular(self):
         rng = np.random.default_rng(0)
@@ -99,6 +113,31 @@ class TestFit:
         assert np.abs(model_a.chol_lower - model_b.chol_lower).max() < 1e-12
         assert np.abs(model_a.log_priors - model_b.log_priors).max() < 1e-12
 
+    @pytest.mark.parametrize("X, y, message", [
+        pytest.param([[0.0], [0.1], [np.nan], [1.1]], [0, 0, 1, 1], "non-finite", id="nan"),
+        pytest.param([[0.0], [0.1], [np.inf], [1.1]], [0, 0, 1, 1], "non-finite", id="inf"),
+        pytest.param([[0.0], [0.1], [-np.inf], [1.1]], [0, 0, 1, 1], "non-finite",
+                     id="minus-inf"),
+        # A label is never truncated or coerced into a class.
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], [0.5, 0.5, 1.5, 1.5],
+                     "labels must be integers", id="fractional-labels"),
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], [0.0, 0.0, 1.0, 1.0],
+                     "labels must be integers", id="whole-float-labels"),
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], [False, False, True, True],
+                     "labels must be integers", id="bool-labels"),
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], ["0", "0", "1", "1"],
+                     "labels must be integers", id="text-labels"),
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], np.array([2**63, 2**63, 1, 1], dtype=np.uint64),
+                     "labels must be integers", id="uint64-labels"),
+        pytest.param([[0.0], [0.1], [1.0], [1.1]], [[0], [0], [1], [1]], "aligned with y",
+                     id="2d-labels"),
+        pytest.param([[0.0], [0.1, 0.2], [1.0], [1.1]], [0, 0, 1, 1], "numeric arrays",
+                     id="ragged"),
+    ])
+    def test_malformed_input_rejected(self, X, y, message):
+        with pytest.raises(TrainingDataError, match=message):
+            fit(X, y)
+
     def test_uniform_priors_switch(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1], [1.2], [0.9]])
         y = np.array([0, 0, 1, 1, 1, 1])
@@ -112,14 +151,12 @@ ORIGIN = np.zeros(2)
 def scored_model(classes, log_priors):
     """A 2-d model with identity covariance and unit-length means (1, 0),
     (0, 1) and (-1, 0), so scores are exact: x . mu - 0.5 + log prior."""
-    return LdaModel(
+    return LdaCore(
         classes=np.asarray(classes),
         means=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
         chol_lower=np.eye(2),
         shrinkage=0.0,
         log_priors=np.asarray(log_priors, dtype=np.float64),
-        feature_kind="fv1",
-        layout=FeatureLayout(sensor_ids=(1,)),
     )
 
 
@@ -278,7 +315,8 @@ class TestSerialization:
         # rejects a dimension that does not fit the model's feature kind.
         X = np.hstack([X, rng.normal(size=(len(X), -d % 3))])
         d = X.shape[1]
-        model = fit(X, y, feature_kind="fv1", window=d // 3, overlap=d // 3 - 1)
+        model = with_chain(fit(X, y), feature_kind="fv1", layout=FeatureLayout(sensor_ids=(1,)),
+                           window=d // 3, overlap=d // 3 - 1)
         path = tmp_path / "model.json"
         serialize(model, path)
         back = deserialize(path)
@@ -335,11 +373,10 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="unsupported model version 3"):
             deserialize(path)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        rng = np.random.default_rng(9)
-        X, y, _, _ = random_instance(rng)
+    def test_truncated_file_rejected(self, tmp_path, small_model):
+        model, _ = small_model
         path = tmp_path / "model.json"
-        serialize(fit(X, y), path)
+        serialize(model, path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(ModelFormatError):
             deserialize(path)
@@ -355,6 +392,54 @@ class TestSerialization:
         wrong_d = model.dim - 8
         with pytest.raises(DimensionMismatchError):
             predict(model, np.zeros(wrong_d))
+
+
+class TestModelContract:
+    """The LdaModel constructor holds the one validity rule: what it
+    builds serializes and loads, and what deserialize rejects it refuses
+    to build."""
+
+    @pytest.fixture
+    def core40(self):
+        rng = np.random.default_rng(0)
+        return fit(rng.normal(size=(6, 40)), np.array([0, 0, 0, 1, 1, 1]))
+
+    def test_unknown_kind_not_built(self, core40):
+        with pytest.raises(ValidationError, match="unknown feature kind 'fv4'"):
+            with_chain(core40, feature_kind="fv4", layout=FeatureLayout(sensor_ids=(1, 2)))
+
+    def test_width_that_does_not_fit_the_chain_not_built(self, core40):
+        with pytest.raises(DimensionMismatchError,
+                           match="dimension 40 does not fit fv2 with 2 sensors and window 8"):
+            with_chain(core40, feature_kind="fv2", layout=FeatureLayout(sensor_ids=(1, 2)))
+        # fv1 of 2 sensors has 5 channels of 8 ticks.
+        with_chain(core40, feature_kind="fv1", layout=FeatureLayout(sensor_ids=(1, 2)))
+
+    def test_ranges_outside_the_layout_not_built(self, core40):
+        ranges = AmplitudeRange(ranges={1: (0.0, 1.0)}, class_sensor={1: 3})
+        with pytest.raises(LayoutError, match="outside the layout"):
+            with_chain(core40, feature_kind="fv1", layout=FeatureLayout(sensor_ids=(1, 2)),
+                       ranges=ranges)
+
+    @pytest.mark.parametrize("kind, window, overlap",
+                             [(kind, 8, 7) for kind in FEATURE_KINDS]
+                             + [("fv1", 6, 4), ("fv2", 6, 4)])
+    @pytest.mark.parametrize("n_sensors", range(1, 7))
+    def test_every_trained_model_round_trips(self, tmp_path, kind, window, overlap, n_sensors):
+        rec = synth_session(class_count=3, sensor_count=n_sensors, seed=n_sensors,
+                            n_sequences=1, motion_s=1.0)
+        windows = sequence_windows(rec, *rec.sequences, window=window, overlap=overlap)
+        layout = FeatureLayout(sensor_ids=rec.sensor_ids)
+        model = train_on_windows(windows, layout, feature_kind=kind, overlap=overlap)
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        back = deserialize(path)
+        X = extract_matrix(kind, windows, layout)
+        assert predict_scores(back, X).tobytes() == predict_scores(model, X).tobytes()
+        assert (back.feature_kind, back.layout, back.window, back.overlap) == (
+            kind, layout, window, overlap)
+        assert back.ranges == model.ranges
+        assert back.meta == model.meta
 
 
 def test_noiseless_synthetic_session_fully_classified(small_noiseless):

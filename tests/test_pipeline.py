@@ -1,5 +1,6 @@
 import copy
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from bomi.errors import (
     LayoutError,
     MappingError,
     ModelFormatError,
+    ShapeError,
     SplitSpecError,
     ValidationError,
 )
@@ -32,7 +34,7 @@ from bomi.fusion import (
     FusionConfig,
     fuse_sequence,
 )
-from bomi.lda import deserialize, fit, predict_many, serialize
+from bomi.lda import LdaModel, deserialize, fit, predict_many, serialize
 from bomi.pipeline import (
     Command,
     CommandMapping,
@@ -55,6 +57,17 @@ def drive(pipe, seq, n=None):
         if out is not None:
             outs.append(out)
     return outs
+
+
+def model_file_with(model, tmp_path, **fields):
+    """A model file of ``model`` with top-level ``fields`` overwritten,
+    for values the model constructor refuses to build."""
+    path = tmp_path / "model.json"
+    serialize(model, path)
+    payload = json.loads(path.read_text())
+    payload.update(fields)
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestCommandMapping:
@@ -284,10 +297,12 @@ class TestStreaming:
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_rejected(self, small_model, tmp_path, window):
-        # The pipeline takes its geometry from the model; model load checks it.
+        # The pipeline takes its geometry from the model; the model
+        # constructor checks it, at training and at load.
         model, _ = small_model
-        path = tmp_path / "model.json"
-        serialize(replace(model, window=window), path)
+        with pytest.raises(ShapeError, match="window geometry"):
+            replace(model, window=window)
+        path = model_file_with(model, tmp_path, window=window)
         with pytest.raises(ModelFormatError, match="window geometry"):
             deserialize(path)
 
@@ -296,8 +311,9 @@ class TestStreaming:
                                                         window, overlap):
         model, _ = small_model
         assert model.feature_kind == "fv3"
-        path = tmp_path / "model.json"
-        serialize(replace(model, window=window, overlap=overlap), path)
+        with pytest.raises(ShapeError, match="fv3 requires windows of length 8"):
+            replace(model, window=window, overlap=overlap)
+        path = model_file_with(model, tmp_path, window=window, overlap=overlap)
         with pytest.raises(ModelFormatError, match="fv3 requires windows of length 8"):
             deserialize(path)
 
@@ -476,7 +492,10 @@ def test_stream_vectors_equal_extract_matrix_rows(monkeypatch, kind, n_sensors):
                    rec.sequences[0].labels[:n_ticks])
     layout = FeatureLayout(rec.sensor_ids)
     X = np.random.default_rng(n_sensors).normal(size=(4, feature_dim(kind, n_sensors)))
-    model = fit(X, [0, 0, 1, 1], feature_kind=kind, layout=layout)
+    core = fit(X, [0, 0, 1, 1])
+    model = LdaModel(classes=core.classes, means=core.means, chol_lower=core.chol_lower,
+                     shrinkage=core.shrinkage, log_priors=core.log_priors,
+                     feature_kind=kind, layout=layout)
     vectors = []
     monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
     drive(StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz), seq)
