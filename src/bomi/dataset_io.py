@@ -12,7 +12,10 @@ Canonical formats:
   meta: {...}}``, read and written compact by orjson.
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
-  any order, UTF-8, LF, ``.`` decimal point.
+  any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate.
+
+Both writers spell a float as orjson does: the shortest text that reads
+back exactly.
 
 Units are physical: acceleration in g, angular rate in degrees/second,
 magnetometer in normalized (unit-free) gauss. An import mapping config
@@ -55,6 +58,9 @@ CSV_HEADER = [
     "mag_x", "mag_y", "mag_z",
     "label", "sequence",
 ]
+
+# The rate a CSV loads at when its import mapping names none.
+_CSV_RATE_HZ = 60.0
 
 # World magnetic field used when synthesizing magnetometer readings:
 # unit vector toward magnetic north with a 30-degree downward dip.
@@ -552,11 +558,22 @@ def _detect_format(path: Path) -> str:
     raise SchemaError(f"cannot infer format from {path.name!r}: expected .json or .csv")
 
 
+def _row_texts(block: np.ndarray) -> list[bytes]:
+    """Each row of a C-contiguous 2-D int64 or float64 array as its
+    comma-separated numbers, spelled as orjson spells them in JSON."""
+    return orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+
+
 def save_recording(rec: SessionRecording, path: str | Path) -> None:
     """Write a recording to disk in the canonical JSON or CSV format.
 
-    JSON round-trips bit-exactly, meta included; CSV preserves values to
-    full float precision but drops layout locations and meta. Nothing is
+    JSON round-trips bit-exactly, meta included. CSV keeps every sample
+    and label bit for bit but drops layout locations, meta and the sample
+    rate. Its rows run tick by tick, sensors in id order within a tick.
+    Both formats spell a float the shortest way that reads back exactly
+    (``1e-7``, ``0.000015``, ``1e16``). A CSV of a recording whose rate is
+    not 60 Hz emits a UserWarning naming the mapping line
+    (``sample_rate_hz=<rate>``) that loads it back at its rate. Nothing is
     written when the recording or its meta fails a check.
     """
     path = Path(path)
@@ -570,17 +587,28 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
             raise ValidationError(f"cannot write the recording as JSON: {exc}") from exc
         path.write_bytes(text)
         return
-    # Every field is an int or a float repr, so none needs quoting.
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    rate = float(rec.sample_rate_hz)
+    if rate != _CSV_RATE_HZ:
+        warnings.warn(
+            f"a CSV holds no sample rate: this {rate:g} Hz recording loads back at "
+            f"{_CSV_RATE_HZ:g} Hz unless its import mapping has the line sample_rate_hz={rate!r}",
+            stacklevel=2,
+        )
+    # Every field is an integer or a JSON number, so none needs quoting.
+    with path.open("wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\n")
         for qi, seq in enumerate(rec.sequences, start=1):
             sids = sorted(seq.samples)
-            blocks = [seq.samples[sid].tolist() for sid in sids]
-            fh.write("".join(
-                f"{t},{sid},{','.join(map(repr, block[t]))},{lab},{qi}\n"
-                for t, lab in enumerate(seq.labels.tolist())
-                for sid, block in zip(sids, blocks)
-            ))
+            n, s = seq.n_ticks, len(sids)
+            # Stacked Fortran-ordered blocks are not C-contiguous, as orjson needs.
+            values = np.ascontiguousarray(np.stack([seq.samples[sid] for sid in sids], axis=1),
+                                          dtype=np.float64).reshape(n * s, 9)
+            heads = np.stack([np.repeat(np.arange(n), s), np.tile(sids, n)],
+                             axis=1, dtype=np.int64)
+            tails = np.stack([np.repeat(seq.labels, s), np.full(n * s, qi)],
+                             axis=1, dtype=np.int64)
+            rows = zip(_row_texts(heads), _row_texts(values), _row_texts(tails))
+            fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
 
 
 # Integer CSV columns, parsed ahead of the value columns in this order.
@@ -648,7 +676,7 @@ def _label_conflict(path: Path, rows: np.ndarray) -> ParseError:
 def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
     mapping = mapping or ImportMapping()
     # Test for None, not falsiness: a rate of 0 must reach the rate check.
-    rate = 60.0 if mapping.sample_rate_hz is None else mapping.sample_rate_hz
+    rate = _CSV_RATE_HZ if mapping.sample_rate_hz is None else mapping.sample_rate_hz
     values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
     width = len(values)
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from bomi.dataset_io import CSV_HEADER
 from bomi.fusion import FLAG_ACCEL_FALLBACK, FLAG_GIMBAL_GUARD, FLAG_MAG_FALLBACK
 
 
@@ -257,6 +258,19 @@ def nearest_target_class(window_mean_angles, targets: dict) -> int:
 CSV_VALUE_COLUMNS = (
     "acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z", "mag_x", "mag_y", "mag_z",
 )
+
+
+def csv_reference_save(rec, path):
+    """``rec`` written as a canonical CSV one row at a time, each float
+    spelled by ``repr``: rows tick by tick, sensors in id order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for qi, seq in enumerate(rec.sequences, start=1):
+            sids = sorted(seq.samples)
+            for t, lab in enumerate(seq.labels.tolist()):
+                for sid in sids:
+                    values = ",".join(map(repr, seq.samples[sid][t].tolist()))
+                    fh.write(f"{t},{sid},{values},{lab},{qi}\n")
 
 
 def csv_reference_load(path, scales=(1.0, 1.0, 1.0)):

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from bomi.experiments import sequence_windows
 from bomi.fusion import fuse_sequence
 from bomi.pipeline import StreamingPipeline
 
-from oracles import csv_reference_load, nearest_target_class
+from oracles import csv_reference_load, csv_reference_save, nearest_target_class
 
 
 def meta_targets(rec):
@@ -574,10 +576,11 @@ def block_recording(blocks, meta=None):
     )
 
 
-# Floats whose spelling differs between the writers (1e-7 against 1e-07),
-# the extremes and a signed zero.
-EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22,
-               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+# Floats whose spelling differs between orjson and repr (1e-7 against
+# 1e-07, 0.000015 against 1.5e-05, 1e16 against 1e+16), the extremes and a
+# signed zero.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1.5e-5, 1e16,
+               1e22, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 
 
@@ -703,6 +706,110 @@ class TestJsonCodec:
                 load_recording(path, validate="none")
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestCsvCodec:
+    """Recording CSV spells its floats as the JSON file does, and every
+    sample and label loads back bit for bit."""
+
+    @given(blocks=sample_blocks())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_blocks_load_bit_identical_and_as_the_repr_writer_loads(self, tmp_path_factory,
+                                                                    blocks):
+        rec = block_recording(blocks)
+        # Labels 1, 0, 1, ...: every file holds label 1, so it loads with 2 classes.
+        rec.sequences[0].labels = 1 - rec.sequences[0].labels
+        work = tmp_path_factory.mktemp("csv-codec")
+        ours, reference = work / "ours.csv", work / "reference.csv"
+        save_recording(rec, ours)
+        csv_reference_save(rec, reference)
+        back = load_recording(ours, validate="none")
+        assert_same_recording(back, rec)
+        assert_same_recording(back, load_recording(reference, validate="none"))
+
+    @pytest.mark.parametrize("label_dtype", [np.int32, np.uint8])
+    @pytest.mark.parametrize("layout", ["fortran", "float32"])
+    def test_any_block_layout_and_dtype_saves_as_float64(self, tmp_path, layout, label_dtype):
+        block = np.random.default_rng(2).normal(size=(6, 9))
+        given = np.asfortranarray(block) if layout == "fortran" else block.astype(np.float32)
+        rec = block_recording([given, given])
+        rec.sequences[0].labels = rec.sequences[0].labels.astype(label_dtype)
+        path = tmp_path / "rec.csv"
+        save_recording(rec, path)
+        back = load_recording(path, validate="none").sequences[0]
+        for sid in (1, 2):
+            # float32 0.1 is written as the float64 0.10000000149011612, not as 0.1.
+            assert same_bits(back.samples[sid], given.astype(np.float64))
+        assert same_bits(back.labels, np.array([0, 1, 0, 1, 0, 1]))
+        _, rows = csv_lines(path)
+        assert all(re.fullmatch(r"\d+,\d+,[^,]+(,[^,]+){8},\d+,1", row) for row in rows)
+        reference = tmp_path / "reference.csv"
+        csv_reference_save(rec, reference)
+        assert_same_recording(load_recording(path, validate="none"),
+                              load_recording(reference, validate="none"))
+
+    def test_layout_and_the_json_spelling(self, small_noisy, tmp_path):
+        csv_path, json_path = tmp_path / "rec.csv", tmp_path / "rec.json"
+        save_recording(small_noisy, csv_path)
+        save_recording(small_noisy, json_path)
+        data = csv_path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        header, rows = csv_lines(csv_path)
+        assert header == HEADER
+        # The sensor blocks are the only "<id>":[[ ... ]] in the JSON text.
+        blocks = re.findall(r'"\d+":\[\[(.*?)\]\]', json_path.read_text(encoding="utf-8"))
+        sids = small_noisy.sensor_ids
+        expected = []
+        for qi, seq in enumerate(small_noisy.sequences, start=1):
+            spelled = {sid: blocks.pop(0).split("],[") for sid in sids}
+            labels = seq.labels.tolist()
+            expected += [f"{t},{sid},{spelled[sid][t]},{labels[t]},{qi}"
+                         for t in range(seq.n_ticks) for sid in sids]
+        assert not blocks
+        assert rows == expected
+
+    def test_spelling_is_the_shortest_that_reads_back(self, tmp_path):
+        block = np.array([[-3.6e-6, 1.5e-5, 1e16, 1e-7, -0.0, 0.1, 1 / 3, 5e-324, 2.0]] * 2)
+        path = tmp_path / "rec.csv"
+        save_recording(block_recording([block]), path)
+        _, rows = csv_lines(path)
+        assert rows[0] == ("0,1,-3.6e-6,0.000015,1e16,1e-7,-0.0,0.1,0.3333333333333333,"
+                           "5e-324,2.0,0,1")
+
+    def test_a_rate_other_than_60_hz_warns_with_the_mapping_line(self, small_noisy,
+                                                                  tmp_path):
+        rec = dataclasses.replace(small_noisy, sample_rate_hz=100.0)
+        path = tmp_path / "rec.csv"
+        with pytest.warns(UserWarning, match=re.escape(
+                "this 100 Hz recording loads back at 60 Hz unless its import mapping "
+                "has the line sample_rate_hz=100.0")):
+            save_recording(rec, path)
+        assert load_recording(path, validate="none").sample_rate_hz == 60.0
+        cfg = tmp_path / "mapping.cfg"
+        cfg.write_text("sample_rate_hz=100.0\n")
+        back = load_recording(path, mapping=ImportMapping.from_file(cfg), validate="none")
+        assert back.sample_rate_hz == 100.0
+        assert_same_recording(back, rec)
+
+    def test_no_warning_at_60_hz_or_for_json(self, small_noisy, tmp_path):
+        rec = dataclasses.replace(small_noisy, sample_rate_hz=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_recording(small_noisy, tmp_path / "rec.csv")
+            save_recording(rec, tmp_path / "rec.json")
+
+    def test_failing_recording_writes_nothing(self, small_noisy, tmp_path):
+        seq = small_noisy.sequences[0]
+        bad = Sequence({sid: arr.copy() for sid, arr in seq.samples.items()}, seq.labels)
+        bad.samples[2][5, 3] = np.nan
+        rec = dataclasses.replace(small_noisy, sample_rate_hz=100.0,
+                                  sequences=[*small_noisy.sequences[:2], bad])
+        path = tmp_path / "rec.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="sequence 3 sensor 2: non-finite"):
+                save_recording(rec, path)
+        assert not path.exists()
 
 
 def csv_lines(path):
