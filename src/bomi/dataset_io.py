@@ -29,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +45,7 @@ from .errors import (
     SplitSpecError,
     ValidationError,
 )
-from .fusion import _sample_period, wrap_deg
+from .fusion import _real_in, _sample_period, wrap_deg
 
 MAX_SENSORS = 6
 MAX_CLASSES = 9  # neutral plus up to eight motion classes
@@ -59,8 +60,9 @@ CSV_HEADER = [
     "label", "sequence",
 ]
 
-# The rate a CSV loads at when its import mapping names none.
-_CSV_RATE_HZ = 60.0
+# The protocol's rate: every synthetic session's, and the rate a CSV loads
+# at when its import mapping names none.
+_RATE_HZ = 60.0
 
 # World magnetic field used when synthesizing magnetometer readings:
 # unit vector toward magnetic north with a 30-degree downward dip.
@@ -573,8 +575,11 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
     Both formats spell a float the shortest way that reads back exactly
     (``1e-7``, ``0.000015``, ``1e16``). A CSV of a recording whose rate is
     not 60 Hz emits a UserWarning naming the mapping line
-    (``sample_rate_hz=<rate>``) that loads it back at its rate. Nothing is
-    written when the recording or its meta fails a check.
+    (``sample_rate_hz=<rate>``) that loads it back at its rate. A CSV loads
+    back with its highest label + 1 classes: when that differs from
+    ``rec.class_count`` a UserWarning says so, and when it is below 2 the
+    save raises ValidationError. Nothing is written when the recording or
+    its meta fails a check.
     """
     path = Path(path)
     fmt = _detect_format(path)
@@ -587,11 +592,18 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
             raise ValidationError(f"cannot write the recording as JSON: {exc}") from exc
         path.write_bytes(text)
         return
+    classes = max(int(seq.labels.max()) for seq in rec.sequences) + 1
+    if classes < 2:
+        raise ValidationError("every label is 0, so a CSV of this recording would load back "
+                              "with 1 class (a CSV's class count is its highest label + 1)")
+    if classes != rec.class_count:
+        warnings.warn(f"a CSV holds no class count: this {rec.class_count}-class recording "
+                      f"loads back with {classes} classes", stacklevel=2)
     rate = float(rec.sample_rate_hz)
-    if rate != _CSV_RATE_HZ:
+    if rate != _RATE_HZ:
         warnings.warn(
             f"a CSV holds no sample rate: this {rate:g} Hz recording loads back at "
-            f"{_CSV_RATE_HZ:g} Hz unless its import mapping has the line sample_rate_hz={rate!r}",
+            f"{_RATE_HZ:g} Hz unless its import mapping has the line sample_rate_hz={rate!r}",
             stacklevel=2,
         )
     # Every field is an integer or a JSON number, so none needs quoting.
@@ -676,7 +688,7 @@ def _label_conflict(path: Path, rows: np.ndarray) -> ParseError:
 def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
     mapping = mapping or ImportMapping()
     # Test for None, not falsiness: a rate of 0 must reach the rate check.
-    rate = _CSV_RATE_HZ if mapping.sample_rate_hz is None else mapping.sample_rate_hz
+    rate = _RATE_HZ if mapping.sample_rate_hz is None else mapping.sample_rate_hz
     values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
     width = len(values)
 
@@ -804,60 +816,49 @@ def load_recording(
 
 
 def _default_layout(sensor_count: int) -> list[SensorInfo]:
-    if not 1 <= sensor_count <= MAX_SENSORS:
+    if not (isinstance(sensor_count, numbers.Integral) and 1 <= sensor_count <= MAX_SENSORS):
         raise ValidationError(
-            f"sensor_count must be in [1, {MAX_SENSORS}], got {sensor_count}"
+            f"sensor_count must be an integer in [1, {MAX_SENSORS}], got {sensor_count!r}"
         )
     return [
         SensorInfo(i + 1, _DEFAULT_LOCATIONS[i]) for i in range(sensor_count)
     ]
 
 
+# Unit directions: one signed axis per class 1-6, then the pitch-roll
+# diagonals that classes 7-8 move along when only one sensor is worn.
+_AXIS_DIRS = np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+                      dtype=np.float64)
+_DIAGONALS = np.array([(0.7071067811865476, 0.7071067811865476, 0.0),
+                       (0.7071067811865476, -0.7071067811865476, 0.0)])
+
+
 def _class_targets(
-    class_count: int,
-    sensor_ids: SequenceT[int],
-    amplitude_deg: float,
-) -> tuple[dict[int, dict[int, np.ndarray]], dict[int, int]]:
+    class_count: int, n_sensors: int, amplitude_deg: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Distinct relative-angle targets per class.
 
     The first six motion classes exercise one signed axis each on the
     primary sensor; later classes move secondary sensors, falling back to
-    diagonal combinations when only one sensor is worn. Returns
-    (targets, class_sensor) where targets[class][sensor] is a 3-vector of
-    degrees and class_sensor names the sensor carrying the motion.
+    diagonal combinations when only one sensor is worn. Returns a
+    (class_count, S, 3) table of degrees, whose row 0 (neutral) is zero,
+    and per class the index of the sensor carrying the motion.
     """
-    primary = sensor_ids[0]
-    axis_dirs = [
-        (1, 0, 0), (-1, 0, 0),
-        (0, 1, 0), (0, -1, 0),
-        (0, 0, 1), (0, 0, -1),
-    ]
-    extras = [
-        (0.7071067811865476, 0.7071067811865476, 0.0),
-        (0.7071067811865476, -0.7071067811865476, 0.0),
-    ]
-    targets: dict[int, dict[int, np.ndarray]] = {}
-    class_sensor: dict[int, int] = {}
+    table = np.zeros((class_count, n_sensors, 3))
+    carrier = np.zeros(class_count, dtype=np.int64)
     for cls in range(1, class_count):
-        per_sensor = {sid: np.zeros(3) for sid in sensor_ids}
+        extra = cls - 7  # 0 or 1 for the classes past the six axes
         if cls <= 6:
-            sid = primary
-            direction = np.asarray(axis_dirs[cls - 1], dtype=np.float64)
+            j, direction = 0, _AXIS_DIRS[cls - 1]
+        elif n_sensors > 1 + extra:
+            j, direction = 1 + extra, _AXIS_DIRS[0]
+        elif n_sensors > 1:
+            j, direction = 1, _AXIS_DIRS[2 + extra]
         else:
-            extra_idx = cls - 7  # 0 or 1
-            if len(sensor_ids) > 1 + extra_idx:
-                sid = sensor_ids[1 + extra_idx]
-                direction = np.asarray(axis_dirs[0], dtype=np.float64)
-            elif len(sensor_ids) > 1:
-                sid = sensor_ids[1]
-                direction = np.asarray(axis_dirs[2 + extra_idx], dtype=np.float64)
-            else:
-                sid = primary
-                direction = np.asarray(extras[extra_idx], dtype=np.float64)
-        per_sensor[sid] = direction * amplitude_deg
-        targets[cls] = per_sensor
-        class_sensor[cls] = sid
-    return targets, class_sensor
+            j, direction = 0, _DIAGONALS[extra]
+        table[cls, j] = direction * amplitude_deg
+        carrier[cls] = j
+    return table, carrier
 
 
 def _rotation_about_random_axis(rng: np.random.Generator, angle_deg: float) -> np.ndarray:
@@ -872,15 +873,11 @@ def _rotation_about_random_axis(rng: np.random.Generator, angle_deg: float) -> n
     return np.eye(3) + math.sin(a) * k + (1 - math.cos(a)) * (k @ k)
 
 
-def _spasm_profile(
-    rng: np.random.Generator,
-    length: int,
-    sample_rate_hz: float,
-) -> np.ndarray:
+def _spasm_profile(rng: np.random.Generator, length: int) -> np.ndarray:
     """Continuous band-limited modulation in [-1, 1] modelling involuntary
     motion: low-pass filtered noise rescaled so its extremes touch the
     requested amplitude."""
-    kernel_len = max(3, int(0.4 * sample_rate_hz))
+    kernel_len = int(0.4 * _RATE_HZ)
     kernel = np.hanning(kernel_len)
     kernel /= kernel.sum()
     white = rng.normal(size=length + kernel_len)
@@ -906,11 +903,11 @@ def synth_session(
     rotation_seed: int | None = None,
     shuffle_test_seq: bool = False,
     n_sequences: int = 3,
-    sample_rate_hz: float = 60.0,
     motion_s: float = 5.0,
     transition_s: float = 0.5,
 ) -> SessionRecording:
-    """Generate a protocol-shaped synthetic session with known ground truth.
+    """Generate a protocol-shaped synthetic 60 Hz session with known ground
+    truth.
 
     Raw acc/gyro/mag streams are synthesized to be exactly consistent
     with piecewise-constant per-class orientation targets joined by
@@ -924,9 +921,12 @@ def synth_session(
         noise_deg: std of Gaussian angle noise added per tick.
         spasm_deg: peak amplitude modulation, in degrees, applied along
             the motion direction during ``spasm_class`` runs.
+        spasm_class: the motion class, in [1, class_count - 1], that
+            ``spasm_deg`` modulates.
         amplitudes: per-repetition amplitude factors (e.g. (0.4, 1.0,
             1.6) for a multi-amplitude session); None keeps 1.0.
-        class_scale: optional per-class target scaling (low-range motion).
+        class_scale: optional per-class target scaling (low-range
+            motion), keyed by motion class in [1, class_count - 1].
         target_rotation_deg: rotate every class target by a random small
             rotation of this magnitude (sensor-placement drift).
         target_bias_deg: shift every class target by a constant vector of
@@ -943,115 +943,111 @@ def synth_session(
     Returns:
         SessionRecording whose meta carries the ground truth: class
         targets, class->sensor map, seed, and tick counts.
+
+    Raises:
+        ValidationError: an argument is out of range or not finite; the
+            message names it and its value.
     """
-    if not 2 <= class_count <= MAX_CLASSES:
+    if not (isinstance(class_count, numbers.Integral) and 2 <= class_count <= MAX_CLASSES):
         raise ValidationError(
-            f"class_count must be in [2, {MAX_CLASSES}] (neutral plus at most "
-            f"{MAX_CLASSES - 1} motions), got {class_count}"
+            f"class_count must be an integer in [2, {MAX_CLASSES}] (neutral plus at most "
+            f"{MAX_CLASSES - 1} motions), got {class_count!r}"
         )
-    if n_sequences < 1:
-        raise ValidationError(f"n_sequences must be >= 1, got {n_sequences}")
-    if noise_deg < 0 or spasm_deg < 0:
-        raise ValidationError("noise_deg and spasm_deg must be >= 0")
-    if amplitudes is not None and len(amplitudes) != _REPS:
+    if not (isinstance(n_sequences, numbers.Integral) and n_sequences >= 1):
+        raise ValidationError(f"n_sequences must be an integer >= 1, got {n_sequences!r}")
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (seed, rotation_seed or 0)):
+        raise ValidationError("seed and rotation_seed must be integers >= 0, "
+                              f"got {seed!r} and {rotation_seed!r}")
+    amp_by_rep = [1.0] * _REPS if amplitudes is None else list(amplitudes)
+    if len(amp_by_rep) != _REPS:
         raise ValidationError(
-            f"amplitudes needs one factor per repetition ({_REPS}), got {len(amplitudes)}"
+            f"amplitudes needs one factor per repetition ({_REPS}), got {len(amp_by_rep)}"
         )
+    class_scale = dict(class_scale or {})
+    for name, value, floor in (
+        ("noise_deg", noise_deg, 0.0), ("spasm_deg", spasm_deg, 0.0),
+        ("motion_s", motion_s, 0.0), ("transition_s", transition_s, 0.0),
+        ("amplitude_deg", amplitude_deg, -math.inf),
+        ("target_rotation_deg", target_rotation_deg, -math.inf),
+        ("target_bias_deg", target_bias_deg, -math.inf),
+        *((f"amplitudes[{i}]", a, -math.inf) for i, a in enumerate(amp_by_rep)),
+        *((f"class_scale[{c!r}]", f, -math.inf) for c, f in class_scale.items()),
+    ):
+        if not _real_in(value, floor, math.inf):
+            at_least = " >= 0" if floor == 0.0 else ""
+            raise ValidationError(f"{name} must be a finite number{at_least}, got {value!r}")
+    for name, cls in ((f"spasm_class {spasm_class!r}", spasm_class),
+                      *((f"class_scale entry {c!r}:{f!r}", c) for c, f in class_scale.items())):
+        if cls not in range(1, class_count):
+            raise ValidationError(f"{name} names no motion class in [1, {class_count - 1}]")
     layout = _default_layout(sensor_count)
     sensor_ids = [s.id for s in layout]
 
     rng = np.random.default_rng(seed)
-    motion_ticks = int(round(motion_s * sample_rate_hz))
-    ramp = int(round(transition_s * sample_rate_hz))
-    half = ramp // 2
+    motion_ticks = int(round(motion_s * _RATE_HZ))
+    half = int(round(transition_s * _RATE_HZ)) // 2  # ramp ticks on each side
     if motion_ticks < 2 * half + 2:
         raise ValidationError("motion runs too short for the transition length")
 
-    targets, class_sensor = _class_targets(class_count, sensor_ids, amplitude_deg)
-    if class_scale:
-        for cls, factor in class_scale.items():
-            for sid in targets.get(int(cls), {}):
-                targets[int(cls)][sid] = targets[int(cls)][sid] * float(factor)
+    table, carrier = _class_targets(class_count, sensor_count, amplitude_deg)
+    for cls, factor in class_scale.items():
+        table[int(cls)] *= float(factor)
     if target_rotation_deg or target_bias_deg:
         rot_rng = rng if rotation_seed is None else np.random.default_rng(rotation_seed)
         if target_rotation_deg:
             rot = _rotation_about_random_axis(rot_rng, target_rotation_deg)
-            for cls in targets:
-                for sid in targets[cls]:
-                    targets[cls][sid] = rot @ targets[cls][sid]
+            # One product per vector: a batched matmul rounds differently.
+            for vec in table[1:].reshape(-1, 3):
+                vec[:] = rot @ vec
         if target_bias_deg:
             direction = rot_rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            for cls in targets:
-                sid = class_sensor[cls]
-                targets[cls][sid] = targets[cls][sid] + direction * target_bias_deg
+            table[np.arange(1, class_count), carrier[1:]] += direction * target_bias_deg
 
-    base = {
-        sid: np.array([
-            rng.uniform(-5.0, 5.0),
-            rng.uniform(-5.0, 5.0),
-            rng.uniform(-60.0, 60.0),
-        ])
-        for sid in sensor_ids
-    }
-    amp_by_rep = list(amplitudes) if amplitudes is not None else [1.0] * _REPS
+    base = np.array([
+        [rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0), rng.uniform(-60.0, 60.0)]
+        for _ in sensor_ids
+    ])
+    # Motion slots in protocol order; each run is one slot or a neutral run.
+    slot_class = np.repeat(np.arange(1, class_count), _REPS)
+    slot_amp = np.tile(amp_by_rep, class_count - 1)
+    n_runs = 2 * len(slot_class) + 1
+    # Cosine ramps centered on each label boundary; the first tick of the
+    # incoming run sits just past the halfway point.
+    weights = np.array([0.5 * (1.0 - math.cos(math.pi * (i + 0.5) / (2 * half)))
+                        for i in range(2 * half)])
+    bounds = np.arange(1, n_runs) * motion_ticks
+    ramp_ticks = bounds[:, None] + np.arange(-half, half)
 
     sequences: list[Sequence] = []
     for qi in range(n_sequences):
-        slots = [(cls, rep) for cls in range(1, class_count) for rep in range(_REPS)]
+        order = np.arange(len(slot_class))
         if shuffle_test_seq and qi == n_sequences - 1:
-            rng.shuffle(slots)
-        runs: list[tuple[int, int, float]] = [(NEUTRAL, motion_ticks, 1.0)]
-        for cls, rep in slots:
-            runs.append((cls, motion_ticks, amp_by_rep[rep]))
-            runs.append((NEUTRAL, motion_ticks, 1.0))
-        n_ticks = sum(r[1] for r in runs)
+            rng.shuffle(order)
+        run_class = np.zeros(n_runs, dtype=np.int64)
+        run_class[1::2] = slot_class[order]
+        run_amp = np.ones(n_runs)
+        run_amp[1::2] = slot_amp[order]
+        labels = np.repeat(run_class, motion_ticks)
+        rel = table[labels]
+        rel *= np.repeat(run_amp, motion_ticks)[:, None, None]
+        before, after = rel[bounds - half - 1], rel[bounds + half]
+        rel[ramp_ticks] = before[:, None] + weights[:, None, None] * (after - before)[:, None]
 
-        labels = np.empty(n_ticks, dtype=np.int64)
-        rel = {sid: np.zeros((n_ticks, 3)) for sid in sensor_ids}
-        boundaries: list[int] = []
-        pos = 0
-        for cls, length, amp in runs:
-            labels[pos:pos + length] = cls
-            if cls != NEUTRAL:
-                for sid in sensor_ids:
-                    rel[sid][pos:pos + length] = targets[cls][sid] * amp
-            if pos > 0:
-                boundaries.append(pos)
-            pos += length
-
-        # Cosine ramps centered on each label boundary; the first tick of
-        # the incoming run sits just past the halfway point.
-        for b in boundaries:
-            for sid in sensor_ids:
-                before = rel[sid][b - half - 1].copy()
-                after = rel[sid][b + half].copy()
-                for i in range(2 * half):
-                    w = 0.5 * (1.0 - math.cos(math.pi * (i + 0.5) / (2 * half)))
-                    rel[sid][b - half + i] = before + w * (after - before)
-
-        if spasm_deg > 0:
-            for cls, start, end in label_runs(labels):
-                if cls != spasm_class:
-                    continue
-                sid = class_sensor[cls]
-                direction = targets[cls][sid]
-                norm = np.linalg.norm(direction)
-                if norm == 0:
-                    continue
-                direction = direction / norm
-                lo, hi = start + half, end - half
-                if hi <= lo:
-                    continue
-                u = _spasm_profile(rng, hi - lo, sample_rate_hz)
-                rel[sid][lo:hi] += np.outer(u * spasm_deg, direction)
+        j = carrier[spasm_class]
+        norm = np.linalg.norm(table[spasm_class, j])
+        if spasm_deg > 0 and norm > 0:
+            for run in np.flatnonzero(run_class == spasm_class):
+                lo, hi = run * motion_ticks + half, (run + 1) * motion_ticks - half
+                u = _spasm_profile(rng, hi - lo)
+                rel[lo:hi, j] += np.outer(u * spasm_deg, table[spasm_class, j] / norm)
 
         samples: dict[int, np.ndarray] = {}
-        for sid in sensor_ids:
-            absolute = rel[sid] + base[sid]
+        for j, sid in enumerate(sensor_ids):
+            absolute = rel[:, j] + base[j]
             if noise_deg > 0:
-                absolute = absolute + rng.normal(0.0, noise_deg, absolute.shape)
-            samples[sid] = angles_to_raw(absolute, sample_rate_hz)
+                absolute += rng.normal(0.0, noise_deg, absolute.shape)
+            samples[sid] = angles_to_raw(absolute, _RATE_HZ)
         sequences.append(Sequence(samples=samples, labels=labels))
 
     meta = {
@@ -1062,19 +1058,18 @@ def synth_session(
         "spasm_class": int(spasm_class),
         "amplitude_deg": float(amplitude_deg),
         "amplitudes": [float(a) for a in amp_by_rep],
-        "ticks_per_sequence": int(sequences[0].n_ticks),
+        "ticks_per_sequence": n_runs * motion_ticks,
         "motion_ticks": motion_ticks,
         "class_targets": {
-            str(cls): {str(sid): [float(v) for v in vec] for sid, vec in per.items()}
-            for cls, per in targets.items()
+            str(cls): {str(sid): table[cls, j].tolist() for j, sid in enumerate(sensor_ids)}
+            for cls in range(1, class_count)
         },
-        "class_sensors": {str(cls): int(sid) for cls, sid in class_sensor.items()},
-        "base_orientation": {
-            str(sid): [float(v) for v in vec] for sid, vec in base.items()
-        },
+        "class_sensors": {str(cls): sensor_ids[j]
+                          for cls, j in enumerate(carrier.tolist()) if cls},
+        "base_orientation": {str(sid): base[j].tolist() for j, sid in enumerate(sensor_ids)},
     }
     rec = SessionRecording(
-        sample_rate_hz=sample_rate_hz,
+        sample_rate_hz=_RATE_HZ,
         class_count=class_count,
         sensor_layout=layout,
         sequences=sequences,

@@ -1,8 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately written the slow, obvious way and kept
-free of imports from the package under test (aside from constants), so
-a test comparing against these is a genuine second route.
+free of imports from the package under test (aside from constants, and
+the helpers ``synth_reference`` shares with ``synth_session``), so a test
+comparing against these is a genuine second route.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import math
 
 import numpy as np
 
-from bomi.dataset_io import CSV_HEADER
+from bomi.dataset_io import (
+    CSV_HEADER,
+    _rotation_about_random_axis,
+    _spasm_profile,
+    angles_to_raw,
+    label_runs,
+)
 from bomi.fusion import FLAG_ACCEL_FALLBACK, FLAG_GIMBAL_GUARD, FLAG_MAG_FALLBACK
 
 
@@ -366,3 +373,164 @@ def assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def synth_class_targets(class_count, sensor_ids, amplitude_deg):
+    """Per-class, per-sensor 3-vector targets in degrees, built one dict
+    entry at a time; returns (targets, class_sensor) for the motion
+    classes (neutral has no entry)."""
+    primary = sensor_ids[0]
+    axis_dirs = [
+        (1, 0, 0), (-1, 0, 0),
+        (0, 1, 0), (0, -1, 0),
+        (0, 0, 1), (0, 0, -1),
+    ]
+    extras = [
+        (0.7071067811865476, 0.7071067811865476, 0.0),
+        (0.7071067811865476, -0.7071067811865476, 0.0),
+    ]
+    targets = {}
+    class_sensor = {}
+    for cls in range(1, class_count):
+        per_sensor = {sid: np.zeros(3) for sid in sensor_ids}
+        if cls <= 6:
+            sid = primary
+            direction = np.asarray(axis_dirs[cls - 1], dtype=np.float64)
+        else:
+            extra_idx = cls - 7  # 0 or 1
+            if len(sensor_ids) > 1 + extra_idx:
+                sid = sensor_ids[1 + extra_idx]
+                direction = np.asarray(axis_dirs[0], dtype=np.float64)
+            elif len(sensor_ids) > 1:
+                sid = sensor_ids[1]
+                direction = np.asarray(axis_dirs[2 + extra_idx], dtype=np.float64)
+            else:
+                sid = primary
+                direction = np.asarray(extras[extra_idx], dtype=np.float64)
+        per_sensor[sid] = direction * amplitude_deg
+        targets[cls] = per_sensor
+        class_sensor[cls] = sid
+    return targets, class_sensor
+
+
+def synth_reference(class_count=9, sensor_count=3, noise_deg=0.5, spasm_deg=0.0, seed=0,
+                    spasm_class=1, amplitudes=None, amplitude_deg=20.0, class_scale=None,
+                    target_rotation_deg=0.0, target_bias_deg=0.0, rotation_seed=None,
+                    shuffle_test_seq=False, n_sequences=3, motion_s=5.0, transition_s=0.5):
+    """A 60 Hz synthetic session for valid arguments, built per class, per
+    sensor and per tick from the same random stream as ``synth_session``.
+
+    Returns ``([(labels, {sensor: (T, 9) array}), ...], meta)``.
+    """
+    sample_rate_hz = 60.0
+    sensor_ids = list(range(1, sensor_count + 1))
+    rng = np.random.default_rng(seed)
+    motion_ticks = int(round(motion_s * sample_rate_hz))
+    ramp = int(round(transition_s * sample_rate_hz))
+    half = ramp // 2
+
+    targets, class_sensor = synth_class_targets(class_count, sensor_ids, amplitude_deg)
+    if class_scale:
+        for cls, factor in class_scale.items():
+            for sid in targets.get(int(cls), {}):
+                targets[int(cls)][sid] = targets[int(cls)][sid] * float(factor)
+    if target_rotation_deg or target_bias_deg:
+        rot_rng = rng if rotation_seed is None else np.random.default_rng(rotation_seed)
+        if target_rotation_deg:
+            rot = _rotation_about_random_axis(rot_rng, target_rotation_deg)
+            for cls in targets:
+                for sid in targets[cls]:
+                    targets[cls][sid] = rot @ targets[cls][sid]
+        if target_bias_deg:
+            direction = rot_rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            for cls in targets:
+                sid = class_sensor[cls]
+                targets[cls][sid] = targets[cls][sid] + direction * target_bias_deg
+
+    base = {
+        sid: np.array([
+            rng.uniform(-5.0, 5.0),
+            rng.uniform(-5.0, 5.0),
+            rng.uniform(-60.0, 60.0),
+        ])
+        for sid in sensor_ids
+    }
+    amp_by_rep = list(amplitudes) if amplitudes is not None else [1.0] * 3
+
+    sequences = []
+    for qi in range(n_sequences):
+        slots = [(cls, rep) for cls in range(1, class_count) for rep in range(3)]
+        if shuffle_test_seq and qi == n_sequences - 1:
+            rng.shuffle(slots)
+        runs = [(0, motion_ticks, 1.0)]
+        for cls, rep in slots:
+            runs.append((cls, motion_ticks, amp_by_rep[rep]))
+            runs.append((0, motion_ticks, 1.0))
+        n_ticks = sum(r[1] for r in runs)
+
+        labels = np.empty(n_ticks, dtype=np.int64)
+        rel = {sid: np.zeros((n_ticks, 3)) for sid in sensor_ids}
+        boundaries = []
+        pos = 0
+        for cls, length, amp in runs:
+            labels[pos:pos + length] = cls
+            if cls != 0:
+                for sid in sensor_ids:
+                    rel[sid][pos:pos + length] = targets[cls][sid] * amp
+            if pos > 0:
+                boundaries.append(pos)
+            pos += length
+
+        for b in boundaries:
+            for sid in sensor_ids:
+                before = rel[sid][b - half - 1].copy()
+                after = rel[sid][b + half].copy()
+                for i in range(2 * half):
+                    w = 0.5 * (1.0 - math.cos(math.pi * (i + 0.5) / (2 * half)))
+                    rel[sid][b - half + i] = before + w * (after - before)
+
+        if spasm_deg > 0:
+            for cls, start, end in label_runs(labels):
+                if cls != spasm_class:
+                    continue
+                sid = class_sensor[cls]
+                direction = targets[cls][sid]
+                norm = np.linalg.norm(direction)
+                if norm == 0:
+                    continue
+                direction = direction / norm
+                lo, hi = start + half, end - half
+                if hi <= lo:
+                    continue
+                u = _spasm_profile(rng, hi - lo)
+                rel[sid][lo:hi] += np.outer(u * spasm_deg, direction)
+
+        samples = {}
+        for sid in sensor_ids:
+            absolute = rel[sid] + base[sid]
+            if noise_deg > 0:
+                absolute = absolute + rng.normal(0.0, noise_deg, absolute.shape)
+            samples[sid] = angles_to_raw(absolute, sample_rate_hz)
+        sequences.append((labels, samples))
+
+    meta = {
+        "source": "synthetic",
+        "seed": int(seed),
+        "noise_deg": float(noise_deg),
+        "spasm_deg": float(spasm_deg),
+        "spasm_class": int(spasm_class),
+        "amplitude_deg": float(amplitude_deg),
+        "amplitudes": [float(a) for a in amp_by_rep],
+        "ticks_per_sequence": len(sequences[0][0]),
+        "motion_ticks": motion_ticks,
+        "class_targets": {
+            str(cls): {str(sid): [float(v) for v in vec] for sid, vec in per.items()}
+            for cls, per in targets.items()
+        },
+        "class_sensors": {str(cls): int(sid) for cls, sid in class_sensor.items()},
+        "base_orientation": {
+            str(sid): [float(v) for v in vec] for sid, vec in base.items()
+        },
+    }
+    return sequences, meta

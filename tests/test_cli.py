@@ -482,6 +482,13 @@ class TestArgumentHandling:
         ("synth", "--amplitudes", "1,x", "--amplitudes"),
         ("synth", "--sequences", "0", "n_sequences"),
         ("synth", "--sequences", "-1", "n_sequences"),
+        ("synth", "--spasm-class", "0", "spasm_class"),
+        ("synth", "--spasm-class", "12", "spasm_class"),
+        ("synth", "--class-scale", "12:0.5", "class_scale"),
+        ("synth", "--class-scale", "0:0.5", "class_scale"),
+        ("synth", "--noise", "nan", "noise_deg"),
+        ("synth", "--spasm", "-1", "spasm_deg"),
+        ("synth", "--seed", "-1", "seed"),
         # The smoothing check lives in bomi.pipeline, which knows no flags.
         ("replay", "--smooth", "majority:x", "smoothing policy"),
     ])

@@ -38,7 +38,12 @@ from bomi.experiments import sequence_windows
 from bomi.fusion import fuse_sequence
 from bomi.pipeline import StreamingPipeline
 
-from oracles import csv_reference_load, csv_reference_save, nearest_target_class
+from oracles import (
+    csv_reference_load,
+    csv_reference_save,
+    nearest_target_class,
+    synth_reference,
+)
 
 
 def meta_targets(rec):
@@ -270,6 +275,87 @@ class TestSynth:
         shuffled = [c for c, _, _ in label_runs(rec.sequences[-1].labels) if c != 0]
         assert sorted(ordered) == sorted(shuffled)
         assert ordered != shuffled
+
+
+# One session per synth branch: rotation, bias with and without
+# rotation_seed, negative and zero class_scale, 1 and 6 sensors, a spasm on
+# class 8 and on a zero target, shuffle, transition_s=0 and short runs.
+SYNTH_CASES = [
+    dict(),
+    dict(seed=1),
+    dict(class_count=9, sensor_count=1, target_rotation_deg=8.0, seed=2),
+    dict(class_count=9, sensor_count=2, spasm_deg=10.0, spasm_class=8,
+         target_rotation_deg=6.0, seed=3),
+    dict(class_count=9, sensor_count=6, noise_deg=1.0, seed=4),
+    dict(class_count=6, sensor_count=2, spasm_deg=10.0, spasm_class=1,
+         class_scale={1: 0.55}, seed=5),
+    dict(class_scale={3: -0.5, 7: 2.0}, seed=6),
+    dict(amplitude_deg=12.0, noise_deg=1.0, target_bias_deg=3.0, rotation_seed=321,
+         shuffle_test_seq=True, seed=13),
+    dict(target_rotation_deg=5.0, target_bias_deg=2.0, seed=7),
+    dict(sensor_count=1, target_bias_deg=1.5, rotation_seed=11, seed=8),
+    dict(class_count=4, transition_s=0.0, seed=9),
+    dict(motion_s=1.0, transition_s=0.25, n_sequences=1, sensor_count=6,
+         class_scale={2: -1.0}, seed=10),
+    dict(class_count=7, amplitudes=np.array([0.4, 1.0, 1.6]), spasm_deg=5.0, spasm_class=6,
+         seed=11),
+    dict(class_count=3, sensor_count=2, noise_deg=0.0, shuffle_test_seq=True,
+         n_sequences=2, seed=12),
+    dict(class_scale={1: 0.0}, spasm_deg=8.0, spasm_class=1, seed=14),
+]
+
+
+class TestSynthAgainstReference:
+    """``synth_session`` against the per-class, per-sensor, per-tick
+    reference in ``oracles.synth_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("kwargs", SYNTH_CASES)
+    def test_labels_blocks_and_meta_are_the_reference_bits(self, kwargs):
+        rec = synth_session(**kwargs)
+        sequences, meta = synth_reference(**kwargs)
+        assert len(rec.sequences) == len(sequences)
+        for seq, (labels, samples) in zip(rec.sequences, sequences):
+            assert seq.labels.dtype == labels.dtype
+            assert seq.labels.tobytes() == labels.tobytes()
+            assert list(seq.samples) == list(samples)
+            for sid, block in seq.samples.items():
+                assert block.dtype == np.float64 and block.flags.c_contiguous
+                assert block.shape == samples[sid].shape
+                assert block.tobytes() == samples[sid].tobytes()
+        # repr tells -0.0 from 0.0 and keeps the key order the JSON file keeps.
+        assert repr(rec.meta) == repr(meta)
+
+
+class TestSynthArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(class_count=3, spasm_deg=5.0, spasm_class=0),
+         "spasm_class 0 names no motion class in [1, 2]"),
+        (dict(spasm_class=12), "spasm_class 12 names no motion class in [1, 8]"),
+        (dict(spasm_class=1.5), "spasm_class 1.5 names no motion class in [1, 8]"),
+        (dict(class_scale={12: 0.5}), "class_scale entry 12:0.5 names no motion class in [1, 8]"),
+        (dict(class_scale={0: 0.5}), "class_scale entry 0:0.5 names no motion class in [1, 8]"),
+        (dict(class_scale={1: math.nan}), "class_scale[1] must be a finite number, got nan"),
+        (dict(noise_deg=math.nan), "noise_deg must be a finite number >= 0, got nan"),
+        (dict(noise_deg=-1.0), "noise_deg must be a finite number >= 0, got -1.0"),
+        (dict(spasm_deg=math.inf), "spasm_deg must be a finite number >= 0, got inf"),
+        (dict(spasm_deg=-2.0), "spasm_deg must be a finite number >= 0, got -2.0"),
+        (dict(amplitude_deg=math.nan), "amplitude_deg must be a finite number, got nan"),
+        (dict(amplitudes=(1.0, math.inf, 1.0)), "amplitudes[1] must be a finite number, got inf"),
+        (dict(target_rotation_deg=math.nan), "target_rotation_deg must be a finite number, got nan"),
+        (dict(target_bias_deg=-math.inf), "target_bias_deg must be a finite number, got -inf"),
+        (dict(motion_s=math.nan), "motion_s must be a finite number >= 0, got nan"),
+        (dict(transition_s=-0.5), "transition_s must be a finite number >= 0, got -0.5"),
+        (dict(noise_deg=True), "noise_deg must be a finite number >= 0, got True"),
+        (dict(class_count=3.5), "class_count must be an integer in [2, 9]"),
+        (dict(sensor_count=2.5), "sensor_count must be an integer in [1, 6], got 2.5"),
+        (dict(n_sequences=math.nan), "n_sequences must be an integer >= 1, got nan"),
+        (dict(seed=-1), "seed and rotation_seed must be integers >= 0, got -1 and None"),
+        (dict(target_bias_deg=1.0, rotation_seed=2.5),
+         "seed and rotation_seed must be integers >= 0, got 0 and 2.5"),
+    ])
+    def test_fault_names_the_argument_and_its_value(self, kwargs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            synth_session(**kwargs)
 
 
 class TestRoundTrip:
@@ -790,6 +876,24 @@ class TestCsvCodec:
         back = load_recording(path, mapping=ImportMapping.from_file(cfg), validate="none")
         assert back.sample_rate_hz == 100.0
         assert_same_recording(back, rec)
+
+    def test_a_class_count_a_csv_cannot_hold_warns(self, small_noisy, tmp_path):
+        rec = dataclasses.replace(small_noisy, class_count=9)
+        path = tmp_path / "rec.csv"
+        with pytest.warns(UserWarning, match=re.escape(
+                "this 9-class recording loads back with 3 classes")):
+            save_recording(rec, path)
+        assert load_recording(path, validate="none").class_count == 3
+
+    def test_all_neutral_labels_refuse_a_csv_and_write_nothing(self, small_noisy, tmp_path):
+        sequences = [Sequence(seq.samples, np.zeros_like(seq.labels))
+                     for seq in small_noisy.sequences]
+        rec = dataclasses.replace(small_noisy, sequences=sequences)
+        path = tmp_path / "rec.csv"
+        with pytest.raises(ValidationError, match="would load back with 1 class"):
+            save_recording(rec, path)
+        assert not path.exists()
+        save_recording(rec, tmp_path / "rec.json")  # JSON keeps the class count
 
     def test_no_warning_at_60_hz_or_for_json(self, small_noisy, tmp_path):
         rec = dataclasses.replace(small_noisy, sample_rate_hz=100.0)

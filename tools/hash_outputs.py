@@ -7,8 +7,9 @@ every result bit-identical:
 
 Each line is ``<part> <digest>``. The parts cover:
 
-* ``synth/*``: raw sample arrays and labels of ``synth_session`` for the
-  test-suite fixtures and the benchmark's sessions;
+* ``synth/*``: raw sample arrays, labels and meta (as sorted-key JSON) of
+  ``synth_session`` for the test-suite fixtures, for sessions that reach
+  its other branches and for the benchmark's sessions;
 * ``model/*``: every array of the model trained on each session
   (``trained_at`` and other metadata are left out);
 * ``windows/*``: offline windows of the held-out sequence (angles, gyro,
@@ -94,6 +95,12 @@ TEST_SESSIONS = {
     "mae7": dict(class_count=7, amplitudes=(0.5, 0.75, 1.0), seed=5),
     "day3": dict(class_count=9, amplitude_deg=12.0, noise_deg=1.0, seed=13,
                  target_bias_deg=3.0, rotation_seed=321, shuffle_test_seq=True),
+    # Classes 7 and 8 on the diagonals of a single sensor, rotated.
+    "diagonal9": dict(class_count=9, sensor_count=1, target_rotation_deg=8.0, seed=2),
+    "spasm_class8": dict(class_count=9, sensor_count=2, spasm_deg=10.0, spasm_class=8,
+                         seed=3),
+    "short6": dict(motion_s=1.0, transition_s=0.25, n_sequences=1, sensor_count=6,
+                   class_scale={2: -1.0}, seed=10),
 }
 
 
@@ -112,6 +119,11 @@ def hash_recording(rec) -> str:
         parts.append(seq.labels)
         parts.extend(seq.samples[sid] for sid in rec.sensor_ids)
     return digest(*parts)
+
+
+def hash_synth(rec) -> str:
+    return hashlib.sha256(
+        (hash_recording(rec) + json.dumps(rec.meta, sort_keys=True)).encode()).hexdigest()
 
 
 def hash_model(model) -> str:
@@ -333,14 +345,14 @@ def main(argv: list[str] | None = None) -> int:
         print(part, value, flush=True)
 
     for name, kwargs in TEST_SESSIONS.items():
-        emit(f"synth/{name}", hash_recording(synth_session(**kwargs)))
+        emit(f"synth/{name}", hash_synth(synth_session(**kwargs)))
     for i, (sensors, kind) in enumerate(WEARERS):
         name = f"wearer{i}"
         rec = synth_session(class_count=9, sensor_count=sensors, seed=args.seed + i)
         class_sensor = {int(c): int(s) for c, s in rec.meta["class_sensors"].items()}
         model, test_windows = train_session(rec, feature_kind=kind,
                                             class_sensor=class_sensor)
-        emit(f"synth/{name}", hash_recording(rec))
+        emit(f"synth/{name}", hash_synth(rec))
         emit(f"model/{name}", hash_model(model))
         wins, preds = hash_windows(model, test_windows)
         emit(f"windows/{name}", wins)
