@@ -3,8 +3,8 @@
 Subcommands: ``synth``, ``train``, ``eval``, ``replay``,
 ``experiments run-all``, and ``demo-data``. All outputs are files;
 stdout carries a short summary. Exit codes: 0 success, 2 input/data
-error, 3 numerical error. Every subcommand is deterministic given its
-inputs and seed.
+error, 3 numerical error, 4 a worker process that died. Every
+subcommand is deterministic given its inputs and seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dataset_io import (
     save_recording,
     synth_session,
 )
-from .errors import DataError, NumericalError, ParseError
+from .errors import DataError, NumericalError, ParseError, PoolError
 from .experiments import (
     evaluate,
     run_all,
@@ -368,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PoolError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Input/data problems derive from :class:`DataError`; numerical failures
-derive from :class:`NumericalError`. The CLI maps these to exit codes 2
-and 3 respectively.
+derive from :class:`NumericalError`; a worker process that dies is a
+:class:`PoolError`. The CLI maps these to exit codes 2, 3 and 4
+respectively.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ class DataError(BomiError):
 
 class NumericalError(BomiError):
     """A numerical procedure failed (ill-conditioning, singularity)."""
+
+
+class PoolError(BomiError):
+    """A worker process of a pool died before its job finished."""
 
 
 class ParseError(DataError):

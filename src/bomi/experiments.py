@@ -13,16 +13,26 @@ available CPU, and does every fit, evaluation, warning and file write
 itself in a fixed order, so its reports do not depend on the pool. The
 public study functions window their sessions in-process and share the
 same fit-and-score routines.
+
+While the pool runs, ``run_all`` holds numpy's OpenBLAS at one thread
+and restores the old count after: idle BLAS threads of this process
+would otherwise spin on the cores the workers need. A fit's bits do not
+depend on the thread count (``bomi.lda``), so neither do the reports. A
+worker that dies raises ``PoolError``, naming the file whose job was
+pending.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import multiprocessing
 import os
 import warnings
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence as SequenceT
@@ -36,7 +46,7 @@ from .dataset_io import (
     load_recording,
     split_session,
 )
-from .errors import CoverageError, DataError, TrainingDataError, ValidationError
+from .errors import CoverageError, DataError, PoolError, TrainingDataError, ValidationError
 from .features import (
     DEFAULT_OVERLAP,
     DEFAULT_WINDOW,
@@ -540,21 +550,71 @@ def run_multiday_experiment(
 # Run-all orchestration
 
 
-def _sessions(futures: SequenceT[Future], load_order: Iterable[int]) -> Iterator[_Windowed]:
+def _blas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS, or None
+    when numpy's extension module exports neither."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2.x, else 1.x
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS at one thread for the body, then restore the
+    old count, also when the body raises; a no-op without OpenBLAS."""
+    found = _blas_threads()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+_Job = tuple[Path, Future]  # a recording file and its pool job
+
+
+def _result(job: _Job) -> _Windowed | DataError:
+    """A pool job's result; a worker that died is a PoolError naming the file."""
+    path, future = job
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        raise PoolError(
+            f"a worker process died before the job for {path.name} finished: {exc}"
+        ) from exc
+
+
+def _sessions(jobs: SequenceT[_Job], load_order: Iterable[int]) -> Iterator[_Windowed]:
     """Yield one study's windowed sessions in job order as they arrive.
 
     On a fault, fail as loading all of the study's files before windowing
     any would: on the first load fault in ``load_order``, else on the
-    first windowing fault.
+    first windowing fault or dead worker.
     """
-    for f in futures:
+    futures = [f for _, f in jobs]
+    for job, f in zip(jobs, futures):
         if f.exception() is None and not isinstance(f.result(), DataError):
             yield f.result()
             continue
         for i in load_order:
             if futures[i].exception() is None and isinstance(futures[i].result(), DataError):
                 raise futures[i].result()
-        f.result()  # raises the windowing fault
+        _result(job)  # raises the windowing fault or PoolError
 
 
 def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
@@ -571,7 +631,12 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
     processes, at most one per available CPU. This process fits, scores,
     warns and writes in a fixed order, so the reports are those of the
     public study functions, byte for byte. No pool process outlives the
-    call, whether it returns or raises.
+    call, whether it returns or raises. While the pool runs, numpy's
+    OpenBLAS runs on one thread; the old count is restored on the way out.
+
+    Raises:
+        PoolError: a worker process died; names the file whose job was
+            pending.
     """
     root = Path(dataset_root)
     out = Path(out_dir)
@@ -592,38 +657,41 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
     # before the executor starts a thread of its own. A pool given no job
     # starts no process.
     workers = min(len(os.sched_getaffinity(0)), len(jobs)) or 1
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        # Popped as they are read, so a read session is freed after its study.
-        futures = deque(pool.submit(_window_job, path, split) for path, split in jobs)
-        combined: dict = {}
-
-        report = _fv_comparison(
-            participants, (futures.popleft().result() for _ in participants), FEATURE_KINDS
-        )
-        if report.accuracies:
-            combined["fv_comparison"] = report.to_dict()
-            (out / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
-            for name, result in report.details.items():
-                result.confusion.write_csv(out / f"confusion_{name}.csv")
-
-        for sae_path, mae_path in pairs:
-            if not mae_path:
-                warnings.warn(f"{sae_path.name} has no matching multi-amplitude session")
-                continue
-            # The single-amplitude file loads first, then the multi-amplitude one.
-            mae, sae = _sessions([futures.popleft(), futures.popleft()], load_order=(1, 0))
-            combined.setdefault("amplitude", {})[sae_path.stem.replace("_sae", "")] = (
-                _amplitude_study(sae, mae).to_dict()
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            # Popped as they are read, so a read session is freed after its study.
+            futures = deque(
+                (path, pool.submit(_window_job, path, split)) for path, split in jobs
             )
+            combined: dict = {}
 
-        if day_paths:
-            days = [futures.popleft() for _ in day_paths]
-            study = _multiday_study(_sessions(days, load_order=range(len(days))))
-            combined["multiday"] = study.to_dict()
-            (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
-    finally:
-        pool.shutdown(cancel_futures=True)
+            report = _fv_comparison(
+                participants, (_result(futures.popleft()) for _ in participants), FEATURE_KINDS
+            )
+            if report.accuracies:
+                combined["fv_comparison"] = report.to_dict()
+                (out / "fv_table.txt").write_text(report.table() + "\n", encoding="utf-8")
+                for name, result in report.details.items():
+                    result.confusion.write_csv(out / f"confusion_{name}.csv")
+
+            for sae_path, mae_path in pairs:
+                if not mae_path:
+                    warnings.warn(f"{sae_path.name} has no matching multi-amplitude session")
+                    continue
+                # The single-amplitude file loads first, then the multi-amplitude one.
+                mae, sae = _sessions([futures.popleft(), futures.popleft()], load_order=(1, 0))
+                combined.setdefault("amplitude", {})[sae_path.stem.replace("_sae", "")] = (
+                    _amplitude_study(sae, mae).to_dict()
+                )
+
+            if day_paths:
+                days = [futures.popleft() for _ in day_paths]
+                study = _multiday_study(_sessions(days, load_order=range(len(days))))
+                combined["multiday"] = study.to_dict()
+                (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     (out / "report.json").write_text(
         json.dumps(combined, indent=2), encoding="utf-8"

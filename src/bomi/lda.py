@@ -7,6 +7,11 @@ of Sigma_l is taken once at fit time; prediction is a single matrix
 product against precomputed weights, so scoring never re-solves the
 system.
 
+The factor and the solve for the weights call no BLAS or LAPACK: each is
+a Python loop over rows in which every sum is one ``np.add.reduce`` over
+a row of a product, in a fixed order. So a model's bits do not depend on
+the host's BLAS thread count, and the package needs no scipy.
+
 Scores are delta_j(x) = x' Sigma_l^-1 mu_j - mu_j' Sigma_l^-1 mu_j / 2
 + log pi_j; ties break toward the neutral class, then the lowest label.
 
@@ -24,7 +29,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, LinAlgError
 
 from .dataset_io import _int_field
 from .errors import (
@@ -73,7 +77,7 @@ class LdaCore:
 
     def __post_init__(self) -> None:
         # Precompute the linear form once; scoring is then x @ W + b.
-        w = cho_solve((self.chol_lower, True), self.means.T)
+        w = _cho_solve(self.chol_lower, self.means.T)
         object.__setattr__(self, "_weights", w)
         object.__setattr__(
             self, "_biases", -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
@@ -127,6 +131,49 @@ class LdaModel(LdaCore):
                 f"outside the layout {layout.sensor_ids}"
             )
         super().__post_init__()
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``a * b``: one pairwise ``np.add.reduce`` over a
+    C-contiguous row of the product, whatever the operands' layout."""
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a symmetric positive definite ``a``
+    (only its lower triangle is read), left-looking, a column at a time.
+
+    Raises:
+        SingularCovarianceError: a pivot is not positive (or is NaN).
+    """
+    d = len(a)
+    lower = np.zeros((d, d))
+    for j in range(d):
+        # Column j below the diagonal, less what the columns left of it account for.
+        col = a[j:, j] - _row_dots(lower[j:, :j], lower[j, :j])
+        pivot = col[0]
+        if not pivot > 0.0:
+            raise SingularCovarianceError(
+                "pooled covariance is singular; refit with shrinkage > 0"
+            )
+        root = math.sqrt(pivot)
+        lower[j, j] = root
+        lower[j + 1:, j] = col[1:] / root
+    return lower
+
+
+def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L') x = b for a (d,) or (d, m) ``b``, given the lower
+    factor L: a forward then a back substitution, a row at a time."""
+    # One row of y per right-hand side, so each sum runs along a row of L or L'.
+    y = np.array(np.atleast_2d(b.T), dtype=np.float64)
+    upper = np.ascontiguousarray(lower.T)
+    d = len(lower)
+    for i in range(d):
+        y[:, i] = (y[:, i] - _row_dots(lower[i, :i], y[:, :i])) / lower[i, i]
+    for i in reversed(range(d)):
+        y[:, i] = (y[:, i] - _row_dots(upper[i, i + 1:], y[:, i + 1:])) / upper[i, i]
+    return y.T if b.ndim == 2 else y[0]
 
 
 def _check_shrinkage(shrinkage: float) -> None:
@@ -194,12 +241,7 @@ def fit(
         cov = (1.0 - shrinkage) * cov
         cov[np.diag_indices(d)] += shrinkage * target
 
-    try:
-        lower = cholesky(cov, lower=True)
-    except LinAlgError as exc:
-        raise SingularCovarianceError(
-            "pooled covariance is singular; refit with shrinkage > 0"
-        ) from exc
+    lower = _cholesky(cov)
 
     if priors == "empirical":
         log_priors = np.log(counts / n)

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -7,6 +10,22 @@ import pytest
 import bomi.experiments
 from bomi.dataset_io import synth_session
 from bomi.experiments import train_session
+
+
+@pytest.fixture
+def run_python():
+    """Run Python code in a fresh interpreter that imports this bomi,
+    with extra environment variables; return its standard output."""
+    src = str(Path(bomi.experiments.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code: str, **env: str) -> str:
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 def _gamma_sensors(rec):

@@ -12,6 +12,7 @@ import csv
 import math
 
 import numpy as np
+import scipy.linalg
 
 from bomi.dataset_io import (
     CSV_HEADER,
@@ -208,6 +209,17 @@ def lda_reference_scores(X, y, x_probe, shrinkage: float, priors=None):
             float(x_probe @ inv @ mu - 0.5 * mu @ inv @ mu + math.log(priors[cls]))
         )
     return classes, np.asarray(scores)
+
+
+def cholesky_reference(a):
+    """Lower Cholesky factor of a symmetric positive definite matrix, by
+    LAPACK (``scipy.linalg``)."""
+    return scipy.linalg.cholesky(a, lower=True)
+
+
+def cho_solve_reference(lower, b):
+    """Solution x of (L L') x = b, by LAPACK (``scipy.linalg``)."""
+    return scipy.linalg.cho_solve((lower, True), b)
 
 
 def lda_reference_label(X, y, x_probe, shrinkage: float):

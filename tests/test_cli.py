@@ -267,6 +267,19 @@ class TestEval:
         assert not out.exists()
 
 
+def test_train_and_eval_load_no_scipy(small_recording_file, tmp_path, run_python):
+    loaded = run_python(f"""
+import sys
+from bomi.cli import main
+assert main(["train", "--recording", {str(small_recording_file)!r},
+             "--out", {str(tmp_path / "model.json")!r}]) == 0
+assert main(["eval", "--model", {str(tmp_path / "model.json")!r},
+             "--recording", {str(small_recording_file)!r}, "--out", {str(tmp_path / "r")!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+""")
+    assert loaded.splitlines()[-1] == "[]"
+
+
 class TestModelChain:
     def test_eval_and_replay_take_the_chain_from_the_model(self, small_recording_file, tmp_path):
         model_path = tmp_path / "m.json"

@@ -1,5 +1,8 @@
 import json
 import multiprocessing
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 import bomi.experiments
 from bomi.cli import main
 from bomi.dataset_io import SplitSpec, load_recording, save_recording, synth_session
-from bomi.errors import CoverageError, DataError
+from bomi.errors import CoverageError, DataError, PoolError
 from bomi.experiments import (
     ConfusionMatrix,
     evaluate,
@@ -53,6 +56,35 @@ def write_studies(data):
     for stem, rec in sessions.items():
         save_recording(rec, data / f"{stem}.json")
     return sessions
+
+
+_window_job = bomi.experiments._window_job
+
+
+def _window_job_killed_on_day2(path, split=None):
+    """``run_all``'s pool job, except that for ``day2.json`` its process
+    dies by SIGKILL, as under the OOM killer. It dies once the main process
+    has read day1's session, so no other job is pending then."""
+    if path.name == "day2.json":
+        deadline = time.monotonic() + 60
+        while not path.with_name("day1.read").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _window_job(path, split)
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count getter, with the count set to 2 for
+    the test and restored after; skips where numpy has no OpenBLAS."""
+    found = bomi.experiments._blas_threads()
+    if found is None:
+        pytest.skip("numpy exports no OpenBLAS thread-count symbol on this platform")
+    get, set_ = found
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
 
 
 def without_class_2_in_training(rec):
@@ -409,6 +441,55 @@ class TestRunAllPool:
         # the studies before the failing one have written their files
         assert (tmp_path / "out" / "fv_table.txt").exists()
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_blas_runs_on_one_thread_while_the_pool_runs(self, tmp_path, monkeypatch,
+                                                         blas_threads):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        seen = []
+        multiday = bomi.experiments._multiday_study
+        monkeypatch.setattr(bomi.experiments, "_multiday_study",
+                            lambda days: seen.append(blas_threads()) or multiday(days))
+        run_all(data, tmp_path / "out")
+        assert seen == [1]
+        assert blas_threads() == 2
+
+        (data / "day2.json").write_text("[")
+        with pytest.raises(DataError):
+            run_all(data, tmp_path / "again")
+        assert blas_threads() == 2
+
+    def test_a_worker_that_dies_is_a_pool_error(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        found = bomi.experiments._blas_threads()
+        threads = found[0] if found else lambda: None
+        before = threads()
+        # Forked workers inherit the patched job.
+        monkeypatch.setattr(bomi.experiments, "_window_job", _window_job_killed_on_day2)
+        multiday = bomi.experiments._multiday_study
+
+        def multiday_marking_day1(days):
+            def marked():
+                yield next(days)
+                (data / "day1.read").touch()
+                yield from days
+            return multiday(marked())
+
+        monkeypatch.setattr(bomi.experiments, "_multiday_study", multiday_marking_day1)
+        with pytest.raises(PoolError, match="day2.json"):
+            run_all(data, tmp_path / "out")
+        assert multiprocessing.active_children() == []
+        assert threads() == before
+
+        (data / "day1.read").unlink()
+        assert main(["experiments", "run-all", "--data", str(data),
+                     "--out", str(tmp_path / "cli")]) == 4
+        assert "day2.json" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert threads() == before
 
     @pytest.mark.parametrize("corrupt, crippled", [("day2", "day1"), ("P9_sae", "P9_mae")])
     def test_a_load_fault_wins_over_a_windowing_fault(self, tmp_path, corrupt, crippled):

@@ -23,6 +23,8 @@ from bomi.fusion import FusionConfig
 from bomi.lda import (
     LdaCore,
     LdaModel,
+    _cho_solve,
+    _cholesky,
     deserialize,
     fit,
     predict,
@@ -31,7 +33,13 @@ from bomi.lda import (
     serialize,
 )
 
-from oracles import lda_reference_label, lda_reference_scores
+from oracles import (
+    assert_same_bits,
+    cho_solve_reference,
+    cholesky_reference,
+    lda_reference_label,
+    lda_reference_scores,
+)
 
 
 def random_instance(rng, d_max=5, k_max=4, n_max=50):
@@ -458,3 +466,80 @@ def test_fit_never_returns_invalid_model(seed):
     assert model.means.shape == (k, d)
     assert np.isfinite(model.chol_lower).all()
     assert np.isfinite(predict_scores(model, np.zeros(d))).all()
+
+
+def spd_matrix(rng, d):
+    """A random, well-conditioned symmetric positive definite (d, d)
+    matrix: a sample covariance of unit normals plus at least 0.1 times
+    the identity, at a random scale."""
+    g = rng.normal(size=(d + int(rng.integers(1, 2 * d + 2)), d))
+    a = g.T @ g / len(g) + rng.uniform(0.1, 1.0) * np.eye(d)
+    return a * 10.0 ** rng.uniform(-6, 6)
+
+
+def rel_error(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+class TestFixedOrderFactor:
+    """``_cholesky`` and ``_cho_solve``, which ``fit`` and the model
+    constructor use, against LAPACK."""
+
+    @given(d=st.integers(1, 64), m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_lapack(self, d, m, seed):
+        rng = np.random.default_rng(seed)
+        a = spd_matrix(rng, d)
+        b = rng.normal(size=(d, m))
+        lower = _cholesky(a)
+        reference = cholesky_reference(a)
+        assert rel_error(lower, reference) <= 1e-12
+        x = _cho_solve(lower, b)
+        assert rel_error(x, cho_solve_reference(reference, b)) <= 1e-12
+        # A right-hand side solved alone has the bits it has among others.
+        assert_same_bits(_cho_solve(lower, b[:, 0]), x[:, 0])
+
+    @given(d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           fault=st.sampled_from(["indefinite", "nan"]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_not_positive_definite_raises(self, d, seed, fault):
+        rng = np.random.default_rng(seed)
+        a = spd_matrix(rng, d)
+        i, j = rng.integers(d, size=2)
+        if fault == "indefinite":
+            a[j, j] = -a[j, j]  # e_j' a e_j < 0
+        else:
+            a[i, j] = a[j, i] = np.nan
+        with pytest.raises(SingularCovarianceError):
+            _cholesky(a)
+
+    @pytest.mark.parametrize("a", [
+        [[0.0]], [[-0.0]], np.zeros((3, 3)),
+        [[4.0, 2.0], [2.0, 1.0]],  # second pivot exactly 1 - 1
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ])
+    def test_zero_pivot_raises(self, a):
+        with pytest.raises(SingularCovarianceError):
+            _cholesky(np.asarray(a))
+
+
+# The fit inputs are built without BLAS, so both interpreters fit the same bits.
+_FIT_DIGESTS = """
+import hashlib
+import numpy as np
+from bomi.lda import fit
+for d in (128, 248):
+    rng = np.random.default_rng(d)
+    y = np.arange(8 * d) % 5
+    X = rng.normal(size=(8 * d, d)).cumsum(axis=1) + y[:, None]
+    core = fit(X, y, shrinkage=1e-3)
+    for name in ("chol_lower", "_weights", "_biases"):
+        data = np.ascontiguousarray(getattr(core, name)).tobytes()
+        print(d, name, hashlib.sha256(data).hexdigest())
+"""
+
+
+def test_fit_bits_do_not_depend_on_blas_threads(run_python):
+    one = run_python(_FIT_DIGESTS, OPENBLAS_NUM_THREADS="1")
+    assert len(one.splitlines()) == 6
+    assert run_python(_FIT_DIGESTS, OPENBLAS_NUM_THREADS="2") == one

@@ -11,7 +11,9 @@ Each line is ``<part> <digest>``. The parts cover:
   ``synth_session`` for the test-suite fixtures, for sessions that reach
   its other branches and for the benchmark's sessions;
 * ``model/*``: every array of the model trained on each session
-  (``trained_at`` and other metadata are left out);
+  (``trained_at`` and other metadata are left out); the factor and the
+  weights take no BLAS route, so these do not depend on the BLAS thread
+  count (``OPENBLAS_NUM_THREADS``);
 * ``windows/*``: offline windows of the held-out sequence (angles, gyro,
   labels, start ticks) and ``predict_many`` on them;
 * ``features/extract_*``: ``extract`` of each feature kind on the first
