@@ -9,10 +9,11 @@ Canonical formats:
 
 * JSON: ``{sample_rate_hz, class_count, sensor_layout: [{id, location}],
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
-  meta: {...}}``, read and written compact by orjson.
+  meta: {...}}``, read and written compact by orjson, sensor keys in id order.
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
-  any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate.
+  any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate and
+  no layout, so it loads with its sensors in id order.
 
 Both writers spell a float as orjson does: the shortest text that reads
 back exactly.
@@ -86,11 +87,14 @@ class SensorInfo:
 class Sequence:
     """One pass of the recording protocol.
 
-    samples maps sensor id to a (T, 9) float array with columns
-    acc_xyz, gyro_xyz, mag_xyz; labels is a (T,) int array.
+    sensor_ids names the sensors in layout order; samples is one (T, S, 9)
+    array in that order (C-contiguous float64 from the loaders and
+    ``synth_session``), each row acc_xyz, gyro_xyz, mag_xyz; labels is a
+    (T,) int array.
     """
 
-    samples: dict[int, np.ndarray]
+    sensor_ids: tuple[int, ...]
+    samples: np.ndarray
     labels: np.ndarray
 
     @property
@@ -99,8 +103,8 @@ class Sequence:
 
     def tick_samples(self, tick: int) -> dict[int, list[float]]:
         """A fresh dict of each sensor's row at ``tick`` as 9 Python floats,
-        the input ``StreamingPipeline.step`` takes."""
-        return {sid: block[tick].tolist() for sid, block in self.samples.items()}
+        in layout order: the input ``StreamingPipeline.step`` takes."""
+        return dict(zip(self.sensor_ids, self.samples[tick].tolist()))
 
 
 @dataclass
@@ -232,7 +236,7 @@ def validate_recording(
         )
     if not rec.sensor_layout:
         raise ValidationError("empty sensor layout")
-    ids = [s.id for s in rec.sensor_layout]
+    ids = rec.sensor_ids
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate sensor ids in layout: {ids}")
     for sid in ids:
@@ -246,19 +250,19 @@ def validate_recording(
         n = seq.n_ticks
         if n == 0:
             raise ValidationError(f"sequence {qi} is empty")
-        if set(seq.samples) != set(ids):
+        if tuple(seq.sensor_ids) != ids:
             raise AlignmentError(
-                f"sequence {qi}: sensors {sorted(seq.samples)} do not match "
-                f"layout {sorted(ids)}"
+                f"sequence {qi}: sensor ids {tuple(seq.sensor_ids)} are not the layout's {ids}"
             )
-        for sid, arr in seq.samples.items():
-            if arr.shape != (n, 9):
-                raise AlignmentError(
-                    f"sequence {qi} sensor {sid}: shape {arr.shape}, "
-                    f"expected ({n}, 9)"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"sequence {qi} sensor {sid}: non-finite samples")
+        if seq.samples.shape != (n, len(ids), 9):
+            raise AlignmentError(
+                f"sequence {qi}: samples of shape {seq.samples.shape}, "
+                f"expected ({n}, {len(ids)}, 9)"
+            )
+        finite = np.isfinite(seq.samples)
+        if not finite.all():
+            sid = ids[finite.all(axis=(0, 2)).argmin()]
+            raise ValidationError(f"sequence {qi} sensor {sid}: non-finite samples")
         labs = np.asarray(seq.labels)
         if labs.dtype.kind not in "iu":
             raise SchemaError(f"sequence {qi}: labels must be integers, got dtype {labs.dtype}")
@@ -345,7 +349,7 @@ class ImportMapping:
 
 
 def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Synthesize raw 9-axis samples consistent with an angle trajectory.
+    """Synthesize raw 9-axis samples consistent with angle trajectories.
 
     Inverse of the fusion stage: given absolute (pitch, roll, yaw) per
     tick, emits the gravity vector the accelerometer would read, the
@@ -354,41 +358,41 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
     complementary filter reproduces the input angles to float precision.
 
     Args:
-        angles_deg: (T, 3) array of [pitch, roll, yaw] in degrees.
+        angles_deg: (T, ..., 3) array of [pitch, roll, yaw] in degrees.
         sample_rate_hz: sampling rate for the rate computation.
 
     Returns:
-        (T, 9) array with columns acc_xyz, gyro_xyz, mag_xyz.
+        (T, ..., 9) C-contiguous array with columns acc_xyz, gyro_xyz, mag_xyz.
     """
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
-    pitch = np.radians(angles_deg[:, 0])
-    roll = np.radians(angles_deg[:, 1])
-    yaw = np.radians(angles_deg[:, 2])
+    pitch = np.radians(angles_deg[..., 0])
+    roll = np.radians(angles_deg[..., 1])
+    yaw = np.radians(angles_deg[..., 2])
     cp, sp = np.cos(pitch), np.sin(pitch)
     cr, sr = np.cos(roll), np.sin(roll)
     cy, sy = np.cos(yaw), np.sin(yaw)
 
-    out = np.empty((len(angles_deg), 9), dtype=np.float64)
+    out = np.empty(angles_deg.shape[:-1] + (9,), dtype=np.float64)
     # Gravity (0, 0, 1) seen from the body frame.
-    out[:, 0] = -sp
-    out[:, 1] = cp * sr
-    out[:, 2] = cp * cr
+    out[..., 0] = -sp
+    out[..., 1] = cp * sr
+    out[..., 2] = cp * cr
     # World field through Rx(roll)^T Ry(pitch)^T Rz(yaw)^T.
     mN, _, mD = MAG_WORLD
     m1x, m1y, m1z = cy * mN, -sy * mN, mD
     m2x = cp * m1x - sp * m1z
     m2y = m1y
     m2z = sp * m1x + cp * m1z
-    out[:, 6] = m2x
-    out[:, 7] = cr * m2y + sr * m2z
-    out[:, 8] = -sr * m2y + cr * m2z
+    out[..., 6] = m2x
+    out[..., 7] = cr * m2y + sr * m2z
+    out[..., 8] = -sr * m2y + cr * m2z
     # Angular rates from wrapped backward differences.
     d = wrap_deg(np.diff(angles_deg, axis=0))
     rates = np.zeros_like(angles_deg)
     rates[1:] = d * sample_rate_hz
-    out[:, 3] = rates[:, 1]  # gyro_x tracks roll
-    out[:, 4] = rates[:, 0]  # gyro_y tracks pitch
-    out[:, 5] = rates[:, 2]  # gyro_z tracks yaw
+    out[..., 3] = rates[..., 1]  # gyro_x tracks roll
+    out[..., 4] = rates[..., 0]  # gyro_y tracks pitch
+    out[..., 5] = rates[..., 2]  # gyro_z tracks yaw
     return out
 
 
@@ -397,8 +401,8 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 
 
 def _rec_to_dict(rec: SessionRecording) -> dict:
-    """The JSON object of ``rec``, its labels and sample blocks as int64
-    and C-contiguous float64 arrays for ``orjson.OPT_SERIALIZE_NUMPY``."""
+    """The JSON object of ``rec``, its labels and per-sensor sample blocks
+    as int64 and C-contiguous float64 arrays for ``orjson.OPT_SERIALIZE_NUMPY``."""
     return {
         "sample_rate_hz": rec.sample_rate_hz,
         "class_count": rec.class_count,
@@ -409,8 +413,8 @@ def _rec_to_dict(rec: SessionRecording) -> dict:
             {
                 "labels": np.asarray(seq.labels, dtype=np.int64),
                 "sensors": {
-                    str(sid): np.ascontiguousarray(seq.samples[sid], dtype=np.float64)
-                    for sid in sorted(seq.samples)
+                    str(sid): np.ascontiguousarray(seq.samples[:, j], dtype=np.float64)
+                    for sid, j in sorted((sid, j) for j, sid in enumerate(seq.sensor_ids))
                 },
             }
             for seq in rec.sequences
@@ -475,12 +479,15 @@ def _sensor_key(key: str, qi: int) -> int:
 
 
 def _rec_from_dict(obj: dict) -> SessionRecording:
+    """The recording of a parsed JSON object; each sequence's (T, 9) blocks
+    fill one (T, S, 9) array in layout order, else an AlignmentError."""
     try:
         layout = [
             SensorInfo(_int_field(s["id"], "sensor_layout id"),
                        str(s.get("location", "unknown")))
             for s in obj["sensor_layout"]
         ]
+        ids = tuple(s.id for s in layout)
         sequences = []
         for qi, seq_obj in enumerate(obj["sequences"], start=1):
             labels = seq_obj["labels"]
@@ -492,11 +499,19 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
             except OverflowError:
                 bad = next(v for v in labels if not -2**63 <= v < 2**63)
                 raise SchemaError(f"sequence {qi} labels must fit in 64 bits, got {bad}") from None
-            samples = {
-                _sensor_key(sid, qi): np.asarray(rows, dtype=np.float64)
-                for sid, rows in seq_obj["sensors"].items()
-            }
-            sequences.append(Sequence(samples=samples, labels=labels))
+            blocks = {_sensor_key(key, qi): rows for key, rows in seq_obj["sensors"].items()}
+            if set(blocks) != set(ids):
+                raise AlignmentError(
+                    f"sequence {qi}: sensors {sorted(blocks)} do not match layout {sorted(ids)}"
+                )
+            samples = np.empty((len(labels), len(ids), 9))
+            for j, sid in enumerate(ids):
+                block = np.asarray(blocks[sid], dtype=np.float64)
+                if block.shape != (len(labels), 9):
+                    raise AlignmentError(f"sequence {qi} sensor {sid}: shape {block.shape}, "
+                                         f"expected ({len(labels)}, 9)")
+                samples[:, j] = block
+            sequences.append(Sequence(ids, samples, labels))
         return SessionRecording(
             sample_rate_hz=_number_field(obj["sample_rate_hz"], "sample_rate_hz"),
             class_count=_int_field(obj["class_count"], "class_count"),
@@ -610,12 +625,10 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
     with path.open("wb") as fh:
         fh.write(",".join(CSV_HEADER).encode() + b"\n")
         for qi, seq in enumerate(rec.sequences, start=1):
-            sids = sorted(seq.samples)
-            n, s = seq.n_ticks, len(sids)
-            # Stacked Fortran-ordered blocks are not C-contiguous, as orjson needs.
-            values = np.ascontiguousarray(np.stack([seq.samples[sid] for sid in sids], axis=1),
-                                          dtype=np.float64).reshape(n * s, 9)
-            heads = np.stack([np.repeat(np.arange(n), s), np.tile(sids, n)],
+            by_id = np.argsort(seq.sensor_ids)
+            n, s = seq.n_ticks, len(by_id)
+            values = np.ascontiguousarray(seq.samples[:, by_id], dtype=np.float64).reshape(n * s, 9)
+            heads = np.stack([np.repeat(np.arange(n), s), np.tile(np.sort(seq.sensor_ids), n)],
                              axis=1, dtype=np.int64)
             tails = np.stack([np.repeat(seq.labels, s), np.full(n * s, qi)],
                              axis=1, dtype=np.int64)
@@ -736,7 +749,7 @@ def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
             f"tick {rows['tick'][i]} sensor {rows['sensor_id'][i]}"
         )
 
-    sensor_ids = np.unique(sensor).tolist()
+    sensor_ids = tuple(np.unique(sensor).tolist())
     n_sensors = len(sensor_ids)
     tick_heads = np.flatnonzero(np.r_[True, ~same_tick])  # first row of each tick
     seq_bounds = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1], True])
@@ -757,22 +770,14 @@ def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
             raise AlignmentError(
                 f"sequence {qi} tick {t}: missing sensors {missing_ids}"
             )
-        labels = lab[heads]
-        by_tick = order[lo:hi].reshape(n, n_sensors)
-        arrays = {sid: rows["values"][by_tick[:, j]] for j, sid in enumerate(sensor_ids)}
+        samples = rows["values"][order[lo:hi].reshape(n, n_sensors)]
         if mapping.mode == "angles":
-            samples = {
-                sid: angles_to_raw(arrays[sid], rate) for sid in sensor_ids
-            }
+            samples = angles_to_raw(samples, rate)
         else:
-            samples = {}
-            for sid in sensor_ids:
-                arr = arrays[sid]
-                arr[:, 0:3] *= mapping.scale_acc
-                arr[:, 3:6] *= mapping.scale_gyro
-                arr[:, 6:9] *= mapping.scale_mag
-                samples[sid] = arr
-        sequences.append(Sequence(samples=samples, labels=labels))
+            samples[..., 0:3] *= mapping.scale_acc
+            samples[..., 3:6] *= mapping.scale_gyro
+            samples[..., 6:9] *= mapping.scale_mag
+        sequences.append(Sequence(sensor_ids, samples, lab[heads]))
 
     layout = [SensorInfo(sid, f"s{sid}") for sid in sensor_ids]
     return SessionRecording(
@@ -981,7 +986,7 @@ def synth_session(
         if cls not in range(1, class_count):
             raise ValidationError(f"{name} names no motion class in [1, {class_count - 1}]")
     layout = _default_layout(sensor_count)
-    sensor_ids = [s.id for s in layout]
+    sensor_ids = tuple(s.id for s in layout)
 
     rng = np.random.default_rng(seed)
     motion_ticks = int(round(motion_s * _RATE_HZ))
@@ -1042,13 +1047,11 @@ def synth_session(
                 u = _spasm_profile(rng, hi - lo)
                 rel[lo:hi, j] += np.outer(u * spasm_deg, table[spasm_class, j] / norm)
 
-        samples: dict[int, np.ndarray] = {}
-        for j, sid in enumerate(sensor_ids):
-            absolute = rel[:, j] + base[j]
-            if noise_deg > 0:
-                absolute += rng.normal(0.0, noise_deg, absolute.shape)
-            samples[sid] = angles_to_raw(absolute, _RATE_HZ)
-        sequences.append(Sequence(samples=samples, labels=labels))
+        absolute = rel + base
+        if noise_deg > 0:
+            # Drawn sensor by sensor, as S draws of (T, 3) would be.
+            absolute += rng.normal(0.0, noise_deg, (sensor_count, len(labels), 3)).swapaxes(0, 1)
+        sequences.append(Sequence(sensor_ids, angles_to_raw(absolute, _RATE_HZ), labels))
 
     meta = {
         "source": "synthetic",

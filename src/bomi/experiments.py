@@ -18,8 +18,8 @@ While the pool runs, ``run_all`` holds numpy's OpenBLAS at one thread
 and restores the old count after: idle BLAS threads of this process
 would otherwise spin on the cores the workers need. A fit's bits do not
 depend on the thread count (``bomi.lda``), so neither do the reports. A
-worker that dies raises ``PoolError``, naming the file whose job was
-pending.
+worker that dies fails every unfinished job; ``run_all`` then raises
+``PoolError`` naming each of their files.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence as SequenceT
 
@@ -81,9 +82,7 @@ def sequence_windows(
     empty = np.empty((0, len(recording.sensor_ids), 3))
     sets = [make_windows(empty, empty, None, size=window, overlap=overlap)]
     for seq in seqs:
-        fused = fuse_sequence(
-            seq.samples, recording.sensor_ids, recording.sample_rate_hz, fusion
-        )
+        fused = fuse_sequence(seq.samples, recording.sample_rate_hz, fusion)
         c = fused.calib_ticks
         sets.append(make_windows(
             fused.angles[c:], fused.gyro[c:], seq.labels[c:],
@@ -585,36 +584,28 @@ def _one_blas_thread() -> Iterator[None]:
         set_(before)
 
 
-_Job = tuple[Path, Future]  # a recording file and its pool job
+def _note_lost(future: Future, name: str, lost: list[str]) -> None:
+    """A pool job's done callback: append ``name`` to ``lost`` when a dead
+    worker failed the job."""
+    if not future.cancelled() and isinstance(future.exception(), BrokenProcessPool):
+        lost.append(name)
 
 
-def _result(job: _Job) -> _Windowed | DataError:
-    """A pool job's result; a worker that died is a PoolError naming the file."""
-    path, future = job
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        raise PoolError(
-            f"a worker process died before the job for {path.name} finished: {exc}"
-        ) from exc
-
-
-def _sessions(jobs: SequenceT[_Job], load_order: Iterable[int]) -> Iterator[_Windowed]:
+def _sessions(futures: SequenceT[Future], load_order: Iterable[int]) -> Iterator[_Windowed]:
     """Yield one study's windowed sessions in job order as they arrive.
 
     On a fault, fail as loading all of the study's files before windowing
     any would: on the first load fault in ``load_order``, else on the
     first windowing fault or dead worker.
     """
-    futures = [f for _, f in jobs]
-    for job, f in zip(jobs, futures):
+    for f in futures:
         if f.exception() is None and not isinstance(f.result(), DataError):
             yield f.result()
             continue
         for i in load_order:
             if futures[i].exception() is None and isinstance(futures[i].result(), DataError):
                 raise futures[i].result()
-        _result(job)  # raises the windowing fault or PoolError
+        f.result()  # raises the windowing fault or BrokenProcessPool
 
 
 def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
@@ -635,8 +626,8 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
     OpenBLAS runs on one thread; the old count is restored on the way out.
 
     Raises:
-        PoolError: a worker process died; names the file whose job was
-            pending.
+        PoolError: a worker process died; names every file whose job had
+            not finished then (the pool fails them all), in job order.
     """
     root = Path(dataset_root)
     out = Path(out_dir)
@@ -652,6 +643,7 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
         if mae:
             jobs += [(mae, None), (sae, _SAE_SPLIT)]
     jobs += [(path, None) for path in day_paths]
+    lost: list[str] = []  # the files whose jobs a dead worker failed, in job order
 
     # With fork, the first submit forks every worker from this thread
     # before the executor starts a thread of its own. A pool given no job
@@ -661,13 +653,14 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
             # Popped as they are read, so a read session is freed after its study.
-            futures = deque(
-                (path, pool.submit(_window_job, path, split)) for path, split in jobs
-            )
+            futures: deque[Future] = deque()
+            for path, split in jobs:
+                futures.append(pool.submit(_window_job, path, split))
+                futures[-1].add_done_callback(partial(_note_lost, name=path.name, lost=lost))
             combined: dict = {}
 
             report = _fv_comparison(
-                participants, (_result(futures.popleft()) for _ in participants), FEATURE_KINDS
+                participants, (futures.popleft().result() for _ in participants), FEATURE_KINDS
             )
             if report.accuracies:
                 combined["fv_comparison"] = report.to_dict()
@@ -690,6 +683,10 @@ def run_all(dataset_root: str | Path, out_dir: str | Path) -> dict:
                 study = _multiday_study(_sessions(days, load_order=range(len(days))))
                 combined["multiday"] = study.to_dict()
                 (out / "multiday_table.txt").write_text(study.table() + "\n", encoding="utf-8")
+        except BrokenProcessPool as exc:
+            pool.shutdown()  # joins the thread that fails the jobs, so ``lost`` is whole
+            raise PoolError(f"a worker process died; the jobs for {', '.join(lost)} "
+                            "did not finish") from exc
         finally:
             pool.shutdown(cancel_futures=True)
 

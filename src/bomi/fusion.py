@@ -22,7 +22,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -389,7 +389,6 @@ class FusedSequence:
     see identical data.
     """
 
-    sensor_ids: tuple[int, ...]
     angles: np.ndarray
     gyro: np.ndarray
     offset: np.ndarray
@@ -398,21 +397,19 @@ class FusedSequence:
 
 
 def fuse_sequence(
-    samples_by_sensor: Mapping[int, np.ndarray],
-    sensor_ids: Sequence[int],
+    samples: np.ndarray,
     sample_rate_hz: float,
     config: FusionConfig = FusionConfig(),
 ) -> FusedSequence:
-    """Fuse and calibrate one sequence of raw per-sensor sample arrays.
+    """Fuse and calibrate one sequence of raw samples.
 
     Runs the same filter kernel as ``ComplementaryFilter.step`` over each
-    sensor's whole block in one call, so the result equals stepping a
+    sensor's whole column in one call, so the result equals stepping a
     filter per sensor bit for bit.
 
     Args:
-        samples_by_sensor: sensor id -> (T, 9) array with columns
-            acc_xyz, gyro_xyz, mag_xyz.
-        sensor_ids: ordered sensor ids (first one is the primary sensor).
+        samples: (T, S, 9) array, sensors in layout order (the first is
+            the primary sensor), each row acc_xyz, gyro_xyz, mag_xyz.
         sample_rate_hz: sampling rate; dt = 1 / rate.
         config: fusion parameters.
 
@@ -423,33 +420,28 @@ def fuse_sequence(
         no offset is subtracted.
     """
     dt = _sample_period(sample_rate_hz)
-    sensor_ids = tuple(sensor_ids)
-    n_ticks = len(next(iter(samples_by_sensor.values())))
-    raw_angles = np.empty((n_ticks, len(sensor_ids), 3), dtype=np.float64)
-    gyro = np.empty_like(raw_angles)
+    samples = np.asarray(samples, dtype=np.float64)
+    n_ticks, n_sensors = samples.shape[:2]
+    raw_angles = np.empty((n_ticks, n_sensors, 3), dtype=np.float64)
     flags = []
-    heads: list[np.ndarray] = []
-    for si, sensor_id in enumerate(sensor_ids):
-        rows = samples_by_sensor[sensor_id]
+    for si in range(n_sensors):
         # Columns are read through memoryviews and angles gathered in
         # array("d"), so a value is a Python float only during its own
         # tick: 8 bytes per value at peak, where lists of floats hold 32.
         pitches, rolls, yaws = array("d"), array("d"), array("d")
         sensor_flags: list[Flags] = []
         _filter_ticks(
-            None, zip(*map(memoryview, np.asarray(rows, np.float64).T)),
+            None, zip(*map(memoryview, samples[:, si].T)),
             config.alpha, dt, config.gimbal_guard_deg, pitches, rolls, yaws, sensor_flags,
         )
-        block = np.array((pitches, rolls, yaws)).T
-        raw_angles[:, si] = block
-        gyro[:, si] = rows[:, 3:6]
+        raw_angles[:, si] = np.array((pitches, rolls, yaws)).T
         flags.append(tuple(sensor_flags))
-        heads.append(block[:config.calib_ticks])
 
     if config.calib_ticks > 0:
-        offset = calibrate_neutral(heads, config.calib_ticks)
+        offset = calibrate_neutral(raw_angles.swapaxes(0, 1), config.calib_ticks)
     else:
-        offset = np.zeros((len(sensor_ids), 3))
+        offset = np.zeros((n_sensors, 3))
 
     angles = wrap_deg(raw_angles - offset)
-    return FusedSequence(sensor_ids, angles, gyro, offset, config.calib_ticks, tuple(flags))
+    gyro = samples[:, :, 3:6].copy()
+    return FusedSequence(angles, gyro, offset, config.calib_ticks, tuple(flags))

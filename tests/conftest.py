@@ -117,11 +117,8 @@ class FuseCounts:
         self.log = log
 
     @staticmethod
-    def key(samples_by_sensor) -> str:
-        h = hashlib.sha256()
-        for sid in sorted(samples_by_sensor):
-            h.update(samples_by_sensor[sid].tobytes())
-        return h.hexdigest()
+    def key(samples) -> str:
+        return hashlib.sha256(samples.tobytes()).hexdigest()
 
     def add(self, key: str) -> None:
         with self.log.open("a", encoding="ascii") as fh:
@@ -146,9 +143,9 @@ def fuse_counts(monkeypatch, tmp_path):
     counts = FuseCounts(tmp_path / "fuse_calls.log")
     original = bomi.experiments.fuse_sequence
 
-    def counting(samples_by_sensor, *args, **kwargs):
-        counts.add(counts.key(samples_by_sensor))
-        return original(samples_by_sensor, *args, **kwargs)
+    def counting(samples, *args, **kwargs):
+        counts.add(counts.key(samples))
+        return original(samples, *args, **kwargs)
 
     monkeypatch.setattr(bomi.experiments, "fuse_sequence", counting)
     return counts

@@ -285,10 +285,11 @@ def csv_reference_save(rec, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for qi, seq in enumerate(rec.sequences, start=1):
-            sids = sorted(seq.samples)
+            sids = sorted(seq.sensor_ids)
             for t, lab in enumerate(seq.labels.tolist()):
                 for sid in sids:
-                    values = ",".join(map(repr, seq.samples[sid][t].tolist()))
+                    row = seq.samples[t, seq.sensor_ids.index(sid)]
+                    values = ",".join(map(repr, row.tolist()))
                     fh.write(f"{t},{sid},{values},{lab},{qi}\n")
 
 

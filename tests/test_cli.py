@@ -58,7 +58,7 @@ class TestSynth:
 
         target = np.asarray(rec.meta["class_targets"]["1"]["1"])
         for seq in rec.sequences:
-            fused = fuse_sequence(seq.samples, rec.sensor_ids, 60.0)
+            fused = fuse_sequence(seq.samples, 60.0)
             for cls, start, end in label_runs(seq.labels):
                 if cls != 1:
                     continue

@@ -90,9 +90,8 @@ def assert_same_recording(actual, expected):
     assert len(actual.sequences) == len(expected.sequences)
     for sa, sb in zip(actual.sequences, expected.sequences):
         assert same_bits(sa.labels, sb.labels)
-        assert sorted(sa.samples) == sorted(sb.samples)
-        for sid in sb.samples:
-            assert same_bits(sa.samples[sid], sb.samples[sid])
+        assert sa.sensor_ids == sb.sensor_ids
+        assert same_bits(sa.samples, sb.samples)
 
 
 VALID_ROW = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
@@ -115,7 +114,7 @@ class TestImuSample:
     def test_sensor_id_out_of_range(self, small_noisy):
         for sensor_id in (0, 7):
             layout = [SensorInfo(sensor_id), *small_noisy.sensor_layout[1:]]
-            seqs = [Sequence({sensor_id: seq.samples[1], 2: seq.samples[2]}, seq.labels)
+            seqs = [Sequence((sensor_id, 2), seq.samples, seq.labels)
                     for seq in small_noisy.sequences]
             rec = SessionRecording(60.0, small_noisy.class_count, layout, seqs)
             with pytest.raises(ValidationError, match=f"sensor id {sensor_id} outside"):
@@ -144,16 +143,17 @@ class TestImuSample:
             step_row(small_model, values)
 
     def test_tick_samples_gives_python_floats_equal_to_the_row(self):
-        rows = np.random.default_rng(4).normal(size=(5, 9))
-        seq = Sequence(samples={2: rows}, labels=np.zeros(5, dtype=int))
+        rows = np.random.default_rng(4).normal(size=(5, 3, 9))
+        seq = Sequence(sensor_ids=(3, 1, 2), samples=rows, labels=np.zeros(5, dtype=int))
         for tick in range(5):
             samples = seq.tick_samples(tick)
-            assert list(samples) == [2]
-            assert all(type(v) is float for v in samples[2])
-            assert np.array(samples[2]).tobytes() == rows[tick].tobytes()
+            assert list(samples) == [3, 1, 2]  # layout order, not id order
+            for j, sid in enumerate((3, 1, 2)):
+                assert all(type(v) is float for v in samples[sid])
+                assert np.array(samples[sid]).tobytes() == rows[tick, j].tobytes()
         # A fresh dict each call: popping a sensor leaves the sequence whole.
         seq.tick_samples(0).pop(2)
-        assert list(seq.tick_samples(0)) == [2]
+        assert list(seq.tick_samples(0)) == [3, 1, 2]
 
 
 class TestSynth:
@@ -163,13 +163,12 @@ class TestSynth:
         assert a.meta == b.meta
         for sa, sb in zip(a.sequences, b.sequences):
             assert (sa.labels == sb.labels).all()
-            for sid in sa.samples:
-                assert (sa.samples[sid] == sb.samples[sid]).all()
+            assert (sa.samples == sb.samples).all()
 
     def test_different_seed_differs(self):
         a = synth_session(class_count=3, sensor_count=1, seed=5)
         b = synth_session(class_count=3, sensor_count=1, seed=6)
-        assert not (a.sequences[0].samples[1] == b.sequences[0].samples[1]).all()
+        assert not (a.sequences[0].samples[:, 0] == b.sequences[0].samples[:, 0]).all()
 
     def test_label_runs_are_five_seconds(self, synth9):
         for seq in synth9.sequences:
@@ -215,7 +214,7 @@ class TestSynth:
     def test_noiseless_hits_targets_exactly(self, small_noiseless):
         rec = small_noiseless
         seq = rec.sequences[0]
-        fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz)
+        fused = fuse_sequence(seq.samples, rec.sample_rate_hz)
         targets = rec.meta["class_targets"]
         for cls, start, end in label_runs(seq.labels):
             mid = fused.angles[start + 40:end - 40, 0, :]
@@ -240,7 +239,7 @@ class TestSynth:
             spasm_deg=10.0, spasm_class=1, seed=8,
         )
         seq = rec.sequences[0]
-        fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz)
+        fused = fuse_sequence(seq.samples, rec.sample_rate_hz)
         target = np.asarray(rec.meta["class_targets"]["1"]["1"])
         moved = 0.0
         for cls, start, end in label_runs(seq.labels):
@@ -258,7 +257,7 @@ class TestSynth:
             amplitudes=(0.5, 1.0, 1.5), seed=2,
         )
         seq = rec.sequences[0]
-        fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz)
+        fused = fuse_sequence(seq.samples, rec.sample_rate_hz)
         target = np.linalg.norm(rec.meta["class_targets"]["1"]["1"])
         runs = [r for r in label_runs(seq.labels) if r[0] == 1]
         norms = [
@@ -317,11 +316,11 @@ class TestSynthAgainstReference:
         for seq, (labels, samples) in zip(rec.sequences, sequences):
             assert seq.labels.dtype == labels.dtype
             assert seq.labels.tobytes() == labels.tobytes()
-            assert list(seq.samples) == list(samples)
-            for sid, block in seq.samples.items():
-                assert block.dtype == np.float64 and block.flags.c_contiguous
-                assert block.shape == samples[sid].shape
-                assert block.tobytes() == samples[sid].tobytes()
+            assert list(seq.sensor_ids) == list(samples)
+            assert seq.samples.dtype == np.float64 and seq.samples.flags.c_contiguous
+            for block, want in zip(seq.samples.swapaxes(0, 1), samples.values()):
+                assert block.shape == want.shape
+                assert block.tobytes() == want.tobytes()
         # repr tells -0.0 from 0.0 and keeps the key order the JSON file keeps.
         assert repr(rec.meta) == repr(meta)
 
@@ -369,8 +368,8 @@ class TestRoundTrip:
         assert back.meta == small_noisy.meta
         for sa, sb in zip(back.sequences, small_noisy.sequences):
             assert (sa.labels == sb.labels).all()
-            for sid in sb.samples:
-                assert (sa.samples[sid] == sb.samples[sid]).all()
+            assert sa.sensor_ids == sb.sensor_ids
+            assert (sa.samples == sb.samples).all()
 
     def test_csv_value_round_trip(self, small_noisy, tmp_path):
         path = tmp_path / "rec.csv"
@@ -403,6 +402,43 @@ class TestRoundTrip:
         assert back.class_count == 9
         assert len(back.sequences) == 3
         assert back.sensor_ids == (1, 2, 3)
+
+
+def layout_312_recording():
+    """Two sequences of random samples under a layout that lists sensors 3, 1, 2."""
+    rng = np.random.default_rng(31)
+    ids = (3, 1, 2)
+    sequences = [Sequence(ids, rng.normal(size=(n, 3, 9)), np.arange(n) % 3) for n in (7, 5)]
+    return SessionRecording(60.0, 3, [SensorInfo(sid, f"s{sid}") for sid in ids], sequences)
+
+
+class TestLayoutOrder:
+    """A layout need not list its sensors in id order: the array follows the
+    layout, and both files keep sensors in id order."""
+
+    def test_json_round_trips_in_layout_order(self, tmp_path):
+        rec = layout_312_recording()
+        path = tmp_path / "rec.json"
+        save_recording(rec, path)
+        back = load_recording(path, validate="none")
+        assert back.sensor_ids == (3, 1, 2)
+        assert_same_recording(back, rec)
+        sensors = json.loads(path.read_text(encoding="utf-8"))["sequences"][0]["sensors"]
+        assert list(sensors) == ["1", "2", "3"]
+        assert same_bits(back.sequences[0].samples[:, 0], np.array(sensors["3"]))
+
+    def test_csv_round_trips_each_sensor_bit_for_bit(self, tmp_path):
+        rec = layout_312_recording()
+        path = tmp_path / "rec.csv"
+        save_recording(rec, path)
+        _, rows = csv_lines(path)
+        assert [row.split(",")[1] for row in rows[:6]] == ["1", "2", "3"] * 2
+        back = load_recording(path, validate="none")
+        assert back.sensor_ids == (1, 2, 3)  # a CSV holds no layout
+        for sa, sb in zip(back.sequences, rec.sequences):
+            assert same_bits(sa.labels, sb.labels)
+            for j, sid in enumerate(sb.sensor_ids):
+                assert same_bits(sa.samples[:, back.sensor_ids.index(sid)], sb.samples[:, j])
 
 
 class TestLoadErrors:
@@ -465,9 +501,9 @@ class TestImportMapping:
         )
         mapping = ImportMapping.from_file(cfg)
         rec = load_recording(foreign, mapping=mapping, validate="none")
-        orig = small_noisy.sequences[0].samples[1]
-        assert np.allclose(rec.sequences[0].samples[1][:, 3:6], 0.5 * orig[:, 3:6])
-        assert np.allclose(rec.sequences[0].samples[1][:, 0:3], orig[:, 0:3])
+        orig = small_noisy.sequences[0].samples[:, 0]
+        assert np.allclose(rec.sequences[0].samples[:, 0, 3:6], 0.5 * orig[:, 3:6])
+        assert np.allclose(rec.sequences[0].samples[:, 0, 0:3], orig[:, 0:3])
 
     def test_angles_mode_resynthesizes_raw(self, tmp_path):
         rows = ["tick,sensor_id,pitch,roll,yaw,label,sequence"]
@@ -484,9 +520,7 @@ class TestImportMapping:
         mapping = ImportMapping(mode="angles")
         rec = load_recording(path, mapping=mapping, validate="none")
         assert rec.class_count == 2
-        fused = fuse_sequence(
-            rec.sequences[0].samples, rec.sensor_ids, 60.0,
-        )
+        fused = fuse_sequence(rec.sequences[0].samples, 60.0)
         assert np.abs(fused.angles[:, 0, 0] - (pitch - pitch[:60].mean())).max() < 0.2
 
     def test_unknown_mapping_key(self, tmp_path):
@@ -627,6 +661,18 @@ class TestJsonFaults:
         assert rec.sensor_ids == (1, 2)
         assert rec.sequences[0].labels.tolist() == [0, 1, 2]
 
+    def test_sensor_keys_other_than_the_layout_are_an_alignment_error(self, tmp_path):
+        path = self.write(tmp_path, ("sequences", 0, "sensors"), {"1": JSON_ROWS, "3": JSON_ROWS})
+        with pytest.raises(AlignmentError, match=re.escape(
+                "sequence 1: sensors [1, 3] do not match layout [1, 2]")):
+            load_recording(path, validate="none")
+
+    def test_a_block_of_the_wrong_length_is_an_alignment_error(self, tmp_path):
+        path = self.write(tmp_path, ("sequences", 0, "sensors", "2"), JSON_ROWS[:2])
+        with pytest.raises(AlignmentError, match=re.escape(
+                "sequence 1 sensor 2: shape (2, 9), expected (3, 9)")):
+            load_recording(path, validate="none")
+
     @pytest.mark.parametrize("field, value, message", JSON_FAULTS)
     def test_schema_error_names_the_field(self, tmp_path, field, value, message):
         with pytest.raises(SchemaError, match=message):
@@ -646,18 +692,20 @@ def stdlib_json(rec):
         "class_count": rec.class_count,
         "sensor_layout": [{"id": s.id, "location": s.location} for s in rec.sensor_layout],
         "sequences": [{"labels": seq.labels.tolist(),
-                       "sensors": {str(sid): seq.samples[sid].tolist()
-                                   for sid in sorted(seq.samples)}}
+                       "sensors": {str(sid): seq.samples[:, seq.sensor_ids.index(sid)].tolist()
+                                   for sid in sorted(seq.sensor_ids)}}
                       for seq in rec.sequences],
         "meta": rec.meta,
     })
 
 
-def block_recording(blocks, meta=None):
-    """One sequence holding ``blocks`` as sensors 1, 2, ..., labels 0, 1, 0, ..."""
+def block_recording(samples, meta=None):
+    """One sequence holding the (T, S, 9) ``samples`` as sensors 1, 2, ...,
+    labels 0, 1, 0, ..."""
+    ids = tuple(range(1, samples.shape[1] + 1))
     return SessionRecording(
-        60.0, 2, [SensorInfo(i, f"s{i}") for i in range(1, len(blocks) + 1)],
-        [Sequence(dict(enumerate(blocks, start=1)), np.arange(len(blocks[0])) % 2)],
+        60.0, 2, [SensorInfo(i, f"s{i}") for i in ids],
+        [Sequence(ids, samples, np.arange(len(samples)) % 2)],
         meta={} if meta is None else meta,
     )
 
@@ -672,9 +720,11 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE
 
 @st.composite
 def sample_blocks(draw):
+    """A (T, S, 9) float64 array, T in [1, 12] and S in [1, 3]."""
     n = draw(st.integers(1, 12))
     rows = st.lists(st.lists(FINITE, min_size=9, max_size=9), min_size=n, max_size=n)
-    return [np.array(draw(rows), dtype=np.float64) for _ in range(draw(st.integers(1, 3)))]
+    blocks = [np.array(draw(rows), dtype=np.float64) for _ in range(draw(st.integers(1, 3)))]
+    return np.stack(blocks, axis=1)
 
 
 BAD_META = [
@@ -715,18 +765,18 @@ class TestJsonCodec:
         assert json.loads(text) == json.loads(stdlib_json(small_noisy))
 
     def test_any_block_layout_and_dtype_saves_as_float64(self, tmp_path):
-        block = np.random.default_rng(2).normal(size=(6, 9))
+        samples = np.random.default_rng(2).normal(size=(6, 2, 9))
         path = tmp_path / "rec.json"
-        save_recording(block_recording([np.asfortranarray(block), block.astype(np.float32)]),
-                       path)
-        back = load_recording(path, validate="none").sequences[0].samples
-        assert same_bits(back[1], block)
-        assert same_bits(back[2], block.astype(np.float32).astype(np.float64))
+        for given in (np.asfortranarray(samples), samples.astype(np.float32)):
+            save_recording(block_recording(given), path)
+            back = load_recording(path, validate="none").sequences[0].samples
+            assert back.flags.c_contiguous
+            assert same_bits(back, given.astype(np.float64))
 
     def test_json_meta_round_trips(self, tmp_path):
         meta = {"a": (1, 2), "b": [None, True, -0.0, 1e-7, "x"], "c": {"d": 2**63}}
         path = tmp_path / "rec.json"
-        save_recording(block_recording([np.zeros((2, 9))], meta), path)
+        save_recording(block_recording(np.zeros((2, 1, 9)), meta), path)
         back = load_recording(path, validate="none").meta
         assert back == {"a": [1, 2], "b": [None, True, -0.0, 1e-7, "x"], "c": {"d": 2**63}}
         assert math.copysign(1.0, back["b"][2]) == -1.0
@@ -735,13 +785,13 @@ class TestJsonCodec:
     def test_save_refuses_meta_that_would_not_load_back(self, tmp_path, meta, message):
         path = tmp_path / "rec.json"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            save_recording(block_recording([np.zeros((2, 9))], meta), path)
+            save_recording(block_recording(np.zeros((2, 1, 9)), meta), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("labels", [[0.0, np.nan], [0.0, 1.5], [False, True]],
                              ids=["nan", "fraction", "bool"])
     def test_save_refuses_labels_that_are_not_integers(self, tmp_path, labels):
-        rec = block_recording([np.zeros((2, 9))])
+        rec = block_recording(np.zeros((2, 1, 9)))
         rec.sequences[0].labels = np.array(labels)
         path = tmp_path / "rec.json"
         with pytest.raises(SchemaError, match="sequence 1: labels must be integers, got dtype"):
@@ -816,16 +866,15 @@ class TestCsvCodec:
     @pytest.mark.parametrize("label_dtype", [np.int32, np.uint8])
     @pytest.mark.parametrize("layout", ["fortran", "float32"])
     def test_any_block_layout_and_dtype_saves_as_float64(self, tmp_path, layout, label_dtype):
-        block = np.random.default_rng(2).normal(size=(6, 9))
-        given = np.asfortranarray(block) if layout == "fortran" else block.astype(np.float32)
-        rec = block_recording([given, given])
+        samples = np.random.default_rng(2).normal(size=(6, 2, 9))
+        given = np.asfortranarray(samples) if layout == "fortran" else samples.astype(np.float32)
+        rec = block_recording(given)
         rec.sequences[0].labels = rec.sequences[0].labels.astype(label_dtype)
         path = tmp_path / "rec.csv"
         save_recording(rec, path)
         back = load_recording(path, validate="none").sequences[0]
-        for sid in (1, 2):
-            # float32 0.1 is written as the float64 0.10000000149011612, not as 0.1.
-            assert same_bits(back.samples[sid], given.astype(np.float64))
+        # float32 0.1 is written as the float64 0.10000000149011612, not as 0.1.
+        assert same_bits(back.samples, given.astype(np.float64))
         assert same_bits(back.labels, np.array([0, 1, 0, 1, 0, 1]))
         _, rows = csv_lines(path)
         assert all(re.fullmatch(r"\d+,\d+,[^,]+(,[^,]+){8},\d+,1", row) for row in rows)
@@ -857,7 +906,7 @@ class TestCsvCodec:
     def test_spelling_is_the_shortest_that_reads_back(self, tmp_path):
         block = np.array([[-3.6e-6, 1.5e-5, 1e16, 1e-7, -0.0, 0.1, 1 / 3, 5e-324, 2.0]] * 2)
         path = tmp_path / "rec.csv"
-        save_recording(block_recording([block]), path)
+        save_recording(block_recording(block[:, None]), path)
         _, rows = csv_lines(path)
         assert rows[0] == ("0,1,-3.6e-6,0.000015,1e16,1e-7,-0.0,0.1,0.3333333333333333,"
                            "5e-324,2.0,0,1")
@@ -886,7 +935,7 @@ class TestCsvCodec:
         assert load_recording(path, validate="none").class_count == 3
 
     def test_all_neutral_labels_refuse_a_csv_and_write_nothing(self, small_noisy, tmp_path):
-        sequences = [Sequence(seq.samples, np.zeros_like(seq.labels))
+        sequences = [Sequence(seq.sensor_ids, seq.samples, np.zeros_like(seq.labels))
                      for seq in small_noisy.sequences]
         rec = dataclasses.replace(small_noisy, sequences=sequences)
         path = tmp_path / "rec.csv"
@@ -904,8 +953,8 @@ class TestCsvCodec:
 
     def test_failing_recording_writes_nothing(self, small_noisy, tmp_path):
         seq = small_noisy.sequences[0]
-        bad = Sequence({sid: arr.copy() for sid, arr in seq.samples.items()}, seq.labels)
-        bad.samples[2][5, 3] = np.nan
+        bad = Sequence(seq.sensor_ids, seq.samples.copy(), seq.labels)
+        bad.samples[5, seq.sensor_ids.index(2), 3] = np.nan
         rec = dataclasses.replace(small_noisy, sample_rate_hz=100.0,
                                   sequences=[*small_noisy.sequences[:2], bad])
         path = tmp_path / "rec.csv"
@@ -944,12 +993,13 @@ class TestCsvInputs:
                                 scale_acc=9.81, scale_gyro=0.0175, scale_mag=1e-3)
         back = load_recording(foreign, mapping=mapping, validate="none")
         for seq, orig in zip(back.sequences, small_noisy.sequences):
-            for sid, arr in orig.samples.items():
-                expected = arr.copy()
+            assert seq.sensor_ids == orig.sensor_ids
+            for j in range(len(orig.sensor_ids)):
+                expected = orig.samples[:, j].copy()
                 expected[:, 0:3] *= 9.81
                 expected[:, 3:6] *= 0.0175
                 expected[:, 6:9] *= 1e-3
-                assert same_bits(seq.samples[sid], expected)
+                assert same_bits(seq.samples[:, j], expected)
 
     def test_angles_mode_is_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -963,8 +1013,9 @@ class TestCsvInputs:
         rec = load_recording(path, mapping=ImportMapping(mode="angles", sample_rate_hz=50.0),
                              validate="none")
         assert rec.sample_rate_hz == 50.0 and rec.class_count == 2
-        for sid, a in angles.items():
-            assert same_bits(rec.sequences[0].samples[sid], angles_to_raw(a, 50.0))
+        assert rec.sensor_ids == tuple(angles)
+        for j, a in enumerate(angles.values()):
+            assert same_bits(rec.sequences[0].samples[:, j], angles_to_raw(a, 50.0))
 
     def test_quoted_fields_and_crlf(self, tmp_path):
         lines = base_lines() + [csv_row(3, 1, label=1), csv_row(3, 2, label=1)]
@@ -1011,9 +1062,9 @@ def test_loader_matches_row_by_row_reference(tmp_path, seed):
     assert len(rec.sequences) == len(expected)
     for seq, (labels, samples) in zip(rec.sequences, expected):
         assert same_bits(seq.labels, labels)
-        assert sorted(seq.samples) == sorted(samples) == list(rec.sensor_ids)
-        for sid, arr in samples.items():
-            assert same_bits(seq.samples[sid], arr)
+        assert list(seq.sensor_ids) == sorted(samples) == list(rec.sensor_ids)
+        for j, sid in enumerate(seq.sensor_ids):
+            assert same_bits(seq.samples[:, j], samples[sid])
 
 
 class TestSplit:
@@ -1048,10 +1099,7 @@ class TestSplit:
 class TestValidation:
     def test_protocol_issue_detected(self, small_noisy):
         seq = small_noisy.sequences[0]
-        truncated = Sequence(
-            samples={sid: arr[:450] for sid, arr in seq.samples.items()},
-            labels=seq.labels[:450],
-        )
+        truncated = Sequence(seq.sensor_ids, seq.samples[:450], seq.labels[:450])
         issues = protocol_issues(truncated, 60.0, small_noisy.class_count)
         assert issues
 
@@ -1062,16 +1110,29 @@ class TestValidation:
             class_count=small_noisy.class_count,
             sensor_layout=small_noisy.sensor_layout,
             sequences=[
-                Sequence(
-                    samples={sid: arr[:450] for sid, arr in seq.samples.items()},
-                    labels=seq.labels[:450],
-                )
+                Sequence(seq.sensor_ids, seq.samples[:450], seq.labels[:450])
             ] * 3,
         )
         with pytest.raises(ValidationError):
             validate_recording(bad, protocol="strict")
         with pytest.warns(UserWarning):
             validate_recording(bad, protocol="warn")
+
+    def test_sequence_sensor_ids_must_be_the_layout_in_order(self, small_noisy):
+        seqs = [Sequence((2, 1), seq.samples, seq.labels) for seq in small_noisy.sequences]
+        rec = dataclasses.replace(small_noisy, sequences=seqs)
+        with pytest.raises(AlignmentError, match=re.escape(
+                "sequence 1: sensor ids (2, 1) are not the layout's (1, 2)")):
+            validate_recording(rec, protocol="none")
+
+    def test_samples_must_hold_one_row_per_tick_and_sensor(self, small_noisy):
+        seq = small_noisy.sequences[0]
+        rec = dataclasses.replace(
+            small_noisy, sequences=[Sequence(seq.sensor_ids, seq.samples[:, :1], seq.labels)])
+        with pytest.raises(AlignmentError, match=re.escape(
+                f"sequence 1: samples of shape ({seq.n_ticks}, 1, 9), "
+                f"expected ({seq.n_ticks}, 2, 9)")):
+            validate_recording(rec, protocol="none")
 
     @pytest.mark.parametrize("rate", [0.0, -60.0, float("nan"), float("inf")])
     def test_sample_rate_must_be_finite_and_positive(self, small_noisy, rate):

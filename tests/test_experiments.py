@@ -73,6 +73,21 @@ def _window_job_killed_on_day2(path, split=None):
     return _window_job(path, split)
 
 
+def _window_job_killed_on_day2_while_day1_runs(path, split=None):
+    """``run_all``'s pool job, except that the job for ``day1.json`` blocks
+    and the one for ``day2.json`` dies by SIGKILL while day1's still runs
+    in the other worker."""
+    if path.name == "day1.json":
+        path.with_name("day1.running").touch()
+        time.sleep(60)  # the broken pool terminates this worker first
+    elif path.name == "day2.json":
+        deadline = time.monotonic() + 60
+        while not path.with_name("day1.running").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _window_job(path, split)
+
+
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS thread-count getter, with the count set to 2 for
@@ -196,7 +211,7 @@ class TestTrainSession:
         pooled = sequence_windows(rec, *rec.sequences)
         want = []
         for seq in rec.sequences:
-            fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz)
+            fused = fuse_sequence(seq.samples, rec.sample_rate_hz)
             c = fused.calib_ticks
             for start in range(c, seq.n_ticks - 7):
                 span = seq.labels[start:start + 8]
@@ -490,6 +505,21 @@ class TestRunAllPool:
         assert "day2.json" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert threads() == before
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="day1's job must run in a second worker while day2's dies")
+    def test_a_pool_error_names_every_job_the_dead_worker_failed(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_studies(data)
+        monkeypatch.setattr(bomi.experiments, "_window_job",
+                            _window_job_killed_on_day2_while_day1_runs)
+        with pytest.raises(PoolError) as raised:
+            run_all(data, tmp_path / "out")
+        # The main process waits on day1's job, but the worker that died ran day2's.
+        assert str(raised.value) == ("a worker process died; the jobs for day1.json, "
+                                     "day2.json did not finish")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("corrupt, crippled", [("day2", "day1"), ("P9_sae", "P9_mae")])
     def test_a_load_fault_wins_over_a_windowing_fault(self, tmp_path, corrupt, crippled):

@@ -292,7 +292,7 @@ class TestApplyOffset:
 def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
     seq = small_noisy.sequences[0]
     cfg = FusionConfig()
-    fused = fuse_sequence(seq.samples, small_noisy.sensor_ids, 60.0, cfg)
+    fused = fuse_sequence(seq.samples, 60.0, cfg)
 
     filters = {
         sid: ComplementaryFilter(alpha=cfg.alpha, dt=1 / 60, sensor_id=sid)
@@ -302,8 +302,8 @@ def test_batch_fusion_matches_streaming_steps_bitwise(small_noisy):
     frames = []
     for t in range(400):
         row_frames = {}
-        for sid in small_noisy.sensor_ids:
-            r = seq.samples[sid][t]
+        for si, sid in enumerate(small_noisy.sensor_ids):
+            r = seq.samples[t, si]
             fr = filters[sid].step(t, r[0:3], r[3:6], r[6:9])
             row_frames[sid] = fr
             if t < cfg.calib_ticks:
@@ -349,15 +349,15 @@ def degraded_rows(first_zero: str, direction: float) -> np.ndarray:
 @pytest.mark.parametrize("first_zero", ["acc", "mag", "both"])
 def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, calib_ticks):
     sensor_ids = (1, 2)
-    samples = {1: degraded_rows(first_zero, 1.0), 2: degraded_rows(first_zero, -1.0)}
+    samples = np.stack([degraded_rows(first_zero, 1.0), degraded_rows(first_zero, -1.0)], axis=1)
     cfg = FusionConfig(calib_ticks=calib_ticks)
-    fused = fuse_sequence(samples, sensor_ids, 60.0, cfg)
+    fused = fuse_sequence(samples, 60.0, cfg)
 
     frames = {}
-    for sid in sensor_ids:
+    for si, sid in enumerate(sensor_ids):
         filt = ComplementaryFilter(alpha=cfg.alpha, dt=1 / 60, sensor_id=sid)
         frames[sid] = [filt.step(t, r[0:3], r[3:6], r[6:9])
-                       for t, r in enumerate(samples[sid])]
+                       for t, r in enumerate(samples[:, si])]
     if calib_ticks:
         offset = calibrate_neutral(
             [[(fr.pitch, fr.roll, fr.yaw) for fr in frames[s][:calib_ticks]] for s in sensor_ids],
@@ -392,7 +392,7 @@ def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, c
 
 def test_angles_stay_in_wrap_ranges(small_noisy):
     seq = small_noisy.sequences[0]
-    fused = fuse_sequence(seq.samples, small_noisy.sensor_ids, 60.0)
+    fused = fuse_sequence(seq.samples, 60.0)
     assert (fused.angles[..., 1:] > -180.0).all() and (fused.angles[..., 1:] <= 180.0).all()
     assert (np.abs(fused.angles[..., 0]) <= 180.0).all()
 
@@ -412,7 +412,7 @@ def assert_filter_matches_reference(rows, alpha, rate, guard=85.0, hits=None):
 
     # With calib_ticks 0 the offset is zero: angles are wrap_deg(raw - 0).
     cfg = FusionConfig(alpha=alpha, calib_ticks=0, gimbal_guard_deg=guard)
-    fused = fuse_sequence({1: rows}, (1,), rate, cfg)
+    fused = fuse_sequence(rows[:, None], rate, cfg)
     assert_same_bits(fused.angles[:, 0], wrap_deg(raw - 0.0))
     assert fused.flags == (flags,)
     return want

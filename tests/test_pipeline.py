@@ -328,11 +328,9 @@ class TestStreaming:
         sensor_ids = small_noisy.sensor_ids
         n_ticks = 120
         gyro = fv3_values(values, (n_ticks, len(sensor_ids), 3), seed=overlap)
-        rows = {}
-        for si, sid in enumerate(sensor_ids):
-            rows[sid] = small_noisy.sequences[2].samples[sid][:n_ticks].copy()
-            rows[sid][:, 3:6] = gyro[:, si]
-        seq = Sequence(rows, small_noisy.sequences[2].labels[:n_ticks])
+        rows = small_noisy.sequences[2].samples[:n_ticks].copy()
+        rows[:, :, 3:6] = gyro
+        seq = Sequence(sensor_ids, rows, small_noisy.sequences[2].labels[:n_ticks])
 
         vectors = []
         monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
@@ -403,14 +401,14 @@ class TestStreaming:
                                  window=window, overlap=overlap)
         sensor_ids = small_noisy.sensor_ids
         clean = small_noisy.sequences[2]
-        rows = {sid: clean.samples[sid][:2000].copy() for sid in sensor_ids}
-        primary, other = rows[sensor_ids[0]], rows[sensor_ids[-1]]
+        rows = clean.samples[:2000].copy()
+        primary, other = rows[:, 0], rows[:, -1]
         primary[400:430, 0:3] = 0.0
         other[700:730, 6:9] = 0.0
         primary[1000:1060, 4] = 200.0   # pitch rate: past the guard, to the clamp
         other[1500:1520, 0:3] = 0.0
         other[1500:1520, 6:9] = 0.0
-        seq = Sequence(rows, clean.labels[:2000])
+        seq = Sequence(sensor_ids, rows, clean.labels[:2000])
         # Tick 503 is an emission tick at strides 1, 2 and 4.
         drops = {10: (2,), 300: (1,), 301: (1,), 302: (1, 2), 503: (2,), 900: (2,),
                  1030: (1,)}
@@ -426,14 +424,15 @@ class TestStreaming:
                 outs.append(out)
         assert pipe.dropped_ticks == len(drops)
 
-        filled = {sid: r.copy() for sid, r in rows.items()}
+        filled = rows.copy()
         for t in sorted(drops):
             for sid in drops[t]:
-                filled[sid][t] = filled[sid][t - 1]
-        offline_seq = Sequence(filled, seq.labels)
+                si = sensor_ids.index(sid)
+                filled[t, si] = filled[t - 1, si]
+        offline_seq = Sequence(sensor_ids, filled, seq.labels)
         recording = replace(small_noisy, sequences=[offline_seq])
         windows = sequence_windows(recording, offline_seq, window=window, overlap=overlap)
-        fused = fuse_sequence(filled, sensor_ids, recording.sample_rate_hz)
+        fused = fuse_sequence(filled, recording.sample_rate_hz)
 
         assert [o.tick for o in outs] == [w.end_tick for w in windows]
         X = extract_matrix(kind, windows, model.layout)
@@ -488,7 +487,7 @@ def test_stream_vectors_equal_extract_matrix_rows(monkeypatch, kind, n_sensors):
     rec = synth_session(class_count=2, sensor_count=n_sensors, seed=n_sensors,
                         n_sequences=1, motion_s=1.0)
     n_ticks = 200
-    seq = Sequence({sid: rows[:n_ticks] for sid, rows in rec.sequences[0].samples.items()},
+    seq = Sequence(rec.sensor_ids, rec.sequences[0].samples[:n_ticks],
                    rec.sequences[0].labels[:n_ticks])
     layout = FeatureLayout(rec.sensor_ids)
     X = np.random.default_rng(n_sensors).normal(size=(4, feature_dim(kind, n_sensors)))
@@ -585,19 +584,19 @@ class TestStepInput:
                                                           kind):
         model, _ = small_model
         clean = small_noisy.sequences[2]
-        blocks = {sid: clean.samples[sid][:300] for sid in small_noisy.sensor_ids}
+        blocks = clean.samples[:300]
         if kind != "float64-array":
             # Integer-valued rows; acc and mag scale do not change the angles.
-            blocks = {sid: np.round(8.0 * b) for sid, b in blocks.items()}
+            blocks = np.round(8.0 * blocks)
         as_kind = {
             "float64-array": lambda r: r,
             "int": lambda r: [int(v) for v in r],
             "int64-array": lambda r: r.astype(np.int64),
         }[kind]
-        seq = Sequence(blocks, clean.labels[:300])
+        seq = Sequence(small_noisy.sensor_ids, blocks, clean.labels[:300])
         want = drive(StreamingPipeline(model), seq)
         pipe = StreamingPipeline(model)
-        got = [pipe.step(t, {sid: as_kind(b[t]) for sid, b in blocks.items()})
+        got = [pipe.step(t, {sid: as_kind(r) for sid, r in zip(seq.sensor_ids, blocks[t])})
                for t in range(seq.n_ticks)]
         got = [o for o in got if o is not None]
         assert emitted(got) == emitted(want)

@@ -46,10 +46,12 @@ Each line is ``<part> <digest>``. The parts cover:
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
-``--seed``. Apart from the ``_w6``/``_o4`` streams, which need models
-that carry their window geometry, the tool uses only API that older
-checkouts also have, so it can be run against another checkout's ``src``
-on ``PYTHONPATH``.
+``--seed``. The tool reads a ``Sequence`` as one (T, S, 9) sample array
+and calls ``fuse_sequence`` without sensor ids, so it runs against a
+checkout's ``src`` on ``PYTHONPATH`` from that API on. A recording digest
+covers one (T, 9) block per sensor, in layout order, and a window digest
+the stacked windows, as the per-sensor dict and the ``Window`` views gave
+them, so the digests compare with those of earlier checkouts.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def hash_recording(rec) -> str:
     parts = []
     for seq in rec.sequences:
         parts.append(seq.labels)
-        parts.extend(seq.samples[sid] for sid in rec.sensor_ids)
+        parts.extend(seq.samples.swapaxes(0, 1))  # one (T, 9) block per sensor
     return digest(*parts)
 
 
@@ -141,19 +143,23 @@ def hash_model(model) -> str:
     return h.hexdigest()
 
 
+def window_ticks(windows) -> np.ndarray:
+    """The (N, length) per-tick rows each window of a ``Windows`` set covers."""
+    return windows.rows[:, None] + np.arange(windows.length)
+
+
 def hash_windows(model, windows) -> tuple[str, str]:
-    wins = digest(
-        np.stack([w.angles for w in windows]),
-        np.stack([w.gyro for w in windows]),
-        np.asarray([-1 if w.label is None else w.label for w in windows]),
-        np.asarray([w.start_tick for w in windows]),
-    )
+    ticks = window_ticks(windows)
+    wins = digest(windows.angles[ticks], windows.gyro[ticks], windows.labels,
+                  windows.start_ticks)
     X = extract_matrix(model.feature_kind, windows, model.layout)
     return wins, digest(X, predict_many(model, X))
 
 
 def hash_extract(kind: str, layout, windows) -> str:
-    return digest(np.stack([extract(kind, w.angles, w.gyro, layout) for w in windows]))
+    ticks = window_ticks(windows)
+    return digest(np.stack([extract(kind, angles, gyro, layout) for angles, gyro
+                            in zip(windows.angles[ticks], windows.gyro[ticks])]))
 
 
 def hash_stream(rec, model, seq_index: int) -> str:
@@ -197,17 +203,17 @@ def degraded(seq):
     then both vectors. One sensor in turn is dropped every 500 ticks,
     every sensor on tick 4002.
     """
-    ids = sorted(seq.samples)
-    rows = {sid: r.copy() for sid, r in seq.samples.items()}
-    first, last = rows[ids[0]], rows[ids[-1]]
+    ids = seq.sensor_ids
+    rows = seq.samples.copy()
+    first, last = rows[:, 0], rows[:, -1]
     first[2000:2040, 0:3] = 0.0
     last[3000:3040, 6:9] = 0.0
     first[5000:5060, 4] = 200.0
     last[7000:7020, 0:3] = 0.0
     last[7000:7020, 6:9] = 0.0
     drops = {t: (ids[t // 500 % len(ids)],) for t in range(250, seq.n_ticks, 500)}
-    drops[4002] = tuple(ids)
-    return Sequence(rows, seq.labels), drops
+    drops[4002] = ids
+    return Sequence(ids, rows, seq.labels), drops
 
 
 def hash_degraded_stream(rec, model, seq_index: int, smoothing: str = "none") -> str:
@@ -330,7 +336,7 @@ def csv_loads(seed: int, work: Path, emit) -> None:
         angles = work / f"angles_{name}.csv"
         lines = ["tick,sensor_id,pitch,roll,yaw,label,sequence"]
         for qi, seq in enumerate(rec.sequences, start=1):
-            fused = fuse_sequence(seq.samples, rec.sensor_ids, rec.sample_rate_hz).angles
+            fused = fuse_sequence(seq.samples, rec.sample_rate_hz).angles
             for t, (label, per_sensor) in enumerate(zip(seq.labels.tolist(), fused.tolist())):
                 for sid, (pitch, roll, yaw) in zip(rec.sensor_ids, per_sensor):
                     lines.append(f"{t},{sid},{pitch!r},{roll!r},{yaw!r},{label},{qi}")
