@@ -47,7 +47,7 @@ from .dataset_io import (
     load_recording,
     split_session,
 )
-from .errors import CoverageError, DataError, PoolError, TrainingDataError, ValidationError
+from .errors import CoverageError, DataError, PoolError, TrainingDataError
 from .features import (
     DEFAULT_OVERLAP,
     DEFAULT_WINDOW,
@@ -224,9 +224,8 @@ class ConfusionMatrix:
         pct = self.row_percent()
         with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("true\\pred," + ",".join(f"c{l}" for l in self.labels) + "\n")
-            for i, lab in enumerate(self.labels):
-                row = ",".join(f"{pct[i, j]:.2f}" for j in range(len(self.labels)))
-                fh.write(f"c{lab},{row}\n")
+            for lab, row in zip(self.labels, pct):
+                fh.write(f"c{lab}," + ",".join(f"{v:.2f}" for v in row) + "\n")
 
     def to_dict(self) -> dict:
         return {
@@ -252,36 +251,37 @@ class MisclassStructure:
         }
 
 
+def _score(y_true, y_pred, classes=()) -> tuple[ConfusionMatrix, MisclassStructure]:
+    """The confusion matrix of a stream over the sorted union of both
+    sides' labels and ``classes``, and the error structure from its counts."""
+    max_run = max_consecutive_disagreements(y_pred, y_true)  # checks the lengths
+    labels = np.union1d(np.union1d(y_true, y_pred), classes).astype(np.int64)
+    k = len(labels)
+    cells = np.searchsorted(labels, y_true) * k + np.searchsorted(labels, y_pred)
+    counts = np.bincount(cells, minlength=k * k).reshape(k, k)
+    wrong = counts * ~np.eye(k, dtype=bool)
+    true, pred = np.nonzero(wrong)
+    n = wrong[true, pred]
+    order = np.lexsort((pred, true, -n))
+    errors = int(n.sum())
+    return ConfusionMatrix(labels=labels.tolist(), counts=counts), MisclassStructure(
+        neutral_fraction=int(wrong[:, labels == 0].sum()) / errors if errors else None,
+        max_run=max_run,
+        pairs=list(zip(*(a[order].tolist() for a in (labels[true], labels[pred], n)))),
+    )
+
+
 def misclassification_structure(
     predictions: SequenceT[int], labels: SequenceT[int]
 ) -> MisclassStructure:
     """Neutral-error fraction, worst error run, and top confused pairs.
 
     neutral_fraction is the share of all errors whose prediction is the
-    neutral class (None when there are no errors).
+    neutral class (None when there are no errors). Both it and the pairs
+    come from the cell counts ``evaluate`` makes: pairs are the error
+    cells, most frequent first, then by true and by predicted class.
     """
-    predictions = [int(p) for p in predictions]
-    labels = [int(l) for l in labels]
-    if len(predictions) != len(labels):
-        raise ValidationError(
-            f"stream lengths differ: {len(predictions)} vs {len(labels)}"
-        )
-    errors = [(t, p) for p, t in zip(predictions, labels) if p != t]
-    neutral_fraction = (
-        sum(1 for _, p in errors if p == 0) / len(errors) if errors else None
-    )
-    pair_counts: dict[tuple[int, int], int] = {}
-    for t, p in errors:
-        pair_counts[(t, p)] = pair_counts.get((t, p), 0) + 1
-    pairs = sorted(
-        ((t, p, n) for (t, p), n in pair_counts.items()),
-        key=lambda item: (-item[2], item[0], item[1]),
-    )
-    return MisclassStructure(
-        neutral_fraction=neutral_fraction,
-        max_run=max_consecutive_disagreements(predictions, labels),
-        pairs=pairs,
-    )
+    return _score(np.asarray(labels, dtype=np.int64), np.asarray(predictions, dtype=np.int64))[1]
 
 
 @dataclass
@@ -314,14 +314,7 @@ def evaluate(model: LdaModel, windows: Windows) -> EvalResult:
     if not usable:
         raise DataError("no single-label windows to evaluate")
     X = extract_matrix(model.feature_kind, usable, model.layout)
-    y_true = usable.labels
-    y_pred = predict_many(model, X)
-    labels = sorted(set(model.classes.tolist()) | set(y_true.tolist()))
-    k = len(labels)
-    cells = np.searchsorted(labels, y_true) * k + np.searchsorted(labels, y_pred)
-    counts = np.bincount(cells, minlength=k * k).reshape(k, k)
-    confusion = ConfusionMatrix(labels=labels, counts=counts)
-    structure = misclassification_structure(y_pred.tolist(), y_true.tolist())
+    confusion, structure = _score(usable.labels, predict_many(model, X), model.classes)
     return EvalResult(
         accuracy=confusion.accuracy(),
         confusion=confusion,
@@ -345,7 +338,7 @@ class ExperimentReport:
 
     def table(self) -> str:
         kinds = sorted({k for row in self.accuracies.values() for k in row})
-        width = max((len(p) for p in self.accuracies), default=11)
+        width = max([len("Participant"), *map(len, self.accuracies)])
         lines = ["Participant".ljust(width) + "".join(f"{k:>10}" for k in kinds)]
         for participant in sorted(self.accuracies):
             row = self.accuracies[participant]

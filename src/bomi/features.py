@@ -18,7 +18,8 @@ then tick 1, ...). fv3 is channel-major, half-window-minor, with the
 four statistics innermost.
 
 Offline windows live in one array-backed set, ``Windows``: the per-tick
-fused streams plus each window's first row and label. Features start from
+fused streams plus each window's first row and label, which
+``window_labels`` gives (``replay`` reads it too). Features start from
 per-tick channels (T, C). fv1 and fv2 are those channels gathered per
 window. fv3 comes from half rows: ``half_stats`` reduces (..., 4, C) half
 blocks to (..., C, 4) rows of the four statistics, and is the only fv3
@@ -174,6 +175,15 @@ def check_geometry(window, overlap) -> None:
         raise ShapeError(f"bad window geometry window={window!r} overlap={overlap!r}")
 
 
+def window_labels(labels: np.ndarray, size: int) -> np.ndarray:
+    """Label of the window of ``size`` ticks at each start tick of a (T,)
+    label stream: its last tick's when every tick carries it (no label
+    change between its first and last tick), else -1."""
+    changes = np.cumsum(np.diff(labels, prepend=labels[:1]) != 0)
+    last = labels[size - 1:]
+    return np.where(changes[size - 1:] == changes[:len(last)], last, -1)
+
+
 def make_windows(
     angles: np.ndarray,
     gyro: np.ndarray,
@@ -199,11 +209,8 @@ def make_windows(
     """
     check_geometry(size, overlap)
     rows = np.arange(0, len(angles) - size + 1, size - overlap)
-    per_tick = np.full(len(angles), -1) if labels is None else labels
-    chunks = per_tick[rows[:, None] + np.arange(size)]
-    last = chunks[:, -1]
-    same = (chunks == last[:, None]).all(axis=1)
-    return Windows(angles, gyro, rows, np.where(same, last, -1), start_tick + rows, size)
+    labels = window_labels(np.full(len(angles), -1) if labels is None else labels, size)
+    return Windows(angles, gyro, rows, labels[rows], start_tick + rows, size)
 
 
 def pool_windows(sets: SequenceT[Windows]) -> Windows:

@@ -25,11 +25,12 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as Sequence
 
 import numpy as np
 
-from .dataset_io import SessionRecording, check_sequence_indices, label_runs
+from .dataset_io import SessionRecording, check_sequence_indices
 from .errors import LayoutError, MappingError, ValidationError
 # The stream does not call extract. The name stays because the traced
 # benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
-from .features import HALF, channel_index, extract, half_stats, prop_output  # noqa: F401
+from .features import (HALF, channel_index, extract, half_stats,  # noqa: F401
+                       prop_output, window_labels)
 from .fusion import (
     FLAG_GAP,
     _filter_ticks,
@@ -212,30 +213,39 @@ def max_consecutive_disagreements(
 ) -> int:
     """Longest run of predictions that disagree with the reference."""
     if len(predictions) != len(reference):
-        raise ValidationError(
-            f"stream lengths differ: {len(predictions)} vs {len(reference)}"
-        )
-    worst = run = 0
-    for p, r in zip(predictions, reference):
-        run = run + 1 if p != r else 0
-        worst = max(worst, run)
-    return worst
+        raise ValidationError(f"stream lengths differ: {len(predictions)} vs {len(reference)}")
+    # Runs of disagreement start at the even edges and end at the odd ones.
+    wrong = np.asarray(predictions) != np.asarray(reference)
+    edges = np.flatnonzero(np.diff(wrong, prepend=False, append=False))
+    return int((edges[1::2] - edges[::2]).max(initial=0))
 
 
 @dataclass
 class StreamStats:
-    """Throughput and agreement statistics for one replayed stream."""
+    """Throughput and agreement statistics for one replayed stream, counted
+    by ``add``; only the latencies (for exact percentiles) grow with it."""
 
     windows: int = 0
     dropped_ticks: int = 0
     latencies_ms: list[float] = field(default_factory=list)
-    predictions: list[int] = field(default_factory=list)
-    reference: list[int] = field(default_factory=list)
     mixed_windows: int = 0
     correct_unmixed: int = 0
     total_unmixed: int = 0
+    run: int = 0
+    longest_run: int = 0
     wall_time_s: float = 0.0
     sample_rate_hz: float = 60.0
+
+    def add(self, label: int, reference: int, mixed: bool, latency_ms: float) -> None:
+        """Count one emission: class, label at its tick, mixedness, latency."""
+        agree = label == reference
+        self.windows += 1
+        self.latencies_ms.append(latency_ms)
+        self.run = 0 if agree else self.run + 1
+        self.longest_run = max(self.longest_run, self.run)
+        self.mixed_windows += bool(mixed)
+        self.total_unmixed += not mixed
+        self.correct_unmixed += bool(agree and not mixed)
 
     def latency_mean_ms(self) -> float:
         return float(np.mean(self.latencies_ms)) if self.latencies_ms else 0.0
@@ -249,7 +259,7 @@ class StreamStats:
         return 100.0 * self.correct_unmixed / self.total_unmixed
 
     def max_run(self) -> int:
-        return max_consecutive_disagreements(self.predictions, self.reference)
+        return self.longest_run
 
     def max_run_ms(self) -> float:
         return self.max_run() * 1000.0 / self.sample_rate_hz
@@ -524,26 +534,15 @@ def replay(
             sample_rate_hz=recording.sample_rate_hz,
             smoothing=smoothing,
         )
-        # The first tick of the label run holding each tick: a window is
-        # unmixed when its last tick's run starts at or before its first.
+        # The window emitted at tick t starts at tick t - window + 1.
         labels = seq.labels.tolist()
-        run_start = [a for _, a, b in label_runs(seq.labels) for _ in range(a, b)]
+        mixed = (window_labels(seq.labels, pipe.window) < 0).tolist()
         seq_start = time.perf_counter()
         for t in range(seq.n_ticks):
             out = pipe.step(t, seq.tick_samples(t))
             if out is not None:
                 outputs.append(out)
-                stats.windows += 1
-                stats.latencies_ms.append(out.latency_ms)
-                stats.predictions.append(out.label)
-                ref = labels[t]
-                stats.reference.append(ref)
-                if run_start[t] <= t - pipe.window + 1:
-                    stats.total_unmixed += 1
-                    if out.label == ref:
-                        stats.correct_unmixed += 1
-                else:
-                    stats.mixed_windows += 1
+                stats.add(out.label, labels[t], mixed[t - pipe.window + 1], out.latency_ms)
                 if device is not None:
                     device.send(out)
             if period:

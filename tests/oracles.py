@@ -547,3 +547,37 @@ def synth_reference(class_count=9, sensor_count=3, noise_deg=0.5, spasm_deg=0.0,
         },
     }
     return sequences, meta
+
+
+def max_run_reference(predictions, reference) -> int:
+    """Longest run of disagreements, one element at a time."""
+    worst = run = 0
+    for p, r in zip(predictions, reference):
+        run = run + 1 if p != r else 0
+        worst = max(worst, run)
+    return worst
+
+
+def misclassification_reference(predictions, labels) -> dict:
+    """The fields of ``MisclassStructure`` by a dict of error pairs over
+    Python ints: the neutral-error fraction (None without errors), the
+    longest error run, and (true, predicted, count) sorted by -count,
+    true, predicted."""
+    predictions = [int(p) for p in predictions]
+    labels = [int(l) for l in labels]
+    errors = [(t, p) for p, t in zip(predictions, labels) if p != t]
+    neutral_fraction = (
+        sum(1 for _, p in errors if p == 0) / len(errors) if errors else None
+    )
+    pair_counts: dict[tuple[int, int], int] = {}
+    for t, p in errors:
+        pair_counts[(t, p)] = pair_counts.get((t, p), 0) + 1
+    pairs = sorted(
+        ((t, p, n) for (t, p), n in pair_counts.items()),
+        key=lambda item: (-item[2], item[0], item[1]),
+    )
+    return {
+        "neutral_fraction": neutral_fraction,
+        "max_run": max_run_reference(predictions, labels),
+        "pairs": pairs,
+    }

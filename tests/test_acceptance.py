@@ -276,11 +276,12 @@ def test_criterion_8_streaming_contract(synth9, model9):
     window_span_ms = 8 * 1000.0 / synth9.sample_rate_hz
 
     constructed = StreamStats(sample_rate_hz=60.0)
-    constructed.reference = [0] * 50
-    constructed.predictions = [0] * 50
-    constructed.predictions[4:7] = [1] * 3
-    constructed.predictions[10:28] = [2] * 18
-    constructed.predictions[30:35] = [1] * 5
+    predictions = [0] * 50
+    predictions[4:7] = [1] * 3
+    predictions[10:28] = [2] * 18
+    predictions[30:35] = [1] * 5
+    for label in predictions:
+        constructed.add(label, 0, False, 0.0)
 
     checks = [
         online_pred == offline_pred,

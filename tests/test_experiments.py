@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bomi.experiments
 from bomi.cli import main
@@ -14,6 +15,8 @@ from bomi.dataset_io import SplitSpec, load_recording, save_recording, synth_ses
 from bomi.errors import CoverageError, DataError, PoolError
 from bomi.experiments import (
     ConfusionMatrix,
+    ExperimentReport,
+    MisclassStructure,
     evaluate,
     extract_matrix,
     misclassification_structure,
@@ -27,7 +30,10 @@ from bomi.experiments import (
 )
 from bomi.features import FEATURE_KINDS, FeatureLayout, Windows
 from bomi.fusion import FusionConfig, fuse_sequence
-from bomi.lda import DEFAULT_SHRINKAGE
+from bomi.lda import DEFAULT_SHRINKAGE, predict_many
+from bomi.pipeline import max_consecutive_disagreements
+
+from oracles import max_run_reference, misclassification_reference
 
 
 def fake_windows(labels):
@@ -131,6 +137,28 @@ class TestConfusion:
         assert lines[1] == "c0,75.00,25.00"
 
 
+@st.composite
+def scored_streams(draw):
+    """(predictions, labels) of one length in 0-300, built from runs, so
+    error runs are long: predictions drawn freely, from labels the truth
+    never carries, equal to the truth, or the truth with some ticks
+    predicted neutral."""
+    n = draw(st.integers(0, 300))
+
+    def stream(values):
+        runs = draw(st.lists(st.tuples(values, st.integers(1, 60)), min_size=1, max_size=12))
+        flat = [v for v, k in runs for _ in range(k)]
+        return (flat * (n // len(flat) + 1))[:n]
+
+    labels = stream(st.integers(0, 5))
+    kind = draw(st.sampled_from(("free", "disjoint", "exact", "neutral")))
+    if kind == "exact":
+        return list(labels), labels
+    if kind == "neutral":
+        return [0 if f else t for t, f in zip(labels, stream(st.booleans()))], labels
+    return stream(st.integers(0, 8) if kind == "free" else st.integers(6, 9)), labels
+
+
 class TestMisclassificationStructure:
     def test_all_errors_predict_neutral(self):
         labels = [1, 1, 2, 2]
@@ -163,8 +191,34 @@ class TestMisclassificationStructure:
         with pytest.raises(DataError):
             misclassification_structure([1], [1, 2])
 
+    @given(scored_streams())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_pair_dict_oracle(self, streams):
+        predictions, labels = streams
+        s = misclassification_structure(predictions, labels)
+        assert s == MisclassStructure(**misclassification_reference(predictions, labels))
+        assert type(s.neutral_fraction) in (float, type(None))
+        assert type(s.max_run) is int
+        assert type(s.pairs) is list
+        assert all(type(p) is tuple and [type(v) for v in p] == [int] * 3 for p in s.pairs)
+        want = max_run_reference(predictions, labels)
+        assert max_consecutive_disagreements(predictions, labels) == want
+        assert max_consecutive_disagreements(np.array(predictions), np.array(labels)) == want
+
 
 class TestEvaluate:
+    def test_structure_matches_the_pair_dict_oracle(self, sae7, mae7):
+        # A single-amplitude model errs on the multi-amplitude test sequence.
+        model, _ = train_session(sae7, learn_amplitude=False)
+        test_windows = sequence_windows(mae7, mae7.sequences[2])
+        usable = test_windows[test_windows.labels >= 0]
+        predictions = predict_many(model, extract_matrix(model.feature_kind, usable,
+                                                         model.layout))
+        structure = evaluate(model, test_windows).structure
+        assert len(structure.pairs) > 1
+        assert structure == MisclassStructure(
+            **misclassification_reference(predictions.tolist(), usable.labels.tolist()))
+
     def test_perfect_predictions(self, small_model):
         model, test_windows = small_model
         result = evaluate(model, test_windows)
@@ -259,6 +313,16 @@ class TestStudies:
         assert report.skipped == ["P3"]
         table = report.table()
         assert "P1" in table and "fv3" in table
+
+    @pytest.mark.parametrize("names", [("P1", "P4"), ("P1", "a_long_participant_name")])
+    def test_table_columns_line_up(self, names):
+        # The second participant has no fv1 cell.
+        report = ExperimentReport(accuracies={
+            names[0]: {"fv1": 91.5, "fv3": 99.96}, names[1]: {"fv3": 91.66}})
+        lines = report.table().splitlines()
+        assert len(lines) == 3
+        assert len({len(line) for line in lines}) == 1
+        assert lines[0].startswith("Participant ")
 
     def test_amplitude_study_direction(self, sae7, mae7):
         study = run_amplitude_experiment(sae7, mae7)

@@ -24,6 +24,7 @@ from bomi.features import (
     make_windows,
     prop_output,
     tick_gamma,
+    window_labels,
 )
 
 from oracles import (
@@ -112,6 +113,17 @@ class TestWindowing:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ShapeError):
             windows_of(20, size=8, overlap=8)
+
+    @given(st.lists(st.tuples(st.integers(-1, 3), st.integers(1, 12)), max_size=10),
+           st.integers(1, 10))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_window_labels_match_a_per_window_loop(self, runs, size):
+        labels = np.array([v for v, k in runs for _ in range(k)], dtype=np.int64)
+        want = [int(labels[i + size - 1]) if len(set(labels[i:i + size].tolist())) == 1
+                else -1 for i in range(len(labels) - size + 1)]
+        got = window_labels(labels, size)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestFeatureDims:

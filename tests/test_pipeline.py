@@ -638,10 +638,34 @@ class TestReplayStats:
         pred[5:8] = [1] * 3
         pred[20:38] = [2] * 18
         pred[40:45] = [3] * 5
-        stats.predictions = pred
-        stats.reference = ref
+        for p, r in zip(pred, ref):
+            stats.add(p, r, False, 0.0)
         assert stats.max_run() == 18
         assert stats.max_run_ms() == pytest.approx(300.0)
+
+    def test_a_run_across_a_sequence_boundary_is_one_run(self):
+        from bomi.pipeline import StreamStats
+
+        # The first sequence ends with 4 errors, the second starts with 3.
+        first = [(1, 1)] * 10 + [(2, 1)] * 4
+        second = [(0, 2)] * 3 + [(2, 2)] * 10
+        stats = StreamStats()
+        for label, reference in first + second:
+            stats.add(label, reference, False, 0.0)
+        assert stats.max_run() == 7
+        assert stats.to_dict()["max_consecutive_misclassifications"] == 7
+
+    def test_max_run_over_every_sequence(self, small_model, small_noisy):
+        model, _ = small_model
+        outputs, stats = replay(small_noisy, model)
+        reference = []
+        for i, seq in enumerate(small_noisy.sequences, start=1):
+            ticks = [o.tick for o in replay(small_noisy, model, sequence_indices=[i])[0]]
+            reference += seq.labels[ticks].tolist()
+        want = max_consecutive_disagreements([o.label for o in outputs], reference)
+        assert want > 0
+        assert stats.max_run() == want
+        assert stats.windows == len(outputs) == len(reference)
 
     def test_paced_replay_matches_unpaced(self, small_model):
         model, _ = small_model

@@ -16,6 +16,11 @@ Each line is ``<part> <digest>``. The parts cover:
   count (``OPENBLAS_NUM_THREADS``);
 * ``windows/*``: offline windows of the held-out sequence (angles, gyro,
   labels, start ticks) and ``predict_many`` on them;
+* ``eval/*``: ``evaluate(...).to_dict()`` on those windows (accuracy,
+  counts, confusion matrix and error structure), as sorted-key JSON;
+* ``replay/*``: the ``StreamStats.to_dict()`` fields of ``replay`` over
+  every sequence that do not depend on timing (all but the latencies and
+  the wall time), as sorted-key JSON;
 * ``features/extract_*``: ``extract`` of each feature kind on the first
   held-out windows, one window at a time;
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
@@ -76,11 +81,11 @@ from bomi.dataset_io import (
     save_recording,
     synth_session,
 )
-from bomi.experiments import extract_matrix, predict_many, run_all, train_session
+from bomi.experiments import evaluate, extract_matrix, predict_many, run_all, train_session
 from bomi.features import extract
 from bomi.fusion import fuse_sequence
 from bomi.lda import deserialize
-from bomi.pipeline import StreamingPipeline, VirtualDevice
+from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
@@ -154,6 +159,17 @@ def hash_windows(model, windows) -> tuple[str, str]:
                   windows.start_ticks)
     X = extract_matrix(model.feature_kind, windows, model.layout)
     return wins, digest(X, predict_many(model, X))
+
+
+def hash_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def hash_replay_stats(rec, model) -> str:
+    """Digest of the stats of ``replay`` over every sequence, less timings."""
+    _, stats = replay(rec, model)
+    return hash_json({k: v for k, v in stats.to_dict().items()
+                      if not k.startswith("latency_") and k != "wall_time_s"})
 
 
 def hash_extract(kind: str, layout, windows) -> str:
@@ -365,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         wins, preds = hash_windows(model, test_windows)
         emit(f"windows/{name}", wins)
         emit(f"predictions/{name}", preds)
+        emit(f"eval/{name}", hash_json(evaluate(model, test_windows).to_dict()))
+        emit(f"replay/{name}", hash_replay_stats(rec, model))
         for fv in ("fv1", "fv2", "fv3"):
             emit(f"features/extract_{fv}_{name}",
                  hash_extract(fv, model.layout, test_windows[:EXTRACT_WINDOWS]))
