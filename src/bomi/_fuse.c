@@ -1,0 +1,349 @@
+/* The complementary filter kernel of bomi.fusion, as a CPython extension.
+ *
+ * Every value is formed by the same IEEE operations, in the same order,
+ * as the Python expressions the filter is written in, so its bits are the
+ * ones CPython gives (tests/oracles.py spells the same recursion out in
+ * Python):
+ *
+ *   - `x % 360.0` is CPython's float_rem: fmod, the sign moved to the
+ *     divisor's, and +0.0 for a zero remainder;
+ *   - math.atan2 settles the zero and infinite cases itself (py_atan2);
+ *   - math.degrees and math.radians multiply by 180/pi and pi/180;
+ *   - the accelerometer pitch calls math.hypot itself, because CPython
+ *     computes hypot on its own and the C library's differs in the last
+ *     bit on some pairs.
+ *
+ * It must be compiled without contraction into fused multiply-adds, without
+ * fast-math and with sin and cos kept apart (bomi/_build.py has the flags).
+ *
+ * run(samples, sensor, alpha, dt, guard, angles, flag_sets) -> tuple
+ *     Filter one sensor of a C-contiguous (T, S, 9) float64 array from a
+ *     bootstrap on its first tick; write raw (pitch, roll, yaw) into the
+ *     sensor's column of the C-contiguous (T, S, 3) float64 array `angles`
+ *     and return each tick's flags.
+ * step(state, row, alpha, dt, guard, flag_sets) -> (pitch, roll, yaw, flags)
+ *     Advance one tick: `state` is None (bootstrap) or a tuple whose first
+ *     three items are pitch, roll and yaw; `row` is a tuple of 9 floats.
+ *     The result is the next state.
+ *
+ * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
+ * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <math.h>
+#include <string.h>
+
+enum { ACCEL_FALLBACK = 1, MAG_FALLBACK = 2, GIMBAL_GUARD = 4 };
+
+static const double DEG = 180.0 / Py_MATH_PI;
+static const double RAD = Py_MATH_PI / 180.0;
+
+typedef struct {
+    double pitch, roll, yaw;
+} Attitude;
+
+/* (a + 180.0) % 360.0 - 180.0, with -180 replaced by 180. Inside
+ * [0, 360) the remainder is its dividend, so fmod runs only outside. */
+static inline double
+wrap(double a)
+{
+    double m = a + 180.0;
+    if (!(m >= 0.0 && m < 360.0)) {
+        m = fmod(m, 360.0);
+        if (m) {
+            if (m < 0.0)
+                m += 360.0;
+        }
+        else {
+            m = 0.0;
+        }
+    }
+    m -= 180.0;
+    return m == -180.0 ? 180.0 : m;
+}
+
+/* math.atan2 (CPython's m_atan2). */
+static double
+py_atan2(double y, double x)
+{
+    if (isnan(x) || isnan(y))
+        return Py_NAN;
+    if (isinf(y)) {
+        if (isinf(x))
+            return copysign(copysign(1.0, x) == 1.0 ? 0.25 * Py_MATH_PI
+                                                    : 0.75 * Py_MATH_PI, y);
+        return copysign(0.5 * Py_MATH_PI, y);
+    }
+    if (isinf(x) || y == 0.0) {
+        if (copysign(1.0, x) == 1.0)
+            return copysign(0.0, y);
+        return copysign(Py_MATH_PI, y);
+    }
+    return atan2(y, x);
+}
+
+/* Tilt-compensated heading of the field m, as mag_yaw forms it; 0 for a
+ * zero vector. */
+static int
+heading(const double *m, double pitch, double roll, double *yaw)
+{
+    double mx = m[0], my = m[1], mz = m[2];
+    double norm = sqrt(mx * mx + my * my + mz * mz);
+    if (norm < 1e-12)
+        return 0;
+    mx = mx / norm;
+    my = my / norm;
+    mz = mz / norm;
+    double p = pitch * RAD, r = roll * RAD;
+    double cp = cos(p), sp = sin(p), cr = cos(r), sr = sin(r);
+    /* Level-frame components of the field: Ry(pitch) . Rx(roll) . m. */
+    double x_level = mx * cp + my * sr * sp + mz * cr * sp;
+    double y_level = my * cr - mz * sr;
+    *yaw = py_atan2(-y_level, x_level) * DEG;
+    return 1;
+}
+
+static inline int
+zero_accel(const double *v)
+{
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] < 1e-24;
+}
+
+/* math.hypot, bound when the module is created. */
+static PyObject *hypot_fn;
+
+/* Pitch and roll measured from gravity, as accel_angles forms them;
+ * -1 with an exception set when math.hypot fails. */
+static int
+accel_meas(const double *v, double *pitch, double *roll)
+{
+    PyObject *yz[2] = {PyFloat_FromDouble(v[1]), PyFloat_FromDouble(v[2])};
+    PyObject *h = yz[0] && yz[1] ? PyObject_Vectorcall(hypot_fn, yz, 2, NULL) : NULL;
+    Py_XDECREF(yz[0]);
+    Py_XDECREF(yz[1]);
+    if (h == NULL)
+        return -1;
+    double hyp = PyFloat_AsDouble(h);
+    Py_DECREF(h);
+    if (hyp == -1.0 && PyErr_Occurred())
+        return -1;
+    *pitch = py_atan2(-v[0], hyp) * DEG;
+    *roll = py_atan2(v[1], v[2]) * DEG;
+    return 0;
+}
+
+/* The first tick: the instantaneous measurement, zero where it fails.
+ * Returns the flag bits, or -1 with an exception set. */
+static int
+bootstrap(const double *v, Attitude *s)
+{
+    int flags = 0;
+    double yaw;
+    s->pitch = s->roll = s->yaw = 0.0;
+    if (zero_accel(v))
+        flags = ACCEL_FALLBACK;
+    else if (accel_meas(v, &s->pitch, &s->roll) < 0)
+        return -1;
+    if (heading(v + 6, s->pitch, s->roll, &yaw))
+        s->yaw = yaw;
+    else
+        flags |= MAG_FALLBACK;
+    return flags;
+}
+
+/* Predict from the gyro, then blend each angle toward its measurement
+ * along the shortest path; yaw holds the prediction past the guard.
+ * Returns the flag bits, or -1 with an exception set. */
+static int
+advance(const double *v, double beta, double dt, double guard, Attitude *s)
+{
+    int flags = 0;
+    double pitch_meas, roll_meas, heading_deg;
+    double pitch = s->pitch + v[4] * dt;
+    double roll = wrap(s->roll + v[3] * dt);
+    double yaw = wrap(s->yaw + v[5] * dt);
+    if (zero_accel(v)) {
+        flags = ACCEL_FALLBACK;
+    }
+    else {
+        if (accel_meas(v, &pitch_meas, &roll_meas) < 0)
+            return -1;
+        pitch = pitch + beta * wrap(pitch_meas - pitch);
+        roll = wrap(roll + beta * wrap(roll_meas - roll));
+    }
+    /* min(90, max(-90, pitch)), NaN going to -90. */
+    pitch = pitch > -90.0 ? pitch : -90.0;
+    pitch = pitch < 90.0 ? pitch : 90.0;
+    if (fabs(pitch) > guard)
+        flags |= GIMBAL_GUARD;
+    else if (heading(v + 6, pitch, roll, &heading_deg))
+        yaw = wrap(yaw + beta * wrap(heading_deg - yaw));
+    else
+        flags |= MAG_FALLBACK;
+    s->pitch = pitch;
+    s->roll = roll;
+    s->yaw = yaw;
+    return flags;
+}
+
+/* Read n floats from args into out; -1 with an exception set on failure. */
+static int
+get_doubles(PyObject *const *args, double *out, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        out[i] = PyFloat_AsDouble(args[i]);
+        if (out[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+/* Check the common arguments: alpha, dt and guard into p, and flag_sets. */
+static int
+get_params(PyObject *const *args, PyObject *flag_sets, double *p)
+{
+    if (!PyTuple_Check(flag_sets) || PyTuple_GET_SIZE(flag_sets) != 8) {
+        PyErr_SetString(PyExc_TypeError, "flag_sets must be a tuple of 8 items");
+        return -1;
+    }
+    return get_doubles(args, p, 3);
+}
+
+static int
+get_array(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t width)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
+        return -1;
+    if (view->ndim == 3 && view->shape[2] == width && strcmp(view->format, "d") == 0)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "expected a float64 array of shape (T, S, %zd)", width);
+    PyBuffer_Release(view);
+    return -1;
+}
+
+static PyObject *
+fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double p[3];   /* alpha, dt, guard */
+    Py_buffer in, out;
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "run() takes 7 arguments");
+        return NULL;
+    }
+    PyObject *flag_sets = args[6];
+    Py_ssize_t sensor = PyLong_AsSsize_t(args[1]);
+    if ((sensor == -1 && PyErr_Occurred()) || get_params(args + 2, flag_sets, p) < 0)
+        return NULL;
+    if (get_array(args[0], &in, 0, 9) < 0)
+        return NULL;
+    if (get_array(args[5], &out, PyBUF_WRITABLE, 3) < 0) {
+        PyBuffer_Release(&in);
+        return NULL;
+    }
+    Py_ssize_t n = in.shape[0], s = in.shape[1];
+    PyObject *flags = NULL;
+    if (out.shape[0] != n || out.shape[1] != s)
+        PyErr_SetString(PyExc_ValueError, "run() angles must match the samples' (T, S)");
+    else if (sensor < 0 || sensor >= s)
+        PyErr_SetString(PyExc_IndexError, "run() sensor index out of range");
+    else
+        flags = PyTuple_New(n);
+    if (flags != NULL) {
+        const double *v = (const double *)in.buf + 9 * sensor;
+        double *a = (double *)out.buf + 3 * sensor;
+        double beta = 1.0 - p[0];
+        Attitude st;
+        for (Py_ssize_t t = 0; t < n; t++, v += 9 * s, a += 3 * s) {
+            int bits = t ? advance(v, beta, p[1], p[2], &st) : bootstrap(v, &st);
+            if (bits < 0) {
+                Py_CLEAR(flags);
+                break;
+            }
+            a[0] = st.pitch;
+            a[1] = st.roll;
+            a[2] = st.yaw;
+            PyObject *f = PyTuple_GET_ITEM(flag_sets, bits);
+            Py_INCREF(f);
+            PyTuple_SET_ITEM(flags, t, f);
+        }
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&in);
+    return flags;
+}
+
+static PyObject *
+fuse_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double v[9], p[3];   /* p: alpha, dt, guard */
+    Attitude st;
+    int bits;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "step() takes 6 arguments");
+        return NULL;
+    }
+    PyObject *state = args[0], *row = args[1], *flag_sets = args[5];
+    if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 9) {
+        PyErr_SetString(PyExc_TypeError, "step() row must be a tuple of 9 floats");
+        return NULL;
+    }
+    if (state != Py_None && (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) < 3)) {
+        PyErr_SetString(PyExc_TypeError, "step() state must be None or a tuple");
+        return NULL;
+    }
+    if (get_params(args + 2, flag_sets, p) < 0
+            || get_doubles(&PyTuple_GET_ITEM(row, 0), v, 9) < 0)
+        return NULL;
+    if (state == Py_None) {
+        bits = bootstrap(v, &st);
+    }
+    else {
+        double a[3];
+        if (get_doubles(&PyTuple_GET_ITEM(state, 0), a, 3) < 0)
+            return NULL;
+        st.pitch = a[0];
+        st.roll = a[1];
+        st.yaw = a[2];
+        bits = advance(v, 1.0 - p[0], p[1], p[2], &st);
+    }
+    if (bits < 0)
+        return NULL;
+    PyObject *items[3] = {PyFloat_FromDouble(st.pitch), PyFloat_FromDouble(st.roll),
+                          PyFloat_FromDouble(st.yaw)};
+    PyObject *result = NULL;
+    if (items[0] && items[1] && items[2])
+        result = PyTuple_Pack(4, items[0], items[1], items[2],
+                              PyTuple_GET_ITEM(flag_sets, bits));
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(items[i]);
+    return result;
+}
+
+static PyMethodDef fuse_methods[] = {
+    {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
+     "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
+    {"step", (PyCFunction)(void (*)(void))fuse_step, METH_FASTCALL,
+     "Advance the filter one tick; return (pitch, roll, yaw, flags)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef fuse_module = {
+    PyModuleDef_HEAD_INIT, "_fuse", "The complementary filter kernel of bomi.fusion.", -1,
+    fuse_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__fuse(void)
+{
+    if (hypot_fn == NULL) {
+        PyObject *math = PyImport_ImportModule("math");
+        if (math == NULL)
+            return NULL;
+        hypot_fn = PyObject_GetAttrString(math, "hypot");
+        Py_DECREF(math);
+        if (hypot_fn == NULL)
+            return NULL;
+    }
+    return PyModule_Create(&fuse_module);
+}

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import json
 import multiprocessing
+import numbers
 import os
 import warnings
 from collections import deque
@@ -47,7 +48,7 @@ from .dataset_io import (
     load_recording,
     split_session,
 )
-from .errors import CoverageError, DataError, PoolError, TrainingDataError
+from .errors import CoverageError, DataError, PoolError, TrainingDataError, ValidationError
 from .features import (
     DEFAULT_OVERLAP,
     DEFAULT_WINDOW,
@@ -280,8 +281,20 @@ def misclassification_structure(
     neutral class (None when there are no errors). Both it and the pairs
     come from the cell counts ``evaluate`` makes: pairs are the error
     cells, most frequent first, then by true and by predicted class.
+
+    Raises:
+        ValidationError: a label or prediction is a bool or not an
+            integer, or the two streams differ in length.
     """
-    return _score(np.asarray(labels, dtype=np.int64), np.asarray(predictions, dtype=np.int64))[1]
+    return _score(_int_labels(labels, "labels"), _int_labels(predictions, "predictions"))[1]
+
+
+def _int_labels(values: SequenceT[int], name: str) -> np.ndarray:
+    """``values`` as int64, refusing what an int64 cast would truncate."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValidationError(f"{name} must be integers, got {v!r}")
+    return np.asarray(values, dtype=np.int64)
 
 
 @dataclass

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ._build import load as load_kernel
 from .errors import (
     CalibrationError,
     UndefinedAttitudeError,
@@ -84,31 +84,6 @@ def _sample_period(sample_rate_hz) -> float:
     return 1.0 / sample_rate_hz
 
 
-def _accel_meas(ax: float, ay: float, az: float) -> tuple[float, float] | None:
-    """Pitch and roll measured from gravity; None for a zero vector."""
-    if ax * ax + ay * ay + az * az < 1e-24:
-        return None
-    pitch = math.degrees(math.atan2(-ax, math.hypot(ay, az)))
-    roll = math.degrees(math.atan2(ay, az))
-    return pitch, roll
-
-
-def _mag_meas(mx: float, my: float, mz: float, pitch: float, roll: float) -> float | None:
-    """Heading of the field de-rotated by pitch and roll; None for a zero vector."""
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm < 1e-12:
-        return None
-    mx, my, mz = mx / norm, my / norm, mz / norm
-    p = math.radians(pitch)
-    r = math.radians(roll)
-    cp, sp = math.cos(p), math.sin(p)
-    cr, sr = math.cos(r), math.sin(r)
-    # Level-frame components of the field: Ry(pitch) · Rx(roll) · m.
-    x_level = mx * cp + my * sr * sp + mz * cr * sp
-    y_level = my * cr - mz * sr
-    return math.degrees(math.atan2(-y_level, x_level))
-
-
 def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     """Pitch and roll, in degrees, from an accelerometer gravity reading.
 
@@ -117,10 +92,10 @@ def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     Raises:
         UndefinedAttitudeError: if the vector is (numerically) zero.
     """
-    meas = _accel_meas(float(acc[0]), float(acc[1]), float(acc[2]))
-    if meas is None:
+    ax, ay, az = float(acc[0]), float(acc[1]), float(acc[2])
+    if ax * ax + ay * ay + az * az < 1e-24:
         raise UndefinedAttitudeError("zero accelerometer vector")
-    return meas
+    return math.degrees(math.atan2(-ax, math.hypot(ay, az))), math.degrees(math.atan2(ay, az))
 
 
 def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
@@ -132,125 +107,41 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     Raises:
         UndefinedHeadingError: if the vector is (numerically) zero.
     """
-    yaw = _mag_meas(float(mag[0]), float(mag[1]), float(mag[2]), pitch, roll)
-    if yaw is None:
+    mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
+    norm = math.sqrt(mx * mx + my * my + mz * mz)
+    if norm < 1e-12:
         raise UndefinedHeadingError("zero magnetometer vector")
-    return yaw
+    mx, my, mz = mx / norm, my / norm, mz / norm
+    p = math.radians(pitch)
+    r = math.radians(roll)
+    cp, sp = math.cos(p), math.sin(p)
+    cr, sr = math.cos(r), math.sin(r)
+    # Level-frame components of the field: Ry(pitch) · Rx(roll) · m.
+    x_level = mx * cp + my * sr * sp + mz * cr * sp
+    y_level = my * cr - mz * sr
+    return math.degrees(math.atan2(-y_level, x_level))
 
 
-# The filter kernel. StreamingPipeline.step and ComplementaryFilter.step
-# (one tick of a stream) and fuse_sequence (a whole recording) all advance
-# the state only through _filter_ticks, so offline and online angles and
-# flags are equal bit for bit. The loop body inlines _accel_meas, _mag_meas
-# and wrap_deg term by term: radians and degrees are the products CPython's
-# math module forms, and a float wrap cannot give -0.0, so replacing -180
-# by 180 is the same as wrap_deg's addition.
+# The filter kernel is C (_fuse.c), compiled when this module is imported
+# (see _build). fuse_sequence runs it over a whole recording, one call per
+# sensor, and ComplementaryFilter.step and StreamingPipeline.step advance
+# it one tick, so offline and online angles and flags are equal bit for
+# bit. It forms every value as CPython does for the Python expressions
+# tests/oracles.py spells out: float %, math.atan2 and math.hypot (which
+# it calls), and degrees and radians as products. A state is None (the
+# next tick bootstraps) or a tuple led by pitch, roll and yaw, such as the
+# (pitch, roll, yaw, flags) a step returns. The kernel sums up a tick's
+# degradations in bits, and FLAG_SETS, indexed by them, holds the flag
+# tuple each stands for.
 Flags = tuple[str, ...]
 
-_DEG = 180.0 / math.pi
-_RAD = math.pi / 180.0
+_kernel = load_kernel()
 
-
-def _filter_ticks(
-    state: tuple[float, float, float] | None,
-    ticks: Iterable[Sequence[float]],
-    alpha: float, dt: float, gimbal_guard_deg: float,
-    pitches, rolls, yaws, flags,
-) -> tuple[float, float, float] | None:
-    """Run the filter over ``ticks``; return the final (pitch, roll, yaw).
-
-    Each tick is 9 Python floats: acc, gyro and mag xyz. Its pitch, roll,
-    yaw and flag tuple are appended, in that order, to ``pitches``,
-    ``rolls``, ``yaws`` and ``flags``. A ``state`` of None bootstraps from
-    the first tick's instantaneous measurement.
-
-    A zero accelerometer falls back to pure gyro integration for
-    pitch/roll (flagged); a zero magnetometer, or |pitch| beyond the
-    gimbal guard, does the same for yaw. Pitch is clamped to [-90, 90],
-    roll/yaw wrapped.
-    """
-    atan2, hypot, sqrt, cos, sin = math.atan2, math.hypot, math.sqrt, math.cos, math.sin
-    put_pitch, put_roll, put_yaw, put_flags = (
-        pitches.append, rolls.append, yaws.append, flags.append
-    )
-    if state is None:
-        ticks = iter(ticks)
-        first = next(ticks, None)
-        if first is None:
-            return None
-        ax, ay, az, _, _, _, mx, my, mz = first
-        f: Flags = ()
-        pitch = roll = yaw = 0.0
-        acc = _accel_meas(ax, ay, az)
-        if acc is None:
-            f = (FLAG_ACCEL_FALLBACK,)
-        else:
-            pitch, roll = acc
-        heading = _mag_meas(mx, my, mz, pitch, roll)
-        if heading is None:
-            f += (FLAG_MAG_FALLBACK,)
-        else:
-            yaw = heading
-        put_pitch(pitch)
-        put_roll(roll)
-        put_yaw(yaw)
-        put_flags(f)
-        state = pitch, roll, yaw
-    pitch, roll, yaw = state
-    beta = 1.0 - alpha
-    for ax, ay, az, gx, gy, gz, mx, my, mz in ticks:
-        f = ()
-        # Predict from the gyro, then blend each angle toward its measurement.
-        pitch = pitch + gy * dt
-        roll = (roll + gx * dt + 180.0) % 360.0 - 180.0
-        if roll == -180.0:
-            roll = 180.0
-        yaw = (yaw + gz * dt + 180.0) % 360.0 - 180.0
-        if yaw == -180.0:
-            yaw = 180.0
-
-        if ax * ax + ay * ay + az * az < 1e-24:
-            f = (FLAG_ACCEL_FALLBACK,)
-        else:
-            d = (atan2(-ax, hypot(ay, az)) * _DEG - pitch + 180.0) % 360.0 - 180.0
-            if d == -180.0:
-                d = 180.0
-            pitch = pitch + beta * d
-            d = (atan2(ay, az) * _DEG - roll + 180.0) % 360.0 - 180.0
-            if d == -180.0:
-                d = 180.0
-            roll = (roll + beta * d + 180.0) % 360.0 - 180.0
-            if roll == -180.0:
-                roll = 180.0
-        # min(90, max(-90, x)) without the two calls, NaN included.
-        pitch = pitch if pitch > -90.0 else -90.0
-        pitch = pitch if pitch < 90.0 else 90.0
-
-        if abs(pitch) > gimbal_guard_deg:
-            f += (FLAG_GIMBAL_GUARD,)
-        else:
-            norm = sqrt(mx * mx + my * my + mz * mz)
-            if norm < 1e-12:
-                f += (FLAG_MAG_FALLBACK,)
-            else:
-                mx, my, mz = mx / norm, my / norm, mz / norm
-                p = pitch * _RAD
-                r = roll * _RAD
-                cp, sp = cos(p), sin(p)
-                cr, sr = cos(r), sin(r)
-                x_level = mx * cp + my * sr * sp + mz * cr * sp
-                y_level = my * cr - mz * sr
-                d = (atan2(-y_level, x_level) * _DEG - yaw + 180.0) % 360.0 - 180.0
-                if d == -180.0:
-                    d = 180.0
-                yaw = (yaw + beta * d + 180.0) % 360.0 - 180.0
-                if yaw == -180.0:
-                    yaw = 180.0
-        put_pitch(pitch)
-        put_roll(roll)
-        put_yaw(yaw)
-        put_flags(f)
-    return pitch, roll, yaw
+FLAG_SETS: tuple[Flags, ...] = tuple(
+    tuple(name for bit, name in ((1, FLAG_ACCEL_FALLBACK), (4, FLAG_GIMBAL_GUARD),
+                                 (2, FLAG_MAG_FALLBACK)) if bits & bit)
+    for bits in range(8)
+)
 
 
 @dataclass(frozen=True)
@@ -287,7 +178,8 @@ class ComplementaryFilter:
     gimbal_guard_deg: float = DEFAULT_GIMBAL_GUARD_DEG
     sensor_id: int = 0
     initial: tuple[float, float, float] | None = None
-    _state: tuple[float, float, float] | None = field(default=None, init=False, repr=False)
+    # The kernel's state: None, (pitch, roll, yaw) or what a step returns.
+    _state: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_filter_params(self.alpha, self.gimbal_guard_deg)
@@ -304,18 +196,15 @@ class ComplementaryFilter:
         pitch/roll this tick (flagged); a zero magnetometer does the same
         for yaw. Pitch is clamped to [-90, 90], roll/yaw wrapped.
         """
-        tick_values = (
+        row = (
             float(acc[0]), float(acc[1]), float(acc[2]),
             float(gyro[0]), float(gyro[1]), float(gyro[2]),
             float(mag[0]), float(mag[1]), float(mag[2]),
         )
-        # One tick appends pitch, roll, yaw and flags, in that order.
-        out: list = []
-        self._state = _filter_ticks(
-            self._state, (tick_values,), self.alpha, self.dt, self.gimbal_guard_deg,
-            out, out, out, out,
+        self._state = pitch, roll, yaw, flags = _kernel.step(
+            self._state, row, self.alpha, self.dt, self.gimbal_guard_deg, FLAG_SETS
         )
-        return OrientationFrame(self.sensor_id, tick, *out)
+        return OrientationFrame(self.sensor_id, tick, pitch, roll, yaw, flags)
 
 
 def circular_mean_deg(angles: Sequence[float]) -> float:
@@ -403,9 +292,9 @@ def fuse_sequence(
 ) -> FusedSequence:
     """Fuse and calibrate one sequence of raw samples.
 
-    Runs the same filter kernel as ``ComplementaryFilter.step`` over each
-    sensor's whole column in one call, so the result equals stepping a
-    filter per sensor bit for bit.
+    Runs the filter kernel over each sensor's whole column in one call,
+    where ``ComplementaryFilter.step`` runs it one tick at a time, so the
+    result equals stepping a filter per sensor bit for bit.
 
     Args:
         samples: (T, S, 9) array, sensors in layout order (the first is
@@ -420,22 +309,13 @@ def fuse_sequence(
         no offset is subtracted.
     """
     dt = _sample_period(sample_rate_hz)
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
     n_ticks, n_sensors = samples.shape[:2]
     raw_angles = np.empty((n_ticks, n_sensors, 3), dtype=np.float64)
     flags = []
     for si in range(n_sensors):
-        # Columns are read through memoryviews and angles gathered in
-        # array("d"), so a value is a Python float only during its own
-        # tick: 8 bytes per value at peak, where lists of floats hold 32.
-        pitches, rolls, yaws = array("d"), array("d"), array("d")
-        sensor_flags: list[Flags] = []
-        _filter_ticks(
-            None, zip(*map(memoryview, samples[:, si].T)),
-            config.alpha, dt, config.gimbal_guard_deg, pitches, rolls, yaws, sensor_flags,
-        )
-        raw_angles[:, si] = np.array((pitches, rolls, yaws)).T
-        flags.append(tuple(sensor_flags))
+        flags.append(_kernel.run(samples, si, config.alpha, dt, config.gimbal_guard_deg,
+                                 raw_angles, FLAG_SETS))
 
     if config.calib_ticks > 0:
         offset = calibrate_neutral(raw_angles.swapaxes(0, 1), config.calib_ticks)

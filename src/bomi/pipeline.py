@@ -33,7 +33,8 @@ from .features import (HALF, channel_index, extract, half_stats,  # noqa: F401
                        prop_output, window_labels)
 from .fusion import (
     FLAG_GAP,
-    _filter_ticks,
+    FLAG_SETS,
+    _kernel,
     _real_in,
     _sample_period,
     calibrate_neutral,
@@ -306,9 +307,9 @@ class StreamingPipeline:
         self.window = window = model.window
         self.stride = window - model.overlap
         sensor_ids = self.layout.sensor_ids
-        # Per sensor: the filter kernel's (pitch, roll, yaw) state, None
-        # until the first row, and the last row seen, repeated on a gap.
-        self._states: list[tuple[float, float, float] | None] = [None] * len(sensor_ids)
+        # Per sensor: the filter kernel's state, None until the first row,
+        # and the last row seen, repeated on a gap.
+        self._states: list[tuple | None] = [None] * len(sensor_ids)
         self._last_rows: list[tuple[float, ...] | None] = [None] * len(sensor_ids)
         # Raw (pitch, roll, yaw) per sensor during calibration.
         self._calib: list[list[tuple[float, float, float]]] = [[] for _ in sensor_ids]
@@ -380,13 +381,10 @@ class StreamingPipeline:
                 flags.append(FLAG_GAP)
             else:
                 self._last_rows[si] = row
-            # One tick appends pitch, roll, yaw and flags, in that order.
-            out: list = []
-            self._states[si] = _filter_ticks(
-                self._states[si], (row,), fusion.alpha, self._dt, fusion.gimbal_guard_deg,
-                out, out, out, out,
+            self._states[si] = pitch, roll, yaw, frame_flags = _kernel.step(
+                self._states[si], row, fusion.alpha, self._dt, fusion.gimbal_guard_deg,
+                FLAG_SETS,
             )
-            pitch, roll, yaw, frame_flags = out
             if calibrating:
                 self._calib[si].append((pitch, roll, yaw))
             p, r, y = wrap_deg(pitch - p0), wrap_deg(roll - r0), wrap_deg(yaw - y0)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import bomi.experiments
 from bomi.cli import main
 from bomi.dataset_io import SplitSpec, load_recording, save_recording, synth_session
-from bomi.errors import CoverageError, DataError, PoolError
+from bomi.errors import CoverageError, DataError, PoolError, ValidationError
 from bomi.experiments import (
     ConfusionMatrix,
     ExperimentReport,
@@ -190,6 +190,21 @@ class TestMisclassificationStructure:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             misclassification_structure([1], [1, 2])
+
+    @pytest.mark.parametrize("predictions, labels", [
+        ([1.9, 0], [1, 0]),
+        ([True, 2], [1, 2]),
+        ([1, 0], [1.9, 0]),
+        ([1, 2], [True, 2]),
+        ([1, 2], np.array([1.0, 2.0])),
+    ])
+    def test_non_integer_labels_are_refused(self, predictions, labels):
+        with pytest.raises(ValidationError, match="must be integers"):
+            misclassification_structure(predictions, labels)
+
+    def test_numpy_integer_labels_are_taken(self):
+        s = misclassification_structure(np.array([0, 2], dtype=np.int32), [np.int64(1), 2])
+        assert s.pairs == [(1, 0, 1)]
 
     @given(scored_streams())
     @settings(max_examples=300, deadline=None, derandomize=True)

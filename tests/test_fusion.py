@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bomi.errors import (
     CalibrationError,
@@ -13,6 +13,7 @@ from bomi.fusion import (
     FLAG_ACCEL_FALLBACK,
     FLAG_GIMBAL_GUARD,
     FLAG_MAG_FALLBACK,
+    FLAG_SETS,
     ComplementaryFilter,
     FusionConfig,
     OrientationFrame,
@@ -20,6 +21,7 @@ from bomi.fusion import (
     calibrate_neutral,
     circular_mean_deg,
     fuse_sequence,
+    _kernel,
     mag_yaw,
     wrap_deg,
 )
@@ -493,3 +495,83 @@ def test_measurements_match_reference_and_filter_bootstrap():
         first = ComplementaryFilter().step(0, acc, (0.0, 0.0, 0.0), mag)
         assert_same_bits((first.pitch, first.roll, first.yaw),
                          (pitch, roll, mag_yaw(mag, pitch, roll)))
+
+
+# Conditions planted on ticks of random rows: a zero or sub-threshold
+# accelerometer or magnetometer, accelerometer y and z of +-0.0, a
+# near-vertical accelerometer that takes |pitch| toward 90, and still or
+# 400x gyro rates.
+TICK_KINDS = ("zero_acc", "tiny_acc", "zero_mag", "tiny_mag", "signed_zero", "vertical",
+              "spike", "still")
+
+
+def planted_rows(n: int, planted, seed: int) -> np.ndarray:
+    """``n`` random rows with each (tick, kind) of ``planted`` at tick % n."""
+    rng = np.random.default_rng(seed)
+    rows = random_rows(rng, n)
+    for t, kind in planted:
+        t %= n
+        if kind == "zero_acc":
+            rows[t, 0:3] = 0.0
+        elif kind == "tiny_acc":    # squares sum below the 1e-24 threshold
+            rows[t, 0:3] = rng.uniform(-5e-13, 5e-13, 3)
+        elif kind == "zero_mag":
+            rows[t, 6:9] = 0.0
+        elif kind == "tiny_mag":    # norm below the 1e-12 threshold
+            rows[t, 6:9] = rng.uniform(-5e-13, 5e-13, 3)
+        elif kind == "signed_zero":
+            rows[t, 1:3] = rng.choice([0.0, -0.0], 2)
+        elif kind == "vertical":
+            rows[t, 0:3] = (rng.choice([-1.0, 1.0]), *rng.normal(scale=1e-3, size=2))
+        elif kind == "spike":
+            rows[t, 3:6] *= 400.0
+        elif kind == "still":
+            rows[t, 3:6] = 0.0
+    return rows
+
+
+@given(
+    n=st.integers(1, 300),
+    planted=st.lists(st.tuples(st.integers(0, 299), st.sampled_from(TICK_KINDS)), max_size=80),
+    seed=st.integers(0, 2**32 - 2),
+    alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    guard=st.sampled_from([0.0, 90.0]) | st.floats(0.0, 90.0),
+    rate=st.sampled_from([4.0, 60.0, 100.0]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_kernel_entries_match_reference_bitwise(n, planted, seed, alpha, guard, rate):
+    rows = planted_rows(n, planted, seed)
+    dt = 1.0 / rate
+    want = complementary_filter_reference(rows, alpha, dt, guard)
+    want_raw = np.array([w[:3] for w in want]).tobytes()
+    want_flags = tuple(w[3] for w in want)
+
+    # The whole-sequence entry on the second sensor of two (row stride 18).
+    samples = np.stack([planted_rows(n, planted[::-1], seed + 1), rows], axis=1)
+    raw = np.full((n, 2, 3), np.nan)
+    assert _kernel.run(samples, 1, alpha, dt, guard, raw, FLAG_SETS) == want_flags
+    assert raw[:, 1].tobytes() == want_raw
+    assert np.isnan(raw[:, 0]).all()
+
+    # The one-tick entry, from the bootstrap on.
+    state, states = None, []
+    for row in rows.tolist():
+        state = _kernel.step(state, tuple(row), alpha, dt, guard, FLAG_SETS)
+        states.append(state)
+    assert np.array([s[:3] for s in states]).tobytes() == want_raw
+    assert tuple(s[3] for s in states) == want_flags
+
+    # A filter stepped tick by tick equals fuse_sequence on the same rows.
+    assert_filter_matches_reference(rows, alpha, rate, guard)
+
+
+@pytest.mark.parametrize("samples, angles, error", [
+    (np.zeros((4, 2, 8)), np.zeros((4, 2, 3)), ValueError),
+    (np.zeros((4, 2, 9)), np.zeros((4, 1, 3)), ValueError),
+    (np.zeros((4, 2, 9), dtype=np.float32), np.zeros((4, 2, 3)), ValueError),
+    (np.zeros((4, 2, 18))[:, :, ::2], np.zeros((4, 2, 3)), ValueError),
+    (np.zeros((4, 1, 9)), np.zeros((4, 1, 3)), IndexError),
+])
+def test_kernel_run_rejects_arrays_it_cannot_read(samples, angles, error):
+    with pytest.raises(error):
+        _kernel.run(samples, 1, 0.98, 1 / 60, 85.0, angles, FLAG_SETS)
