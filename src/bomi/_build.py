@@ -1,13 +1,16 @@
-"""Compile and load the filter kernel, ``_fuse.c``, when bomi.fusion is imported.
+"""Compile and load bomi's kernels, ``_fuse.c``, when bomi.fusion is imported.
 
-The module is built with the C compiler the interpreter was built with
+The one extension holds the complementary filter and the fv3 statistics.
+It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's
 extension suffix, so a changed source or flag set never loads a stale
 build. Each build writes a temporary file in the same directory and
 renames it into place, so processes that import at once (a test run, a
-pool of workers) each load a complete file. There is no pure-Python
-fallback: without a compiler the import fails.
+pool of workers) each load a complete file; it then removes the builds of
+other sources for the same suffix, so the directory keeps one build per
+interpreter. There is no pure-Python fallback: without a compiler the
+import fails.
 
 FLAGS keep the kernel's bits equal to CPython's own float arithmetic:
 ``-ffp-contract=off`` forbids fused multiply-adds and ``-fno-fast-math``
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -46,9 +50,14 @@ def _options() -> list[str]:
     return [*compiler(), *FLAGS, "-I", sysconfig.get_paths()["include"]]
 
 
+def _suffix() -> str:
+    """The interpreter's extension module suffix."""
+    return sysconfig.get_config_var("EXT_SUFFIX")
+
+
 def artifact(build_dir: Path, source: Path = SOURCE) -> Path:
     """Where the build of ``source`` with these options and this interpreter goes."""
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    suffix = _suffix()
     key = hashlib.sha256(b"\0".join(
         [source.read_bytes(), *(a.encode() for a in _options()), suffix.encode()]
     )).hexdigest()[:16]
@@ -57,6 +66,9 @@ def artifact(build_dir: Path, source: Path = SOURCE) -> Path:
 
 def build(build_dir: Path, source: Path = SOURCE) -> Path:
     """Compile ``source`` unless its build exists; return the build's path.
+
+    A new build removes the other ``_fuse.*`` builds in ``build_dir`` for
+    this interpreter's suffix; temporary files of builds in progress stay.
 
     Raises:
         ImportError: the compiler is missing or fails; the message names
@@ -76,14 +88,28 @@ def build(build_dir: Path, source: Path = SOURCE) -> Path:
             raise ImportError(f"building {MODULE} failed ({shlex.join(command)}):\n"
                               f"{done.stderr.strip()}")
         os.replace(tmp, target)
+        _prune(build_dir, target)
     except OSError as exc:
         raise ImportError(f"cannot build {MODULE} into {build_dir} with {shlex.join(command)}: "
-                          f"{exc}; bomi compiles its filter kernel when it is imported, "
+                          f"{exc}; bomi compiles its kernels when it is imported, "
                           "with a C compiler and the Python headers") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
     return target
+
+
+def _prune(build_dir: Path, target: Path) -> None:
+    """Remove the builds in ``build_dir`` of other sources or options for
+    this interpreter's suffix (a bare ``.so`` suffix must not take another
+    interpreter's builds, hence the exact name form)."""
+    name = re.compile(r"_fuse\.[0-9a-f]{16}" + re.escape(_suffix()))
+    for stale in build_dir.iterdir():
+        if stale != target and name.fullmatch(stale.name):
+            try:
+                stale.unlink()
+            except FileNotFoundError:  # another process pruned it first
+                pass
 
 
 def load(build_dir: Path = BUILD_DIR, source: Path = SOURCE) -> ModuleType:

@@ -1,9 +1,11 @@
-/* The complementary filter kernel of bomi.fusion, as a CPython extension.
+/* The compiled kernels of bomi, as one CPython extension: the
+ * complementary filter of bomi.fusion and the fv3 statistics of
+ * bomi.features.
  *
- * Every value is formed by the same IEEE operations, in the same order,
- * as the Python expressions the filter is written in, so its bits are the
- * ones CPython gives (tests/oracles.py spells the same recursion out in
- * Python):
+ * Every filter value is formed by the same IEEE operations, in the same
+ * order, as the Python expressions the filter is written in, so its bits
+ * are the ones CPython gives (tests/oracles.py spells the same recursion
+ * out in Python):
  *
  *   - `x % 360.0` is CPython's float_rem: fmod, the sign moved to the
  *     divisor's, and +0.0 for a zero remainder;
@@ -25,6 +27,11 @@
  *     Advance one tick: `state` is None (bootstrap) or a tuple whose first
  *     three items are pitch, roll and yaw; `row` is a tuple of 9 floats.
  *     The result is the next state.
+ * fv3(channels, rows, out) -> None
+ *     Write the fv3 vector of the 8-tick window at each start row of a
+ *     C-contiguous (T, C) float64 channel array into the C-contiguous
+ *     (N, C, 2, 4) float64 array `out`; `rows` is a C-contiguous (N,)
+ *     intp array with 0 <= rows[i] <= T - 8.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard.
@@ -210,14 +217,23 @@ get_params(PyObject *const *args, PyObject *flag_sets, double *p)
     return get_doubles(args, p, 3);
 }
 
+/* Get the C-contiguous buffer of `obj`: `ndim` dimensions of the sizes in
+ * `shape` (-1 takes any size), with items of `itemsize` bytes whose
+ * one-letter format is in `formats`. Raises ValueError naming `what`
+ * otherwise. */
 static int
-get_array(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t width)
+get_array(PyObject *obj, Py_buffer *view, int flags, const char *formats,
+          Py_ssize_t itemsize, int ndim, const Py_ssize_t *shape, const char *what)
 {
     if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
         return -1;
-    if (view->ndim == 3 && view->shape[2] == width && strcmp(view->format, "d") == 0)
+    int ok = view->ndim == ndim && view->itemsize == itemsize
+             && strlen(view->format) == 1 && strchr(formats, view->format[0]) != NULL;
+    for (int i = 0; ok && i < ndim; i++)
+        ok = shape[i] < 0 || view->shape[i] == shape[i];
+    if (ok)
         return 0;
-    PyErr_Format(PyExc_ValueError, "expected a float64 array of shape (T, S, %zd)", width);
+    PyErr_Format(PyExc_ValueError, "expected %s", what);
     PyBuffer_Release(view);
     return -1;
 }
@@ -235,17 +251,17 @@ fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_ssize_t sensor = PyLong_AsSsize_t(args[1]);
     if ((sensor == -1 && PyErr_Occurred()) || get_params(args + 2, flag_sets, p) < 0)
         return NULL;
-    if (get_array(args[0], &in, 0, 9) < 0)
+    if (get_array(args[0], &in, 0, "d", sizeof(double), 3, (Py_ssize_t[]){-1, -1, 9},
+                  "samples of float64 and shape (T, S, 9)") < 0)
         return NULL;
-    if (get_array(args[5], &out, PyBUF_WRITABLE, 3) < 0) {
+    Py_ssize_t n = in.shape[0], s = in.shape[1];
+    if (get_array(args[5], &out, PyBUF_WRITABLE, "d", sizeof(double), 3,
+                  (Py_ssize_t[]){n, s, 3}, "angles of float64 and shape (T, S, 3)") < 0) {
         PyBuffer_Release(&in);
         return NULL;
     }
-    Py_ssize_t n = in.shape[0], s = in.shape[1];
     PyObject *flags = NULL;
-    if (out.shape[0] != n || out.shape[1] != s)
-        PyErr_SetString(PyExc_ValueError, "run() angles must match the samples' (T, S)");
-    else if (sensor < 0 || sensor >= s)
+    if (sensor < 0 || sensor >= s)
         PyErr_SetString(PyExc_IndexError, "run() sensor index out of range");
     else
         flags = PyTuple_New(n);
@@ -320,16 +336,106 @@ fuse_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* Ticks in each fv3 half-window. */
+enum { HALF = 4 };
+
+/* min, max, mean and absolute sum of the HALF values x[0], x[stride], ...
+ * into o[0..3], with the bits numpy's minimum.reduce, maximum.reduce and
+ * add.reduce(initial=-0.0) give: left folds, where of two equal values
+ * (0.0 and -0.0) min and max keep the later one, the sums start from -0.0
+ * and the mean is the sum over HALF. When the sum is NaN, min and max are
+ * folded again in numpy's NaN-propagating form, so the first NaN met wins. */
+static inline void
+fv3_half(const double *x, Py_ssize_t stride, double *o)
+{
+    double lo = x[0], hi = x[0], sum = -0.0, abs_sum = -0.0;
+    for (int j = 0; j < HALF; j++) {
+        double v = x[j * stride];
+        lo = lo < v ? lo : v;
+        hi = hi > v ? hi : v;
+        sum = sum + v;
+        abs_sum = abs_sum + fabs(v);
+    }
+    if (sum != sum) {
+        lo = hi = x[0];
+        for (int j = 1; j < HALF; j++) {
+            double v = x[j * stride];
+            lo = (lo < v || lo != lo) ? lo : v;
+            hi = (hi > v || hi != hi) ? hi : v;
+        }
+    }
+    o[0] = lo;
+    o[1] = hi;
+    o[2] = sum / HALF;
+    o[3] = abs_sum;
+}
+
+static PyObject *
+fuse_fv3(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer ch, rw, out;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "fv3() takes 3 arguments");
+        return NULL;
+    }
+    if (get_array(args[0], &ch, 0, "d", sizeof(double), 2, (Py_ssize_t[]){-1, -1},
+                  "channels of float64 and shape (T, C)") < 0)
+        return NULL;
+    /* numpy spells intp 'l' or 'q'. */
+    if (get_array(args[1], &rw, 0, "nlq", sizeof(Py_ssize_t), 1, (Py_ssize_t[]){-1},
+                  "rows of intp and shape (N,)") < 0) {
+        PyBuffer_Release(&ch);
+        return NULL;
+    }
+    Py_ssize_t t = ch.shape[0], c = ch.shape[1], n = rw.shape[0];
+    if (get_array(args[2], &out, PyBUF_WRITABLE, "d", sizeof(double), 4,
+                  (Py_ssize_t[]){n, c, 2, 4}, "out of float64 and shape (N, C, 2, 4)") < 0) {
+        PyBuffer_Release(&rw);
+        PyBuffer_Release(&ch);
+        return NULL;
+    }
+    /* Every row is checked before anything is written. */
+    const Py_ssize_t *rows = rw.buf;
+    Py_ssize_t i = 0;
+    while (i < n && rows[i] >= 0 && rows[i] <= t - 2 * HALF)
+        i++;
+    if (i < n) {
+        PyErr_Format(PyExc_ValueError, "fv3() row %zd is outside [0, %zd]",
+                     rows[i], t - 2 * HALF);
+    }
+    else {
+        const double *x = ch.buf;
+        double *o = out.buf;
+        for (i = 0; i < n; i++) {
+            const double *w = x + rows[i] * c;
+            /* Each channel's two halves of four statistics. */
+            for (Py_ssize_t k = 0; k < c; k++, o += 2 * 4) {
+                fv3_half(w + k, c, o);
+                fv3_half(w + HALF * c + k, c, o + 4);
+            }
+        }
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&rw);
+    PyBuffer_Release(&ch);
+    if (i < n)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
     {"step", (PyCFunction)(void (*)(void))fuse_step, METH_FASTCALL,
      "Advance the filter one tick; return (pitch, roll, yaw, flags)."},
+    {"fv3", (PyCFunction)(void (*)(void))fuse_fv3, METH_FASTCALL,
+     "Write the fv3 vector of the window at each start row of (T, C) channels."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fuse_module = {
-    PyModuleDef_HEAD_INIT, "_fuse", "The complementary filter kernel of bomi.fusion.", -1,
+    PyModuleDef_HEAD_INIT, "_fuse",
+    "The compiled kernels of bomi: the complementary filter and the fv3 statistics.", -1,
     fuse_methods,
 };
 

@@ -21,20 +21,19 @@ Offline windows live in one array-backed set, ``Windows``: the per-tick
 fused streams plus each window's first row and label, which
 ``window_labels`` gives (``replay`` reads it too). Features start from
 per-tick channels (T, C). fv1 and fv2 are those channels gathered per
-window. fv3 comes from half rows: ``half_stats`` reduces (..., 4, C) half
-blocks to (..., C, 4) rows of the four statistics, and is the only fv3
-arithmetic. ``extract_matrix`` takes one half row per start tick, so each
-half block is computed once, and builds window i from half rows
-``rows[i]`` and ``rows[i] + 4``. ``extract`` is the row ``extract_matrix``
-gives for a set holding one window. Amplitude is one per-tick function,
-``tick_gamma``, averaged over each window.
+window. fv3 is the compiled kernel's ``fv3`` entry (``_fuse.c``), the only
+fv3 arithmetic: ``extract_matrix`` calls it once with every window's first
+row, and it writes each window's (C, 2, 4) statistics. Its bits are those
+of numpy's ``minimum``, ``maximum`` and ``add`` reduces over each half
+block. ``extract`` is the row ``extract_matrix`` gives for a set holding
+one window. Amplitude is one per-tick function, ``tick_gamma``, averaged
+over each window.
 
 The streaming pipeline does not call ``extract``. For every kind it keeps a
 ring of the same per-tick channels, so an fv1 or fv2 window vector is a
-view of it. For fv3 it keeps no half rows: when a window is emitted, one
-``half_stats`` call on the window's (2, 4, C) view of the ring writes the
-vector. It also keeps a ring of per-tick amplitudes, equal to
-``tick_gamma`` bit for bit.
+view of it. For fv3, when a window is emitted, one ``fv3`` call on the
+ring with the window's first row writes the vector. It also keeps a ring
+of per-tick amplitudes, equal to ``tick_gamma`` bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fusion import _real_in
+from .fusion import _kernel, _real_in
 
 DEFAULT_WINDOW = 8
 DEFAULT_OVERLAP = 7
@@ -233,26 +232,6 @@ def check_window(kind: str, length: int) -> None:
         raise ShapeError(f"fv3 requires windows of length {2 * HALF}, got {length}")
 
 
-def half_stats(blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(..., C, 4) fv3 half rows of (..., HALF, C) half blocks: the minimum,
-    maximum, mean and sum of absolute values of each channel, written into
-    ``out`` when given.
-
-    Every statistic reduces the block's rows left to right (on a tie of
-    signed zeros the later row wins), so a window set and a streamed
-    window give the same bits. The sums start from -0.0, so a half of
-    -0.0 values sums to -0.0 as a left fold does."""
-    if out is None:
-        out = np.empty(blocks.shape[:-2] + (blocks.shape[-1], 4))
-    lo, hi, mean, abs_sum = out[..., 0], out[..., 1], out[..., 2], out[..., 3]
-    np.minimum.reduce(blocks, axis=-2, out=lo)
-    np.maximum.reduce(blocks, axis=-2, out=hi)
-    np.add.reduce(blocks, axis=-2, out=mean, initial=-0.0)
-    mean /= HALF
-    np.add.reduce(np.abs(blocks), axis=-2, out=abs_sum, initial=-0.0)
-    return out
-
-
 def extract(
     kind: str, angles: np.ndarray, gyro: np.ndarray, layout: FeatureLayout
 ) -> np.ndarray:
@@ -268,9 +247,8 @@ def extract(
 def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.ndarray:
     """(N, d) feature matrix of a window set.
 
-    fv3 takes one half row per start tick of the per-tick channels, so each
-    half block is computed once; window i is half rows ``rows[i]`` and
-    ``rows[i] + HALF``."""
+    fv3 is one call of the compiled kernel over the per-tick channels,
+    with every window's first row."""
     check_window(kind, windows.length)
     index = channel_index(kind, layout.n_sensors)
     angles, gyro = windows.angles, windows.gyro
@@ -290,13 +268,8 @@ def extract_matrix(kind: str, windows: Windows, layout: FeatureLayout) -> np.nda
     if kind != "fv3":
         return windows.gather(m).reshape(n, windows.length * c)
     out = np.empty((n, c, 2, 4))
-    if n:  # an empty set may span fewer than HALF ticks
-        blocks = np.lib.stride_tricks.sliding_window_view(m, HALF, axis=0)
-        halves = half_stats(blocks.swapaxes(-1, -2))
-        # Indexing gathers into a contiguous buffer, then copies it once:
-        # faster than np.take into the strided out.
-        for i, first in enumerate((windows.rows, windows.rows + HALF)):
-            out[:, :, i] = halves[first]
+    _kernel.fv3(np.ascontiguousarray(m, dtype=np.float64),
+                np.ascontiguousarray(windows.rows, dtype=np.intp), out)
     return out.reshape(n, 2 * 4 * c)
 
 

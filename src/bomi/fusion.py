@@ -122,11 +122,11 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     return math.degrees(math.atan2(-y_level, x_level))
 
 
-# The filter kernel is C (_fuse.c), compiled when this module is imported
-# (see _build). fuse_sequence runs it over a whole recording, one call per
-# sensor, and ComplementaryFilter.step and StreamingPipeline.step advance
-# it one tick, so offline and online angles and flags are equal bit for
-# bit. It forms every value as CPython does for the Python expressions
+# The filter kernel is C (_fuse.c, which also holds bomi.features' fv3
+# entry), compiled when this module is imported (see _build). fuse_sequence
+# runs it over a whole recording, one call per sensor, and
+# ComplementaryFilter.step and StreamingPipeline.step advance it one tick,
+# so offline and online angles and flags are equal bit for bit. It forms every value as CPython does for the Python expressions
 # tests/oracles.py spells out: float %, math.atan2 and math.hypot (which
 # it calls), and degrees and radians as products. A state is None (the
 # next tick bootstraps) or a tuple led by pitch, roll and yaw, such as the

@@ -29,8 +29,7 @@ from .dataset_io import SessionRecording, check_sequence_indices
 from .errors import LayoutError, MappingError, ValidationError
 # The stream does not call extract. The name stays because the traced
 # benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
-from .features import (HALF, channel_index, extract, half_stats,  # noqa: F401
-                       prop_output, window_labels)
+from .features import channel_index, extract, prop_output, window_labels  # noqa: F401
 from .fusion import (
     FLAG_GAP,
     FLAG_SETS,
@@ -329,10 +328,11 @@ class StreamingPipeline:
         self._channels = np.zeros((2 * window, len(self._pick)))
         self._gamma = np.zeros((2 * window, n_sensors))
         self._written = 0
-        # fv3 writes each emitted window's (C, 2, 4) vector here, from the
-        # window's two half blocks of _channels.
-        self._fv3 = (np.zeros((len(self._pick), 2, 4))
+        # fv3 writes each emitted window's (C, 2, 4) vector here, from
+        # _channels with the window's first row in _fv3_row.
+        self._fv3 = (np.zeros((1, len(self._pick), 2, 4))
                      if model.feature_kind == "fv3" else None)
+        self._fv3_row = np.zeros(1, dtype=np.intp)
         self._smoother = make_smoother(smoothing)
         self._previous_cls: int | None = None
         self._seen = 0
@@ -416,7 +416,8 @@ class StreamingPipeline:
         # The same values in the same order as extract gives.
         x = self._channels[k + 1:k + 1 + w]
         if self._fv3 is not None:
-            half_stats(x.reshape(2, HALF, -1), out=self._fv3.transpose(1, 0, 2))
+            self._fv3_row[0] = k + 1
+            _kernel.fv3(self._channels, self._fv3_row, self._fv3)
             x = self._fv3
         cls = self._smoother(predict(self.model, x.reshape(-1)))
 

@@ -325,14 +325,20 @@ def csv_reference_load(path, scales=(1.0, 1.0, 1.0)):
 def fv3_reference(angles, gyro) -> list[float]:
     """fv3 of one 8-tick window, by plain loops over Python floats.
 
-    angles and gyro are (8, S, 3) nested sequences. The channels of a tick
-    are the first sensor's pitch, roll and yaw, every other sensor's pitch
-    and roll, then every sensor's gyro x, y and z. Each half-window of 4
+    angles and gyro are (8, S, 3) nested sequences, whose ticks
+    ``fv3_channels`` turns into rows of channels. Each half-window of 4
     ticks gives, per channel, the minimum, maximum, mean and sum of
     absolute values. Sums run left to right, ``((a0 + a1) + a2) + a3``; of
-    two equal values (0.0 and -0.0) min and max keep the later one, as
-    numpy's ``minimum`` and ``maximum`` do.
+    two equal values (0.0 and -0.0) min and max keep the later one, and the
+    first NaN met wins both, as numpy's ``minimum`` and ``maximum`` do.
     """
+    return fv3_of_channels(fv3_channels(angles, gyro))
+
+
+def fv3_channels(angles, gyro) -> list[list[float]]:
+    """Per-tick channel rows of (T, S, 3) angles and gyro: the first
+    sensor's pitch, roll and yaw, every other sensor's pitch and roll, then
+    every sensor's gyro x, y and z."""
     rows = []
     for a, g in zip(angles, gyro):
         row = [float(v) for v in a[0]]
@@ -341,7 +347,7 @@ def fv3_reference(angles, gyro) -> list[float]:
         for sensor in g:
             row += [float(v) for v in sensor]
         rows.append(row)
-    return fv3_of_channels(rows)
+    return rows
 
 
 def fv3_of_channels(rows) -> list[float]:
@@ -355,9 +361,10 @@ def fv3_of_channels(rows) -> list[float]:
             lo = hi = total = values[0]
             abs_total = abs(values[0])
             for v in values[1:]:
-                if v <= lo:
+                # A NaN, once met, stays; a later NaN replaces a number.
+                if lo == lo and (v != v or v <= lo):
                     lo = v
-                if v >= hi:
+                if hi == hi and (v != v or v >= hi):
                     hi = v
                 total = total + v
                 abs_total = abs_total + abs(v)
@@ -381,11 +388,14 @@ def fv3_values(kind, shape, seed=0):
     return np.where(signs == 1, -0.0, 0.0)
 
 
-def assert_same_bits(actual, expected):
+def assert_same_bits(actual, expected, equal_nan=False):
+    """Equal values with equal signs; with ``equal_nan``, NaN where the
+    expected value is NaN (any NaN) and equal bits elsewhere."""
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape
-    assert np.array_equal(actual, expected)
-    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+    assert np.array_equal(actual, expected, equal_nan=equal_nan)
+    numbers = ~np.isnan(expected) if equal_nan else True
+    assert np.array_equal(np.signbit(actual) & numbers, np.signbit(expected) & numbers)
 
 
 def synth_class_targets(class_count, sensor_ids, amplitude_deg):

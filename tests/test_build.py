@@ -1,4 +1,4 @@
-"""Building the filter kernel: concurrent builds, stale builds and a missing compiler."""
+"""Building the kernels: concurrent builds, stale builds and a missing compiler."""
 
 import os
 import subprocess
@@ -54,10 +54,16 @@ def test_a_build_of_another_source_is_not_loaded(tmp_path):
     # A kernel that takes every accelerometer reading for a zero vector.
     source.write_text(text.replace("< 1e-24", "< 1e300"))
     stale = _build.build(tmp_path, source)
+    # Neither another interpreter's build nor a build in progress is stale.
+    kept = [tmp_path / "_fuse.0123456789abcdef.cpython-39-x86_64-linux-gnu.so",
+            tmp_path / f".tmp-x{stale.suffix}"]
+    for path in kept:
+        path.write_bytes(b"")
     source.write_text(text)
     kernel = _build.load(tmp_path, source)
     assert Path(kernel.__file__) == _build.artifact(tmp_path, source) != stale
-    assert stale.exists()
+    # The new build removes the stale one.
+    assert sorted(tmp_path.iterdir()) == sorted([source, Path(kernel.__file__), *kept])
     level = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     assert kernel.step(None, level, 0.98, 1 / 60, 85.0, FLAG_SETS)[3] == ()
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,18 +21,19 @@ from bomi.features import (
     extract,
     extract_matrix,
     feature_dim,
-    half_stats,
     learn_ranges,
     make_windows,
     prop_output,
     tick_gamma,
     window_labels,
 )
+from bomi.fusion import _kernel
 
 from oracles import (
     CANCELLING,
     assert_same_bits,
     count_windows_by_enumeration,
+    fv3_channels,
     fv3_of_channels,
     fv3_reference,
     fv3_values,
@@ -278,23 +281,24 @@ class TestFv3:
             assert (batch == single).all()
 
 
-# Signed zeros, subnormals and magnitudes up to 1e300 (four of which
-# still sum to a finite value).
+# Signed zeros, subnormals, magnitudes up to 1e300 (four of which still
+# sum to a finite value), infinities and NaN of either sign.
 EDGE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan, -math.nan]),
     st.floats(-1e300, 1e300),
 )
 
 
 @st.composite
-def channel_values(draw):
-    """(T, C) per-tick channels of edge values, of 0.0 and -0.0 in random
-    orders, or of -0.0 only."""
-    n_ticks, n_channels = draw(st.integers(2 * HALF, 3 * HALF)), draw(st.integers(1, 7))
+def sensor_values(draw):
+    """(T, S, 6) per-tick angles, then gyro, of one or two sensors: edge
+    values, 0.0 and -0.0 in random orders, or -0.0 only."""
+    n_ticks, n_sensors = draw(st.integers(2 * HALF, 3 * HALF)), draw(st.integers(1, 2))
     elements = draw(st.sampled_from([EDGE_FLOATS, st.sampled_from([0.0, -0.0]), st.just(-0.0)]))
-    size = n_ticks * n_channels
+    size = n_ticks * n_sensors * 6
     values = draw(st.lists(elements, min_size=size, max_size=size))
-    return np.array(values).reshape(n_ticks, n_channels)
+    return np.array(values).reshape(n_ticks, n_sensors, 6)
 
 
 class TestFv3Oracle:
@@ -312,29 +316,86 @@ class TestFv3Oracle:
         for w, row in zip(windows, expected):
             assert_same_bits(extract("fv3", w.angles, w.gyro, layout), row)
 
-    @given(channel_values())
+    @given(sensor_values())
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_half_stats_equals_oracle_in_both_layouts(self, m):
-        n_ticks, n_channels = m.shape
-        starts = np.arange(n_ticks - 2 * HALF + 1)
-        expected = np.array([fv3_of_channels(m[r:r + 2 * HALF].tolist()) for r in starts])
-        # The stream's layout: a window's (2, HALF, C) view, written through
-        # the transpose of a (C, 2, 4) vector.
-        for r, row in zip(starts, expected):
-            vector = np.empty((n_channels, 2, 4))
-            half_stats(m[r:r + 2 * HALF].reshape(2, HALF, -1), out=vector.transpose(1, 0, 2))
-            assert_same_bits(vector.reshape(-1), row)
-        # extract_matrix's layout: one half row per start tick of a sliding view.
-        blocks = np.lib.stride_tricks.sliding_window_view(m, HALF, axis=0)
-        halves = half_stats(blocks.swapaxes(-1, -2))
-        rows = np.stack((halves[starts], halves[starts + HALF]), axis=2)
-        assert_same_bits(rows.reshape(len(starts), -1), expected)
+    def test_fv3_kernel_equals_oracle_in_both_layouts(self, values):
+        angles, gyro = values[..., :3], values[..., 3:]
+        channels = fv3_channels(angles, gyro)
+        n_channels = len(channels[0])
+        expected = [fv3_of_channels(channels[r:r + 2 * HALF])
+                    for r in range(len(channels) - 2 * HALF + 1)]
+        # The stream's layout: a ring that holds each tick at rows k and
+        # k + 2 * HALF, one call per window with the window's first row.
+        ring = np.zeros((4 * HALF, n_channels))
+        row, vector = np.zeros(1, dtype=np.intp), np.empty((1, n_channels, 2, 4))
+        for t, tick in enumerate(channels):
+            k = t % (2 * HALF)
+            ring[k::2 * HALF] = tick
+            if t >= 2 * HALF - 1:
+                row[0] = k + 1
+                _kernel.fv3(ring, row, vector)
+                assert_same_bits(vector.reshape(-1), expected[t - 2 * HALF + 1], equal_nan=True)
+        # extract_matrix's layout: every window of a set in one call.
+        layout = FeatureLayout(sensor_ids=tuple(range(1, values.shape[1] + 1)))
+        x = extract_matrix("fv3", make_windows(angles, gyro, None), layout)
+        assert_same_bits(x, expected, equal_nan=True)
 
     def test_oracle_hand_computed_half(self):
         angles = np.zeros((8, 1, 3))
         angles[:4, 0, 0] = CANCELLING
         out = fv3_reference(angles, np.zeros((8, 1, 3)))
         assert out[0:4] == [-1e16, 1e16, 0.25, 2e16]
+
+
+def _fv3_args(**change):
+    """Arguments of a valid fv3 kernel call on 10 ticks of 3 channels, two
+    windows, with ``change`` applied."""
+    args = {"channels": np.zeros((10, 3)), "rows": np.array([0, 2], dtype=np.intp),
+            "out": np.full((2, 3, 2, 4), 7.0)}
+    return {**args, **change}
+
+
+class TestFv3Kernel:
+    @pytest.mark.parametrize("change", [
+        pytest.param({"channels": np.zeros(30)}, id="channels-1d"),
+        pytest.param({"rows": np.zeros((1, 2), dtype=np.intp)}, id="rows-2d"),
+        pytest.param({"out": np.empty((2, 3, 8))}, id="out-3d"),
+        pytest.param({"channels": np.zeros((10, 3), dtype=np.float32)}, id="channels-float32"),
+        pytest.param({"rows": np.array([0, 2], dtype=np.int32)}, id="rows-int32"),
+        pytest.param({"rows": np.array([0.0, 2.0])}, id="rows-float"),
+        pytest.param({"out": np.empty((2, 3, 2, 4), dtype=np.float32)}, id="out-float32"),
+        pytest.param({"channels": np.zeros((10, 6))[:, ::2]}, id="channels-strided"),
+        pytest.param({"rows": np.zeros(4, dtype=np.intp)[::2]}, id="rows-strided"),
+        pytest.param({"out": np.empty((2, 3, 2, 8))[..., ::2]}, id="out-strided"),
+        pytest.param({"channels": [[0.0] * 3] * 10}, id="channels-list"),
+        pytest.param({"out": np.empty((1, 3, 2, 4))}, id="out-too-few-windows"),
+        pytest.param({"out": np.empty((2, 2, 2, 4))}, id="out-too-few-channels"),
+        pytest.param({"out": np.empty((2, 3, 2, 3))}, id="out-too-few-statistics"),
+        pytest.param({"rows": np.array([0, 3], dtype=np.intp)}, id="row-past-T-8"),
+        pytest.param({"rows": np.array([-1, 0], dtype=np.intp)}, id="row-negative"),
+        pytest.param({"rows": np.array([0], dtype=np.intp),
+                      "channels": np.zeros((7, 3)), "out": np.empty((1, 3, 2, 4))},
+                     id="window-longer-than-channels"),
+    ])
+    def test_fv3_rejects_arrays_it_cannot_read(self, change):
+        args = _fv3_args(**change)
+        before = args["out"].tobytes()
+        with pytest.raises((ValueError, TypeError)):
+            _kernel.fv3(args["channels"], args["rows"], args["out"])
+        assert args["out"].tobytes() == before
+
+    def test_fv3_rejects_a_read_only_out_and_wrong_arity(self):
+        args = _fv3_args()
+        args["out"].flags.writeable = False
+        with pytest.raises((ValueError, TypeError)):
+            _kernel.fv3(*args.values())
+        with pytest.raises(TypeError):
+            _kernel.fv3(args["channels"], args["rows"])
+
+    @pytest.mark.parametrize("n_ticks", [0, 3, 7])
+    def test_fv3_takes_no_windows_of_any_length(self, n_ticks):
+        out = np.empty((0, 3, 2, 4))
+        assert _kernel.fv3(np.zeros((n_ticks, 3)), np.zeros(0, dtype=np.intp), out) is None
 
 
 class TestEmptySets:

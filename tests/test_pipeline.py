@@ -343,6 +343,27 @@ class TestStreaming:
         for x, w in zip(vectors, windows):
             assert_same_bits(x, fv3_reference(w.angles, w.gyro))
 
+    @pytest.mark.parametrize("recording", ["small_noiseless", "synth9"])
+    def test_fv3_stream_equals_extract_matrix_at_every_ring_row(self, recording, request,
+                                                                 monkeypatch):
+        # One and three sensors. At stride 1 the k-th of every 8 emissions
+        # reads the ring from row k + 1, so 40 emissions wrap it 5 times.
+        from bomi.experiments import train_session
+
+        rec = request.getfixturevalue(recording)
+        model, _ = train_session(rec, feature_kind="fv3", learn_amplitude=False)
+        n_ticks = model.fusion.calib_ticks + model.window - 1 + 40
+        clean = rec.sequences[-1]
+        seq = Sequence(rec.sensor_ids, clean.samples[:n_ticks], clean.labels[:n_ticks])
+
+        vectors = []
+        monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+        outs = drive(StreamingPipeline(model), seq)
+        windows = sequence_windows(replace(rec, sequences=[seq]), seq)
+        assert [o.tick for o in outs] == [w.end_tick for w in windows]
+        assert len(vectors) == 40
+        assert_same_bits(np.array(vectors), extract_matrix("fv3", windows, model.layout))
+
     def test_repeated_sequence_index_rejected(self, small_model, small_noisy, monkeypatch):
         # A repeated index would replay its sequence twice.
         model, _ = small_model
