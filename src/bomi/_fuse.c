@@ -1,6 +1,6 @@
 /* The compiled kernels of bomi, as one CPython extension: the
- * complementary filter of bomi.fusion and the fv3 statistics of
- * bomi.features.
+ * complementary filter of bomi.fusion, the fv3 statistics of
+ * bomi.features and the LDA scores of bomi.lda.
  *
  * Every filter value is formed by the same IEEE operations, in the same
  * order, as the Python expressions the filter is written in, so its bits
@@ -32,6 +32,17 @@
  *     C-contiguous (T, C) float64 channel array into the C-contiguous
  *     (N, C, 2, 4) float64 array `out`; `rows` is a C-contiguous (N,)
  *     intp array with 0 <= rows[i] <= T - 8.
+ * score(weights, biases, classes, X, scores, labels) -> int
+ *     Write the LDA scores of each row of a C-contiguous (N, d) float64
+ *     matrix into the C-contiguous (N, K) float64 array `scores`: score c
+ *     is a left fold over j ascending of X[i, j] * weights[j, c], seeded
+ *     with -0.0, plus biases[c] (weights (d, K), biases (K,), both
+ *     C-contiguous float64). So a row's scores are the same bits whatever
+ *     rows are scored with it. Write each row's label into the (N,) int64
+ *     array `labels`: the highest score wins, and of an exact tie the
+ *     class 0 when it is among the tied, else the lowest tied of the (K,)
+ *     int64 `classes`. Return the first row with a NaN score or an
+ *     infinite best score, or -1.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard.
@@ -39,6 +50,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 enum { ACCEL_FALLBACK = 1, MAG_FALLBACK = 2, GIMBAL_GUARD = 4 };
@@ -423,6 +435,156 @@ fuse_fv3(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
+/* Classes one pass scores: the accumulators of two rows stay in registers. */
+enum { PASS = 10 };
+
+/* Two lanes of doubles; GCC and Clang lower it to SSE2 on x86-64 and to
+ * scalar code where there is no vector unit, with the same bits. */
+typedef double v2 __attribute__((vector_size(16)));
+
+/* The scores of classes c0 .. c0 + width - 1 for `rows` (1 or 2) rows of
+ * x (row stride d) into s (row stride k): each a left fold over j
+ * ascending of x[j] * w[j, c], seeded with -0.0, then plus b[c]. So a
+ * score's bits do not depend on the rows scored beside it. Inlined with
+ * constant `width` and `rows`, the class loops unroll; classes go in
+ * pairs, and an odd width's last pair has an unused second lane. */
+static inline __attribute__((always_inline)) void
+fold(const double *x, const double *w, const double *b, Py_ssize_t d, Py_ssize_t k,
+     Py_ssize_t c0, int width, int rows, double *s)
+{
+    v2 a0[PASS / 2], a1[PASS / 2];
+    int pairs = (width + 1) / 2;
+#pragma GCC unroll 5
+    for (int p = 0; p < pairs; p++)
+        a0[p] = a1[p] = (v2){-0.0, -0.0};
+    for (Py_ssize_t j = 0; j < d; j++) {
+        const double *wj = w + j * k + c0;
+        v2 x0 = {x[j], x[j]}, x1 = rows == 2 ? (v2){x[d + j], x[d + j]} : x0;
+#pragma GCC unroll 5
+        for (int p = 0; p < pairs; p++) {
+            v2 wp = {wj[2 * p], 2 * p + 1 < width ? wj[2 * p + 1] : 0.0};
+            a0[p] = a0[p] + x0 * wp;
+            if (rows == 2)
+                a1[p] = a1[p] + x1 * wp;
+        }
+    }
+#pragma GCC unroll 10
+    for (int c = 0; c < width; c++) {
+        s[c0 + c] = a0[c / 2][c % 2] + b[c0 + c];
+        if (rows == 2)
+            s[k + c0 + c] = a1[c / 2][c % 2] + b[c0 + c];
+    }
+}
+
+/* fold with `width` and `rows` made constants. */
+static void
+fold_pass(const double *x, const double *w, const double *b, Py_ssize_t d, Py_ssize_t k,
+          Py_ssize_t c0, int width, int rows, double *s)
+{
+    switch (width) {
+#define FOLD(n)                                        \
+    case n:                                            \
+        if (rows == 2)                                 \
+            fold(x, w, b, d, k, c0, n, 2, s);          \
+        else                                           \
+            fold(x, w, b, d, k, c0, n, 1, s);          \
+        break;
+    FOLD(1) FOLD(2) FOLD(3) FOLD(4) FOLD(5) FOLD(6) FOLD(7) FOLD(8) FOLD(9) FOLD(10)
+#undef FOLD
+    }
+}
+
+/* The label of one row of k scores: the highest wins; of an exact tie,
+ * class 0 if it is tied, else the lowest tied label. Returns -1 when a
+ * score is NaN or the highest is infinite. */
+static int
+row_label(const double *s, const int64_t *classes, Py_ssize_t k, int64_t *label)
+{
+    double best = -Py_HUGE_VAL;
+    int nan = 0;
+    for (Py_ssize_t c = 0; c < k; c++) {
+        if (s[c] != s[c])
+            nan = 1;
+        else if (s[c] > best)
+            best = s[c];
+    }
+    if (nan || !isfinite(best))
+        return -1;
+    int64_t out = 0;
+    int found = 0;
+    for (Py_ssize_t c = 0; c < k; c++) {
+        if (s[c] == best) {
+            int64_t l = classes[c];
+            if (!found || (out != 0 && (l == 0 || l < out)))
+                out = l;
+            found = 1;
+        }
+    }
+    *label = out;
+    return 0;
+}
+
+static PyObject *
+fuse_score(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer v[6];   /* weights, biases, classes, X, scores, labels */
+    int got = 0;
+    Py_ssize_t d = 0, k = 0, n = 0;
+    PyObject *result = NULL;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "score() takes 6 arguments");
+        return NULL;
+    }
+    if (get_array(args[0], &v[0], 0, "d", sizeof(double), 2, (Py_ssize_t[]){-1, -1},
+                  "weights of float64 and shape (d, K)") < 0)
+        goto done;
+    got++;
+    d = v[0].shape[0];
+    k = v[0].shape[1];
+    if (get_array(args[1], &v[1], 0, "d", sizeof(double), 1, (Py_ssize_t[]){k},
+                  "biases of float64 and shape (K,)") < 0)
+        goto done;
+    got++;
+    /* numpy spells int64 'l' or 'q'. */
+    if (get_array(args[2], &v[2], 0, "lq", sizeof(int64_t), 1, (Py_ssize_t[]){k},
+                  "classes of int64 and shape (K,)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[3], &v[3], 0, "d", sizeof(double), 2, (Py_ssize_t[]){-1, d},
+                  "X of float64 and shape (N, d)") < 0)
+        goto done;
+    got++;
+    n = v[3].shape[0];
+    if (get_array(args[4], &v[4], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){n, k}, "scores of float64 and shape (N, K)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[5], &v[5], PyBUF_WRITABLE, "lq", sizeof(int64_t), 1,
+                  (Py_ssize_t[]){n}, "labels of int64 and shape (N,)") < 0)
+        goto done;
+    got++;
+
+    const double *x = v[3].buf, *w = v[0].buf, *b = v[1].buf;
+    double *s = v[4].buf;
+    int64_t *labels = v[5].buf;
+    Py_ssize_t bad = -1;
+    for (Py_ssize_t i = 0; i < n; i += 2) {
+        int rows = n - i < 2 ? 1 : 2;
+        for (Py_ssize_t c0 = 0; c0 < k; c0 += PASS)
+            fold_pass(x + i * d, w, b, d, k, c0, (int)(k - c0 < PASS ? k - c0 : PASS), rows,
+                      s + i * k);
+        for (int r = 0; r < rows; r++) {
+            if (row_label(s + (i + r) * k, v[2].buf, k, labels + i + r) < 0 && bad < 0)
+                bad = i + r;
+        }
+    }
+    result = PyLong_FromSsize_t(bad);
+done:
+    while (got > 0)
+        PyBuffer_Release(&v[--got]);
+    return result;
+}
+
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
@@ -430,12 +592,16 @@ static PyMethodDef fuse_methods[] = {
      "Advance the filter one tick; return (pitch, roll, yaw, flags)."},
     {"fv3", (PyCFunction)(void (*)(void))fuse_fv3, METH_FASTCALL,
      "Write the fv3 vector of the window at each start row of (T, C) channels."},
+    {"score", (PyCFunction)(void (*)(void))fuse_score, METH_FASTCALL,
+     "Write the LDA scores and labels of the rows of an (N, d) matrix; return the first "
+     "row with a NaN score or an infinite best, or -1."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
-    "The compiled kernels of bomi: the complementary filter and the fv3 statistics.", -1,
+    "The compiled kernels of bomi: the complementary filter, the fv3 statistics and the "
+    "LDA scores.", -1,
     fuse_methods,
 };
 

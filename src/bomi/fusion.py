@@ -123,7 +123,7 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
 
 
 # The filter kernel is C (_fuse.c, which also holds bomi.features' fv3
-# entry), compiled when this module is imported (see _build). fuse_sequence
+# entry and bomi.lda's score entry), compiled when this module is imported (see _build). fuse_sequence
 # runs it over a whole recording, one call per sensor, and
 # ComplementaryFilter.step and StreamingPipeline.step advance it one tick,
 # so offline and online angles and flags are equal bit for bit. It forms every value as CPython does for the Python expressions

@@ -202,12 +202,6 @@ def make_smoother(policy: str) -> Callable[[int], int]:
     raise ValidationError(f"unknown smoothing policy {policy!r}")
 
 
-def smooth(policy: str, stream: SequenceT[int]) -> list[int]:
-    """Apply a smoothing policy to a whole prediction stream."""
-    fn = make_smoother(policy)
-    return [fn(c) for c in stream]
-
-
 def max_consecutive_disagreements(
     predictions: SequenceT[int], reference: SequenceT[int]
 ) -> int:

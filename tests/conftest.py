@@ -6,10 +6,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import bomi.experiments
 from bomi.dataset_io import synth_session
 from bomi.experiments import train_session
+
+# Property tests draw the same examples on every run, with no time limit
+# per example; each test sets only how many examples it draws.
+settings.register_profile("bomi", derandomize=True, deadline=None)
+settings.load_profile("bomi")
 
 
 @pytest.fixture

@@ -222,6 +222,37 @@ def cho_solve_reference(lower, b):
     return scipy.linalg.cho_solve((lower, True), b)
 
 
+def lda_fold_scores(X, weights, biases) -> np.ndarray:
+    """Linear scores ``x . W[:, c] + b[c]`` of each row of an (N, d) ``X``,
+    each a left fold on Python floats: seeded with -0.0, ``x[j] * W[j, c]``
+    added for j ascending, then ``b[c]``. The bit-exact route."""
+    columns = np.asarray(weights, dtype=float).T.tolist()
+    out = []
+    for row in np.asarray(X, dtype=float).tolist():
+        scores = []
+        for column, bias in zip(columns, np.asarray(biases, dtype=float).tolist()):
+            total = -0.0
+            for xj, wj in zip(row, column):
+                total = total + xj * wj
+            scores.append(total + bias)
+        out.append(scores)
+    return np.array(out, dtype=float).reshape(len(out), len(columns))
+
+
+def lda_matrix_scores(X, weights, biases) -> np.ndarray:
+    """The same scores as one numpy product ``X @ W + b``: a reference to
+    within rounding only, since BLAS sums in an order of its own."""
+    return np.asarray(X, dtype=float) @ weights + biases
+
+
+def tie_label_reference(classes, scores) -> int:
+    """The label of the highest of one row of scores; of an exact tie,
+    class 0 when it is tied, else the lowest tied label."""
+    scores = [float(v) for v in scores]
+    tied = [int(c) for c, v in zip(classes, scores) if v == max(scores)]
+    return 0 if 0 in tied else min(tied)
+
+
 def lda_reference_label(X, y, x_probe, shrinkage: float):
     """Argmin of Mahalanobis distance minus twice the log prior."""
     X = np.asarray(X, dtype=float)

@@ -746,7 +746,7 @@ class TestJsonCodec:
     json.loads reading only what orjson rejects."""
 
     @given(blocks=sample_blocks())
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_blocks_load_bit_identical_from_both_writers(self, tmp_path_factory, blocks):
         rec = block_recording(blocks)
         work = tmp_path_factory.mktemp("codec")
@@ -849,7 +849,7 @@ class TestCsvCodec:
     sample and label loads back bit for bit."""
 
     @given(blocks=sample_blocks())
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     def test_blocks_load_bit_identical_and_as_the_repr_writer_loads(self, tmp_path_factory,
                                                                     blocks):
         rec = block_recording(blocks)

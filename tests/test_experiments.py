@@ -207,7 +207,7 @@ class TestMisclassificationStructure:
         assert s.pairs == [(1, 0, 1)]
 
     @given(scored_streams())
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     def test_matches_the_pair_dict_oracle(self, streams):
         predictions, labels = streams
         s = misclassification_structure(predictions, labels)

@@ -89,7 +89,7 @@ class TestWindowing:
             assert len(windows_of(n)) == n - 7 == count_windows_by_enumeration(n, 8, 1)
 
     @given(st.integers(8, 4096))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_count_formula_property(self, n):
         assert len(windows_of(n)) == n - 7
 
@@ -119,7 +119,7 @@ class TestWindowing:
 
     @given(st.lists(st.tuples(st.integers(-1, 3), st.integers(1, 12)), max_size=10),
            st.integers(1, 10))
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     def test_window_labels_match_a_per_window_loop(self, runs, size):
         labels = np.array([v for v, k in runs for _ in range(k)], dtype=np.int64)
         want = [int(labels[i + size - 1]) if len(set(labels[i:i + size].tolist())) == 1
@@ -261,7 +261,7 @@ class TestFv3:
             extract("fv3", *w, FeatureLayout(sensor_ids=(1,)))
 
     @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_stats_invariants(self, seed):
         rng = np.random.default_rng(seed)
         w = random_window(rng, n_sensors=2)
@@ -317,7 +317,7 @@ class TestFv3Oracle:
             assert_same_bits(extract("fv3", w.angles, w.gyro, layout), row)
 
     @given(sensor_values())
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     def test_fv3_kernel_equals_oracle_in_both_layouts(self, values):
         angles, gyro = values[..., :3], values[..., 3:]
         channels = fv3_channels(angles, gyro)
@@ -422,7 +422,7 @@ class TestGamma:
         st.permutations([0, 1, 2]),
         st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_sign_and_permutation_invariance(self, p, r, y, perm, signs):
         base = [p, r, y]
         mixed = [signs[i] * base[perm[i]] for i in range(3)]
@@ -520,7 +520,7 @@ class TestPropOutput:
             prop_output(10.0, 2, self.RANGES)
 
     @given(st.floats(10.0, 30.0), st.floats(10.0, 30.0))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_monotone_within_range(self, a, b):
         lo, hi = sorted((a, b))
         assert prop_output(lo, 1, self.RANGES) <= prop_output(hi, 1, self.RANGES) + 1e-12

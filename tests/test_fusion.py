@@ -538,7 +538,7 @@ def planted_rows(n: int, planted, seed: int) -> np.ndarray:
     guard=st.sampled_from([0.0, 90.0]) | st.floats(0.0, 90.0),
     rate=st.sampled_from([4.0, 60.0, 100.0]),
 )
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 def test_kernel_entries_match_reference_bitwise(n, planted, seed, alpha, guard, rate):
     rows = planted_rows(n, planted, seed)
     dt = 1.0 / rate

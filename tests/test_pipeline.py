@@ -34,16 +34,16 @@ from bomi.fusion import (
     FusionConfig,
     fuse_sequence,
 )
-from bomi.lda import LdaModel, deserialize, fit, predict_many, serialize
+from bomi.lda import LdaModel, deserialize, fit, predict_many, predict_scores, serialize
 from bomi.pipeline import (
     Command,
     CommandMapping,
     StreamingPipeline,
     VirtualDevice,
+    make_smoother,
     map_command,
     max_consecutive_disagreements,
     replay,
-    smooth,
     write_command_log,
 )
 
@@ -116,29 +116,35 @@ class TestCommandMapping:
         assert not any(events[1:])  # the click fires once per entry
 
 
+def smoothed(policy, stream):
+    """The outputs of one ``make_smoother`` over a whole stream."""
+    fn = make_smoother(policy)
+    return [fn(c) for c in stream]
+
+
 class TestSmoothing:
     def test_none_is_identity(self):
         stream = [1, 1, 0, 2, 2, 0]
-        assert smooth("none", stream) == stream
+        assert smoothed("none", stream) == stream
 
     def test_majority_of_three(self):
-        assert smooth("majority:3", [1, 1, 0, 1])[-1] == 1
+        assert smoothed("majority:3", [1, 1, 0, 1])[-1] == 1
 
     def test_all_neutral_stays_neutral(self):
-        assert smooth("majority:5", [0] * 20) == [0] * 20
+        assert smoothed("majority:5", [0] * 20) == [0] * 20
 
     def test_tie_keeps_previous_output(self):
-        out = smooth("majority:2", [1, 1, 2, 2])
+        out = smoothed("majority:2", [1, 1, 2, 2])
         # window [1, 2] ties; previous output was 1
         assert out[2] == 1
 
     def test_bad_policy(self):
         with pytest.raises(ValidationError):
-            smooth("median:3", [1])
+            make_smoother("median:3")
         with pytest.raises(ValidationError):
-            smooth("majority:0", [1])
+            make_smoother("majority:0")
         with pytest.raises(ValidationError, match="integer"):
-            smooth("majority:x", [1])
+            make_smoother("majority:x")
 
 
 class TestMaxRun:
@@ -194,6 +200,26 @@ class TestStreaming:
         got = [o.label for o in outputs]
         assert got == want.tolist()
         assert [o.tick for o in outputs] == [w.end_tick for w in offline]
+
+    @pytest.mark.parametrize("pair, winner", [((0, 1), 0), ((1, 2), 1)])
+    def test_planted_exact_ties_resolve_alike_online_and_offline(
+            self, small_model, small_noisy, pair, winner):
+        # Two classes with one mean and one prior score the same bits on
+        # every window, so each window either class would win is a tie.
+        model, _ = small_model
+        a, b = pair
+        means, log_priors = model.means.copy(), model.log_priors.copy()
+        means[b], log_priors[b] = means[a], log_priors[a]
+        tied = replace(model, means=means, log_priors=log_priors)
+        outputs, _ = replay(small_noisy, tied, sequence_indices=[3])
+        offline = sequence_windows(small_noisy, small_noisy.sequences[2])
+        X = extract_matrix(tied.feature_kind, offline, tied.layout)
+        scores = predict_scores(tied, X)
+        ties = (scores[:, a] == scores[:, b]) & (scores[:, a] == scores.max(axis=1))
+        assert ties.sum() > 10
+        want = predict_many(tied, X)
+        assert (want[ties] == winner).all()
+        assert [o.label for o in outputs] == want.tolist()
 
     def test_gap_repeats_last_sample_and_flags(self, small_model, small_noisy):
         model, _ = small_model
