@@ -1,7 +1,7 @@
 """Compile and load bomi's kernels, ``_fuse.c``, when bomi.fusion is imported.
 
-The one extension holds the complementary filter, the fv3 statistics and
-the LDA scores with their labels.
+The one extension holds the complementary filter, the stream's tick, the
+fv3 statistics and the LDA scores with their labels.
 It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's

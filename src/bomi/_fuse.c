@@ -1,6 +1,7 @@
 /* The compiled kernels of bomi, as one CPython extension: the
- * complementary filter of bomi.fusion, the fv3 statistics of
- * bomi.features and the LDA scores of bomi.lda.
+ * complementary filter of bomi.fusion, the tick of bomi.pipeline's
+ * stream, the fv3 statistics of bomi.features and the LDA scores of
+ * bomi.lda.
  *
  * Every filter value is formed by the same IEEE operations, in the same
  * order, as the Python expressions the filter is written in, so its bits
@@ -27,6 +28,25 @@
  *     Advance one tick: `state` is None (bootstrap) or a tuple whose first
  *     three items are pitch, roll and yaw; `row` is a tuple of 9 floats.
  *     The result is the next state.
+ * tick(rows, last, state, bits, alpha, dt, guard, offset, pick, channels,
+ *      gamma, k) -> int
+ *     Advance every sensor of a stream one tick. `rows` is a list of S
+ *     items in layout order, each 9 reals or None for a missing sensor.
+ *     Every row is checked before anything changes: it must be 9 values
+ *     that PyFloat_AsDouble turns into finite floats, and a sensor whose
+ *     last row is NaN (it has had none yet) may not miss one. The
+ *     C-contiguous float64 arrays `last` (S, 9) and `state` (S, 3) hold
+ *     each sensor's last row, which a gap reuses, and its raw (pitch,
+ *     roll, yaw): the filter's state, which the first row bootstraps and
+ *     later rows advance, as `step` does. The (S,) uint8 `bits` takes each
+ *     sensor's flag bits. Unless `offset` is None (calibration), write the
+ *     tick's wrap(raw - offset) angles of the (S, 3) float64 `offset`,
+ *     then its gyro values, picked by the (C,) intp `pick` (3S angles then
+ *     3S gyro values), into rows k and k + W of the (2W, C) float64 ring
+ *     `channels`, and each sensor's sqrt(p*p + r*r + y*y) of its wrapped
+ *     angles into the same rows of the (2W, S) float64 ring `gamma`.
+ *     Return the OR of the sensors' bits, or -1 - si, with nothing
+ *     changed, when the row of sensor si is refused.
  * fv3(channels, rows, out) -> None
  *     Write the fv3 vector of the 8-tick window at each start row of a
  *     C-contiguous (T, C) float64 channel array into the C-contiguous
@@ -45,7 +65,8 @@
  *     infinite best score, or -1.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
- * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard.
+ * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
+ * stream's bit 8 is a gap.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -53,7 +74,9 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { ACCEL_FALLBACK = 1, MAG_FALLBACK = 2, GIMBAL_GUARD = 4 };
+/* The flag bits; only `tick` sets GAP: a sensor's row is missing and its
+ * last row is reused. */
+enum { ACCEL_FALLBACK = 1, MAG_FALLBACK = 2, GIMBAL_GUARD = 4, GAP = 8 };
 
 static const double DEG = 180.0 / Py_MATH_PI;
 static const double RAD = Py_MATH_PI / 180.0;
@@ -348,6 +371,206 @@ fuse_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* Read one stream row, a list, tuple or other sized iterable of 9 reals,
+ * into v: 0 when it is 9 finite values, 1 when it is not (len() or a
+ * value's conversion raised TypeError, ValueError or OverflowError, as
+ * math.isfinite and float do), -1 with any other exception set. */
+static int
+read_row(PyObject *row, double *v)
+{
+    PyObject *seq = NULL;
+    if (PyList_CheckExact(row) || PyTuple_CheckExact(row)) {
+        seq = row;
+        Py_INCREF(seq);
+    }
+    else {
+        Py_ssize_t n = PyObject_Size(row);
+        if (n == 9)
+            seq = PySequence_Fast(row, "");
+        else if (n >= 0)
+            return 1;
+    }
+    int rejected = seq == NULL || PySequence_Fast_GET_SIZE(seq) != 9;
+    for (Py_ssize_t i = 0; !rejected && i < 9; i++) {
+        /* A value's __float__ may shrink a list: read its size again. */
+        if (i >= PySequence_Fast_GET_SIZE(seq)) {
+            rejected = 1;
+            break;
+        }
+        PyObject *x = PySequence_Fast_GET_ITEM(seq, i);
+        Py_INCREF(x);
+        v[i] = PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x);
+        Py_DECREF(x);
+        rejected = (v[i] == -1.0 && PyErr_Occurred()) || !isfinite(v[i]);
+    }
+    Py_XDECREF(seq);
+    if (!rejected)
+        return 0;
+    if (!PyErr_Occurred())
+        return 1;
+    if (PyErr_ExceptionMatches(PyExc_TypeError) || PyErr_ExceptionMatches(PyExc_ValueError)
+            || PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        return 1;
+    }
+    return -1;
+}
+
+static PyObject *
+fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer v[7];   /* last, state, bits, pick, channels, gamma, offset */
+    int got = 0;
+    double p[3];      /* alpha, dt, guard */
+    double *buf = NULL;   /* per sensor: the row read, then 6 ring values */
+    PyObject *result = NULL;
+    if (nargs != 12) {
+        PyErr_SetString(PyExc_TypeError, "tick() takes 12 arguments");
+        return NULL;
+    }
+    PyObject *rows = args[0];
+    int calibrating = args[7] == Py_None;
+    if (!PyList_CheckExact(rows) && !PyTuple_CheckExact(rows)) {
+        PyErr_SetString(PyExc_TypeError, "tick() rows must be a list or a tuple");
+        return NULL;
+    }
+    Py_ssize_t k = PyLong_AsSsize_t(args[11]);
+    if ((k == -1 && PyErr_Occurred()) || get_doubles(args + 4, p, 3) < 0)
+        return NULL;
+    if (get_array(args[1], &v[0], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){-1, 9}, "last of float64 and shape (S, 9)") < 0)
+        goto done;
+    got++;
+    Py_ssize_t s = v[0].shape[0];
+    if (get_array(args[2], &v[1], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){s, 3}, "state of float64 and shape (S, 3)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[3], &v[2], PyBUF_WRITABLE, "B", 1, 1, (Py_ssize_t[]){s},
+                  "bits of uint8 and shape (S,)") < 0)
+        goto done;
+    got++;
+    /* numpy spells intp 'l' or 'q'. */
+    if (get_array(args[8], &v[3], 0, "nlq", sizeof(Py_ssize_t), 1, (Py_ssize_t[]){-1},
+                  "pick of intp and shape (C,)") < 0)
+        goto done;
+    got++;
+    Py_ssize_t c = v[3].shape[0];
+    if (get_array(args[9], &v[4], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){-1, c}, "channels of float64 and shape (2W, C)") < 0)
+        goto done;
+    got++;
+    Py_ssize_t w = v[4].shape[0] / 2;
+    if (w < 1 || v[4].shape[0] != 2 * w) {
+        PyErr_SetString(PyExc_ValueError, "expected channels of a positive, even number of rows");
+        goto done;
+    }
+    if (get_array(args[10], &v[5], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){2 * w, s}, "gamma of float64 and shape (2W, S)") < 0)
+        goto done;
+    got++;
+    if (!calibrating) {
+        if (get_array(args[7], &v[6], 0, "d", sizeof(double), 2, (Py_ssize_t[]){s, 3},
+                      "offset of None or float64 and shape (S, 3)") < 0)
+            goto done;
+        got++;
+    }
+    if (k < 0 || k >= w) {
+        PyErr_Format(PyExc_ValueError, "tick() k %zd is outside [0, %zd]", k, w - 1);
+        goto done;
+    }
+    const Py_ssize_t *pick = v[3].buf;
+    for (Py_ssize_t i = 0; i < c; i++) {
+        if (pick[i] < 0 || pick[i] >= 6 * s) {
+            PyErr_Format(PyExc_ValueError, "tick() pick %zd is outside [0, %zd]",
+                         pick[i], 6 * s - 1);
+            goto done;
+        }
+    }
+    if (PySequence_Fast_GET_SIZE(rows) != s) {
+        PyErr_Format(PyExc_ValueError, "tick() expected %zd rows, got %zd", s,
+                     PySequence_Fast_GET_SIZE(rows));
+        goto done;
+    }
+    if ((buf = PyMem_New(double, s * 15)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    /* Read and check every row before any state changes. A sensor whose
+     * last row is NaN has had no row yet: a gap there rejects the tick,
+     * as does a row that is not 9 finite reals. A missing row reads as
+     * NaN here. A value's __float__ may change `rows`: read its size
+     * again. */
+    double *last = v[0].buf, *read = buf, *values = buf + 9 * s;
+    for (Py_ssize_t si = 0; si < s; si++) {
+        PyObject *row = si < PySequence_Fast_GET_SIZE(rows)
+                        ? PySequence_Fast_GET_ITEM(rows, si) : Py_None;
+        int bad;
+        if (row == Py_None) {
+            read[9 * si] = Py_NAN;
+            bad = isnan(last[9 * si]);
+        }
+        else {
+            Py_INCREF(row);
+            bad = read_row(row, read + 9 * si);
+            Py_DECREF(row);
+        }
+        if (bad < 0)
+            goto done;
+        if (bad) {
+            result = PyLong_FromSsize_t(-1 - si);
+            goto done;
+        }
+    }
+
+    /* Advance each sensor, from its bootstrap on its first row. */
+    double beta = 1.0 - p[0];
+    double *state = v[1].buf, *gamma = v[5].buf;
+    const double *off = calibrating ? NULL : v[6].buf;
+    uint8_t *bits = v[2].buf;
+    int any = 0;
+    for (Py_ssize_t si = 0; si < s; si++) {
+        double *row = last + 9 * si, *a = state + 3 * si;
+        int started = !isnan(row[0]), gap = 0;
+        if (isnan(read[9 * si]))
+            gap = GAP;
+        else
+            memcpy(row, read + 9 * si, 9 * sizeof(double));
+        Attitude st = {a[0], a[1], a[2]};
+        int b = started ? advance(row, beta, p[1], p[2], &st) : bootstrap(row, &st);
+        if (b < 0)
+            goto done;
+        a[0] = st.pitch;
+        a[1] = st.roll;
+        a[2] = st.yaw;
+        bits[si] = (uint8_t)(b | gap);
+        any |= b | gap;
+        if (off != NULL) {
+            /* The tick's 3S angles, then its 3S gyro values. */
+            double *ang = values + 3 * si;
+            ang[0] = wrap(st.pitch - off[3 * si]);
+            ang[1] = wrap(st.roll - off[3 * si + 1]);
+            ang[2] = wrap(st.yaw - off[3 * si + 2]);
+            memcpy(values + 3 * s + 3 * si, row + 3, 3 * sizeof(double));
+            /* The squares summed in axis order, as tick_gamma does. */
+            gamma[k * s + si] = gamma[(k + w) * s + si]
+                = sqrt(ang[0] * ang[0] + ang[1] * ang[1] + ang[2] * ang[2]);
+        }
+    }
+    if (off != NULL) {
+        double *ch = (double *)v[4].buf + k * c;
+        for (Py_ssize_t i = 0; i < c; i++)
+            ch[i] = ch[w * c + i] = values[pick[i]];
+    }
+    result = PyLong_FromLong(any);
+done:
+    PyMem_Free(buf);
+    while (got > 0)
+        PyBuffer_Release(&v[--got]);
+    return result;
+}
+
 /* Ticks in each fv3 half-window. */
 enum { HALF = 4 };
 
@@ -590,6 +813,9 @@ static PyMethodDef fuse_methods[] = {
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
     {"step", (PyCFunction)(void (*)(void))fuse_step, METH_FASTCALL,
      "Advance the filter one tick; return (pitch, roll, yaw, flags)."},
+    {"tick", (PyCFunction)(void (*)(void))fuse_tick, METH_FASTCALL,
+     "Advance every sensor of a stream one tick and write its ring rows; return the "
+     "tick's flag bits, or -1 - si when sensor si's row is rejected."},
     {"fv3", (PyCFunction)(void (*)(void))fuse_fv3, METH_FASTCALL,
      "Write the fv3 vector of the window at each start row of (T, C) channels."},
     {"score", (PyCFunction)(void (*)(void))fuse_score, METH_FASTCALL,
@@ -600,8 +826,8 @@ static PyMethodDef fuse_methods[] = {
 
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
-    "The compiled kernels of bomi: the complementary filter, the fv3 statistics and the "
-    "LDA scores.", -1,
+    "The compiled kernels of bomi: the complementary filter, the stream's tick, the fv3 "
+    "statistics and the LDA scores.", -1,
     fuse_methods,
 };
 

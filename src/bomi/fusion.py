@@ -122,17 +122,20 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     return math.degrees(math.atan2(-y_level, x_level))
 
 
-# The filter kernel is C (_fuse.c, which also holds bomi.features' fv3
-# entry and bomi.lda's score entry), compiled when this module is imported (see _build). fuse_sequence
-# runs it over a whole recording, one call per sensor, and
-# ComplementaryFilter.step and StreamingPipeline.step advance it one tick,
-# so offline and online angles and flags are equal bit for bit. It forms every value as CPython does for the Python expressions
-# tests/oracles.py spells out: float %, math.atan2 and math.hypot (which
-# it calls), and degrees and radians as products. A state is None (the
-# next tick bootstraps) or a tuple led by pitch, roll and yaw, such as the
-# (pitch, roll, yaw, flags) a step returns. The kernel sums up a tick's
-# degradations in bits, and FLAG_SETS, indexed by them, holds the flag
-# tuple each stands for.
+# The filter kernel is C (_fuse.c, which also holds the stream's tick
+# entry, bomi.features' fv3 entry and bomi.lda's score entry), compiled
+# when this module is imported (see _build). fuse_sequence runs it over a
+# whole recording, one call per sensor; ComplementaryFilter.step advances
+# it one tick through the step entry, and StreamingPipeline.step every
+# sensor of a stream one tick through the tick entry. All three share one
+# bootstrap and one advance, so offline and online angles and flags are
+# equal bit for bit. It forms every value as CPython does for the Python
+# expressions tests/oracles.py spells out: float %, math.atan2 and
+# math.hypot (which it calls), and degrees and radians as products. A
+# step state is None (the next tick bootstraps) or a tuple led by pitch,
+# roll and yaw, such as the (pitch, roll, yaw, flags) a step returns. The
+# kernel sums up a tick's degradations in bits, and FLAG_SETS, indexed by
+# them, holds the flag tuple each stands for.
 Flags = tuple[str, ...]
 
 _kernel = load_kernel()

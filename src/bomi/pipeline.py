@@ -20,6 +20,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as SequenceT
 
@@ -37,7 +38,6 @@ from .fusion import (
     _real_in,
     _sample_period,
     calibrate_neutral,
-    wrap_deg,
 )
 from .lda import LdaModel, predict
 
@@ -282,6 +282,12 @@ class StreamingPipeline:
     flags the output (wireless gap policy); ``dropped_ticks`` counts the
     ticks with such a gap. Outputs begin once calibration and the window
     buffer are complete. Fusion settings and window geometry are the model's.
+
+    A tick is one call of the C kernel's ``tick`` entry: it checks every
+    row, advances each sensor's filter, and once calibration is done
+    writes the tick's wrapped angles, gyro values and amplitudes into the
+    rings. Python keeps calibration, the emission decision, ``fv3``,
+    ``predict``, the amplitude mean, ``prop_output`` and ``map_command``.
     """
 
     def __init__(
@@ -295,30 +301,31 @@ class StreamingPipeline:
         self.mapping = mapping or CommandMapping.default(model.classes)
         self.mapping.validate_classes(int(c) for c in model.classes)
         self.layout = model.layout
-        self._dt = _sample_period(sample_rate_hz)
+        fusion = model.fusion
+        self._filter = (fusion.alpha, _sample_period(sample_rate_hz), fusion.gimbal_guard_deg)
         self.sample_rate_hz = sample_rate_hz
         self.window = window = model.window
         self.stride = window - model.overlap
-        sensor_ids = self.layout.sensor_ids
-        # Per sensor: the filter kernel's state, None until the first row,
-        # and the last row seen, repeated on a gap.
-        self._states: list[tuple | None] = [None] * len(sensor_ids)
-        self._last_rows: list[tuple[float, ...] | None] = [None] * len(sensor_ids)
-        # Raw (pitch, roll, yaw) per sensor during calibration.
-        self._calib: list[list[tuple[float, float, float]]] = [[] for _ in sensor_ids]
-        # (S, 3) neutral offsets; None while calibrating.
-        self.offset: np.ndarray | None = (
-            None if model.fusion.calib_ticks > 0 else np.zeros((len(sensor_ids), 3))
-        )
-        # Per-sensor offsets as Python floats, zero until calibration completes.
         n_sensors = self.layout.n_sensors
-        self._offsets = [(0.0, 0.0, 0.0)] * n_sensors
+        # Per sensor, as the kernel keeps them: the last row seen (NaN
+        # before the first), which a gap repeats; the filter's raw
+        # (pitch, roll, yaw), before the offset; and the tick's flag bits.
+        self._last = np.full((n_sensors, 9), np.nan)
+        self._state = np.zeros((n_sensors, 3))
+        self._bits = np.zeros(n_sensors, dtype=np.uint8)
+        # The raw angles of the calibration ticks, (calib_ticks, S, 3);
+        # None once calibrated.
+        calib_ticks = fusion.calib_ticks
+        self._calib = np.empty((calib_ticks, n_sensors, 3)) if calib_ticks else None
+        self._calibrated = 0
+        # (S, 3) neutral offsets; None while calibrating.
+        self.offset: np.ndarray | None = None if calib_ticks else np.zeros((n_sensors, 3))
         # Rings written once per tick to rows k and k + window, so rows
         # k + 1 .. k + window are the window, oldest first. _channels holds
         # the feature channels that _pick selects from a tick's 3S angles
         # followed by its 3S gyro values, so an fv1 or fv2 window vector is
         # a view of it. _gamma holds each sensor's amplitude.
-        self._pick = channel_index(model.feature_kind, n_sensors).tolist()
+        self._pick = channel_index(model.feature_kind, n_sensors)
         self._channels = np.zeros((2 * window, len(self._pick)))
         self._gamma = np.zeros((2 * window, n_sensors))
         self._written = 0
@@ -329,7 +336,6 @@ class StreamingPipeline:
         self._fv3_row = np.zeros(1, dtype=np.intp)
         self._smoother = make_smoother(smoothing)
         self._previous_cls: int | None = None
-        self._seen = 0
         self.dropped_ticks = 0
 
     def step(self, tick: int, samples: Mapping[int, SequenceT[float]]) -> CommandOutput | None:
@@ -342,67 +348,32 @@ class StreamingPipeline:
         """
         t0 = time.perf_counter()
         sensor_ids = self.layout.sensor_ids
-        # Check every row before any state changes, so a rejected tick
-        # leaves the pipeline as it was. None marks a missing sensor.
-        rows: list[tuple[float, ...] | None] = []
-        for sid, last in zip(sensor_ids, self._last_rows):
-            row = samples.get(sid)
-            if row is None:
-                if last is None:
-                    raise LayoutError(f"no sample for sensor {sid} at stream start")
-            else:
-                try:
-                    # math.isfinite raises TypeError on a str or None.
-                    ok = len(row) == 9 and all(map(math.isfinite, row))
-                except TypeError:
-                    ok = False
-                if not ok:
-                    raise ValidationError(
-                        f"sensor {sid} at tick {tick}: expected 9 finite numbers, got {row!r}"
-                    )
-                row = tuple(map(float, row))
-            rows.append(row)
-
-        fusion = self.model.fusion
-        calibrating = self.offset is None
-        flags: list[str] = []
-        angle_row: list[float] = []
-        gyro_row: list[float] = []
-        gamma_row: list[float] = []
-        for si, (row, (p0, r0, y0)) in enumerate(zip(rows, self._offsets)):
-            if row is None:
-                row = self._last_rows[si]
-                flags.append(FLAG_GAP)
-            else:
-                self._last_rows[si] = row
-            self._states[si] = pitch, roll, yaw, frame_flags = _kernel.step(
-                self._states[si], row, fusion.alpha, self._dt, fusion.gimbal_guard_deg,
-                FLAG_SETS,
-            )
-            if calibrating:
-                self._calib[si].append((pitch, roll, yaw))
-            p, r, y = wrap_deg(pitch - p0), wrap_deg(roll - r0), wrap_deg(yaw - y0)
-            angle_row += (p, r, y)
-            # Bit for bit tick_gamma: the squares summed in axis order.
-            gamma_row.append(math.sqrt(p * p + r * r + y * y))
-            gyro_row += row[3:6]
-            flags += frame_flags
-        self._seen += 1
-        if FLAG_GAP in flags:
-            self.dropped_ticks += 1
-
-        if calibrating:
-            if self._seen >= fusion.calib_ticks:
-                self.offset = calibrate_neutral(self._calib, fusion.calib_ticks)
-                self._offsets = self.offset.tolist()
-                self._calib = [[] for _ in sensor_ids]
-            return None
-
+        rows = list(map(samples.get, sensor_ids))
+        offset = self.offset
         w = self.window
         k = self._written % w
-        values = angle_row + gyro_row
-        self._channels[k::w] = [values[i] for i in self._pick]
-        self._gamma[k::w] = gamma_row
+        bits = _kernel.tick(rows, self._last, self._state, self._bits, *self._filter, offset,
+                            self._pick, self._channels, self._gamma, k)
+        if bits < 0:
+            # -1 - si: sensor si's row was refused and nothing changed.
+            sid, row = sensor_ids[~bits], rows[~bits]
+            if row is None:
+                raise LayoutError(f"no sample for sensor {sid} at stream start")
+            raise ValidationError(
+                f"sensor {sid} at tick {tick}: expected 9 finite numbers, got {row!r}"
+            )
+        if bits & _GAP_BIT:
+            self.dropped_ticks += 1
+
+        if offset is None:
+            calib = self._calib
+            calib[self._calibrated] = self._state
+            self._calibrated += 1
+            if self._calibrated == len(calib):
+                self.offset = calibrate_neutral(calib.swapaxes(0, 1), len(calib))
+                self._calib = None
+            return None
+
         self._written += 1
         if self._written < w or (self._written - w) % self.stride:
             return None
@@ -417,8 +388,8 @@ class StreamingPipeline:
 
         nu = 0.0
         if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
-            sid = self.model.ranges.class_sensor.get(cls, self.layout.sensor_ids[0])
-            si = self.layout.sensor_ids.index(sid)
+            sid = self.model.ranges.class_sensor.get(cls, sensor_ids[0])
+            si = sensor_ids.index(sid)
             # The window mean of tick_gamma: numpy's sum, then one division.
             gamma = float(np.add.reduce(self._gamma[k + 1:k + 1 + w, si]) / w)
             nu = prop_output(gamma, cls, self.model.ranges)
@@ -436,8 +407,22 @@ class StreamingPipeline:
             latency_ms=latency_ms,
             timestamp_ms=tick * 1000.0 / self.sample_rate_hz,
             button_event=button_event,
-            flags=tuple(dict.fromkeys(flags)),
+            flags=_tick_flags(self._bits) if bits else (),
         )
+
+
+# The kernel's flag bits per sensor: FLAG_SETS's three, and a gap.
+_GAP_BIT = 8
+_SENSOR_FLAGS: tuple[tuple[str, ...], ...] = tuple(
+    (FLAG_GAP,) * bool(bits & _GAP_BIT) + FLAG_SETS[bits & 7] for bits in range(16)
+)
+
+
+def _tick_flags(bits: np.ndarray) -> tuple[str, ...]:
+    """A tick's flags from each sensor's bits: sensors in layout order, a
+    gap before that sensor's filter flags, each flag where it first occurs."""
+    return tuple(dict.fromkeys(chain.from_iterable(map(_SENSOR_FLAGS.__getitem__,
+                                                       bits.tolist()))))
 
 
 class VirtualDevice:

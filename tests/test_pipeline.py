@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bomi.pipeline
 from bomi.dataset_io import Sequence, synth_session
@@ -31,8 +32,11 @@ from bomi.fusion import (
     FLAG_GAP,
     FLAG_GIMBAL_GUARD,
     FLAG_MAG_FALLBACK,
+    FLAG_SETS,
     FusionConfig,
+    _kernel,
     fuse_sequence,
+    wrap_deg,
 )
 from bomi.lda import LdaModel, deserialize, fit, predict_many, predict_scores, serialize
 from bomi.pipeline import (
@@ -255,6 +259,36 @@ class TestStreaming:
         assert pipe.dropped_ticks == 1
         assert FLAG_GAP in outs[80].flags
         assert not any(FLAG_GAP in o.flags for tick, o in outs.items() if tick != 80)
+
+    @pytest.mark.parametrize("planted, want", [
+        pytest.param({80: {1: "zero_mag", 2: "drop"}}, {80: (FLAG_MAG_FALLBACK, FLAG_GAP)},
+                     id="mag-then-gap"),
+        pytest.param({80: {1: "drop", 2: "zero_mag"}}, {80: (FLAG_GAP, FLAG_MAG_FALLBACK)},
+                     id="gap-then-mag"),
+        # Sensor 1 repeats its zero-magnetometer row: its gap comes before
+        # its own mag_fallback, and sensor 2's mag_fallback is not repeated.
+        pytest.param({79: {1: "zero_mag"}, 80: {1: "drop", 2: "zero_mag"}},
+                     {79: (FLAG_MAG_FALLBACK,), 80: (FLAG_GAP, FLAG_MAG_FALLBACK)},
+                     id="first-occurrence-kept"),
+        pytest.param({80: {1: "drop", 2: "drop"}}, {80: (FLAG_GAP,)}, id="two-gaps-one-tick"),
+    ])
+    def test_flags_in_sensor_order_gap_first(self, small_model, small_noisy, planted, want):
+        model, _ = small_model
+        seq = small_noisy.sequences[0]
+        pipe = StreamingPipeline(model)
+        outs = {}
+        for t in range(100):
+            samples = seq.tick_samples(t)
+            for sid, what in planted.get(t, {}).items():
+                if what == "drop":
+                    del samples[sid]
+                else:
+                    samples[sid][6:9] = [0.0, 0.0, 0.0]
+            out = pipe.step(t, samples)
+            if out is not None:
+                outs[out.tick] = out
+        assert {tick: o.flags for tick, o in outs.items() if o.flags} == want
+        assert pipe.dropped_ticks == 1
 
     def test_replay_sums_dropped_ticks(self, small_model, small_noisy, monkeypatch):
         model, _ = small_model
@@ -571,13 +605,18 @@ class TestStepInput:
         pytest.param([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, "0"], id="str"),
         pytest.param([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, None], id="none"),
         pytest.param(1.0, id="scalar"),
+        pytest.param([10**400] + [0.0] * 8, id="huge-int"),
+        pytest.param(np.array([0.0] * 8 + [np.inf]), id="inf-array"),
     ])
     def test_malformed_row_rejected(self, small_model, small_noisy, row):
         model, _ = small_model
         samples = small_noisy.sequences[0].tick_samples(5)
         samples[2] = row
+        pipe = StreamingPipeline(model)
+        before = pipeline_state(pipe)
         with pytest.raises(ValidationError, match="sensor 2 at tick 5: expected 9 finite"):
-            StreamingPipeline(model).step(5, samples)
+            pipe.step(5, samples)
+        assert pipeline_state(pipe) == before
 
     @pytest.mark.parametrize("bad_tick, missing", [
         (30, ()),      # during calibration
@@ -649,6 +688,214 @@ class TestStepInput:
         assert emitted(got) == emitted(want)
         assert np.array([o.nu for o in got]).tobytes() == np.array([o.nu for o in want]).tobytes()
         assert len(want) > 0
+
+
+# Values of raw - offset planted on the wrap's seams.
+SEAMS = (180.0, -180.0, 540.0, -540.0, 0.0)
+# Rows the tick entry refuses, each 9 items unless the length is the fault.
+BAD_ROWS = ([0.0] * 8 + [float("nan")], [0.0] * 8, [0.0] * 8 + [10**400], [0.0] * 8 + ["0"],
+            [0.0] * 8 + [-float("inf")])
+
+
+def offset_on_seam(raw: float, seam: float) -> float | None:
+    """An offset o with raw - o == seam exactly, or None when no float is one."""
+    o = raw - seam
+    for _ in range(4):
+        d = raw - o
+        if d == seam:
+            return o
+        o = math.nextafter(o, -math.inf if d < seam else math.inf)
+    return None
+
+
+def tick_args(rows, arrays, filt, offset, k):
+    """The tick entry's arguments in order."""
+    return (rows, arrays["last"], arrays["state"], arrays["bits"], *filt, offset,
+            arrays["pick"], arrays["channels"], arrays["gamma"], k)
+
+
+def array_bytes(arrays):
+    return {name: a.tobytes() for name, a in arrays.items()}
+
+
+class TestTickEntry:
+    """The kernel's ``tick`` entry against ``_kernel.step``, ``wrap_deg`` and
+    ``math.sqrt``, and its argument checks."""
+
+    @given(
+        n_sensors=st.integers(1, 5),
+        window=st.integers(1, 4),
+        n_ticks=st.integers(1, 14),
+        calib=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.0, 0.98, 1.0]) | st.floats(0.0, 1.0),
+        guard=st.sampled_from([0.0, 85.0, 90.0]) | st.floats(0.0, 90.0),
+        rate=st.sampled_from([4.0, 60.0, 100.0]),
+    )
+    @settings(max_examples=120)
+    def test_tick_equals_the_python_reference_bitwise(self, n_sensors, window, n_ticks, calib,
+                                                      seed, alpha, guard, rate):
+        rng = np.random.default_rng(seed)
+        s, w = n_sensors, window
+        filt = (alpha, 1.0 / rate, guard)
+        pick = rng.integers(0, 6 * s, size=rng.integers(1, 6 * s + 1))
+        arrays = {
+            "last": np.full((s, 9), np.nan),
+            "state": np.zeros((s, 3)),
+            "bits": np.zeros(s, dtype=np.uint8),
+            "pick": pick,
+            "channels": rng.normal(size=(2 * w, len(pick))),
+            "gamma": rng.normal(size=(2 * w, s)),
+        }
+        # A still sensor reads zeros: its raw angles stay exactly 0.0, so
+        # every seam can be planted on it.
+        still = rng.random(s) < 0.3
+        ref_state, ref_last = [None] * s, [None] * s
+        seams_hit = set()
+        for t in range(n_ticks):
+            # Random rows with zero accelerometers and magnetometers and
+            # near-vertical gravity planted; a gap repeats the last row.
+            rows = rng.normal(size=(s, 9)) * (1.0, 1.0, 1.0, 300.0, 300.0, 300.0, 1.0, 1.0, 1.0)
+            rows[:, 2] += 1.0
+            rows[rng.random(s) < 0.15, 0:3] = 0.0
+            rows[rng.random(s) < 0.15, 6:9] = 0.0
+            rows[rng.random(s) < 0.15, 0:3] = (1.0, 1e-3, -1e-3)
+            rows[still] = 0.0
+            as_ints = rng.random() < 0.2
+            if as_ints:
+                rows = np.round(8.0 * rows) + 0.0   # no -0.0, which an int cannot carry
+            gaps = [ref_last[si] is not None and rng.random() < 0.3 for si in range(s)]
+            given_rows = []
+            for si in range(s):
+                form = (list, tuple, np.array, lambda r: [int(v) for v in r])[
+                    3 if as_ints else rng.integers(3)]
+                given_rows.append(None if gaps[si] else form(rows[si]))
+
+            # The reference, sensor by sensor.
+            raw, gyro, want_bits = [], [], []
+            for si in range(s):
+                row = ref_last[si] if gaps[si] else tuple(map(float, rows[si]))
+                ref_last[si] = row
+                ref_state[si] = _kernel.step(ref_state[si], row, *filt, FLAG_SETS)
+                raw.append(ref_state[si][:3])
+                gyro.append(row[3:6])
+                want_bits.append(FLAG_SETS.index(ref_state[si][3]) | 8 * gaps[si])
+            offset, k = None, t % w
+            want_channels, want_gamma = arrays["channels"].copy(), arrays["gamma"].copy()
+            if t >= calib:
+                offset = rng.normal(scale=200.0, size=(s, 3))
+                for si in range(s):
+                    for j in range(3):
+                        seam = SEAMS[rng.integers(len(SEAMS))]
+                        o = offset_on_seam(raw[si][j], seam)
+                        if o is not None and (still[si] or rng.random() < 0.5):
+                            offset[si, j] = o
+                            seams_hit.add(seam)
+                angles = [wrap_deg(raw[si][j] - float(offset[si, j]))
+                          for si in range(s) for j in range(3)]
+                values = angles + [v for g in gyro for v in g]
+                want_channels[k::w] = [values[i] for i in pick.tolist()]
+                want_gamma[k::w] = [math.sqrt(p * p + r * r + y * y)
+                                    for p, r, y in zip(*[iter(angles)] * 3)]
+
+            # A bad row on the last sensor, or at the start a missing one,
+            # is refused before anything changes.
+            before = array_bytes(arrays)
+            bad_rows = list(given_rows)
+            bad_rows[-1] = None if t == 0 else BAD_ROWS[rng.integers(len(BAD_ROWS))]
+            assert _kernel.tick(*tick_args(bad_rows, arrays, filt, offset, k)) == -s
+            assert array_bytes(arrays) == before
+
+            got = _kernel.tick(*tick_args(given_rows, arrays, filt, offset, k))
+            assert got == np.bitwise_or.reduce(want_bits)
+            assert arrays["bits"].tolist() == want_bits
+            assert_same_bits(arrays["state"], np.array(raw))
+            assert_same_bits(arrays["last"], np.array(ref_last))
+            assert_same_bits(arrays["channels"], want_channels)
+            assert_same_bits(arrays["gamma"], want_gamma)
+        if still.any() and n_ticks > calib:
+            assert seams_hit
+
+    @staticmethod
+    def valid_args():
+        arrays = {
+            "last": np.full((2, 9), np.nan),
+            "state": np.zeros((2, 3)),
+            "bits": np.zeros(2, dtype=np.uint8),
+            "pick": np.arange(7, dtype=np.intp),
+            "channels": np.zeros((6, 7)),
+            "gamma": np.zeros((6, 2)),
+        }
+        rows = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]] * 2
+        return rows, arrays, np.zeros((2, 3)), 0
+
+    def test_valid_args_are_taken(self):
+        rows, arrays, offset, k = self.valid_args()
+        assert _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k)) == 0
+        assert _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), None, k)) == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("last", np.zeros((2, 8))),
+        ("last", np.zeros(18)),
+        ("last", np.zeros((2, 9), dtype=np.float32)),
+        ("state", np.zeros((3, 3))),
+        ("state", np.zeros((2, 3), dtype=np.float32)),
+        ("state", np.zeros((2, 3, 1))),
+        ("bits", np.zeros(3, dtype=np.uint8)),
+        ("bits", np.zeros(2, dtype=np.int8)),
+        ("bits", np.zeros(2, dtype=np.uint16)),
+        ("offset", np.zeros((2, 2))),
+        ("offset", np.zeros((2, 3), dtype=np.float32)),
+        ("pick", np.arange(7, dtype=np.int32)),
+        ("pick", np.arange(7.0)),
+        ("pick", np.arange(7, dtype=np.intp).reshape(1, 7)),
+        ("pick", np.array([0, 1, 2, 3, 4, 5, 12], dtype=np.intp)),
+        ("pick", np.array([0, 1, 2, 3, 4, 5, -1], dtype=np.intp)),
+        ("channels", np.zeros((6, 6))),
+        ("channels", np.zeros((5, 7))),
+        ("channels", np.zeros((0, 7))),
+        ("channels", np.zeros((6, 7), dtype=np.float32)),
+        ("gamma", np.zeros((6, 3))),
+        ("gamma", np.zeros((4, 2))),
+        ("gamma", np.zeros((6, 2), dtype=np.float32)),
+        ("rows", [[0.0] * 9] * 3),
+        ("k", 3),
+        ("k", -1),
+    ])
+    def test_wrong_array_named_and_nothing_written(self, name, value):
+        rows, arrays, offset, k = self.valid_args()
+        if name == "rows":
+            rows = value
+        elif name == "offset":
+            offset = value
+        elif name == "k":
+            k = value
+        else:
+            arrays[name] = value
+        before = array_bytes(arrays)
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k))
+        assert array_bytes(arrays) == before
+
+    @pytest.mark.parametrize("name", ["last", "state", "bits", "channels", "gamma"])
+    def test_read_only_or_strided_output_rejected(self, name):
+        rows, arrays, offset, k = self.valid_args()
+        arrays[name].flags.writeable = False
+        with pytest.raises(ValueError):
+            _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k))
+        arrays[name] = np.repeat(arrays[name], 2, axis=-1)[..., ::2]
+        with pytest.raises(ValueError):
+            _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k))
+
+    def test_wrong_argument_count_or_rows_type(self):
+        rows, arrays, offset, k = self.valid_args()
+        args = tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k)
+        with pytest.raises(TypeError, match="12 arguments"):
+            _kernel.tick(*args[:-1])
+        with pytest.raises(TypeError, match="12 arguments"):
+            _kernel.tick(*args, 0)
+        with pytest.raises(TypeError, match="rows"):
+            _kernel.tick(iter(rows), *args[1:])
 
 
 class TestReplayStats:
