@@ -1,7 +1,7 @@
 /* The compiled kernels of bomi, as one CPython extension: the
  * complementary filter of bomi.fusion, the tick of bomi.pipeline's
- * stream, the fv3 statistics of bomi.features and the LDA scores of
- * bomi.lda.
+ * stream, the fv3 statistics of bomi.features, the LDA scores of
+ * bomi.lda and the recording JSON reader of bomi.dataset_io.
  *
  * Every filter value is formed by the same IEEE operations, in the same
  * order, as the Python expressions the filter is written in, so its bits
@@ -63,6 +63,22 @@
  *     class 0 when it is among the tied, else the lowest tied of the (K,)
  *     int64 `classes`. Return the first row with a NaN score or an
  *     infinite best score, or -1.
+ * read_json(data) -> (spans, sequences) or None
+ *     Read the bytes of a recording JSON in one pass. Each sequence's
+ *     labels go into a bytearray of int64 and each sensor block into a
+ *     bytearray of float64 rows of 9, with no Python object per number:
+ *     `sequences` is a list of (labels, {sensor key: block}) pairs, or None
+ *     when the key is absent. `spans` maps each other top-level key to the
+ *     (start, end) byte span of its value, for orjson to read. It takes
+ *     only a top-level object of the five known keys, each at most once;
+ *     sequence objects of exactly `labels` and `sensors`; sensor keys of
+ *     plain ASCII digits, each once; blocks of one or more rows of 9
+ *     numbers; labels that are integer tokens in [-2**63, 2**63); JSON
+ *     whitespace between tokens; spans nesting the file at most 1000
+ *     levels deep. Every number is the correctly rounded double of its
+ *     token, as orjson reads it and NumPy converts it (the integer token
+ *     -0 is +0.0). Any other text, a token outside RFC 8259's number
+ *     grammar and one that rounds to an infinity return None.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
@@ -808,6 +824,507 @@ done:
     return result;
 }
 
+/* ---- Recording JSON ----
+ *
+ * A reader of the one JSON shape bomi writes, which answers REFUSED for
+ * any text outside it; bomi.dataset_io then reads the file with orjson
+ * and json.loads. Accepted text is valid JSON that orjson reads to the
+ * same values. */
+
+enum { READ_OK = 0, REFUSED = 1, READ_FAILED = -1 };
+
+/* The deepest nesting a recording may have (bomi.dataset_io._MAX_JSON_DEPTH). */
+enum { MAX_DEPTH = 1000 };
+
+/* 5**0 .. 5**27, each below 2**63, and the exact doubles 1e0 .. 1e22;
+ * filled when the module is created. */
+static uint64_t pow5[28];
+static double pow10[23];
+
+typedef struct {
+    const unsigned char *p, *end;
+} Cursor;
+
+static inline int
+is_digit(unsigned char ch)
+{
+    return ch >= '0' && ch <= '9';
+}
+
+static inline void
+skip_ws(Cursor *c)
+{
+    while (c->p < c->end && (*c->p == ' ' || *c->p == '\n' || *c->p == '\r' || *c->p == '\t'))
+        c->p++;
+}
+
+/* Skip whitespace, then the byte ch if it is next: 1 when it was. */
+static inline int
+take(Cursor *c, unsigned char ch)
+{
+    skip_ws(c);
+    if (c->p < c->end && *c->p == ch) {
+        c->p++;
+        return 1;
+    }
+    return 0;
+}
+
+/* An object key without escapes or control characters, and its colon:
+ * the key's bytes are [*key, *key + *len). */
+static int
+read_key(Cursor *c, const unsigned char **key, Py_ssize_t *len)
+{
+    if (!take(c, '"'))
+        return REFUSED;
+    const unsigned char *k = c->p;
+    while (c->p < c->end && *c->p != '"' && *c->p != '\\' && *c->p >= 0x20)
+        c->p++;
+    if (c->p >= c->end || *c->p != '"')
+        return REFUSED;
+    *key = k;
+    *len = c->p - k;
+    c->p++;
+    return take(c, ':') ? READ_OK : REFUSED;
+}
+
+static inline int
+key_is(const unsigned char *key, Py_ssize_t len, const char *name)
+{
+    return (size_t)len == strlen(name) && memcmp(key, name, len) == 0;
+}
+
+/* Step over one JSON value, checking only that its brackets, outside
+ * strings, balance and nest at most `room` deep: orjson reads the span. */
+static int
+skip_value(Cursor *c, int room)
+{
+    int depth = 0;
+    do {
+        if (c->p >= c->end)
+            return REFUSED;
+        unsigned char ch = *c->p++;
+        if (ch == '"') {
+            while (c->p < c->end && *c->p != '"')
+                c->p += *c->p == '\\' && c->p + 1 < c->end ? 2 : 1;
+            if (c->p >= c->end)
+                return REFUSED;
+            c->p++;
+        }
+        else if (ch == '[' || ch == '{') {
+            if (++depth > room)
+                return REFUSED;
+        }
+        else if (ch == ']' || ch == '}') {
+            if (--depth < 0)
+                return REFUSED;
+        }
+        else if (depth == 0) {
+            /* A number or a literal runs to the next delimiter. */
+            while (c->p < c->end && !memchr(" \t\n\r,]}", *c->p, 7))
+                c->p++;
+        }
+    } while (depth > 0);
+    return READ_OK;
+}
+
+/* The bit length of m. */
+static inline int
+bit_length(unsigned __int128 m)
+{
+    uint64_t hi = (uint64_t)(m >> 64), lo = (uint64_t)m;
+    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+}
+
+/* w * 10**e10 rounded to the nearest double, ties to even, for w > 0 of
+ * at most 19 digits and e10 in [-27, 27]. The product w * 5**e10, or the
+ * quotient of w shifted to 128 bits by 5**-e10, is exact in 128 bits but
+ * for a remainder, which joins the sticky bit; the power of two goes on
+ * by ldexp, which cannot overflow or go subnormal in this range. */
+static double
+exact_double(uint64_t w, int e10)
+{
+    unsigned __int128 m;
+    int e2, sticky = 0;
+    if (e10 >= 0) {
+        m = (unsigned __int128)w * pow5[e10];
+        e2 = e10;
+    }
+    else {
+        int s = __builtin_clzll(w);
+        unsigned __int128 n = (unsigned __int128)(w << s) << 64;
+        m = n / pow5[-e10];
+        sticky = m * pow5[-e10] != n;
+        e2 = e10 - s - 64;
+    }
+    int drop = bit_length(m) - 53;
+    if (drop <= 0)
+        return ldexp((double)(uint64_t)m, e2);
+    unsigned __int128 rest = m & ((((unsigned __int128)1) << drop) - 1);
+    unsigned __int128 half = ((unsigned __int128)1) << (drop - 1);
+    uint64_t mant = (uint64_t)(m >> drop);
+    if (rest > half || (rest == half && (sticky || (mant & 1))))
+        mant++;   /* 2**53 at most, still exact */
+    return ldexp((double)mant, e2 + drop);
+}
+
+/* One JSON number token into *out: the correctly rounded double of its
+ * value, as orjson reads it and NumPy converts it, with the integer token
+ * -0 read as +0.0 (orjson makes it the int 0). REFUSED for a token outside
+ * RFC 8259's grammar, or one that rounds to an infinity (orjson refuses
+ * both); the delimiter after the token is the caller's to check. */
+static int
+read_sample(Cursor *c, double *out)
+{
+    const unsigned char *p = c->p, *end = c->end, *start = p;
+    int neg = 0, integer = 1, many = 0, nd = 0;
+    uint64_t w = 0;      /* the first 19 significant digits */
+    long e10 = 0;        /* the power of ten of w's last digit */
+    if (p < end && *p == '-') {
+        neg = 1;
+        p++;
+    }
+    if (p >= end || !is_digit(*p))
+        return REFUSED;
+    if (*p == '0') {
+        p++;
+    }
+    else {
+        for (; p < end && is_digit(*p); p++) {
+            if (nd < 19) {
+                w = 10 * w + (*p - '0');
+                nd++;
+            }
+            else {
+                e10++;
+                many |= *p != '0';
+            }
+        }
+    }
+    if (p < end && *p == '.') {
+        integer = 0;
+        if (++p >= end || !is_digit(*p))
+            return REFUSED;
+        for (; p < end && is_digit(*p); p++) {
+            if (nd < 19) {
+                w = 10 * w + (*p - '0');
+                nd += w != 0;   /* leading zeros are not significant */
+                e10--;
+            }
+            else {
+                many |= *p != '0';
+            }
+        }
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = 0;
+        long x = 0;
+        integer = 0;
+        if (++p < end && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        if (p >= end || !is_digit(*p))
+            return REFUSED;
+        for (; p < end && is_digit(*p); p++) {
+            if (x < 100000000)
+                x = 10 * x + (*p - '0');
+        }
+        e10 += eneg ? -x : x;
+    }
+    c->p = p;
+    if (w == 0) {
+        *out = neg && !integer ? -0.0 : 0.0;
+        return READ_OK;
+    }
+    /* Clinger's fast path: w and 10**|e10| are exact doubles, so one
+     * IEEE product or quotient rounds once, correctly. */
+    if (!many && w <= (uint64_t)1 << 53 && e10 >= -22 && e10 <= 22) {
+        double v = e10 >= 0 ? (double)w * pow10[e10] : (double)w / pow10[-e10];
+        *out = neg ? -v : v;
+        return READ_OK;
+    }
+    if (!many && e10 >= -27 && e10 <= 27) {
+        double v = exact_double(w, (int)e10);
+        *out = neg ? -v : v;
+        return READ_OK;
+    }
+    /* Every other token: CPython's correctly rounded, locale-free reader. */
+    char small[64], *text = small;
+    size_t n = (size_t)(p - start);
+    if (n >= sizeof(small) && (text = PyMem_Malloc(n + 1)) == NULL) {
+        PyErr_NoMemory();
+        return READ_FAILED;
+    }
+    memcpy(text, start, n);
+    text[n] = '\0';
+    double v = PyOS_string_to_double(text, NULL, NULL);
+    if (text != small)
+        PyMem_Free(text);
+    if (v == -1.0 && PyErr_Occurred())
+        return READ_FAILED;
+    if (isinf(v))
+        return REFUSED;
+    *out = v;
+    return READ_OK;
+}
+
+/* One integer token in [-2**63, 2**63) into *out; REFUSED otherwise. A
+ * fraction or an exponent is left for the caller's delimiter check. */
+static int
+read_label(Cursor *c, int64_t *out)
+{
+    const unsigned char *p = c->p, *end = c->end;
+    int neg = p < end && *p == '-';
+    uint64_t v = 0, limit = neg ? (uint64_t)1 << 63 : ((uint64_t)1 << 63) - 1;
+    p += neg;
+    if (p >= end || !is_digit(*p))
+        return REFUSED;
+    if (*p == '0') {
+        p++;
+    }
+    else {
+        for (; p < end && is_digit(*p); p++) {
+            unsigned d = *p - '0';
+            if (v > (limit - d) / 10)
+                return REFUSED;
+            v = 10 * v + d;
+        }
+    }
+    c->p = p;
+    *out = neg && v ? -(int64_t)(v - 1) - 1 : (int64_t)v;
+    return READ_OK;
+}
+
+/* A growing bytearray of fixed-size items. */
+typedef struct {
+    PyObject *bytes;
+    Py_ssize_t len, cap;
+} Buf;
+
+/* Room for one more item of `size` bytes at buf_end; READ_FAILED with an
+ * exception set when memory runs out. */
+static int
+buf_grow(Buf *b, Py_ssize_t size)
+{
+    if (b->len + size <= b->cap)
+        return READ_OK;
+    Py_ssize_t cap = b->cap ? 2 * b->cap : 4096;
+    if (PyByteArray_Resize(b->bytes, cap) < 0)
+        return READ_FAILED;
+    b->cap = cap;
+    return READ_OK;
+}
+
+static inline char *
+buf_end(Buf *b)
+{
+    return PyByteArray_AS_STRING(b->bytes) + b->len;
+}
+
+/* A JSON array of items, each read by item() into the bytearray *out:
+ * `empty` says whether [] is taken. */
+static int
+read_items(Cursor *c, Py_ssize_t size, int empty, int (*item)(Cursor *, char *),
+           PyObject **out)
+{
+    Buf b = {PyByteArray_FromStringAndSize(NULL, 0), 0, 0};
+    if (b.bytes == NULL)
+        return READ_FAILED;
+    int r = take(c, '[') ? READ_OK : REFUSED;
+    if (r == READ_OK && !(empty && take(c, ']'))) {
+        do {
+            if ((r = buf_grow(&b, size)) == READ_OK) {
+                skip_ws(c);
+                if ((r = item(c, buf_end(&b))) == READ_OK)
+                    b.len += size;
+            }
+        } while (r == READ_OK && take(c, ','));
+        if (r == READ_OK && !take(c, ']'))
+            r = REFUSED;
+    }
+    if (r == READ_OK && PyByteArray_Resize(b.bytes, b.len) < 0)
+        r = READ_FAILED;
+    if (r == READ_OK)
+        *out = b.bytes;
+    else
+        Py_DECREF(b.bytes);
+    return r;
+}
+
+static int
+label_item(Cursor *c, char *to)
+{
+    return read_label(c, (int64_t *)to);
+}
+
+/* A row of 9 numbers. */
+static int
+row_item(Cursor *c, char *to)
+{
+    double *row = (double *)to;
+    if (!take(c, '['))
+        return REFUSED;
+    for (int i = 0; i < 9; i++) {
+        if (i && !take(c, ','))
+            return REFUSED;
+        skip_ws(c);
+        int r = read_sample(c, row + i);
+        if (r != READ_OK)
+            return r;
+    }
+    return take(c, ']') ? READ_OK : REFUSED;
+}
+
+/* A `sensors` object: each key plain ASCII digits, at most once, its value
+ * one or more rows of 9 numbers; into the dict `blocks`. */
+static int
+read_sensors(Cursor *c, PyObject *blocks)
+{
+    if (!take(c, '{'))
+        return REFUSED;
+    if (take(c, '}'))
+        return READ_OK;
+    int r;
+    do {
+        const unsigned char *key;
+        Py_ssize_t len;
+        if ((r = read_key(c, &key, &len)) != READ_OK)
+            return r;
+        for (Py_ssize_t i = 0; i < len; i++) {
+            if (!is_digit(key[i]))
+                return REFUSED;
+        }
+        PyObject *name = PyUnicode_FromStringAndSize((const char *)key, len), *block = NULL;
+        if (name == NULL)
+            return READ_FAILED;
+        int has = len ? PyDict_Contains(blocks, name) : 1;
+        r = has < 0 ? READ_FAILED : has ? REFUSED : read_items(c, 9 * sizeof(double), 0,
+                                                                row_item, &block);
+        if (r == READ_OK && PyDict_SetItem(blocks, name, block) < 0)
+            r = READ_FAILED;
+        Py_XDECREF(block);
+        Py_DECREF(name);
+    } while (r == READ_OK && take(c, ','));
+    return r == READ_OK && !take(c, '}') ? REFUSED : r;
+}
+
+/* A sequence object, exactly `labels` and `sensors` in either order, into
+ * the tuple (labels bytearray, {key: bytearray}). */
+static int
+read_sequence(Cursor *c, PyObject **out)
+{
+    PyObject *labels = NULL, *blocks = NULL;
+    int r = take(c, '{') ? READ_OK : REFUSED;
+    for (int i = 0; r == READ_OK && i < 2; i++) {
+        const unsigned char *key;
+        Py_ssize_t len;
+        if (i && !take(c, ','))
+            r = REFUSED;
+        else if ((r = read_key(c, &key, &len)) != READ_OK)
+            break;
+        else if (key_is(key, len, "labels") && labels == NULL)
+            r = read_items(c, sizeof(int64_t), 1, label_item, &labels);
+        else if (key_is(key, len, "sensors") && blocks == NULL)
+            r = (blocks = PyDict_New()) == NULL ? READ_FAILED : read_sensors(c, blocks);
+        else
+            r = REFUSED;
+    }
+    if (r == READ_OK && !take(c, '}'))
+        r = REFUSED;
+    if (r == READ_OK && (*out = PyTuple_Pack(2, labels, blocks)) == NULL)
+        r = READ_FAILED;
+    Py_XDECREF(labels);
+    Py_XDECREF(blocks);
+    return r;
+}
+
+static int
+read_sequences(Cursor *c, PyObject *list)
+{
+    if (!take(c, '['))
+        return REFUSED;
+    if (take(c, ']'))
+        return READ_OK;
+    int r;
+    do {
+        PyObject *seq;
+        if ((r = read_sequence(c, &seq)) == READ_OK) {
+            r = PyList_Append(list, seq) < 0 ? READ_FAILED : READ_OK;
+            Py_DECREF(seq);
+        }
+    } while (r == READ_OK && take(c, ','));
+    return r == READ_OK && !take(c, ']') ? REFUSED : r;
+}
+
+/* The top-level keys read_json takes; the others are spans. */
+static const char *const HEAD_KEYS[] = {
+    "sample_rate_hz", "class_count", "sensor_layout", "meta", "sequences",
+};
+enum { N_HEAD_KEYS = 5, SEQUENCES = 4 };
+
+static PyObject *
+fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer view;
+    if (nargs != 1) {
+        PyErr_SetString(PyExc_TypeError, "read_json() takes 1 argument");
+        return NULL;
+    }
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    const unsigned char *data = view.buf;
+    Cursor c = {data, data + view.len};
+    PyObject *spans = PyDict_New(), *sequences = NULL, *result = NULL;
+    int r = spans == NULL ? READ_FAILED : take(&c, '{') ? READ_OK : REFUSED;
+    unsigned seen = 0;
+    if (r == READ_OK && !take(&c, '}')) {
+        do {
+            const unsigned char *key;
+            Py_ssize_t len;
+            int k = 0;
+            if ((r = read_key(&c, &key, &len)) != READ_OK)
+                break;
+            while (k < N_HEAD_KEYS && !key_is(key, len, HEAD_KEYS[k]))
+                k++;
+            if (k == N_HEAD_KEYS || seen & (1u << k)) {
+                r = REFUSED;
+                break;
+            }
+            seen |= 1u << k;
+            if (k == SEQUENCES) {
+                r = (sequences = PyList_New(0)) == NULL ? READ_FAILED
+                                                        : read_sequences(&c, sequences);
+                continue;
+            }
+            skip_ws(&c);
+            Py_ssize_t start = c.p - data;
+            /* The span sits one level inside the top-level object. */
+            if ((r = skip_value(&c, MAX_DEPTH - 1)) == READ_OK) {
+                PyObject *span = Py_BuildValue("(nn)", start, (Py_ssize_t)(c.p - data));
+                if (span == NULL || PyDict_SetItemString(spans, HEAD_KEYS[k], span) < 0)
+                    r = READ_FAILED;
+                Py_XDECREF(span);
+            }
+        } while (r == READ_OK && take(&c, ','));
+        if (r == READ_OK && !take(&c, '}'))
+            r = REFUSED;
+    }
+    if (r == READ_OK) {
+        skip_ws(&c);
+        if (c.p != c.end)
+            r = REFUSED;
+    }
+    if (r == READ_OK)
+        result = PyTuple_Pack(2, spans, sequences ? sequences : Py_None);
+    else if (r == REFUSED) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    }
+    Py_XDECREF(sequences);
+    Py_XDECREF(spans);
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
@@ -821,19 +1338,28 @@ static PyMethodDef fuse_methods[] = {
     {"score", (PyCFunction)(void (*)(void))fuse_score, METH_FASTCALL,
      "Write the LDA scores and labels of the rows of an (N, d) matrix; return the first "
      "row with a NaN score or an infinite best, or -1."},
+    {"read_json", (PyCFunction)(void (*)(void))fuse_read_json, METH_FASTCALL,
+     "Read a recording JSON's labels and sample blocks into bytearrays and its other "
+     "top-level values as byte spans; None for text outside the shape it takes."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
     "The compiled kernels of bomi: the complementary filter, the stream's tick, the fv3 "
-    "statistics and the LDA scores.", -1,
+    "statistics, the LDA scores and the recording JSON reader.", -1,
     fuse_methods,
 };
 
 PyMODINIT_FUNC
 PyInit__fuse(void)
 {
+    pow5[0] = 1;
+    for (int i = 1; i < 28; i++)
+        pow5[i] = 5 * pow5[i - 1];
+    pow10[0] = 1.0;
+    for (int i = 1; i < 23; i++)
+        pow10[i] = 10.0 * pow10[i - 1];
     if (hypot_fn == NULL) {
         PyObject *math = PyImport_ImportModule("math");
         if (math == NULL)

@@ -25,7 +25,7 @@ from .dataset_io import (
     save_recording,
     synth_session,
 )
-from .errors import DataError, NumericalError, ParseError, PoolError
+from .errors import DataError, NumericalError, ParseError, PoolError, SchemaError
 from .experiments import (
     evaluate,
     run_all,
@@ -104,6 +104,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _meta_class_sensors(meta: dict) -> dict[int, int] | None:
+    """The class -> sensor id map a recording's ``meta.class_sensors``
+    holds (``synth_session`` writes one), or None when it has none.
+
+    Raises:
+        SchemaError: it is not an object of decimal class keys and integer
+            sensor ids.
+    """
+    value = meta.get("class_sensors")
+    if not value:
+        return None
+    if isinstance(value, dict) and all(
+            k.isascii() and k.isdigit() and type(v) is int for k, v in value.items()):
+        return {int(k): v for k, v in value.items()}
+    raise SchemaError(
+        f"meta.class_sensors must map class numbers to sensor ids, got {value!r}")
+
+
 def cmd_train(args) -> int:
     file_cfg = _file_cfg(args)
     fusion = _fusion_config(args, file_cfg)
@@ -118,8 +136,8 @@ def cmd_train(args) -> int:
         {k: int(v) for k, v in _parse_list("--gamma-sensors", args.gamma_sensors, _class_pair)}
         if args.gamma_sensors else None
     )
-    if gamma_sensors is None and rec.meta.get("class_sensors"):
-        gamma_sensors = {int(k): int(v) for k, v in rec.meta["class_sensors"].items()}
+    if gamma_sensors is None:
+        gamma_sensors = _meta_class_sensors(rec.meta)
 
     # Only --holdout-seq2 evaluates a test split; the others fuse none.
     if args.holdout_seq2:

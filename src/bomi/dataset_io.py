@@ -9,7 +9,9 @@ Canonical formats:
 
 * JSON: ``{sample_rate_hz, class_count, sensor_layout: [{id, location}],
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
-  meta: {...}}``, read and written compact by orjson, sensor keys in id order.
+  meta: {...}}``, written compact by orjson, sensor keys in id order, and
+  read by the compiled kernel's ``read_json`` (orjson and json.loads read
+  what it refuses).
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
   any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate and
@@ -46,7 +48,7 @@ from .errors import (
     SplitSpecError,
     ValidationError,
 )
-from .fusion import _real_in, _sample_period, wrap_deg
+from .fusion import _kernel, _real_in, _sample_period, wrap_deg
 
 MAX_SENSORS = 6
 MAX_CLASSES = 9  # neutral plus up to eight motion classes
@@ -478,9 +480,42 @@ def _sensor_key(key: str, qi: int) -> int:
     return sid
 
 
+def _labels(value, qi: int) -> np.ndarray:
+    """A sequence's labels as an int64 array: the compiled reader's array as
+    it is, a parsed list when every item is a JSON integer within 64 bits."""
+    if isinstance(value, np.ndarray):
+        return value
+    if set(map(type, value)) - {int}:
+        bad = next(v for v in value if type(v) is not int)
+        raise SchemaError(f"sequence {qi} labels must be integers, got {bad!r}")
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for v in value if not -2**63 <= v < 2**63)
+        raise SchemaError(f"sequence {qi} labels must fit in 64 bits, got {bad}") from None
+
+
+def _block(rows, qi: int, sid: int, n: int) -> np.ndarray:
+    """A sensor's (n, 9) float64 sample block: the compiled reader's array,
+    or parsed rows of JSON numbers (a bool or a numeric string, which
+    float() would take, is a SchemaError); AlignmentError for any other
+    shape."""
+    block = np.asarray(rows, dtype=np.float64)
+    if block.shape != (n, 9):
+        raise AlignmentError(f"sequence {qi} sensor {sid}: shape {block.shape}, "
+                             f"expected ({n}, 9)")
+    if not isinstance(rows, np.ndarray) and {type(v) for row in rows for v in row} & {bool, str}:
+        bad = next(v for row in rows for v in row if type(v) in (bool, str))
+        raise SchemaError(f"sequence {qi} sensor {sid} samples must be numbers, got {bad!r}")
+    return block
+
+
 def _rec_from_dict(obj: dict) -> SessionRecording:
-    """The recording of a parsed JSON object; each sequence's (T, 9) blocks
-    fill one (T, S, 9) array in layout order, else an AlignmentError."""
+    """The recording of a JSON object, read by either route of
+    ``_read_json``: its sequences' labels and blocks are arrays or parsed
+    lists, every other value as JSON parses it. Each sequence's (T, 9)
+    blocks fill one (T, S, 9) array in layout order, else an
+    AlignmentError."""
     try:
         layout = [
             SensorInfo(_int_field(s["id"], "sensor_layout id"),
@@ -490,15 +525,7 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
         ids = tuple(s.id for s in layout)
         sequences = []
         for qi, seq_obj in enumerate(obj["sequences"], start=1):
-            labels = seq_obj["labels"]
-            if set(map(type, labels)) - {int}:
-                bad = next(v for v in labels if type(v) is not int)
-                raise SchemaError(f"sequence {qi} labels must be integers, got {bad!r}")
-            try:
-                labels = np.asarray(labels, dtype=np.int64)
-            except OverflowError:
-                bad = next(v for v in labels if not -2**63 <= v < 2**63)
-                raise SchemaError(f"sequence {qi} labels must fit in 64 bits, got {bad}") from None
+            labels = _labels(seq_obj["labels"], qi)
             blocks = {_sensor_key(key, qi): rows for key, rows in seq_obj["sensors"].items()}
             if set(blocks) != set(ids):
                 raise AlignmentError(
@@ -506,18 +533,17 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
                 )
             samples = np.empty((len(labels), len(ids), 9))
             for j, sid in enumerate(ids):
-                block = np.asarray(blocks[sid], dtype=np.float64)
-                if block.shape != (len(labels), 9):
-                    raise AlignmentError(f"sequence {qi} sensor {sid}: shape {block.shape}, "
-                                         f"expected ({len(labels)}, 9)")
-                samples[:, j] = block
+                samples[:, j] = _block(blocks[sid], qi, sid, len(labels))
             sequences.append(Sequence(ids, samples, labels))
+        meta = obj.get("meta", {})
+        if type(meta) is not dict:
+            raise SchemaError(f"meta must be a JSON object, got {meta!r}")
         return SessionRecording(
             sample_rate_hz=_number_field(obj["sample_rate_hz"], "sample_rate_hz"),
             class_count=_int_field(obj["class_count"], "class_count"),
             sensor_layout=layout,
             sequences=sequences,
-            meta=obj.get("meta", {}),
+            meta=meta,
         )
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed recording JSON: {exc}") from exc
@@ -527,6 +553,7 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
 # row) plus what its meta holds. orjson 3.8 parses without a depth limit and
 # overflows the C stack near a million levels, so deeper text is refused
 # before it parses; json.loads at the default recursion limit reads no deeper.
+# The kernel's read_json refuses deeper text too (its MAX_DEPTH).
 _MAX_JSON_DEPTH = 1000
 _NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
@@ -546,12 +573,47 @@ def _json_depth(data: bytes) -> int:
     return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
 
 
+def _read_compiled(data: bytes) -> dict | None:
+    """The JSON object of ``data`` as the kernel's ``read_json`` reads it,
+    or None when it refuses the text or orjson refuses a value it left.
+
+    The kernel takes only the shape ``save_recording`` writes, in any
+    whitespace or top-level key order, and reads each sequence's labels
+    into an int64 array and each sensor block into a (T, 9) float64 array
+    in one pass, with no Python object per number: every value the
+    correctly rounded double of its token, as orjson and ``np.asarray``
+    give it. orjson reads the other top-level values from their byte
+    spans."""
+    parsed = _kernel.read_json(data)
+    if parsed is None:
+        return None
+    spans, sequences = parsed
+    view = memoryview(data)
+    try:
+        obj = {key: orjson.loads(view[start:end]) for key, (start, end) in spans.items()}
+    except orjson.JSONDecodeError:
+        return None
+    if sequences is not None:
+        obj["sequences"] = [
+            {"labels": np.frombuffer(labels, dtype=np.int64),
+             "sensors": {key: np.frombuffer(block).reshape(-1, 9)
+                         for key, block in blocks.items()}}
+            for labels, blocks in sequences
+        ]
+    return obj
+
+
 def _read_json(path: Path):
-    """The JSON value in ``path``: parsed by orjson, and by json.loads only
-    when orjson rejects the text. That route reads the ``NaN`` and
-    ``Infinity`` literals and lone surrogates orjson refuses, and gives
-    the error for text both refuse (a BOM, bad UTF-8, bad syntax)."""
+    """The JSON value in ``path``: read by ``_read_compiled`` when it takes
+    the text, else by orjson, and by json.loads only when orjson rejects
+    the text too. That last route reads the ``NaN`` and ``Infinity``
+    literals and lone surrogates orjson refuses, and gives the error for
+    text both refuse (a BOM, bad UTF-8, bad syntax). Every route gives the
+    same values for a text that more than one reads."""
     data = path.read_bytes()
+    obj = _read_compiled(data)
+    if obj is not None:
+        return obj
     if _json_depth(data) > _MAX_JSON_DEPTH:
         raise ParseError(f"JSON nested deeper than {_MAX_JSON_DEPTH} levels")
     try:
@@ -798,6 +860,13 @@ def load_recording(
     JSON carries its sample rate and class count. A CSV takes its rate
     from ``mapping`` (60 Hz when unset) and its class count from its
     highest label.
+
+    JSON is read by the compiled kernel's ``read_json`` in one pass when
+    the text has the shape ``save_recording`` writes (any whitespace and
+    top-level key order), else by orjson, and by json.loads when orjson
+    refuses it too; each gives the same values bit for bit. A sample that
+    is a bool or a string, or a ``meta`` that is not an object, is a
+    SchemaError.
 
     Args:
         path: file to read; a ``.json`` or ``.csv`` suffix names the format.

@@ -3,16 +3,20 @@ import dataclasses
 import json
 import math
 import re
+import struct
 import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bomi.cli import main
 from bomi.dataset_io import (
     CSV_HEADER,
+    _read_compiled,
+    _rec_from_dict,
     ImportMapping,
     Sequence,
     SessionRecording,
@@ -29,13 +33,14 @@ from bomi.dataset_io import (
 )
 from bomi.errors import (
     AlignmentError,
+    DataError,
     ParseError,
     SchemaError,
     SplitSpecError,
     ValidationError,
 )
 from bomi.experiments import sequence_windows
-from bomi.fusion import fuse_sequence
+from bomi.fusion import _kernel, fuse_sequence
 from bomi.pipeline import StreamingPipeline
 
 from oracles import (
@@ -639,6 +644,15 @@ JSON_FAULTS = [
     pytest.param(("sequences", 0, "labels", 1), 2**63,
                  "sequence 1 labels must fit in 64 bits, got 9223372036854775808",
                  id="label-2-63"),
+    # meta must be an object: a null meta loaded and failed in `bomi train`.
+    pytest.param(("meta",), None, "meta must be a JSON object, got None", id="meta-null"),
+    # A message part is also a regex, so it ends before the bracket.
+    pytest.param(("meta",), [1], "meta must be a JSON object, got ", id="meta-list"),
+    # A sample must be a JSON number: float() took true as 1.0 and "1.5" as 1.5.
+    pytest.param(("sequences", 0, "sensors", "2", 1), [*JSON_ROWS[0][:4], True, *JSON_ROWS[0][5:]],
+                 "sequence 1 sensor 2 samples must be numbers, got True", id="sample-bool"),
+    pytest.param(("sequences", 0, "sensors", "2", 1), [*JSON_ROWS[0][:8], "1.5"],
+                 "sequence 1 sensor 2 samples must be numbers, got '1.5'", id="sample-string"),
 ]
 
 
@@ -683,6 +697,21 @@ class TestJsonFaults:
         path = self.write(tmp_path, field, value)
         assert main(["train", "--recording", str(path), "--out", str(tmp_path / "m.json")]) == 2
         assert message in capsys.readouterr().err
+
+
+# int() failed on these with a ValueError or an AttributeError (exit 1).
+@pytest.mark.filterwarnings("ignore:sequence 1 deviates from protocol")
+@pytest.mark.parametrize("class_sensors", [{"a": "b"}, {"1": 1.5}, [1, 2], "1:1"],
+                         ids=["letters", "fraction", "list", "string"])
+def test_malformed_class_sensors_exits_2(tmp_path, capsys, class_sensors):
+    obj = json_recording()
+    obj["meta"] = {"class_sensors": class_sensors}
+    path, out = tmp_path / "rec.json", tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["train", "--recording", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "meta.class_sensors must map class numbers to sensor ids" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def stdlib_json(rec):
@@ -842,6 +871,277 @@ class TestJsonCodec:
                 load_recording(path, validate="none")
         finally:
             sys.setrecursionlimit(limit)
+
+
+def number_spellings():
+    """JSON number tokens: decimal and exponent forms of 1-25 significant
+    digits with leading and trailing zeros, ``E``/``e+``/``e-`` exponents
+    with leading zeros, integers (``-0`` and past 2**64 among them),
+    subnormals, the largest doubles, underflow to zero and the spellings
+    of random doubles; none overflows."""
+    digits = st.text("0123456789", min_size=1, max_size=25)
+    sign = st.sampled_from(["", "-"])
+    exponents = st.builds("{}{}{:0{}d}".format, st.sampled_from(["e", "E"]),
+                          st.sampled_from(["", "+", "-"]), st.integers(0, 340), st.integers(1, 4))
+
+    def exponent(draw, whole_digits: int) -> str:
+        # Overflow is orjson's refusal, which the refusal table covers.
+        exp = draw(exponents)
+        return "e0" if exp[1:2] != "-" and whole_digits + int(exp.lstrip("eE+-")) > 308 else exp
+
+    @st.composite
+    def decimal(draw):
+        d = draw(digits)
+        point = draw(st.integers(0, len(d)))
+        whole = d[:point].lstrip("0") or "0"
+        frac = d[point:] + "0" * draw(st.integers(0, 3))
+        text = draw(sign) + whole + ("." + frac if frac else "")
+        return text + (exponent(draw, len(whole)) if draw(st.booleans()) else "")
+
+    @st.composite
+    def scientific(draw):
+        d = draw(digits).lstrip("0") or "0"
+        return draw(sign) + d[0] + ("." + d[1:] if len(d) > 1 else "") + exponent(draw, 1)
+
+    edges = st.sampled_from([
+        "-0", "0", "-0.0", "0e5", "-0E-0", "5e-324", "4.9e-324", "2.4703282292062328e-324",
+        "2.4703282292062327e-324", "2.2250738585072014e-308", "2.2250738585072011e-308",
+        "1.7976931348623157e308", "-1.7976931348623157e308", "1e-400", "-1e-400",
+        "9007199254740993", "18446744073709551615", "18446744073709551616",
+        "-9223372036854775809", "123456789012345678901234567", "1e22", "1e23",
+        # Just above a halfway point: 19 digits whose quotient by 5**26
+        # ends in a half, with a remainder; a 20th digit that breaks a tie.
+        "0.00000008957120344875612682", "9007199254740993.0000001",
+    ])
+    integers = st.integers(-2**70, 2**70).map(str)
+    doubles = FINITE.flatmap(lambda x: st.sampled_from([repr(x), orjson.dumps(x).decode()]))
+    return decimal() | scientific() | edges | integers | doubles
+
+
+NUMBER_TOKENS = number_spellings()
+WHITESPACE = st.sampled_from(["", "", " ", "\n", "\t", "\r\n  "])
+LABEL_TOKENS = st.integers(-2**63, 2**63 - 1).map(str) | st.just("-0")
+
+
+@st.composite
+def recording_texts(draw):
+    """The text of a small recording: 1-2 sequences of 1-3 ticks and 1-3
+    sensors, every sample a drawn number token, labels any int64 (``-0``
+    too), the top-level keys in a drawn order and whitespace anywhere."""
+    ws = lambda: draw(WHITESPACE)  # noqa: E731
+    n_sensors = draw(st.integers(1, 3))
+
+    def array(items):
+        return ws() + "[" + ",".join(ws() + item + ws() for item in items) + "]" + ws()
+
+    def obj(pairs):
+        return ws() + "{" + ",".join(f'{ws()}"{k}"{ws()}:{v}' for k, v in pairs) + "}" + ws()
+
+    sequences = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3))
+        labels = draw(st.lists(LABEL_TOKENS, min_size=n, max_size=n))
+        blocks = []
+        for sid in draw(st.permutations(range(1, n_sensors + 1))):
+            tokens = draw(st.lists(NUMBER_TOKENS, min_size=9 * n, max_size=9 * n))
+            blocks.append((str(sid), array([array(tokens[9 * t:9 * t + 9]) for t in range(n)])))
+        sequences.append(obj(draw(st.permutations([("labels", array(labels)),
+                                                   ("sensors", obj(blocks))]))))
+    head = [
+        ("sample_rate_hz", draw(NUMBER_TOKENS)),
+        ("class_count", "3"),
+        ("sensor_layout", json.dumps([{"id": i, "location": f"s{i}"}
+                                      for i in range(1, n_sensors + 1)])),
+        ("sequences", array(sequences)),
+        ("meta", obj([("x", draw(NUMBER_TOKENS))])),
+    ]
+    return obj(draw(st.permutations(head))).encode()
+
+
+def compact(obj) -> bytes:
+    return orjson.dumps(obj)
+
+
+def bad_token_text(token: str, where: str) -> bytes:
+    """The compact text of ``json_recording`` with ``token`` as the label of
+    tick 1 or as a sample of sensor 2 at tick 1."""
+    obj = json_recording()
+    if where == "label":
+        obj["sequences"][0]["labels"][1] = "@"
+    else:
+        obj["sequences"][0]["sensors"]["2"][1] = [*JSON_ROWS[0][:4], "@", *JSON_ROWS[0][5:]]
+    return compact(obj).replace(b'"@"', token.encode())
+
+
+def bad_token_param(token: str, where: str, error, message: str):
+    return pytest.param(bad_token_text(token, where), error, message, id=f"{where}-{token}")
+
+
+# (text, error, message): text orjson refuses and the error it gives, as
+# before the compiled reader.
+ORJSON_REFUSES = [
+    *(bad_token_param(token, where, ParseError, "line 1: invalid JSON: Expecting ',' delimiter")
+      for token in ("01", "-01", "1.", "1e", "1e+", "0x10", "1_0", "1 2")
+      for where in ("sample", "label")),
+    *(bad_token_param(token, where, ParseError, "line 1: invalid JSON: Expecting value")
+      for token in (".5", "+1", "-", "--1", "1,", "tru")
+      for where in ("sample", "label")),
+    *(bad_token_param(token, "sample", ValidationError, "sequence 1 sensor 2: non-finite samples")
+      for token in ("NaN", "Infinity", "-Infinity", "1e400", "-1.8e308")),
+    *(bad_token_param(token, "label", SchemaError, f"sequence 1 labels must be integers, got {value}")
+      for token, value in (("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf"),
+                           ("-1.8e308", "-inf"))),
+    *(pytest.param(data, ParseError, f"line 1: invalid JSON: {message}", id=name)
+      for name, data, message in (
+          ("trailing-text", compact(json_recording()) + b" x", "Extra data"),
+          ("two-objects", compact(json_recording()) + b"{}", "Extra data"),
+          ("truncated", compact(json_recording())[:-1], "Expecting ',' delimiter"),
+          ("object-trailing-comma", compact(json_recording())[:-1] + b",}",
+           "Expecting property name enclosed in double quotes"),
+          ("row-trailing-comma", compact(json_recording()).replace(b"-0.5]", b"-0.5,]", 1),
+           "Expecting value"),
+          ("missing-colon", compact(json_recording()).replace(b'"meta":', b'"meta"'),
+           "Expecting ':' delimiter"),
+          ("nul-byte", compact(json_recording()).replace(b'{"labels"', b'{\x00"labels"'),
+           "Expecting property name enclosed in double quotes"),
+          ("empty", b"", "Expecting value"),
+      )),
+]
+
+
+def outcome(read):
+    """What ``read()`` gives: a recording, or its error's type and text."""
+    try:
+        return read()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def parsed_route(data: bytes, loads=orjson.loads) -> SessionRecording:
+    """The recording ``loads`` parses from ``data``, checked as
+    ``load_recording(..., validate="none")`` checks it."""
+    rec = _rec_from_dict(loads(data))
+    validate_recording(rec, protocol="none")
+    return rec
+
+
+# Text outside the shape the compiled reader takes, which orjson reads.
+OUTSIDE_THE_SHAPE = {
+    "extra-top-level-key": compact({**json_recording(), "note": 1}),
+    "escaped-key": compact(json_recording()).replace(b'"meta"', b'"me\\u0074a"'),
+    "duplicate-top-level-key": compact(json_recording())[:-1] + b',"class_count":4}',
+    "duplicate-sensor-key": compact(json_recording()).replace(b'"2":', b'"1":[[1,2,3,4,5,6,7,8,9]],"2":'),
+    "sensor-key-with-sign": compact(json_recording()).replace(b'"2":', b'"+2":'),
+    "empty-sensor-key": compact(json_recording()).replace(b'"2":', b'"":'),
+    "float-label": compact(json_recording()).replace(b'"labels":[0,1,2]', b'"labels":[0,1.0,2]'),
+    "exponent-label": compact(json_recording()).replace(b'"labels":[0,1,2]', b'"labels":[0,1e0,2]'),
+    "label-past-63-bits": bad_token_text("9223372036854775808", "label"),
+    "bool-sample": bad_token_text("true", "sample"),
+    "null-sample": bad_token_text("null", "sample"),
+    "string-sample": bad_token_text('"1.5"', "sample"),
+    "row-of-8": compact(json_recording()).replace(b",-0.5]", b"]", 1),
+    "empty-block": compact(json_recording()).replace(b'"2":[[', b'"2":[],"3":[['),
+    "extra-sequence-key": compact(json_recording()).replace(b'"labels"', b'"x":0,"labels"'),
+    "labels-not-an-array": compact(json_recording()).replace(b"[0,1,2]", b"0"),
+    "sequences-not-an-array": compact({**json_recording(), "sequences": {}}),
+    "top-level-array": compact([json_recording()]),
+}
+
+
+class TestCompiledJson:
+    """The kernel's read_json takes the shape save_recording writes and
+    gives the values orjson gives; anything else goes to orjson and
+    json.loads as before."""
+
+    @given(data=recording_texts())
+    @settings(max_examples=200)
+    def test_compiled_route_reads_what_orjson_reads_bit_for_bit(self, data):
+        compiled = _read_compiled(data)
+        try:
+            parsed = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            assert compiled is None
+            return
+        assert compiled is not None
+        actual, expected = _rec_from_dict(compiled), _rec_from_dict(parsed)
+        assert_same_recording(actual, expected)
+        assert struct.pack("<d", actual.sample_rate_hz) == struct.pack("<d", expected.sample_rate_hz)
+        assert actual.sensor_layout == expected.sensor_layout
+        x, y = actual.meta["x"], expected.meta["x"]
+        assert type(x) is type(y) and repr(x) == repr(y)
+
+    def test_saved_files_take_the_compiled_route(self, small_noisy, tmp_path):
+        path = tmp_path / "rec.json"
+        save_recording(small_noisy, path)
+        assert _read_compiled(path.read_bytes()) is not None
+        path.write_text(stdlib_json(small_noisy), encoding="utf-8")
+        compiled = _read_compiled(path.read_bytes())
+        assert compiled is not None
+        assert_same_recording(_rec_from_dict(compiled), small_noisy)
+
+    @pytest.mark.parametrize("data, error, message", ORJSON_REFUSES)
+    def test_text_orjson_refuses_is_refused_with_the_error_of_before(
+            self, tmp_path, data, error, message):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
+        assert _read_compiled(data) is None
+        path = tmp_path / "rec.json"
+        path.write_bytes(data)
+        with pytest.raises(error) as info:
+            load_recording(path, validate="none")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("data", OUTSIDE_THE_SHAPE.values(), ids=OUTSIDE_THE_SHAPE.keys())
+    def test_text_outside_the_shape_loads_as_orjson_reads_it(self, tmp_path, data):
+        orjson.loads(data)
+        assert _read_compiled(data) is None
+        path = tmp_path / "rec.json"
+        path.write_bytes(data)
+        actual = outcome(lambda: load_recording(path, validate="none"))
+        expected = outcome(lambda: parsed_route(data))
+        if isinstance(expected, SessionRecording):
+            assert_same_recording(actual, expected)
+        else:
+            assert actual == expected
+
+    @pytest.mark.parametrize("levels, compiled", [(999, True), (1000, False)])
+    def test_meta_may_nest_to_the_depth_limit(self, tmp_path, levels, compiled):
+        obj = json_recording()
+        obj["meta"] = {"deep": "@"}
+        data = compact(obj).replace(b'"@"', b"[" * (levels - 1) + b"]" * (levels - 1))
+        assert (_read_compiled(data) is not None) is compiled
+        path = tmp_path / "rec.json"
+        path.write_bytes(data)
+        if compiled:
+            # Walked, not compared: == recurses once per level.
+            value, depth = load_recording(path, validate="none").meta["deep"], 1
+            while value:
+                value, depth = value[0], depth + 1
+            assert depth == levels - 1
+        else:
+            with pytest.raises(ParseError, match="JSON nested deeper than 1000 levels"):
+                load_recording(path, validate="none")
+
+    # (span, location it loads as or the error of before): orjson refuses
+    # each span, so the file goes to the general route.
+    @pytest.mark.parametrize("span, expected", [
+        (b'"\\ud800"', "\ud800"),
+        (b'"\xff"', "recording is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b"[1,]", "line 1: invalid JSON: Expecting value"),
+        (b"nul", "line 1: invalid JSON: Expecting value"),
+        (b'"a"x', "line 1: invalid JSON: Expecting ',' delimiter"),
+    ], ids=["lone-surrogate", "bad-utf8", "trailing-comma", "bad-literal", "junk-after-string"])
+    def test_a_span_orjson_refuses_goes_to_the_general_route(self, tmp_path, span, expected):
+        data = compact(json_recording()).replace(b'"location":"a"', b'"location":' + span)
+        assert _kernel.read_json(data) is not None
+        assert _read_compiled(data) is None
+        path = tmp_path / "rec.json"
+        path.write_bytes(data)
+        if expected == "\ud800":
+            assert load_recording(path, validate="none").sensor_layout[0].location == expected
+        else:
+            with pytest.raises(ParseError, match=re.escape(expected)):
+                load_recording(path, validate="none")
 
 
 class TestCsvCodec:

@@ -47,7 +47,14 @@ Each line is ``<part> <digest>``. The parts cover:
   ``load_recording`` on each quickstart session written as CSV, on a
   copy with its rows shuffled, on a foreign copy (renamed columns, an
   extra quoted text column, ``scale.*`` factors through ``ImportMapping``)
-  and on an angles-mode file of its fused angles.
+  and on an angles-mode file of its fused angles;
+* ``json/*``: what ``load_recording`` reads (as ``cli/recording_values_*``
+  digests it) from the quickstart JSON session and from P4, each saved
+  compact, which the compiled JSON reader reads, and as
+  ``json/*_respelled`` from a respelled copy that only the general route
+  (orjson) reads: ``json.dumps`` spacing and float spelling (``1e-07``),
+  the top-level keys in reverse order and the ``meta`` key written with a
+  ``\\u`` escape, which the compiled reader refuses. Each pair must agree.
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
@@ -159,6 +166,15 @@ def hash_windows(model, windows) -> tuple[str, str]:
                   windows.start_ticks)
     X = extract_matrix(model.feature_kind, windows, model.layout)
     return wins, digest(X, predict_many(model, X))
+
+
+def hash_loaded(rec) -> str:
+    """Digest of everything ``load_recording`` gives: arrays, rate, class
+    count, layout and meta."""
+    return hashlib.sha256((
+        hash_recording(rec)
+        + repr((rec.sample_rate_hz, rec.class_count, rec.sensor_layout))
+        + json.dumps(rec.meta, sort_keys=True)).encode()).hexdigest()
 
 
 def hash_json(value) -> str:
@@ -282,10 +298,7 @@ def quickstart(seed: int, work: Path, emit) -> None:
             (report / "accuracy.json").read_bytes()
             + (report / "confusion.csv").read_bytes()).hexdigest())
         recording = load_recording(rec)
-        emit(f"cli/recording_values_{name}", hashlib.sha256((
-            hash_recording(recording)
-            + repr((recording.sample_rate_hz, recording.class_count, recording.sensor_layout))
-            + json.dumps(recording.meta, sort_keys=True)).encode()).hexdigest())
+        emit(f"cli/recording_values_{name}", hash_loaded(recording))
         emit(f"stream/quickstart_{name}",
              hash_stream(recording, deserialize(model), len(recording.sequences)))
 
@@ -314,6 +327,31 @@ def studies(seed: int, work: Path, emit) -> None:
     run_all(data, out)
     for path in sorted(out.iterdir()):
         emit(f"studies/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def respell(path: Path, out: Path) -> None:
+    """Write the recording JSON of ``path`` to ``out`` as ``json.dumps``
+    spells it, top-level keys reversed and ``"meta"`` spelled
+    ``"me\\u0074a"``: the same values, in text only the general route reads."""
+    obj = json.loads(path.read_bytes())
+    text = json.dumps(dict(reversed(obj.items())))
+    out.write_text(text.replace('{"meta": ', '{"me\\u0074a": ', 1), encoding="utf-8")
+
+
+def json_loads(seed: int, work: Path, emit) -> None:
+    """The JSON loader on the quickstart JSON session and P4, each read from
+    its compact file and from a respelled copy."""
+    sessions = {
+        "a": synth_session(class_count=9, sensor_count=3, noise_deg=0.5, seed=seed),
+        "P4": synth_session(class_count=6, sensor_count=2, spasm_deg=10.0,
+                            spasm_class=1, class_scale={1: 0.55}, seed=seed + 3),
+    }
+    for name, rec in sessions.items():
+        path, respelled = work / f"{name}.json", work / f"{name}_respelled.json"
+        save_recording(rec, path)
+        respell(path, respelled)
+        for part, source in ((name, path), (f"{name}_respelled", respelled)):
+            emit(f"json/{part}", hash_loaded(load_recording(source, validate="none")))
 
 
 def csv_loads(seed: int, work: Path, emit) -> None:
@@ -408,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         studies(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
         csv_loads(args.seed, Path(work), emit)
+    with tempfile.TemporaryDirectory() as work:
+        json_loads(args.seed, Path(work), emit)
     return 0
 
 
