@@ -63,7 +63,7 @@
  *     class 0 when it is among the tied, else the lowest tied of the (K,)
  *     int64 `classes`. Return the first row with a NaN score or an
  *     infinite best score, or -1.
- * read_json(data) -> (spans, sequences) or None
+ * read_json(data, max_depth) -> (spans, sequences) or None
  *     Read the bytes of a recording JSON in one pass. Each sequence's
  *     labels go into a bytearray of int64 and each sensor block into a
  *     bytearray of float64 rows of 9, with no Python object per number:
@@ -74,11 +74,12 @@
  *     sequence objects of exactly `labels` and `sensors`; sensor keys of
  *     plain ASCII digits, each once; blocks of one or more rows of 9
  *     numbers; labels that are integer tokens in [-2**63, 2**63); JSON
- *     whitespace between tokens; spans nesting the file at most 1000
- *     levels deep. Every number is the correctly rounded double of its
- *     token, as orjson reads it and NumPy converts it (the integer token
- *     -0 is +0.0). Any other text, a token outside RFC 8259's number
- *     grammar and one that rounds to an infinity return None.
+ *     whitespace between tokens; spans nesting the file at most
+ *     `max_depth` levels deep (a limit of at least 1). Every number is
+ *     the correctly rounded double of its token, as orjson reads it and
+ *     NumPy converts it (the integer token -0 is +0.0). Any other text, a
+ *     token outside RFC 8259's number grammar and one that rounds to an
+ *     infinity return None.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
@@ -833,13 +834,8 @@ done:
 
 enum { READ_OK = 0, REFUSED = 1, READ_FAILED = -1 };
 
-/* The deepest nesting a recording may have (bomi.dataset_io._MAX_JSON_DEPTH). */
-enum { MAX_DEPTH = 1000 };
-
-/* 5**0 .. 5**27, each below 2**63, and the exact doubles 1e0 .. 1e22;
- * filled when the module is created. */
+/* 5**0 .. 5**27, each below 2**63; filled when the module is created. */
 static uint64_t pow5[28];
-static double pow10[23];
 
 typedef struct {
     const unsigned char *p, *end;
@@ -1033,13 +1029,6 @@ read_sample(Cursor *c, double *out)
     c->p = p;
     if (w == 0) {
         *out = neg && !integer ? -0.0 : 0.0;
-        return READ_OK;
-    }
-    /* Clinger's fast path: w and 10**|e10| are exact doubles, so one
-     * IEEE product or quotient rounds once, correctly. */
-    if (!many && w <= (uint64_t)1 << 53 && e10 >= -22 && e10 <= 22) {
-        double v = e10 >= 0 ? (double)w * pow10[e10] : (double)w / pow10[-e10];
-        *out = neg ? -v : v;
         return READ_OK;
     }
     if (!many && e10 >= -27 && e10 <= 27) {
@@ -1265,8 +1254,15 @@ static PyObject *
 fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer view;
-    if (nargs != 1) {
-        PyErr_SetString(PyExc_TypeError, "read_json() takes 1 argument");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "read_json() takes 2 arguments");
+        return NULL;
+    }
+    Py_ssize_t max_depth = PyLong_AsSsize_t(args[1]);
+    if (max_depth == -1 && PyErr_Occurred())
+        return NULL;
+    if (max_depth < 1 || max_depth > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "read_json() max_depth must lie in [1, INT_MAX]");
         return NULL;
     }
     if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
@@ -1298,7 +1294,7 @@ fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             skip_ws(&c);
             Py_ssize_t start = c.p - data;
             /* The span sits one level inside the top-level object. */
-            if ((r = skip_value(&c, MAX_DEPTH - 1)) == READ_OK) {
+            if ((r = skip_value(&c, (int)max_depth - 1)) == READ_OK) {
                 PyObject *span = Py_BuildValue("(nn)", start, (Py_ssize_t)(c.p - data));
                 if (span == NULL || PyDict_SetItemString(spans, HEAD_KEYS[k], span) < 0)
                     r = READ_FAILED;
@@ -1357,9 +1353,6 @@ PyInit__fuse(void)
     pow5[0] = 1;
     for (int i = 1; i < 28; i++)
         pow5[i] = 5 * pow5[i - 1];
-    pow10[0] = 1.0;
-    for (int i = 1; i < 23; i++)
-        pow10[i] = 10.0 * pow10[i - 1];
     if (hypot_fn == NULL) {
         PyObject *math = PyImport_ImportModule("math");
         if (math == NULL)

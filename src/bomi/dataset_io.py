@@ -553,7 +553,7 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
 # row) plus what its meta holds. orjson 3.8 parses without a depth limit and
 # overflows the C stack near a million levels, so deeper text is refused
 # before it parses; json.loads at the default recursion limit reads no deeper.
-# The kernel's read_json refuses deeper text too (its MAX_DEPTH).
+# The kernel's read_json takes the limit as an argument and refuses deeper text.
 _MAX_JSON_DEPTH = 1000
 _NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
@@ -584,7 +584,7 @@ def _read_compiled(data: bytes) -> dict | None:
     correctly rounded double of its token, as orjson and ``np.asarray``
     give it. orjson reads the other top-level values from their byte
     spans."""
-    parsed = _kernel.read_json(data)
+    parsed = _kernel.read_json(data, _MAX_JSON_DEPTH)
     if parsed is None:
         return None
     spans, sequences = parsed

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bomi.cli import main
 from bomi.dataset_io import (
     CSV_HEADER,
+    _MAX_JSON_DEPTH,
     _read_compiled,
     _rec_from_dict,
     ImportMapping,
@@ -1122,6 +1123,17 @@ class TestCompiledJson:
             with pytest.raises(ParseError, match="JSON nested deeper than 1000 levels"):
                 load_recording(path, validate="none")
 
+    def test_kernel_takes_the_depth_limit_it_is_given(self):
+        obj = json_recording()
+        obj["meta"] = {"deep": [[]]}
+        data = compact(obj)
+        # The file nests four levels: the top-level object, meta and two arrays.
+        assert _kernel.read_json(data, 4) is not None
+        assert _kernel.read_json(data, 3) is None
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="max_depth"):
+                _kernel.read_json(data, limit)
+
     # (span, location it loads as or the error of before): orjson refuses
     # each span, so the file goes to the general route.
     @pytest.mark.parametrize("span, expected", [
@@ -1133,7 +1145,7 @@ class TestCompiledJson:
     ], ids=["lone-surrogate", "bad-utf8", "trailing-comma", "bad-literal", "junk-after-string"])
     def test_a_span_orjson_refuses_goes_to_the_general_route(self, tmp_path, span, expected):
         data = compact(json_recording()).replace(b'"location":"a"', b'"location":' + span)
-        assert _kernel.read_json(data) is not None
+        assert _kernel.read_json(data, _MAX_JSON_DEPTH) is not None
         assert _read_compiled(data) is None
         path = tmp_path / "rec.json"
         path.write_bytes(data)

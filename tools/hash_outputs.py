@@ -51,10 +51,12 @@ Each line is ``<part> <digest>``. The parts cover:
 * ``json/*``: what ``load_recording`` reads (as ``cli/recording_values_*``
   digests it) from the quickstart JSON session and from P4, each saved
   compact, which the compiled JSON reader reads, and as
-  ``json/*_respelled`` from a respelled copy that only the general route
-  (orjson) reads: ``json.dumps`` spacing and float spelling (``1e-07``),
-  the top-level keys in reverse order and the ``meta`` key written with a
-  ``\\u`` escape, which the compiled reader refuses. Each pair must agree.
+  ``json/*_respelled`` from a respelled copy with ``json.dumps`` spacing
+  and float spelling (``1e-07``), the top-level keys in reverse order and
+  the ``meta`` key written with a ``\\u`` escape. The compiled reader
+  takes the spacing, float spelling and key order; the escape alone makes
+  it refuse the copy, so only the general route (orjson) reads it, and
+  the tool stops if the compiled reader takes it. Each pair must agree.
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
@@ -93,6 +95,11 @@ from bomi.features import extract
 from bomi.fusion import fuse_sequence
 from bomi.lda import deserialize
 from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
+
+try:
+    from bomi.dataset_io import _read_compiled
+except ImportError:  # a checkout from before the compiled JSON reader
+    _read_compiled = None
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
@@ -331,11 +338,17 @@ def studies(seed: int, work: Path, emit) -> None:
 
 def respell(path: Path, out: Path) -> None:
     """Write the recording JSON of ``path`` to ``out`` as ``json.dumps``
-    spells it, top-level keys reversed and ``"meta"`` spelled
-    ``"me\\u0074a"``: the same values, in text only the general route reads."""
+    spells it, top-level keys reversed and the ``meta`` key spelled
+    ``"me\\u0074a"``: the same values. The escaped key is what makes the
+    compiled reader refuse the text, so only the general route reads it."""
     obj = json.loads(path.read_bytes())
     text = json.dumps(dict(reversed(obj.items())))
-    out.write_text(text.replace('{"meta": ', '{"me\\u0074a": ', 1), encoding="utf-8")
+    if text.count('"meta": ') != 1:
+        raise RuntimeError(f"{path}: no single meta key to escape")
+    data = text.replace('"meta": ', '"me\\u0074a": ').encode()
+    if _read_compiled is not None and _read_compiled(data) is not None:
+        raise RuntimeError(f"{out}: the compiled reader takes the respelled text")
+    out.write_bytes(data)
 
 
 def json_loads(seed: int, work: Path, emit) -> None:
