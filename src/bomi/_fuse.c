@@ -1,12 +1,13 @@
 /* The compiled kernels of bomi, as one CPython extension: the
- * complementary filter of bomi.fusion, the tick of bomi.pipeline's
- * stream, the fv3 statistics of bomi.features, the LDA scores of
- * bomi.lda and the recording JSON reader of bomi.dataset_io.
+ * complementary filter and its measurements (bomi.fusion, and the tick of
+ * bomi.pipeline's stream), the fv3 statistics of bomi.features, the LDA
+ * scores of bomi.lda and the recording JSON reader of bomi.dataset_io.
+ * The filter has two entries over one bootstrap and one advance: `run`
+ * for a whole sequence and `tick` for one tick.
  *
  * Every filter value is formed by the same IEEE operations, in the same
- * order, as the Python expressions the filter is written in, so its bits
- * are the ones CPython gives (tests/oracles.py spells the same recursion
- * out in Python):
+ * order, as the Python expressions of tests/oracles.py, so its bits are
+ * the ones CPython gives:
  *
  *   - `x % 360.0` is CPython's float_rem: fmod, the sign moved to the
  *     divisor's, and +0.0 for a zero remainder;
@@ -24,10 +25,6 @@
  *     bootstrap on its first tick; write raw (pitch, roll, yaw) into the
  *     sensor's column of the C-contiguous (T, S, 3) float64 array `angles`
  *     and return each tick's flags.
- * step(state, row, alpha, dt, guard, flag_sets) -> (pitch, roll, yaw, flags)
- *     Advance one tick: `state` is None (bootstrap) or a tuple whose first
- *     three items are pitch, roll and yaw; `row` is a tuple of 9 floats.
- *     The result is the next state.
  * tick(rows, last, state, bits, alpha, dt, guard, offset, pick, channels,
  *      gamma, k) -> int
  *     Advance every sensor of a stream one tick. `rows` is a list of S
@@ -38,15 +35,22 @@
  *     C-contiguous float64 arrays `last` (S, 9) and `state` (S, 3) hold
  *     each sensor's last row, which a gap reuses, and its raw (pitch,
  *     roll, yaw): the filter's state, which the first row bootstraps and
- *     later rows advance, as `step` does. The (S,) uint8 `bits` takes each
- *     sensor's flag bits. Unless `offset` is None (calibration), write the
- *     tick's wrap(raw - offset) angles of the (S, 3) float64 `offset`,
- *     then its gyro values, picked by the (C,) intp `pick` (3S angles then
- *     3S gyro values), into rows k and k + W of the (2W, C) float64 ring
+ *     later rows advance. The (S,) uint8 `bits` takes each sensor's flag
+ *     bits. Unless `offset` is None (calibration), write the tick's
+ *     wrap(raw - offset) angles of the (S, 3) float64 `offset`, then its
+ *     gyro values, picked by the (C,) intp `pick` (3S angles then 3S gyro
+ *     values), into rows k and k + W of the (2W, C) float64 ring
  *     `channels`, and each sensor's sqrt(p*p + r*r + y*y) of its wrapped
- *     angles into the same rows of the (2W, S) float64 ring `gamma`.
- *     Return the OR of the sensors' bits, or -1 - si, with nothing
- *     changed, when the row of sensor si is refused.
+ *     angles into the same rows of the (2W, S) float64 ring `gamma`; while
+ *     it is None neither ring is written. Return the OR of the sensors'
+ *     bits, or -1 - si, with nothing changed, when the row of sensor si is
+ *     refused.
+ * measure(x, y, z[, pitch, roll]) -> (pitch, roll), float or None
+ *     The measurements the filter blends toward, of one vector of floats:
+ *     with three arguments the pitch and roll of the gravity reading
+ *     (x, y, z), with five the heading of the field (x, y, z)
+ *     tilt-compensated at pitch and roll. None when the vector is zero;
+ *     ValueError, as math.cos gives, for an infinite pitch or roll.
  * fv3(channels, rows, out) -> None
  *     Write the fv3 vector of the 8-tick window at each start row of a
  *     C-contiguous (T, C) float64 channel array into the C-contiguous
@@ -142,8 +146,9 @@ py_atan2(double y, double x)
     return atan2(y, x);
 }
 
-/* Tilt-compensated heading of the field m, as mag_yaw forms it; 0 for a
- * zero vector. */
+/* Tilt-compensated heading of the field m, in degrees: the unit field
+ * de-rotated into the level frame by pitch and roll, then
+ * atan2(-y_level, x_level). 0 for a zero vector (norm below 1e-12). */
 static int
 heading(const double *m, double pitch, double roll, double *yaw)
 {
@@ -172,8 +177,9 @@ zero_accel(const double *v)
 /* math.hypot, bound when the module is created. */
 static PyObject *hypot_fn;
 
-/* Pitch and roll measured from gravity, as accel_angles forms them;
- * -1 with an exception set when math.hypot fails. */
+/* Pitch and roll measured from gravity, in degrees:
+ * atan2(-x, hypot(y, z)) and atan2(y, z). -1 with an exception set when
+ * math.hypot fails. */
 static int
 accel_meas(const double *v, double *pitch, double *roll)
 {
@@ -258,17 +264,6 @@ get_doubles(PyObject *const *args, double *out, Py_ssize_t n)
     return 0;
 }
 
-/* Check the common arguments: alpha, dt and guard into p, and flag_sets. */
-static int
-get_params(PyObject *const *args, PyObject *flag_sets, double *p)
-{
-    if (!PyTuple_Check(flag_sets) || PyTuple_GET_SIZE(flag_sets) != 8) {
-        PyErr_SetString(PyExc_TypeError, "flag_sets must be a tuple of 8 items");
-        return -1;
-    }
-    return get_doubles(args, p, 3);
-}
-
 /* Get the C-contiguous buffer of `obj`: `ndim` dimensions of the sizes in
  * `shape` (-1 takes any size), with items of `itemsize` bytes whose
  * one-letter format is in `formats`. Raises ValueError naming `what`
@@ -300,8 +295,12 @@ fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     PyObject *flag_sets = args[6];
+    if (!PyTuple_Check(flag_sets) || PyTuple_GET_SIZE(flag_sets) != 8) {
+        PyErr_SetString(PyExc_TypeError, "flag_sets must be a tuple of 8 items");
+        return NULL;
+    }
     Py_ssize_t sensor = PyLong_AsSsize_t(args[1]);
-    if ((sensor == -1 && PyErr_Occurred()) || get_params(args + 2, flag_sets, p) < 0)
+    if ((sensor == -1 && PyErr_Occurred()) || get_doubles(args + 2, p, 3) < 0)
         return NULL;
     if (get_array(args[0], &in, 0, "d", sizeof(double), 3, (Py_ssize_t[]){-1, -1, 9},
                   "samples of float64 and shape (T, S, 9)") < 0)
@@ -342,50 +341,30 @@ fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
-fuse_step(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+fuse_measure(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double v[9], p[3];   /* p: alpha, dt, guard */
-    Attitude st;
-    int bits;
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError, "step() takes 6 arguments");
+    double v[5];   /* x, y, z, then pitch and roll for a heading */
+    double a, b;
+    if (nargs != 3 && nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "measure() takes 3 or 5 arguments");
         return NULL;
     }
-    PyObject *state = args[0], *row = args[1], *flag_sets = args[5];
-    if (!PyTuple_Check(row) || PyTuple_GET_SIZE(row) != 9) {
-        PyErr_SetString(PyExc_TypeError, "step() row must be a tuple of 9 floats");
+    if (get_doubles(args, v, nargs) < 0)
         return NULL;
-    }
-    if (state != Py_None && (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) < 3)) {
-        PyErr_SetString(PyExc_TypeError, "step() state must be None or a tuple");
-        return NULL;
-    }
-    if (get_params(args + 2, flag_sets, p) < 0
-            || get_doubles(&PyTuple_GET_ITEM(row, 0), v, 9) < 0)
-        return NULL;
-    if (state == Py_None) {
-        bits = bootstrap(v, &st);
-    }
-    else {
-        double a[3];
-        if (get_doubles(&PyTuple_GET_ITEM(state, 0), a, 3) < 0)
+    if (nargs == 3) {
+        if (zero_accel(v))
+            Py_RETURN_NONE;
+        if (accel_meas(v, &a, &b) < 0)
             return NULL;
-        st.pitch = a[0];
-        st.roll = a[1];
-        st.yaw = a[2];
-        bits = advance(v, 1.0 - p[0], p[1], p[2], &st);
+        return Py_BuildValue("(dd)", a, b);
     }
-    if (bits < 0)
+    if (!heading(v, v[3], v[4], &a))
+        Py_RETURN_NONE;
+    if (isinf(v[3]) || isinf(v[4])) {
+        PyErr_SetString(PyExc_ValueError, "math domain error");
         return NULL;
-    PyObject *items[3] = {PyFloat_FromDouble(st.pitch), PyFloat_FromDouble(st.roll),
-                          PyFloat_FromDouble(st.yaw)};
-    PyObject *result = NULL;
-    if (items[0] && items[1] && items[2])
-        result = PyTuple_Pack(4, items[0], items[1], items[2],
-                              PyTuple_GET_ITEM(flag_sets, bits));
-    for (int i = 0; i < 3; i++)
-        Py_XDECREF(items[i]);
-    return result;
+    }
+    return PyFloat_FromDouble(a);
 }
 
 /* Read one stream row, a list, tuple or other sized iterable of 9 reals,
@@ -1324,11 +1303,12 @@ fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
-    {"step", (PyCFunction)(void (*)(void))fuse_step, METH_FASTCALL,
-     "Advance the filter one tick; return (pitch, roll, yaw, flags)."},
     {"tick", (PyCFunction)(void (*)(void))fuse_tick, METH_FASTCALL,
      "Advance every sensor of a stream one tick and write its ring rows; return the "
      "tick's flag bits, or -1 - si when sensor si's row is rejected."},
+    {"measure", (PyCFunction)(void (*)(void))fuse_measure, METH_FASTCALL,
+     "The pitch and roll of a gravity reading, or the tilt-compensated heading of a "
+     "field; None for a zero vector."},
     {"fv3", (PyCFunction)(void (*)(void))fuse_fv3, METH_FASTCALL,
      "Write the fv3 vector of the window at each start row of (T, C) channels."},
     {"score", (PyCFunction)(void (*)(void))fuse_score, METH_FASTCALL,

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -56,8 +56,12 @@ def wrap_deg(angle):
 
 def _real_in(value, lo: float, hi: float) -> bool:
     """Whether ``value`` is a finite real number, not a bool, in [lo, hi]."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and lo <= value <= hi)
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and lo <= value <= hi
+    except OverflowError:   # an int too large for a float
+        return False
 
 
 def _check_filter_params(alpha, gimbal_guard_deg) -> None:
@@ -84,6 +88,34 @@ def _sample_period(sample_rate_hz) -> float:
     return 1.0 / sample_rate_hz
 
 
+# The filter kernel is C (_fuse.c, which also holds bomi.features' fv3
+# entry and bomi.lda's score entry), compiled when this module is
+# imported (see _build). The filter has two entries over one bootstrap
+# and one advance, so offline and online angles and flags are equal bit
+# for bit: run filters a whole recording, one call per sensor, for
+# fuse_sequence; tick advances every sensor of a stream one tick, for
+# StreamingPipeline.step and for the one sensor of a ComplementaryFilter.
+# accel_angles and mag_yaw take their numbers from its measure entry. It
+# forms every value as CPython does for the Python expressions
+# tests/oracles.py spells out: float %, math.atan2 and math.hypot (which
+# it calls), and degrees and radians as products. The kernel sums up a
+# tick's degradations in bits, and FLAG_SETS, indexed by them, holds the
+# flag tuple each stands for.
+Flags = tuple[str, ...]
+
+_kernel = load_kernel()
+
+FLAG_SETS: tuple[Flags, ...] = tuple(
+    tuple(name for bit, name in ((1, FLAG_ACCEL_FALLBACK), (4, FLAG_GIMBAL_GUARD),
+                                 (2, FLAG_MAG_FALLBACK)) if bits & bit)
+    for bits in range(8)
+)
+
+# The pick, channels and gamma rings a ComplementaryFilter passes the tick
+# entry for its one sensor: with no offset the entry writes no ring.
+_NO_RINGS = (np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((2, 1)))
+
+
 def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     """Pitch and roll, in degrees, from an accelerometer gravity reading.
 
@@ -92,10 +124,10 @@ def accel_angles(acc: Sequence[float]) -> tuple[float, float]:
     Raises:
         UndefinedAttitudeError: if the vector is (numerically) zero.
     """
-    ax, ay, az = float(acc[0]), float(acc[1]), float(acc[2])
-    if ax * ax + ay * ay + az * az < 1e-24:
+    angles = _kernel.measure(float(acc[0]), float(acc[1]), float(acc[2]))
+    if angles is None:
         raise UndefinedAttitudeError("zero accelerometer vector")
-    return math.degrees(math.atan2(-ax, math.hypot(ay, az))), math.degrees(math.atan2(ay, az))
+    return angles
 
 
 def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
@@ -107,44 +139,10 @@ def mag_yaw(mag: Sequence[float], pitch: float, roll: float) -> float:
     Raises:
         UndefinedHeadingError: if the vector is (numerically) zero.
     """
-    mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm < 1e-12:
+    yaw = _kernel.measure(float(mag[0]), float(mag[1]), float(mag[2]), pitch, roll)
+    if yaw is None:
         raise UndefinedHeadingError("zero magnetometer vector")
-    mx, my, mz = mx / norm, my / norm, mz / norm
-    p = math.radians(pitch)
-    r = math.radians(roll)
-    cp, sp = math.cos(p), math.sin(p)
-    cr, sr = math.cos(r), math.sin(r)
-    # Level-frame components of the field: Ry(pitch) · Rx(roll) · m.
-    x_level = mx * cp + my * sr * sp + mz * cr * sp
-    y_level = my * cr - mz * sr
-    return math.degrees(math.atan2(-y_level, x_level))
-
-
-# The filter kernel is C (_fuse.c, which also holds the stream's tick
-# entry, bomi.features' fv3 entry and bomi.lda's score entry), compiled
-# when this module is imported (see _build). fuse_sequence runs it over a
-# whole recording, one call per sensor; ComplementaryFilter.step advances
-# it one tick through the step entry, and StreamingPipeline.step every
-# sensor of a stream one tick through the tick entry. All three share one
-# bootstrap and one advance, so offline and online angles and flags are
-# equal bit for bit. It forms every value as CPython does for the Python
-# expressions tests/oracles.py spells out: float %, math.atan2 and
-# math.hypot (which it calls), and degrees and radians as products. A
-# step state is None (the next tick bootstraps) or a tuple led by pitch,
-# roll and yaw, such as the (pitch, roll, yaw, flags) a step returns. The
-# kernel sums up a tick's degradations in bits, and FLAG_SETS, indexed by
-# them, holds the flag tuple each stands for.
-Flags = tuple[str, ...]
-
-_kernel = load_kernel()
-
-FLAG_SETS: tuple[Flags, ...] = tuple(
-    tuple(name for bit, name in ((1, FLAG_ACCEL_FALLBACK), (4, FLAG_GIMBAL_GUARD),
-                                 (2, FLAG_MAG_FALLBACK)) if bits & bit)
-    for bits in range(8)
-)
+    return yaw
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,8 @@ class ComplementaryFilter:
     State is the current fused (pitch, roll, yaw); it bootstraps from the
     first sample's accelerometer/magnetometer angles unless an initial
     state is given. One instance owns one sensor stream; instances share
-    nothing.
+    nothing. Each step is one call of the kernel's tick entry for one
+    sensor, so it checks rows as ``StreamingPipeline.step`` does.
 
     Attributes:
         alpha: gyro blend weight in [0, 1]. 0 passes the instantaneous
@@ -174,6 +173,8 @@ class ComplementaryFilter:
         dt: sample period in seconds.
         gimbal_guard_deg: |pitch| beyond which yaw holds its
             gyro-integrated value (tilt compensation ill-conditioned).
+        initial: None, or three finite numbers: the (pitch, roll, yaw)
+            the first sample advances from.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -181,16 +182,26 @@ class ComplementaryFilter:
     gimbal_guard_deg: float = DEFAULT_GIMBAL_GUARD_DEG
     sensor_id: int = 0
     initial: tuple[float, float, float] | None = None
-    # The kernel's state: None, (pitch, roll, yaw) or what a step returns.
-    _state: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_filter_params(self.alpha, self.gimbal_guard_deg)
         if not (_real_in(self.dt, 0.0, math.inf) and self.dt > 0):
             raise ValidationError(f"dt must be a finite positive number, got {self.dt!r}")
-        if self.initial is not None:
-            pitch, roll, yaw = self.initial
-            self._state = (pitch, roll, yaw)
+        # The tick entry's arrays for one sensor: the last row, NaN until
+        # the first row bootstraps (zeros when ``initial`` is given, so the
+        # first row advances from it); the raw (pitch, roll, yaw); the bits.
+        self._last = np.full((1, 9), np.nan)
+        self._state = np.zeros((1, 3))
+        self._bits = np.zeros(1, dtype=np.uint8)
+        initial = self.initial
+        if initial is not None:
+            if not (isinstance(initial, Sized) and len(initial) == 3
+                    and all(_real_in(v, -math.inf, math.inf) for v in initial)):
+                raise ValidationError(
+                    f"initial must be None or three finite numbers, got {initial!r}"
+                )
+            self._last[0] = 0.0
+            self._state[0] = initial
 
     def step(self, tick: int, acc, gyro, mag) -> OrientationFrame:
         """Advance the filter by one sample and return the fused frame.
@@ -198,16 +209,20 @@ class ComplementaryFilter:
         A zero accelerometer falls back to pure gyro integration for
         pitch/roll this tick (flagged); a zero magnetometer does the same
         for yaw. Pitch is clamped to [-90, 90], roll/yaw wrapped.
+
+        Raises:
+            ValidationError: the 9 values are not all finite real
+                numbers; the filter is left as it was before the call.
         """
-        row = (
-            float(acc[0]), float(acc[1]), float(acc[2]),
-            float(gyro[0]), float(gyro[1]), float(gyro[2]),
-            float(mag[0]), float(mag[1]), float(mag[2]),
-        )
-        self._state = pitch, roll, yaw, flags = _kernel.step(
-            self._state, row, self.alpha, self.dt, self.gimbal_guard_deg, FLAG_SETS
-        )
-        return OrientationFrame(self.sensor_id, tick, pitch, roll, yaw, flags)
+        row = (acc[0], acc[1], acc[2], gyro[0], gyro[1], gyro[2], mag[0], mag[1], mag[2])
+        bits = _kernel.tick([row], self._last, self._state, self._bits, self.alpha, self.dt,
+                            self.gimbal_guard_deg, None, *_NO_RINGS, 0)
+        if bits < 0:
+            raise ValidationError(
+                f"sensor {self.sensor_id} at tick {tick}: expected 9 finite numbers, got {row!r}"
+            )
+        pitch, roll, yaw = self._state[0].tolist()
+        return OrientationFrame(self.sensor_id, tick, pitch, roll, yaw, FLAG_SETS[bits])
 
 
 def circular_mean_deg(angles: Sequence[float]) -> float:
@@ -295,9 +310,10 @@ def fuse_sequence(
 ) -> FusedSequence:
     """Fuse and calibrate one sequence of raw samples.
 
-    Runs the filter kernel over each sensor's whole column in one call,
-    where ``ComplementaryFilter.step`` runs it one tick at a time, so the
-    result equals stepping a filter per sensor bit for bit.
+    Runs the filter kernel's run entry over each sensor's whole column in
+    one call. ``ComplementaryFilter.step`` advances the same bootstrap and
+    advance one tick at a time through the tick entry, so the result
+    equals stepping a filter per sensor bit for bit.
 
     Args:
         samples: (T, S, 9) array, sensors in layout order (the first is

@@ -9,7 +9,6 @@ import pytest
 
 import bomi
 from bomi import _build
-from bomi.fusion import FLAG_SETS
 
 # Waits for a line on stdin, so that both processes build at once, then
 # builds into argv[1] and prints the module file and the bits of a run.
@@ -64,8 +63,7 @@ def test_a_build_of_another_source_is_not_loaded(tmp_path):
     assert Path(kernel.__file__) == _build.artifact(tmp_path, source) != stale
     # The new build removes the stale one.
     assert sorted(tmp_path.iterdir()) == sorted([source, Path(kernel.__file__), *kept])
-    level = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
-    assert kernel.step(None, level, 0.98, 1 / 60, 85.0, FLAG_SETS)[3] == ()
+    assert kernel.measure(0.0, 0.0, 1.0) is not None
 
 
 def test_a_missing_compiler_fails_the_import_naming_the_command(tmp_path, monkeypatch):

@@ -206,9 +206,29 @@ class TestComplementaryFilter:
             ("alpha", 1.5), ("alpha", float("nan")),
             ("dt", 0.0), ("dt", float("nan")), ("dt", float("inf")), ("dt", float("-inf")),
             ("gimbal_guard_deg", 91.0),
+            ("initial", (float("nan"), 0.0, 0.0)), ("initial", (1.0, 2.0)), ("initial", "abc"),
+            ("initial", (10**400, 0.0, 0.0)),
         ]:
             with pytest.raises(ValidationError, match=field):
                 ComplementaryFilter(**{field: value})
+
+
+@pytest.mark.parametrize("initial", [None, (80.0, 170.0, -179.0)])
+@pytest.mark.parametrize("acc, gyro, mag", [
+    ((float("nan"), 0.0, 1.0), (0.0, 0.0, 0.0), MAG_LEVEL),
+    ((0.0, 0.0, 1.0), (float("inf"), 0.0, 0.0), MAG_LEVEL),
+    (("0", "0", "1"), (0.0, 0.0, 0.0), MAG_LEVEL),
+])
+def test_filter_rejects_bad_rows_and_stays_unchanged(initial, acc, gyro, mag):
+    good = world_to_body((0, 0, 1), yaw=0.0, pitch=10.0, roll=5.0), (1.0, -2.0, 3.0), MAG_LEVEL
+    filt = ComplementaryFilter(sensor_id=4, initial=initial)
+    untouched = ComplementaryFilter(sensor_id=4, initial=initial)
+    for f in (filt, untouched):
+        f.step(0, *good)
+    with pytest.raises(ValidationError,
+                       match=r"sensor 4 at tick 1: expected 9 finite numbers, got "):
+        filt.step(1, acc, gyro, mag)
+    assert filt.step(1, *good) == untouched.step(1, *good)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -553,16 +573,51 @@ def test_kernel_entries_match_reference_bitwise(n, planted, seed, alpha, guard, 
     assert raw[:, 1].tobytes() == want_raw
     assert np.isnan(raw[:, 0]).all()
 
-    # The one-tick entry, from the bootstrap on.
-    state, states = None, []
+    # The one-tick entry on one sensor, from the bootstrap on, with no
+    # offset: it writes neither ring.
+    last, state, bits = np.full((1, 9), np.nan), np.zeros((1, 3)), np.zeros(1, dtype=np.uint8)
+    pick, channels, gamma = np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((2, 1))
+    states, tick_bits = [], []
     for row in rows.tolist():
-        state = _kernel.step(state, tuple(row), alpha, dt, guard, FLAG_SETS)
-        states.append(state)
-    assert np.array([s[:3] for s in states]).tobytes() == want_raw
-    assert tuple(s[3] for s in states) == want_flags
+        tick_bits.append(_kernel.tick([row], last, state, bits, alpha, dt, guard, None,
+                                      pick, channels, gamma, 0))
+        assert bits[0] == tick_bits[-1]
+        states.append(state[0].copy())
+    assert np.array(states).tobytes() == want_raw
+    assert tuple(FLAG_SETS[b] for b in tick_bits) == want_flags
+    assert not gamma.any()
 
     # A filter stepped tick by tick equals fuse_sequence on the same rows.
     assert_filter_matches_reference(rows, alpha, rate, guard)
+
+
+# Vector components: any float, sub-threshold ones (three squares under
+# the accelerometer's 1e-24 and a norm under the magnetometer's 1e-12),
+# signed zeros, infinities and NaN.
+COMPONENTS = (st.floats() | st.floats(-6e-13, 6e-13)
+              | st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]))
+
+
+@given(vector=st.tuples(COMPONENTS, COMPONENTS, COMPONENTS), pitch=st.floats(),
+       roll=st.floats())
+@settings(max_examples=500)
+def test_measure_entry_matches_reference_bitwise(vector, pitch, roll):
+    want = accel_measurement(vector)
+    got = _kernel.measure(*vector)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    try:
+        want = mag_heading(vector, pitch, roll)
+    except ValueError:   # math.cos of an infinite angle
+        with pytest.raises(ValueError):
+            _kernel.measure(*vector, pitch, roll)
+        return
+    got = _kernel.measure(*vector, pitch, roll)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("samples, angles, error", [

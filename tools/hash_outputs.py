@@ -35,6 +35,14 @@ Each line is ``<part> <digest>``. The parts cover:
   again with a model trained on ``window=6, overlap=4``, and the fv3
   wearers again with one trained on ``window=8, overlap=4`` (each stream
   takes its geometry from its model);
+* ``filter/*``: every frame (angles, sensor id, tick and flags) of a
+  ``ComplementaryFilter`` stepped over each sensor of the quickstart JSON
+  session's held-out sequence, degraded as for ``stream-degraded/*``,
+  from its bootstrap (``filter/bootstrap``) and from an ``initial`` state
+  (``filter/initial``); and over the same rows ``accel_angles``
+  (``filter/accel_angles``) and ``mag_yaw`` at the row's
+  ``accel_angles``, or at (0, 0) where the accelerometer is zero
+  (``filter/mag_yaw``), a zero vector's error read as None;
 * ``cli/*``: the files ``bomi synth``, ``bomi train`` and ``bomi eval``
   write for each quickstart session (the model without its metadata and
   its stored fusion settings and window geometry, as a version-1 file),
@@ -92,7 +100,8 @@ from bomi.dataset_io import (
 )
 from bomi.experiments import evaluate, extract_matrix, predict_many, run_all, train_session
 from bomi.features import extract
-from bomi.fusion import fuse_sequence
+from bomi.errors import UndefinedAttitudeError, UndefinedHeadingError
+from bomi.fusion import ComplementaryFilter, accel_angles, fuse_sequence, mag_yaw
 from bomi.lda import deserialize
 from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
 
@@ -274,6 +283,37 @@ def hash_degraded_stream(rec, model, seq_index: int, smoothing: str = "none") ->
     return h.hexdigest()
 
 
+def filter_steps(seed: int, emit) -> None:
+    """The per-tick filter and its measurements on every sensor of the
+    degraded held-out sequence of the quickstart JSON session."""
+    rec = synth_session(class_count=9, sensor_count=3, noise_deg=0.5, seed=seed)
+    seq, _ = degraded(rec.sequences[-1])
+    dt = 1.0 / rec.sample_rate_hz
+    for part, initial in (("bootstrap", None), ("initial", (80.0, 170.0, -179.0))):
+        h = hashlib.sha256()
+        for si, sid in enumerate(seq.sensor_ids):
+            filt = ComplementaryFilter(dt=dt, sensor_id=sid, initial=initial)
+            frames = [filt.step(t, r[0:3], r[3:6], r[6:9])
+                      for t, r in enumerate(seq.samples[:, si].tolist())]
+            h.update(digest(np.array([(f.pitch, f.roll, f.yaw) for f in frames])).encode())
+            h.update(repr([(f.sensor_id, f.tick, f.flags) for f in frames]).encode())
+        emit(f"filter/{part}", h.hexdigest())
+
+    def measured(fn, *args):
+        try:
+            return fn(*args)
+        except (UndefinedAttitudeError, UndefinedHeadingError):
+            return None
+
+    angles, headings = [], []
+    for r in seq.samples.reshape(-1, 9).tolist():
+        pitch_roll = measured(accel_angles, r[0:3])
+        angles.append(pitch_roll)
+        headings.append(measured(mag_yaw, r[6:9], *(pitch_roll or (0.0, 0.0))))
+    emit("filter/accel_angles", hashlib.sha256(repr(angles).encode()).hexdigest())
+    emit("filter/mag_yaw", hashlib.sha256(repr(headings).encode()).hexdigest())
+
+
 def quickstart(seed: int, work: Path, emit) -> None:
     """The README quick start on both benchmark sessions, through the CLI."""
     sessions = (
@@ -453,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
                                        window=8, overlap=4)
             emit(f"stream-degraded/{name}_o4", hash_degraded_stream(
                 rec, strided, len(rec.sequences)))
+    filter_steps(args.seed, emit)
     with tempfile.TemporaryDirectory() as work:
         quickstart(args.seed, Path(work), emit)
     with tempfile.TemporaryDirectory() as work:
