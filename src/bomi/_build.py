@@ -2,8 +2,8 @@
 
 The one extension holds the complementary filter (entries ``run`` and
 ``tick``) and its measurements, the fv3 statistics, the LDA scores with
-their labels and the reader of recording JSON (whose exact number
-conversion uses GCC's and Clang's ``unsigned __int128``).
+their labels and the readers of recording JSON and CSV (whose exact
+number conversion uses GCC's and Clang's ``unsigned __int128``).
 It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's

@@ -1,8 +1,8 @@
 /* The compiled kernels of bomi, as one CPython extension: the
  * complementary filter and its measurements (bomi.fusion, and the tick of
  * bomi.pipeline's stream), the fv3 statistics of bomi.features, the LDA
- * scores of bomi.lda and the recording JSON reader of bomi.dataset_io.
- * The filter has two entries over one bootstrap and one advance: `run`
+ * scores of bomi.lda and the recording JSON and CSV readers of
+ * bomi.dataset_io. The filter has two entries over one bootstrap and one advance: `run`
  * for a whole sequence and `tick` for one tick.
  *
  * Every filter value is formed by the same IEEE operations, in the same
@@ -84,6 +84,22 @@
  *     NumPy converts it (the integer token -0 is +0.0). Any other text, a
  *     token outside RFC 8259's number grammar and one that rounds to an
  *     infinity return None.
+ * read_csv(data, start, ints, floats) -> bytearray or None
+ *     Read the data rows of a recording CSV's bytes, from byte `start` (the
+ *     first byte after the header line), in one pass, in file order: each
+ *     row is one record of an int64 per index of `ints` then a float64 per
+ *     index of `floats`, the fields of those 0-based columns, with no
+ *     Python object per number. It takes rows of comma-separated fields
+ *     that end with LF or CRLF (the last may end the text), blank lines
+ *     between them, columns past and between the read ones (each
+ *     printable ASCII but the quote, skipped) and rows of any length that
+ *     hold every read column. An int64 field is an integer token of
+ *     read_json's labels, a float64 field a number token of its samples,
+ *     with the same value but for the integer token -0, which is -0.0 as
+ *     np.loadtxt reads it. Any other byte (a quote, a control byte other
+ *     than the line ends, non-ASCII, a lone CR), a short row and any other
+ *     token (a space around it, `+1`, `.5`, `01`, `inf`, one that rounds
+ *     to an infinity) return None.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
@@ -1300,6 +1316,160 @@ fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* ---- Recording CSV ----
+ *
+ * A reader of the data rows of a recording CSV, which answers REFUSED for
+ * any text np.loadtxt might read otherwise or refuse; bomi.dataset_io then
+ * reads the file with np.loadtxt. Its numbers are read_label's and
+ * read_sample's tokens. */
+
+/* Most columns a row is read into: the 4 keys and 9 values of a
+ * recording need 13. */
+enum { MAX_CSV_SLOTS = 32 };
+
+/* Append the column indices of the sequence `cols` to col[*n ...]. */
+static int
+get_columns(PyObject *cols, Py_ssize_t *col, int *n)
+{
+    PyObject *seq = PySequence_Fast(cols, "read_csv() columns must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    int ok = *n + len <= MAX_CSV_SLOTS;
+    for (Py_ssize_t i = 0; ok && i < len; i++) {
+        Py_ssize_t v = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i));
+        if (v == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        ok = v >= 0;
+        col[(*n)++] = v;
+    }
+    Py_DECREF(seq);
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "read_csv() takes at most %d column indices, each "
+                     "at least 0", MAX_CSV_SLOTS);
+    return ok ? 0 : -1;
+}
+
+/* The end of an unused field: it runs over printable ASCII but the quote,
+ * to the first other byte, which must be a delimiter. */
+static inline const unsigned char *
+skip_field(const unsigned char *p, const unsigned char *end)
+{
+    while (p < end && *p >= 0x20 && *p < 0x7f && *p != '"' && *p != ',')
+        p++;
+    return p;
+}
+
+/* The fields of one data row into the record `row`: slot s of the n_slots
+ * (ordered by column in `order`) reads column col[s], as an int64 when
+ * s < n_int and a float64 otherwise. Leaves c->p at the row's delimiter. */
+static int
+read_csv_row(Cursor *c, const Py_ssize_t *col, const int *order, int n_int, int n_slots,
+             char *row)
+{
+    int k = 0;
+    for (Py_ssize_t field = 0;; field++) {
+        const unsigned char *start = c->p;
+        if (k < n_slots && col[order[k]] == field) {
+            /* A column named more than once is read once per slot. */
+            for (; k < n_slots && col[order[k]] == field; k++) {
+                int s = order[k], r;
+                c->p = start;
+                if (s < n_int)
+                    r = read_label(c, (int64_t *)(row + 8 * s));
+                else {
+                    double *v = (double *)(row + 8 * s);
+                    r = read_sample(c, v);
+                    /* np.loadtxt reads the integer token -0 as -0.0. */
+                    if (r == READ_OK && *start == '-' && *v == 0.0)
+                        *v = -0.0;
+                }
+                if (r != READ_OK)
+                    return r;
+            }
+        }
+        else
+            c->p = skip_field(c->p, c->end);
+        if (c->p >= c->end || *c->p != ',')
+            return k == n_slots ? READ_OK : REFUSED;   /* else a short row */
+        c->p++;
+    }
+}
+
+static PyObject *
+fuse_read_csv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "read_csv() takes 4 arguments");
+        return NULL;
+    }
+    Py_ssize_t start = PyLong_AsSsize_t(args[1]), col[MAX_CSV_SLOTS];
+    int n_int = 0, n_slots = 0, order[MAX_CSV_SLOTS];
+    if ((start == -1 && PyErr_Occurred()) || get_columns(args[2], col, &n_int) < 0)
+        return NULL;
+    n_slots = n_int;
+    if (get_columns(args[3], col, &n_slots) < 0)
+        return NULL;
+    /* The slots in column order (stable), so one pass over a row's fields
+     * fills them. */
+    for (int i = 0; i < n_slots; i++) {
+        int j = i;
+        for (; j > 0 && col[order[j - 1]] > col[i]; j--)
+            order[j] = order[j - 1];
+        order[j] = i;
+    }
+    Py_buffer view;
+    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+        return NULL;
+    if (start < 0 || start > view.len) {
+        PyErr_SetString(PyExc_ValueError, "read_csv() start lies outside the data");
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    const unsigned char *data = view.buf;
+    Cursor c = {data + start, data + view.len};
+    /* Each row but the last ends with a newline, so there are at most
+     * newlines + 1 of them. */
+    Py_ssize_t size = 8 * (Py_ssize_t)n_slots, rows = 0, most = 1;
+    for (const unsigned char *q = c.p; (q = memchr(q, '\n', c.end - q)) != NULL; q++)
+        most++;
+    PyObject *out = size && most > PY_SSIZE_T_MAX / size ? PyErr_NoMemory()
+                    : PyByteArray_FromStringAndSize(NULL, most * size);
+    int r = out == NULL ? READ_FAILED : READ_OK;
+    while (r == READ_OK && c.p < c.end) {
+        /* A blank line holds no row. */
+        if (*c.p == '\n' || (*c.p == '\r' && c.p + 1 < c.end && c.p[1] == '\n')) {
+            c.p += *c.p == '\r' ? 2 : 1;
+            continue;
+        }
+        r = read_csv_row(&c, col, order, n_int, n_slots,
+                         PyByteArray_AS_STRING(out) + rows * size);
+        if (r != READ_OK)
+            break;
+        rows++;
+        /* The row ends at LF, CRLF or the end of the text; any other byte
+         * (a quote, a control byte, non-ASCII, a lone CR, a token's tail)
+         * is refused. */
+        if (c.p < c.end && *c.p == '\n')
+            c.p++;
+        else if (c.p + 1 < c.end && c.p[0] == '\r' && c.p[1] == '\n')
+            c.p += 2;
+        else if (c.p < c.end)
+            r = REFUSED;
+    }
+    PyBuffer_Release(&view);
+    if (r == READ_OK && PyByteArray_Resize(out, rows * size) < 0)
+        r = READ_FAILED;
+    if (r == READ_OK)
+        return out;
+    Py_XDECREF(out);
+    if (r == REFUSED)
+        Py_RETURN_NONE;
+    return NULL;
+}
+
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
@@ -1317,13 +1487,16 @@ static PyMethodDef fuse_methods[] = {
     {"read_json", (PyCFunction)(void (*)(void))fuse_read_json, METH_FASTCALL,
      "Read a recording JSON's labels and sample blocks into bytearrays and its other "
      "top-level values as byte spans; None for text outside the shape it takes."},
+    {"read_csv", (PyCFunction)(void (*)(void))fuse_read_csv, METH_FASTCALL,
+     "Read a recording CSV's data rows into a bytearray of int64 and float64 records; "
+     "None for text outside the shape it takes."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
     "The compiled kernels of bomi: the complementary filter, the stream's tick, the fv3 "
-    "statistics, the LDA scores and the recording JSON reader.", -1,
+    "statistics, the LDA scores and the recording JSON and CSV readers.", -1,
     fuse_methods,
 };
 

@@ -15,7 +15,9 @@ Canonical formats:
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
   any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate and
-  no layout, so it loads with its sensors in id order.
+  no layout, so it loads with its sensors in id order. Its rows are read
+  by the compiled kernel's ``read_csv`` (``np.loadtxt`` reads what it
+  refuses).
 
 Both writers spell a float as orjson does: the shortest text that reads
 back exactly.
@@ -760,32 +762,75 @@ def _label_conflict(path: Path, rows: np.ndarray) -> ParseError:
     raise AssertionError("no conflicting labels")
 
 
-def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
-    mapping = mapping or ImportMapping()
-    # Test for None, not falsiness: a rate of 0 must reach the rate check.
-    rate = _RATE_HZ if mapping.sample_rate_hz is None else mapping.sample_rate_hz
+def _csv_fields(mapping: ImportMapping) -> tuple[list[str], np.dtype]:
+    """The header names of the key and value columns under ``mapping``, and
+    the dtype of a data row: the int64 keys, then the (9,) float64 values
+    ((3,) pitch, roll and yaw in angles mode)."""
     values = ("pitch", "roll", "yaw") if mapping.mode == "angles" else CSV_HEADER[2:11]
-    width = len(values)
+    names = [mapping.actual(c) for c in (*_CSV_KEYS, *values)]
+    dtype = np.dtype(
+        [(k, np.int64) for k in _CSV_KEYS] + [("values", np.float64, (len(values),))]
+    )
+    return names, dtype
 
+
+def _usecols(header: list[str], names: list[str]) -> list[int]:
+    """The column of each of ``names`` in ``header``; a repeated column name
+    means its last column, as in csv.DictReader. SchemaError naming the
+    missing names."""
+    index = {name: i for i, name in enumerate(header)}
+    missing = [a for a in names if a not in index]
+    if missing:
+        raise SchemaError(f"missing CSV columns: {missing}")
+    return [index[a] for a in names]
+
+
+# The bytes of a header line the compiled route splits at its commas, as
+# csv.reader splits it: printable ASCII but the quote.
+_PLAIN_HEADER = bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _read_csv_compiled(data: bytes, mapping: ImportMapping | None = None) -> np.ndarray | None:
+    """The data rows of the recording CSV ``data`` as the kernel's
+    ``read_csv`` reads them, or None when it refuses the text.
+
+    The rows are the structured array ``np.loadtxt`` gives for the file,
+    bit for bit, in file order, read in one pass with no Python object per
+    field. The route takes a header line of printable ASCII but the quote,
+    naming every column ``mapping`` reads, and then only the shape
+    ``save_recording`` writes, in any row order, with LF or CRLF line
+    ends, blank lines, no final newline and unquoted extra columns."""
+    mapping = mapping or ImportMapping()
+    end = data.find(b"\n")
+    start = len(data) if end < 0 else end + 1
+    line = data[:start].removesuffix(b"\n").removesuffix(b"\r")
+    if not line or line.translate(None, _PLAIN_HEADER):
+        return None
+    names, dtype = _csv_fields(mapping)
+    try:
+        usecols = _usecols(line.decode("ascii").split(","), names)
+    except SchemaError:
+        return None
+    keys = len(_CSV_KEYS)
+    rows = _kernel.read_csv(data, start, usecols[:keys], usecols[keys:])
+    return None if rows is None else np.frombuffer(rows, dtype=dtype)
+
+
+def _loadtxt_rows(path: Path, mapping: ImportMapping) -> np.ndarray:
+    """The data rows of the CSV at ``path`` as ``np.loadtxt`` reads them,
+    quoted fields included, its header read by csv.reader; a ParseError
+    naming the physical line of the first row it cannot parse."""
+    names, dtype = _csv_fields(mapping)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise ParseError("empty CSV file", line=1)
-            # A repeated column name means its last column, as in csv.DictReader.
-            index = {name: i for i, name in enumerate(header)}
-            actual = [mapping.actual(c) for c in (*_CSV_KEYS, *values)]
-            missing = [a for a in actual if a not in index]
-            if missing:
-                raise SchemaError(f"missing CSV columns: {missing}")
-            usecols = [index[a] for a in actual]
-            dtype = np.dtype(
-                [(k, np.int64) for k in _CSV_KEYS] + [("values", np.float64, (width,))]
-            )
+            usecols = _usecols(header, names)
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(
+                    return np.loadtxt(
                         fh, delimiter=",", usecols=usecols, dtype=dtype,
                         quotechar='"', comments=None, ndmin=1,
                     )
@@ -793,6 +838,21 @@ def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
                 raise _parse_failure(path, usecols, len(header), exc) from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"unreadable CSV: {exc}") from exc
+
+
+def _load_csv(path: Path, mapping: ImportMapping | None) -> SessionRecording:
+    """The recording of the CSV at ``path``: its rows read by
+    ``_read_csv_compiled`` when it takes the text, else by
+    ``np.loadtxt``, which gives the same values and the errors and line
+    numbers of malformed text; then grouped by sequence, tick and sensor
+    and scaled (or turned from angles into raw samples) by ``mapping``."""
+    mapping = mapping or ImportMapping()
+    # Test for None, not falsiness: a rate of 0 must reach the rate check.
+    rate = _RATE_HZ if mapping.sample_rate_hz is None else mapping.sample_rate_hz
+    # The file's bytes are a temporary, dropped before the rows are grouped.
+    rows = _read_csv_compiled(path.read_bytes(), mapping)
+    if rows is None:
+        rows = _loadtxt_rows(path, mapping)
 
     if len(rows) == 0:
         raise ParseError("CSV contains no data rows", line=2)
@@ -867,6 +927,12 @@ def load_recording(
     refuses it too; each gives the same values bit for bit. A sample that
     is a bool or a string, or a ``meta`` that is not an object, is a
     SchemaError.
+
+    A CSV is read as bytes once, and its rows by the compiled kernel's
+    ``read_csv`` in one pass when the text has the shape
+    ``save_recording`` writes (any row order, LF or CRLF, blank lines,
+    unquoted extra columns), else by ``np.loadtxt``, which gives the
+    same values bit for bit and names the line of a row it cannot parse.
 
     Args:
         path: file to read; a ``.json`` or ``.csv`` suffix names the format.

@@ -203,6 +203,15 @@ class ComplementaryFilter:
             self._last[0] = 0.0
             self._state[0] = initial
 
+    def __copy__(self) -> "ComplementaryFilter":
+        """A filter at this one's state that steps on its own: a shallow
+        copy holds copies of the state arrays, not the arrays themselves."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin._last, twin._state, twin._bits = (
+            self._last.copy(), self._state.copy(), self._bits.copy())
+        return twin
+
     def step(self, tick: int, acc, gyro, mag) -> OrientationFrame:
         """Advance the filter by one sample and return the fused frame.
 

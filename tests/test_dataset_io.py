@@ -6,6 +6,7 @@ import re
 import struct
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -16,7 +17,9 @@ from bomi.cli import main
 from bomi.dataset_io import (
     CSV_HEADER,
     _MAX_JSON_DEPTH,
+    _loadtxt_rows,
     _read_compiled,
+    _read_csv_compiled,
     _rec_from_dict,
     ImportMapping,
     Sequence,
@@ -1154,6 +1157,209 @@ class TestCompiledJson:
         else:
             with pytest.raises(ParseError, match=re.escape(expected)):
                 load_recording(path, validate="none")
+
+
+# Float tokens in read_sample's grammar that np.loadtxt reads too: the
+# shortest spellings of any finite float (signed zeros, subnormals,
+# exponents to +-308), the integer token -0, integers past 19 digits, and
+# mantissas of 17 to 30 digits with exponents past the double range, which
+# round to zero (one that rounds to an infinity is refused, as "1e999").
+CSV_FLOAT_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: orjson.dumps(v).decode()),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["0", "-0", "-0.0", "0E0", "-0e-5", "5e-324", "-2.4703282292062328e-324",
+                     "2.2250738585072011e-308", "1e-400", "-1e-400", "1E+308"]),
+    st.builds(lambda sign, digits, exp: f"{sign}{digits[0]}.{digits[1:]}e{exp}",
+              st.sampled_from(["", "-"]), st.text("0123456789", min_size=17, max_size=30),
+              st.integers(-345, 308)).filter(lambda token: math.isfinite(float(token))),
+)
+
+# Float tokens np.loadtxt reads and the compiled route refuses.
+CSV_REFUSED_TOKENS = st.sampled_from(
+    ["+1", ".5", "1.", "01", "-01", "inf", "-inf", "nan", "1e999", " 1.5", "1.5 ", "\t2"])
+
+# Unquoted extra fields: printable ASCII but the quote and the comma.
+CSV_EXTRA_FIELDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                         blacklist_characters='",'), max_size=6)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, refused token or None): a recording CSV of 1-2 sequences of
+    1-4 ticks of 1-3 sensors, its columns in any order among 0-2 extra
+    ones, rows shuffled, blank lines, LF or CRLF per line and perhaps no
+    final newline; its float tokens from CSV_FLOAT_TOKENS, but for one
+    from CSV_REFUSED_TOKENS when the second item is not None."""
+    extras = draw(st.lists(st.sampled_from(["note", "x", "id2"]), max_size=2, unique=True))
+    header = draw(st.permutations([*CSV_HEADER, *extras]))
+    sensors = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    rows = []
+    for qi in range(1, draw(st.integers(1, 2)) + 1):
+        for t in range(draw(st.integers(1, 4))):
+            label = draw(st.integers(0, 3))
+            for sid in sensors:
+                fields = dict(zip(CSV_HEADER[2:11], draw(st.lists(
+                    CSV_FLOAT_TOKENS, min_size=9, max_size=9))))
+                fields.update({name: draw(CSV_EXTRA_FIELDS) for name in extras})
+                # The integer token -0 reads as tick 0.
+                fields.update(tick=draw(st.sampled_from(["0", "-0"])) if t == 0 else str(t),
+                              sensor_id=str(sid), label=str(label), sequence=str(qi))
+                rows.append(fields)
+    rows = draw(st.permutations(rows))
+    refused = draw(st.none() | CSV_REFUSED_TOKENS)
+    if refused is not None:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from(CSV_HEADER[2:11]))] = refused
+    lines = [",".join(header)] + [",".join(row[name] for name in header) for row in rows]
+    for i in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+        lines.insert(i, "")
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode(), refused
+
+
+def labeled_lines():
+    """Header on line 1, then ticks 0-2 of sensors 1 and 2 on lines 2-7,
+    labels 0, 1, 0, so the file holds two classes."""
+    return [HEADER] + [csv_row(t, s, label=t % 2) for t in range(3) for s in (1, 2)]
+
+
+def csv_text(lines, end="\n") -> bytes:
+    return "".join(line + end for line in lines).encode()
+
+
+def respelled(line: int, old: str, new: str) -> bytes:
+    """The text of labeled_lines with ``old`` spelled ``new`` on ``line``."""
+    lines = labeled_lines()
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    return csv_text(lines)
+
+
+PLAIN_CSV = csv_text(labeled_lines())
+ACC_X_ONE = respelled(4, "0.5", "1")
+
+# (text outside the compiled route's shape, what it loads as: the text it
+# loads equal to or the error of before): np.loadtxt reads each.
+CSV_OUTSIDE_THE_SHAPE = [
+    pytest.param(respelled(4, "0.5", '"0.5"'), PLAIN_CSV, id="quoted-field"),
+    pytest.param(respelled(1, "tick", '"tick"'), PLAIN_CSV, id="quoted-header"),
+    pytest.param(csv_text([HEADER + ",note"] + [line + ',"a, b"' for line in labeled_lines()[1:]]),
+                 PLAIN_CSV, id="quoted-extra-field"),
+    pytest.param(csv_text([HEADER + ",note"] + [line + ",café" for line in labeled_lines()[1:]]),
+                 PLAIN_CSV, id="non-ascii-extra-field"),
+    pytest.param(csv_text([HEADER + ",note"] + [line + ",a\x00b" for line in labeled_lines()[1:]]),
+                 PLAIN_CSV, id="control-byte-in-extra-field"),
+    pytest.param(PLAIN_CSV.replace(b"\n", b"\r", 1), PLAIN_CSV, id="lone-cr-after-header"),
+    pytest.param(PLAIN_CSV.replace(b"\n", b"\r", 3).replace(b"\r", b"\n", 2), PLAIN_CSV,
+                 id="lone-cr-between-rows"),
+    pytest.param(respelled(4, "0.5", " 0.5"), PLAIN_CSV, id="space-before"),
+    pytest.param(respelled(4, "0.5", "0.5 "), PLAIN_CSV, id="space-after"),
+    pytest.param(respelled(4, "0.5", "\t0.5"), PLAIN_CSV, id="tab-before"),
+    pytest.param(respelled(4, "0.5", "+1"), ACC_X_ONE, id="plus"),
+    pytest.param(respelled(4, "0.5", ".5"), PLAIN_CSV, id="leading-dot"),
+    pytest.param(respelled(4, "0.5", "1."), ACC_X_ONE, id="trailing-dot"),
+    pytest.param(respelled(4, "0.5", "01"), ACC_X_ONE, id="leading-zero"),
+    pytest.param(respelled(4, "1,1,", "+1,1,"), PLAIN_CSV, id="plus-tick"),
+    pytest.param(respelled(4, ",1,1", ",01,1"), PLAIN_CSV, id="leading-zero-label"),
+    *(pytest.param(respelled(4, "0.5", token), (ValidationError,
+                                                 "sequence 1 sensor 1: non-finite samples"),
+                   id=token) for token in ("inf", "nan", "1e999")),
+    pytest.param(respelled(4, ",1,1", ",1.0,1"), (ParseError, "line 4: malformed row: "
+                 "invalid literal for int() with base 10: '1.0'"), id="fraction-label"),
+    pytest.param(respelled(4, "0.5", "0x1p-1"), (ParseError, "line 4: malformed row: "
+                 "could not convert string to float: '0x1p-1'"), id="hex-float"),
+    pytest.param(csv_text(labeled_lines()[:4] + [",".join(labeled_lines()[4].split(",")[:5])]
+                          + labeled_lines()[5:]),
+                 (ParseError, "line 5: malformed row: expected 13 fields, got 5"),
+                 id="short-row"),
+    pytest.param(b"\xef\xbb\xbf" + PLAIN_CSV, (SchemaError, "missing CSV columns: ['tick']"),
+                 id="byte-order-mark"),
+]
+
+
+def loadtxt_route():
+    """Make load_recording read every CSV with np.loadtxt."""
+    return mock.patch("bomi.dataset_io._read_csv_compiled", lambda data, mapping=None: None)
+
+
+class TestCompiledCsv:
+    """The kernel's read_csv takes the shape save_recording writes and
+    gives the rows np.loadtxt gives; anything else goes to np.loadtxt as
+    before."""
+
+    @given(text=csv_texts())
+    @settings(max_examples=150)
+    def test_compiled_route_reads_what_loadtxt_reads_bit_for_bit(self, tmp_path_factory, text):
+        data, refused = text
+        path = tmp_path_factory.mktemp("compiled-csv") / "rec.csv"
+        path.write_bytes(data)
+        compiled = _read_csv_compiled(data)
+        if refused is not None:
+            assert compiled is None
+            return
+        expected = _loadtxt_rows(path, ImportMapping())
+        assert compiled is not None
+        assert compiled.dtype == expected.dtype
+        assert compiled.tobytes() == expected.tobytes()
+        actual = outcome(lambda: load_recording(path, validate="none"))
+        with loadtxt_route():
+            before = outcome(lambda: load_recording(path, validate="none"))
+        if isinstance(before, SessionRecording):
+            assert_same_recording(actual, before)
+        else:
+            assert actual == before
+
+    def test_saved_files_take_the_compiled_route(self, small_noisy, tmp_path):
+        path = tmp_path / "rec.csv"
+        save_recording(small_noisy, path)
+        compiled = _read_csv_compiled(path.read_bytes())
+        assert compiled is not None
+        assert compiled.tobytes() == _loadtxt_rows(path, ImportMapping()).tobytes()
+        with mock.patch("bomi.dataset_io._loadtxt_rows", side_effect=AssertionError):
+            assert_same_recording(load_recording(path, validate="none"), small_noisy)
+
+    def test_the_angles_mode_and_renamed_columns_take_the_compiled_route(self, tmp_path):
+        lines = ["sample,sensor_id,pitch,roll,yaw,label,sequence",
+                 *(f"{t},{sid},{t / 7!r},-0,{-t / 3!r},{t % 2},1" for t in range(6)
+                   for sid in (1, 2))]
+        path = write_lines(tmp_path / "angles.csv", lines)
+        mapping = ImportMapping(mode="angles", columns={"tick": "sample"})
+        compiled = _read_csv_compiled(path.read_bytes(), mapping)
+        assert compiled is not None
+        assert compiled.tobytes() == _loadtxt_rows(path, mapping).tobytes()
+        # The integer token -0 is -0.0, as np.loadtxt reads it.
+        assert str(compiled["values"][0, 1]) == "-0.0"
+        with mock.patch("bomi.dataset_io._loadtxt_rows", side_effect=AssertionError):
+            actual = load_recording(path, mapping=mapping, validate="none")
+        with loadtxt_route():
+            assert_same_recording(actual, load_recording(path, mapping=mapping, validate="none"))
+
+    @pytest.mark.parametrize("data, expected", CSV_OUTSIDE_THE_SHAPE)
+    def test_text_outside_the_shape_loads_as_before(self, tmp_path, data, expected):
+        assert _read_csv_compiled(data) is None
+        path = tmp_path / "rec.csv"
+        path.write_bytes(data)
+        actual = outcome(lambda: load_recording(path, validate="none"))
+        if isinstance(expected, bytes):
+            assert _read_csv_compiled(expected) is not None
+            path.write_bytes(expected)
+            assert_same_recording(actual, load_recording(path, validate="none"))
+        else:
+            assert actual == expected
+
+    def test_kernel_checks_its_arguments(self):
+        data = PLAIN_CSV
+        start = data.index(b"\n") + 1
+        assert len(_kernel.read_csv(data, start, [12, 0, 1, 11], range(2, 11))) == 6 * 13 * 8
+        assert len(_kernel.read_csv(data, len(data), [0], [])) == 0
+        with pytest.raises(ValueError, match="start"):
+            _kernel.read_csv(data, len(data) + 1, [0], [])
+        with pytest.raises(ValueError, match="column indices"):
+            _kernel.read_csv(data, start, [-1], [])
+        with pytest.raises(ValueError, match="column indices"):
+            _kernel.read_csv(data, start, range(20), range(20))
 
 
 class TestCsvCodec:

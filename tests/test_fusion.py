@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +231,17 @@ def test_filter_rejects_bad_rows_and_stays_unchanged(initial, acc, gyro, mag):
                        match=r"sensor 4 at tick 1: expected 9 finite numbers, got "):
         filt.step(1, acc, gyro, mag)
     assert filt.step(1, *good) == untouched.step(1, *good)
+
+
+@pytest.mark.parametrize("initial", [None, (80.0, 170.0, -179.0)])
+def test_a_shallow_copy_steps_on_its_own(initial):
+    first = world_to_body((0, 0, 1), yaw=0.0, pitch=10.0, roll=5.0), (1.0, -2.0, 3.0), MAG_LEVEL
+    then = world_to_body((0, 0, 1), yaw=20.0, pitch=-4.0, roll=9.0), (5.0, 0.5, -7.0), MAG_LEVEL
+    filt = ComplementaryFilter(sensor_id=4, initial=initial)
+    filt.step(0, *first)
+    twin = copy.copy(filt)
+    assert twin == filt
+    assert filt.step(1, *then) == twin.step(1, *then)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -53,9 +53,13 @@ Each line is ``<part> <digest>``. The parts cover:
   tables, the confusion CSVs) for the studies recordings;
 * ``csv/*``: every array, the sensor ids and the class count of
   ``load_recording`` on each quickstart session written as CSV, on a
-  copy with its rows shuffled, on a foreign copy (renamed columns, an
-  extra quoted text column, ``scale.*`` factors through ``ImportMapping``)
-  and on an angles-mode file of its fused angles;
+  copy with its rows shuffled, on a copy with CRLF line ends and a blank
+  line between rows (``csv/*_crlf``), on a foreign copy (renamed columns,
+  an extra quoted text column, ``scale.*`` factors through
+  ``ImportMapping``) and on an angles-mode file of its fused angles. The
+  compiled CSV reader takes every file but the foreign one, whose quotes
+  make it refuse the text, so ``np.loadtxt`` reads it; the tool stops if
+  a file takes the other route;
 * ``json/*``: what ``load_recording`` reads (as ``cli/recording_values_*``
   digests it) from the quickstart JSON session and from P4, each saved
   compact, which the compiled JSON reader reads, and as
@@ -109,6 +113,10 @@ try:
     from bomi.dataset_io import _read_compiled
 except ImportError:  # a checkout from before the compiled JSON reader
     _read_compiled = None
+try:
+    from bomi.dataset_io import _read_csv_compiled
+except ImportError:  # a checkout from before the compiled CSV reader
+    _read_csv_compiled = None
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
@@ -418,7 +426,11 @@ def csv_loads(seed: int, work: Path, emit) -> None:
         scale_acc=9.81, scale_gyro=0.0175, scale_mag=1e-3,
     )
 
-    def emit_load(part: str, path: Path, mapping=None) -> None:
+    def emit_load(part: str, path: Path, mapping=None, compiled: bool = True) -> None:
+        if (_read_csv_compiled is not None
+                and (_read_csv_compiled(path.read_bytes(), mapping) is not None) != compiled):
+            raise RuntimeError(f"{path}: the compiled CSV reader "
+                               f"{'refuses' if compiled else 'takes'} the text")
         rec = load_recording(path, mapping=mapping, validate="none")
         layout = repr((rec.sensor_ids, rec.class_count, rec.sample_rate_hz))
         emit(f"csv/{part}", hashlib.sha256(
@@ -434,12 +446,15 @@ def csv_loads(seed: int, work: Path, emit) -> None:
         shuffled.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n",
                             encoding="utf-8")
         emit_load(f"{name}_shuffled", shuffled)
+        crlf = work / f"crlf_{name}.csv"
+        crlf.write_bytes(("\r\n\r\n".join([header, *rows]) + "\r\n").encode())
+        emit_load(f"{name}_crlf", crlf)
         renamed = ",".join(foreign.actual(c) for c in header.split(","))
         mapped = work / f"foreign_{name}.csv"
         mapped.write_text("\n".join([f"{renamed},note", *(
             f'{row},"take {i % 7}, left side"' for i, row in enumerate(rows))]) + "\n",
             encoding="utf-8")
-        emit_load(f"{name}_foreign", mapped, foreign)
+        emit_load(f"{name}_foreign", mapped, foreign, compiled=False)
         angles = work / f"angles_{name}.csv"
         lines = ["tick,sensor_id,pitch,roll,yaw,label,sequence"]
         for qi, seq in enumerate(rec.sequences, start=1):
