@@ -1,9 +1,10 @@
 """Compile and load bomi's kernels, ``_fuse.c``, when bomi.fusion is imported.
 
 The one extension holds the complementary filter (entries ``run`` and
-``tick``) and its measurements, the fv3 statistics, the LDA scores with
-their labels and the readers of recording JSON and CSV (whose exact
-number conversion uses GCC's and Clang's ``unsigned __int128``).
+``tick``) and its measurements, the fv3 statistics, the LDA class
+moments (``moments``), the LDA scores with their labels and the readers
+of recording JSON and CSV (whose exact number conversion uses GCC's and
+Clang's ``unsigned __int128``).
 It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's

@@ -1,8 +1,8 @@
 /* The compiled kernels of bomi, as one CPython extension: the
  * complementary filter and its measurements (bomi.fusion, and the tick of
  * bomi.pipeline's stream), the fv3 statistics of bomi.features, the LDA
- * scores of bomi.lda and the recording JSON and CSV readers of
- * bomi.dataset_io. The filter has two entries over one bootstrap and one advance: `run`
+ * class moments and scores of bomi.lda and the recording JSON and CSV
+ * readers of bomi.dataset_io. The filter has two entries over one bootstrap and one advance: `run`
  * for a whole sequence and `tick` for one tick.
  *
  * Every filter value is formed by the same IEEE operations, in the same
@@ -67,6 +67,21 @@
  *     class 0 when it is among the tied, else the lowest tied of the (K,)
  *     int64 `classes`. Return the first row with a NaN score or an
  *     infinite best score, or -1.
+ * moments(X, index, counts, means, centered) -> bool
+ *     The class means and the centered rows LDA fits with, of a
+ *     C-contiguous (N, d) float64 matrix whose row i is of class
+ *     index[i] ((N,) int64, each in [0, K)), bit for bit numpy's
+ *     X[index == c].mean(axis=0) and X[index == c] - mean: one sweep in
+ *     row order adds each row into its class's sum, each sum is divided
+ *     by its count, and a second sweep writes each row less its class's
+ *     mean. A sum is numpy's axis-0 reduce, a left fold in row order from
+ *     its identity +0.0 (so a column of -0.0 has the mean +0.0); when d is
+ *     1, numpy sums a class's values pairwise, and so does the entry, then
+ *     adds them to +0.0. `counts` ((K,) int64) must be the number of rows
+ *     of each class; the C-contiguous float64 outputs are `means` (K, d)
+ *     and `centered` (N, d), and neither may overlap X. Every index and
+ *     count is checked before anything is written. Return whether X holds
+ *     a NaN or an infinity.
  * read_json(data, max_depth) -> (spans, sequences) or None
  *     Read the bytes of a recording JSON in one pass. Each sequence's
  *     labels go into a bytearray of int64 and each sensor block into a
@@ -820,6 +835,150 @@ done:
     return result;
 }
 
+/* numpy's pairwise sum of x[0 .. n) (pairwise_sum of its float64 add
+ * loop): below 8 values a left fold from -0.0; up to 128, eight
+ * interleaved accumulators combined as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)), then the rest added in order; above, the two
+ * halves, split at a multiple of 8, summed apart. */
+static double
+pairwise_sum(const double *x, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res = res + x[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = x[j];
+        for (i = 8; i < n - n % 8; i += 8) {
+            for (int j = 0; j < 8; j++)
+                r[j] = r[j] + x[i + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res = res + x[i];
+        return res;
+    }
+    Py_ssize_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half) + pairwise_sum(x + half, n - half);
+}
+
+static PyObject *
+fuse_moments(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer v[5];   /* X, index, counts, means, centered */
+    int got = 0;
+    Py_ssize_t n = 0, d = 0, k = 0, *end = NULL;
+    PyObject *result = NULL;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "moments() takes 5 arguments");
+        return NULL;
+    }
+    if (get_array(args[0], &v[0], 0, "d", sizeof(double), 2, (Py_ssize_t[]){-1, -1},
+                  "X of float64 and shape (N, d)") < 0)
+        goto done;
+    got++;
+    n = v[0].shape[0];
+    d = v[0].shape[1];
+    /* numpy spells int64 'l' or 'q'. */
+    if (get_array(args[1], &v[1], 0, "lq", sizeof(int64_t), 1, (Py_ssize_t[]){n},
+                  "index of int64 and shape (N,)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[2], &v[2], 0, "lq", sizeof(int64_t), 1, (Py_ssize_t[]){-1},
+                  "counts of int64 and shape (K,)") < 0)
+        goto done;
+    got++;
+    k = v[2].shape[0];
+    if (get_array(args[3], &v[3], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){k, d}, "means of float64 and shape (K, d)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[4], &v[4], PyBUF_WRITABLE, "d", sizeof(double), 2,
+                  (Py_ssize_t[]){n, d}, "centered of float64 and shape (N, d)") < 0)
+        goto done;
+    got++;
+
+    const double *x = v[0].buf;
+    const int64_t *index = v[1].buf, *counts = v[2].buf;
+    double *means = v[3].buf, *centered = v[4].buf;
+    /* Every index and count is checked before anything is written: end[c]
+     * tallies class c's rows (and marks its run when d is 1). */
+    end = PyMem_Calloc(k + 1, sizeof *end);
+    if (end == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (index[i] < 0 || index[i] >= k) {
+            PyErr_Format(PyExc_ValueError, "moments() index %lld of row %zd is outside [0, %zd)",
+                         (long long)index[i], i, k);
+            goto done;
+        }
+        end[index[i]]++;
+    }
+    for (Py_ssize_t c = 0; c < k; c++) {
+        if (counts[c] != end[c]) {
+            PyErr_Format(PyExc_ValueError, "moments() counts[%zd] is %lld, but %zd rows "
+                         "have index %zd", c, (long long)counts[c], end[c], c);
+            goto done;
+        }
+    }
+
+    if (d == 1) {
+        /* numpy sums a one-column class pairwise: group each class's
+         * values, in row order, in `centered`, and sum each run there. */
+        for (Py_ssize_t c = 1; c < k; c++)
+            end[c] += end[c - 1];
+        for (Py_ssize_t i = n - 1; i >= 0; i--)
+            centered[--end[index[i]]] = x[i];
+        for (Py_ssize_t c = 0; c < k; c++)
+            means[c] = (0.0 + pairwise_sum(centered + end[c], counts[c])) / (double)counts[c];
+    }
+    else {
+        /* numpy's axis-0 reduce of a class's rows: each column a left fold
+         * in row order from the add identity, +0.0. */
+        memset(means, 0, (size_t)(k * d) * sizeof(double));
+        for (Py_ssize_t i = 0; i < n; i++) {
+            const double *row = x + i * d;
+            double *sum = means + index[i] * d;
+            for (Py_ssize_t j = 0; j < d; j++)
+                sum[j] = sum[j] + row[j];
+        }
+        for (Py_ssize_t c = 0; c < k; c++) {
+            for (Py_ssize_t j = 0; j < d; j++)
+                means[c * d + j] = means[c * d + j] / (double)counts[c];
+        }
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const double *row = x + i * d, *mean = means + index[i] * d;
+        double *out = centered + i * d;
+        for (Py_ssize_t j = 0; j < d; j++)
+            out[j] = row[j] - mean[j];
+    }
+    /* A non-finite value makes its class's mean non-finite; X is read
+     * again only when a mean is, since a finite X can overflow a sum. */
+    int nonfinite = 0;
+    for (Py_ssize_t i = 0; !nonfinite && i < k * d; i++)
+        nonfinite = !isfinite(means[i]);
+    if (nonfinite) {
+        nonfinite = 0;
+        for (Py_ssize_t i = 0; !nonfinite && i < n * d; i++)
+            nonfinite = !isfinite(x[i]);
+    }
+    result = PyBool_FromLong(nonfinite);
+done:
+    PyMem_Free(end);
+    while (got > 0)
+        PyBuffer_Release(&v[--got]);
+    return result;
+}
+
 /* ---- Recording JSON ----
  *
  * A reader of the one JSON shape bomi writes, which answers REFUSED for
@@ -1484,6 +1643,9 @@ static PyMethodDef fuse_methods[] = {
     {"score", (PyCFunction)(void (*)(void))fuse_score, METH_FASTCALL,
      "Write the LDA scores and labels of the rows of an (N, d) matrix; return the first "
      "row with a NaN score or an infinite best, or -1."},
+    {"moments", (PyCFunction)(void (*)(void))fuse_moments, METH_FASTCALL,
+     "Write the class means and the centered rows of an (N, d) matrix; return whether it "
+     "holds a NaN or an infinity."},
     {"read_json", (PyCFunction)(void (*)(void))fuse_read_json, METH_FASTCALL,
      "Read a recording JSON's labels and sample blocks into bytearrays and its other "
      "top-level values as byte spans; None for text outside the shape it takes."},
@@ -1496,7 +1658,8 @@ static PyMethodDef fuse_methods[] = {
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
     "The compiled kernels of bomi: the complementary filter, the stream's tick, the fv3 "
-    "statistics, the LDA scores and the recording JSON and CSV readers.", -1,
+    "statistics, the LDA class moments and scores and the recording JSON and CSV readers.",
+    -1,
     fuse_methods,
 };
 

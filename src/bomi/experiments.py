@@ -132,6 +132,7 @@ def train_on_windows(
         fusion=fusion,
         window=windows.length,
         overlap=overlap,
+        _fitted=core,
     )
 
 

@@ -6,13 +6,21 @@ Sigma_l = (1 - l) * Sigma + l * (tr(Sigma) / d) * I. The Cholesky factor
 of Sigma_l is taken once at fit time, and with it the weights W and
 biases b of the linear scores, so scoring never re-solves the system.
 
+The class means, the centered rows and the check that X is finite come
+from one call of the compiled kernel's ``moments`` entry (``_fuse.c``):
+a sweep in row order sums each class, a second writes each row less its
+class mean, with the bits numpy's ``X[y == c].mean(axis=0)`` and
+``X[y == c] - mean`` give. The means come first and the centered sums
+after, the two-pass form Chan, Golub and LeVeque (1983) recommend.
+
 The factor and the solve for the weights call no BLAS or LAPACK: each is
 a Python loop over rows in which every sum is one ``np.add.reduce`` over
 a row of a product, in a fixed order. So a model's bits do not depend on
 the host's BLAS thread count, and the package needs no scipy. The one
 BLAS call left at run time is ``fit``'s Gram matrix ``centered.T @
-centered``; its bits matched at 1 and 2 BLAS threads, but that was
-checked only for d = 56, 128 and 248.
+centered``. A test pins its model bits at 1 and 2 OpenBLAS threads for
+every d that fv1, fv2 and fv3 give with 1 to 6 sensors (24 to 248);
+other widths are not checked.
 
 Scores are delta_j(x) = x' Sigma_l^-1 mu_j - mu_j' Sigma_l^-1 mu_j / 2
 + log pi_j = x . W[:, j] + b[j]. ``predict``, ``predict_many`` and
@@ -34,7 +42,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +88,21 @@ class LdaCore:
     shrinkage: float
     log_priors: np.ndarray         # (K,)
     meta: dict = field(default_factory=dict)
+    # A fitted core whose linear form a model built from the same arrays
+    # takes instead of solving it again (``train_on_windows`` passes it).
+    _fitted: InitVar[LdaCore | None] = None
     _weights: np.ndarray = field(init=False, repr=False)   # (d, K), C-contiguous
     _biases: np.ndarray = field(init=False, repr=False)    # (K,)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _fitted: LdaCore | None = None) -> None:
         # The kernel reads the labels as int64, whatever array was given.
         object.__setattr__(self, "classes", np.ascontiguousarray(self.classes, dtype=np.int64))
+        if _fitted is not None and all(a is b for a, b in (
+                (_fitted.means, self.means), (_fitted.chol_lower, self.chol_lower),
+                (_fitted.log_priors, self.log_priors))):
+            object.__setattr__(self, "_weights", _fitted._weights)
+            object.__setattr__(self, "_biases", _fitted._biases)
+            return
         # Precompute the linear form once; scoring is then x . W + b.
         w = _cho_solve(self.chol_lower, self.means.T)
         object.__setattr__(self, "_weights", np.ascontiguousarray(w))
@@ -122,7 +139,7 @@ class LdaModel(LdaCore):
     window: int = DEFAULT_WINDOW
     overlap: int = DEFAULT_OVERLAP
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _fitted: LdaCore | None = None) -> None:
         kind, layout = self.feature_kind, self.layout
         if kind not in FEATURE_KINDS:
             raise ValidationError(f"unknown feature kind {kind!r}")
@@ -139,7 +156,7 @@ class LdaModel(LdaCore):
                 f"amplitude ranges name sensors {sorted(ranges.class_sensor.values())} "
                 f"outside the layout {layout.sensor_ids}"
             )
-        super().__post_init__()
+        super().__post_init__(_fitted)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,28 +224,40 @@ def fit(
 
     Raises:
         TrainingDataError: fewer than 2 classes, a class with fewer than
-            2 examples, ragged or non-finite ``X``, labels that are not
-            one integer per row, or a bad ``shrinkage`` or ``priors``.
+            2 examples, ragged, complex, zero-width or non-finite ``X``,
+            labels that are not one integer per row, or a bad
+            ``shrinkage`` or ``priors``.
         SingularCovarianceError: the (shrunk) covariance is not positive
             definite; raise shrinkage above zero.
     """
     try:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
         y = np.asarray(y)
+        if X.dtype.kind == "c":  # not the real part alone, which a cast would keep
+            raise TrainingDataError(f"X must be real, got dtype {X.dtype}")
+        X = X.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise TrainingDataError(f"X and y must be numeric arrays: {exc}") from exc
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise TrainingDataError(
             f"X must be (N, d) aligned with y of shape (N,), got {X.shape} and {y.shape}"
         )
+    if X.shape[1] == 0:
+        raise TrainingDataError("X has no feature columns")
     if y.dtype.kind not in "iu" or not np.can_cast(y.dtype, np.int64):
         raise TrainingDataError(f"labels must be integers that fit in int64, got dtype {y.dtype}")
-    if not np.isfinite(X).all():
-        raise TrainingDataError("X holds non-finite values")
     y = y.astype(np.int64, copy=False)
     classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
-        raise TrainingDataError(f"need at least 2 classes, got {len(classes)}")
+    n, d = X.shape
+    k = len(classes)
+    # One compiled pass: the class means, the centered rows and whether X is finite.
+    X = np.ascontiguousarray(X)
+    means = np.empty((k, d))
+    centered = np.empty_like(X)
+    if _kernel.moments(X, np.searchsorted(classes, y), counts, means, centered):
+        raise TrainingDataError("X holds non-finite values")
+    if k < 2:
+        raise TrainingDataError(f"need at least 2 classes, got {k}")
     if counts.min() < 2:
         short = classes[counts < 2].tolist()
         raise TrainingDataError(f"classes {short} have fewer than 2 examples")
@@ -236,14 +265,6 @@ def fit(
     if priors not in ("empirical", "uniform"):
         raise TrainingDataError(f"priors must be empirical or uniform, got {priors!r}")
 
-    n, d = X.shape
-    k = len(classes)
-    means = np.empty((k, d))
-    centered = np.empty_like(X)
-    for i, cls in enumerate(classes):
-        mask = y == cls
-        means[i] = X[mask].mean(axis=0)
-        centered[mask] = X[mask] - means[i]
     cov = (centered.T @ centered) / (n - k)
     if shrinkage > 0.0:
         target = np.trace(cov) / d

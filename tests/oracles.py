@@ -211,6 +211,20 @@ def lda_reference_scores(X, y, x_probe, shrinkage: float, priors=None):
     return classes, np.asarray(scores)
 
 
+def lda_moments_reference(X, y, classes):
+    """Class means and centered rows the way ``fit`` once took them, with
+    numpy masks: ``X[y == c].mean(axis=0)`` for each of ``classes``, and
+    each class's rows less their mean."""
+    X = np.asarray(X, dtype=float)
+    means = np.empty((len(classes), X.shape[1]))
+    centered = np.empty_like(X)
+    for i, cls in enumerate(classes):
+        mask = y == cls
+        means[i] = X[mask].mean(axis=0)
+        centered[mask] = X[mask] - means[i]
+    return means, centered
+
+
 def cholesky_reference(a):
     """Lower Cholesky factor of a symmetric positive definite matrix, by
     LAPACK (``scipy.linalg``)."""

@@ -1,10 +1,12 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bomi.lda
 from bomi.dataset_io import synth_session
 from bomi.errors import (
     DimensionMismatchError,
@@ -18,8 +20,15 @@ from bomi.errors import (
 )
 from bomi.experiments import evaluate as eval_windows
 from bomi.experiments import sequence_windows, train_on_windows, train_session
-from bomi.features import FEATURE_KINDS, AmplitudeRange, FeatureLayout, extract_matrix, feature_dim
-from bomi.fusion import FusionConfig
+from bomi.features import (
+    DEFAULT_WINDOW,
+    FEATURE_KINDS,
+    AmplitudeRange,
+    FeatureLayout,
+    extract_matrix,
+    feature_dim,
+)
+from bomi.fusion import FusionConfig, _kernel
 from bomi.lda import (
     LdaCore,
     LdaModel,
@@ -38,6 +47,7 @@ from oracles import (
     cho_solve_reference,
     cholesky_reference,
     lda_fold_scores,
+    lda_moments_reference,
     lda_matrix_scores,
     lda_reference_label,
     lda_reference_scores,
@@ -144,16 +154,184 @@ class TestFit:
                      id="2d-labels"),
         pytest.param([[0.0], [0.1, 0.2], [1.0], [1.1]], [0, 0, 1, 1], "numeric arrays",
                      id="ragged"),
+        # Not the real part taken with a warning: the model would be wrong.
+        pytest.param([[0.0], [0.1], [1.0 + 0.5j], [1.1]], [0, 0, 1, 1], "must be real",
+                     id="complex"),
+        pytest.param(np.empty((4, 0)), [0, 0, 1, 1], "no feature columns", id="zero-width"),
     ])
     def test_malformed_input_rejected(self, X, y, message):
         with pytest.raises(TrainingDataError, match=message):
             fit(X, y)
+
+    @pytest.mark.parametrize("y, kwargs", [
+        ([0, 0, 0, 0], {}),                     # one class
+        ([0, 0, 0, 1], {}),                     # a class of one example
+        ([0, 0, 1, 1], {"shrinkage": 2.0}),
+        ([0, 0, 1, 1], {"priors": "flat"}),
+    ])
+    def test_non_finite_x_is_reported_before_the_later_checks(self, y, kwargs):
+        X = [[0.0, 1.0], [0.1, 1.0], [1.0, np.nan], [1.1, 0.0]]
+        with pytest.raises(TrainingDataError, match="non-finite"):
+            fit(X, y, **kwargs)
 
     def test_uniform_priors_switch(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1], [1.2], [0.9]])
         y = np.array([0, 0, 1, 1, 1, 1])
         model = fit(X, y, priors="uniform")
         assert model.log_priors.tolist() == pytest.approx([-np.log(2)] * 2)
+
+
+def moments(X, index, k):
+    """The kernel's ``moments`` of X with the row classes ``index`` in [0, k):
+    the non-finite flag, the (k, d) means and the centered rows."""
+    means, centered = np.empty((k, X.shape[1])), np.empty_like(X)
+    flag = _kernel.moments(X, index, np.bincount(index, minlength=k), means, centered)
+    return flag, means, centered
+
+
+def guarded(shape):
+    """A C-contiguous float64 array of ``shape`` filled with 7.0 inside a
+    buffer of 8 more 7.0 on each side, and the buffer."""
+    size = int(np.prod(shape))
+    buf = np.full(size + 16, 7.0)
+    return buf[8:8 + size].reshape(shape), buf
+
+
+# What each kernel fault changes in a valid call of 12 rows, 3 columns and
+# 3 classes, and the start of the error it raises.
+MOMENT_FAULTS = {
+    "X-float32": (lambda a: a.update(X=a["X"].astype(np.float32)), "expected X of float64"),
+    "X-fortran": (lambda a: a.update(X=np.asfortranarray(a["X"])), "ndarray is not C-contig"),
+    "X-vector": (lambda a: a.update(X=a["X"][:, 0].copy()), "expected X of float64"),
+    "index-int32": (lambda a: a.update(index=a["index"].astype(np.int32)),
+                    "expected index of int64"),
+    "index-short": (lambda a: a.update(index=a["index"][:-1]), "expected index of int64"),
+    "index-negative": (lambda a: np.put(a["index"], 11, -1),
+                       r"moments\(\) index -1 of row 11 is outside \[0, 3\)"),
+    "index-past-k": (lambda a: np.put(a["index"], 5, 3),
+                     r"moments\(\) index 3 of row 5 is outside \[0, 3\)"),
+    "counts-off": (lambda a: np.put(a["counts"], 1, 5),
+                   r"moments\(\) counts\[1\] is 5, but 4 rows have index 1"),
+    "counts-float": (lambda a: a.update(counts=a["counts"].astype(float)),
+                     "expected counts of int64"),
+    "means-wide": (lambda a: a.update(means=guarded((3, 4))[0]), "expected means of float64"),
+    "means-read-only": (lambda a: a["means"].setflags(write=False), "read-only"),
+    "centered-short": (lambda a: a.update(centered=guarded((11, 3))[0]),
+                       "expected centered of float64"),
+}
+
+
+class TestMoments:
+    """The kernel's ``moments`` entry, which gives ``fit`` its class means,
+    centered rows and finiteness check, against the masked numpy route
+    ``fit`` took before (``oracles.lda_moments_reference``)."""
+
+    @given(d=st.sampled_from([1, 2, 3, 8, 24, 56]), k=st.integers(1, 12),
+           most=st.sampled_from([1, 2, 9, 40, 300]), interleaved=st.booleans(),
+           planted=st.sets(st.sampled_from(["-0.0", "+-0", "subnormal", "1e300"])),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_equals_the_masked_numpy_route(self, d, k, most, interleaved, planted, seed):
+        # Each class has 1 to ``most`` rows, in one run per class or shuffled;
+        # values span 1e-5 to 1e4, with signed zeros, subnormals and +-1e300
+        # planted in whole class columns.
+        rng = np.random.default_rng(seed)
+        y = np.repeat(rng.permutation(k), rng.integers(1, most + 1, size=k))
+        if interleaved:
+            y = rng.permutation(y)
+        n = len(y)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-5, 4, size=(n, d))
+        columns = iter(rng.permutation(k * d))
+        for kind in sorted(planted):
+            cls, j = divmod(int(next(columns, 0)), d)
+            rows = y == cls
+            picks = {"-0.0": [-0.0], "+-0": [0.0, -0.0], "subnormal": [5e-324, -2.5e-310, 0.0],
+                     "1e300": [1e300, -1e300, 1.0]}[kind]
+            X[rows, j] = rng.choice(picks, size=int(rows.sum()))
+        flag, means, centered = moments(X, y, k)
+        want_means, want_centered = lda_moments_reference(X, y, range(k))
+        assert flag is False
+        assert_same_bits(means, want_means)
+        assert_same_bits(centered, want_centered)
+
+    def test_a_column_of_minus_zero_has_the_mean_plus_zero(self):
+        # numpy's axis-0 sum starts from its identity +0.0, also at d = 1.
+        for d in (1, 3):
+            flag, means, centered = moments(np.full((4, d), -0.0), np.array([0, 1, 0, 1]), 2)
+            assert_same_bits(means, np.zeros((2, d)))
+            assert_same_bits(centered, np.full((4, d), -0.0))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (14, 2), (29, 4)])
+    def test_a_non_finite_value_anywhere_sets_the_flag(self, d, bad, at):
+        X = np.random.default_rng(0).normal(size=(30, d))
+        X[at[0], min(at[1], d - 1)] = bad
+        assert moments(X, np.arange(30) % 3, 3)[0] is True
+
+    def test_a_sum_that_overflows_is_not_a_non_finite_value(self):
+        X, index = np.full((4, 2), 1e308), np.array([0, 0, 1, 1])
+        flag, means, centered = moments(X, index, 2)
+        assert flag is False
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_means, want_centered = lda_moments_reference(X, index, range(2))
+        assert_same_bits(means, want_means)
+        assert_same_bits(centered, want_centered, equal_nan=True)
+
+    @pytest.mark.parametrize("fault", MOMENT_FAULTS)
+    def test_a_fault_raises_and_writes_nothing(self, fault):
+        means, means_buf = guarded((3, 3))
+        centered, centered_buf = guarded((12, 3))
+        args = dict(X=np.random.default_rng(1).normal(size=(12, 3)),
+                    index=np.arange(12) % 3, counts=np.full(3, 4), means=means,
+                    centered=centered)
+        change, message = MOMENT_FAULTS[fault]
+        change(args)
+        with pytest.raises(ValueError, match=message):
+            _kernel.moments(*args.values())
+        assert (means_buf == 7.0).all() and (centered_buf == 7.0).all()
+
+    def test_a_valid_call_writes_only_its_outputs(self):
+        means, means_buf = guarded((3, 3))
+        centered, centered_buf = guarded((12, 3))
+        X, index = np.random.default_rng(1).normal(size=(12, 3)), np.arange(12) % 3
+        assert _kernel.moments(X, index, np.full(3, 4), means, centered) is False
+        assert (means_buf[:8] == 7.0).all() and (means_buf[-8:] == 7.0).all()
+        assert (centered_buf[:8] == 7.0).all() and (centered_buf[-8:] == 7.0).all()
+        assert_same_bits(means, lda_moments_reference(X, index, range(3))[0])
+        with pytest.raises(TypeError, match="takes 5 arguments"):
+            _kernel.moments(X, index, np.full(3, 4), means)
+
+    def test_fit_takes_the_moments_of_its_labels(self):
+        rng = np.random.default_rng(2)
+        y = rng.choice([-3, 0, 7, 100], size=200)
+        X = rng.normal(size=(200, 6))
+        classes = np.array([-3, 0, 7, 100])
+        assert_same_bits(fit(X, y).means, lda_moments_reference(X, y, classes)[0])
+
+
+def test_a_trained_model_solves_its_weights_once(monkeypatch, small_noisy):
+    calls = []
+    solve = bomi.lda._cho_solve
+
+    def counting(lower, b):
+        calls.append(b.shape)
+        return solve(lower, b)
+
+    monkeypatch.setattr(bomi.lda, "_cho_solve", counting)
+    windows = sequence_windows(small_noisy, *small_noisy.sequences[:2])
+    layout = FeatureLayout(sensor_ids=small_noisy.sensor_ids)
+    model = train_on_windows(windows, layout, learn_amplitude=False)
+    assert len(calls) == 1
+    # The weights are the ones the model's constructor solves.
+    solved = with_chain(model, feature_kind=model.feature_kind, layout=model.layout)
+    assert len(calls) == 2
+    assert_same_bits(model._weights, solved._weights)
+    assert_same_bits(model._biases, solved._biases)
+    # A model built from other arrays solves its own.
+    moved = replace(model, means=model.means * 2.0)
+    assert len(calls) == 3
+    assert_same_bits(moved._weights, _cho_solve(model.chol_lower, model.means.T * 2.0))
 
 
 ORIGIN = np.zeros(2)
@@ -601,12 +779,16 @@ class TestFixedOrderFactor:
             _cholesky(np.asarray(a))
 
 
+# Every feature width bomi's kinds give with 1 to 6 sensors.
+_FEATURE_DIMS = sorted({feature_dim(kind, sensors, DEFAULT_WINDOW)
+                        for kind in FEATURE_KINDS for sensors in range(1, 7)})
+
 # The fit inputs are built without BLAS, so both interpreters fit the same bits.
-_FIT_DIGESTS = """
+_FIT_DIGESTS = f"""
 import hashlib
 import numpy as np
 from bomi.lda import fit
-for d in (128, 248):
+for d in {_FEATURE_DIMS}:
     rng = np.random.default_rng(d)
     y = np.arange(8 * d) % 5
     X = rng.normal(size=(8 * d, d)).cumsum(axis=1) + y[:, None]
@@ -619,5 +801,5 @@ for d in (128, 248):
 
 def test_fit_bits_do_not_depend_on_blas_threads(run_python):
     one = run_python(_FIT_DIGESTS, OPENBLAS_NUM_THREADS="1")
-    assert len(one.splitlines()) == 6
+    assert len(_FEATURE_DIMS) == 11 and len(one.splitlines()) == 3 * len(_FEATURE_DIMS)
     assert run_python(_FIT_DIGESTS, OPENBLAS_NUM_THREADS="2") == one

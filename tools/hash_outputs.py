@@ -51,6 +51,11 @@ Each line is ``<part> <digest>``. The parts cover:
   which stays put when only the file's spelling changes;
 * ``studies/*``: every file ``run_all`` writes (``report.json``, the
   tables, the confusion CSVs) for the studies recordings;
+* ``fit/*``: as ``model/*`` digests them, the models ``run_all`` fits
+  there, named ``<session>_<kind>``: P1 and P4 under fv1, fv2 and fv3,
+  P1_mae and P1_sae, and day1 to day3 under fv3 (caught by wrapping
+  ``bomi.experiments.train_on_windows``); the reports pin only their
+  accuracies;
 * ``csv/*``: every array, the sensor ids and the class count of
   ``load_recording`` on each quickstart session written as CSV, on a
   copy with its rows shuffled, on a copy with CRLF line ends and a blank
@@ -93,6 +98,7 @@ from pathlib import Path
 
 import numpy as np
 
+import bomi.experiments
 import bomi.pipeline
 from bomi.cli import main as bomi_main
 from bomi.dataset_io import (
@@ -120,6 +126,12 @@ except ImportError:  # a checkout from before the compiled CSV reader
 
 # (sensor count, feature kind) per stream-hub wearer, seeds seed .. seed+3.
 WEARERS = ((3, "fv3"), (2, "fv1"), (4, "fv2"), (6, "fv3"))
+
+# The models ``run_all`` fits on the studies recordings, in its order: each
+# participant under each feature kind, the amplitude pair's multi- then
+# single-amplitude model, then each day's.
+STUDY_FITS = ([f"{p}_{kind}" for p in ("P1", "P4") for kind in ("fv1", "fv2", "fv3")]
+              + ["P1_mae_fv3", "P1_sae_fv3"] + [f"day{day}_fv3" for day in range(1, 4)])
 
 # Held-out windows per wearer that ``features/extract_*`` runs ``extract`` on.
 EXTRACT_WINDOWS = 256
@@ -379,9 +391,25 @@ def studies(seed: int, work: Path, emit) -> None:
     data.mkdir()
     for stem, rec in sessions.items():
         save_recording(rec, data / f"{stem}.json")
-    run_all(data, out)
+    fitted = []
+    train = bomi.experiments.train_on_windows
+
+    def spy(*args, **kwargs):
+        fitted.append(train(*args, **kwargs))
+        return fitted[-1]
+
+    bomi.experiments.train_on_windows = spy
+    try:
+        run_all(data, out)
+    finally:
+        bomi.experiments.train_on_windows = train
     for path in sorted(out.iterdir()):
         emit(f"studies/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+    kinds = [name.rsplit("_", 1)[1] for name in STUDY_FITS]
+    if [model.feature_kind for model in fitted] != kinds:
+        raise RuntimeError(f"run_all fitted {[m.feature_kind for m in fitted]}, not {kinds}")
+    for name, model in zip(STUDY_FITS, fitted):
+        emit(f"fit/{name}", hash_model(model))
 
 
 def respell(path: Path, out: Path) -> None:
