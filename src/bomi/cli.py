@@ -32,7 +32,7 @@ from .experiments import (
     sequence_windows,
     train_session,
 )
-from .features import FEATURE_KINDS
+from .features import AMPLITUDE_MODES, FEATURE_KINDS
 from .fusion import FusionConfig
 from .lda import deserialize, serialize
 from .pipeline import CommandMapping, VirtualDevice, replay
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train on sequence 1 only and report accuracy on 2")
     p.add_argument("--gamma-sensors", default=None,
                    help="class:sensor pairs for amplitude, e.g. 7:2,8:3")
-    p.add_argument("--amplitude-mode", choices=("minmax", "percentile"), default=None)
+    p.add_argument("--amplitude-mode", choices=AMPLITUDE_MODES, default=None)
     p.add_argument("--mapping", default=None, help="import mapping config for CSVs")
     # The fusion settings and window geometry are stored in the model;
     # eval and replay read them from there.

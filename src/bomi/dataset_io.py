@@ -470,16 +470,17 @@ def _number_field(value, name: str) -> float:
     return float(value)
 
 
-def _sensor_key(key: str, qi: int) -> int:
-    """The sensor id a ``sensors`` key spells in canonical decimal; a
-    SchemaError naming the key otherwise, so ``"+0_2"`` is not sensor 2."""
+def _decimal_key(key: str, name: str, what: str) -> int:
+    """The integer a JSON object key spells in canonical decimal; a
+    SchemaError naming the ``name`` key otherwise, so ``"+0_2"`` and
+    ``" 2"`` are not 2."""
     try:
-        sid = int(key)
+        value = int(key)
     except ValueError:
-        sid = None
-    if sid is None or str(sid) != key:
-        raise SchemaError(f"sequence {qi} sensor key {key!r} is not a decimal sensor id")
-    return sid
+        value = None
+    if value is None or str(value) != key:
+        raise SchemaError(f"{name} key {key!r} is not a decimal {what}")
+    return value
 
 
 def _labels(value, qi: int) -> np.ndarray:
@@ -497,18 +498,24 @@ def _labels(value, qi: int) -> np.ndarray:
         raise SchemaError(f"sequence {qi} labels must fit in 64 bits, got {bad}") from None
 
 
+def _check_numbers(rows, name: str) -> None:
+    """SchemaError naming ``name`` if parsed rows of JSON values hold a
+    bool or a string, which float() would take as a number."""
+    if {type(v) for row in rows for v in row} & {bool, str}:
+        bad = next(v for row in rows for v in row if type(v) in (bool, str))
+        raise SchemaError(f"{name} must be numbers, got {bad!r}")
+
+
 def _block(rows, qi: int, sid: int, n: int) -> np.ndarray:
     """A sensor's (n, 9) float64 sample block: the compiled reader's array,
-    or parsed rows of JSON numbers (a bool or a numeric string, which
-    float() would take, is a SchemaError); AlignmentError for any other
-    shape."""
+    or parsed rows of JSON numbers (see ``_check_numbers``); AlignmentError
+    for any other shape."""
     block = np.asarray(rows, dtype=np.float64)
     if block.shape != (n, 9):
         raise AlignmentError(f"sequence {qi} sensor {sid}: shape {block.shape}, "
                              f"expected ({n}, 9)")
-    if not isinstance(rows, np.ndarray) and {type(v) for row in rows for v in row} & {bool, str}:
-        bad = next(v for row in rows for v in row if type(v) in (bool, str))
-        raise SchemaError(f"sequence {qi} sensor {sid} samples must be numbers, got {bad!r}")
+    if not isinstance(rows, np.ndarray):
+        _check_numbers(rows, f"sequence {qi} sensor {sid} samples")
     return block
 
 
@@ -528,7 +535,8 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
         sequences = []
         for qi, seq_obj in enumerate(obj["sequences"], start=1):
             labels = _labels(seq_obj["labels"], qi)
-            blocks = {_sensor_key(key, qi): rows for key, rows in seq_obj["sensors"].items()}
+            blocks = {_decimal_key(key, f"sequence {qi} sensor", "sensor id"): rows
+                      for key, rows in seq_obj["sensors"].items()}
             if set(blocks) != set(ids):
                 raise AlignmentError(
                     f"sequence {qi}: sensors {sorted(blocks)} do not match layout {sorted(ids)}"

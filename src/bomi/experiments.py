@@ -132,7 +132,6 @@ def train_on_windows(
         fusion=fusion,
         window=windows.length,
         overlap=overlap,
-        _fitted=core,
     )
 
 

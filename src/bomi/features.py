@@ -284,12 +284,21 @@ def tick_gamma(angles: np.ndarray) -> np.ndarray:
     return np.sqrt((angles ** 2).sum(axis=-1))
 
 
+AMPLITUDE_MODES = ("minmax", "percentile")
+
+
+def _check_amplitude_mode(mode: str) -> None:
+    if mode not in AMPLITUDE_MODES:
+        raise ValidationError(f"unknown amplitude mode {mode!r}")
+
+
 @dataclass
 class AmplitudeRange:
     """Per-class motion amplitude ranges captured during training.
 
     ranges maps class -> (gamma_min, gamma_max) in degrees;
-    class_sensor maps class -> sensor id whose angles are measured.
+    class_sensor maps class -> sensor id whose angles are measured;
+    mode is the ``learn_ranges`` mode that took them.
     """
 
     ranges: dict[int, tuple[float, float]]
@@ -297,6 +306,7 @@ class AmplitudeRange:
     mode: str = "minmax"
 
     def __post_init__(self) -> None:
+        _check_amplitude_mode(self.mode)
         for cls, (lo, hi) in self.ranges.items():
             if not (_real_in(lo, 0.0, math.inf) and _real_in(hi, 0.0, math.inf)):
                 raise ValidationError(
@@ -330,8 +340,7 @@ def learn_ranges(
         CoverageError: a class has no windows.
         DegenerateRangeError: a class's range has zero width.
     """
-    if mode not in ("minmax", "percentile"):
-        raise ValidationError(f"unknown amplitude mode {mode!r}")
+    _check_amplitude_mode(mode)
     sensor_index = {sid: i for i, sid in enumerate(layout.sensor_ids)}
     mapping = {
         int(c): (class_sensor or {}).get(int(c), layout.sensor_ids[0])

@@ -3,8 +3,10 @@
 Fitting computes per-class means, the pooled within-class covariance
 Sigma = (1 / (N - K)) * sum of centered outer products, and the shrunk
 Sigma_l = (1 - l) * Sigma + l * (tr(Sigma) / d) * I. The Cholesky factor
-of Sigma_l is taken once at fit time, and with it the weights W and
-biases b of the linear scores, so scoring never re-solves the system.
+of Sigma_l is taken once at fit time. The weights W and biases b of the
+linear scores are solved from it once per model, which owns them: an
+``LdaModel`` solves them in its constructor, so a stream step never
+solves, and a bare ``LdaCore`` at its first score; ``fit`` never solves.
 
 The class means, the centered rows and the check that X is finite come
 from one call of the compiled kernel's ``moments`` entry (``_fuse.c``):
@@ -42,12 +44,13 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import InitVar, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .dataset_io import _int_field
+from .dataset_io import _check_numbers, _decimal_key, _int_field, _number_field
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -88,27 +91,20 @@ class LdaCore:
     shrinkage: float
     log_priors: np.ndarray         # (K,)
     meta: dict = field(default_factory=dict)
-    # A fitted core whose linear form a model built from the same arrays
-    # takes instead of solving it again (``train_on_windows`` passes it).
-    _fitted: InitVar[LdaCore | None] = None
-    _weights: np.ndarray = field(init=False, repr=False)   # (d, K), C-contiguous
-    _biases: np.ndarray = field(init=False, repr=False)    # (K,)
 
-    def __post_init__(self, _fitted: LdaCore | None = None) -> None:
+    def __post_init__(self) -> None:
         # The kernel reads the labels as int64, whatever array was given.
         object.__setattr__(self, "classes", np.ascontiguousarray(self.classes, dtype=np.int64))
-        if _fitted is not None and all(a is b for a, b in (
-                (_fitted.means, self.means), (_fitted.chol_lower, self.chol_lower),
-                (_fitted.log_priors, self.log_priors))):
-            object.__setattr__(self, "_weights", _fitted._weights)
-            object.__setattr__(self, "_biases", _fitted._biases)
-            return
-        # Precompute the linear form once; scoring is then x . W + b.
+
+    @cached_property
+    def _linear(self) -> tuple[np.ndarray, np.ndarray]:
+        """The C-contiguous (d, K) weights W and (K,) biases b, solved at
+        the first read; scoring is then x . W + b."""
         w = _cho_solve(self.chol_lower, self.means.T)
-        object.__setattr__(self, "_weights", np.ascontiguousarray(w))
-        object.__setattr__(
-            self, "_biases", -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
-        )
+        # The biases read the solve's own (Fortran-ordered) w: the sum over
+        # its C-contiguous copy can round otherwise.
+        biases = -0.5 * np.einsum("kd,dk->k", self.means, w) + self.log_priors
+        return np.ascontiguousarray(w), biases
 
     @property
     def dim(self) -> int:
@@ -139,7 +135,7 @@ class LdaModel(LdaCore):
     window: int = DEFAULT_WINDOW
     overlap: int = DEFAULT_OVERLAP
 
-    def __post_init__(self, _fitted: LdaCore | None = None) -> None:
+    def __post_init__(self) -> None:
         kind, layout = self.feature_kind, self.layout
         if kind not in FEATURE_KINDS:
             raise ValidationError(f"unknown feature kind {kind!r}")
@@ -156,7 +152,12 @@ class LdaModel(LdaCore):
                 f"amplitude ranges name sensors {sorted(ranges.class_sensor.values())} "
                 f"outside the layout {layout.sensor_ids}"
             )
-        super().__post_init__(_fitted)
+        super().__post_init__()
+        # A model solves its linear form here, once, so no stream step
+        # solves. It is set as a plain attribute: reading the cached
+        # property would build the instance __dict__, which slows every
+        # later attribute read (0.12 us per predict on CPython 3.11).
+        object.__setattr__(self, "_linear", LdaCore._linear.func(self))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,6 +226,7 @@ def fit(
     Raises:
         TrainingDataError: fewer than 2 classes, a class with fewer than
             2 examples, ragged, complex, zero-width or non-finite ``X``,
+            ``X`` whose class means or pooled covariance overflow float64,
             labels that are not one integer per row, or a bad
             ``shrinkage`` or ``priors``.
         SingularCovarianceError: the (shrunk) covariance is not positive
@@ -265,11 +267,15 @@ def fit(
     if priors not in ("empirical", "uniform"):
         raise TrainingDataError(f"priors must be empirical or uniform, got {priors!r}")
 
-    cov = (centered.T @ centered) / (n - k)
-    if shrinkage > 0.0:
-        target = np.trace(cov) / d
-        cov = (1.0 - shrinkage) * cov
-        cov[np.diag_indices(d)] += shrinkage * target
+    # Finite X can still overflow a class sum, the Gram product or its trace.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (centered.T @ centered) / (n - k)
+        if shrinkage > 0.0:
+            target = np.trace(cov) / d
+            cov = (1.0 - shrinkage) * cov
+            cov[np.diag_indices(d)] += shrinkage * target
+    if not np.isfinite(cov).all():
+        raise TrainingDataError("the pooled covariance of X overflows float64; rescale X")
 
     lower = _cholesky(cov)
 
@@ -293,9 +299,11 @@ def fit(
     )
 
 
-def _rows(model: LdaCore, X: np.ndarray, matrix: bool) -> np.ndarray:
-    """``X`` as the C-contiguous float64 (N, d) matrix the kernel scores;
-    a (d,) vector is one row.
+def _score(model: LdaCore, X: np.ndarray, matrix: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The (N, K) scores and (N,) labels of the kernel's ``score`` entry
+    for the rows of ``X`` (a (d,) vector is one row), and the first row
+    whose scores hold a NaN or whose best is infinite (-1 when there is
+    none).
 
     Raises:
         DimensionMismatchError: ``X`` is not a (d,) vector or, when
@@ -311,16 +319,11 @@ def _rows(model: LdaCore, X: np.ndarray, matrix: bool) -> np.ndarray:
         raise DimensionMismatchError(
             f"feature dimension {X.shape[-1]} does not match the model's d={model.dim}"
         )
-    return np.ascontiguousarray(X[None] if X.ndim == 1 else X)
-
-
-def _score(model: LdaCore, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The (N, K) scores and (N,) labels of the kernel's ``score`` entry
-    for the rows of ``X``, and the first row whose scores hold a NaN or
-    whose best is infinite (-1 when there is none)."""
+    X = np.ascontiguousarray(X[None] if X.ndim == 1 else X)
     scores = np.empty((len(X), len(model.classes)))
     labels = np.empty(len(X), dtype=np.int64)
-    bad = _kernel.score(model._weights, model._biases, model.classes, X, scores, labels)
+    weights, biases = model._linear
+    bad = _kernel.score(weights, biases, model.classes, X, scores, labels)
     return scores, labels, bad
 
 
@@ -330,7 +333,7 @@ def predict_scores(model: LdaCore, X: np.ndarray) -> np.ndarray:
     Raises:
         DimensionMismatchError: ``X`` is neither, for the model's d.
     """
-    scores = _score(model, _rows(model, X, matrix=True))[0]
+    scores = _score(model, X, matrix=True)[0]
     return scores[0] if np.ndim(X) == 1 else scores
 
 
@@ -341,7 +344,7 @@ def predict(model: LdaCore, x: np.ndarray) -> int:
         DimensionMismatchError: ``x`` is not a (d,) vector.
         NumericalError: a score is NaN or the highest score is infinite.
     """
-    scores, labels, bad = _score(model, _rows(model, x, matrix=False))
+    scores, labels, bad = _score(model, x, matrix=False)
     if bad >= 0:
         raise NumericalError(f"non-finite discriminant scores {scores[0].tolist()}")
     return int(labels[0])
@@ -355,7 +358,7 @@ def predict_many(model: LdaCore, X: np.ndarray) -> np.ndarray:
         DimensionMismatchError: ``X`` is not a (d,) vector or an (N, d) matrix.
         NumericalError: a score is NaN or a row's highest score is infinite.
     """
-    _, labels, bad = _score(model, _rows(model, X, matrix=True))
+    _, labels, bad = _score(model, X, matrix=True)
     if bad >= 0:
         raise NumericalError("non-finite discriminant scores")
     return labels
@@ -378,11 +381,27 @@ def _ranges_to_dict(r: AmplitudeRange | None) -> dict | None:
 def _ranges_from_dict(obj: dict | None) -> AmplitudeRange | None:
     if obj is None:
         return None
+
+    def key(c: str) -> int:
+        return _decimal_key(c, "amplitude class", "class")
+
     return AmplitudeRange(
-        ranges={int(c): (float(v[0]), float(v[1])) for c, v in obj["ranges"].items()},
-        class_sensor={int(c): int(s) for c, s in obj["class_sensor"].items()},
+        ranges={key(c): (_number_field(v[0], "amplitude bounds"),
+                         _number_field(v[1], "amplitude bounds"))
+                for c, v in obj["ranges"].items()},
+        class_sensor={key(c): _int_field(s, "class_sensor")
+                      for c, s in obj["class_sensor"].items()},
         mode=obj.get("mode", "minmax"),
     )
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """A model file's JSON array as float64; a bool or a numeric string in
+    it, which ``np.asarray`` would take as a number, is a SchemaError."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.ndim in (1, 2):
+        _check_numbers(value if array.ndim == 2 else [value], name)
+    return array
 
 
 def serialize(model: LdaModel, path: str | Path) -> None:
@@ -410,10 +429,12 @@ def deserialize(path: str | Path) -> LdaModel:
     """Load a model written by serialize.
 
     The file's integrity (format marker, version, distinct integer
-    classes, integer sensor ids, array shapes, finite arrays, a
-    lower-triangular ``chol_lower`` with a positive diagonal) is checked
-    before the model is built, so the constructor never solves with a
-    broken factor.
+    classes, integer sensor ids, arrays and a ``shrinkage`` of JSON
+    numbers, array shapes, finite arrays, a lower-triangular
+    ``chol_lower`` with a positive diagonal, amplitude ranges keyed by
+    classes in canonical decimal, with number bounds, integer sensor ids
+    and a known mode) is checked before the model is built, so the
+    constructor never solves with a broken factor.
 
     Raises:
         ModelFormatError: a fault above, a ``shrinkage`` ``fit`` refuses,
@@ -437,18 +458,18 @@ def deserialize(path: str | Path) -> LdaModel:
     try:
         classes = np.asarray([_int_field(c, "classes") for c in payload["classes"]],
                              dtype=np.int64)
-        means = np.asarray(payload["means"], dtype=np.float64)
-        lower = np.asarray(payload["chol_lower"], dtype=np.float64)
-        log_priors = np.asarray(payload["log_priors"], dtype=np.float64)
+        means = _float_array(payload["means"], "means")
+        lower = _float_array(payload["chol_lower"], "chol_lower")
+        log_priors = _float_array(payload["log_priors"], "log_priors")
         kind = str(payload["feature_kind"])
         layout = FeatureLayout(
             sensor_ids=tuple(_int_field(s, "sensor_ids") for s in payload["sensor_ids"])
         )
-        shrinkage = float(payload["shrinkage"])
+        shrinkage = _number_field(payload["shrinkage"], "shrinkage")
         ranges = _ranges_from_dict(payload.get("ranges"))
         fusion = FusionConfig(*(payload["fusion"][f.name] for f in fields(FusionConfig)))
         window, overlap = payload["window"], payload["overlap"]
-    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if means.ndim != 2:
         raise ModelFormatError("inconsistent array shapes in model file")

@@ -1,4 +1,6 @@
 import json
+import pickle
+import re
 import time
 from dataclasses import replace
 
@@ -174,6 +176,31 @@ class TestFit:
         with pytest.raises(TrainingDataError, match="non-finite"):
             fit(X, y, **kwargs)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shrinkage", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("X", [
+        pytest.param(np.random.default_rng(0).normal(size=(6, 2)) * 1e307 + 1e308,
+                     id="class-sums"),
+        pytest.param(np.random.default_rng(0).normal(size=(6, 2)) * 1e200, id="gram"),
+    ])
+    def test_finite_x_that_overflows_is_a_data_error(self, X, shrinkage):
+        # Not a singular covariance: no shrinkage helps.
+        assert np.isfinite(X).all()
+        with pytest.raises(TrainingDataError, match="overflows float64"):
+            fit(X, [0, 0, 0, 1, 1, 1], shrinkage=shrinkage)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shrinkage", [1e-3, 0.5])
+    def test_a_trace_that_overflows_is_a_data_error(self, shrinkage):
+        # The Gram is finite, but the shrinkage target tr(Sigma) / d is not.
+        y = np.array([0, 0, 0, 1, 1, 1])
+        Z = np.random.default_rng(0).normal(size=(6, 8))
+        for c in (0, 1):
+            Z[y == c] -= Z[y == c].mean(axis=0)
+        X = Z / np.linalg.norm(Z, axis=0) * 1.2e154
+        with pytest.raises(TrainingDataError, match="overflows float64"):
+            fit(X, y, shrinkage=shrinkage)
+
     def test_uniform_priors_switch(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1], [1.2], [0.9]])
         y = np.array([0, 0, 1, 1, 1, 1])
@@ -326,12 +353,47 @@ def test_a_trained_model_solves_its_weights_once(monkeypatch, small_noisy):
     # The weights are the ones the model's constructor solves.
     solved = with_chain(model, feature_kind=model.feature_kind, layout=model.layout)
     assert len(calls) == 2
-    assert_same_bits(model._weights, solved._weights)
-    assert_same_bits(model._biases, solved._biases)
+    assert_same_bits(model._linear[0], solved._linear[0])
+    assert_same_bits(model._linear[1], solved._linear[1])
     # A model built from other arrays solves its own.
     moved = replace(model, means=model.means * 2.0)
     assert len(calls) == 3
-    assert_same_bits(moved._weights, _cho_solve(model.chol_lower, model.means.T * 2.0))
+    assert_same_bits(moved._linear[0], _cho_solve(model.chol_lower, model.means.T * 2.0))
+    # A bare core solves at its first score, and only then.
+    X = extract_matrix(model.feature_kind, windows[windows.labels >= 0], layout)
+    core = fit(X, windows.labels[windows.labels >= 0])
+    assert len(calls) == 3
+    predict_scores(core, X)
+    assert len(calls) == 4
+    assert predict_many(core, X).tolist() == predict_many(model, X).tolist()
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("scored", [False, True], ids=["unscored", "scored"])
+def test_models_survive_pickling(monkeypatch, small_model, scored):
+    calls = []
+    solve = bomi.lda._cho_solve
+
+    def counting(lower, b):
+        calls.append(b.shape)
+        return solve(lower, b)
+
+    model, test_windows = small_model
+    usable = test_windows[test_windows.labels >= 0]
+    X = extract_matrix(model.feature_kind, usable, model.layout)
+    core = fit(X, usable.labels)
+    monkeypatch.setattr(bomi.lda, "_cho_solve", counting)
+    for original in (model, core):
+        if scored:
+            predict_scores(original, X)
+        back = pickle.loads(pickle.dumps(original))
+        assert type(back) is type(original) and back.meta == original.meta
+        before = len(calls)
+        scores = predict_scores(back, X)
+        # A copy of a solved model brings its linear form along.
+        assert len(calls) - before == (0 if scored or original is model else 1)
+        assert_same_bits(scores, predict_scores(original, X))
+        assert_same_bits(predict_many(back, X), predict_many(original, X))
 
 
 ORIGIN = np.zeros(2)
@@ -601,6 +663,68 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             deserialize(path)
 
+    @pytest.mark.parametrize("field, edit, message", [
+        pytest.param("shrinkage", lambda p: True, "shrinkage must be a number",
+                     id="shrinkage-bool"),
+        pytest.param("shrinkage", lambda p: "0.001", "shrinkage must be a number",
+                     id="shrinkage-text"),
+        pytest.param("means", lambda p: [[str(p[0][0]), *p[0][1:]], *p[1:]],
+                     "means must be numbers", id="means-text"),
+        pytest.param("means", lambda p: [[True, *p[0][1:]], *p[1:]], "means must be numbers",
+                     id="means-bool"),
+        pytest.param("chol_lower", lambda p: [[str(p[0][0]), *p[0][1:]], *p[1:]],
+                     "chol_lower must be numbers", id="chol-text"),
+        pytest.param("chol_lower", lambda p: [[p[0][0], False, *p[0][2:]], *p[1:]],
+                     "chol_lower must be numbers", id="chol-bool"),
+        pytest.param("log_priors", lambda p: [str(p[0]), *p[1:]], "log_priors must be numbers",
+                     id="prior-text"),
+        pytest.param("log_priors", lambda p: [False, *p[1:]], "log_priors must be numbers",
+                     id="prior-bool"),
+        pytest.param("ranges", lambda p: {**p, "ranges": {
+            c: [str(lo), hi] for c, (lo, hi) in p["ranges"].items()}},
+            "amplitude bounds must be a number", id="bound-text"),
+        pytest.param("ranges", lambda p: {**p, "ranges": {
+            c: [False, hi] for c, (lo, hi) in p["ranges"].items()}},
+            "amplitude bounds must be a number", id="bound-bool"),
+        pytest.param("ranges", lambda p: {**p, "class_sensor": {
+            c: s + 0.9 for c, s in p["class_sensor"].items()}},
+            "class_sensor must be an integer", id="class-sensor-fraction"),
+        pytest.param("ranges", lambda p: {**p, "class_sensor": {
+            c: True for c in p["class_sensor"]}},
+            "class_sensor must be an integer", id="class-sensor-bool"),
+        pytest.param("ranges", lambda p: {**p, "ranges": {
+            f" {c}": v for c, v in p["ranges"].items()}},
+            "amplitude class key ' 1' is not a decimal class", id="range-key-space"),
+        pytest.param("ranges", lambda p: {**p, "class_sensor": {
+            f"0{c}": s for c, s in p["class_sensor"].items()}},
+            "amplitude class key '01' is not a decimal class", id="class-sensor-key-zero"),
+        pytest.param("ranges", lambda p: {**p, "mode": "median"},
+                     "unknown amplitude mode 'median'", id="mode-unknown"),
+    ])
+    def test_values_that_are_not_numbers_rejected(self, tmp_path, small_model, field, edit,
+                                                  message):
+        # Each file here loaded before: a bool, a numeric string or a
+        # fraction was read as a number, a padded key as its class.
+        model, _ = small_model
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        payload = json.loads(path.read_text())
+        payload[field] = edit(payload[field])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            deserialize(path)
+
+    @pytest.mark.parametrize("part", ["ranges", "class_sensor"])
+    def test_ranges_that_are_not_objects_rejected(self, tmp_path, small_model, part):
+        model, _ = small_model
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        payload = json.loads(path.read_text())
+        payload["ranges"][part] = list(payload["ranges"][part].values())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="corrupt model file"):
+            deserialize(path)
+
     def test_mismatched_probe_dimension(self, tmp_path, small_model):
         model, _ = small_model
         wrong_d = model.dim - 8
@@ -688,7 +812,8 @@ def test_scores_are_one_fixed_order_fold(d, k, n, seed):
     X = rng.normal(scale=3.0, size=(n, d))
     X[rng.random((n, d)) < 0.1] = 0.0
     scores = predict_scores(model, X)
-    want = lda_fold_scores(X, model._weights, model._biases)
+    weights, biases = model._linear
+    want = lda_fold_scores(X, weights, biases)
     assert_same_bits(scores, want)
     for i in range(n):
         assert_same_bits(predict_scores(model, X[i]), scores[i])
@@ -696,8 +821,8 @@ def test_scores_are_one_fixed_order_fold(d, k, n, seed):
     assert predict_many(model, X).tolist() == labels
     assert [predict(model, x) for x in X] == labels
     # The numpy product sums in its own order: equal only to within rounding.
-    scale = np.abs(X) @ np.abs(model._weights) + np.abs(model._biases)
-    assert (np.abs(scores - lda_matrix_scores(X, model._weights, model._biases))
+    scale = np.abs(X) @ np.abs(weights) + np.abs(biases)
+    assert (np.abs(scores - lda_matrix_scores(X, weights, biases))
             <= 1e-13 * scale).all()
 
 
@@ -708,7 +833,7 @@ def test_scores_of_more_classes_than_one_pass_holds(k):
     model = LdaCore(classes=np.arange(k) * 3 - 6, means=rng.normal(size=(k, d)),
                     chol_lower=np.eye(d), shrinkage=0.0, log_priors=np.full(k, -np.log(k)))
     X = rng.normal(size=(5, d))
-    assert_same_bits(predict_scores(model, X), lda_fold_scores(X, model._weights, model._biases))
+    assert_same_bits(predict_scores(model, X), lda_fold_scores(X, *model._linear))
 
 
 @pytest.mark.parametrize("kind", FEATURE_KINDS)
@@ -793,8 +918,8 @@ for d in {_FEATURE_DIMS}:
     y = np.arange(8 * d) % 5
     X = rng.normal(size=(8 * d, d)).cumsum(axis=1) + y[:, None]
     core = fit(X, y, shrinkage=1e-3)
-    for name in ("chol_lower", "_weights", "_biases"):
-        data = np.ascontiguousarray(getattr(core, name)).tobytes()
+    for name, array in zip(("chol_lower", "weights", "biases"), (core.chol_lower, *core._linear)):
+        data = np.ascontiguousarray(array).tobytes()
         print(d, name, hashlib.sha256(data).hexdigest())
 """
 

@@ -16,6 +16,12 @@ Each line is ``<part> <digest>``. The parts cover:
   count (``OPENBLAS_NUM_THREADS``);
 * ``windows/*``: offline windows of the held-out sequence (angles, gyro,
   labels, start ticks) and ``predict_many`` on them;
+* ``scores/*``: the ``predict_scores`` bits, which pin the model's
+  weights and biases where ``model/*`` pins its factor and means: as
+  ``scores/wearer*`` on the ``extract_matrix`` of each wearer model's
+  held-out windows, and as ``scores/cli_*`` for each quickstart model
+  that ``deserialize`` loads, on the single-label windows ``bomi eval``
+  scores it on;
 * ``eval/*``: ``evaluate(...).to_dict()`` on those windows (accuracy,
   counts, confusion matrix and error structure), as sorted-key JSON;
 * ``replay/*``: the ``StreamStats.to_dict()`` fields of ``replay`` over
@@ -108,11 +114,18 @@ from bomi.dataset_io import (
     save_recording,
     synth_session,
 )
-from bomi.experiments import evaluate, extract_matrix, predict_many, run_all, train_session
+from bomi.experiments import (
+    evaluate,
+    extract_matrix,
+    predict_many,
+    run_all,
+    sequence_windows,
+    train_session,
+)
 from bomi.features import extract
 from bomi.errors import UndefinedAttitudeError, UndefinedHeadingError
 from bomi.fusion import ComplementaryFilter, accel_angles, fuse_sequence, mag_yaw
-from bomi.lda import deserialize
+from bomi.lda import deserialize, predict_scores
 from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
 
 try:
@@ -366,8 +379,14 @@ def quickstart(seed: int, work: Path, emit) -> None:
             + (report / "confusion.csv").read_bytes()).hexdigest())
         recording = load_recording(rec)
         emit(f"cli/recording_values_{name}", hash_loaded(recording))
+        loaded = deserialize(model)
         emit(f"stream/quickstart_{name}",
-             hash_stream(recording, deserialize(model), len(recording.sequences)))
+             hash_stream(recording, loaded, len(recording.sequences)))
+        windows = sequence_windows(recording, recording.sequences[-1], fusion=loaded.fusion,
+                                   window=loaded.window, overlap=loaded.overlap)
+        usable = windows[windows.labels >= 0]
+        emit(f"scores/cli_{name}", digest(predict_scores(
+            loaded, extract_matrix(loaded.feature_kind, usable, loaded.layout))))
 
 
 def studies(seed: int, work: Path, emit) -> None:
@@ -515,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
         wins, preds = hash_windows(model, test_windows)
         emit(f"windows/{name}", wins)
         emit(f"predictions/{name}", preds)
+        X = extract_matrix(model.feature_kind, test_windows, model.layout)
+        emit(f"scores/{name}", digest(predict_scores(model, X)))
         emit(f"eval/{name}", hash_json(evaluate(model, test_windows).to_dict()))
         emit(f"replay/{name}", hash_replay_stats(rec, model))
         for fv in ("fv1", "fv2", "fv3"):
