@@ -26,7 +26,7 @@
  *     sensor's column of the C-contiguous (T, S, 3) float64 array `angles`
  *     and return each tick's flags.
  * tick(rows, last, state, bits, alpha, dt, guard, offset, pick, channels,
- *      gamma, k) -> int
+ *      gamma, means, k) -> int
  *     Advance every sensor of a stream one tick. `rows` is a list of S
  *     items in layout order, each 9 reals or None for a missing sensor.
  *     Every row is checked before anything changes: it must be 9 values
@@ -40,11 +40,15 @@
  *     wrap(raw - offset) angles of the (S, 3) float64 `offset`, then its
  *     gyro values, picked by the (C,) intp `pick` (3S angles then 3S gyro
  *     values), into rows k and k + W of the (2W, C) float64 ring
- *     `channels`, and each sensor's sqrt(p*p + r*r + y*y) of its wrapped
- *     angles into the same rows of the (2W, S) float64 ring `gamma`; while
- *     it is None neither ring is written. Return the OR of the sensors'
- *     bits, or -1 - si, with nothing changed, when the row of sensor si is
- *     refused.
+ *     `channels`; write each sensor's sqrt(p*p + r*r + y*y) of its wrapped
+ *     angles into columns k and k + W of its row of the (S, 2W) float64
+ *     ring `gamma`, so that columns k + 1 .. k + W, the window, are
+ *     contiguous; and write each sensor's window mean into the (S,)
+ *     float64 `means`, which may not overlap `gamma`, with the bits of
+ *     numpy's np.add.reduce(window) / W: pairwise_sum added to +0.0, then
+ *     one division. While `offset` is None neither ring nor `means` is
+ *     written. Return the OR of the sensors' bits, or -1 - si, with
+ *     nothing changed, when the row of sensor si is refused.
  * measure(x, y, z[, pitch, roll]) -> (pitch, roll), float or None
  *     The measurements the filter blends toward, of one vector of floats:
  *     with three arguments the pitch and roll of the gravity reading
@@ -443,16 +447,49 @@ read_row(PyObject *row, double *v)
     return -1;
 }
 
+/* numpy's pairwise sum of x[0 .. n) (pairwise_sum of its float64 add
+ * loop): below 8 values a left fold from -0.0; up to 128, eight
+ * interleaved accumulators combined as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)), then the rest added in order; above, the two
+ * halves, split at a multiple of 8, summed apart. */
+static double
+pairwise_sum(const double *x, Py_ssize_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (Py_ssize_t i = 0; i < n; i++)
+            res = res + x[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        Py_ssize_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = x[j];
+        for (i = 8; i < n - n % 8; i += 8) {
+            for (int j = 0; j < 8; j++)
+                r[j] = r[j] + x[i + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res = res + x[i];
+        return res;
+    }
+    Py_ssize_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(x, half) + pairwise_sum(x + half, n - half);
+}
+
 static PyObject *
 fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    Py_buffer v[7];   /* last, state, bits, pick, channels, gamma, offset */
+    Py_buffer v[8];   /* last, state, bits, pick, channels, gamma, means, offset */
     int got = 0;
     double p[3];      /* alpha, dt, guard */
     double *buf = NULL;   /* per sensor: the row read, then 6 ring values */
     PyObject *result = NULL;
-    if (nargs != 12) {
-        PyErr_SetString(PyExc_TypeError, "tick() takes 12 arguments");
+    if (nargs != 13) {
+        PyErr_SetString(PyExc_TypeError, "tick() takes 13 arguments");
         return NULL;
     }
     PyObject *rows = args[0];
@@ -461,7 +498,7 @@ fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "tick() rows must be a list or a tuple");
         return NULL;
     }
-    Py_ssize_t k = PyLong_AsSsize_t(args[11]);
+    Py_ssize_t k = PyLong_AsSsize_t(args[12]);
     if ((k == -1 && PyErr_Occurred()) || get_doubles(args + 4, p, 3) < 0)
         return NULL;
     if (get_array(args[1], &v[0], PyBUF_WRITABLE, "d", sizeof(double), 2,
@@ -493,11 +530,15 @@ fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     if (get_array(args[10], &v[5], PyBUF_WRITABLE, "d", sizeof(double), 2,
-                  (Py_ssize_t[]){2 * w, s}, "gamma of float64 and shape (2W, S)") < 0)
+                  (Py_ssize_t[]){s, 2 * w}, "gamma of float64 and shape (S, 2W)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[11], &v[6], PyBUF_WRITABLE, "d", sizeof(double), 1,
+                  (Py_ssize_t[]){s}, "means of float64 and shape (S,)") < 0)
         goto done;
     got++;
     if (!calibrating) {
-        if (get_array(args[7], &v[6], 0, "d", sizeof(double), 2, (Py_ssize_t[]){s, 3},
+        if (get_array(args[7], &v[7], 0, "d", sizeof(double), 2, (Py_ssize_t[]){s, 3},
                       "offset of None or float64 and shape (S, 3)") < 0)
             goto done;
         got++;
@@ -554,7 +595,7 @@ fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     /* Advance each sensor, from its bootstrap on its first row. */
     double beta = 1.0 - p[0];
     double *state = v[1].buf, *gamma = v[5].buf;
-    const double *off = calibrating ? NULL : v[6].buf;
+    const double *off = calibrating ? NULL : v[7].buf;
     uint8_t *bits = v[2].buf;
     int any = 0;
     for (Py_ssize_t si = 0; si < s; si++) {
@@ -581,14 +622,17 @@ fuse_tick(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             ang[2] = wrap(st.yaw - off[3 * si + 2]);
             memcpy(values + 3 * s + 3 * si, row + 3, 3 * sizeof(double));
             /* The squares summed in axis order, as tick_gamma does. */
-            gamma[k * s + si] = gamma[(k + w) * s + si]
-                = sqrt(ang[0] * ang[0] + ang[1] * ang[1] + ang[2] * ang[2]);
+            double *g = gamma + 2 * w * si;
+            g[k] = g[k + w] = sqrt(ang[0] * ang[0] + ang[1] * ang[1] + ang[2] * ang[2]);
         }
     }
     if (off != NULL) {
-        double *ch = (double *)v[4].buf + k * c;
+        double *ch = (double *)v[4].buf + k * c, *means = v[6].buf;
         for (Py_ssize_t i = 0; i < c; i++)
             ch[i] = ch[w * c + i] = values[pick[i]];
+        /* numpy's add.reduce starts from its identity, +0.0. */
+        for (Py_ssize_t si = 0; si < s; si++)
+            means[si] = (0.0 + pairwise_sum(gamma + 2 * w * si + k + 1, w)) / (double)w;
     }
     result = PyLong_FromLong(any);
 done:
@@ -833,39 +877,6 @@ done:
     while (got > 0)
         PyBuffer_Release(&v[--got]);
     return result;
-}
-
-/* numpy's pairwise sum of x[0 .. n) (pairwise_sum of its float64 add
- * loop): below 8 values a left fold from -0.0; up to 128, eight
- * interleaved accumulators combined as ((r0 + r1) + (r2 + r3)) +
- * ((r4 + r5) + (r6 + r7)), then the rest added in order; above, the two
- * halves, split at a multiple of 8, summed apart. */
-static double
-pairwise_sum(const double *x, Py_ssize_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (Py_ssize_t i = 0; i < n; i++)
-            res = res + x[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        Py_ssize_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = x[j];
-        for (i = 8; i < n - n % 8; i += 8) {
-            for (int j = 0; j < 8; j++)
-                r[j] = r[j] + x[i + j];
-        }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res = res + x[i];
-        return res;
-    }
-    Py_ssize_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(x, half) + pairwise_sum(x + half, n - half);
 }
 
 static PyObject *
@@ -1633,8 +1644,9 @@ static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
     {"tick", (PyCFunction)(void (*)(void))fuse_tick, METH_FASTCALL,
-     "Advance every sensor of a stream one tick and write its ring rows; return the "
-     "tick's flag bits, or -1 - si when sensor si's row is rejected."},
+     "Advance every sensor of a stream one tick and write its ring rows and window "
+     "amplitude means; return the tick's flag bits, or -1 - si when sensor si's row is "
+     "rejected."},
     {"measure", (PyCFunction)(void (*)(void))fuse_measure, METH_FASTCALL,
      "The pitch and roll of a gravity reading, or the tilt-compensated heading of a "
      "field; None for a zero vector."},

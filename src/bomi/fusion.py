@@ -111,9 +111,10 @@ FLAG_SETS: tuple[Flags, ...] = tuple(
     for bits in range(8)
 )
 
-# The pick, channels and gamma rings a ComplementaryFilter passes the tick
-# entry for its one sensor: with no offset the entry writes no ring.
-_NO_RINGS = (np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((2, 1)))
+# The pick, channels and gamma rings and the means a ComplementaryFilter
+# passes the tick entry for its one sensor: with no offset the entry writes
+# none of them.
+_NO_RINGS = (np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((1, 2)), np.zeros(1))
 
 
 def accel_angles(acc: Sequence[float]) -> tuple[float, float]:

@@ -57,6 +57,7 @@ from .errors import (
     LayoutError,
     ModelFormatError,
     NumericalError,
+    SchemaError,
     SingularCovarianceError,
     TrainingDataError,
     ValidationError,
@@ -379,16 +380,21 @@ def _ranges_to_dict(r: AmplitudeRange | None) -> dict | None:
 
 
 def _ranges_from_dict(obj: dict | None) -> AmplitudeRange | None:
+    """A model file's amplitude ranges; a bounds entry that is not a list of
+    two numbers is a SchemaError."""
     if obj is None:
         return None
 
     def key(c: str) -> int:
         return _decimal_key(c, "amplitude class", "class")
 
+    def bounds(v) -> tuple[float, float]:
+        if type(v) is not list or len(v) != 2:
+            raise SchemaError(f"amplitude bounds must be two numbers, got {v!r}")
+        return _number_field(v[0], "amplitude bounds"), _number_field(v[1], "amplitude bounds")
+
     return AmplitudeRange(
-        ranges={key(c): (_number_field(v[0], "amplitude bounds"),
-                         _number_field(v[1], "amplitude bounds"))
-                for c, v in obj["ranges"].items()},
+        ranges={key(c): bounds(v) for c, v in obj["ranges"].items()},
         class_sensor={key(c): _int_field(s, "class_sensor")
                       for c, s in obj["class_sensor"].items()},
         mode=obj.get("mode", "minmax"),
@@ -432,9 +438,9 @@ def deserialize(path: str | Path) -> LdaModel:
     classes, integer sensor ids, arrays and a ``shrinkage`` of JSON
     numbers, array shapes, finite arrays, a lower-triangular
     ``chol_lower`` with a positive diagonal, amplitude ranges keyed by
-    classes in canonical decimal, with number bounds, integer sensor ids
-    and a known mode) is checked before the model is built, so the
-    constructor never solves with a broken factor.
+    classes of the model in canonical decimal, with bounds of two numbers,
+    integer sensor ids and a known mode) is checked before the model is
+    built, so the constructor never solves with a broken factor.
 
     Raises:
         ModelFormatError: a fault above, a ``shrinkage`` ``fit`` refuses,
@@ -478,6 +484,12 @@ def deserialize(path: str | Path) -> LdaModel:
         raise ModelFormatError("inconsistent array shapes in model file")
     if len(np.unique(classes)) != k:
         raise ModelFormatError(f"classes {classes.tolist()} are not distinct")
+    if ranges is not None:
+        unknown = sorted((ranges.ranges.keys() | ranges.class_sensor.keys())
+                         - set(classes.tolist()))
+        if unknown:
+            raise ModelFormatError(f"amplitude ranges name classes {unknown} outside the "
+                                   f"model's classes {classes.tolist()}")
     if not (np.isfinite(means).all() and np.isfinite(log_priors).all()
             and np.isfinite(lower).all()):
         raise ModelFormatError("non-finite values in model file")

@@ -25,11 +25,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as SequenceT
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset_io import SessionRecording, check_sequence_indices
-from .errors import LayoutError, MappingError, ValidationError
-# The stream does not call extract. The name stays because the traced
-# benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract.
+from .errors import LayoutError, MappingError, NumericalError, ValidationError
+# The stream calls neither extract nor predict. The names stay because the
+# traced benchmark run (perfbench/tracing.py) wraps bomi.pipeline.extract
+# and bomi.pipeline.predict.
 from .features import channel_index, extract, prop_output, window_labels  # noqa: F401
 from .fusion import (
     FLAG_GAP,
@@ -39,7 +41,7 @@ from .fusion import (
     _sample_period,
     calibrate_neutral,
 )
-from .lda import LdaModel, predict
+from .lda import LdaModel, predict  # noqa: F401
 
 DEFAULT_V_MAX_CM_S = 20.0
 
@@ -286,8 +288,13 @@ class StreamingPipeline:
     A tick is one call of the C kernel's ``tick`` entry: it checks every
     row, advances each sensor's filter, and once calibration is done
     writes the tick's wrapped angles, gyro values and amplitudes into the
-    rings. Python keeps calibration, the emission decision, ``fv3``,
-    ``predict``, the amplitude mean, ``prop_output`` and ``map_command``.
+    rings and each sensor's window amplitude mean into an owned array. An
+    emission calls the kernel's ``fv3`` entry (fv3 only) and its ``score``
+    entry on buffers the pipeline owns, with the model's weights, biases
+    and classes read once at construction; ``predict`` is not called, but
+    its checks and its ``NumericalError`` text are kept. Python keeps
+    calibration, the emission decision, the smoother, ``prop_output``,
+    ``map_command`` and ``CommandOutput``.
     """
 
     def __init__(
@@ -324,16 +331,43 @@ class StreamingPipeline:
         # k + 1 .. k + window are the window, oldest first. _channels holds
         # the feature channels that _pick selects from a tick's 3S angles
         # followed by its 3S gyro values, so an fv1 or fv2 window vector is
-        # a view of it. _gamma holds each sensor's amplitude.
+        # a view of it. _gamma holds each sensor's amplitude in a row of
+        # 2 * window, written to columns k and k + window, and the kernel
+        # writes each sensor's mean over columns k + 1 .. k + window into
+        # _means.
         self._pick = channel_index(model.feature_kind, n_sensors)
-        self._channels = np.zeros((2 * window, len(self._pick)))
-        self._gamma = np.zeros((2 * window, n_sensors))
+        n_channels = len(self._pick)
+        self._channels = np.zeros((2 * window, n_channels))
+        self._gamma = np.zeros((n_sensors, 2 * window))
+        self._means = np.zeros(n_sensors)
         self._written = 0
-        # fv3 writes each emitted window's (C, 2, 4) vector here, from
-        # _channels with the window's first row in _fv3_row.
-        self._fv3 = (np.zeros((1, len(self._pick), 2, 4))
-                     if model.feature_kind == "fv3" else None)
+        # The (1, d) vector an emission scores is a view. For fv1 and fv2,
+        # _windows[k] is rows k + 1 .. k + window of _channels as one row.
+        # For fv3, the kernel's fv3 entry writes each window's (C, 2, 4)
+        # vector into _fv3, from _channels with the window's first row in
+        # _fv3_row, and _x is _fv3 as one row.
+        self._windows = self._fv3 = self._x = None
+        if model.feature_kind == "fv3":
+            self._fv3 = np.zeros((1, n_channels, 2, 4))
+            self._x = self._fv3.reshape(1, -1)
+        else:
+            self._windows = sliding_window_view(
+                self._channels.reshape(-1), window * n_channels)[n_channels::n_channels, None]
         self._fv3_row = np.zeros(1, dtype=np.intp)
+        # The model's linear form, read once, and the (1, K) scores and
+        # (1,) label the kernel's score entry writes.
+        self._weights, self._biases = model._linear
+        self._classes = model.classes
+        self._scores = np.zeros((1, len(model.classes)))
+        self._labels = np.zeros(1, dtype=np.int64)
+        # The row of _means each class with an amplitude range reads: its
+        # class_sensor, else the first sensor.
+        sensor_ids = self.layout.sensor_ids
+        ranges = model.ranges
+        self._amplitude_sensor = {} if ranges is None else {
+            cls: sensor_ids.index(ranges.class_sensor.get(cls, sensor_ids[0]))
+            for cls in ranges.ranges if cls != 0
+        }
         self._smoother = make_smoother(smoothing)
         self._previous_cls: int | None = None
         self.dropped_ticks = 0
@@ -345,6 +379,8 @@ class StreamingPipeline:
             ValidationError: a row is not 9 finite real numbers; the
                 pipeline is left as it was before the call.
             LayoutError: a sensor has no row at stream start.
+            NumericalError: a score of the window is NaN or its highest
+                score is infinite, as ``predict`` raises it.
         """
         t0 = time.perf_counter()
         sensor_ids = self.layout.sensor_ids
@@ -353,7 +389,7 @@ class StreamingPipeline:
         w = self.window
         k = self._written % w
         bits = _kernel.tick(rows, self._last, self._state, self._bits, *self._filter, offset,
-                            self._pick, self._channels, self._gamma, k)
+                            self._pick, self._channels, self._gamma, self._means, k)
         if bits < 0:
             # -1 - si: sensor si's row was refused and nothing changed.
             sid, row = sensor_ids[~bits], rows[~bits]
@@ -379,20 +415,22 @@ class StreamingPipeline:
             return None
 
         # The same values in the same order as extract gives.
-        x = self._channels[k + 1:k + 1 + w]
-        if self._fv3 is not None:
+        if self._fv3 is None:
+            x = self._windows[k]
+        else:
             self._fv3_row[0] = k + 1
             _kernel.fv3(self._channels, self._fv3_row, self._fv3)
-            x = self._fv3
-        cls = self._smoother(predict(self.model, x.reshape(-1)))
+            x = self._x
+        if _kernel.score(self._weights, self._biases, self._classes, x, self._scores,
+                         self._labels) >= 0:
+            raise NumericalError(f"non-finite discriminant scores {self._scores[0].tolist()}")
+        cls = self._smoother(self._labels.item())
 
         nu = 0.0
-        if cls != 0 and self.model.ranges is not None and cls in self.model.ranges.ranges:
-            sid = self.model.ranges.class_sensor.get(cls, sensor_ids[0])
-            si = sensor_ids.index(sid)
-            # The window mean of tick_gamma: numpy's sum, then one division.
-            gamma = float(np.add.reduce(self._gamma[k + 1:k + 1 + w, si]) / w)
-            nu = prop_output(gamma, cls, self.model.ranges)
+        si = self._amplitude_sensor.get(cls)
+        if si is not None:
+            # The window mean of tick_gamma, which the tick entry wrote.
+            nu = prop_output(self._means.item(si), cls, self.model.ranges)
         command, velocity, button_event = map_command(
             cls, nu, self.mapping, self._previous_cls
         )

@@ -587,13 +587,14 @@ def test_kernel_entries_match_reference_bitwise(n, planted, seed, alpha, guard, 
     assert np.isnan(raw[:, 0]).all()
 
     # The one-tick entry on one sensor, from the bootstrap on, with no
-    # offset: it writes neither ring.
+    # offset: it writes neither ring nor the means.
     last, state, bits = np.full((1, 9), np.nan), np.zeros((1, 3)), np.zeros(1, dtype=np.uint8)
-    pick, channels, gamma = np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((2, 1))
+    pick, channels, gamma = np.zeros(0, dtype=np.intp), np.zeros((2, 0)), np.zeros((1, 2))
+    means = np.zeros(1)
     states, tick_bits = [], []
     for row in rows.tolist():
         tick_bits.append(_kernel.tick([row], last, state, bits, alpha, dt, guard, None,
-                                      pick, channels, gamma, 0))
+                                      pick, channels, gamma, means, 0))
         assert bits[0] == tick_bits[-1]
         states.append(state[0].copy())
     assert np.array(states).tobytes() == want_raw

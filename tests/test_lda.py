@@ -700,11 +700,20 @@ class TestSerialization:
             "amplitude class key '01' is not a decimal class", id="class-sensor-key-zero"),
         pytest.param("ranges", lambda p: {**p, "mode": "median"},
                      "unknown amplitude mode 'median'", id="mode-unknown"),
+        pytest.param("ranges", lambda p: {**p, "ranges": {
+            c: [lo, hi, 99.0] for c, (lo, hi) in p["ranges"].items()}},
+            "amplitude bounds must be two numbers", id="bounds-three"),
+        pytest.param("ranges", lambda p: {**p, "ranges": {**p["ranges"], "7": [1.0, 2.0]}},
+                     "amplitude ranges name classes [7]", id="range-class-unknown"),
+        pytest.param("ranges", lambda p: {**p, "class_sensor": {
+            **p["class_sensor"], "7": min(p["class_sensor"].values())}},
+            "amplitude ranges name classes [7]", id="class-sensor-class-unknown"),
     ])
     def test_values_that_are_not_numbers_rejected(self, tmp_path, small_model, field, edit,
                                                   message):
         # Each file here loaded before: a bool, a numeric string or a
-        # fraction was read as a number, a padded key as its class.
+        # fraction was read as a number, a padded key as its class, a third
+        # bound was dropped and a class the model does not have was kept.
         model, _ = small_model
         path = tmp_path / "model.json"
         serialize(model, path)
@@ -723,6 +732,19 @@ class TestSerialization:
         payload["ranges"][part] = list(payload["ranges"][part].values())
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="corrupt model file"):
+            deserialize(path)
+
+    @pytest.mark.parametrize("bounds", [[1.0], {"0": 1.0, "1": 2.0}], ids=["one", "object"])
+    def test_bounds_that_are_not_a_pair_rejected(self, tmp_path, small_model, bounds):
+        # One bound used to escape as an IndexError, an object as the
+        # message "corrupt model file: 0".
+        model, _ = small_model
+        path = tmp_path / "model.json"
+        serialize(model, path)
+        payload = json.loads(path.read_text())
+        payload["ranges"]["ranges"]["1"] = bounds
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="amplitude bounds must be two numbers"):
             deserialize(path)
 
     def test_mismatched_probe_dimension(self, tmp_path, small_model):

@@ -14,6 +14,7 @@ from bomi.errors import (
     LayoutError,
     MappingError,
     ModelFormatError,
+    NumericalError,
     ShapeError,
     SplitSpecError,
     ValidationError,
@@ -38,7 +39,15 @@ from bomi.fusion import (
     fuse_sequence,
     wrap_deg,
 )
-from bomi.lda import LdaModel, deserialize, fit, predict_many, predict_scores, serialize
+from bomi.lda import (
+    LdaModel,
+    deserialize,
+    fit,
+    predict,
+    predict_many,
+    predict_scores,
+    serialize,
+)
 from bomi.pipeline import (
     Command,
     CommandMapping,
@@ -66,6 +75,25 @@ def drive(pipe, seq, n=None):
         if out is not None:
             outs.append(out)
     return outs
+
+
+def scored_vectors(monkeypatch):
+    """The list that collects, as (d,) copies, the vectors every
+    StreamingPipeline scores from now on: ``bomi.pipeline``'s kernel is
+    wrapped so that its ``score`` entry records its input first."""
+    vectors = []
+    kernel = bomi.pipeline._kernel
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def score(self, weights, biases, classes, X, scores, labels):
+            vectors.append(X.reshape(-1).copy())
+            return kernel.score(weights, biases, classes, X, scores, labels)
+
+    monkeypatch.setattr(bomi.pipeline, "_kernel", Spy())
+    return vectors
 
 
 def model_file_with(model, tmp_path, **fields):
@@ -397,8 +425,7 @@ class TestStreaming:
         rows[:, :, 3:6] = gyro
         seq = Sequence(sensor_ids, rows, small_noisy.sequences[2].labels[:n_ticks])
 
-        vectors = []
-        monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+        vectors = scored_vectors(monkeypatch)
         outs = drive(StreamingPipeline(model), seq)
         windows = sequence_windows(
             replace(small_noisy, sequences=[seq]), seq, overlap=overlap
@@ -421,8 +448,7 @@ class TestStreaming:
         clean = rec.sequences[-1]
         seq = Sequence(rec.sensor_ids, clean.samples[:n_ticks], clean.labels[:n_ticks])
 
-        vectors = []
-        monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+        vectors = scored_vectors(monkeypatch)
         outs = drive(StreamingPipeline(model), seq)
         windows = sequence_windows(replace(rec, sequences=[seq]), seq)
         assert [o.tick for o in outs] == [w.end_tick for w in windows]
@@ -565,11 +591,42 @@ def test_ring_mean_equals_tick_gamma_mean_bitwise(n_sensors):
                 assert ring_mean.hex() == float(tick_gamma(window[:, si]).mean()).hex()
 
 
+@pytest.mark.parametrize("n_sensors", range(1, 7))
+def test_tick_window_mean_equals_numpy_reduce_bitwise(n_sensors):
+    # The tick entry writes each sensor's mean over columns k + 1 .. k + w of
+    # its (S, 2w) gamma row, one of which it has just written; it must be
+    # numpy's sum of that window, taken from a (2w, S) ring, then one
+    # division. Zeros, -0.0 and magnitudes from 1e-3 to 1e300 are planted,
+    # and lengths past 8 cover numpy's 8-lane sum and its tail.
+    rng = np.random.default_rng(n_sensors)
+    s = n_sensors
+    rows = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]] * s
+    last, state = np.full((s, 9), np.nan), np.zeros((s, 3))
+    bits, pick = np.zeros(s, dtype=np.uint8), np.arange(6 * s, dtype=np.intp)
+    for w in range(1, 41):
+        channels, means = np.zeros((2 * w, 6 * s)), np.zeros(s)
+        for k in range(w):
+            if k % 2:
+                gamma = rng.normal(scale=rng.choice([1e-3, 1.0, 90.0, 1e150, 1e300]),
+                                   size=(s, 2 * w))
+            else:
+                gamma = rng.choice([-1.0, 1.0], size=(s, 2 * w)) * 10.0 ** rng.uniform(
+                    -3.0, 300.0, size=(s, 2 * w))
+            gamma[rng.random((s, 2 * w)) < 0.2] = 0.0
+            gamma[rng.random((s, 2 * w)) < 0.2] = -0.0
+            offset = rng.normal(scale=90.0, size=(s, 3))
+            assert _kernel.tick(rows, last, state, bits, 0.98, 1 / 60, 85.0, offset, pick,
+                                channels, gamma, means, k) >= 0
+            ring = gamma.T
+            want = [np.add.reduce(ring[k + 1:k + 1 + w, si]) / w for si in range(s)]
+            assert_same_bits(means, np.array(want))
+
+
 @pytest.mark.parametrize("kind", FEATURE_KINDS)
 @pytest.mark.parametrize("n_sensors", range(1, 7))
 def test_stream_vectors_equal_extract_matrix_rows(monkeypatch, kind, n_sensors):
-    # Each window vector the stream hands to predict is the extract_matrix
-    # row of the same offline window, bit for bit.
+    # Each window vector the stream scores is the extract_matrix row of
+    # the same offline window, bit for bit.
     rec = synth_session(class_count=2, sensor_count=n_sensors, seed=n_sensors,
                         n_sequences=1, motion_s=1.0)
     n_ticks = 200
@@ -581,8 +638,7 @@ def test_stream_vectors_equal_extract_matrix_rows(monkeypatch, kind, n_sensors):
     model = LdaModel(classes=core.classes, means=core.means, chol_lower=core.chol_lower,
                      shrinkage=core.shrinkage, log_priors=core.log_priors,
                      feature_kind=kind, layout=layout)
-    vectors = []
-    monkeypatch.setattr(bomi.pipeline, "predict", lambda m, x: vectors.append(x.copy()) or 0)
+    vectors = scored_vectors(monkeypatch)
     drive(StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz), seq)
     windows = sequence_windows(rec, seq)
     assert len(vectors) == len(windows) > 0
@@ -670,6 +726,39 @@ class TestStepInput:
         assert any(o.nu > 0.0 for o in want)
         assert pipe.dropped_ticks == fresh.dropped_ticks == 1
 
+    def test_overflowing_scores_raise_predicts_error(self, small_noisy, monkeypatch):
+        # fv2 scores the gyro values directly, and a model fitted on four
+        # random rows weighs each feature by more than 1, so finite gyro
+        # values of 1e308 overflow its scores: the stream raises the
+        # NumericalError predict raises on the same vector. A tick refused
+        # after it changes nothing, the buffers that hold the non-finite
+        # scores included.
+        X = np.random.default_rng(2).normal(size=(4, feature_dim("fv2", 2)))
+        core = fit(X, [0, 0, 1, 1])
+        model = LdaModel(classes=core.classes, means=core.means, chol_lower=core.chol_lower,
+                         shrinkage=core.shrinkage, log_priors=core.log_priors,
+                         feature_kind="fv2", layout=FeatureLayout(small_noisy.sensor_ids))
+        seq = small_noisy.sequences[2]
+        rows = seq.samples[:200].copy()
+        rows[150:, :, 3:6] = 1e308
+        seq = Sequence(small_noisy.sensor_ids, rows, seq.labels[:200])
+        vectors = scored_vectors(monkeypatch)
+        pipe = StreamingPipeline(model)
+        with pytest.raises(NumericalError, match="non-finite discriminant scores") as got:
+            drive(pipe, seq)
+        with pytest.raises(NumericalError) as want:
+            predict(model, vectors[-1])
+        assert str(got.value) == str(want.value)
+        tick = len(vectors) + model.fusion.calib_ticks + model.window - 2
+        assert tick >= 150
+
+        samples = seq.tick_samples(tick + 1)
+        samples[2][4] = float("nan")
+        before = pipeline_state(pipe)
+        with pytest.raises(ValidationError, match=f"sensor 2 at tick {tick + 1}"):
+            pipe.step(tick + 1, samples)
+        assert pipeline_state(pipe) == before
+
     @pytest.mark.parametrize("kind", ["float64-array", "int", "int64-array"])
     def test_array_and_int_rows_equal_float_lists_bitwise(self, small_model, small_noisy,
                                                           kind):
@@ -716,7 +805,7 @@ def offset_on_seam(raw: float, seam: float) -> float | None:
 def tick_args(rows, arrays, filt, offset, k):
     """The tick entry's arguments in order."""
     return (rows, arrays["last"], arrays["state"], arrays["bits"], *filt, offset,
-            arrays["pick"], arrays["channels"], arrays["gamma"], k)
+            arrays["pick"], arrays["channels"], arrays["gamma"], arrays["means"], k)
 
 
 def array_bytes(arrays):
@@ -750,7 +839,8 @@ class TestTickEntry:
             "bits": np.zeros(s, dtype=np.uint8),
             "pick": pick,
             "channels": rng.normal(size=(2 * w, len(pick))),
-            "gamma": rng.normal(size=(2 * w, s)),
+            "gamma": rng.normal(size=(s, 2 * w)),
+            "means": rng.normal(size=s),
         }
         # A still sensor reads zeros: its raw angles stay exactly 0.0, so
         # every seam can be planted on it.
@@ -788,6 +878,7 @@ class TestTickEntry:
                 want_bits.append(FLAG_SETS.index(flags) | 8 * gaps[si])
             offset, k = None, t % w
             want_channels, want_gamma = arrays["channels"].copy(), arrays["gamma"].copy()
+            want_means = arrays["means"].copy()
             if t >= calib:
                 offset = rng.normal(scale=200.0, size=(s, 3))
                 for si in range(s):
@@ -801,8 +892,13 @@ class TestTickEntry:
                           for si in range(s) for j in range(3)]
                 values = angles + [v for g in gyro for v in g]
                 want_channels[k::w] = [values[i] for i in pick.tolist()]
-                want_gamma[k::w] = [math.sqrt(p * p + r * r + y * y)
-                                    for p, r, y in zip(*[iter(angles)] * 3)]
+                want_gamma[:, k::w] = [[math.sqrt(p * p + r * r + y * y)]
+                                       for p, r, y in zip(*[iter(angles)] * 3)]
+                # Each sensor's window mean as the stream took it from a
+                # (2W, S) ring: numpy's sum, then one division.
+                ring = want_gamma.T
+                want_means = np.array([np.add.reduce(ring[k + 1:k + 1 + w, si]) / w
+                                       for si in range(s)])
 
             # A bad row on the last sensor, or at the start a missing one,
             # is refused before anything changes.
@@ -819,6 +915,7 @@ class TestTickEntry:
             assert_same_bits(arrays["last"], np.array(ref_last))
             assert_same_bits(arrays["channels"], want_channels)
             assert_same_bits(arrays["gamma"], want_gamma)
+            assert_same_bits(arrays["means"], want_means)
         if still.any() and n_ticks > calib:
             assert seams_hit
 
@@ -830,7 +927,8 @@ class TestTickEntry:
             "bits": np.zeros(2, dtype=np.uint8),
             "pick": np.arange(7, dtype=np.intp),
             "channels": np.zeros((6, 7)),
-            "gamma": np.zeros((6, 2)),
+            "gamma": np.zeros((2, 6)),
+            "means": np.zeros(2),
         }
         rows = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]] * 2
         return rows, arrays, np.zeros((2, 3)), 0
@@ -861,9 +959,13 @@ class TestTickEntry:
         ("channels", np.zeros((5, 7))),
         ("channels", np.zeros((0, 7))),
         ("channels", np.zeros((6, 7), dtype=np.float32)),
-        ("gamma", np.zeros((6, 3))),
-        ("gamma", np.zeros((4, 2))),
-        ("gamma", np.zeros((6, 2), dtype=np.float32)),
+        ("gamma", np.zeros((3, 6))),
+        ("gamma", np.zeros((2, 4))),
+        ("gamma", np.zeros((6, 2))),
+        ("gamma", np.zeros((2, 6), dtype=np.float32)),
+        ("means", np.zeros(3)),
+        ("means", np.zeros((2, 1))),
+        ("means", np.zeros(2, dtype=np.float32)),
         ("rows", [[0.0] * 9] * 3),
         ("k", 3),
         ("k", -1),
@@ -883,7 +985,7 @@ class TestTickEntry:
             _kernel.tick(*tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k))
         assert array_bytes(arrays) == before
 
-    @pytest.mark.parametrize("name", ["last", "state", "bits", "channels", "gamma"])
+    @pytest.mark.parametrize("name", ["last", "state", "bits", "channels", "gamma", "means"])
     def test_read_only_or_strided_output_rejected(self, name):
         rows, arrays, offset, k = self.valid_args()
         arrays[name].flags.writeable = False
@@ -896,9 +998,9 @@ class TestTickEntry:
     def test_wrong_argument_count_or_rows_type(self):
         rows, arrays, offset, k = self.valid_args()
         args = tick_args(rows, arrays, (0.98, 1 / 60, 85.0), offset, k)
-        with pytest.raises(TypeError, match="12 arguments"):
+        with pytest.raises(TypeError, match="13 arguments"):
             _kernel.tick(*args[:-1])
-        with pytest.raises(TypeError, match="12 arguments"):
+        with pytest.raises(TypeError, match="13 arguments"):
             _kernel.tick(*args, 0)
         with pytest.raises(TypeError, match="rows"):
             _kernel.tick(iter(rows), *args[1:])

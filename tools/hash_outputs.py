@@ -31,8 +31,8 @@ Each line is ``<part> <digest>``. The parts cover:
   held-out windows, one window at a time;
 * ``stream/*``: every ``(tick, label, nu, velocity, flags)`` the
   ``StreamingPipeline`` emits on the held-out sequence, and as
-  ``stream/fv3_vectors_*`` every vector it passes to ``predict`` there
-  for each fv3 wearer;
+  ``stream/fv3_vectors_*`` every vector it scores there for each fv3
+  wearer;
 * ``stream-degraded/*``: every emitted ``(tick, label, nu, command,
   velocity, button_event, flags)``, ``dropped_ticks`` and the
   ``VirtualDevice`` trajectory when the held-out sequence has zero-accel
@@ -256,23 +256,28 @@ def hash_stream(rec, model, seq_index: int) -> str:
 
 
 def hash_stream_vectors(rec, model, seq_index: int) -> str:
-    """Digest of every vector the stream passes to ``predict`` on a
-    sequence, caught by wrapping ``bomi.pipeline.predict``."""
+    """Digest of every vector the stream scores on a sequence, each as a
+    (d,) vector, caught by wrapping the ``score`` entry of the kernel that
+    ``bomi.pipeline`` calls."""
     seq = rec.sequences[seq_index - 1]
     pipe = StreamingPipeline(model, sample_rate_hz=rec.sample_rate_hz)
-    predict = bomi.pipeline.predict
+    kernel = bomi.pipeline._kernel
     h = hashlib.sha256()
 
-    def spy(m, x):
-        h.update(digest(x).encode())
-        return predict(m, x)
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
 
-    bomi.pipeline.predict = spy
+        def score(self, weights, biases, classes, X, scores, labels):
+            h.update(digest(X.reshape(-1)).encode())
+            return kernel.score(weights, biases, classes, X, scores, labels)
+
+    bomi.pipeline._kernel = Spy()
     try:
         for t in range(seq.n_ticks):
             pipe.step(t, seq.tick_samples(t))
     finally:
-        bomi.pipeline.predict = predict
+        bomi.pipeline._kernel = kernel
     return h.hexdigest()
 
 
