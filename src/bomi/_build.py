@@ -3,8 +3,9 @@
 The one extension holds the complementary filter (entries ``run`` and
 ``tick``) and its measurements, the fv3 statistics, the LDA class
 moments (``moments``), the LDA scores with their labels and the readers
-of recording JSON and CSV (whose exact number conversion uses GCC's and
-Clang's ``unsigned __int128``).
+of recording JSON and CSV (which convert each number by multiplying its
+digits by a table of 128-bit powers of five, built when the module is
+created, with GCC's and Clang's ``unsigned __int128``).
 It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's

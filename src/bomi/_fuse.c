@@ -999,8 +999,13 @@ done:
 
 enum { READ_OK = 0, REFUSED = 1, READ_FAILED = -1 };
 
-/* 5**0 .. 5**27, each below 2**63; filled when the module is created. */
-static uint64_t pow5[28];
+/* The truncated 128-bit powers of five of the Eisel-Lemire conversion,
+ * 5**q for q in [-27, 27] at pow5_128[q + 27], high word first: for q >= 0,
+ * 5**q shifted so that bit 127 is set; for q < 0, floor(2**(b + 127) / 5**-q)
+ * + 1, where b is the bit length of 5**-q. Filled when the module is
+ * created, by exact integer arithmetic (fill_pow5_128). */
+enum { MIN_Q = -27, MAX_Q = 27 };
+static uint64_t pow5_128[MAX_Q - MIN_Q + 1][2];
 
 typedef struct {
     const unsigned char *p, *end;
@@ -1089,51 +1094,77 @@ skip_value(Cursor *c, int room)
     return READ_OK;
 }
 
-/* The bit length of m. */
-static inline int
-bit_length(unsigned __int128 m)
+/* w * 10**q rounded to the nearest double, ties to even, for w > 0 of at
+ * most 19 digits and q in [MIN_Q, MAX_Q]: Eisel-Lemire (Lemire, "Number
+ * parsing at a gigabyte per second", SPE 51(8), 2021), as fast_float's
+ * compute_float does it. The top bits of w * 5**q come from one 64 x 64 ->
+ * 128 product with the table's high word, and from a second with its low
+ * word only when the first leaves the rounding open. The products decide
+ * every case: Lemire shows it for q in [-27, 55], and Mushtak & Lemire ("Fast
+ * number parsing without fallback", SPE 53(6), 2023) for every q. No value
+ * in this range can overflow or go subnormal. */
+static double
+eisel_lemire(uint64_t w, int q)
 {
-    uint64_t hi = (uint64_t)(m >> 64), lo = (uint64_t)m;
-    return hi ? 128 - __builtin_clzll(hi) : lo ? 64 - __builtin_clzll(lo) : 0;
+    int lz = __builtin_clzll(w);
+    w <<= lz;
+    const uint64_t *t = pow5_128[q - MIN_Q];
+    unsigned __int128 first = (unsigned __int128)w * t[0];
+    uint64_t hi = (uint64_t)(first >> 64), lo = (uint64_t)first;
+    /* The low 9 bits of hi, below the 53 bits, the round bit and one more,
+     * all ones: a carry from the truncated product could still reach them. */
+    if ((hi & 0x1FF) == 0x1FF) {
+        uint64_t add = (uint64_t)(((unsigned __int128)w * t[1]) >> 64);
+        lo += add;
+        hi += lo < add;
+    }
+    int upper = (int)(hi >> 63), shift = upper + 9;
+    uint64_t mant = hi >> shift;
+    /* floor(q * log2(10)) + 63 + the binary exponent's bias, 1023. */
+    int power2 = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    /* An exact halfway value (only for q in [-4, 23]) rounds to even: its
+     * round bit is set, nothing below it is, and the bit above is clear. */
+    if (lo <= 1 && q >= -4 && q <= 23 && (mant & 3) == 1 && (mant << shift) == hi)
+        mant &= ~(uint64_t)1;
+    mant = (mant + (mant & 1)) >> 1;
+    if (mant >= (uint64_t)2 << 52) {
+        mant = (uint64_t)1 << 52;
+        power2++;
+    }
+    uint64_t bits = (mant & ~((uint64_t)1 << 52)) | (uint64_t)power2 << 52;
+    double v;
+    memcpy(&v, &bits, sizeof v);
+    return v;
 }
 
-/* w * 10**e10 rounded to the nearest double, ties to even, for w > 0 of
- * at most 19 digits and e10 in [-27, 27]. The product w * 5**e10, or the
- * quotient of w shifted to 128 bits by 5**-e10, is exact in 128 bits but
- * for a remainder, which joins the sticky bit; the power of two goes on
- * by ldexp, which cannot overflow or go subnormal in this range. */
-static double
-exact_double(uint64_t w, int e10)
+/* Whether p[0..8) are eight ASCII digits; if so, their value into *out,
+ * read as one little-endian word and joined by three multiplications (SWAR,
+ * as fast_float's parse_eight_digits_unrolled). */
+static inline int
+eight_digits(const unsigned char *p, uint64_t *out)
 {
-    unsigned __int128 m;
-    int e2, sticky = 0;
-    if (e10 >= 0) {
-        m = (unsigned __int128)w * pow5[e10];
-        e2 = e10;
-    }
-    else {
-        int s = __builtin_clzll(w);
-        unsigned __int128 n = (unsigned __int128)(w << s) << 64;
-        m = n / pow5[-e10];
-        sticky = m * pow5[-e10] != n;
-        e2 = e10 - s - 64;
-    }
-    int drop = bit_length(m) - 53;
-    if (drop <= 0)
-        return ldexp((double)(uint64_t)m, e2);
-    unsigned __int128 rest = m & ((((unsigned __int128)1) << drop) - 1);
-    unsigned __int128 half = ((unsigned __int128)1) << (drop - 1);
-    uint64_t mant = (uint64_t)(m >> drop);
-    if (rest > half || (rest == half && (sticky || (mant & 1))))
-        mant++;   /* 2**53 at most, still exact */
-    return ldexp((double)mant, e2 + drop);
+    uint64_t v;
+    memcpy(&v, p, 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    if ((((v + 0x4646464646464646) | (v - 0x3030303030303030)) & 0x8080808080808080) != 0)
+        return 0;
+    v -= 0x3030303030303030;
+    v = v * 10 + (v >> 8);
+    *out = (((v & 0x000000FF000000FF) * 0x000F424000000064)
+            + (((v >> 16) & 0x000000FF000000FF) * 0x0000271000000001)) >> 32;
+    return 1;
 }
 
 /* One JSON number token into *out: the correctly rounded double of its
  * value, as orjson reads it and NumPy converts it, with the integer token
  * -0 read as +0.0 (orjson makes it the int 0). REFUSED for a token outside
  * RFC 8259's grammar, or one that rounds to an infinity (orjson refuses
- * both); the delimiter after the token is the caller's to check. */
+ * both); the delimiter after the token is the caller's to check. A token
+ * whose nonzero digits all lie in its first 19 significant ones, w, with
+ * w's last digit at a power of ten in [MIN_Q, MAX_Q], is eisel_lemire's;
+ * any other goes to PyOS_string_to_double. */
 static int
 read_sample(Cursor *c, double *out)
 {
@@ -1166,6 +1197,19 @@ read_sample(Cursor *c, double *out)
         integer = 0;
         if (++p >= end || !is_digit(*p))
             return REFUSED;
+        if (w == 0) {
+            for (; p < end && *p == '0'; p++)
+                e10--;
+        }
+        /* Past the leading zeros every digit is significant: eight at a
+         * time while they keep w within 19 digits. */
+        uint64_t digits;
+        while (nd <= 11 && end - p >= 8 && eight_digits(p, &digits)) {
+            w = 100000000 * w + digits;
+            nd += 8;
+            e10 -= 8;
+            p += 8;
+        }
         for (; p < end && is_digit(*p); p++) {
             if (nd < 19) {
                 w = 10 * w + (*p - '0');
@@ -1196,8 +1240,8 @@ read_sample(Cursor *c, double *out)
         *out = neg && !integer ? -0.0 : 0.0;
         return READ_OK;
     }
-    if (!many && e10 >= -27 && e10 <= 27) {
-        double v = exact_double(w, (int)e10);
+    if (!many && e10 >= MIN_Q && e10 <= MAX_Q) {
+        double v = eisel_lemire(w, (int)e10);
         *out = neg ? -v : v;
         return READ_OK;
     }
@@ -1675,12 +1719,32 @@ static struct PyModuleDef fuse_module = {
     fuse_methods,
 };
 
+/* Fill pow5_128 from 5**k, k in [0, 27], each below 2**63. */
+static void
+fill_pow5_128(void)
+{
+    uint64_t p = 1;
+    for (int k = 0; k <= MAX_Q; k++, p *= 5) {
+        int b = 64 - __builtin_clzll(p);
+        pow5_128[k - MIN_Q][0] = p << (64 - b);
+        pow5_128[k - MIN_Q][1] = 0;
+        if (k == 0)
+            continue;
+        /* 2**(b + 127) / 5**k by long division in 64-bit digits: the top
+         * digit, 2**(b - 1), is below 5**k, and the quotient below 2**128. */
+        unsigned __int128 r = (unsigned __int128)((uint64_t)1 << (b - 1)) << 64;
+        uint64_t hi = (uint64_t)(r / p);
+        r = (r % p) << 64;
+        uint64_t lo = (uint64_t)(r / p) + 1;
+        pow5_128[-k - MIN_Q][0] = hi + (lo == 0);
+        pow5_128[-k - MIN_Q][1] = lo;
+    }
+}
+
 PyMODINIT_FUNC
 PyInit__fuse(void)
 {
-    pow5[0] = 1;
-    for (int i = 1; i < 28; i++)
-        pow5[i] = 5 * pow5[i - 1];
+    fill_pow5_128();
     if (hypot_fn == NULL) {
         PyObject *math = PyImport_ImportModule("math");
         if (math == NULL)

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import random
 import re
 import struct
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -1360,6 +1362,235 @@ class TestCompiledCsv:
             _kernel.read_csv(data, start, [-1], [])
         with pytest.raises(ValueError, match="column indices"):
             _kernel.read_csv(data, start, range(20), range(20))
+
+
+def sample_texts(tokens: list[str]) -> tuple[bytes, bytes]:
+    """A recording JSON in the shape save_recording writes and a recording
+    CSV, each holding ``tokens`` in order as sensor 1's samples (the last
+    row padded with 0.5)."""
+    rows = [tokens[i:i + 9] for i in range(0, len(tokens), 9)]
+    rows[-1] = rows[-1] + ["0.5"] * (9 - len(rows[-1]))
+    json_text = (
+        '{"sample_rate_hz":60.0,"class_count":2,"sensor_layout":[{"id":1,"location":"a"}],'
+        '"sequences":[{"labels":[' + ",".join("0" * len(rows)) + '],"sensors":{"1":['
+        + ",".join("[" + ",".join(row) + "]" for row in rows) + "]}}],\"meta\":{}}")
+    csv_text = "".join([HEADER + "\n", *(f"{t},1,{','.join(row)},0,1\n"
+                                         for t, row in enumerate(rows))])
+    return json_text.encode(), csv_text.encode()
+
+
+def assert_tokens_read_as_float(tokens: list[str]) -> None:
+    """Both compiled readers read every token as ``float(token)``, bit for
+    bit, but for the integer token -0, which the JSON route reads as +0.0
+    (orjson makes it the int 0)."""
+    json_text, csv_text = sample_texts(tokens)
+    compiled, rows = _read_compiled(json_text), _read_csv_compiled(csv_text)
+    assert compiled is not None and rows is not None
+    from_json = compiled["sequences"][0]["sensors"]["1"].reshape(-1)[:len(tokens)]
+    from_csv = rows["values"].reshape(-1)[:len(tokens)]
+    expected = np.array([float(token) for token in tokens])
+    integer_zero = np.array([expected[i] == 0 and not set(token) & set(".eE")
+                             for i, token in enumerate(tokens)], dtype=bool)
+    expected_json = np.where(integer_zero, 0.0, expected)
+    for route, actual, want in (("json", from_json, expected_json), ("csv", from_csv, expected)):
+        bad = np.flatnonzero(actual.view(np.uint64) != want.view(np.uint64))
+        assert bad.size == 0, [(route, tokens[i], actual[i], want[i]) for i in bad[:5]]
+
+
+def spellings(w: int, q: int) -> list[str]:
+    """Spellings of w * 10**q that read_sample reads as the digits of w and
+    the power q of its last digit: with an exponent, in scientific form (its
+    digits after the point), and as a plain decimal."""
+    digits = str(w)
+    out = [f"{digits}e{q}", f"{digits[0]}.{digits[1:] or '0'}E{q + len(digits) - 1:+d}"]
+    if q >= 0:
+        out.append(digits + "0" * q)
+    elif len(digits) > -q:
+        out.append(f"{digits[:q]}.{digits[q:]}")
+    else:
+        out.append("0." + "0" * (-q - len(digits)) + digits)
+    return out
+
+
+def halfway_tokens(rng: random.Random) -> list[str]:
+    """Tokens at and beside the points halfway between adjacent doubles:
+    exact halfway values w * 10**q with w of at most 19 digits, at every q
+    in [-4, 23] where one exists, and, at every q in [-27, 27], the 19-digit
+    w either side of a halfway point, one unit apart. Together they reach
+    every entry of the kernel's table of powers of five."""
+    tokens = []
+    for q in range(-4, 24):
+        # A halfway value is an odd 54-bit integer times a power of two.
+        # For q >= 0, w = o * 2**s gives o * 5**q * 2**(q + s), so o * 5**q
+        # needs 54 bits; for q < 0, w = o * 5**-q * 2**s gives o * 2**(q + s),
+        # so o does. Either way w stays below 10**19.
+        for _ in range(8):
+            if q >= 0:
+                lo, hi, five = -(-2**53 // 5**q), (2**54 - 1) // 5**q + 1, 1
+            else:
+                lo, hi, five = 2**53, min(2**54, -(-10**19 // 5**-q)), 5**-q
+            base = (2 * rng.randrange(lo // 2, hi // 2) + 1) * five
+            w = base << rng.randrange(((10**19 - 1) // base).bit_length())
+            value = Fraction(w) * Fraction(10) ** q
+            odd_part = value.numerator >> (value.numerator & -value.numerator).bit_length() - 1
+            assert value.denominator & (value.denominator - 1) == 0
+            assert odd_part.bit_length() == 54, (w, q)
+            tokens += spellings(w, q)
+    for q in range(-27, 28):
+        for _ in range(6):
+            near = float(Fraction(rng.randrange(10**18, 10**19)) * Fraction(10) ** q)
+            half = (Fraction(near) + Fraction(math.nextafter(near, math.inf))) / 2
+            w = math.floor(half / Fraction(10) ** q)
+            for v in (w - 1, w, w + 1, w + 2):
+                if 10**18 <= v < 10**19:
+                    tokens += spellings(v, q)
+    return tokens
+
+
+def random_tokens(rng: random.Random, n: int) -> list[str]:
+    """``n`` finite number tokens: repr and orjson spellings of doubles
+    (any bits, typical sensor values, subnormals) and 1-30 digit mantissas,
+    the point anywhere, with exponents to +-308 or none."""
+    tokens = []
+    while len(tokens) < n:
+        kind = rng.randrange(5)
+        if kind < 3:
+            if kind == 0:
+                value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            elif kind == 1:
+                value = rng.uniform(-20.0, 20.0) * 10.0 ** rng.randrange(-8, 9)
+            else:
+                value = rng.choice([-1, 1]) * rng.randrange(1, 2**52) * 5e-324
+            if not math.isfinite(value):
+                continue
+            tokens.append(repr(value) if rng.random() < 0.5 else orjson.dumps(value).decode())
+            continue
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 30)))
+        cut = rng.randint(0, len(digits))
+        token = ("-" if rng.random() < 0.5 else "") + (digits[:cut].lstrip("0") or "0")
+        if cut < len(digits):
+            token += "." + digits[cut:]
+        if kind == 4:
+            exp = rng.randint(-30, 30) if rng.random() < 0.5 else rng.randint(-308, 308)
+            token += rng.choice(["e", "E", "e+", "E-0"] if exp >= 0 else ["e", "E"]) + str(exp)
+        if math.isfinite(float(token)):
+            tokens.append(token)
+    return tokens
+
+
+class TestNumberReader:
+    """The number reader both compiled readers share gives the correctly
+    rounded double of every token, as float() does."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25)
+    def test_random_tokens_read_as_float_reads_them(self, seed):
+        zeros = ["0", "-0", "0.0", "-0.0", "-0e5", "0E-400", "-0.000e+0"]
+        assert_tokens_read_as_float(zeros + random_tokens(random.Random(seed), 3000))
+
+    def test_tokens_at_and_beside_halfway_points_round_to_even(self):
+        assert_tokens_read_as_float(halfway_tokens(random.Random(3)))
+
+
+# Bytes a mutation writes: structure and number bytes more often than others.
+MUTATION_BYTES = b'0123456789-+.eE,[]{}":\n\r \t\x00\xff'
+
+
+def mutated(data: bytes, rng: random.Random) -> bytes:
+    """``data`` after one to three byte flips, inserts, deletions or a
+    truncation, at random places; one more often than not."""
+    for _ in range(rng.choice([1, 1, 1, 2, 3])):
+        at = rng.randrange(len(data) + 1)
+        byte = (bytes([rng.choice(MUTATION_BYTES)]) if rng.random() < 0.8
+                else bytes([rng.randrange(256)]))
+        op = rng.randrange(4)
+        if op == 0 and at < len(data):
+            data = data[:at] + byte + data[at + 1:]
+        elif op == 1:
+            data = data[:at] + byte * rng.randint(1, 3) + data[at:]
+        elif op == 2:
+            data = data[:at] + data[at + rng.randint(1, 4):]
+        else:
+            data = data[:at]
+    return data
+
+
+def assert_reads_as_orjson(compiled: dict, data: bytes) -> None:
+    """``compiled``, what ``_read_compiled`` gave for ``data``, holds the
+    values orjson reads from it."""
+    parsed = orjson.loads(data)
+    assert isinstance(parsed, dict) and compiled.keys() == parsed.keys()
+    for key, value in parsed.items():
+        ours = compiled[key]
+        if key != "sequences" or not isinstance(value, list):
+            assert repr(ours) == repr(value)
+            continue
+        assert len(ours) == len(value)
+        for seq, theirs in zip(ours, value):
+            assert theirs.keys() == {"labels", "sensors"}
+            assert all(type(label) is int for label in theirs["labels"])
+            assert seq["labels"].tolist() == theirs["labels"]
+            assert seq["sensors"].keys() == theirs["sensors"].keys()
+            for sid, block in theirs["sensors"].items():
+                assert all(len(row) == 9 and all(type(v) in (int, float) for v in row)
+                           for row in block)
+                expected = np.array([[float(v) for v in row] for row in block]).reshape(-1, 9)
+                assert same_bits(seq["sensors"][sid], expected)
+
+
+def mutation_base(tmp_path, suffix: str) -> bytes:
+    """The bytes save_recording writes for a small two-sensor recording of
+    typical, signed-zero, subnormal, integral and extreme values."""
+    rng = np.random.default_rng(5)
+    samples = rng.normal(scale=[1.0, 1.0, 1.0, 50.0, 50.0, 50.0, 0.5, 0.5, 0.5], size=(6, 2, 9))
+    samples[0, 0, :4] = [-0.0, 5e-324, 1.0, 1e16]
+    samples[1, 1, :3] = [-1.7976931348623157e308, 2.2250738585072014e-308, 1e-7]
+    path = tmp_path / f"base{suffix}"
+    save_recording(block_recording(samples), path)
+    return path.read_bytes()
+
+
+class TestMutatedFiles:
+    """Byte-mutated saved files: each compiled reader refuses the text or
+    gives exactly what the general route gives, and load_recording raises
+    nothing but a DataError."""
+
+    MUTANTS = 1500
+
+    def loads_or_data_error(self, path) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                load_recording(path)
+            except DataError:
+                pass
+
+    def test_json(self, tmp_path):
+        base, rng = mutation_base(tmp_path, ".json"), random.Random(11)
+        path, taken = tmp_path / "mutant.json", 0
+        for _ in range(self.MUTANTS):
+            data = mutated(base, rng)
+            compiled = _read_compiled(data)
+            if compiled is not None:
+                taken += 1
+                assert_reads_as_orjson(compiled, data)
+            path.write_bytes(data)
+            self.loads_or_data_error(path)
+        # Some mutants stay inside the shape the compiled route takes.
+        assert taken > self.MUTANTS // 10
+
+    def test_csv(self, tmp_path):
+        base, rng = mutation_base(tmp_path, ".csv"), random.Random(12)
+        path, taken = tmp_path / "mutant.csv", 0
+        for _ in range(self.MUTANTS):
+            data = mutated(base, rng)
+            path.write_bytes(data)
+            compiled = _read_csv_compiled(data)
+            if compiled is not None:
+                taken += 1
+                assert same_bits(compiled, _loadtxt_rows(path, ImportMapping()))
+            self.loads_or_data_error(path)
+        assert taken > self.MUTANTS // 10
 
 
 class TestCsvCodec:
