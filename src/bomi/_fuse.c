@@ -2,8 +2,9 @@
  * complementary filter and its measurements (bomi.fusion, and the tick of
  * bomi.pipeline's stream), the fv3 statistics of bomi.features, the LDA
  * class moments and scores of bomi.lda and the recording JSON and CSV
- * readers of bomi.dataset_io. The filter has two entries over one bootstrap and one advance: `run`
- * for a whole sequence and `tick` for one tick.
+ * readers of bomi.dataset_io. The filter has two entries over one
+ * bootstrap and one advance: `run` for a whole sequence and `tick` for
+ * one tick.
  *
  * Every filter value is formed by the same IEEE operations, in the same
  * order, as the Python expressions of tests/oracles.py, so its bits are
@@ -20,11 +21,12 @@
  * It must be compiled without contraction into fused multiply-adds, without
  * fast-math and with sin and cos kept apart (bomi/_build.py has the flags).
  *
- * run(samples, sensor, alpha, dt, guard, angles, flag_sets) -> tuple
+ * run(samples, sensor, alpha, dt, guard, angles, flag_sets) -> tuple or int
  *     Filter one sensor of a C-contiguous (T, S, 9) float64 array from a
  *     bootstrap on its first tick; write raw (pitch, roll, yaw) into the
  *     sensor's column of the C-contiguous (T, S, 3) float64 array `angles`
- *     and return each tick's flags.
+ *     and return each tick's flags. A row that holds a NaN or an infinity
+ *     stops the filter: return its tick instead.
  * tick(rows, last, state, bits, alpha, dt, guard, offset, pick, channels,
  *      gamma, means, k) -> int
  *     Advance every sensor of a stream one tick. `rows` is a list of S
@@ -86,23 +88,24 @@
  *     and `centered` (N, d), and neither may overlap X. Every index and
  *     count is checked before anything is written. Return whether X holds
  *     a NaN or an infinity.
- * read_json(data, max_depth) -> (spans, sequences) or None
- *     Read the bytes of a recording JSON in one pass. Each sequence's
- *     labels go into a bytearray of int64 and each sensor block into a
- *     bytearray of float64 rows of 9, with no Python object per number:
- *     `sequences` is a list of (labels, {sensor key: block}) pairs, or None
- *     when the key is absent. `spans` maps each other top-level key to the
- *     (start, end) byte span of its value, for orjson to read. It takes
- *     only a top-level object of the five known keys, each at most once;
- *     sequence objects of exactly `labels` and `sensors`; sensor keys of
- *     plain ASCII digits, each once; blocks of one or more rows of 9
- *     numbers; labels that are integer tokens in [-2**63, 2**63); JSON
- *     whitespace between tokens; spans nesting the file at most
- *     `max_depth` levels deep (a limit of at least 1). Every number is
- *     the correctly rounded double of its token, as orjson reads it and
- *     NumPy converts it (the integer token -0 is +0.0). Any other text, a
- *     token outside RFC 8259's number grammar and one that rounds to an
- *     infinity return None.
+ * read_json(data) -> (sequences, start, end) or None
+ *     Read the `sequences` value of the bytes of a recording JSON in one
+ *     pass. Each sequence's labels go into a bytearray of int64 and each
+ *     sensor block into a bytearray of float64 rows of 9, with no Python
+ *     object per number: `sequences` is a list of (labels, {sensor key:
+ *     block}) pairs, and [start, end) the byte span of the value, which
+ *     bomi.dataset_io replaces with [] for orjson to read the rest. It
+ *     takes only a top-level object with one `sequences` key (orjson
+ *     keeps the last of repeated keys), each of its keys free of escapes;
+ *     a sequences array of objects of exactly `labels` and `sensors`;
+ *     sensor keys of plain ASCII digits, each once; blocks of one or more
+ *     rows of 9 numbers; labels that are integer tokens in [-2**63,
+ *     2**63); JSON whitespace between tokens. Each other key's value is
+ *     stepped over, its brackets balanced outside strings, however deep
+ *     they nest. Every number is the correctly rounded double of its
+ *     token, as orjson reads it and NumPy converts it (the integer token
+ *     -0 is +0.0). Any other text, a token outside RFC 8259's number
+ *     grammar and one that rounds to an infinity return None.
  * read_csv(data, start, ints, floats) -> bytearray or None
  *     Read the data rows of a recording CSV's bytes, from byte `start` (the
  *     first byte after the header line), in one pass, in file order: each
@@ -357,6 +360,13 @@ fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         double beta = 1.0 - p[0];
         Attitude st;
         for (Py_ssize_t t = 0; t < n; t++, v += 9 * s, a += 3 * s) {
+            int k = 0;
+            while (k < 9 && isfinite(v[k]))
+                k++;
+            if (k < 9) {
+                Py_SETREF(flags, PyLong_FromSsize_t(t));
+                break;
+            }
             int bits = t ? advance(v, beta, p[1], p[2], &st) : bootstrap(v, &st);
             if (bits < 0) {
                 Py_CLEAR(flags);
@@ -992,10 +1002,10 @@ done:
 
 /* ---- Recording JSON ----
  *
- * A reader of the one JSON shape bomi writes, which answers REFUSED for
- * any text outside it; bomi.dataset_io then reads the file with orjson
- * and json.loads. Accepted text is valid JSON that orjson reads to the
- * same values. */
+ * A reader of the sequences of the one JSON shape bomi writes, which
+ * answers REFUSED for any text outside it; bomi.dataset_io reads the rest
+ * of the text, or all of a refused one, with orjson and json.loads. The
+ * sequences it reads are valid JSON that orjson reads to the same values. */
 
 enum { READ_OK = 0, REFUSED = 1, READ_FAILED = -1 };
 
@@ -1061,11 +1071,11 @@ key_is(const unsigned char *key, Py_ssize_t len, const char *name)
 }
 
 /* Step over one JSON value, checking only that its brackets, outside
- * strings, balance and nest at most `room` deep: orjson reads the span. */
+ * strings, balance: orjson reads the value in place. */
 static int
-skip_value(Cursor *c, int room)
+skip_value(Cursor *c)
 {
-    int depth = 0;
+    Py_ssize_t depth = 0;
     do {
         if (c->p >= c->end)
             return REFUSED;
@@ -1077,10 +1087,8 @@ skip_value(Cursor *c, int room)
                 return REFUSED;
             c->p++;
         }
-        else if (ch == '[' || ch == '{') {
-            if (++depth > room)
-                return REFUSED;
-        }
+        else if (ch == '[' || ch == '{')
+            depth++;
         else if (ch == ']' || ch == '}') {
             if (--depth < 0)
                 return REFUSED;
@@ -1453,80 +1461,49 @@ read_sequences(Cursor *c, PyObject *list)
     return r == READ_OK && !take(c, ']') ? REFUSED : r;
 }
 
-/* The top-level keys read_json takes; the others are spans. */
-static const char *const HEAD_KEYS[] = {
-    "sample_rate_hz", "class_count", "sensor_layout", "meta", "sequences",
-};
-enum { N_HEAD_KEYS = 5, SEQUENCES = 4 };
-
 static PyObject *
-fuse_read_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+fuse_read_json(PyObject *module, PyObject *arg)
 {
     Py_buffer view;
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "read_json() takes 2 arguments");
-        return NULL;
-    }
-    Py_ssize_t max_depth = PyLong_AsSsize_t(args[1]);
-    if (max_depth == -1 && PyErr_Occurred())
-        return NULL;
-    if (max_depth < 1 || max_depth > INT_MAX) {
-        PyErr_SetString(PyExc_ValueError, "read_json() max_depth must lie in [1, INT_MAX]");
-        return NULL;
-    }
-    if (PyObject_GetBuffer(args[0], &view, PyBUF_SIMPLE) < 0)
+    if (PyObject_GetBuffer(arg, &view, PyBUF_SIMPLE) < 0)
         return NULL;
     const unsigned char *data = view.buf;
     Cursor c = {data, data + view.len};
-    PyObject *spans = PyDict_New(), *sequences = NULL, *result = NULL;
-    int r = spans == NULL ? READ_FAILED : take(&c, '{') ? READ_OK : REFUSED;
-    unsigned seen = 0;
-    if (r == READ_OK && !take(&c, '}')) {
-        do {
-            const unsigned char *key;
-            Py_ssize_t len;
-            int k = 0;
-            if ((r = read_key(&c, &key, &len)) != READ_OK)
-                break;
-            while (k < N_HEAD_KEYS && !key_is(key, len, HEAD_KEYS[k]))
-                k++;
-            if (k == N_HEAD_KEYS || seen & (1u << k)) {
-                r = REFUSED;
-                break;
-            }
-            seen |= 1u << k;
-            if (k == SEQUENCES) {
-                r = (sequences = PyList_New(0)) == NULL ? READ_FAILED
-                                                        : read_sequences(&c, sequences);
-                continue;
-            }
-            skip_ws(&c);
-            Py_ssize_t start = c.p - data;
-            /* The span sits one level inside the top-level object. */
-            if ((r = skip_value(&c, (int)max_depth - 1)) == READ_OK) {
-                PyObject *span = Py_BuildValue("(nn)", start, (Py_ssize_t)(c.p - data));
-                if (span == NULL || PyDict_SetItemString(spans, HEAD_KEYS[k], span) < 0)
-                    r = READ_FAILED;
-                Py_XDECREF(span);
-            }
-        } while (r == READ_OK && take(&c, ','));
-        if (r == READ_OK && !take(&c, '}'))
-            r = REFUSED;
+    PyObject *sequences = NULL, *result = NULL;
+    Py_ssize_t start = 0, end = 0;
+    int r = take(&c, '{') ? READ_OK : REFUSED;
+    while (r == READ_OK) {
+        const unsigned char *key;
+        Py_ssize_t len;
+        if ((r = read_key(&c, &key, &len)) != READ_OK)
+            break;
+        skip_ws(&c);
+        if (!key_is(key, len, "sequences"))
+            r = skip_value(&c);
+        else if (sequences != NULL)
+            r = REFUSED;   /* orjson would keep the second */
+        else if ((sequences = PyList_New(0)) == NULL)
+            r = READ_FAILED;
+        else {
+            start = c.p - data;
+            r = read_sequences(&c, sequences);
+            end = c.p - data;
+        }
+        if (r == READ_OK && !take(&c, ','))
+            break;
     }
     if (r == READ_OK) {
+        int closed = take(&c, '}');
         skip_ws(&c);
-        if (c.p != c.end)
+        if (!closed || c.p != c.end || sequences == NULL)
             r = REFUSED;
     }
     if (r == READ_OK)
-        result = PyTuple_Pack(2, spans, sequences ? sequences : Py_None);
-    else if (r == REFUSED) {
-        Py_INCREF(Py_None);
-        result = Py_None;
-    }
+        result = Py_BuildValue("(Onn)", sequences, start, end);
     Py_XDECREF(sequences);
-    Py_XDECREF(spans);
     PyBuffer_Release(&view);
+    if (r == REFUSED)
+        Py_RETURN_NONE;
     return result;
 }
 
@@ -1686,7 +1663,8 @@ fuse_read_csv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
-     "Filter one sensor of a (T, S, 9) sample array; return its flags per tick."},
+     "Filter one sensor of a (T, S, 9) sample array; return its flags per tick, or the "
+     "first tick whose row is not finite."},
     {"tick", (PyCFunction)(void (*)(void))fuse_tick, METH_FASTCALL,
      "Advance every sensor of a stream one tick and write its ring rows and window "
      "amplitude means; return the tick's flag bits, or -1 - si when sensor si's row is "
@@ -1702,9 +1680,9 @@ static PyMethodDef fuse_methods[] = {
     {"moments", (PyCFunction)(void (*)(void))fuse_moments, METH_FASTCALL,
      "Write the class means and the centered rows of an (N, d) matrix; return whether it "
      "holds a NaN or an infinity."},
-    {"read_json", (PyCFunction)(void (*)(void))fuse_read_json, METH_FASTCALL,
-     "Read a recording JSON's labels and sample blocks into bytearrays and its other "
-     "top-level values as byte spans; None for text outside the shape it takes."},
+    {"read_json", (PyCFunction)fuse_read_json, METH_O,
+     "Read a recording JSON's labels and sample blocks into bytearrays, with the byte "
+     "span of its sequences value; None for text outside the shape it takes."},
     {"read_csv", (PyCFunction)(void (*)(void))fuse_read_csv, METH_FASTCALL,
      "Read a recording CSV's data rows into a bytearray of int64 and float64 records; "
      "None for text outside the shape it takes."},

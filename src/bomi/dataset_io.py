@@ -9,9 +9,9 @@ Canonical formats:
 
 * JSON: ``{sample_rate_hz, class_count, sensor_layout: [{id, location}],
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
-  meta: {...}}``, written compact by orjson, sensor keys in id order, and
-  read by the compiled kernel's ``read_json`` (orjson and json.loads read
-  what it refuses).
+  meta: {...}}``, written compact by orjson, sensor keys in id order; its
+  ``sequences`` read by the compiled kernel's ``read_json``, the rest (or
+  all the kernel refuses) by orjson, and json.loads what orjson refuses.
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
   any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate and
@@ -31,6 +31,7 @@ fused-angles column mode).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -142,9 +143,11 @@ class SplitSpec:
 
 
 def check_sequence_indices(indices: Collection[int], n_sequences: int) -> None:
-    """Raise SplitSpecError unless every 1-based index lies in
+    """Raise SplitSpecError unless every 1-based index is an int in
     [1, n_sequences] and none repeats (its sequence would count twice)."""
     for idx in indices:
+        if not isinstance(idx, numbers.Integral) or isinstance(idx, bool):
+            raise SplitSpecError(f"sequence index {idx!r} is not an integer")
         if not 1 <= idx <= n_sequences:
             raise SplitSpecError(f"sequence index {idx} out of range [1, {n_sequences}]")
     if len(set(indices)) < len(indices):
@@ -563,7 +566,6 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
 # row) plus what its meta holds. orjson 3.8 parses without a depth limit and
 # overflows the C stack near a million levels, so deeper text is refused
 # before it parses; json.loads at the default recursion limit reads no deeper.
-# The kernel's read_json takes the limit as an argument and refuses deeper text.
 _MAX_JSON_DEPTH = 1000
 _NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
@@ -583,47 +585,11 @@ def _json_depth(data: bytes) -> int:
     return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
 
 
-def _read_compiled(data: bytes) -> dict | None:
-    """The JSON object of ``data`` as the kernel's ``read_json`` reads it,
-    or None when it refuses the text or orjson refuses a value it left.
-
-    The kernel takes only the shape ``save_recording`` writes, in any
-    whitespace or top-level key order, and reads each sequence's labels
-    into an int64 array and each sensor block into a (T, 9) float64 array
-    in one pass, with no Python object per number: every value the
-    correctly rounded double of its token, as orjson and ``np.asarray``
-    give it. orjson reads the other top-level values from their byte
-    spans."""
-    parsed = _kernel.read_json(data, _MAX_JSON_DEPTH)
-    if parsed is None:
-        return None
-    spans, sequences = parsed
-    view = memoryview(data)
-    try:
-        obj = {key: orjson.loads(view[start:end]) for key, (start, end) in spans.items()}
-    except orjson.JSONDecodeError:
-        return None
-    if sequences is not None:
-        obj["sequences"] = [
-            {"labels": np.frombuffer(labels, dtype=np.int64),
-             "sensors": {key: np.frombuffer(block).reshape(-1, 9)
-                         for key, block in blocks.items()}}
-            for labels, blocks in sequences
-        ]
-    return obj
-
-
-def _read_json(path: Path):
-    """The JSON value in ``path``: read by ``_read_compiled`` when it takes
-    the text, else by orjson, and by json.loads only when orjson rejects
-    the text too. That last route reads the ``NaN`` and ``Infinity``
-    literals and lone surrogates orjson refuses, and gives the error for
-    text both refuse (a BOM, bad UTF-8, bad syntax). Every route gives the
-    same values for a text that more than one reads."""
-    data = path.read_bytes()
-    obj = _read_compiled(data)
-    if obj is not None:
-        return obj
+def _parse_json(data: bytes):
+    """The JSON value of ``data``, read by orjson, else by json.loads: it
+    reads the ``NaN`` and ``Infinity`` literals and lone surrogates orjson
+    refuses, and gives the error, with the line of the text read as a file
+    (universal newlines), for text both refuse (bad UTF-8 or syntax)."""
     if _json_depth(data) > _MAX_JSON_DEPTH:
         raise ParseError(f"JSON nested deeper than {_MAX_JSON_DEPTH} levels")
     try:
@@ -631,13 +597,38 @@ def _read_json(path: Path):
     except orjson.JSONDecodeError:
         pass
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"recording is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested deeper than the recursion limit") from exc
+
+
+def _read_json(data: bytes):
+    """The JSON value of a recording's bytes. The kernel's ``read_json``
+    reads the ``sequences`` value of the shape ``save_recording`` writes,
+    in one pass with no Python object per number: each sequence's labels
+    into an int64 array, each sensor block into a (T, 9) float64 array,
+    every value the double orjson and ``np.asarray`` give its token.
+    ``_parse_json`` reads the rest, that value replaced by ``[]``, or the
+    whole text when the kernel refuses it."""
+    taken = _kernel.read_json(data)
+    if taken is None:
+        return _parse_json(data)
+    sequences, start, end = taken
+    try:
+        obj = _parse_json(data[:start] + b"[]" + data[end:])
+    except ParseError:
+        # Parsed again whole, so the error names the line in the file.
+        return _parse_json(data)
+    obj["sequences"] = [
+        {"labels": np.frombuffer(labels, dtype=np.int64),
+         "sensors": {key: np.frombuffer(block).reshape(-1, 9) for key, block in blocks.items()}}
+        for labels, blocks in sequences
+    ]
+    return obj
 
 
 def _detect_format(path: Path) -> str:
@@ -929,12 +920,12 @@ def load_recording(
     from ``mapping`` (60 Hz when unset) and its class count from its
     highest label.
 
-    JSON is read by the compiled kernel's ``read_json`` in one pass when
-    the text has the shape ``save_recording`` writes (any whitespace and
-    top-level key order), else by orjson, and by json.loads when orjson
-    refuses it too; each gives the same values bit for bit. A sample that
-    is a bool or a string, or a ``meta`` that is not an object, is a
-    SchemaError.
+    A JSON's ``sequences`` are read by the compiled kernel's ``read_json``
+    in one pass when they have the shape ``save_recording`` writes (any
+    whitespace, any other top-level keys), and the rest by orjson, which
+    reads all the kernel refuses; json.loads reads what orjson refuses.
+    Each gives the same values bit for bit. A sample that is a bool or a
+    string, or a ``meta`` that is not an object, is a SchemaError.
 
     A CSV is read as bytes once, and its rows by the compiled kernel's
     ``read_csv`` in one pass when the text has the shape
@@ -952,7 +943,7 @@ def load_recording(
     """
     path = Path(path)
     if _detect_format(path) == "json":
-        rec = _rec_from_dict(_read_json(path))
+        rec = _rec_from_dict(_read_json(path.read_bytes()))
     else:
         rec = _load_csv(path, mapping)
     validate_recording(rec, protocol=validate)

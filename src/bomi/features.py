@@ -204,9 +204,16 @@ def make_windows(
         size, overlap: window geometry; stride is size - overlap.
 
     Raises:
-        ShapeError: the geometry fails ``check_geometry``.
+        ShapeError: the geometry fails ``check_geometry``, angles and gyro
+            do not share one (T, S, 3) shape, or the labels are not (T,).
     """
     check_geometry(size, overlap)
+    shape = np.shape(angles)
+    if len(shape) != 3 or shape[2] != 3 or np.shape(gyro) != shape:
+        raise ShapeError(f"angles and gyro must share one (T, S, 3) shape, "
+                         f"got {shape} and {np.shape(gyro)}")
+    if labels is not None and np.shape(labels) != shape[:1]:
+        raise ShapeError(f"labels must have shape {shape[:1]}, got {np.shape(labels)}")
     rows = np.arange(0, len(angles) - size + 1, size - overlap)
     labels = window_labels(np.full(len(angles), -1) if labels is None else labels, size)
     return Windows(angles, gyro, rows, labels[rows], start_tick + rows, size)

@@ -28,6 +28,7 @@ import numpy as np
 from ._build import load as load_kernel
 from .errors import (
     CalibrationError,
+    ShapeError,
     UndefinedAttitudeError,
     UndefinedHeadingError,
     ValidationError,
@@ -336,15 +337,29 @@ def fuse_sequence(
         offset is the circular mean of the first ``config.calib_ticks``
         fused frames per sensor (the rest pose); with ``calib_ticks`` 0
         no offset is subtracted.
+
+    Raises:
+        ShapeError: ``samples`` is not a (T, S, 9) array.
+        ValidationError: it is not of reals, or holds a NaN or an infinity
+            (its first row, by tick then sensor, is named), as the stream does.
     """
     dt = _sample_period(sample_rate_hz)
+    samples = np.asarray(samples)
+    if samples.ndim != 3 or samples.shape[2] != 9:
+        raise ShapeError(f"samples must be a (T, S, 9) array, got shape {samples.shape}")
+    if samples.dtype.kind not in "iuf":
+        raise ValidationError(f"samples must be real numbers, got dtype {samples.dtype}")
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     n_ticks, n_sensors = samples.shape[:2]
     raw_angles = np.empty((n_ticks, n_sensors, 3), dtype=np.float64)
-    flags = []
-    for si in range(n_sensors):
-        flags.append(_kernel.run(samples, si, config.alpha, dt, config.gimbal_guard_deg,
-                                 raw_angles, FLAG_SETS))
+    # Each sensor's flags, or the first tick its row is not finite.
+    flags = [_kernel.run(samples, si, config.alpha, dt, config.gimbal_guard_deg, raw_angles,
+                         FLAG_SETS) for si in range(n_sensors)]
+    refused = [(t, si) for si, t in enumerate(flags) if type(t) is int]
+    if refused:
+        t, si = min(refused)
+        raise ValidationError(f"sensor index {si} at tick {t}: expected 9 finite numbers, "
+                              f"got {samples[t, si].tolist()!r}")
 
     if config.calib_ticks > 0:
         offset = calibrate_neutral(raw_angles.swapaxes(0, 1), config.calib_ticks)

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from bomi.cli import main
 from bomi.dataset_io import (
     CSV_HEADER,
-    _MAX_JSON_DEPTH,
     _loadtxt_rows,
-    _read_compiled,
+    _parse_json,
     _read_csv_compiled,
+    _read_json,
     _rec_from_dict,
     ImportMapping,
     Sequence,
@@ -1031,11 +1031,30 @@ def parsed_route(data: bytes, loads=orjson.loads) -> SessionRecording:
     return rec
 
 
+def read_compiled(data: bytes) -> dict | None:
+    """What ``_read_json`` reads from ``data`` when the kernel takes its
+    sequences, or None when the kernel refuses the text."""
+    return None if _kernel.read_json(data) is None else _read_json(data)
+
+
+def assert_loads_as_parsed(path, data: bytes, loads=orjson.loads) -> None:
+    """``load_recording`` of ``data``, written to ``path``, gives the
+    recording, or the error, that ``loads``'s parse of the whole text gives."""
+    path.write_bytes(data)
+    actual = outcome(lambda: load_recording(path, validate="none"))
+    expected = outcome(lambda: parsed_route(data, loads))
+    if isinstance(expected, SessionRecording):
+        assert_same_recording(actual, expected)
+    else:
+        assert actual == expected
+
+
 # Text outside the shape the compiled reader takes, which orjson reads.
 OUTSIDE_THE_SHAPE = {
-    "extra-top-level-key": compact({**json_recording(), "note": 1}),
     "escaped-key": compact(json_recording()).replace(b'"meta"', b'"me\\u0074a"'),
-    "duplicate-top-level-key": compact(json_recording())[:-1] + b',"class_count":4}',
+    "duplicate-sequences-key": compact(json_recording())[:-1] + b',"sequences":'
+                               + compact(json_recording()["sequences"]).replace(b"[0,1,2]", b"[2,1,0]")
+                               + b"}",
     "duplicate-sensor-key": compact(json_recording()).replace(b'"2":', b'"1":[[1,2,3,4,5,6,7,8,9]],"2":'),
     "sensor-key-with-sign": compact(json_recording()).replace(b'"2":', b'"+2":'),
     "empty-sensor-key": compact(json_recording()).replace(b'"2":', b'"":'),
@@ -1050,19 +1069,32 @@ OUTSIDE_THE_SHAPE = {
     "extra-sequence-key": compact(json_recording()).replace(b'"labels"', b'"x":0,"labels"'),
     "labels-not-an-array": compact(json_recording()).replace(b"[0,1,2]", b"0"),
     "sequences-not-an-array": compact({**json_recording(), "sequences": {}}),
+    "no-sequences-key": compact({k: v for k, v in json_recording().items() if k != "sequences"}),
     "top-level-array": compact([json_recording()]),
+}
+
+# Text around sequences of the shape the compiled reader takes: it reads
+# the sequences and steps over every other top-level value, whatever its
+# key, as often as the key repeats.
+KERNEL_TAKES = {
+    "extra-top-level-key": compact({**json_recording(), "note": 1}),
+    "duplicate-top-level-key": compact(json_recording())[:-1] + b',"class_count":4}',
+    "sequences-key-in-meta": compact({**json_recording(), "meta": {"sequences": [[1, {}]]}}),
+    "sequences-key-in-a-string": compact({**json_recording(),
+                                          "meta": {"note": '"sequences":[],"}'}}),
 }
 
 
 class TestCompiledJson:
-    """The kernel's read_json takes the shape save_recording writes and
-    gives the values orjson gives; anything else goes to orjson and
+    """The kernel's read_json takes the sequences of the shape
+    save_recording writes and gives the values orjson gives; the rest of
+    the text, or all of text the kernel refuses, goes to orjson and
     json.loads as before."""
 
     @given(data=recording_texts())
     @settings(max_examples=200)
     def test_compiled_route_reads_what_orjson_reads_bit_for_bit(self, data):
-        compiled = _read_compiled(data)
+        compiled = read_compiled(data)
         try:
             parsed = orjson.loads(data)
         except orjson.JSONDecodeError:
@@ -1079,9 +1111,9 @@ class TestCompiledJson:
     def test_saved_files_take_the_compiled_route(self, small_noisy, tmp_path):
         path = tmp_path / "rec.json"
         save_recording(small_noisy, path)
-        assert _read_compiled(path.read_bytes()) is not None
+        assert read_compiled(path.read_bytes()) is not None
         path.write_text(stdlib_json(small_noisy), encoding="utf-8")
-        compiled = _read_compiled(path.read_bytes())
+        compiled = read_compiled(path.read_bytes())
         assert compiled is not None
         assert_same_recording(_rec_from_dict(compiled), small_noisy)
 
@@ -1090,7 +1122,7 @@ class TestCompiledJson:
             self, tmp_path, data, error, message):
         with pytest.raises(orjson.JSONDecodeError):
             orjson.loads(data)
-        assert _read_compiled(data) is None
+        assert _kernel.read_json(data) is None
         path = tmp_path / "rec.json"
         path.write_bytes(data)
         with pytest.raises(error) as info:
@@ -1100,25 +1132,26 @@ class TestCompiledJson:
     @pytest.mark.parametrize("data", OUTSIDE_THE_SHAPE.values(), ids=OUTSIDE_THE_SHAPE.keys())
     def test_text_outside_the_shape_loads_as_orjson_reads_it(self, tmp_path, data):
         orjson.loads(data)
-        assert _read_compiled(data) is None
-        path = tmp_path / "rec.json"
-        path.write_bytes(data)
-        actual = outcome(lambda: load_recording(path, validate="none"))
-        expected = outcome(lambda: parsed_route(data))
-        if isinstance(expected, SessionRecording):
-            assert_same_recording(actual, expected)
-        else:
-            assert actual == expected
+        assert _kernel.read_json(data) is None
+        assert_loads_as_parsed(tmp_path / "rec.json", data)
 
-    @pytest.mark.parametrize("levels, compiled", [(999, True), (1000, False)])
-    def test_meta_may_nest_to_the_depth_limit(self, tmp_path, levels, compiled):
+    @pytest.mark.parametrize("data", KERNEL_TAKES.values(), ids=KERNEL_TAKES.keys())
+    def test_text_the_kernel_takes_loads_as_orjson_reads_it(self, tmp_path, data):
+        compiled = read_compiled(data)
+        assert compiled is not None
+        assert_reads_as_orjson(compiled, data)
+        assert_loads_as_parsed(tmp_path / "rec.json", data)
+
+    @pytest.mark.parametrize("levels, loads", [(999, True), (1000, False), (1_000_000, False)])
+    def test_meta_may_nest_to_the_depth_limit(self, tmp_path, levels, loads):
         obj = json_recording()
         obj["meta"] = {"deep": "@"}
         data = compact(obj).replace(b'"@"', b"[" * (levels - 1) + b"]" * (levels - 1))
-        assert (_read_compiled(data) is not None) is compiled
+        # The kernel steps over meta however deep it nests.
+        assert _kernel.read_json(data) is not None
         path = tmp_path / "rec.json"
         path.write_bytes(data)
-        if compiled:
+        if loads:
             # Walked, not compared: == recurses once per level.
             value, depth = load_recording(path, validate="none").meta["deep"], 1
             while value:
@@ -1128,19 +1161,25 @@ class TestCompiledJson:
             with pytest.raises(ParseError, match="JSON nested deeper than 1000 levels"):
                 load_recording(path, validate="none")
 
-    def test_kernel_takes_the_depth_limit_it_is_given(self):
-        obj = json_recording()
-        obj["meta"] = {"deep": [[]]}
-        data = compact(obj)
-        # The file nests four levels: the top-level object, meta and two arrays.
-        assert _kernel.read_json(data, 4) is not None
-        assert _kernel.read_json(data, 3) is None
-        for limit in (0, -1):
-            with pytest.raises(ValueError, match="max_depth"):
-                _kernel.read_json(data, limit)
+    def test_an_error_after_the_sequences_names_the_line_in_the_file(self, tmp_path):
+        text = json.dumps(json_recording(), indent=2)
+        assert text.index('"sequences"') < text.index('"meta"')
+        data = text.replace('"meta": {}', '"meta": {,}').encode()
+        assert _kernel.read_json(data) is not None
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(data)
+        line = info.value.lineno
+        assert line > 20
+        path = tmp_path / "rec.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as raised:
+            load_recording(path, validate="none")
+        assert raised.value.line == line
+        assert str(raised.value) == (
+            f"line {line}: invalid JSON: Expecting property name enclosed in double quotes")
 
     # (span, location it loads as or the error of before): orjson refuses
-    # each span, so the file goes to the general route.
+    # each span, so the rest of the file goes to json.loads.
     @pytest.mark.parametrize("span, expected", [
         (b'"\\ud800"', "\ud800"),
         (b'"\xff"', "recording is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
@@ -1150,8 +1189,9 @@ class TestCompiledJson:
     ], ids=["lone-surrogate", "bad-utf8", "trailing-comma", "bad-literal", "junk-after-string"])
     def test_a_span_orjson_refuses_goes_to_the_general_route(self, tmp_path, span, expected):
         data = compact(json_recording()).replace(b'"location":"a"', b'"location":' + span)
-        assert _kernel.read_json(data, _MAX_JSON_DEPTH) is not None
-        assert _read_compiled(data) is None
+        assert _kernel.read_json(data) is not None
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(data)
         path = tmp_path / "rec.json"
         path.write_bytes(data)
         if expected == "\ud800":
@@ -1384,7 +1424,7 @@ def assert_tokens_read_as_float(tokens: list[str]) -> None:
     bit, but for the integer token -0, which the JSON route reads as +0.0
     (orjson makes it the int 0)."""
     json_text, csv_text = sample_texts(tokens)
-    compiled, rows = _read_compiled(json_text), _read_csv_compiled(csv_text)
+    compiled, rows = read_compiled(json_text), _read_csv_compiled(csv_text)
     assert compiled is not None and rows is not None
     from_json = compiled["sequences"][0]["sensors"]["1"].reshape(-1)[:len(tokens)]
     from_csv = rows["values"].reshape(-1)[:len(tokens)]
@@ -1516,7 +1556,7 @@ def mutated(data: bytes, rng: random.Random) -> bytes:
 
 
 def assert_reads_as_orjson(compiled: dict, data: bytes) -> None:
-    """``compiled``, what ``_read_compiled`` gave for ``data``, holds the
+    """``compiled``, what ``read_compiled`` gave for ``data``, holds the
     values orjson reads from it."""
     parsed = orjson.loads(data)
     assert isinstance(parsed, dict) and compiled.keys() == parsed.keys()
@@ -1570,10 +1610,15 @@ class TestMutatedFiles:
         path, taken = tmp_path / "mutant.json", 0
         for _ in range(self.MUTANTS):
             data = mutated(base, rng)
-            compiled = _read_compiled(data)
-            if compiled is not None:
+            if _kernel.read_json(data) is not None:
                 taken += 1
-                assert_reads_as_orjson(compiled, data)
+                try:
+                    orjson.loads(data)
+                except orjson.JSONDecodeError:
+                    # The rest of the text loads as the whole text does.
+                    assert_loads_as_parsed(path, data, loads=_parse_json)
+                else:
+                    assert_reads_as_orjson(_read_json(data), data)
             path.write_bytes(data)
             self.loads_or_data_error(path)
         # Some mutants stay inside the shape the compiled route takes.
@@ -1838,6 +1883,18 @@ class TestSplit:
     def test_out_of_range_index(self, small_noisy):
         with pytest.raises(SplitSpecError):
             split_session(small_noisy, SplitSpec(train=frozenset({1}), test=frozenset({4})))
+
+    @pytest.mark.parametrize("index", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+    def test_index_that_is_not_an_integer(self, index):
+        spec = SplitSpec(train=frozenset({2}), test=frozenset({index}))
+        with pytest.raises(SplitSpecError, match=f"sequence index {re.escape(repr(index))} "
+                                                 "is not an integer"):
+            spec.validate(3)
+
+    def test_numpy_integer_index(self, small_noisy):
+        spec = SplitSpec(train=frozenset({np.int64(1)}), test=frozenset({np.int32(3)}))
+        assert split_session(small_noisy, spec) == ([small_noisy.sequences[0]],
+                                                    [small_noisy.sequences[2]])
 
     def test_no_tick_leaks_between_default_splits(self, small_noisy):
         train, test = split_session(small_noisy)

@@ -117,6 +117,18 @@ class TestWindowing:
         with pytest.raises(ShapeError):
             windows_of(20, size=8, overlap=8)
 
+    @pytest.mark.parametrize("angles_shape, gyro_shape, n_labels, message", [
+        ((20, 2, 3), (20, 2, 3), 19, r"labels must have shape \(20,\), got \(19,\)"),
+        ((20, 2, 3), (20, 2, 3), 21, r"labels must have shape \(20,\), got \(21,\)"),
+        ((20, 2, 3), (19, 2, 3), 20, r"one \(T, S, 3\) shape, got \(20, 2, 3\) and \(19, 2, 3\)"),
+        ((20, 2, 3), (20, 1, 3), 20, r"one \(T, S, 3\) shape, got \(20, 2, 3\) and \(20, 1, 3\)"),
+        ((20, 2, 9), (20, 2, 9), 20, r"one \(T, S, 3\) shape, got \(20, 2, 9\) and \(20, 2, 9\)"),
+    ], ids=["short-labels", "long-labels", "short-gyro", "gyro-of-fewer-sensors", "not-3-angles"])
+    def test_misaligned_streams_rejected(self, angles_shape, gyro_shape, n_labels, message):
+        with pytest.raises(ShapeError, match=message):
+            make_windows(np.zeros(angles_shape), np.zeros(gyro_shape),
+                         np.zeros(n_labels, dtype=int))
+
     @given(st.lists(st.tuples(st.integers(-1, 3), st.integers(1, 12)), max_size=10),
            st.integers(1, 10))
     @settings(max_examples=200)

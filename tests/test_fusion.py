@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bomi.errors import (
     CalibrationError,
+    ShapeError,
     UndefinedAttitudeError,
     UndefinedHeadingError,
     ValidationError,
@@ -231,6 +232,59 @@ def test_filter_rejects_bad_rows_and_stays_unchanged(initial, acc, gyro, mag):
                        match=r"sensor 4 at tick 1: expected 9 finite numbers, got "):
         filt.step(1, acc, gyro, mag)
     assert filt.step(1, *good) == untouched.step(1, *good)
+
+
+def level_samples(n_ticks: int, n_sensors: int) -> np.ndarray:
+    """Rows of level, still sensors: acc (0, 0, 1), no rate, mag MAG_LEVEL."""
+    samples = np.zeros((n_ticks, n_sensors, 9))
+    samples[:, :, 2] = 1.0
+    samples[:, :, 6:9] = MAG_LEVEL
+    return samples
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column", [0, 4, 8])
+def test_fuse_sequence_refuses_what_the_stream_refuses(value, column):
+    samples = level_samples(12, 3)
+    samples[7, 2, column] = value
+    # A later tick of a lower sensor index is not the first.
+    samples[9, 0, 1] = value
+    with pytest.raises(ValidationError, match=r"sensor index 2 at tick 7: expected 9 finite "
+                                              r"numbers, got \["):
+        fuse_sequence(samples, 60.0)
+    filt = ComplementaryFilter(sensor_id=3)
+    rows = samples[:, 2].tolist()
+    for t in range(7):
+        filt.step(t, rows[t][0:3], rows[t][3:6], rows[t][6:9])
+    with pytest.raises(ValidationError, match="sensor 3 at tick 7: expected 9 finite numbers"):
+        filt.step(7, rows[7][0:3], rows[7][3:6], rows[7][6:9])
+
+
+def test_fuse_sequence_names_the_lowest_sensor_of_the_first_tick():
+    samples = level_samples(12, 3)
+    samples[4, 2, 3] = samples[4, 1, 5] = float("nan")
+    with pytest.raises(ValidationError, match="sensor index 1 at tick 4"):
+        fuse_sequence(samples, 60.0)
+
+
+@pytest.mark.parametrize("samples, error, message", [
+    (np.zeros((12, 2, 8)), ShapeError, r"\(T, S, 9\) array, got shape \(12, 2, 8\)"),
+    (np.zeros((12, 9)), ShapeError, r"\(T, S, 9\) array, got shape \(12, 9\)"),
+    (np.zeros((12, 2, 9), dtype=object), ValidationError, "real numbers, got dtype object"),
+    (np.zeros((12, 2, 9), dtype=bool), ValidationError, "real numbers, got dtype bool"),
+    (np.zeros((12, 2, 9), dtype=complex), ValidationError,
+     "real numbers, got dtype complex128"),
+    (np.full((12, 2, 9), "1"), ValidationError, "real numbers, got dtype <U1"),
+], ids=["row-of-8", "two-dims", "object", "bool", "complex", "str"])
+def test_fuse_sequence_refuses_samples_it_cannot_read(samples, error, message):
+    with pytest.raises(error, match=message):
+        fuse_sequence(samples, 60.0)
+
+
+def test_fuse_sequence_reads_integer_samples_as_floats():
+    samples = level_samples(70, 2)
+    fused = fuse_sequence(samples.astype(np.int32), 60.0)
+    assert_same_bits(fused.angles, fuse_sequence(samples, 60.0).angles)
 
 
 @pytest.mark.parametrize("initial", [None, (80.0, 170.0, -179.0)])
@@ -644,3 +698,14 @@ def test_measure_entry_matches_reference_bitwise(vector, pitch, roll):
 def test_kernel_run_rejects_arrays_it_cannot_read(samples, angles, error):
     with pytest.raises(error):
         _kernel.run(samples, 1, 0.98, 1 / 60, 85.0, angles, FLAG_SETS)
+
+
+def test_kernel_run_stops_at_the_first_row_that_is_not_finite():
+    samples = level_samples(6, 2)
+    samples[4, 1, 3] = float("inf")
+    samples[5, 1, 0] = float("nan")
+    angles = np.full((6, 2, 3), 7.0)
+    assert _kernel.run(samples, 1, 0.98, 1 / 60, 85.0, angles, FLAG_SETS) == 4
+    # Ticks before it are written, the rest and the other sensor are not.
+    assert np.isfinite(angles[:4, 1]).all() and (angles[4:, 1] == 7.0).all()
+    assert (angles[:, 0] == 7.0).all()

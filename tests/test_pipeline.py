@@ -480,6 +480,16 @@ class TestStreaming:
             replay(small_noisy, model, sequence_indices=indices)
         assert steps == []
 
+    @pytest.mark.parametrize("indices", [[1.0], [True], ["1"], [3, 2.5]])
+    def test_sequence_index_that_is_not_an_integer_rejected(self, small_model, small_noisy,
+                                                            monkeypatch, indices):
+        model, _ = small_model
+        steps = []
+        monkeypatch.setattr(StreamingPipeline, "step", lambda *args: steps.append(args))
+        with pytest.raises(SplitSpecError, match="is not an integer"):
+            replay(small_noisy, model, sequence_indices=indices)
+        assert steps == []
+
     def test_custom_window_geometry_matches_offline(self, small_noisy):
         # non-default window/overlap must keep streaming aligned with
         # offline windowing (fv1 tolerates any window length)

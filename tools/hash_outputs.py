@@ -76,10 +76,14 @@ Each line is ``<part> <digest>``. The parts cover:
   compact, which the compiled JSON reader reads, and as
   ``json/*_respelled`` from a respelled copy with ``json.dumps`` spacing
   and float spelling (``1e-07``), the top-level keys in reverse order and
-  the ``meta`` key written with a ``\\u`` escape. The compiled reader
-  takes the spacing, float spelling and key order; the escape alone makes
-  it refuse the copy, so only the general route (orjson) reads it, and
-  the tool stops if the compiled reader takes it. Each pair must agree.
+  the ``meta`` key written with a ``\\u`` escape, and as
+  ``json/*_extra_key`` from the compact file with one more top-level key.
+  The compiled reader takes the spacing, float spelling and key order; the
+  escape alone makes it refuse the copy, so only the general route
+  (orjson) reads it, and the tool stops if the compiled reader takes it.
+  The extra key sends the file to orjson in checkouts whose reader knows
+  only the schema's top-level keys, and not in later ones. All three
+  digests of a session must agree.
 
 The sessions are the four stream-hub wearers, the two quickstart
 sessions and the seven studies recordings of ``perfbench/worker.py`` for
@@ -105,6 +109,7 @@ from pathlib import Path
 import numpy as np
 
 import bomi.experiments
+import bomi.fusion
 import bomi.pipeline
 from bomi.cli import main as bomi_main
 from bomi.dataset_io import (
@@ -128,10 +133,6 @@ from bomi.fusion import ComplementaryFilter, accel_angles, fuse_sequence, mag_ya
 from bomi.lda import deserialize, predict_scores
 from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
 
-try:
-    from bomi.dataset_io import _read_compiled
-except ImportError:  # a checkout from before the compiled JSON reader
-    _read_compiled = None
 try:
     from bomi.dataset_io import _read_csv_compiled
 except ImportError:  # a checkout from before the compiled CSV reader
@@ -436,6 +437,19 @@ def studies(seed: int, work: Path, emit) -> None:
         emit(f"fit/{name}", hash_model(model))
 
 
+def kernel_takes_json(data: bytes) -> bool:
+    """Whether the kernel's ``read_json`` takes the recording JSON ``data``.
+    Earlier checkouts' entry also took a depth limit, and those from
+    before the compiled JSON reader have none."""
+    read = getattr(bomi.fusion._kernel, "read_json", None)
+    if read is None:
+        return False
+    try:
+        return read(data) is not None
+    except TypeError:
+        return read(data, 1000) is not None
+
+
 def respell(path: Path, out: Path) -> None:
     """Write the recording JSON of ``path`` to ``out`` as ``json.dumps``
     spells it, top-level keys reversed and the ``meta`` key spelled
@@ -446,14 +460,15 @@ def respell(path: Path, out: Path) -> None:
     if text.count('"meta": ') != 1:
         raise RuntimeError(f"{path}: no single meta key to escape")
     data = text.replace('"meta": ', '"me\\u0074a": ').encode()
-    if _read_compiled is not None and _read_compiled(data) is not None:
+    if kernel_takes_json(data):
         raise RuntimeError(f"{out}: the compiled reader takes the respelled text")
     out.write_bytes(data)
 
 
 def json_loads(seed: int, work: Path, emit) -> None:
     """The JSON loader on the quickstart JSON session and P4, each read from
-    its compact file and from a respelled copy."""
+    its compact file, from a respelled copy and from a copy with one more
+    top-level key."""
     sessions = {
         "a": synth_session(class_count=9, sensor_count=3, noise_deg=0.5, seed=seed),
         "P4": synth_session(class_count=6, sensor_count=2, spasm_deg=10.0,
@@ -461,9 +476,12 @@ def json_loads(seed: int, work: Path, emit) -> None:
     }
     for name, rec in sessions.items():
         path, respelled = work / f"{name}.json", work / f"{name}_respelled.json"
+        extra_key = work / f"{name}_extra_key.json"
         save_recording(rec, path)
         respell(path, respelled)
-        for part, source in ((name, path), (f"{name}_respelled", respelled)):
+        extra_key.write_bytes(path.read_bytes()[:-1] + b',"source":"hash_outputs"}')
+        for part, source in ((name, path), (f"{name}_respelled", respelled),
+                             (f"{name}_extra_key", extra_key)):
             emit(f"json/{part}", hash_loaded(load_recording(source, validate="none")))
 
 
