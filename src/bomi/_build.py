@@ -2,10 +2,13 @@
 
 The one extension holds the complementary filter (entries ``run`` and
 ``tick``) and its measurements, the fv3 statistics, the LDA class
-moments (``moments``), the LDA scores with their labels and the readers
-of recording JSON and CSV (which convert each number by multiplying its
-digits by a table of 128-bit powers of five, built when the module is
-created, with GCC's and Clang's ``unsigned __int128``).
+moments (``moments``), the LDA scores with their labels, the readers of
+recording JSON and CSV (which convert each number by multiplying its
+digits by a table of 128-bit powers of five) and their writers
+(``write_json`` and ``write_csv``, which spell each double in its
+shortest digits by Ryū, with tables of 125-bit multipliers of powers of
+five). Both kinds of table are built when the module is created, with
+GCC's and Clang's ``unsigned __int128``.
 It is built with the C compiler the interpreter was built with
 (sysconfig's ``CC``) into ``__pycache__`` beside this file. Its file name
 carries a hash of the source, the compile options and the interpreter's

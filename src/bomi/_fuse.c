@@ -2,8 +2,8 @@
  * complementary filter and its measurements (bomi.fusion, and the tick of
  * bomi.pipeline's stream), the fv3 statistics of bomi.features, the LDA
  * class moments and scores of bomi.lda and the recording JSON and CSV
- * readers of bomi.dataset_io. The filter has two entries over one
- * bootstrap and one advance: `run` for a whole sequence and `tick` for
+ * readers and writers of bomi.dataset_io. The filter has two entries over
+ * one bootstrap and one advance: `run` for a whole sequence and `tick` for
  * one tick.
  *
  * Every filter value is formed by the same IEEE operations, in the same
@@ -122,6 +122,30 @@
  *     than the line ends, non-ASCII, a lone CR), a short row and any other
  *     token (a space around it, `+1`, `.5`, `01`, `inf`, one that rounds
  *     to an infinity) return None.
+ * write_json(labels, samples, ids) -> bytes
+ *     The JSON text of one recording sequence, the bytes orjson writes for
+ *     {"labels": [...], "sensors": {"<id>": [[9 values], ...], ...}}: the
+ *     labels, then one block per sensor, keyed by its id in decimal, in
+ *     ascending id order. `labels` is a C-contiguous (T,) int64 array,
+ *     `samples` a C-contiguous (T, S, 9) float64 array of finite values
+ *     with the sensors in column order, and `ids` a sequence of S
+ *     distinct ints within 64 bits, the sensors' ids in that order; S is
+ *     at most 64. bomi.dataset_io writes the text into the `[]` of the
+ *     `sequences` of the rest of the object, which orjson writes.
+ * write_csv(labels, samples, ids, sequence) -> bytes
+ *     The data rows of one recording sequence as a recording CSV holds
+ *     them: per tick, per sensor in ascending id order, the line
+ *     `tick,id,v1,...,v9,label,sequence` and LF, the arguments those of
+ *     write_json and `sequence` an int within 64 bits.
+ *     Both writers spell a double as orjson does: repr's digits, the
+ *     fewest that read back to it and the nearest of several (Ryū's), in
+ *     plain decimal with a fraction digit for 1e-5 <= |x| < 1e16 (`1.0`,
+ *     `0.00001`) and otherwise as d[.ddd]e[-]E with no plus and no leading
+ *     zeros (`1e16`, `1e-7`, `5e-324`); negative zero is `-0.0`. Each
+ *     checks every argument, and every sample, before it writes: an array
+ *     that is not a buffer, ids that are not a sequence and an id or
+ *     sequence number that is not an int are a TypeError, any other fault
+ *     a ValueError.
  *
  * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
  * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
@@ -1661,6 +1685,515 @@ fuse_read_csv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return NULL;
 }
 
+/* ---- Recording writers ----
+ *
+ * The writers of the sequences of a recording JSON and of the data rows of
+ * a recording CSV. Every double is spelled by write_double, its digits
+ * those of Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018,
+ * after its reference d2d): the fewest that read back to the same double
+ * and, of several such, the nearest to it, ties to an even last digit;
+ * repr gives the same digits. The layout is orjson's (write_double). */
+
+/* Ryū's multipliers, POW5_BITS wide and low word first: pow5_split[i] is
+ * 5**i times the power of two that makes it POW5_BITS bits wide, rounded
+ * down, and pow5_inv_split[i] is
+ * floor(2**(b - 1 + POW5_BITS) / 5**i) + 1, where b is the bit length of
+ * 5**i. Filled when the module is created, by exact integer arithmetic
+ * (fill_ryu_tables). */
+enum { POW5_BITS = 125, POW5_COUNT = 326, POW5_INV_COUNT = 342 };
+static uint64_t pow5_split[POW5_COUNT][2], pow5_inv_split[POW5_INV_COUNT][2];
+
+/* "00", "01", .. "99", and 10**k for k in [0, 17], filled when the module
+ * is created. */
+static char digit_pairs[200];
+static uint64_t pow10[18];
+
+/* The bit length of 5**e (1 for e = 0), for e in [0, 3528]; floor(log10(2**e))
+ * for e in [0, 1650]; floor(log10(5**e)) for e in [0, 2620]. */
+static inline int
+pow5_bits(int e)
+{
+    return (int)(((uint32_t)e * 1217359) >> 19) + 1;
+}
+
+static inline int
+log10_pow2(int e)
+{
+    return (int)(((uint32_t)e * 78913) >> 18);
+}
+
+static inline int
+log10_pow5(int e)
+{
+    return (int)(((uint32_t)e * 732923) >> 20);
+}
+
+/* Whether 5**p divides v, v > 0. */
+static inline int
+multiple_of_pow5(uint64_t v, int p)
+{
+    int count = 0;
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count >= p;
+}
+
+/* floor(m * mul / 2**j) for a multiplier mul of POW5_BITS bits, j >= 64. */
+static inline uint64_t
+mul_shift(uint64_t m, const uint64_t *mul, int j)
+{
+    unsigned __int128 lo = (unsigned __int128)m * mul[0], hi = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* The shortest digits of the finite nonzero double of the given fraction
+ * and biased exponent bits: the integer returned times 10***e10 (Ryū's d2d,
+ * as its reference implementation writes it). */
+static uint64_t
+shortest(uint64_t fraction, int exponent, int *e10)
+{
+    int e2;
+    uint64_t m2;
+    if (exponent == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = fraction;
+    }
+    else {
+        e2 = exponent - 1023 - 52 - 2;
+        m2 = (uint64_t)1 << 52 | fraction;
+    }
+    /* The doubles that read back as x are those in (mm, mp) times 2**e2,
+     * mm = mv - 1 - mm_shift and mp = mv + 2, both ends included when m2
+     * is even (reading rounds ties to even); the lower half is narrower
+     * at a power of two. */
+    int accept_bounds = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    int mm_shift = fraction != 0 || exponent <= 1;
+    uint64_t vr, vp, vm;
+    int e, vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        int q = log10_pow2(e2) - (e2 > 3);
+        int i = -e2 + q + POW5_BITS + pow5_bits(q) - 1;
+        e = q;
+        vr = mul_shift(mv, pow5_inv_split[q], i);
+        vp = mul_shift(mv + 2, pow5_inv_split[q], i);
+        vm = mul_shift(mv - 1 - mm_shift, pow5_inv_split[q], i);
+        if (q <= 21) {
+            /* At most one of mv, mv + 2 and mv - 1 - mm_shift is a
+             * multiple of 5. */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    }
+    else {
+        int q = log10_pow5(-e2) - (-e2 > 1);
+        int i = -e2 - q;
+        int j = q - (pow5_bits(i) - POW5_BITS);
+        e = q + e2;
+        vr = mul_shift(mv, pow5_split[i], j);
+        vp = mul_shift(mv + 2, pow5_split[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, pow5_split[i], j);
+        if (q <= 1) {
+            /* mv has two trailing zero bits, mv - 1 - mm_shift one when
+             * mm_shift is 1, and mv + 2 one. */
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        }
+        else if (q < 63) {
+            vr_zeros = (mv & (((uint64_t)1 << q) - 1)) == 0;
+        }
+    }
+    /* Drop digits while the interval still holds a shorter number. */
+    int removed = 0, last = 0;
+    if (vm_zeros || vr_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        if (vm_zeros) {
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = (int)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+            }
+        }
+        /* An exact ...50..0 rounds to even. */
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;
+        *e10 = e + removed;
+        return vr + ((vr == vm && (!accept_bounds || !vm_zeros)) || last >= 5);
+    }
+    int round_up = 0;
+    if (vp / 100 > vm / 100) {
+        round_up = vr % 100 >= 50;
+        vr /= 100;
+        vp /= 100;
+        vm /= 100;
+        removed += 2;
+    }
+    for (; vp / 10 > vm / 10; removed++) {
+        round_up = vr % 10 >= 5;
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+    }
+    *e10 = e + removed;
+    return vr + (vr == vm || round_up);
+}
+
+/* The n decimal digits of v into p[0 .. n). */
+static inline void
+write_digits(char *p, uint64_t v, int n)
+{
+    p += n;
+    for (; n >= 2; n -= 2) {
+        p -= 2;
+        memcpy(p, digit_pairs + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (n)
+        *--p = (char)('0' + v);
+}
+
+/* The 8 decimal digits of v < 10**8, leading zeros included, at p. */
+static inline void
+write_8(char *p, uint32_t v)
+{
+    uint32_t hi = v / 10000, lo = v % 10000;
+    memcpy(p, digit_pairs + 2 * (hi / 100), 2);
+    memcpy(p + 2, digit_pairs + 2 * (hi % 100), 2);
+    memcpy(p + 4, digit_pairs + 2 * (lo / 100), 2);
+    memcpy(p + 6, digit_pairs + 2 * (lo % 100), 2);
+}
+
+/* The longest text of write_double, "-1.2345678901234567e-308", and of
+ * write_int, "-9223372036854775808". The writers copy fixed sizes, and
+ * so write up to SPILL bytes past the end of what they have written. */
+enum { DOUBLE_CHARS = 24, INT_CHARS = 20, SPILL = 32 };
+
+/* The finite double x at p, as orjson spells it; return the end. With d
+ * the shortest digits and E the exponent of the first (x = d.ddd * 10**E):
+ * plain decimal with a fraction digit when -5 <= E <= 15 (1.0, 0.00001,
+ * 1000000000000000.0), else d[.ddd]e[-]E with no plus and no leading
+ * zeros (1e16, 1e-7, 5e-324); -0.0 for negative zero. Every copy has a
+ * fixed size, so the compiler inlines it: the digits are laid out in a
+ * buffer, then copied 16 bytes at a time, the bytes past the last digit
+ * left for the text that follows to overwrite. */
+static char *
+write_double(char *p, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    uint64_t fraction = bits & (((uint64_t)1 << 52) - 1);
+    int exponent = (int)(bits >> 52) & 0x7FF, e10;
+    if (exponent == 0 && fraction == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t d = shortest(fraction, exponent, &e10);
+    /* The 17 digits of d < 10**17, zeros before, then 16 zeros; d's n
+     * digits start at s. */
+    char buf[33];
+    uint64_t top = d / 100000000;
+    buf[0] = (char)('0' + top / 100000000);
+    write_8(buf + 1, (uint32_t)(top % 100000000));
+    write_8(buf + 9, (uint32_t)(d % 100000000));
+    memcpy(buf + 17, "0000000000000000", 16);
+    int bit_length = 64 - __builtin_clzll(d);
+    int n = bit_length * 1233 >> 12;                /* log10(2) ~ 1233 / 4096 */
+    n += d >= pow10[n];
+    const char *s = buf + 17 - n;
+    int point = n + e10;                            /* E + 1 */
+    if (e10 >= 0 && point <= 16) {
+        memcpy(p, s, 16);
+        memcpy(p + n, buf + 17, 16);
+        memcpy(p + point, ".0", 2);
+        return p + point + 2;
+    }
+    if (point > 0 && point <= 16) {
+        memcpy(p, s, 16);
+        p[point] = '.';
+        memcpy(p + point + 1, s + point, 16);
+        return p + n + 1;
+    }
+    if (point > -5 && point <= 0) {
+        memcpy(p, "0.000000", 8);
+        memcpy(p + 2 - point, s, 16);
+        p[18 - point] = s[16];
+        return p + 2 - point + n;
+    }
+    p[0] = s[0];
+    if (n > 1) {
+        p[1] = '.';
+        memcpy(p + 2, s + 1, 16);
+        p += n + 1;
+    }
+    else {
+        p += 1;
+    }
+    *p++ = 'e';
+    int exp10 = point - 1;
+    if (exp10 < 0) {
+        *p++ = '-';
+        exp10 = -exp10;
+    }
+    int m = exp10 >= 100 ? 3 : exp10 >= 10 ? 2 : 1;
+    write_digits(p, (uint64_t)exp10, m);
+    return p + m;
+}
+
+/* The integer v in decimal at p; return the end. */
+static char *
+write_int(char *p, int64_t v)
+{
+    uint64_t u = (uint64_t)v;
+    if (v < 0) {
+        *p++ = '-';
+        u = 0 - u;
+    }
+    int n = 1;
+    for (uint64_t rest = u / 10; rest; rest /= 10)
+        n++;
+    write_digits(p, u, n);
+    return p + n;
+}
+
+/* Most sensors a writer takes. */
+enum { MAX_WRITE_SENSORS = 64 };
+
+/* The arguments of both writers. */
+typedef struct {
+    Py_buffer labels, samples;
+    Py_ssize_t n, s;
+    int64_t ids[MAX_WRITE_SENSORS];
+    int order[MAX_WRITE_SENSORS];   /* the sensors' columns in ascending id order */
+} Written;
+
+/* The ids of w's S sensors, in column order, from the sequence `ids`, and
+ * the columns in ascending id order; -1 with an exception set unless they
+ * are S distinct ints within 64 bits. */
+static int
+get_ids(PyObject *ids, const char *name, Written *w)
+{
+    /* A tuple, which no item's __index__ can shrink. */
+    PyObject *items = PySequence_Tuple(ids);
+    if (items == NULL)
+        return -1;
+    int ok = PyTuple_GET_SIZE(items) == w->s && w->s <= MAX_WRITE_SENSORS;
+    if (!ok)
+        PyErr_Format(PyExc_ValueError, "%s() takes one id per sensor, at most %d", name,
+                     MAX_WRITE_SENSORS);
+    for (int i = 0; ok && i < w->s; i++) {
+        int overflow;
+        long long id = PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(items, i), &overflow);
+        if (id == -1 && PyErr_Occurred()) {
+            ok = 0;
+            break;
+        }
+        int j = i;
+        for (; j > 0 && w->ids[w->order[j - 1]] > id; j--)
+            w->order[j] = w->order[j - 1];
+        ok = !overflow && !(j > 0 && w->ids[w->order[j - 1]] == id);
+        if (!ok)
+            PyErr_Format(PyExc_ValueError, "%s() takes distinct ids within 64 bits", name);
+        w->order[j] = i;
+        w->ids[i] = id;
+    }
+    Py_DECREF(items);
+    return ok ? 0 : -1;
+}
+
+/* Get the arguments labels, samples and ids of the writer `name`: a
+ * C-contiguous (T,) int64 array, a C-contiguous (T, S, 9) float64 array of
+ * finite values and S distinct ids; -1 with an exception set, and no
+ * buffer held, otherwise. */
+static int
+get_written(PyObject *const *args, const char *name, Written *w)
+{
+    if (get_array(args[1], &w->samples, 0, "d", sizeof(double), 3, (Py_ssize_t[]){-1, -1, 9},
+                  "samples of float64 and shape (T, S, 9)") < 0)
+        return -1;
+    w->n = w->samples.shape[0];
+    w->s = w->samples.shape[1];
+    /* numpy spells int64 'l' or 'q'. */
+    if (get_array(args[0], &w->labels, 0, "lq", sizeof(int64_t), 1, (Py_ssize_t[]){w->n},
+                  "labels of int64 and shape (T,)") < 0) {
+        PyBuffer_Release(&w->samples);
+        return -1;
+    }
+    int ok = get_ids(args[2], name, w) == 0;
+    const double *v = w->samples.buf;
+    for (Py_ssize_t i = 0; ok && i < 9 * w->n * w->s; i++) {
+        if (!isfinite(v[i])) {
+            PyErr_Format(PyExc_ValueError, "%s() takes finite samples", name);
+            ok = 0;
+        }
+    }
+    if (ok)
+        return 0;
+    PyBuffer_Release(&w->labels);
+    PyBuffer_Release(&w->samples);
+    return -1;
+}
+
+/* A bytes object of count * each + extra bytes to write into, or NULL
+ * with MemoryError set when that passes the size limit. */
+static PyObject *
+new_text(Py_ssize_t count, Py_ssize_t each, Py_ssize_t extra)
+{
+    if (each && count > (PY_SSIZE_T_MAX - extra) / each)
+        return PyErr_NoMemory();
+    return PyBytes_FromStringAndSize(NULL, count * each + extra);
+}
+
+/* A field of a CSV row, spelled once: its text and length. */
+typedef struct {
+    char text[SPILL];
+    size_t len;
+} Field;
+
+/* p with the field f at it; return the end. */
+static inline char *
+put(char *p, const Field *f)
+{
+    memcpy(p, f->text, SPILL);
+    return p + f->len;
+}
+
+static PyObject *
+fuse_write_json(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Written w;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "write_json() takes 3 arguments");
+        return NULL;
+    }
+    if (get_written(args, "write_json", &w) < 0)
+        return NULL;
+    Py_ssize_t n = w.n, s = w.s;
+    /* A label and its comma, and a row of 9 values with its brackets and
+     * comma, per sensor. */
+    PyObject *out = new_text(n, INT_CHARS + 1 + s * (9 * (DOUBLE_CHARS + 1) + 3),
+                             32 + s * (INT_CHARS + 6) + SPILL);
+    if (out != NULL) {
+        char *start = PyBytes_AS_STRING(out), *p = start;
+        const int64_t *labels = w.labels.buf;
+        memcpy(p, "{\"labels\":[", 11);
+        p += 11;
+        for (Py_ssize_t t = 0; t < n; t++) {
+            if (t)
+                *p++ = ',';
+            p = write_int(p, labels[t]);
+        }
+        memcpy(p, "],\"sensors\":{", 13);
+        p += 13;
+        for (Py_ssize_t k = 0; k < s; k++) {
+            const double *row = (const double *)w.samples.buf + 9 * w.order[k];
+            if (k)
+                *p++ = ',';
+            *p++ = '"';
+            p = write_int(p, w.ids[w.order[k]]);
+            memcpy(p, "\":[", 3);
+            p += 3;
+            for (Py_ssize_t t = 0; t < n; t++, row += 9 * s) {
+                if (t)
+                    *p++ = ',';
+                *p++ = '[';
+                for (int i = 0; i < 9; i++) {
+                    if (i)
+                        *p++ = ',';
+                    p = write_double(p, row[i]);
+                }
+                *p++ = ']';
+            }
+            *p++ = ']';
+        }
+        memcpy(p, "}}", 2);
+        /* On failure this drops out, so NULL goes back with the error. */
+        _PyBytes_Resize(&out, p + 2 - start);
+    }
+    PyBuffer_Release(&w.labels);
+    PyBuffer_Release(&w.samples);
+    return out;
+}
+
+static PyObject *
+fuse_write_csv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Written w;
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "write_csv() takes 4 arguments");
+        return NULL;
+    }
+    int overflow;
+    long long sequence = PyLong_AsLongLongAndOverflow(args[3], &overflow);
+    if (sequence == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow) {
+        PyErr_SetString(PyExc_ValueError, "write_csv() takes a sequence number within 64 bits");
+        return NULL;
+    }
+    if (get_written(args, "write_csv", &w) < 0)
+        return NULL;
+    Py_ssize_t n = w.n, s = w.s;
+    /* Each id with its comma, and the sequence number between a comma and
+     * the newline, spelled once. */
+    Field ids[MAX_WRITE_SENSORS] = {{""}}, tail = {","}, tick = {""}, label = {","};
+    for (Py_ssize_t k = 0; k < s; k++) {
+        char *end = write_int(ids[k].text, w.ids[w.order[k]]);
+        *end++ = ',';
+        ids[k].len = (size_t)(end - ids[k].text);
+    }
+    char *end = write_int(tail.text + 1, sequence);
+    *end++ = '\n';
+    tail.len = (size_t)(end - tail.text);
+    /* The tick, the id, 9 values, the label and the sequence, their 12
+     * commas and the newline. */
+    PyObject *out = new_text(n, s * (4 * INT_CHARS + 9 * DOUBLE_CHARS + 13), SPILL);
+    if (out != NULL) {
+        char *start = PyBytes_AS_STRING(out), *p = start;
+        const int64_t *labels = w.labels.buf;
+        const double *row = w.samples.buf;
+        for (Py_ssize_t t = 0; t < n; t++, row += 9 * s) {
+            end = write_int(tick.text, t);
+            *end++ = ',';
+            tick.len = (size_t)(end - tick.text);
+            label.len = (size_t)(write_int(label.text + 1, labels[t]) - label.text);
+            for (Py_ssize_t k = 0; k < s; k++) {
+                const double *v = row + 9 * w.order[k];
+                p = put(p, &tick);
+                p = put(p, &ids[k]);
+                for (int i = 0; i < 9; i++) {
+                    if (i)
+                        *p++ = ',';
+                    p = write_double(p, v[i]);
+                }
+                p = put(p, &label);
+                p = put(p, &tail);
+            }
+        }
+        _PyBytes_Resize(&out, p - start);
+    }
+    PyBuffer_Release(&w.labels);
+    PyBuffer_Release(&w.samples);
+    return out;
+}
+
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
      "Filter one sensor of a (T, S, 9) sample array; return its flags per tick, or the "
@@ -1686,6 +2219,11 @@ static PyMethodDef fuse_methods[] = {
     {"read_csv", (PyCFunction)(void (*)(void))fuse_read_csv, METH_FASTCALL,
      "Read a recording CSV's data rows into a bytearray of int64 and float64 records; "
      "None for text outside the shape it takes."},
+    {"write_json", (PyCFunction)(void (*)(void))fuse_write_json, METH_FASTCALL,
+     "The JSON text of a recording sequence's labels and sensor blocks, as orjson writes "
+     "them."},
+    {"write_csv", (PyCFunction)(void (*)(void))fuse_write_csv, METH_FASTCALL,
+     "The CSV data rows of a recording sequence, sensors in id order within a tick."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1719,10 +2257,70 @@ fill_pow5_128(void)
     }
 }
 
+/* The words of the big numbers fill_ryu_tables keeps, 64 bits each, low
+ * word first: enough for 2**1024 and for 5**341. */
+enum { BIG_WORDS = 17 };
+
+/* floor(x / 2**s) mod 2**128 into out, low word first, s < 64 * 15. */
+static void
+big_bits(const uint64_t *x, int s, uint64_t *out)
+{
+    int w = s / 64, r = s % 64;
+    for (int i = 0; i < 2; i++)
+        out[i] = r ? x[w + i] >> r | x[w + i + 1] << (64 - r) : x[w + i];
+}
+
+/* Fill pow5_split and pow5_inv_split from 5**i and floor(2**1024 / 5**i),
+ * kept exactly in BIG_WORDS words each: dividing the second by 5 at each
+ * step keeps it exact, since floor(floor(x / a) / b) = floor(x / (a b)),
+ * and by the same rule its shift right is floor(2**(b - 1 + POW5_BITS) /
+ * 5**i). Then fill digit_pairs and pow10. */
+static void
+fill_ryu_tables(void)
+{
+    uint64_t pow5[BIG_WORDS] = {1}, inv[BIG_WORDS] = {0};
+    inv[BIG_WORDS - 1] = 1;
+    for (int i = 0; i < POW5_INV_COUNT; i++) {
+        int top = BIG_WORDS - 1;
+        while (pow5[top] == 0)
+            top--;
+        int b = 64 * top + 64 - __builtin_clzll(pow5[top]);   /* the bit length of 5**i */
+        if (i < POW5_COUNT && b >= POW5_BITS)
+            big_bits(pow5, b - POW5_BITS, pow5_split[i]);
+        else if (i < POW5_COUNT) {
+            unsigned __int128 v = ((unsigned __int128)pow5[1] << 64 | pow5[0]) << (POW5_BITS - b);
+            pow5_split[i][0] = (uint64_t)v;
+            pow5_split[i][1] = (uint64_t)(v >> 64);
+        }
+        big_bits(inv, 64 * (BIG_WORDS - 1) - (b - 1 + POW5_BITS), pow5_inv_split[i]);
+        pow5_inv_split[i][1] += ++pow5_inv_split[i][0] == 0;
+        uint64_t carry = 0;
+        for (int k = 0; k < BIG_WORDS; k++) {
+            unsigned __int128 v = (unsigned __int128)pow5[k] * 5 + carry;
+            pow5[k] = (uint64_t)v;
+            carry = (uint64_t)(v >> 64);
+        }
+        uint64_t rem = 0;
+        for (int k = BIG_WORDS - 1; k >= 0; k--) {
+            unsigned __int128 v = (unsigned __int128)rem << 64 | inv[k];
+            inv[k] = (uint64_t)(v / 5);
+            rem = (uint64_t)(v % 5);
+        }
+    }
+    for (int i = 0; i < 100; i++) {
+        digit_pairs[2 * i] = (char)('0' + i / 10);
+        digit_pairs[2 * i + 1] = (char)('0' + i % 10);
+    }
+    pow10[0] = 1;
+    for (int k = 1; k < 18; k++)
+        pow10[k] = 10 * pow10[k - 1];
+}
+
 PyMODINIT_FUNC
 PyInit__fuse(void)
 {
     fill_pow5_128();
+    fill_ryu_tables();
     if (hypot_fn == NULL) {
         PyObject *math = PyImport_ImportModule("math");
         if (math == NULL)

@@ -9,18 +9,20 @@ Canonical formats:
 
 * JSON: ``{sample_rate_hz, class_count, sensor_layout: [{id, location}],
   sequences: [{labels: [...], sensors: {"<id>": [[9 floats] ...]}}],
-  meta: {...}}``, written compact by orjson, sensor keys in id order; its
-  ``sequences`` read by the compiled kernel's ``read_json``, the rest (or
-  all the kernel refuses) by orjson, and json.loads what orjson refuses.
+  meta: {...}}``, compact, sensor keys in id order. orjson writes it with
+  ``sequences`` empty and the compiled kernel's ``write_json`` writes
+  each sequence into that ``[]``. Its ``sequences`` are read by the
+  kernel's ``read_json``, the rest (or all the kernel refuses) by orjson,
+  and json.loads reads what orjson refuses.
 * CSV: header ``tick,sensor_id,acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,
   mag_x,mag_y,mag_z,label,sequence``: one row per tick per sensor, in
   any order, UTF-8, LF, ``.`` decimal point. It holds no sample rate and
-  no layout, so it loads with its sensors in id order. Its rows are read
-  by the compiled kernel's ``read_csv`` (``np.loadtxt`` reads what it
-  refuses).
+  no layout, so it loads with its sensors in id order. Its rows are
+  written by the kernel's ``write_csv`` and read by its ``read_csv``
+  (``np.loadtxt`` reads what it refuses).
 
 Both writers spell a float as orjson does: the shortest text that reads
-back exactly.
+back exactly, in repr's digits.
 
 Units are physical: acceleration in g, angular rate in degrees/second,
 magnetometer in normalized (unit-free) gauss. An import mapping config
@@ -372,35 +374,46 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
         (T, ..., 9) C-contiguous array with columns acc_xyz, gyro_xyz, mag_xyz.
     """
     angles_deg = np.asarray(angles_deg, dtype=np.float64)
-    pitch = np.radians(angles_deg[..., 0])
-    roll = np.radians(angles_deg[..., 1])
-    yaw = np.radians(angles_deg[..., 2])
+    out = np.empty(angles_deg.shape[:-1] + (9,), dtype=np.float64)
+    # One (T, 3) trajectory at a time, each value from the same elementwise
+    # operations: the temporaries of a whole (T, S, 3) array outgrow the
+    # cache, so this is faster, with the same bits, for S > 1.
+    for index in np.ndindex(angles_deg.shape[1:-1]):
+        at = (slice(None), *index)
+        _trajectory_to_raw(angles_deg[at], sample_rate_hz, out[at])
+    return out
+
+
+def _trajectory_to_raw(angles_deg: np.ndarray, sample_rate_hz: float, out: np.ndarray) -> None:
+    """``angles_to_raw`` of one (T, 3) trajectory, written into the (T, 9)
+    view ``out``."""
+    pitch = np.radians(angles_deg[:, 0])
+    roll = np.radians(angles_deg[:, 1])
+    yaw = np.radians(angles_deg[:, 2])
     cp, sp = np.cos(pitch), np.sin(pitch)
     cr, sr = np.cos(roll), np.sin(roll)
     cy, sy = np.cos(yaw), np.sin(yaw)
 
-    out = np.empty(angles_deg.shape[:-1] + (9,), dtype=np.float64)
     # Gravity (0, 0, 1) seen from the body frame.
-    out[..., 0] = -sp
-    out[..., 1] = cp * sr
-    out[..., 2] = cp * cr
+    out[:, 0] = -sp
+    out[:, 1] = cp * sr
+    out[:, 2] = cp * cr
     # World field through Rx(roll)^T Ry(pitch)^T Rz(yaw)^T.
     mN, _, mD = MAG_WORLD
     m1x, m1y, m1z = cy * mN, -sy * mN, mD
     m2x = cp * m1x - sp * m1z
     m2y = m1y
     m2z = sp * m1x + cp * m1z
-    out[..., 6] = m2x
-    out[..., 7] = cr * m2y + sr * m2z
-    out[..., 8] = -sr * m2y + cr * m2z
+    out[:, 6] = m2x
+    out[:, 7] = cr * m2y + sr * m2z
+    out[:, 8] = -sr * m2y + cr * m2z
     # Angular rates from wrapped backward differences.
     d = wrap_deg(np.diff(angles_deg, axis=0))
     rates = np.zeros_like(angles_deg)
     rates[1:] = d * sample_rate_hz
-    out[..., 3] = rates[..., 1]  # gyro_x tracks roll
-    out[..., 4] = rates[..., 0]  # gyro_y tracks pitch
-    out[..., 5] = rates[..., 2]  # gyro_z tracks yaw
-    return out
+    out[:, 3] = rates[:, 1]  # gyro_x tracks roll
+    out[:, 4] = rates[:, 0]  # gyro_y tracks pitch
+    out[:, 5] = rates[:, 2]  # gyro_z tracks yaw
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +421,26 @@ def angles_to_raw(angles_deg: np.ndarray, sample_rate_hz: float) -> np.ndarray:
 
 
 def _rec_to_dict(rec: SessionRecording) -> dict:
-    """The JSON object of ``rec``, its labels and per-sensor sample blocks
-    as int64 and C-contiguous float64 arrays for ``orjson.OPT_SERIALIZE_NUMPY``."""
+    """The JSON object of ``rec`` with its ``sequences`` empty, for orjson:
+    ``save_recording`` writes the kernel's text of each sequence into that
+    ``[]``."""
     return {
         "sample_rate_hz": rec.sample_rate_hz,
         "class_count": rec.class_count,
         "sensor_layout": [
             {"id": s.id, "location": s.location} for s in rec.sensor_layout
         ],
-        "sequences": [
-            {
-                "labels": np.asarray(seq.labels, dtype=np.int64),
-                "sensors": {
-                    str(sid): np.ascontiguousarray(seq.samples[:, j], dtype=np.float64)
-                    for sid, j in sorted((sid, j) for j, sid in enumerate(seq.sensor_ids))
-                },
-            }
-            for seq in rec.sequences
-        ],
+        "sequences": [],
         "meta": rec.meta,
     }
+
+
+def _written(seq: Sequence) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The arguments the kernel's writers take for ``seq``: its labels as a
+    C-contiguous int64 array, its samples as a C-contiguous float64 array
+    and its sensor ids, copied only when not already in that form."""
+    return (np.ascontiguousarray(seq.labels, dtype=np.int64),
+            np.ascontiguousarray(seq.samples, dtype=np.float64), seq.sensor_ids)
 
 
 def _check_meta(meta) -> None:
@@ -638,12 +651,6 @@ def _detect_format(path: Path) -> str:
     raise SchemaError(f"cannot infer format from {path.name!r}: expected .json or .csv")
 
 
-def _row_texts(block: np.ndarray) -> list[bytes]:
-    """Each row of a C-contiguous 2-D int64 or float64 array as its
-    comma-separated numbers, spelled as orjson spells them in JSON."""
-    return orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-
-
 def save_recording(rec: SessionRecording, path: str | Path) -> None:
     """Write a recording to disk in the canonical JSON or CSV format.
 
@@ -651,24 +658,41 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
     and label bit for bit but drops layout locations, meta and the sample
     rate. Its rows run tick by tick, sensors in id order within a tick.
     Both formats spell a float the shortest way that reads back exactly
-    (``1e-7``, ``0.000015``, ``1e16``). A CSV of a recording whose rate is
-    not 60 Hz emits a UserWarning naming the mapping line
-    (``sample_rate_hz=<rate>``) that loads it back at its rate. A CSV loads
-    back with its highest label + 1 classes: when that differs from
-    ``rec.class_count`` a UserWarning says so, and when it is below 2 the
-    save raises ValidationError. Nothing is written when the recording or
-    its meta fails a check.
+    (``1e-7``, ``0.000015``, ``1e16``), the bytes orjson writes: the
+    kernel's ``write_json`` and ``write_csv`` format every sample and
+    label, and orjson writes the rest of the JSON object. A CSV of a
+    recording whose rate is not 60 Hz emits a UserWarning naming the
+    mapping line (``sample_rate_hz=<rate>``) that loads it back at its
+    rate. A CSV loads back with its highest label + 1 classes: when that
+    differs from ``rec.class_count`` a UserWarning says so, and when it is
+    below 2 the save raises ValidationError. Nothing is written when the
+    recording or its meta fails a check: every sequence is formatted
+    before the file is opened.
     """
     path = Path(path)
     fmt = _detect_format(path)
     validate_recording(rec, protocol="none")
     if fmt == "json":
         _check_meta(rec.meta)
+        obj = _rec_to_dict(rec)
+        keys = list(obj)
+        lead = {key: obj[key] for key in keys[:keys.index("sequences")]}
         try:
-            text = orjson.dumps(_rec_to_dict(rec), option=orjson.OPT_SERIALIZE_NUMPY)
+            head = orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
+            # The text of the keys before "sequences", less the closing
+            # brace, where head has a comma.
+            at = len(orjson.dumps(lead, option=orjson.OPT_SERIALIZE_NUMPY))
         except orjson.JSONEncodeError as exc:
             raise ValidationError(f"cannot write the recording as JSON: {exc}") from exc
-        path.write_bytes(text)
+        at += len(b'"sequences":[')
+        texts = [_kernel.write_json(*_written(seq)) for seq in rec.sequences]
+        with path.open("wb") as fh:
+            fh.write(head[:at])
+            fh.write(texts[0])
+            for text in texts[1:]:
+                fh.write(b",")
+                fh.write(text)
+            fh.write(head[at:])
         return
     classes = max(int(seq.labels.max()) for seq in rec.sequences) + 1
     if classes < 2:
@@ -684,19 +708,12 @@ def save_recording(rec: SessionRecording, path: str | Path) -> None:
             f"{_RATE_HZ:g} Hz unless its import mapping has the line sample_rate_hz={rate!r}",
             stacklevel=2,
         )
+    texts = [_kernel.write_csv(*_written(seq), qi)
+             for qi, seq in enumerate(rec.sequences, start=1)]
     # Every field is an integer or a JSON number, so none needs quoting.
     with path.open("wb") as fh:
         fh.write(",".join(CSV_HEADER).encode() + b"\n")
-        for qi, seq in enumerate(rec.sequences, start=1):
-            by_id = np.argsort(seq.sensor_ids)
-            n, s = seq.n_ticks, len(by_id)
-            values = np.ascontiguousarray(seq.samples[:, by_id], dtype=np.float64).reshape(n * s, 9)
-            heads = np.stack([np.repeat(np.arange(n), s), np.tile(np.sort(seq.sensor_ids), n)],
-                             axis=1, dtype=np.int64)
-            tails = np.stack([np.repeat(seq.labels, s), np.full(n * s, qi)],
-                             axis=1, dtype=np.int64)
-            rows = zip(_row_texts(heads), _row_texts(values), _row_texts(tails))
-            fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
+        fh.writelines(texts)
 
 
 # Integer CSV columns, parsed ahead of the value columns in this order.

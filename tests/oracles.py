@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from decimal import Decimal
 
 import numpy as np
 import scipy.linalg
@@ -336,6 +337,27 @@ def csv_reference_save(rec, path):
                     row = seq.samples[t, seq.sensor_ids.index(sid)]
                     values = ",".join(map(repr, row.tolist()))
                     fh.write(f"{t},{sid},{values},{lab},{qi}\n")
+
+
+def json_float_text(x: float) -> str:
+    """A finite float as recording files spell it: ``repr``'s digits (the
+    fewest that read back to x, the nearest of several), in plain decimal
+    with a fraction digit when 1e-5 <= |x| < 1e16, else as d[.ddd]e[-]E
+    with no plus and no leading zeros; ``-0.0`` for negative zero."""
+    sign = "-" if math.copysign(1.0, x) < 0 else ""
+    if x == 0:
+        return sign + "0.0"
+    _, digit_tuple, exp = Decimal(repr(abs(x))).normalize().as_tuple()
+    digits = "".join(map(str, digit_tuple))
+    e = len(digits) - 1 + exp  # |x| = d.ddd * 10**e
+    if not -5 <= e <= 15:
+        fraction = "." + digits[1:] if len(digits) > 1 else ""
+        return f"{sign}{digits[0]}{fraction}e{e}"
+    if exp >= 0:
+        return sign + digits + "0" * exp + ".0"
+    if e >= 0:
+        return sign + digits[:e + 1] + "." + digits[e + 1:]
+    return sign + "0." + "0" * (-e - 1) + digits
 
 
 def csv_reference_load(path, scales=(1.0, 1.0, 1.0)):

@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import random
 import re
 import struct
 import sys
+import types
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -52,6 +54,7 @@ from bomi.pipeline import StreamingPipeline
 from oracles import (
     csv_reference_load,
     csv_reference_save,
+    json_float_text,
     nearest_target_class,
     synth_reference,
 )
@@ -1757,11 +1760,267 @@ class TestCsvCodec:
             with pytest.raises(ValidationError, match="sequence 3 sensor 2: non-finite"):
                 save_recording(rec, path)
         assert not path.exists()
+        # A fault past every check, while the last sequence is formatted.
+        rec = dataclasses.replace(small_noisy, sequences=[*small_noisy.sequences[:2], seq])
+        for path in (tmp_path / "rec.csv", tmp_path / "rec.json"):
+            with mock.patch("bomi.dataset_io._kernel", faulty_writers(3)):
+                with pytest.raises(MemoryError):
+                    save_recording(rec, path)
+            assert not path.exists()
+
+
+def faulty_writers(count: int):
+    """The kernel, but its writers raise MemoryError at their ``count``-th call."""
+    calls = itertools.count(1)
+
+    def writer(name):
+        def write(*args):
+            if next(calls) == count:
+                raise MemoryError
+            return getattr(_kernel, name)(*args)
+        return write
+
+    return types.SimpleNamespace(write_json=writer("write_json"), write_csv=writer("write_csv"))
 
 
 def csv_lines(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     return lines[0], lines[1:]
+
+
+def parent_json(rec) -> bytes:
+    """``rec`` as save_recording wrote it when orjson wrote the whole
+    object, each sensor's block a C-contiguous copy."""
+    return orjson.dumps({
+        "sample_rate_hz": rec.sample_rate_hz,
+        "class_count": rec.class_count,
+        "sensor_layout": [{"id": s.id, "location": s.location} for s in rec.sensor_layout],
+        "sequences": [
+            {"labels": np.asarray(seq.labels, dtype=np.int64),
+             "sensors": {str(sid): np.ascontiguousarray(seq.samples[:, j], dtype=np.float64)
+                         for sid, j in sorted((sid, j) for j, sid in enumerate(seq.sensor_ids))}}
+            for seq in rec.sequences
+        ],
+        "meta": rec.meta,
+    }, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+def parent_csv(rec) -> bytes:
+    """``rec`` as save_recording wrote it when orjson spelled every row's
+    numbers, one row at a time."""
+    rows = [",".join(CSV_HEADER).encode()]
+    for qi, seq in enumerate(rec.sequences, start=1):
+        for t, label in enumerate(seq.labels.tolist()):
+            for sid in sorted(seq.sensor_ids):
+                row = np.asarray(seq.samples[t, seq.sensor_ids.index(sid)], dtype=np.float64)
+                values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+                rows.append(b"%d,%d,%s,%d,%d" % (t, sid, values, label, qi))
+    return b"\n".join(rows) + b"\n"
+
+
+def spelled_block(values) -> tuple[np.ndarray, np.ndarray]:
+    """Labels 0, 1, ... and a (T, 1, 9) sample block holding ``values`` in
+    order, the last row padded with 0.5."""
+    flat = np.full(-(-len(values) // 9) * 9, 0.5)
+    flat[:len(values)] = values
+    return np.arange(len(flat) // 9, dtype=np.int64), flat.reshape(-1, 1, 9)
+
+
+def assert_spelled(values, oracle: bool = True) -> None:
+    """Both writers spell every one of the finite ``values`` as orjson does,
+    byte for byte, and as ``json_float_text`` does unless ``oracle`` is
+    false."""
+    labels, block = spelled_block(values)
+    text = _kernel.write_json(labels, block, (1,))
+    assert text == orjson.dumps({"labels": labels, "sensors": {"1": block[:, 0]}},
+                                option=orjson.OPT_SERIALIZE_NUMPY)
+    rows = _kernel.write_csv(labels, block, (1,), 1)
+    assert rows == b"".join(b"%d,1,%s,%d,1\n" % (t, b",".join(orjson.dumps(v) for v in row), t)
+                            for t, row in enumerate(block[:, 0].tolist()))
+    if oracle:
+        spelled = [json_float_text(v).encode() for row in block[:, 0].tolist() for v in row]
+        assert text.split(b'"1":[[')[1][:-4].replace(b"],[", b",").split(b",") == spelled
+
+
+def with_neighbours(values) -> list[float]:
+    """``values``, each with its two neighbours on either side, and all of
+    them negated."""
+    out = []
+    for x in values:
+        with np.errstate(over="ignore"):
+            below, above = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+            out += [np.nextafter(below, -np.inf), below, x, above, np.nextafter(above, np.inf)]
+    out = [float(x) for x in out if np.isfinite(x)]
+    return out + [-x for x in out]
+
+
+MAX_DOUBLE = 1.7976931348623157e308
+MIN_NORMAL = 2.2250738585072014e-308
+
+
+class TestRecordingWriter:
+    """The kernel's ``write_json`` and ``write_csv`` spell every double as
+    orjson does and as repr's digits in its layout do, and both saves write
+    the bytes the whole-object orjson writer wrote."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, size=90_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert_spelled(values, oracle=False)
+        assert_spelled(values[:20_000])
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=150)
+    def test_drawn_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert_spelled(values[np.isfinite(values)] if np.isfinite(values).any() else [0.0])
+
+    def test_every_power_of_two_and_of_ten(self):
+        powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
+        assert_spelled(powers + [-x for x in powers])
+
+    def test_layout_boundaries_and_their_neighbours(self):
+        values = with_neighbours([1e-5, 1e16, 1e-4, 1e15])
+        assert_spelled(values)
+        assert b"0.00001," in _kernel.write_csv(*spelled_block([1e-5]), (1,), 1)
+        assert b",1e16," in _kernel.write_csv(*spelled_block([0.5, 1e16]), (1,), 1)
+
+    def test_subnormals_extremes_and_signed_zeros(self):
+        subnormals = [5e-324 * k for k in range(1, 2000, 7)]
+        subnormals += np.random.default_rng(12).integers(1, 2**52, size=3000, dtype=np.uint64) \
+            .view(np.float64).tolist()
+        values = with_neighbours([5e-324, MIN_NORMAL, MAX_DOUBLE]) + subnormals
+        assert_spelled(values + [-x for x in subnormals] + [0.0, -0.0])
+        assert_spelled([-0.0])
+        assert _kernel.write_csv(*spelled_block([-0.0, 0.0, 5e-324, -MAX_DOUBLE]), (1,), 1) \
+            .startswith(b"0,1,-0.0,0.0,5e-324,-1.7976931348623157e308,0.5,")
+
+    def test_integral_floats_up_to_two_to_the_64(self):
+        ints = list(range(0, 3000)) + [2**k + j for k in range(1, 65) for j in (-2, -1, 0, 1, 2)]
+        ints += [10**k + j for k in range(1, 20) for j in (-1, 0, 1)]
+        ints += np.random.default_rng(13).integers(0, 2**63, size=3000).tolist()
+        values = [float(i) for i in ints if i <= 2**64]
+        assert_spelled(values + [-x for x in values])
+
+    def test_int64_extremes_in_labels_ids_and_sequence_numbers(self):
+        extremes = [-2**63, -2**63 + 1, -10**18, -1, 0, 1, 9, 10, 99, 100, 10**18,
+                    999_999_999_999_999_999, 2**63 - 1]
+        labels = np.array(extremes, dtype=np.int64)
+        block = np.zeros((len(labels), 2, 9))
+        ids = (2**63 - 1, -2**63)
+        text = _kernel.write_json(labels, block, ids)
+        assert text == orjson.dumps(
+            {"labels": labels, "sensors": {str(-2**63): [[0.0] * 9] * len(labels),
+                                           str(2**63 - 1): [[0.0] * 9] * len(labels)}},
+            option=orjson.OPT_SERIALIZE_NUMPY)
+        rows = _kernel.write_csv(labels, block, ids, -2**63).splitlines()
+        zeros = ",".join(["0.0"] * 9)
+        assert rows == [f"{t},{sid},{zeros},{label},{-2**63}".encode()
+                        for t, label in enumerate(extremes) for sid in (-2**63, 2**63 - 1)]
+        assert _kernel.write_csv(labels[:1], block[:1], ids, 2**63 - 1).endswith(
+            b",%d\n" % (2**63 - 1))
+
+    def test_sensors_go_in_id_order_from_any_column_order(self):
+        samples = np.random.default_rng(14).normal(size=(4, 3, 9))
+        labels = np.array([0, 1, 1, 0])
+        rec = SessionRecording(60.0, 2, [SensorInfo(i, f"s{i}") for i in (3, 1, 2)],
+                               [Sequence((3, 1, 2), samples, labels)])
+        assert _kernel.write_json(labels, samples, (3, 1, 2)) in parent_json(rec)
+        assert b"1,3,%s" % b",".join(map(orjson.dumps, samples[1, 0].tolist())) \
+            in _kernel.write_csv(labels, samples, (3, 1, 2), 1)
+
+    @pytest.mark.parametrize("layout, meta", [
+        pytest.param([(1, '"sequences":[]'), (2, "s2")],
+                     {"x": '"sequences":[]', "sequences": []}, id="sequences-text"),
+        pytest.param([(1, 'é "\\ \n\t  \x00'), (2, "\U0001f600")],
+                     {"ü": ["\x1f", 'a"b', "\\"], "": {}}, id="escaped-and-non-ascii"),
+        pytest.param([(2, "s2"), (1, "s1")], {}, id="empty-meta"),
+    ])
+    @pytest.mark.parametrize("lengths", [(1,), (1, 1), (1, 3, 2)], ids=["1", "1-1", "1-3-2"])
+    def test_saves_write_the_bytes_of_the_whole_object_writer(self, tmp_path, layout, meta,
+                                                              lengths):
+        rng = np.random.default_rng(sum(lengths))
+        ids = tuple(sid for sid, _ in layout)
+        sequences = [Sequence(ids, rng.normal(scale=100.0, size=(n, len(ids), 9)),
+                              np.arange(n) % 2 + (n == 1)) for n in lengths]
+        rec = SessionRecording(60.0, 2, [SensorInfo(*item) for item in layout], sequences, meta)
+        for path, expected in ((tmp_path / "rec.json", parent_json(rec)),
+                               (tmp_path / "rec.csv", parent_csv(rec))):
+            save_recording(rec, path)
+            assert path.read_bytes() == expected
+        data = (tmp_path / "rec.json").read_bytes()
+        assert _kernel.read_json(data) is not None
+        back = load_recording(tmp_path / "rec.json", validate="none")
+        assert back.meta == meta and back.sensor_layout == rec.sensor_layout
+        assert_same_recording(back, rec)
+        assert data.count(b'"sequences":[{') == 1
+
+    @pytest.mark.parametrize("args, error, message", [
+        pytest.param((np.zeros(2), np.zeros((2, 1, 9)), (1,)), ValueError, "labels of int64",
+                     id="float-labels"),
+        pytest.param((np.zeros(2, np.int32), np.zeros((2, 1, 9)), (1,)), ValueError,
+                     "labels of int64", id="int32-labels"),
+        pytest.param((np.zeros(3, np.int64), np.zeros((2, 1, 9)), (1,)), ValueError,
+                     "labels of int64 and shape", id="labels-of-another-length"),
+        pytest.param((np.zeros((2, 1), np.int64), np.zeros((2, 1, 9)), (1,)), ValueError,
+                     "labels of int64", id="labels-of-rank-2"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 9), np.float32), (1,)),
+                     ValueError, "samples of float64", id="float32-samples"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 8)), (1,)), ValueError,
+                     "samples of float64 and shape", id="rows-of-8"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 9)), (1,)), ValueError,
+                     "samples of float64 and shape", id="samples-of-rank-2"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 2, 9))[:, ::-1], (1, 2)),
+                     ValueError, "contiguous", id="reversed-samples"),
+        pytest.param((np.zeros(4, np.int64)[::2], np.zeros((2, 1, 9)), (1,)), ValueError,
+                     "contiguous", id="strided-labels"),
+        pytest.param((np.zeros(2, np.int64), [[[0.0] * 9]] * 2, (1,)), TypeError, "bytes-like",
+                     id="a-list"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 2, 9)), (1,)), ValueError,
+                     "one id per sensor", id="too-few-ids"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 2, 9)), (1, 1)), ValueError,
+                     "distinct ids", id="repeated-id"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 9)), (2**63,)), ValueError,
+                     "within 64 bits", id="id-past-64-bits"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 9)), ("1",)), TypeError,
+                     "cannot be interpreted as an integer", id="a-string-id"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 9)), 1), TypeError, "not iterable",
+                     id="ids-not-a-sequence"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 65, 9)), tuple(range(65))),
+                     ValueError, "at most 64", id="65-sensors"),
+        pytest.param((np.zeros(2, np.int64), np.full((2, 1, 9), np.inf), (1,)), ValueError,
+                     "finite samples", id="an-infinity"),
+        pytest.param((np.zeros(2, np.int64), np.array([[[0.0] * 8 + [np.nan]]] * 2), (1,)),
+                     ValueError, "finite samples", id="a-nan"),
+        pytest.param((np.zeros(2, np.int64), np.zeros((2, 1, 9))), TypeError, "3 arguments",
+                     id="two-arguments"),
+    ])
+    def test_writers_refuse_arguments_they_cannot_read(self, args, error, message):
+        with pytest.raises(error, match=message):
+            _kernel.write_json(*args)
+        if len(args) == 3:
+            with pytest.raises(error, match=message):
+                _kernel.write_csv(*args, 1)
+        else:
+            with pytest.raises(error, match="4 arguments"):
+                _kernel.write_csv(*args)
+
+    @pytest.mark.parametrize("sequence, error", [(2**63, ValueError), ("1", TypeError),
+                                                 (1.0, TypeError)])
+    def test_write_csv_refuses_a_sequence_number_it_cannot_write(self, sequence, error):
+        with pytest.raises(error):
+            _kernel.write_csv(np.zeros(1, np.int64), np.zeros((1, 1, 9)), (1,), sequence)
+
+    def test_writers_take_empty_sequences_and_no_sensors(self):
+        labels, empty = np.zeros(0, np.int64), np.zeros((0, 2, 9))
+        assert _kernel.write_json(labels, empty, (2, 1)) == orjson.dumps(
+            {"labels": [], "sensors": {"1": [], "2": []}})
+        assert _kernel.write_csv(labels, empty, (2, 1), 1) == b""
+        none = np.zeros((3, 0, 9))
+        assert _kernel.write_json(np.zeros(3, np.int64), none, ()) == \
+            b'{"labels":[0,0,0],"sensors":{}}'
+        assert _kernel.write_csv(np.zeros(3, np.int64), none, (), 1) == b""
 
 
 class TestCsvInputs:
