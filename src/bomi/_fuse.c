@@ -21,12 +21,12 @@
  * It must be compiled without contraction into fused multiply-adds, without
  * fast-math and with sin and cos kept apart (bomi/_build.py has the flags).
  *
- * run(samples, sensor, alpha, dt, guard, angles, flag_sets) -> tuple or int
- *     Filter one sensor of a C-contiguous (T, S, 9) float64 array from a
+ * run(samples, alpha, dt, guard, angles, bits) -> int
+ *     Filter every sensor of a C-contiguous (T, S, 9) float64 array from a
  *     bootstrap on its first tick; write raw (pitch, roll, yaw) into the
- *     sensor's column of the C-contiguous (T, S, 3) float64 array `angles`
- *     and return each tick's flags. A row that holds a NaN or an infinity
- *     stops the filter: return its tick instead.
+ *     C-contiguous (T, S, 3) float64 `angles` and the flag bits into the
+ *     C-contiguous (T, S) uint8 `bits`. Stop at the first row, by tick then
+ *     sensor, that holds a NaN or an infinity: return its t * S + s, else -1.
  * tick(rows, last, state, bits, alpha, dt, guard, offset, pick, channels,
  *      gamma, means, k) -> int
  *     Advance every sensor of a stream one tick. `rows` is a list of S
@@ -147,9 +147,9 @@
  *     sequence number that is not an int are a TypeError, any other fault
  *     a ValueError.
  *
- * A tick's flags are the item of the 8-tuple `flag_sets` its flag bits
- * index: 1 zero accelerometer, 2 zero magnetometer, 4 gimbal guard; the
- * stream's bit 8 is a gap.
+ * A sensor's flag bits at a tick are 1 zero accelerometer, 2 zero
+ * magnetometer, 4 gimbal guard and, from `tick` only, 8 a gap;
+ * bomi.fusion.FLAG_SETS names them.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -350,63 +350,56 @@ get_array(PyObject *obj, Py_buffer *view, int flags, const char *formats,
 static PyObject *
 fuse_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double p[3];   /* alpha, dt, guard */
-    Py_buffer in, out;
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "run() takes 7 arguments");
+    Py_buffer v[3];   /* samples, angles, bits */
+    int got = 0;
+    double p[3];      /* alpha, dt, guard */
+    PyObject *result = NULL;
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "run() takes 6 arguments");
         return NULL;
     }
-    PyObject *flag_sets = args[6];
-    if (!PyTuple_Check(flag_sets) || PyTuple_GET_SIZE(flag_sets) != 8) {
-        PyErr_SetString(PyExc_TypeError, "flag_sets must be a tuple of 8 items");
+    if (get_doubles(args + 1, p, 3) < 0)
         return NULL;
-    }
-    Py_ssize_t sensor = PyLong_AsSsize_t(args[1]);
-    if ((sensor == -1 && PyErr_Occurred()) || get_doubles(args + 2, p, 3) < 0)
-        return NULL;
-    if (get_array(args[0], &in, 0, "d", sizeof(double), 3, (Py_ssize_t[]){-1, -1, 9},
+    if (get_array(args[0], &v[0], 0, "d", sizeof(double), 3, (Py_ssize_t[]){-1, -1, 9},
                   "samples of float64 and shape (T, S, 9)") < 0)
         return NULL;
-    Py_ssize_t n = in.shape[0], s = in.shape[1];
-    if (get_array(args[5], &out, PyBUF_WRITABLE, "d", sizeof(double), 3,
-                  (Py_ssize_t[]){n, s, 3}, "angles of float64 and shape (T, S, 3)") < 0) {
-        PyBuffer_Release(&in);
-        return NULL;
-    }
-    PyObject *flags = NULL;
-    if (sensor < 0 || sensor >= s)
-        PyErr_SetString(PyExc_IndexError, "run() sensor index out of range");
-    else
-        flags = PyTuple_New(n);
-    if (flags != NULL) {
-        const double *v = (const double *)in.buf + 9 * sensor;
-        double *a = (double *)out.buf + 3 * sensor;
-        double beta = 1.0 - p[0];
+    got++;
+    Py_ssize_t n = v[0].shape[0], s = v[0].shape[1], rows = n * s, i;
+    if (get_array(args[4], &v[1], PyBUF_WRITABLE, "d", sizeof(double), 3,
+                  (Py_ssize_t[]){n, s, 3}, "angles of float64 and shape (T, S, 3)") < 0)
+        goto done;
+    got++;
+    if (get_array(args[5], &v[2], PyBUF_WRITABLE, "B", 1, 2, (Py_ssize_t[]){n, s},
+                  "bits of uint8 and shape (T, S)") < 0)
+        goto done;
+    got++;
+    /* Row i is tick i / S of sensor i % S; the filter state a row advances
+     * is the angles its sensor was given a tick before. */
+    const double *row = v[0].buf;
+    double *a = v[1].buf;
+    uint8_t *bits = v[2].buf;
+    double beta = 1.0 - p[0];
+    for (i = 0; i < rows; i++, row += 9, a += 3) {
+        int k = 0;
+        while (k < 9 && isfinite(row[k]))
+            k++;
+        if (k < 9)
+            break;
         Attitude st;
-        for (Py_ssize_t t = 0; t < n; t++, v += 9 * s, a += 3 * s) {
-            int k = 0;
-            while (k < 9 && isfinite(v[k]))
-                k++;
-            if (k < 9) {
-                Py_SETREF(flags, PyLong_FromSsize_t(t));
-                break;
-            }
-            int bits = t ? advance(v, beta, p[1], p[2], &st) : bootstrap(v, &st);
-            if (bits < 0) {
-                Py_CLEAR(flags);
-                break;
-            }
-            a[0] = st.pitch;
-            a[1] = st.roll;
-            a[2] = st.yaw;
-            PyObject *f = PyTuple_GET_ITEM(flag_sets, bits);
-            Py_INCREF(f);
-            PyTuple_SET_ITEM(flags, t, f);
-        }
+        if (i >= s)
+            memcpy(&st, a - 3 * s, sizeof st);
+        int b = i < s ? bootstrap(row, &st) : advance(row, beta, p[1], p[2], &st);
+        if (b < 0)
+            break;
+        memcpy(a, &st, sizeof st);
+        bits[i] = (uint8_t)b;
     }
-    PyBuffer_Release(&out);
-    PyBuffer_Release(&in);
-    return flags;
+    if (!PyErr_Occurred())
+        result = PyLong_FromSsize_t(i < rows ? i : -1);
+done:
+    while (got)
+        PyBuffer_Release(&v[--got]);
+    return result;
 }
 
 static PyObject *
@@ -2196,8 +2189,8 @@ fuse_write_csv(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef fuse_methods[] = {
     {"run", (PyCFunction)(void (*)(void))fuse_run, METH_FASTCALL,
-     "Filter one sensor of a (T, S, 9) sample array; return its flags per tick, or the "
-     "first tick whose row is not finite."},
+     "Filter every sensor of a (T, S, 9) sample array, writing its angles and flag bits; "
+     "return t * S + s of the first row that is not finite, or -1."},
     {"tick", (PyCFunction)(void (*)(void))fuse_tick, METH_FASTCALL,
      "Advance every sensor of a stream one tick and write its ring rows and window "
      "amplitude means; return the tick's flag bits, or -1 - si when sensor si's row is "
@@ -2230,7 +2223,8 @@ static PyMethodDef fuse_methods[] = {
 static struct PyModuleDef fuse_module = {
     PyModuleDef_HEAD_INIT, "_fuse",
     "The compiled kernels of bomi: the complementary filter, the stream's tick, the fv3 "
-    "statistics, the LDA class moments and scores and the recording JSON and CSV readers.",
+    "statistics, the LDA class moments and scores and the recording JSON and CSV readers "
+    "and writers.",
     -1,
     fuse_methods,
 };

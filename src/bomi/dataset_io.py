@@ -248,9 +248,11 @@ def validate_recording(
     ids = rec.sensor_ids
     if len(set(ids)) != len(ids):
         raise ValidationError(f"duplicate sensor ids in layout: {ids}")
-    for sid in ids:
-        if not 1 <= sid <= MAX_SENSORS:
-            raise ValidationError(f"sensor id {sid} outside [1, {MAX_SENSORS}]")
+    for s in rec.sensor_layout:
+        if not 1 <= s.id <= MAX_SENSORS:
+            raise ValidationError(f"sensor id {s.id} outside [1, {MAX_SENSORS}]")
+        if not isinstance(s.location, str):
+            raise ValidationError(f"sensor {s.id}: location must be a string, got {s.location!r}")
     if not rec.sequences:
         raise ValidationError("recording has no sequences")
     _sample_period(rec.sample_rate_hz)
@@ -343,7 +345,9 @@ class ImportMapping:
                 try:
                     number = float(value)
                 except ValueError:
-                    raise ParseError(f"{key} must be a number, got {value!r}", lineno) from None
+                    number = math.nan
+                if not math.isfinite(number):
+                    raise ParseError(f"{key} must be a finite number, got {value!r}", lineno)
                 setattr(m, key.replace(".", "_"), number)
             elif key == "mode":
                 if value not in ("raw", "angles"):
@@ -478,6 +482,13 @@ def _int_field(value, name: str) -> int:
     return value
 
 
+def _str_field(value, name: str) -> str:
+    """``value`` if it is a JSON string; SchemaError naming ``name`` otherwise."""
+    if type(value) is not str:
+        raise SchemaError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _number_field(value, name: str) -> float:
     """``value`` as a float if it is a JSON number (an int or a float, not
     a bool); SchemaError naming ``name`` otherwise."""
@@ -544,7 +555,7 @@ def _rec_from_dict(obj: dict) -> SessionRecording:
     try:
         layout = [
             SensorInfo(_int_field(s["id"], "sensor_layout id"),
-                       str(s.get("location", "unknown")))
+                       _str_field(s.get("location", "unknown"), "sensor_layout location"))
             for s in obj["sensor_layout"]
         ]
         ids = tuple(s.id for s in layout)

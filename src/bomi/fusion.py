@@ -89,27 +89,27 @@ def _sample_period(sample_rate_hz) -> float:
     return 1.0 / sample_rate_hz
 
 
-# The filter kernel is C (_fuse.c, which also holds bomi.features' fv3
-# entry and bomi.lda's score entry), compiled when this module is
-# imported (see _build). The filter has two entries over one bootstrap
-# and one advance, so offline and online angles and flags are equal bit
-# for bit: run filters a whole recording, one call per sensor, for
-# fuse_sequence; tick advances every sensor of a stream one tick, for
-# StreamingPipeline.step and for the one sensor of a ComplementaryFilter.
-# accel_angles and mag_yaw take their numbers from its measure entry. It
-# forms every value as CPython does for the Python expressions
-# tests/oracles.py spells out: float %, math.atan2 and math.hypot (which
-# it calls), and degrees and radians as products. The kernel sums up a
-# tick's degradations in bits, and FLAG_SETS, indexed by them, holds the
-# flag tuple each stands for.
-Flags = tuple[str, ...]
-
+# The filter kernel is C (_fuse.c, which also holds the fv3, moments and
+# score entries of bomi.features and bomi.lda and the recording readers and
+# writers of bomi.dataset_io), compiled when this module is imported (see
+# _build). The filter has two entries over one bootstrap and one advance,
+# so offline and online angles and flag bits are equal bit for bit: run
+# filters every sensor of a recording in one call, for fuse_sequence; tick
+# advances every sensor of a stream one tick, for StreamingPipeline.step
+# and for the one sensor of a ComplementaryFilter. accel_angles and mag_yaw
+# take their numbers from its measure entry. It forms every value as
+# CPython does for the Python expressions tests/oracles.py spells out:
+# float %, math.atan2 and math.hypot (which it calls), and degrees and
+# radians as products. A sensor's bits at a tick are 1 accel fallback, 2 mag
+# fallback, 4 gimbal guard and, from tick only, GAP_BIT; FLAG_SETS, indexed
+# by them, is the one table of the flag names they stand for.
 _kernel = load_kernel()
 
-FLAG_SETS: tuple[Flags, ...] = tuple(
-    tuple(name for bit, name in ((1, FLAG_ACCEL_FALLBACK), (4, FLAG_GIMBAL_GUARD),
-                                 (2, FLAG_MAG_FALLBACK)) if bits & bit)
-    for bits in range(8)
+GAP_BIT = 8
+FLAG_SETS: tuple[tuple[str, ...], ...] = tuple(
+    tuple(name for bit, name in ((GAP_BIT, FLAG_GAP), (1, FLAG_ACCEL_FALLBACK),
+                                 (4, FLAG_GIMBAL_GUARD), (2, FLAG_MAG_FALLBACK)) if bits & bit)
+    for bits in range(16)
 )
 
 # The pick, channels and gamma rings and the means a ComplementaryFilter
@@ -301,8 +301,9 @@ class FusedSequence:
     ``angles`` holds calibrated (offset-subtracted) pitch/roll/yaw per
     tick and sensor, shape (T, S, 3); ``gyro`` the matching raw rates.
     ``offset`` is the (S, 3) neutral offset subtracted, in sensor order.
-    ``flags[si][t]`` is the degradation flag tuple of sensor ``si`` at
-    tick ``t``, the same tuple the filter kernel gives online.
+    ``bits`` is the C-contiguous (T, S) uint8 array of each sensor's
+    degradation flag bits per tick, the bits ``StreamingPipeline`` holds
+    after each gap-free tick; ``FLAG_SETS[bits[t, si]]`` names them.
     Windowing starts at ``calib_ticks`` so streaming and offline paths
     see identical data.
     """
@@ -311,7 +312,7 @@ class FusedSequence:
     gyro: np.ndarray
     offset: np.ndarray
     calib_ticks: int
-    flags: tuple[tuple[Flags, ...], ...]
+    bits: np.ndarray
 
 
 def fuse_sequence(
@@ -321,10 +322,10 @@ def fuse_sequence(
 ) -> FusedSequence:
     """Fuse and calibrate one sequence of raw samples.
 
-    Runs the filter kernel's run entry over each sensor's whole column in
-    one call. ``ComplementaryFilter.step`` advances the same bootstrap and
-    advance one tick at a time through the tick entry, so the result
-    equals stepping a filter per sensor bit for bit.
+    Runs the filter kernel's run entry over every sensor in one call.
+    ``ComplementaryFilter.step`` advances the same bootstrap and advance
+    one tick at a time through the tick entry, so the result equals
+    stepping a filter per sensor bit for bit, flag bits included.
 
     Args:
         samples: (T, S, 9) array, sensors in layout order (the first is
@@ -352,12 +353,10 @@ def fuse_sequence(
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     n_ticks, n_sensors = samples.shape[:2]
     raw_angles = np.empty((n_ticks, n_sensors, 3), dtype=np.float64)
-    # Each sensor's flags, or the first tick its row is not finite.
-    flags = [_kernel.run(samples, si, config.alpha, dt, config.gimbal_guard_deg, raw_angles,
-                         FLAG_SETS) for si in range(n_sensors)]
-    refused = [(t, si) for si, t in enumerate(flags) if type(t) is int]
-    if refused:
-        t, si = min(refused)
+    bits = np.empty((n_ticks, n_sensors), dtype=np.uint8)
+    refused = _kernel.run(samples, config.alpha, dt, config.gimbal_guard_deg, raw_angles, bits)
+    if refused >= 0:
+        t, si = divmod(refused, n_sensors)
         raise ValidationError(f"sensor index {si} at tick {t}: expected 9 finite numbers, "
                               f"got {samples[t, si].tolist()!r}")
 
@@ -368,4 +367,4 @@ def fuse_sequence(
 
     angles = wrap_deg(raw_angles - offset)
     gyro = samples[:, :, 3:6].copy()
-    return FusedSequence(angles, gyro, offset, config.calib_ticks, tuple(flags))
+    return FusedSequence(angles, gyro, offset, config.calib_ticks, bits)

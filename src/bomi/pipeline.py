@@ -34,8 +34,8 @@ from .errors import LayoutError, MappingError, NumericalError, ValidationError
 # and bomi.pipeline.predict.
 from .features import channel_index, extract, prop_output, window_labels  # noqa: F401
 from .fusion import (
-    FLAG_GAP,
     FLAG_SETS,
+    GAP_BIT,
     _kernel,
     _real_in,
     _sample_period,
@@ -398,7 +398,7 @@ class StreamingPipeline:
             raise ValidationError(
                 f"sensor {sid} at tick {tick}: expected 9 finite numbers, got {row!r}"
             )
-        if bits & _GAP_BIT:
+        if bits & GAP_BIT:
             self.dropped_ticks += 1
 
         if offset is None:
@@ -449,18 +449,10 @@ class StreamingPipeline:
         )
 
 
-# The kernel's flag bits per sensor: FLAG_SETS's three, and a gap.
-_GAP_BIT = 8
-_SENSOR_FLAGS: tuple[tuple[str, ...], ...] = tuple(
-    (FLAG_GAP,) * bool(bits & _GAP_BIT) + FLAG_SETS[bits & 7] for bits in range(16)
-)
-
-
 def _tick_flags(bits: np.ndarray) -> tuple[str, ...]:
     """A tick's flags from each sensor's bits: sensors in layout order, a
     gap before that sensor's filter flags, each flag where it first occurs."""
-    return tuple(dict.fromkeys(chain.from_iterable(map(_SENSOR_FLAGS.__getitem__,
-                                                       bits.tolist()))))
+    return tuple(dict.fromkeys(chain.from_iterable(map(FLAG_SETS.__getitem__, bits.tolist()))))
 
 
 class VirtualDevice:

@@ -21,9 +21,9 @@ print("ready", flush=True)
 sys.stdin.readline()
 kernel = _build.load(Path(sys.argv[1]))
 samples = np.random.default_rng(5).normal(size=(300, 2, 9))
-raw = np.empty((300, 2, 3))
-flags = kernel.run(samples, 1, 0.98, 1 / 60, 85.0, raw, tuple(range(8)))
-print(kernel.__file__, raw[:, 1].tobytes().hex(), flags)
+raw, bits = np.empty((300, 2, 3)), np.empty((300, 2), dtype=np.uint8)
+refused = kernel.run(samples, 0.98, 1 / 60, 85.0, raw, bits)
+print(kernel.__file__, raw.tobytes().hex(), bits.tobytes().hex(), refused)
 """
 
 

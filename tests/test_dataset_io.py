@@ -537,6 +537,24 @@ class TestImportMapping:
         fused = fuse_sequence(rec.sequences[0].samples, 60.0)
         assert np.abs(fused.angles[:, 0, 0] - (pitch - pitch[:60].mean())).max() < 0.2
 
+    @pytest.mark.parametrize("key", ["scale.acc", "scale.gyro", "scale.mag",
+                                     "sample_rate_hz"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_a_value_that_is_not_finite_names_its_line(self, tmp_path, key, value):
+        cfg = tmp_path / "mapping.cfg"
+        cfg.write_text(f"# mapping\ncolumn.tick=sample\n{key}={value}\n")
+        with pytest.raises(ParseError) as raised:
+            ImportMapping.from_file(cfg)
+        assert raised.value.line == 3
+        assert str(raised.value) == f"line 3: {key} must be a finite number, got {value!r}"
+
+    def test_a_value_that_is_not_a_number_names_its_line(self, tmp_path):
+        cfg = tmp_path / "mapping.cfg"
+        cfg.write_text("scale.acc=2\nscale.mag=fast\n")
+        with pytest.raises(ParseError, match=re.escape(
+                "line 2: scale.mag must be a finite number, got 'fast'")):
+            ImportMapping.from_file(cfg)
+
     def test_unknown_mapping_key(self, tmp_path):
         cfg = tmp_path / "mapping.cfg"
         cfg.write_text("colour.tick=sample\n")
@@ -653,6 +671,14 @@ JSON_FAULTS = [
     pytest.param(("sequences", 0, "labels", 1), 2**63,
                  "sequence 1 labels must fit in 64 bits, got 9223372036854775808",
                  id="label-2-63"),
+    # A location must be a JSON string: str() turned these into text.
+    pytest.param(("sensor_layout", 0, "location"), 3,
+                 "sensor_layout location must be a string, got 3", id="location-number"),
+    # A message part is also a regex, so it ends before the brace.
+    pytest.param(("sensor_layout", 1, "location"), {"a": 1},
+                 "sensor_layout location must be a string, got ", id="location-object"),
+    pytest.param(("sensor_layout", 0, "location"), None,
+                 "sensor_layout location must be a string, got None", id="location-null"),
     # meta must be an object: a null meta loaded and failed in `bomi train`.
     pytest.param(("meta",), None, "meta must be a JSON object, got None", id="meta-null"),
     # A message part is also a regex, so it ends before the bracket.
@@ -683,6 +709,14 @@ class TestJsonFaults:
         assert rec.class_count == 3
         assert rec.sensor_ids == (1, 2)
         assert rec.sequences[0].labels.tolist() == [0, 1, 2]
+
+    def test_a_missing_location_loads_as_unknown(self, tmp_path):
+        obj = json_recording()
+        del obj["sensor_layout"][1]["location"]
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        rec = load_recording(path, validate="none")
+        assert [s.location for s in rec.sensor_layout] == ["a", "unknown"]
 
     def test_sensor_keys_other_than_the_layout_are_an_alignment_error(self, tmp_path):
         path = self.write(tmp_path, ("sequences", 0, "sensors"), {"1": JSON_ROWS, "3": JSON_ROWS})
@@ -2198,6 +2232,21 @@ class TestValidation:
                 f"sequence 1: samples of shape ({seq.n_ticks}, 1, 9), "
                 f"expected ({seq.n_ticks}, 2, 9)")):
             validate_recording(rec, protocol="none")
+
+    @pytest.mark.parametrize("location", [{"a": 1}, 3, None, b"head"])
+    def test_a_location_that_is_not_a_string_is_refused(self, small_noisy, tmp_path,
+                                                        location):
+        layout = list(small_noisy.sensor_layout)
+        layout[1] = SensorInfo(layout[1].id, location)
+        rec = dataclasses.replace(small_noisy, sensor_layout=layout)
+        message = re.escape(f"sensor {layout[1].id}: location must be a string, "
+                            f"got {location!r}")
+        with pytest.raises(ValidationError, match=message):
+            validate_recording(rec, protocol="none")
+        for path in (tmp_path / "rec.csv", tmp_path / "rec.json"):
+            with pytest.raises(ValidationError, match=message):
+                save_recording(rec, path)
+            assert not path.exists()
 
     @pytest.mark.parametrize("rate", [0.0, -60.0, float("nan"), float("inf")])
     def test_sample_rate_must_be_finite_and_positive(self, small_noisy, rate):

@@ -462,10 +462,10 @@ def test_batch_fusion_matches_streaming_steps_under_degraded_input(first_zero, c
         want = np.array([[wrap_deg(f.pitch - p0), wrap_deg(f.roll - r0), wrap_deg(f.yaw - y0)]
                          for f in frames[sid]])
         assert fused.angles[:, si].tobytes() == want.tobytes()
-        assert fused.flags[si] == tuple(f.flags for f in frames[sid])
+        flags = tuple(FLAG_SETS[b] for b in fused.bits[:, si].tolist())
+        assert flags == tuple(f.flags for f in frames[sid])
 
         # Every degraded branch was taken, so the equality above covers it.
-        flags = fused.flags[si]
         assert set(flags[0]) == {"acc": {FLAG_ACCEL_FALLBACK}, "mag": {FLAG_MAG_FALLBACK},
                                  "both": {FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK}}[first_zero]
         assert all(flags[t] == (FLAG_ACCEL_FALLBACK,) for t in range(100, 120))
@@ -503,7 +503,8 @@ def assert_filter_matches_reference(rows, alpha, rate, guard=85.0, hits=None):
     cfg = FusionConfig(alpha=alpha, calib_ticks=0, gimbal_guard_deg=guard)
     fused = fuse_sequence(rows[:, None], rate, cfg)
     assert_same_bits(fused.angles[:, 0], wrap_deg(raw - 0.0))
-    assert fused.flags == (flags,)
+    assert fused.bits.dtype == np.uint8 and fused.bits.flags.c_contiguous
+    assert tuple(FLAG_SETS[b] for b in fused.bits[:, 0].tolist()) == flags
     return want
 
 
@@ -633,12 +634,16 @@ def test_kernel_entries_match_reference_bitwise(n, planted, seed, alpha, guard, 
     want_raw = np.array([w[:3] for w in want]).tobytes()
     want_flags = tuple(w[3] for w in want)
 
-    # The whole-sequence entry on the second sensor of two (row stride 18).
-    samples = np.stack([planted_rows(n, planted[::-1], seed + 1), rows], axis=1)
-    raw = np.full((n, 2, 3), np.nan)
-    assert _kernel.run(samples, 1, alpha, dt, guard, raw, FLAG_SETS) == want_flags
+    # The whole-sequence entry on two sensors (row stride 18), each the reference's.
+    other = planted_rows(n, planted[::-1], seed + 1)
+    samples = np.stack([other, rows], axis=1)
+    raw, bits = np.full((n, 2, 3), np.nan), np.full((n, 2), 255, dtype=np.uint8)
+    assert _kernel.run(samples, alpha, dt, guard, raw, bits) == -1
     assert raw[:, 1].tobytes() == want_raw
-    assert np.isnan(raw[:, 0]).all()
+    assert tuple(FLAG_SETS[b] for b in bits[:, 1].tolist()) == want_flags
+    other_want = complementary_filter_reference(other, alpha, dt, guard)
+    assert raw[:, 0].tobytes() == np.array([w[:3] for w in other_want]).tobytes()
+    assert tuple(FLAG_SETS[b] for b in bits[:, 0].tolist()) == tuple(w[3] for w in other_want)
 
     # The one-tick entry on one sensor, from the bootstrap on, with no
     # offset: it writes neither ring nor the means.
@@ -688,24 +693,36 @@ def test_measure_entry_matches_reference_bitwise(vector, pitch, roll):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("samples, angles, error", [
-    (np.zeros((4, 2, 8)), np.zeros((4, 2, 3)), ValueError),
-    (np.zeros((4, 2, 9)), np.zeros((4, 1, 3)), ValueError),
-    (np.zeros((4, 2, 9), dtype=np.float32), np.zeros((4, 2, 3)), ValueError),
-    (np.zeros((4, 2, 18))[:, :, ::2], np.zeros((4, 2, 3)), ValueError),
-    (np.zeros((4, 1, 9)), np.zeros((4, 1, 3)), IndexError),
+BITS = np.zeros((4, 2), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("samples, angles, bits", [
+    (np.zeros((4, 2, 8)), np.zeros((4, 2, 3)), BITS),
+    (np.zeros((4, 2, 9)), np.zeros((4, 1, 3)), BITS),
+    (np.zeros((4, 2, 9), dtype=np.float32), np.zeros((4, 2, 3)), BITS),
+    (np.zeros((4, 2, 18))[:, :, ::2], np.zeros((4, 2, 3)), BITS),
+    (np.zeros((4, 2, 9)), np.zeros((4, 2, 3)), np.zeros((4, 1), dtype=np.uint8)),
+    (np.zeros((4, 2, 9)), np.zeros((4, 2, 3)), np.zeros((4, 2), dtype=np.int8)),
+    (np.zeros((4, 2, 9)), np.zeros((4, 2, 3)), np.zeros((2, 4), dtype=np.uint8).T),
 ])
-def test_kernel_run_rejects_arrays_it_cannot_read(samples, angles, error):
-    with pytest.raises(error):
-        _kernel.run(samples, 1, 0.98, 1 / 60, 85.0, angles, FLAG_SETS)
+def test_kernel_run_rejects_arrays_it_cannot_read(samples, angles, bits):
+    with pytest.raises(ValueError):
+        _kernel.run(samples, 0.98, 1 / 60, 85.0, angles, bits)
 
 
 def test_kernel_run_stops_at_the_first_row_that_is_not_finite():
-    samples = level_samples(6, 2)
+    samples = level_samples(6, 3)
     samples[4, 1, 3] = float("inf")
-    samples[5, 1, 0] = float("nan")
-    angles = np.full((6, 2, 3), 7.0)
-    assert _kernel.run(samples, 1, 0.98, 1 / 60, 85.0, angles, FLAG_SETS) == 4
-    # Ticks before it are written, the rest and the other sensor are not.
-    assert np.isfinite(angles[:4, 1]).all() and (angles[4:, 1] == 7.0).all()
-    assert (angles[:, 0] == 7.0).all()
+    samples[4, 2, 0] = float("nan")
+    earlier = samples.copy()
+    earlier[2, 2, 0] = float("nan")
+    assert _kernel.run(earlier, 0.98, 1 / 60, 85.0, np.empty((6, 3, 3)),
+                       np.empty((6, 3), dtype=np.uint8)) == 2 * 3 + 2
+    angles = np.full((6, 3, 3), 7.0)
+    bits = np.full((6, 3), 255, dtype=np.uint8)
+    assert _kernel.run(samples, 0.98, 1 / 60, 85.0, angles, bits) == 4 * 3 + 1
+    # Rows before it, by tick then sensor, are written; it and the rest are not.
+    assert np.isfinite(angles[:4]).all() and (bits[:4] != 255).all()
+    assert np.isfinite(angles[4, 0]).all() and bits[4, 0] != 255
+    assert (angles[4, 1:] == 7.0).all() and (bits[4, 1:] == 255).all()
+    assert (angles[5:] == 7.0).all() and (bits[5:] == 255).all()

@@ -570,12 +570,39 @@ class TestStreaming:
             for si, sid in enumerate(sensor_ids):
                 if sid in drops.get(o.tick, ()):
                     flags.append(FLAG_GAP)
-                flags.extend(fused.flags[si][o.tick])
+                flags.extend(FLAG_SETS[fused.bits[o.tick, si]])
             assert o.flags == tuple(dict.fromkeys(flags))
 
         seen = {f for o in outs for f in o.flags}
         assert {FLAG_GAP, FLAG_ACCEL_FALLBACK, FLAG_MAG_FALLBACK, FLAG_GIMBAL_GUARD} <= seen
         assert any(o.nu > 0.0 for o in outs)
+
+    @pytest.mark.parametrize("calib_ticks", [0, 60])
+    def test_stream_bits_equal_offline_bits_on_every_tick(self, small_noisy, calib_ticks):
+        # Gap-free, with zero-accel and zero-mag spans and pitch past the
+        # guard: from the first tick on, calibration and warm-up included,
+        # the stream's per-sensor bits are the offline run's.
+        layout = FeatureLayout(small_noisy.sensor_ids)
+        X = np.random.default_rng(3).normal(size=(4, feature_dim("fv1", layout.n_sensors)))
+        core = fit(X, [0, 0, 1, 1])
+        config = FusionConfig(calib_ticks=calib_ticks)
+        model = LdaModel(classes=core.classes, means=core.means, chol_lower=core.chol_lower,
+                         shrinkage=core.shrinkage, log_priors=core.log_priors,
+                         feature_kind="fv1", layout=layout, fusion=config)
+        rows = small_noisy.sequences[0].samples[:800].copy()
+        primary, other = rows[:, 0], rows[:, -1]
+        primary[40:70, 0:3] = 0.0
+        other[100:130, 6:9] = 0.0
+        primary[300:360, 4] = 200.0   # pitch rate: past the guard, to the clamp
+        primary[340:350, 0:3] = 0.0
+        other[500:520, 0:3] = 0.0
+        other[500:520, 6:9] = 0.0
+        bits = fuse_sequence(rows, 60.0, config).bits
+        pipe = StreamingPipeline(model)
+        for t, tick_rows in enumerate(rows.tolist()):
+            pipe.step(t, dict(zip(layout.sensor_ids, tick_rows)))
+            assert pipe._bits.tolist() == bits[t].tolist(), t
+        assert set(np.unique(bits).tolist()) == {0, 1, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("n_sensors", range(1, 7))

@@ -41,6 +41,11 @@ Each line is ``<part> <digest>``. The parts cover:
   again with a model trained on ``window=6, overlap=4``, and the fv3
   wearers again with one trained on ``window=8, overlap=4`` (each stream
   takes its geometry from its model);
+* ``fusion/degraded_*``: ``fuse_sequence`` on the held-out sequence,
+  degraded as for ``stream-degraded/*`` but with no sensor dropped: the
+  angles, the offset and each sensor's per-tick flag names, read from
+  ``FusedSequence.flags`` in checkouts that have it and as
+  ``FLAG_SETS[bits]`` in later ones, so both print the same digest;
 * ``filter/*``: every frame (angles, sensor id, tick and flags) of a
   ``ComplementaryFilter`` stepped over each sensor of the quickstart JSON
   session's held-out sequence, degraded as for ``stream-degraded/*``,
@@ -129,7 +134,13 @@ from bomi.experiments import (
 )
 from bomi.features import extract
 from bomi.errors import UndefinedAttitudeError, UndefinedHeadingError
-from bomi.fusion import ComplementaryFilter, accel_angles, fuse_sequence, mag_yaw
+from bomi.fusion import (
+    FLAG_SETS,
+    ComplementaryFilter,
+    accel_angles,
+    fuse_sequence,
+    mag_yaw,
+)
 from bomi.lda import deserialize, predict_scores
 from bomi.pipeline import StreamingPipeline, VirtualDevice, replay
 
@@ -319,6 +330,21 @@ def hash_degraded_stream(rec, model, seq_index: int, smoothing: str = "none") ->
                            out.button_event, out.flags)).encode())
     h.update(repr(pipe.dropped_ticks).encode())
     h.update(digest(np.asarray(device.trajectory)).encode())
+    return h.hexdigest()
+
+
+def hash_degraded_fusion(rec, seq_index: int) -> str:
+    """Digest of ``fuse_sequence`` on the degraded sequence: angles, offset
+    and each sensor's per-tick flag names."""
+    seq, _ = degraded(rec.sequences[seq_index - 1])
+    fused = fuse_sequence(seq.samples, rec.sample_rate_hz)
+    bits = getattr(fused, "bits", None)
+    if bits is None:  # a checkout from before FusedSequence.bits
+        flags = tuple(fused.flags)
+    else:
+        flags = tuple(tuple(FLAG_SETS[b] for b in column) for column in bits.T.tolist())
+    h = hashlib.sha256(digest(fused.angles, fused.offset).encode())
+    h.update(repr(flags).encode())
     return h.hexdigest()
 
 
@@ -568,6 +594,7 @@ def main(argv: list[str] | None = None) -> int:
         if kind == "fv3":
             emit(f"stream/fv3_vectors_{name}",
                  hash_stream_vectors(rec, model, len(rec.sequences)))
+        emit(f"fusion/degraded_{name}", hash_degraded_fusion(rec, len(rec.sequences)))
         emit(f"stream-degraded/{name}", hash_degraded_stream(
             rec, model, len(rec.sequences), smoothing="majority:3"))
         if kind != "fv3":
